@@ -1,5 +1,6 @@
 //! Microbenchmarks for the simulated accelerator: functional invocation
-//! cost of the tiled int8 datapath versus the plain reference executor.
+//! cost of the device datapath (shared int8 GEMM plus device bookkeeping)
+//! versus the plain reference executor.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

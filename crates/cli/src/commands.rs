@@ -642,6 +642,43 @@ mod tests {
         );
         assert!(out.contains("kernels: i8 gemm = "), "{out}");
 
+        // The device's int8 datapath runs on the dispatched GEMM, so a TPU
+        // run attributes calls to it. Parallel tests only add to the
+        // process-global counters, never subtract.
+        let tpu_model_path = dir.join("cli-model-tpu.hdm");
+        let out = train(&parsed(&[
+            "train",
+            "--dataset",
+            "pamap2",
+            "--out",
+            tpu_model_path.to_str().unwrap(),
+            "--dim",
+            "256",
+            "--iterations",
+            "2",
+            "--train",
+            "100",
+            "--test",
+            "40",
+            "--setting",
+            "tpu",
+        ]))
+        .unwrap();
+        std::fs::remove_file(&tpu_model_path).ok();
+        // "kernels: i8 gemm = <name> (<s> simd / <p> portable call(s)), ..."
+        let counts = out
+            .lines()
+            .find_map(|l| l.strip_prefix("kernels: i8 gemm = "))
+            .and_then(|rest| rest.split_once('('))
+            .and_then(|(_, rest)| rest.split_once(" call(s)"))
+            .unwrap_or_else(|| panic!("no kernels line in\n{out}"))
+            .0;
+        let calls: u64 = counts
+            .split_whitespace()
+            .filter_map(|t| t.parse::<u64>().ok())
+            .sum();
+        assert!(calls > 0, "device run reported no i8 GEMM calls:\n{out}");
+
         let out = info(&parsed(&["info", "--model", model_str])).unwrap();
         assert!(out.contains("dimensionality (d):  512"), "{out}");
 

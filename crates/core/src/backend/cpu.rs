@@ -77,9 +77,9 @@ impl Executor for CpuBackend {
         classes: usize,
         config: &TrainConfig,
     ) -> hdc::Result<(ClassHypervectors, TrainStats)> {
-        let kernels_before = hd_tensor::kernels::stats();
+        let kernels_before = hd_tensor::kernels::thread_stats();
         let (class_hvs, stats) = train_encoded(encoded, labels, classes, config)?;
-        let kernel_delta = hd_tensor::kernels::stats().delta_since(&kernels_before);
+        let kernel_delta = hd_tensor::kernels::thread_stats().delta_since(&kernels_before);
         self.ledger.lock().absorb_kernel_stats(kernel_delta);
         self.charge_update(encoded.rows(), classes, &stats, config);
         Ok((class_hvs, stats))
@@ -92,9 +92,9 @@ impl ExecutionBackend for CpuBackend {
     }
 
     fn predict(&self, model: &HdcModel, features: &Matrix) -> crate::Result<Vec<usize>> {
-        let kernels_before = hd_tensor::kernels::stats();
+        let kernels_before = hd_tensor::kernels::thread_stats();
         let predictions = model.predict(features)?;
-        let kernel_delta = hd_tensor::kernels::stats().delta_since(&kernels_before);
+        let kernel_delta = hd_tensor::kernels::thread_stats().delta_since(&kernels_before);
         let mut ledger = self.ledger.lock();
         ledger.absorb_kernel_stats(kernel_delta);
         ledger.predicted_samples += features.rows() as u64;

@@ -583,9 +583,9 @@ impl ExecutionBackend for TpuBackend {
             None => {
                 // Degraded: host-side prediction, bit-identical to
                 // CpuBackend's path and charged at its host cost.
-                let kernels_before = hd_tensor::kernels::stats();
+                let kernels_before = hd_tensor::kernels::thread_stats();
                 let predictions = model.predict(features)?;
-                let kernel_delta = hd_tensor::kernels::stats().delta_since(&kernels_before);
+                let kernel_delta = hd_tensor::kernels::thread_stats().delta_since(&kernels_before);
                 let mut ledger = self.ledger.lock();
                 ledger.absorb_kernel_stats(kernel_delta);
                 ledger.fallbacks += 1;

@@ -18,7 +18,9 @@
 //!   `sum_p min/max(av_lo * w[p][j], av_hi * w[p][j])` with
 //!   `av = q - zero_point` the centred input. The *running* prefix sums
 //!   are tracked too, so an intermediate wrap that a final-sum bound would
-//!   miss is still caught (the kernels accumulate in ascending `p` order).
+//!   miss is still caught. The kernel sums raw `qa * qb` products and
+//!   corrects for zero points afterwards, so this is more conservative
+//!   than the kernel needs.
 //!   Requantization is monotone in the accumulator, so the output interval
 //!   is the image of the accumulator endpoints under the same `f32`
 //!   arithmetic the executor uses.
@@ -503,8 +505,8 @@ pub fn analyze_ranges(model: &QuantizedModel, config: &RangeConfig) -> RangeRepo
 }
 
 /// The executor's requantization applied to a (possibly out-of-`i32`)
-/// static bound: saturate into the accumulator range first, exactly like
-/// the hardened `tpu-sim` datapath, then follow the concrete f32 path.
+/// static bound: saturate into the accumulator range first, then follow
+/// the concrete f32 path.
 /// For models that pass the overflow check the saturation never engages,
 /// so this is bit-identical to `requantize_accumulator`.
 fn requant_saturating(out: QuantParams, acc: i64, acc_scale: f32) -> i8 {

@@ -133,6 +133,59 @@ pub struct CompiledModel {
 }
 
 impl CompiledModel {
+    /// Lowers an already-quantized model for `target`: plans its tiles and
+    /// attaches its range report. [`compile`] ends here; calling it
+    /// directly serves hand-built or deserialized stages, which skip the
+    /// quantize-time overflow check, so the report may carry errors.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::ModelTooLarge`] if the quantized parameters
+    /// exceed the target's buffer.
+    pub fn from_quantized(quantized: QuantizedModel, target: &TargetSpec) -> Result<Self> {
+        let required = quantized.param_bytes();
+        if required > target.param_buffer_bytes {
+            return Err(NnError::ModelTooLarge {
+                required,
+                available: target.param_buffer_bytes,
+            });
+        }
+
+        let mut tile_plans = Vec::new();
+        for (i, stage) in quantized.stages().iter().enumerate() {
+            let (rows, cols, bytes) = match stage {
+                QuantStage::FullyConnected { weights, .. } => {
+                    (weights.rows(), weights.cols(), weights.byte_size())
+                }
+                QuantStage::FullyConnectedPerChannel { weights, .. } => (
+                    weights.rows(),
+                    weights.cols(),
+                    weights.byte_size() + 4 * weights.cols(),
+                ),
+                QuantStage::Lut(_) => continue,
+            };
+            tile_plans.push(TilePlan {
+                stage_index: i,
+                tiles_k: rows.div_ceil(target.array_rows),
+                tiles_n: cols.div_ceil(target.array_cols),
+                weight_bytes: bytes,
+            });
+        }
+
+        // Keep the full report (intervals + warnings) attached to the
+        // artifact so every backend-compiled model is range-verified once
+        // per cache entry.
+        let range_report =
+            crate::absint::analyze_ranges(&quantized, &crate::absint::RangeConfig::default());
+
+        Ok(CompiledModel {
+            target: target.clone(),
+            quantized,
+            tile_plans,
+            range_report,
+        })
+    }
+
     /// The target this model was compiled for.
     pub fn target(&self) -> &TargetSpec {
         &self.target
@@ -150,7 +203,8 @@ impl CompiledModel {
 
     /// The static range analysis computed at compile time: per-stage
     /// value intervals plus any saturation/dead-range warnings. Models
-    /// with overflow errors never compile, so this report is warning-only.
+    /// with overflow errors never pass [`compile`], so for its output this
+    /// report is warning-only.
     pub fn range_report(&self) -> &crate::absint::RangeReport {
         &self.range_report
     }
@@ -280,47 +334,7 @@ fn compile_inner(
         QuantizedModel::quantize(model, calibration)?
     };
 
-    let required = quantized.param_bytes();
-    if required > target.param_buffer_bytes {
-        return Err(NnError::ModelTooLarge {
-            required,
-            available: target.param_buffer_bytes,
-        });
-    }
-
-    let mut tile_plans = Vec::new();
-    for (i, stage) in quantized.stages().iter().enumerate() {
-        let (rows, cols, bytes) = match stage {
-            QuantStage::FullyConnected { weights, .. } => {
-                (weights.rows(), weights.cols(), weights.byte_size())
-            }
-            QuantStage::FullyConnectedPerChannel { weights, .. } => (
-                weights.rows(),
-                weights.cols(),
-                weights.byte_size() + 4 * weights.cols(),
-            ),
-            QuantStage::Lut(_) => continue,
-        };
-        tile_plans.push(TilePlan {
-            stage_index: i,
-            tiles_k: rows.div_ceil(target.array_rows),
-            tiles_n: cols.div_ceil(target.array_cols),
-            weight_bytes: bytes,
-        });
-    }
-
-    // Quantization already hard-errored on overflow; keep the full report
-    // (intervals + warnings) attached to the artifact so every
-    // backend-compiled model is range-verified once per cache entry.
-    let range_report =
-        crate::absint::analyze_ranges(&quantized, &crate::absint::RangeConfig::default());
-
-    Ok(CompiledModel {
-        target: target.clone(),
-        quantized,
-        tile_plans,
-        range_report,
-    })
+    CompiledModel::from_quantized(quantized, target)
 }
 
 #[cfg(test)]

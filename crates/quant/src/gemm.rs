@@ -32,40 +32,40 @@ fn check(a: &QuantizedMatrix, b: &QuantizedMatrix) -> Result<()> {
     Ok(())
 }
 
-/// Multiplies two quantized matrices, returning the raw `i32` accumulator
-/// matrix and the combined accumulator scale.
+/// Deepest reduction for which every accumulator in this module is exact
+/// whatever the operand values: `floor((2^31 - 1) / 255^2)`.
 ///
-/// `real[i][j] = acc_scale * acc[i][j]`.
+/// Operands are `i8` and zero points lie in `[-128, 127]`, so each
+/// centred term satisfies `|(qa - za)(qb - zb)| <= 255^2 = 65025` and a
+/// `k`-deep sum fits `i32` for every `k <= 33025`. Every intermediate of
+/// the zero-point decomposition in [`matmul_accumulate`] is bounded by
+/// `3 * 128^2 * k` and fits too. The bound needs nothing from the weight
+/// values, so it also covers weights flipped by fault injection.
+pub const MAX_EXACT_DEPTH: usize = 33_025;
+
+/// `sum_p (qa[i,p] - za)(qb[p,j] - zb)` for a row-major `k x n` right
+/// operand `b` with zero point `zb`: the raw `qa·qb` product through the
+/// SIMD-dispatched int8 kernel, then the zero-point decomposition
 ///
-/// # Errors
+/// ```text
+/// sum_p (qa - za)(qb - zb)
+///   = sum_p qa qb - za * colsum_b[j] - zb * rowsum_a[i] + k za zb
+/// ```
 ///
-/// Returns a wrapped [`TensorError::ShapeMismatch`] if
-/// `a.cols() != b.rows()`.
-pub fn matmul_accumulate(a: &QuantizedMatrix, b: &QuantizedMatrix) -> Result<(Vec<i32>, f32)> {
-    check(a, b)?;
-    let m = a.rows();
-    let k = a.cols();
-    let n = b.cols();
+/// Exact for `k <= MAX_EXACT_DEPTH`.
+pub(crate) fn centred_product(
+    a: &QuantizedMatrix,
+    b: &[i8],
+    zb: i32,
+    n: usize,
+) -> Result<Vec<i32>> {
+    let (m, k) = a.shape();
     let za = a.params().zero_point();
-    let zb = b.params().zero_point();
-
-    // Raw q·q product through the SIMD-dispatched int8 kernel, then the
-    // zero-point decomposition
-    //
-    // ```text
-    // sum_p (qa - za)(qb - zb)
-    //   = sum_p qa qb - za * colsum_b[j] - zb * rowsum_a[i] + k za zb
-    // ```
-    //
-    // which is exact integer arithmetic under the same no-overflow
-    // contract the fused scalar kernel always had (`k * 127^2 < 2^31`,
-    // proven for compiled models by the `wide-nn` range verifier).
-    let mut acc = hd_tensor::gemm::matmul_i8_i32(a.as_slice(), b.as_slice(), m, k, n)?;
-
+    let mut acc = hd_tensor::gemm::matmul_i8_i32(a.as_slice(), b, m, k, n)?;
     if za != 0 || zb != 0 {
         let mut col_sums = vec![0i32; n];
-        for p in 0..k {
-            for (cs, &bq) in col_sums.iter_mut().zip(b.row(p)) {
+        for b_row in b.chunks_exact(n.max(1)) {
+            for (cs, &bq) in col_sums.iter_mut().zip(b_row) {
                 *cs += i32::from(bq);
             }
         }
@@ -78,6 +78,22 @@ pub fn matmul_accumulate(a: &QuantizedMatrix, b: &QuantizedMatrix) -> Result<(Ve
             }
         }
     }
+    Ok(acc)
+}
+
+/// Multiplies two quantized matrices, returning the raw `i32` accumulator
+/// matrix and the combined accumulator scale.
+///
+/// `real[i][j] = acc_scale * acc[i][j]`. The accumulator is exact for any
+/// operand values while `a.cols() <= MAX_EXACT_DEPTH`.
+///
+/// # Errors
+///
+/// Returns a wrapped [`TensorError::ShapeMismatch`] if
+/// `a.cols() != b.rows()`.
+pub fn matmul_accumulate(a: &QuantizedMatrix, b: &QuantizedMatrix) -> Result<(Vec<i32>, f32)> {
+    check(a, b)?;
+    let acc = centred_product(a, b.as_slice(), b.params().zero_point(), b.cols())?;
     Ok((acc, a.params().scale() * b.params().scale()))
 }
 
@@ -245,6 +261,14 @@ mod tests {
             let (acc, _) = matmul_accumulate(&qa, &qb).unwrap();
             assert_eq!(acc, fused_reference(&qa, &qb), "seed {seed}");
         }
+    }
+
+    #[test]
+    fn max_exact_depth_is_the_i32_bound_for_centred_terms() {
+        let term = 255i64 * 255;
+        let depth = MAX_EXACT_DEPTH as i64;
+        assert!(depth * term <= i64::from(i32::MAX));
+        assert!((depth + 1) * term > i64::from(i32::MAX));
     }
 
     #[test]

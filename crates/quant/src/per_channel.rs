@@ -144,30 +144,16 @@ impl ChannelQuantizedMatrix {
             }
             .into());
         }
-        let m = a.rows();
-        let za = a.params().zero_point();
+        // Weights carry zero point 0: only the `za * colsum` correction of
+        // the shared decomposition applies.
+        let acc = crate::gemm::centred_product(a, &self.data, 0, self.cols)?;
         let sa = a.params().scale();
-        let mut acc = vec![0i32; m * self.cols];
-        for i in 0..m {
-            let a_row = a.row(i);
-            let out_row = &mut acc[i * self.cols..(i + 1) * self.cols];
-            for (p, &aq) in a_row.iter().enumerate().take(self.rows) {
-                let av = aq as i32 - za;
-                if av == 0 {
-                    continue;
-                }
-                let w_row = &self.data[p * self.cols..(p + 1) * self.cols];
-                for (o, &wq) in out_row.iter_mut().zip(w_row) {
-                    *o += av * wq as i32;
-                }
-            }
-        }
         let data: Vec<f32> = acc
             .iter()
             .enumerate()
             .map(|(idx, &v)| sa * self.scales[idx % self.cols] * v as f32)
             .collect();
-        Ok(Matrix::from_vec(m, self.cols, data).expect("shape invariant"))
+        Ok(Matrix::from_vec(a.rows(), self.cols, data).expect("shape invariant"))
     }
 }
 
@@ -252,6 +238,47 @@ mod tests {
                 mag += exact[(r, c)].abs();
             }
             assert!(err < 0.1 * mag + 0.05, "column {c}: err {err} vs mag {mag}");
+        }
+    }
+
+    /// The scalar loop this kernel ran before it moved onto the shared
+    /// int8 GEMM; kept as the ground-truth reference.
+    fn scalar_reference(w: &ChannelQuantizedMatrix, a: &QuantizedMatrix) -> Matrix {
+        let za = a.params().zero_point();
+        let mut acc = vec![0i32; a.rows() * w.cols()];
+        for (i, out_row) in acc.chunks_mut(w.cols()).enumerate() {
+            for (p, &aq) in a.row(i).iter().enumerate() {
+                let av = i32::from(aq) - za;
+                for (o, &wq) in out_row.iter_mut().zip(w.row(p)) {
+                    *o += av * i32::from(wq);
+                }
+            }
+        }
+        Matrix::from_fn(a.rows(), w.cols(), |i, j| {
+            a.params().scale() * w.scales()[j] * acc[i * w.cols() + j] as f32
+        })
+    }
+
+    #[test]
+    fn shared_kernel_matches_scalar_reference() {
+        // Zero points at both rails and zero; widths off the 16-lane
+        // SIMD boundary; a depth past one 64-row block.
+        for (seed, m, k, n, za) in [
+            (20u64, 3usize, 24usize, 6usize, 0i32),
+            (21, 5, 70, 17, 13),
+            (22, 1, 1, 1, -128),
+            (23, 4, 33, 33, 127),
+            (24, 2, 129, 16, -40),
+        ] {
+            let mut rng = DetRng::new(seed);
+            let a_f = Matrix::random_uniform(m, k, -1.0, 1.0, &mut rng);
+            let a = QuantizedMatrix::quantize(&a_f, QuantParams::from_raw(0.01, za).unwrap());
+            let q = ChannelQuantizedMatrix::quantize(&skewed_weights(k, n, seed)).unwrap();
+            assert_eq!(
+                q.matmul_dequantized(&a).unwrap(),
+                scalar_reference(&q, &a),
+                "seed {seed}"
+            );
         }
     }
 

@@ -295,10 +295,11 @@ pub(crate) fn selected_i8_kernel() -> &'static str {
 /// across worker threads under the same [`set_thread_cap`] /
 /// `HD_THREADS` budget as the `f32` kernel.
 ///
-/// The caller owns overflow: accumulation is exact while
-/// `k * 127 * 127 < 2^31` (`k < 33022`), the same contract the scalar
-/// quantized kernel has always had and the range the static verifier in
-/// `wide-nn` proves for compiled models.
+/// The caller owns overflow. Raw products reach `128^2`, so the
+/// accumulator is exact for any values while `k <= 131071`. Callers that
+/// centre operands by zero points in `[-128, 127]` (`hd_quant::gemm`)
+/// have terms up to `255^2` and are exact whatever the values for
+/// `k <= 33025`; that is the bound the device enforces at model load.
 ///
 /// # Errors
 ///
@@ -478,7 +479,7 @@ mod simd {
     /// `out (m x n) += a (m x k) * b (k x n)` with 16-lane widening
     /// multiply-accumulate: per scalar `a[i,p]`, 16 `i8` values of the
     /// `b` row are sign-extended to `i16`, multiplied (products fit
-    /// `i16`: |a·b| <= 127·127), widened to `i32`, and accumulated.
+    /// `i16`: |a·b| <= 128·128), widened to `i32`, and accumulated.
     ///
     /// # Safety
     ///
@@ -742,7 +743,7 @@ mod tests {
 
     #[test]
     fn i8_gemm_extreme_values_do_not_overflow_within_contract() {
-        // k * 127 * 127 far below 2^31: exact accumulation required.
+        // k * 128 * 128 far below 2^31: exact accumulation required.
         let k = 1024;
         let a = vec![-128i8; k];
         let b = vec![127i8; k];

@@ -4,15 +4,18 @@
 //! scalar math, so nothing in an experiment's *output* reveals which
 //! kernel actually ran. This module makes the selection observable: every
 //! kernel entry point bumps a monotone process-wide counter, and callers
-//! (the execution backends, the CLI's `train`/`serve` reports) snapshot
-//! [`stats`] before and after a workload to attribute kernel activity in
-//! the `BackendLedger`.
+//! snapshot before and after a workload to attribute kernel activity:
+//! the CLI's `train`/`serve` reports read the process-wide [`stats`], and
+//! the execution backends read [`thread_stats`], so a `BackendLedger`
+//! counts only the calls its own workload made, whatever other threads
+//! run at the same time.
 //!
 //! It also owns the SIMD escape hatch: [`set_simd_enabled`] (wired to the
 //! CLI's `--no-simd` flag) and the `HD_NO_SIMD` environment variable both
 //! force the portable fallback, which is how the equivalence suite pins
 //! the non-SIMD path on machines where AVX2 would otherwise be selected.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Monotone count of rows scored through the packed Hamming kernel.
@@ -24,6 +27,18 @@ static PORTABLE_GEMM_CALLS: AtomicU64 = AtomicU64::new(0);
 /// Monotone count of packed words pushed through the vertical-counter
 /// bundler.
 static BUNDLE_WORDS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// The same counters, for kernel calls made on this thread only.
+    static THREAD_STATS: Cell<KernelStats> = const {
+        Cell::new(KernelStats {
+            packed_score_rows: 0,
+            simd_gemm_calls: 0,
+            portable_gemm_calls: 0,
+            bundle_words: 0,
+        })
+    };
+}
 
 /// Process-wide SIMD kill switch; `true` forces the portable kernels.
 static SIMD_DISABLED: AtomicBool = AtomicBool::new(false);
@@ -76,20 +91,40 @@ pub fn stats() -> KernelStats {
     }
 }
 
+/// Kernel counters for calls made on the current thread only: bracketing
+/// a workload that runs on this thread attributes its activity exactly,
+/// with nothing from other threads. Every kernel notes its call on the
+/// thread that entered it.
+pub fn thread_stats() -> KernelStats {
+    THREAD_STATS.with(Cell::get)
+}
+
+fn note_thread(update: impl FnOnce(&mut KernelStats)) {
+    THREAD_STATS.with(|cell| {
+        let mut stats = cell.get();
+        update(&mut stats);
+        cell.set(stats);
+    });
+}
+
 pub(crate) fn note_packed_score(rows: usize) {
     PACKED_SCORE_ROWS.fetch_add(rows as u64, Ordering::Relaxed);
+    note_thread(|s| s.packed_score_rows += rows as u64);
 }
 
 pub(crate) fn note_simd_gemm() {
     SIMD_GEMM_CALLS.fetch_add(1, Ordering::Relaxed);
+    note_thread(|s| s.simd_gemm_calls += 1);
 }
 
 pub(crate) fn note_portable_gemm() {
     PORTABLE_GEMM_CALLS.fetch_add(1, Ordering::Relaxed);
+    note_thread(|s| s.portable_gemm_calls += 1);
 }
 
 pub(crate) fn note_bundle_word(words: usize) {
     BUNDLE_WORDS.fetch_add(words as u64, Ordering::Relaxed);
+    note_thread(|s| s.bundle_words += words as u64);
 }
 
 /// Enables or disables the SIMD kernels process-wide; `false` forces the
@@ -129,6 +164,15 @@ mod tests {
         assert!(delta.bundle_words >= 5);
         // A stale (future) snapshot saturates to zero instead of wrapping.
         assert_eq!(before.delta_since(&after).packed_score_rows, 0);
+    }
+
+    #[test]
+    fn thread_stats_ignore_other_threads() {
+        let before = thread_stats();
+        std::thread::spawn(|| note_packed_score(7)).join().unwrap();
+        assert_eq!(thread_stats(), before);
+        note_packed_score(2);
+        assert_eq!(thread_stats().delta_since(&before).packed_score_rows, 2);
     }
 
     #[test]

@@ -214,9 +214,13 @@ impl Device {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::BufferOverflow`] if the model's parameters do
-    /// not fit the on-chip buffer. The previous model remains loaded in
-    /// that case.
+    /// * [`SimError::BufferOverflow`] — the model's parameters do not fit
+    ///   the on-chip buffer.
+    /// * [`SimError::AccumulatorDepth`] — a fully-connected stage is
+    ///   deeper than [`hd_quant::gemm::MAX_EXACT_DEPTH`], so its `i32`
+    ///   accumulator could overflow.
+    ///
+    /// The previous model remains loaded in either case.
     pub fn load_model(&self, compiled: CompiledModel) -> Result<LoadReport> {
         let mut state = self.state.lock();
         let bytes = compiled.param_bytes();
@@ -228,6 +232,10 @@ impl Device {
         }
 
         let dims = ModelDims::from_compiled(&compiled);
+        let max = hd_quant::gemm::MAX_EXACT_DEPTH;
+        if let Some(&(depth, _)) = dims.fc_layers.iter().find(|&&(k, _)| k > max) {
+            return Err(SimError::AccumulatorDepth { depth, max });
+        }
         let transfer_s = self.link.transfer_time_s(bytes);
         let weight_load_cycles: u64 = dims
             .fc_layers

@@ -25,6 +25,15 @@ pub enum SimError {
         /// Bytes the buffer provides.
         available: usize,
     },
+    /// A fully-connected stage reduces over more inputs than the `i32`
+    /// accumulator holds exactly for every operand value
+    /// ([`hd_quant::gemm::MAX_EXACT_DEPTH`]).
+    AccumulatorDepth {
+        /// Reduction depth of the offending stage.
+        depth: usize,
+        /// Deepest reduction the datapath accepts.
+        max: usize,
+    },
     /// A model-layer error surfaced during execution.
     Nn(NnError),
     /// An injected transient dispatch failure: the invocation never
@@ -83,6 +92,11 @@ impl fmt::Display for SimError {
             } => write!(
                 f,
                 "model needs {required} bytes of on-chip buffer, device has {available}"
+            ),
+            SimError::AccumulatorDepth { depth, max } => write!(
+                f,
+                "fully-connected stage reduces over {depth} inputs; \
+                 the i32 accumulator is exact only up to {max}"
             ),
             SimError::Nn(e) => write!(f, "model error: {e}"),
             SimError::TransientInvokeFailure => {
@@ -144,6 +158,12 @@ mod tests {
         }
         .to_string()
         .contains("10 bytes"));
+        let depth = SimError::AccumulatorDepth {
+            depth: 40_000,
+            max: 33_025,
+        };
+        assert!(depth.to_string().contains("40000 inputs"));
+        assert!(!depth.is_fault());
     }
 
     #[test]

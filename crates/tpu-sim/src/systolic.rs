@@ -1,4 +1,4 @@
-use hd_quant::{narrow, QuantParams, QuantizedMatrix};
+use hd_quant::{QuantParams, QuantizedMatrix};
 
 use crate::Result;
 
@@ -12,9 +12,10 @@ use crate::Result;
 /// `ceil(k / rows) * ceil(n / cols)` tiles; each tile pass streams the full
 /// batch plus a pipeline fill/drain of `rows + cols` cycles.
 ///
-/// Execution here is *functionally exact*: the tiled int8/i32 arithmetic
-/// reproduces [`hd_quant::gemm::matmul_requantized`] bit-for-bit because
-/// i32 accumulation is associative.
+/// Timing and arithmetic are separate. Cycles are charged analytically by
+/// [`SystolicArray::stream_cycles`]; the numbers come from
+/// [`hd_quant::gemm::matmul_requantized`], the same int8 kernel the
+/// `wide-nn` reference executor runs, so the two cannot diverge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SystolicArray {
     rows: usize,
@@ -74,8 +75,8 @@ impl SystolicArray {
         (elements as u64).div_ceil(self.cols as u64)
     }
 
-    /// Executes one fully-connected layer through the tiled datapath,
-    /// returning the requantized output and the cycles consumed.
+    /// Executes one fully-connected layer, returning the requantized
+    /// output and the cycles the tiled datapath would consume.
     ///
     /// # Errors
     ///
@@ -86,60 +87,10 @@ impl SystolicArray {
         weights: &QuantizedMatrix,
         out_params: QuantParams,
     ) -> Result<(QuantizedMatrix, u64)> {
-        if input.cols() != weights.rows() {
-            // Same error the reference kernel raises, so the two datapaths
-            // stay interchangeable for callers inspecting the failure.
-            let shape_err = hd_tensor::TensorError::ShapeMismatch {
-                op: "quantized matmul",
-                lhs: input.shape(),
-                rhs: weights.shape(),
-            };
-            return Err(wide_nn::NnError::from(hd_quant::QuantError::from(shape_err)).into());
-        }
-        let (m, k) = input.shape();
-        let n = weights.cols();
-        let za = input.params().zero_point();
-        let zb = weights.params().zero_point();
-        let acc_scale = input.params().scale() * weights.params().scale();
-
-        let mut acc = vec![0i64; m * n];
-        // March the weight tiles exactly as the hardware would: for each
-        // resident tile, pump every input row through it and accumulate the
-        // partial products for the tile's output columns.
-        for tk in 0..self.tiles_k(k) {
-            let k_start = tk * self.rows;
-            let k_end = (k_start + self.rows).min(k);
-            for tn in 0..self.tiles_n(n) {
-                let n_start = tn * self.cols;
-                let n_end = (n_start + self.cols).min(n);
-                for row in 0..m {
-                    let in_row = input.row(row);
-                    let tile_inputs = in_row.iter().enumerate().take(k_end).skip(k_start);
-                    for (p, &iq) in tile_inputs {
-                        let av = i32::from(iq) - za;
-                        if av == 0 {
-                            continue;
-                        }
-                        let w_row = weights.row(p);
-                        let acc_row = &mut acc[row * n + n_start..row * n + n_end];
-                        for (a, &wq) in acc_row.iter_mut().zip(&w_row[n_start..n_end]) {
-                            *a += i64::from(av * (i32::from(wq) - zb));
-                        }
-                    }
-                }
-            }
-        }
-
-        // Saturate rather than truncate when folding the wide tile
-        // accumulator back into the i32 requantization input; the static
-        // range verifier rejects models that could reach this clamp, so
-        // for compiled models the conversion is exact.
-        let data: Vec<i8> = acc
-            .iter()
-            .map(|&v| out_params.requantize_accumulator(narrow::saturate_i64_to_i32(v), acc_scale))
-            .collect();
-        let cycles = self.stream_cycles(m, k, n);
-        Ok((QuantizedMatrix::from_raw(m, n, data, out_params), cycles))
+        let output = hd_quant::gemm::matmul_requantized(input, weights, out_params)
+            .map_err(wide_nn::NnError::from)?;
+        let cycles = self.stream_cycles(input.rows(), input.cols(), weights.cols());
+        Ok((output, cycles))
     }
 }
 
@@ -148,12 +99,6 @@ mod tests {
     use super::*;
     use hd_tensor::rng::DetRng;
     use hd_tensor::Matrix;
-
-    fn random_quantized(rows: usize, cols: usize, seed: u64) -> QuantizedMatrix {
-        let mut rng = DetRng::new(seed);
-        let m = Matrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng);
-        QuantizedMatrix::quantize(&m, QuantParams::from_min_max(-1.0, 1.0).unwrap())
-    }
 
     #[test]
     fn tile_counts() {
@@ -187,35 +132,111 @@ mod tests {
         assert_eq!(a.activation_cycles(65), 2);
     }
 
+    /// The i64 tile loop `execute_fc` ran before it moved onto the shared
+    /// int8 GEMM: march the weight tiles as the hardware would, pump every
+    /// input row through each, and saturate the wide accumulator into the
+    /// requantizer. Kept as the ground-truth reference.
+    fn tiled_reference(
+        array: &SystolicArray,
+        input: &QuantizedMatrix,
+        weights: &QuantizedMatrix,
+        out_params: QuantParams,
+    ) -> QuantizedMatrix {
+        let (m, k) = input.shape();
+        let n = weights.cols();
+        let za = input.params().zero_point();
+        let zb = weights.params().zero_point();
+        let mut acc = vec![0i64; m * n];
+        for tk in 0..array.tiles_k(k) {
+            let k_start = tk * array.rows();
+            let k_end = (k_start + array.rows()).min(k);
+            for tn in 0..array.tiles_n(n) {
+                let n_start = tn * array.cols();
+                let n_end = (n_start + array.cols()).min(n);
+                for row in 0..m {
+                    for p in k_start..k_end {
+                        let av = i64::from(input.row(row)[p]) - i64::from(za);
+                        let w_row = &weights.row(p)[n_start..n_end];
+                        let acc_row = &mut acc[row * n + n_start..row * n + n_end];
+                        for (a, &wq) in acc_row.iter_mut().zip(w_row) {
+                            *a += av * (i64::from(wq) - i64::from(zb));
+                        }
+                    }
+                }
+            }
+        }
+        let acc_scale = input.params().scale() * weights.params().scale();
+        let data = acc
+            .iter()
+            .map(|&v| {
+                let v = hd_quant::narrow::saturate_i64_to_i32(v);
+                out_params.requantize_accumulator(v, acc_scale)
+            })
+            .collect();
+        QuantizedMatrix::from_raw(m, n, data, out_params)
+    }
+
+    fn quantized_with(rows: usize, cols: usize, zero_point: i32, seed: u64) -> QuantizedMatrix {
+        let mut rng = DetRng::new(seed);
+        let m = Matrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng);
+        QuantizedMatrix::quantize(&m, QuantParams::from_raw(1.0 / 100.0, zero_point).unwrap())
+    }
+
+    /// Runs `execute_fc` on a `dim x dim` array and checks output and
+    /// cycles against the tiled reference.
+    fn assert_matches_tiled_reference(
+        dim: usize,
+        (m, k, n): (usize, usize, usize),
+        (za, zb): (i32, i32),
+        seed: u64,
+    ) {
+        let array = SystolicArray::new(dim, dim);
+        let input = quantized_with(m, k, za, seed);
+        let weights = quantized_with(k, n, zb, seed + 1);
+        let out_params = QuantParams::from_min_max(-8.0, 8.0).unwrap();
+        let (out, cycles) = array.execute_fc(&input, &weights, out_params).unwrap();
+        let reference = tiled_reference(&array, &input, &weights, out_params);
+        let case = (dim, m, k, n, za, zb);
+        assert_eq!(
+            out, reference,
+            "datapath diverged from tiled reference: {case:?}"
+        );
+        assert_eq!(cycles, array.stream_cycles(m, k, n), "{case:?}");
+    }
+
     #[test]
     fn tiled_execution_matches_reference_kernel_bit_exact() {
-        let array = SystolicArray::new(16, 16); // force multi-tile
-        let input = random_quantized(5, 50, 1);
-        let weights = random_quantized(50, 37, 2);
-        let out_params = QuantParams::from_min_max(-8.0, 8.0).unwrap();
-
-        let (tiled, cycles) = array.execute_fc(&input, &weights, out_params).unwrap();
-        let reference = hd_quant::gemm::matmul_requantized(&input, &weights, out_params).unwrap();
-        assert_eq!(tiled, reference, "tiled datapath diverged from reference");
-        assert_eq!(cycles, array.stream_cycles(5, 50, 37));
+        // 16x16 array forces a multi-tile march in both k and n.
+        assert_matches_tiled_reference(16, (5, 50, 37), (0, 0), 1);
     }
 
     #[test]
     fn single_tile_execution_matches_reference() {
-        let array = SystolicArray::new(64, 64);
-        let input = random_quantized(3, 10, 3);
-        let weights = random_quantized(10, 8, 4);
-        let out_params = QuantParams::from_min_max(-4.0, 4.0).unwrap();
-        let (tiled, _) = array.execute_fc(&input, &weights, out_params).unwrap();
-        let reference = hd_quant::gemm::matmul_requantized(&input, &weights, out_params).unwrap();
-        assert_eq!(tiled, reference);
+        assert_matches_tiled_reference(64, (3, 10, 8), (0, 0), 3);
+    }
+
+    #[test]
+    fn execution_matches_tiled_reference_bit_exact() {
+        // Both zero points non-zero, and widths off the 16-lane SIMD
+        // boundary, on single- and multi-tile shapes.
+        for (i, &(dim, m, k, n, za, zb)) in [
+            (16usize, 4usize, 33usize, 17usize, 12i32, -7i32),
+            (8, 7, 65, 130, -128, 127),
+            (64, 2, 200, 129, 127, -128),
+            (64, 1, 1, 1, 5, 3),
+        ]
+        .iter()
+        .enumerate()
+        {
+            assert_matches_tiled_reference(dim, (m, k, n), (za, zb), 10 + 2 * i as u64);
+        }
     }
 
     #[test]
     fn shape_mismatch_rejected() {
         let array = SystolicArray::new(8, 8);
-        let input = random_quantized(2, 5, 5);
-        let weights = random_quantized(6, 4, 6);
+        let input = quantized_with(2, 5, 0, 5);
+        let weights = quantized_with(6, 4, 0, 6);
         let out_params = QuantParams::from_min_max(-1.0, 1.0).unwrap();
         assert!(array.execute_fc(&input, &weights, out_params).is_err());
     }

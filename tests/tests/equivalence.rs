@@ -1,20 +1,28 @@
 //! Equivalence pins across the stack:
 //!
-//! * the simulated device's tiled int8 datapath is bit-identical to the
-//!   `wide-nn` reference executor,
+//! * the simulated device's int8 datapath is bit-identical to the
+//!   `wide-nn` reference executor, and exact against an `i64` scalar
+//!   reference at the deepest reduction it accepts,
 //! * the wide-NN interpretation of an HDC model is an identity, not an
 //!   approximation,
 //! * the merged bagging model equals the sub-model consensus,
 //! * serialization round-trips preserve behaviour exactly.
 
+use std::sync::Mutex;
+
 use hd_bagging::{train_bagged, BaggingConfig};
+use hd_quant::gemm::MAX_EXACT_DEPTH;
+use hd_quant::{QuantParams, QuantizedMatrix};
 use hd_tensor::rng::DetRng;
-use hd_tensor::Matrix;
+use hd_tensor::{kernels, Matrix};
 use hdc::{Encoder, HdcModel, TrainConfig};
 use hyperedge::wide_model;
 use integration_tests::clustered_dataset;
-use tpu_sim::{Device, DeviceConfig};
-use wide_nn::{compile, serialize, Activation, ModelBuilder, QuantizedModel, TargetSpec};
+use tpu_sim::{Device, DeviceConfig, SimError};
+use wide_nn::{
+    compile, serialize, Activation, CompiledModel, ModelBuilder, QuantStage, QuantizedModel,
+    TargetSpec,
+};
 
 fn random_network(n: usize, d: usize, k: usize, seed: u64) -> (wide_nn::Model, Matrix) {
     let mut rng = DetRng::new(seed);
@@ -59,6 +67,140 @@ fn device_bit_exact_under_chunked_invocation() {
         let (out, _) = device.invoke_chunked(&batch, chunk).unwrap();
         assert_eq!(out, reference.forward(&batch).unwrap(), "chunk {chunk}");
     }
+}
+
+/// One `k`-deep, 17-wide fully-connected stage whose centred operands are
+/// all -255: inputs quantize to -128 against zero point 127, and so do
+/// the weights. Output steps of 2^25 keep the worst-case sum mid-range.
+fn worst_case_fc(k: usize) -> (CompiledModel, Matrix) {
+    let n = 17; // one full 16-lane SIMD block plus a 1-wide tail
+    let zero_127 = QuantParams::from_raw(1.0, 127).unwrap();
+    let weights = QuantizedMatrix::from_raw(k, n, vec![-128; k * n], zero_127);
+    let out_params = QuantParams::from_raw(33_554_432.0, 0).unwrap();
+    let stages = vec![QuantStage::FullyConnected {
+        weights,
+        out_params,
+    }];
+    let model = QuantizedModel::from_parts(k, n, zero_127, stages).unwrap();
+    let compiled = CompiledModel::from_quantized(model, &TargetSpec::default()).unwrap();
+    (compiled, Matrix::from_fn(2, k, |_, _| -255.0))
+}
+
+/// The exact `i64` sum of centred products for a single-FC model, then
+/// the same requantize/dequantize the datapath applies. Panics if the
+/// sum leaves `i32`, which the depth bound rules out.
+fn i64_reference(model: &QuantizedModel, batch: &Matrix) -> (Vec<i32>, Matrix) {
+    let input = model.quantize_input(batch).unwrap();
+    let [QuantStage::FullyConnected {
+        weights,
+        out_params,
+    }] = model.stages()
+    else {
+        panic!("expected a single fully-connected stage");
+    };
+    let za = i64::from(input.params().zero_point());
+    let zb = i64::from(weights.params().zero_point());
+    let (m, n) = (input.rows(), weights.cols());
+    let mut acc = Vec::with_capacity(m * n);
+    for i in 0..m {
+        for j in 0..n {
+            let sum: i64 = (0..input.cols())
+                .map(|p| (i64::from(input.row(i)[p]) - za) * (i64::from(weights.row(p)[j]) - zb))
+                .sum();
+            acc.push(i32::try_from(sum).expect("centred sum fits i32"));
+        }
+    }
+    let scale = input.params().scale() * weights.params().scale();
+    let data = acc
+        .iter()
+        .map(|&v| out_params.requantize_accumulator(v, scale))
+        .collect();
+    let output = QuantizedMatrix::from_raw(m, n, data, *out_params).dequantize();
+    (acc, output)
+}
+
+/// Serializes the tests that flip the process-wide SIMD switch, so one
+/// test's "off" phase is not switched back on by another.
+static SIMD_SWITCH: Mutex<()> = Mutex::new(());
+
+/// Invokes `device` with SIMD on and then off, checking the accumulator
+/// and the device output against the `i64` reference both times.
+fn assert_exact_with_and_without_simd(device: &Device, model: &QuantizedModel, batch: &Matrix) {
+    let _switch = SIMD_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
+    let (ref_acc, ref_out) = i64_reference(model, batch);
+    let input = model.quantize_input(batch).unwrap();
+    let QuantStage::FullyConnected { weights, .. } = &model.stages()[0] else {
+        unreachable!("checked by i64_reference");
+    };
+    for simd in [true, false] {
+        kernels::set_simd_enabled(simd);
+        let before = kernels::stats();
+        let (acc, _) = hd_quant::gemm::matmul_accumulate(&input, weights).unwrap();
+        let device_out = device.invoke(batch).map(|(out, _)| out);
+        let portable_calls = kernels::stats().delta_since(&before).portable_gemm_calls;
+        kernels::set_simd_enabled(true);
+        if !simd {
+            assert!(
+                portable_calls >= 2,
+                "SIMD-off phase missed the portable kernel"
+            );
+        }
+        assert_eq!(acc, ref_acc, "accumulator, simd {simd}");
+        assert_eq!(device_out.unwrap(), ref_out, "device output, simd {simd}");
+    }
+}
+
+#[test]
+fn deepest_accepted_reduction_is_exact_at_worst_case_operands() {
+    let (compiled, batch) = worst_case_fc(MAX_EXACT_DEPTH);
+    let model = compiled.quantized().clone();
+    assert!(model
+        .quantize_input(&batch)
+        .unwrap()
+        .as_slice()
+        .iter()
+        .all(|&q| q == -128));
+    let device = Device::new(DeviceConfig::default());
+    device.load_model(compiled).unwrap();
+    let (ref_acc, _) = i64_reference(&model, &batch);
+    assert!(ref_acc.iter().all(|&v| i64::from(v) == 33_025 * 65_025));
+    assert_exact_with_and_without_simd(&device, &model, &batch);
+}
+
+#[test]
+fn fault_flipped_weights_stay_exact_at_the_depth_bound() {
+    let (compiled, batch) = worst_case_fc(MAX_EXACT_DEPTH);
+    let mut model = compiled.quantized().clone();
+    let device = Device::new(DeviceConfig::default());
+    device.load_model(compiled).unwrap();
+    // The same seeded flips on the resident weights and on the reference.
+    let rate = 0.3;
+    let flipped = device
+        .inject_weight_faults(rate, &mut DetRng::new(99))
+        .unwrap();
+    assert_eq!(
+        model.inject_weight_faults(rate, &mut DetRng::new(99)),
+        flipped
+    );
+    assert!(flipped > 0);
+    assert_exact_with_and_without_simd(&device, &model, &batch);
+}
+
+#[test]
+fn reduction_past_the_depth_bound_is_rejected_at_load() {
+    let device = Device::new(DeviceConfig::default());
+    let (resident, batch) = worst_case_fc(8);
+    device.load_model(resident).unwrap();
+    let (too_deep, _) = worst_case_fc(MAX_EXACT_DEPTH + 1);
+    assert_eq!(
+        device.load_model(too_deep).unwrap_err(),
+        SimError::AccumulatorDepth {
+            depth: MAX_EXACT_DEPTH + 1,
+            max: MAX_EXACT_DEPTH,
+        }
+    );
+    // The previous model stays resident and serves.
+    assert!(device.invoke(&batch).is_ok());
 }
 
 #[test]
