@@ -336,7 +336,7 @@ pub fn serve(args: &ParsedArgs) -> CmdResult {
                 // A hang is only survivable under a firing deadline; the
                 // stall is sized past it so every hang trips the
                 // supervisor instead of blocking the run.
-                config.resilience = config.resilience.with_deadline(Some(0.5));
+                config.supervision = config.supervision.with_deadline(Some(0.5));
                 fault.with_hang(rate, 1.0)
             }
             other => {

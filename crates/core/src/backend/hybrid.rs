@@ -110,7 +110,7 @@ impl Executor for HybridBackend {
         {
             let slot = &mut trained;
             // Supervised with no fallback: device-side faults already
-            // degrade *inside* encode_batch_streamed (retry/breaker/host
+            // degrade *inside* encode_batch_streamed (retry/quarantine/host
             // completion under the TPU backend's stage supervision), so
             // a primary-stream error here is a programming error, not a
             // device fault — it aborts with the stage named.

@@ -7,10 +7,10 @@
 //!
 //! * [`CpuBackend`] — every phase on the host CPU in `f32` (the paper's
 //!   baseline),
-//! * [`TpuBackend`] — encode and inference on the simulated Edge TPU,
-//!   with a persistent [`tpu_sim::Device`] and a compiled-model cache;
-//!   its update phase returns the typed rejection that proves the
-//!   accelerator cannot run it,
+//! * [`TpuBackend`] — encode and inference on the simulated Edge TPU, a
+//!   one-device [`DevicePool`](crate::DevicePool) that keeps the compiled
+//!   models and the resident one; its update phase returns the typed
+//!   rejection that proves the accelerator cannot run it,
 //! * [`HybridBackend`] — the paper's co-design: [`TpuBackend`] for
 //!   encode/inference composed with [`CpuBackend`] for the
 //!   class-hypervector update.
@@ -41,116 +41,6 @@ pub use tpu::TpuBackend;
 /// model for the accelerator, as a deployment pipeline would calibrate on
 /// representative data.
 pub const CALIBRATION_ROWS: usize = 256;
-
-/// How the accelerator-placed phases ride out device faults: bounded
-/// retries with deterministic exponential backoff (charged to the
-/// *simulated* clock, so resilience shows up honestly in every runtime
-/// figure), an optional per-invocation watchdog deadline, and a circuit
-/// breaker that permanently degrades the backend to the host CPU once
-/// consecutive failures show the device is gone.
-///
-/// The defaults line up the retry budget and breaker on purpose:
-/// `breaker_threshold = max_retries + 1`, so the first invocation that
-/// exhausts its whole retry budget also opens the breaker, and the caller
-/// sees a seamless host-fallback answer rather than a hard error.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ResiliencePolicy {
-    /// Retries per device invocation beyond the first attempt.
-    pub max_retries: u32,
-    /// Backoff before the first retry, simulated seconds.
-    pub backoff_base_s: f64,
-    /// Multiplier applied to the backoff on each further retry.
-    pub backoff_factor: f64,
-    /// Optional watchdog deadline per device invocation, seconds.
-    pub invoke_deadline_s: Option<f64>,
-    /// Consecutive failed attempts that permanently open the circuit
-    /// breaker (successes reset the count).
-    pub breaker_threshold: u32,
-}
-
-impl Default for ResiliencePolicy {
-    fn default() -> Self {
-        ResiliencePolicy {
-            max_retries: 3,
-            backoff_base_s: 2e-3,
-            backoff_factor: 2.0,
-            invoke_deadline_s: None,
-            breaker_threshold: 4,
-        }
-    }
-}
-
-impl ResiliencePolicy {
-    /// Sets the retry budget per invocation.
-    #[must_use]
-    pub fn with_max_retries(mut self, max_retries: u32) -> Self {
-        self.max_retries = max_retries;
-        self
-    }
-
-    /// Sets the backoff schedule (base seconds, growth factor).
-    #[must_use]
-    pub fn with_backoff(mut self, base_s: f64, factor: f64) -> Self {
-        self.backoff_base_s = base_s;
-        self.backoff_factor = factor;
-        self
-    }
-
-    /// Sets the per-invocation watchdog deadline.
-    #[must_use]
-    pub fn with_deadline(mut self, deadline_s: Option<f64>) -> Self {
-        self.invoke_deadline_s = deadline_s;
-        self
-    }
-
-    /// Sets the consecutive-failure threshold that opens the breaker.
-    #[must_use]
-    pub fn with_breaker_threshold(mut self, threshold: u32) -> Self {
-        self.breaker_threshold = threshold;
-        self
-    }
-
-    /// Backoff charged before the `retry`-th retry (1-based):
-    /// `base * factor^(retry-1)`.
-    #[must_use]
-    pub fn backoff_s(&self, retry: u32) -> f64 {
-        self.backoff_base_s * self.backoff_factor.powi(retry.saturating_sub(1) as i32)
-    }
-
-    /// Validates the policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::FrameworkError::InvalidConfig`] naming the
-    /// offending field.
-    pub fn validate(&self) -> crate::Result<()> {
-        if !(self.backoff_base_s >= 0.0 && self.backoff_base_s.is_finite()) {
-            return Err(crate::FrameworkError::InvalidConfig(format!(
-                "backoff_base_s {} must be finite and non-negative",
-                self.backoff_base_s
-            )));
-        }
-        if !(self.backoff_factor >= 1.0 && self.backoff_factor.is_finite()) {
-            return Err(crate::FrameworkError::InvalidConfig(format!(
-                "backoff_factor {} must be finite and at least 1",
-                self.backoff_factor
-            )));
-        }
-        if let Some(d) = self.invoke_deadline_s {
-            if !(d > 0.0 && d.is_finite()) {
-                return Err(crate::FrameworkError::InvalidConfig(format!(
-                    "invoke_deadline_s {d} must be finite and positive"
-                )));
-            }
-        }
-        if self.breaker_threshold == 0 {
-            return Err(crate::FrameworkError::InvalidConfig(
-                "breaker_threshold must be at least 1".into(),
-            ));
-        }
-        Ok(())
-    }
-}
 
 /// An execution placement for the HDC pipeline: encoding and class-HV
 /// update placement (via the [`Executor`] supertrait) plus inference and
@@ -218,8 +108,8 @@ pub struct BackendLedger {
     /// Device faults observed (every failed attempt, retried or not).
     #[serde(default)]
     pub faults_observed: u64,
-    /// Invocations degraded to the host CPU after the circuit breaker
-    /// opened or the retry budget ran out.
+    /// Invocations degraded to the host CPU after the device was
+    /// quarantined.
     #[serde(default)]
     pub fallbacks: u64,
     /// Simulated seconds spent backing off between retries (also included
@@ -370,8 +260,8 @@ impl std::fmt::Debug for BackendRegistry {
     }
 }
 
-/// FNV-1a over matrix shapes and `f32` bit patterns: the identity key for
-/// the compiled-model cache. Two networks collide only if every weight
+/// FNV-1a over matrix shapes and `f32` bit patterns: the key a compiled
+/// model is registered under in a [`DevicePool`](crate::DevicePool). Two networks collide only if every weight
 /// and calibration value is bit-identical — in which case the compiled
 /// artifacts are interchangeable.
 pub(crate) fn fingerprint(tag: u64, matrices: &[&Matrix]) -> u64 {
@@ -444,40 +334,5 @@ mod tests {
         assert_eq!(br.encode_s, 1.0);
         assert_eq!(br.update_s, 0.5);
         assert_eq!(br.model_gen_s, 0.0);
-    }
-
-    #[test]
-    fn resilience_policy_defaults_validate_and_backoff_grows() {
-        let p = ResiliencePolicy::default();
-        assert!(p.validate().is_ok());
-        assert_eq!(p.breaker_threshold, p.max_retries + 1);
-        assert!((p.backoff_s(1) - 2e-3).abs() < 1e-15);
-        assert!((p.backoff_s(2) - 4e-3).abs() < 1e-15);
-        assert!((p.backoff_s(3) - 8e-3).abs() < 1e-15);
-    }
-
-    #[test]
-    fn resilience_policy_rejects_bad_fields() {
-        assert!(ResiliencePolicy::default()
-            .with_backoff(-1.0, 2.0)
-            .validate()
-            .is_err());
-        assert!(ResiliencePolicy::default()
-            .with_backoff(1e-3, 0.5)
-            .validate()
-            .is_err());
-        assert!(ResiliencePolicy::default()
-            .with_deadline(Some(0.0))
-            .validate()
-            .is_err());
-        assert!(ResiliencePolicy::default()
-            .with_breaker_threshold(0)
-            .validate()
-            .is_err());
-        assert!(ResiliencePolicy::default()
-            .with_max_retries(0)
-            .with_deadline(Some(0.5))
-            .validate()
-            .is_ok());
     }
 }

@@ -1,8 +1,7 @@
-//! The accelerator backend: a persistent simulated device plus a
-//! compiled-model cache.
+//! The accelerator backend: one persistent simulated device, held in a
+//! one-device [`DevicePool`].
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::sync::Arc;
 
 use hd_dataflow::runtime::{self, Binding, Fire, FiringCtx, RunError, Supervised, Supervision};
 use parking_lot::Mutex;
@@ -10,42 +9,36 @@ use parking_lot::Mutex;
 use cpu_model::{cost, PlatformSpec};
 use hd_tensor::{ops, Matrix};
 use hdc::{ClassHypervectors, Encoder, Executor, HdcError, HdcModel, TrainConfig, TrainStats};
-use tpu_sim::{Device, DeviceConfig, SimError};
-use wide_nn::{compile, CompiledModel, Model};
+use tpu_sim::timing::ModelDims;
+use tpu_sim::{Device, DeviceConfig};
+use wide_nn::{compile, Model};
 
-use crate::backend::{
-    fingerprint, BackendLedger, ExecutionBackend, ResiliencePolicy, CALIBRATION_ROWS,
-};
+use crate::backend::{fingerprint, BackendLedger, ExecutionBackend, CALIBRATION_ROWS};
 use crate::config::PipelineConfig;
+use crate::fleet::{DeviceHealth, DevicePool};
 use crate::wide_model;
 
-/// Network-identity tags mixed into the cache fingerprint so an encoder
-/// network and an inference network over the same base matrix never
-/// collide.
+/// Network-identity tags mixed into the registry fingerprint so an
+/// encoder network and an inference network over the same base matrix
+/// never collide.
 const TAG_ENCODER: u64 = 1;
 const TAG_INFERENCE: u64 = 2;
 
-struct ModelCache {
-    models: HashMap<u64, CompiledModel>,
-    resident: Option<u64>,
-}
-
-/// Circuit-breaker state: consecutive failed device attempts, and whether
-/// the breaker has (permanently) opened.
-#[derive(Debug, Default)]
-struct BreakerState {
-    consecutive_failures: u32,
-    open: bool,
-}
+/// The pool seat of the backend's one device.
+const SEAT: usize = 0;
 
 /// The simulated-Edge-TPU backend.
 ///
-/// Owns **one** persistent [`Device`] for its whole lifetime and a
-/// compiled-model cache keyed by network identity (weight and calibration
-/// bits), so repeated encode batches and bagging's `M` sub-models compile
-/// each distinct network exactly once, and consecutive calls with the
-/// resident model skip the parameter reload entirely — the
-/// one-model-resident-on-chip behaviour the paper exploits.
+/// Owns **one** persistent [`Device`] for its whole lifetime, as a
+/// one-device [`DevicePool`]. The pool's registry keys compiled models by
+/// network identity (weight and calibration bits), so repeated encode
+/// batches and bagging's `M` sub-models compile each distinct network
+/// exactly once, and consecutive calls with the resident model skip the
+/// parameter reload entirely — the one-model-resident-on-chip behaviour
+/// the paper exploits. The pool also counts consecutive device failures,
+/// reloads pristine weights after an upset, and quarantines the device
+/// at [`PipelineConfig::quarantine_threshold`]; a quarantined device
+/// degrades every later accelerator call to the host.
 ///
 /// The update phase deliberately fails: compiling the class-update graph
 /// for the accelerator target is rejected with
@@ -54,18 +47,16 @@ struct BreakerState {
 /// [`HybridBackend`](crate::backend::HybridBackend) for the paper's
 /// placement.
 pub struct TpuBackend {
-    device_config: DeviceConfig,
     spec: PlatformSpec,
     encode_chunk: usize,
     infer_chunk: usize,
-    policy: ResiliencePolicy,
-    device: Device,
-    cache: Mutex<ModelCache>,
-    breaker: Mutex<BreakerState>,
-    ledger: Mutex<BackendLedger>,
+    supervision: Supervision,
+    pool: DevicePool,
+    /// Shared with the pool's load observer, which charges every model
+    /// load the pool performs.
+    ledger: Arc<Mutex<BackendLedger>>,
     /// Serializes schedule runs on the one device: residency must not
-    /// change underneath an executing invoke schedule, whose stage
-    /// threads re-lock `cache` briefly for pristine reloads.
+    /// change underneath an executing invoke schedule.
     run_lock: Mutex<()>,
 }
 
@@ -74,59 +65,56 @@ impl TpuBackend {
     /// device.
     #[must_use]
     pub fn new(config: &PipelineConfig) -> Self {
+        let ledger = Arc::new(Mutex::new(BackendLedger {
+            devices_created: 1,
+            ..BackendLedger::default()
+        }));
+        let loads = Arc::clone(&ledger);
+        let pool = DevicePool::new(&config.device, 1, config.quarantine_threshold).on_load(
+            move |_ordinal, report| {
+                let mut ledger = loads.lock();
+                ledger.model_loads += 1;
+                ledger.model_gen_s += report.total_s;
+            },
+        );
         TpuBackend {
-            device_config: config.device.clone(),
             spec: config.platform.spec(),
             encode_chunk: config.encode_batch,
             infer_chunk: config.infer_batch,
-            policy: config.resilience,
-            device: Device::new(config.device.clone()),
-            cache: Mutex::new(ModelCache {
-                models: HashMap::new(),
-                resident: None,
-            }),
-            breaker: Mutex::new(BreakerState::default()),
-            ledger: Mutex::new(BackendLedger {
-                devices_created: 1,
-                ..BackendLedger::default()
-            }),
+            supervision: config.supervision,
+            pool,
+            ledger,
             run_lock: Mutex::new(()),
         }
     }
 
     /// The backend's persistent device.
     pub fn device(&self) -> &Device {
-        &self.device
+        self.pool.device(SEAT)
     }
 
     /// The device configuration this backend simulates under (used to
     /// parameterize declared schedule graphs with its cost model).
     pub(crate) fn device_config(&self) -> &DeviceConfig {
-        &self.device_config
+        self.device().config()
     }
 
-    /// The resilience policy this backend runs under.
-    pub fn policy(&self) -> &ResiliencePolicy {
-        &self.policy
-    }
-
-    /// Whether the circuit breaker has opened: the device saw
-    /// `breaker_threshold` consecutive failed attempts and every later
-    /// accelerator call degrades to the host CPU.
+    /// Whether the device is quarantined: it failed
+    /// [`PipelineConfig::quarantine_threshold`] consecutive attempts and
+    /// every later accelerator call degrades to the host CPU.
     pub fn breaker_open(&self) -> bool {
-        self.breaker.lock().open
+        self.pool.health(SEAT) == DeviceHealth::Quarantined
     }
 
-    /// Number of compiled models currently cached.
+    /// Number of compiled models in the pool's registry.
     pub fn cached_models(&self) -> usize {
-        self.cache.lock().models.len()
+        self.pool.model_count()
     }
 
     /// Injects silent weight faults into the *resident* model on the
-    /// device (see [`Device::inject_weight_faults`]) and drops the
-    /// residency marker, so the next accelerator call reloads a pristine
-    /// compiled model from the cache rather than trusting the faulted
-    /// weights to still match their fingerprint. Returns flipped bits.
+    /// device and drops its residency (see
+    /// [`DevicePool::inject_weight_faults`]), so the next accelerator
+    /// call reloads the pristine compiled model. Returns flipped bits.
     ///
     /// # Errors
     ///
@@ -137,10 +125,7 @@ impl TpuBackend {
         rng: &mut hd_tensor::rng::DetRng,
     ) -> crate::Result<usize> {
         let _run = self.run_lock.lock();
-        let mut cache = self.cache.lock();
-        let flipped = self.device.inject_weight_faults(rate, rng)?;
-        cache.resident = None;
-        Ok(flipped)
+        self.pool.inject_weight_faults(SEAT, rate, rng)
     }
 
     fn calibration(batch: &Matrix) -> crate::Result<Matrix> {
@@ -148,40 +133,14 @@ impl TpuBackend {
         Ok(batch.slice_rows(0, rows)?)
     }
 
-    /// Records a failed device attempt on the breaker; returns whether
-    /// the breaker is (now) open.
-    fn note_failure(&self) -> bool {
-        let mut breaker = self.breaker.lock();
-        breaker.consecutive_failures += 1;
-        if breaker.consecutive_failures >= self.policy.breaker_threshold {
-            breaker.open = true;
-        }
-        breaker.open
-    }
-
-    /// Reloads the pristine compiled model for `key` from the cache onto
-    /// the device (recovery from a detected SRAM weight upset).
-    fn reload_pristine(&self, cache: &mut ModelCache, key: u64) -> crate::Result<()> {
-        let compiled = cache
-            .models
-            .get(&key)
-            .cloned()
-            .ok_or_else(|| crate::FrameworkError::InvalidConfig("model cache desync".into()))?;
-        let report = self.device.load_model(compiled)?;
-        cache.resident = Some(key);
-        let mut ledger = self.ledger.lock();
-        ledger.model_loads += 1;
-        ledger.model_gen_s += report.total_s;
-        Ok(())
-    }
-
     /// Compiles (or fetches) the network for `key`, ensures it is
     /// resident on the device, and invokes it over `batch` in `chunk`-row
-    /// pieces under the resilience policy: each chunk gets up to
+    /// pieces under the configured [`Supervision`]: each chunk gets up to
     /// `max_retries` retried attempts with deterministic exponential
-    /// backoff charged to the simulated clock, detected weight corruption
-    /// reloads the pristine model from the cache, and once the circuit
-    /// breaker opens the whole batch is abandoned to the host fallback.
+    /// backoff charged to the simulated clock, the pool reloads the
+    /// pristine model after detected weight corruption, and once the pool
+    /// quarantines the device the whole batch is abandoned to the host
+    /// fallback.
     ///
     /// Returns `(None, wasted_s)` when degraded — the caller must rerun
     /// the batch on the host and still charge the wasted device seconds —
@@ -223,8 +182,8 @@ impl TpuBackend {
     /// [`Device::invoke_overlapped_with_deadline`] schedule, so each
     /// chunk's simulated time is the critical-path max of its transfer and
     /// compute legs. Fault handling is unchanged: each chunk retries under
-    /// the resilience policy, weight corruption reloads the pristine
-    /// model, and an opened breaker abandons the remaining chunks.
+    /// the supervision policy, weight corruption reloads the pristine
+    /// model, and a quarantined device abandons the remaining chunks.
     ///
     /// Returns `(completed, device_s)`; when `completed` is false the
     /// stream degraded part-way and the caller owns the un-streamed rows.
@@ -239,59 +198,49 @@ impl TpuBackend {
         if self.breaker_open() {
             return Ok((false, 0.0));
         }
-        // One schedule run at a time on the one device: the coarse
-        // serialization the long-held cache lock used to provide now
-        // lives here, because the runtime's compute stage re-locks the
-        // cache briefly for pristine reloads.
+        // One schedule run at a time on the one device.
         let _run = self.run_lock.lock();
-        let mut cache = self.cache.lock();
-        match cache.models.entry(key) {
-            Entry::Occupied(_) => self.ledger.lock().cache_hits += 1,
-            Entry::Vacant(slot) => {
+        let dims = match self.pool.model_dims(key) {
+            Some(dims) => {
+                self.ledger.lock().cache_hits += 1;
+                dims
+            }
+            None => {
                 let (network, calibration) = build()?;
                 let compiled =
-                    compile::compile(&network, &calibration, &self.device_config.target)?;
+                    compile::compile(&network, &calibration, &self.device_config().target)?;
                 let mut ledger = self.ledger.lock();
                 ledger.compilations += 1;
                 ledger.model_gen_s += cost::model_generation_s(compiled.param_bytes());
                 drop(ledger);
-                slot.insert(compiled);
+                let dims = ModelDims::from_compiled(&compiled);
+                self.pool.register(key, compiled);
+                dims
             }
-        }
-        if cache.resident != Some(key) {
-            self.reload_pristine(&mut cache, key)?;
-        }
+        };
 
         // Verify the declared overlapped-invoke SDF graph (rates, buffer
         // bounds, deadlock-freedom) and compile it into the executable
         // plan the runtime will drive.
-        let plan = {
-            let compiled = cache
-                .models
-                .get(&key)
-                .ok_or_else(|| crate::FrameworkError::InvalidConfig("model cache desync".into()))?;
-            let dims = tpu_sim::timing::ModelDims::from_compiled(compiled);
-            let samples = chunk.min(batch.rows()).max(1);
-            crate::schedule::SchedulePlan::declare(crate::schedule::overlapped_invoke_graph(
-                &self.device_config,
-                &dims,
-                samples,
-            ))?
-            .executable()?
+        let samples = chunk.min(batch.rows()).max(1);
+        let plan = crate::schedule::SchedulePlan::declare(
+            crate::schedule::overlapped_invoke_graph(self.device_config(), &dims, samples),
+        )?
+        .executable()?;
+        // The lease loads the model unless it is already resident.
+        let Some(seat) = self.pool.lease(key)? else {
+            return Ok((false, 0.0));
         };
-        drop(cache);
 
         // Execute the verified plan through the generic SDF runtime:
-        // dma_in slices chunks onto the link, compute runs the device
-        // invoke under the runtime's stage supervision (the backend's
-        // resilience policy lifted into a `Supervision`: bounded retries
-        // with the same backoff schedule, pristine reloads on weight
-        // upsets, and the opened breaker escalating to a graceful stop),
-        // dma_out hands finished chunks to the caller. The bounded stage
-        // channels are the declared INVOKE_BUFFERS double-buffer; the
-        // device serializes invocations internally, so chunk timing is
-        // charged exactly as the hand-rolled retry loop did.
-        let before = self.device.ledger();
+        // dma_in slices chunks onto the link, compute runs the pooled
+        // device invoke under the configured supervision (bounded retries
+        // with deterministic backoff; the pool reloads pristine weights
+        // after an upset, and a quarantined device escalates to a
+        // graceful stop), dma_out hands finished chunks to the caller.
+        // The bounded stage channels are the declared INVOKE_BUFFERS
+        // double-buffer; the device serializes invocations internally.
+        let before = self.device().ledger();
         let backoff_total = std::sync::atomic::AtomicU64::new(0.0f64.to_bits());
         let degraded = std::sync::atomic::AtomicBool::new(false);
         {
@@ -299,12 +248,6 @@ impl TpuBackend {
             let degraded = &degraded;
             let on_chunk = &mut on_chunk;
             let rows = batch.rows();
-            let supervision = Supervision::retries(
-                self.policy.max_retries,
-                self.policy.backoff_base_s,
-                self.policy.backoff_factor,
-            )
-            .with_deadline(self.policy.invoke_deadline_s);
             let bindings: Vec<Binding<'_, (usize, Matrix), crate::FrameworkError>> = vec![
                 // dma_in derives its slice from the firing index, so a
                 // replayed firing is idempotent by construction.
@@ -314,7 +257,7 @@ impl TpuBackend {
                     Ok((vec![(start, batch.slice_rows(start, end)?)], Fire::Continue))
                 })
                 .into_binding(),
-                Supervised::map(supervision, move |ctx: FiringCtx, tokens: &[_]| {
+                Supervised::map(self.supervision, move |ctx: FiringCtx, tokens: &[_]| {
                     if ctx.attempt > 0 {
                         // The supervisor granted a retry: charge its
                         // simulated backoff to the backend ledgers.
@@ -326,37 +269,26 @@ impl TpuBackend {
                         ledger.backoff_s += ctx.backoff_s;
                     }
                     let (start, part) = &tokens[0];
-                    match self
-                        .device
-                        .invoke_overlapped_with_deadline(part, ctx.deadline_s)
-                    {
-                        Ok((out, _stats)) => {
-                            self.breaker.lock().consecutive_failures = 0;
-                            Ok((vec![(*start, out)], Fire::Continue))
-                        }
-                        Err(e) if e.is_fault() => {
-                            self.ledger.lock().faults_observed += 1;
-                            let open = self.note_failure();
-                            if e == SimError::WeightCorruption && !open {
-                                // Detected upset: put pristine weights
-                                // back before (or without) retrying.
-                                self.reload_pristine(&mut self.cache.lock(), key)?;
+                    match self.pool.invoke(seat, key, part, ctx.deadline_s) {
+                        Ok(out) => Ok((vec![(*start, out)], Fire::Continue)),
+                        Err(e) => {
+                            if e.device_fault() {
+                                self.ledger.lock().faults_observed += 1;
                             }
-                            Err(e.into())
+                            Err(e)
                         }
-                        Err(e) => Err(e.into()),
                     }
                 })
                 .retry_when(move |e: &crate::FrameworkError| {
                     e.device_fault() && !self.breaker_open()
                 })
                 .or_quarantine(move |_firing, _attempts, e: &crate::FrameworkError| {
-                    // The only in-run escape hatch is the opened breaker:
-                    // re-bind the stage to a stop executor so the chunks
-                    // already past dma_out stand and the caller degrades
-                    // the remaining rows to the host. Any other
-                    // exhaustion (hard fault with the breaker closed,
-                    // non-fault error) aborts with the typed error.
+                    // The only in-run escape hatch is the quarantined
+                    // device: re-bind the stage to a stop executor so the
+                    // chunks already past dma_out stand and the caller
+                    // degrades the remaining rows to the host. Any other
+                    // exhaustion (hard fault before quarantine, non-fault
+                    // error) aborts with the typed error.
                     if !(e.device_fault() && self.breaker_open()) {
                         return None;
                     }
@@ -379,14 +311,16 @@ impl TpuBackend {
                 .into_binding(),
             ];
             let chunks = rows.div_ceil(chunk.max(1)) as u64;
-            runtime::run(&plan, chunks, bindings).map_err(|e| match e {
+            let run = runtime::run(&plan, chunks, bindings);
+            self.pool.release(seat);
+            run.map_err(|e| match e {
                 RunError::Stage { error, .. } => error,
                 RunError::Protocol { stage, message } => crate::FrameworkError::InvalidConfig(
                     format!("invoke schedule protocol violation at stage {stage}: {message}"),
                 ),
             })?;
         }
-        let after = self.device.ledger();
+        let after = self.device().ledger();
         {
             let mut ledger = self.ledger.lock();
             ledger.invocations += after.invocations.saturating_sub(before.invocations);
@@ -412,8 +346,8 @@ impl TpuBackend {
     ///
     /// # Errors
     ///
-    /// Shape/compile errors, or a hard device failure with the breaker
-    /// still closed.
+    /// Shape/compile errors, or a hard device failure before the device
+    /// is quarantined.
     pub(crate) fn encode_batch_streamed(
         &self,
         encoder: &dyn Encoder,
@@ -532,7 +466,7 @@ impl Executor for TpuBackend {
                 compile::compile(
                     &graph,
                     &Matrix::zeros(1, config.dim),
-                    &self.device_config.target,
+                    &self.device_config().target,
                 )
                 .map_err(crate::FrameworkError::from)
             })
@@ -683,14 +617,20 @@ mod tests {
         }
     }
 
-    fn faulty_backend(fault: tpu_sim::FaultConfig, policy: ResiliencePolicy) -> TpuBackend {
+    fn faulty_backend(fault: tpu_sim::FaultConfig, config: PipelineConfig) -> TpuBackend {
         // Small chunks so a single encode call makes several device
         // invocations — plenty of attempts for the fault schedule to hit.
-        let mut config = PipelineConfig::new(256)
-            .with_resilience(policy)
-            .with_batches(8, 8);
+        let mut config = config.with_batches(8, 8);
         config.device.fault = fault;
         TpuBackend::new(&config)
+    }
+
+    /// The default backoff schedule with a larger retry budget and a
+    /// quarantine threshold one past it.
+    fn retrying(max_retries: u32) -> PipelineConfig {
+        PipelineConfig::new(256)
+            .with_supervision(Supervision::retries(max_retries, 2e-3, 2.0))
+            .with_quarantine_threshold(max_retries + 1)
     }
 
     #[test]
@@ -698,10 +638,7 @@ mod tests {
         let fault = tpu_sim::FaultConfig::default()
             .with_seed(909)
             .with_transient_rate(0.5);
-        let policy = ResiliencePolicy::default()
-            .with_max_retries(6)
-            .with_breaker_threshold(7);
-        let b = faulty_backend(fault, policy);
+        let b = faulty_backend(fault, retrying(6));
         let clean = backend();
         let mut rng = DetRng::new(46);
         let encoder = NonlinearEncoder::new(BaseHypervectors::generate(10, 256, &mut rng));
@@ -728,11 +665,12 @@ mod tests {
     #[test]
     fn dead_device_opens_breaker_with_pinned_ledger() {
         // Transient rate 1.0: the device never answers. With the default
-        // policy (3 retries, 2 ms base doubling backoff, breaker at 4)
-        // the first chunk exhausts its budget exactly as the breaker
-        // opens: 4 faults, 3 retries, 2+4+8 ms of backoff, one fallback.
+        // supervision (3 retries, 2 ms base doubling backoff, quarantine
+        // at 4) the first chunk exhausts its budget exactly as the device
+        // is quarantined: 4 faults, 3 retries, 2+4+8 ms of backoff, one
+        // fallback.
         let fault = tpu_sim::FaultConfig::default().with_transient_rate(1.0);
-        let b = faulty_backend(fault, ResiliencePolicy::default());
+        let b = faulty_backend(fault, PipelineConfig::new(256));
         let mut rng = DetRng::new(47);
         let encoder = NonlinearEncoder::new(BaseHypervectors::generate(10, 256, &mut rng));
         let batch = Matrix::random_normal(24, 10, &mut rng);
@@ -766,9 +704,50 @@ mod tests {
     }
 
     #[test]
+    fn hang_under_supervision_deadline_retries_to_bit_exact_output() {
+        // The deadline comes only from the pipeline's supervision; every
+        // hang stalls past it, so the device watchdog turns each hang
+        // into a retried fault instead of a silent 1 s stall.
+        let fault = tpu_sim::FaultConfig::default()
+            .with_seed(913)
+            .with_hang(0.5, 1.0);
+        let config = retrying(6)
+            .with_supervision(Supervision::retries(6, 2e-3, 2.0).with_deadline(Some(0.5)));
+        let b = faulty_backend(fault, config);
+        let clean = backend();
+        let mut rng = DetRng::new(52);
+        let encoder = NonlinearEncoder::new(BaseHypervectors::generate(10, 256, &mut rng));
+        let batch = Matrix::random_normal(40, 10, &mut rng);
+
+        let out = b.encode_batch(&encoder, &batch).unwrap();
+        assert_eq!(out, clean.encode_batch(&encoder, &batch).unwrap());
+        let hangs = b
+            .device()
+            .fault_trace()
+            .records()
+            .iter()
+            .filter(|r| matches!(r.kind, tpu_sim::FaultKind::Hang { fatal: true, .. }))
+            .count() as u64;
+        let ledger = b.ledger();
+        assert_eq!(ledger.faults_observed, hangs);
+        // Seed 913 hangs twice on each of two of the five chunks: four
+        // faults, each retried, with 2+4 ms of backoff per chunk.
+        assert_eq!(ledger.faults_observed, 4);
+        assert_eq!(ledger.retries, 4);
+        assert!(
+            (ledger.backoff_s - 12e-3).abs() < 1e-12,
+            "{}",
+            ledger.backoff_s
+        );
+        assert_eq!(ledger.invocations, 5);
+        assert_eq!(ledger.fallbacks, 0);
+        assert!(!b.breaker_open());
+    }
+
+    #[test]
     fn breaker_fallback_predictions_match_cpu_backend() {
         let fault = tpu_sim::FaultConfig::default().with_transient_rate(1.0);
-        let b = faulty_backend(fault, ResiliencePolicy::default());
+        let b = faulty_backend(fault, PipelineConfig::new(256));
         let config = PipelineConfig::new(256);
         let cpu = crate::backend::CpuBackend::new(&config);
 
@@ -798,10 +777,7 @@ mod tests {
         let fault = tpu_sim::FaultConfig::default()
             .with_seed(911)
             .with_weight_upset_rate(0.4);
-        let policy = ResiliencePolicy::default()
-            .with_max_retries(8)
-            .with_breaker_threshold(9);
-        let b = faulty_backend(fault, policy);
+        let b = faulty_backend(fault, retrying(8));
         let clean = backend();
         let mut rng = DetRng::new(50);
         let encoder = NonlinearEncoder::new(BaseHypervectors::generate(10, 256, &mut rng));

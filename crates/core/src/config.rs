@@ -2,9 +2,9 @@ use serde::{Deserialize, Serialize};
 
 use cpu_model::Platform;
 use hd_bagging::{BaggingConfig, MemberRecovery};
+use hd_dataflow::runtime::Supervision;
 use tpu_sim::DeviceConfig;
 
-use crate::backend::ResiliencePolicy;
 use crate::error::FrameworkError;
 
 /// Which of the paper's three framework settings to run.
@@ -63,8 +63,15 @@ pub struct PipelineConfig {
     pub platform: Platform,
     /// Accelerator profile.
     pub device: DeviceConfig,
-    /// Retry/deadline/fallback policy for the accelerator-placed phases.
-    pub resilience: ResiliencePolicy,
+    /// Retry budget, backoff and per-invocation deadline for every
+    /// supervised device stage (the accelerator backend's invoke
+    /// schedule and the two-device server's stages).
+    pub supervision: Supervision,
+    /// Consecutive failed device attempts after which a
+    /// [`DevicePool`](crate::DevicePool) quarantines the device (for the
+    /// accelerator backend's one-device pool: degrades to the host).
+    /// Successes reset the count.
+    pub quarantine_threshold: u32,
     /// What the bagged settings do with an ensemble member whose backend
     /// failed permanently.
     pub member_recovery: MemberRecovery,
@@ -78,7 +85,10 @@ impl PipelineConfig {
     /// Paper-style defaults at the given dimensionality: 20 iterations,
     /// `lambda = 1`, bagging at `M = 4`, `I' = 6`, `alpha = 0.6`,
     /// `beta = 1`, encode batch 256, inference batch 16, mobile-i5 host,
-    /// Edge-TPU-like device.
+    /// Edge-TPU-like device. Device stages retry 3 times with a 2 ms
+    /// doubling backoff and quarantine after 4 consecutive failures, so
+    /// the invocation that exhausts its whole retry budget is the one
+    /// that quarantines the device.
     ///
     /// # Panics
     ///
@@ -95,7 +105,8 @@ impl PipelineConfig {
             infer_batch: 16,
             platform: Platform::MobileI5,
             device: DeviceConfig::default(),
-            resilience: ResiliencePolicy::default(),
+            supervision: Supervision::retries(3, 2e-3, 2.0),
+            quarantine_threshold: 4,
             member_recovery: MemberRecovery::default(),
             threads: 1,
         }
@@ -145,10 +156,17 @@ impl PipelineConfig {
         self
     }
 
-    /// Sets the accelerator resilience policy.
+    /// Sets the supervision policy of the device stages.
     #[must_use]
-    pub fn with_resilience(mut self, resilience: ResiliencePolicy) -> Self {
-        self.resilience = resilience;
+    pub fn with_supervision(mut self, supervision: Supervision) -> Self {
+        self.supervision = supervision;
+        self
+    }
+
+    /// Sets the consecutive-failure count that quarantines a device.
+    #[must_use]
+    pub fn with_quarantine_threshold(mut self, threshold: u32) -> Self {
+        self.quarantine_threshold = threshold;
         self
     }
 
@@ -195,7 +213,31 @@ impl PipelineConfig {
                 "threads must be at least 1".into(),
             ));
         }
-        self.resilience.validate()?;
+        let s = &self.supervision;
+        if !(s.backoff_base_s >= 0.0 && s.backoff_base_s.is_finite()) {
+            return Err(FrameworkError::InvalidConfig(format!(
+                "backoff_base_s {} must be finite and non-negative",
+                s.backoff_base_s
+            )));
+        }
+        if !(s.backoff_factor >= 1.0 && s.backoff_factor.is_finite()) {
+            return Err(FrameworkError::InvalidConfig(format!(
+                "backoff_factor {} must be finite and at least 1",
+                s.backoff_factor
+            )));
+        }
+        if let Some(d) = s.deadline_s {
+            if !(d > 0.0 && d.is_finite()) {
+                return Err(FrameworkError::InvalidConfig(format!(
+                    "deadline_s {d} must be finite and positive"
+                )));
+            }
+        }
+        if self.quarantine_threshold == 0 {
+            return Err(FrameworkError::InvalidConfig(
+                "quarantine_threshold must be at least 1".into(),
+            ));
+        }
         self.device
             .fault
             .validate()
@@ -240,10 +282,8 @@ mod tests {
         // Mismatched bagging width.
         let bad = ok.clone().with_bagging(BaggingConfig::paper_defaults(512));
         assert!(bad.validate().is_err());
-        // Bad resilience policy.
-        let bad = ok
-            .clone()
-            .with_resilience(ResiliencePolicy::default().with_breaker_threshold(0));
+        // Zero quarantine threshold.
+        let bad = ok.clone().with_quarantine_threshold(0);
         assert!(bad.validate().is_err());
         // Bad fault schedule on the device.
         let mut bad = ok.clone();
@@ -253,6 +293,32 @@ mod tests {
         let bad = ok.clone().with_threads(0);
         assert!(bad.validate().is_err());
         assert!(ok.with_threads(4).validate().is_ok());
+    }
+
+    #[test]
+    fn supervision_defaults_validate_and_backoff_grows() {
+        let c = PipelineConfig::new(1024);
+        assert!(c.validate().is_ok());
+        let s = c.supervision;
+        assert_eq!(c.quarantine_threshold, s.max_retries + 1);
+        assert_eq!(s.deadline_s, None);
+        assert!((s.backoff_s(1) - 2e-3).abs() < 1e-15);
+        assert!((s.backoff_s(2) - 4e-3).abs() < 1e-15);
+        assert!((s.backoff_s(3) - 8e-3).abs() < 1e-15);
+    }
+
+    #[test]
+    fn supervision_rejects_bad_fields() {
+        let ok = PipelineConfig::new(1024);
+        let with = |s: Supervision| ok.clone().with_supervision(s).validate();
+        assert!(with(Supervision::retries(3, -1.0, 2.0)).is_err());
+        assert!(with(Supervision::retries(3, f64::NAN, 2.0)).is_err());
+        assert!(with(Supervision::retries(3, 1e-3, 0.5)).is_err());
+        assert!(with(Supervision::retries(3, 1e-3, f64::INFINITY)).is_err());
+        assert!(with(ok.supervision.with_deadline(Some(0.0))).is_err());
+        assert!(with(ok.supervision.with_deadline(Some(f64::NAN))).is_err());
+        assert!(ok.clone().with_quarantine_threshold(0).validate().is_err());
+        assert!(with(Supervision::retries(0, 2e-3, 2.0).with_deadline(Some(0.5))).is_ok());
     }
 
     #[test]

@@ -1,17 +1,19 @@
 //! A health-tracked pool of simulated accelerators with fleet-level
 //! failover.
 //!
-//! PR 4 gave a *single* device retry/backoff/breaker resilience inside
-//! `TpuBackend`; the runtime's [`Supervision`] layer
-//! ([`hd_dataflow::runtime`]) generalizes the loop. This module supplies
-//! the other half of the ROADMAP's serving-fleet north star: a
-//! [`DevicePool`] of N simulated devices with per-device health states
-//! (`Healthy → Degraded → Quarantined`), pristine-model reload on weight
-//! upsets, fingerprint-residency-aware placement, and drain-to-sibling
-//! failover through a [`StageSeat`] — when a stage's device is
-//! quarantined mid-run, its remaining firings re-bind to a sibling
-//! holding (or loading) the same compiled model, falling back to the
-//! bit-exact host executor only when the pool is exhausted.
+//! Retries, backoff and deadlines belong to the runtime's
+//! [`Supervision`] ([`hd_dataflow::runtime`]); everything a device
+//! remembers between attempts lives here. A [`DevicePool`] of N
+//! simulated devices holds the registry of pristine compiled models and
+//! which one is resident on each device, counts consecutive failures
+//! per device (`Healthy → Degraded → Quarantined`), reloads pristine
+//! weights after an upset, and places work by fingerprint residency.
+//! A [`StageSeat`] adds drain-to-sibling failover — when a stage's
+//! device is quarantined mid-run, its remaining firings re-bind to a
+//! sibling holding (or loading) the same compiled model, falling back
+//! to the bit-exact host executor only when the pool is exhausted. The
+//! single-device [`TpuBackend`](crate::TpuBackend) runs on a pool of
+//! one, where quarantine means degrading to the host.
 //!
 //! The host fallback is [`CompiledModel::quantized`]'s int8 forward —
 //! the exact arithmetic the simulated device executes — so a drained or
@@ -25,17 +27,15 @@ use std::collections::HashMap;
 use parking_lot::Mutex;
 
 use hd_tensor::Matrix;
-use tpu_sim::{Device, DeviceConfig, FaultRecord, SimError};
+use tpu_sim::timing::ModelDims;
+use tpu_sim::{Device, DeviceConfig, FaultRecord, LoadReport, SimError};
 use wide_nn::compile::CompiledModel;
-
-use crate::backend::ResiliencePolicy;
 
 pub use tpu_sim::{FaultConfig, FaultKind};
 
 /// Health of one pooled device. Transitions are monotone within a
 /// pool's lifetime: a fault degrades a healthy device, enough
-/// consecutive failures quarantine it, and quarantine is permanent
-/// (matching the backend circuit breaker's latching semantics).
+/// consecutive failures quarantine it, and quarantine is permanent.
 /// Successes reset the consecutive-failure count but never promote a
 /// degraded device back to healthy — the scar is part of the report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,6 +72,9 @@ pub struct DeviceFaultSummary {
     pub records: Vec<FaultRecord>,
 }
 
+/// Callback told about every model load a pool performs.
+type LoadObserver = Box<dyn Fn(usize, &LoadReport) + Send + Sync>;
+
 /// A pool of N simulated devices sharing a registry of pristine
 /// compiled models, with health tracking and residency-aware placement.
 ///
@@ -84,7 +87,9 @@ pub struct DevicePool {
     /// Pristine compiled models by fingerprint — the reload source for
     /// weight-upset recovery and the host-fallback executor.
     models: Mutex<HashMap<u64, CompiledModel>>,
-    policy: ResiliencePolicy,
+    /// Consecutive failed attempts that quarantine a device.
+    quarantine_threshold: u32,
+    on_load: Option<LoadObserver>,
 }
 
 impl std::fmt::Debug for DevicePool {
@@ -97,17 +102,12 @@ impl std::fmt::Debug for DevicePool {
 }
 
 impl DevicePool {
-    /// Creates a pool of `n` devices (ordinals `0..n`) sharing `config`,
-    /// under the default [`ResiliencePolicy`].
+    /// Creates a pool of `n` devices (ordinals `0..n`) sharing `config`.
+    /// A device is quarantined once `quarantine_threshold` consecutive
+    /// invocations on it fail (see
+    /// [`PipelineConfig::quarantine_threshold`](crate::PipelineConfig::quarantine_threshold)).
     #[must_use]
-    pub fn new(config: &DeviceConfig, n: usize) -> Self {
-        Self::with_policy(config, n, ResiliencePolicy::default())
-    }
-
-    /// Creates a pool of `n` devices under an explicit policy (the
-    /// breaker threshold decides when a degraded device quarantines).
-    #[must_use]
-    pub fn with_policy(config: &DeviceConfig, n: usize, policy: ResiliencePolicy) -> Self {
+    pub fn new(config: &DeviceConfig, n: usize, quarantine_threshold: u32) -> Self {
         let devices = (0..n)
             .map(|ordinal| Device::with_ordinal(config.clone(), ordinal))
             .collect();
@@ -123,8 +123,21 @@ impl DevicePool {
                 n
             ]),
             models: Mutex::new(HashMap::new()),
-            policy,
+            quarantine_threshold,
+            on_load: None,
         }
+    }
+
+    /// Calls `observer(ordinal, report)` after every model load the pool
+    /// performs — placement loads and pristine reloads alike — so an
+    /// owner can charge them to its own ledger.
+    #[must_use]
+    pub fn on_load(
+        mut self,
+        observer: impl Fn(usize, &LoadReport) + Send + Sync + 'static,
+    ) -> Self {
+        self.on_load = Some(Box::new(observer));
+        self
     }
 
     /// Number of pooled devices.
@@ -139,17 +152,24 @@ impl DevicePool {
         self.devices.is_empty()
     }
 
-    /// The pool's resilience policy.
-    #[must_use]
-    pub fn policy(&self) -> &ResiliencePolicy {
-        &self.policy
-    }
-
     /// Registers a pristine compiled model under its fingerprint `key`.
     /// The copy is the reload source after weight upsets and the
     /// bit-exact host fallback once the pool is exhausted.
     pub fn register(&self, key: u64, model: CompiledModel) {
         self.models.lock().insert(key, model);
+    }
+
+    /// Shape of the registered model `key`, `None` if it was never
+    /// registered.
+    #[must_use]
+    pub fn model_dims(&self, key: u64) -> Option<ModelDims> {
+        self.models.lock().get(&key).map(ModelDims::from_compiled)
+    }
+
+    /// Number of registered models.
+    #[must_use]
+    pub fn model_count(&self) -> usize {
+        self.models.lock().len()
     }
 
     /// The device at `ordinal`.
@@ -211,13 +231,7 @@ impl DevicePool {
             return Ok(None);
         };
         if seats[ordinal].resident != Some(key) {
-            let model = self.models.lock().get(&key).cloned().ok_or_else(|| {
-                crate::FrameworkError::InvalidConfig(format!(
-                    "model {key:#x} was never registered with the pool"
-                ))
-            })?;
-            self.devices[ordinal].load_model(model)?;
-            seats[ordinal].resident = Some(key);
+            self.load_pristine(&mut seats[ordinal], ordinal, key)?;
         }
         seats[ordinal].leased = true;
         Ok(Some(ordinal))
@@ -238,14 +252,17 @@ impl DevicePool {
         }
     }
 
-    /// One supervised invocation on pooled device `ordinal` for model
-    /// `key`, with the fleet's health book-keeping folded in: success
-    /// resets the consecutive-failure count; a device fault degrades
-    /// the device, reloads the pristine model after a weight upset, and
-    /// quarantines the device once `policy.breaker_threshold`
-    /// consecutive failures accumulate. The typed error is always
-    /// returned — retry/escalation belongs to the caller's
-    /// [`Supervision`](hd_dataflow::runtime::Supervision) policy.
+    /// One invocation on pooled device `ordinal` for model `key` under
+    /// the firing's watchdog `deadline_s`, with the fleet's health
+    /// book-keeping folded in: success resets the consecutive-failure
+    /// count; a device fault degrades the device, quarantines it once
+    /// the pool's quarantine threshold of consecutive failures
+    /// accumulates, and otherwise reloads the pristine model after a
+    /// weight upset. The typed error is always returned —
+    /// retry/escalation belongs to the caller's
+    /// [`Supervision`](hd_dataflow::runtime::Supervision) policy, whose
+    /// deadline the caller passes through from
+    /// [`FiringCtx::deadline_s`](hd_dataflow::runtime::FiringCtx::deadline_s).
     ///
     /// # Errors
     ///
@@ -255,52 +272,77 @@ impl DevicePool {
     /// # Panics
     ///
     /// If `ordinal` is out of range.
-    pub fn invoke(&self, ordinal: usize, key: u64, batch: &Matrix) -> crate::Result<Matrix> {
-        let deadline = self.policy.invoke_deadline_s;
-        match self.devices[ordinal].invoke_overlapped_with_deadline(batch, deadline) {
+    pub fn invoke(
+        &self,
+        ordinal: usize,
+        key: u64,
+        batch: &Matrix,
+        deadline_s: Option<f64>,
+    ) -> crate::Result<Matrix> {
+        let e = match self.devices[ordinal].invoke_overlapped_with_deadline(batch, deadline_s) {
             Ok((out, _stats)) => {
                 self.seats.lock()[ordinal].consecutive_failures = 0;
-                Ok(out)
+                return Ok(out);
             }
-            Err(e) => {
-                if e.is_fault() {
-                    let quarantined = {
-                        let mut seats = self.seats.lock();
-                        let seat = &mut seats[ordinal];
-                        seat.consecutive_failures += 1;
-                        if seat.health == DeviceHealth::Healthy {
-                            seat.health = DeviceHealth::Degraded;
-                        }
-                        if seat.consecutive_failures >= self.policy.breaker_threshold
-                            && seat.health != DeviceHealth::Quarantined
-                        {
-                            seat.health = DeviceHealth::Quarantined;
-                            seat.leased = false;
-                            true
-                        } else {
-                            false
-                        }
-                    };
-                    if e == SimError::WeightCorruption && !quarantined {
-                        self.reload_pristine(ordinal, key)?;
-                    }
-                }
-                Err(e.into())
+            Err(e) => e,
+        };
+        if e.is_fault() {
+            let mut seats = self.seats.lock();
+            let seat = &mut seats[ordinal];
+            seat.consecutive_failures += 1;
+            if seat.consecutive_failures >= self.quarantine_threshold {
+                seat.health = DeviceHealth::Quarantined;
+                seat.leased = false;
+            } else if seat.health == DeviceHealth::Healthy {
+                seat.health = DeviceHealth::Degraded;
+            }
+            if e == SimError::WeightCorruption && seat.health != DeviceHealth::Quarantined {
+                self.load_pristine(seat, ordinal, key)?;
             }
         }
+        Err(e.into())
     }
 
-    /// Reloads the pristine registered copy of `key` onto `ordinal`
-    /// (weight-upset recovery).
-    fn reload_pristine(&self, ordinal: usize, key: u64) -> crate::Result<()> {
+    /// Loads the pristine registered copy of `key` onto `ordinal` and
+    /// marks it resident — the one place the pool loads a model, for
+    /// placement and weight-upset recovery alike.
+    fn load_pristine(&self, seat: &mut SeatState, ordinal: usize, key: u64) -> crate::Result<()> {
         let model = self.models.lock().get(&key).cloned().ok_or_else(|| {
             crate::FrameworkError::InvalidConfig(format!(
                 "model {key:#x} was never registered with the pool"
             ))
         })?;
-        self.devices[ordinal].load_model(model)?;
-        self.seats.lock()[ordinal].resident = Some(key);
+        let report = self.devices[ordinal].load_model(model)?;
+        seat.resident = Some(key);
+        if let Some(observer) = &self.on_load {
+            observer(ordinal, &report);
+        }
         Ok(())
+    }
+
+    /// Flips weight bits of the model resident on `ordinal` (see
+    /// [`Device::inject_weight_faults`]) and drops its residency, so the
+    /// next lease reloads the pristine copy instead of trusting the
+    /// faulted weights to still match their fingerprint. Returns the
+    /// number of flipped bits.
+    ///
+    /// # Errors
+    ///
+    /// The device's error if no model is resident.
+    ///
+    /// # Panics
+    ///
+    /// If `ordinal` is out of range.
+    pub fn inject_weight_faults(
+        &self,
+        ordinal: usize,
+        rate: f64,
+        rng: &mut hd_tensor::rng::DetRng,
+    ) -> crate::Result<usize> {
+        let mut seats = self.seats.lock();
+        let flipped = self.devices[ordinal].inject_weight_faults(rate, rng)?;
+        seats[ordinal].resident = None;
+        Ok(flipped)
     }
 
     /// The bit-exact host executor for model `key`: the compiled
@@ -414,16 +456,17 @@ impl<'p> StageSeat<'p> {
     }
 
     /// One invocation on the current seat (device with health
-    /// book-keeping, or bit-exact host forward).
+    /// book-keeping under the firing's `deadline_s`, or bit-exact host
+    /// forward).
     ///
     /// # Errors
     ///
     /// Device faults/errors from the pooled device; host-side shape
     /// errors.
-    pub fn invoke(&self, batch: &Matrix) -> crate::Result<Matrix> {
+    pub fn invoke(&self, batch: &Matrix, deadline_s: Option<f64>) -> crate::Result<Matrix> {
         let seat = *self.seat.lock();
         match seat {
-            Seat::Device(ordinal) => self.pool.invoke(ordinal, self.key, batch),
+            Seat::Device(ordinal) => self.pool.invoke(ordinal, self.key, batch, deadline_s),
             Seat::Host => self.pool.host_forward(self.key, batch),
         }
     }
@@ -485,7 +528,7 @@ mod tests {
     #[test]
     fn placement_prefers_residency_then_empty_seats() {
         let (compiled, _) = compiled_encoder();
-        let pool = DevicePool::new(&DeviceConfig::default(), 3);
+        let pool = DevicePool::new(&DeviceConfig::default(), 3, 4);
         pool.register(7, compiled.clone());
         pool.register(8, compiled);
 
@@ -506,7 +549,7 @@ mod tests {
 
     #[test]
     fn unregistered_key_is_a_typed_error() {
-        let pool = DevicePool::new(&DeviceConfig::default(), 1);
+        let pool = DevicePool::new(&DeviceConfig::default(), 1, 4);
         let err = pool.lease(99).unwrap_err();
         assert!(matches!(err, crate::FrameworkError::InvalidConfig(_)));
     }
@@ -520,15 +563,14 @@ mod tests {
                 .with_transient_rate(1.0),
             ..DeviceConfig::default()
         };
-        let policy = ResiliencePolicy::default().with_breaker_threshold(2);
-        let pool = DevicePool::with_policy(&config, 2, policy);
+        let pool = DevicePool::new(&config, 2, 2);
         pool.register(7, compiled);
         let ordinal = pool.lease(7).unwrap().unwrap();
 
         assert_eq!(pool.health(ordinal), DeviceHealth::Healthy);
-        pool.invoke(ordinal, 7, &features).unwrap_err();
+        pool.invoke(ordinal, 7, &features, None).unwrap_err();
         assert_eq!(pool.health(ordinal), DeviceHealth::Degraded);
-        pool.invoke(ordinal, 7, &features).unwrap_err();
+        pool.invoke(ordinal, 7, &features, None).unwrap_err();
         assert_eq!(pool.health(ordinal), DeviceHealth::Quarantined);
         assert_eq!(pool.quarantined(), vec![ordinal]);
         // A quarantined device is out of placement: the next lease
@@ -545,13 +587,12 @@ mod tests {
                 .with_weight_upset_rate(1.0),
             ..DeviceConfig::default()
         };
-        // Generous breaker so the reload path is what we observe.
-        let policy = ResiliencePolicy::default().with_breaker_threshold(100);
-        let pool = DevicePool::with_policy(&config, 1, policy);
+        // Generous threshold so the reload path is what we observe.
+        let pool = DevicePool::new(&config, 1, 100);
         pool.register(7, compiled);
         let ordinal = pool.lease(7).unwrap().unwrap();
 
-        let err = pool.invoke(ordinal, 7, &features).unwrap_err();
+        let err = pool.invoke(ordinal, 7, &features, None).unwrap_err();
         assert!(err.device_fault());
         // The pool already reloaded the pristine copy.
         assert!(!pool.device(ordinal).weights_corrupt());
@@ -561,10 +602,10 @@ mod tests {
     #[test]
     fn host_forward_is_bit_exact_with_the_device() {
         let (compiled, features) = compiled_encoder();
-        let pool = DevicePool::new(&DeviceConfig::default(), 1);
+        let pool = DevicePool::new(&DeviceConfig::default(), 1, 4);
         pool.register(7, compiled);
         let ordinal = pool.lease(7).unwrap().unwrap();
-        let on_device = pool.invoke(ordinal, 7, &features).unwrap();
+        let on_device = pool.invoke(ordinal, 7, &features, None).unwrap();
         let on_host = pool.host_forward(7, &features).unwrap();
         assert_eq!(on_device, on_host);
     }
@@ -572,23 +613,23 @@ mod tests {
     #[test]
     fn seat_drains_to_sibling_then_host() {
         let (compiled, features) = compiled_encoder();
-        let pool = DevicePool::new(&DeviceConfig::default(), 2);
+        let pool = DevicePool::new(&DeviceConfig::default(), 2, 4);
         pool.register(7, compiled);
         let seat = StageSeat::new(&pool, 7).unwrap();
         assert_eq!(seat.ordinal(), Some(0));
 
-        let clean = seat.invoke(&features).unwrap();
+        let clean = seat.invoke(&features, None).unwrap();
 
         seat.rebind();
         assert_eq!(seat.ordinal(), Some(1), "drains to the sibling first");
         assert_eq!(pool.health(0), DeviceHealth::Quarantined);
-        assert_eq!(seat.invoke(&features).unwrap(), clean);
+        assert_eq!(seat.invoke(&features, None).unwrap(), clean);
 
         seat.rebind();
         assert!(seat.is_host(), "exhausted pool degrades to the host");
         assert_eq!(pool.quarantined(), vec![0, 1]);
         assert_eq!(
-            seat.invoke(&features).unwrap(),
+            seat.invoke(&features, None).unwrap(),
             clean,
             "host executor is bit-exact with the device datapath"
         );
@@ -603,14 +644,13 @@ mod tests {
                 .with_transient_rate(1.0),
             ..DeviceConfig::default()
         };
-        let policy = ResiliencePolicy::default().with_breaker_threshold(100);
-        let pool = DevicePool::with_policy(&config, 2, policy);
+        let pool = DevicePool::new(&config, 2, 100);
         pool.register(7, compiled);
         let ordinal = pool.lease(7).unwrap().unwrap();
 
-        pool.invoke(ordinal, 7, &features).unwrap_err();
+        pool.invoke(ordinal, 7, &features, None).unwrap_err();
         let snapshot = pool.fault_snapshot();
-        pool.invoke(ordinal, 7, &features).unwrap_err();
+        pool.invoke(ordinal, 7, &features, None).unwrap_err();
         let delta = pool.fault_delta(&snapshot);
         assert_eq!(delta.len(), 1);
         assert_eq!(delta[0].ordinal, ordinal);

@@ -76,12 +76,12 @@ pub mod serving;
 pub mod wide_model;
 
 pub use backend::{
-    BackendLedger, BackendRegistry, CpuBackend, ExecutionBackend, HybridBackend, ResiliencePolicy,
-    TpuBackend,
+    BackendLedger, BackendRegistry, CpuBackend, ExecutionBackend, HybridBackend, TpuBackend,
 };
 pub use config::{ExecutionSetting, PipelineConfig};
 pub use error::FrameworkError;
 pub use fleet::{DeviceFaultSummary, DeviceHealth, DevicePool, StageSeat};
+pub use hd_dataflow::runtime::Supervision;
 pub use inference::{InferenceEngine, InferenceReport};
 pub use pipeline::{EvaluationReport, Pipeline, TrainingOutcome, TrainingTelemetry};
 pub use runtime::{EnergyBreakdown, RuntimeBreakdown, UpdateProfile, WorkloadSpec};

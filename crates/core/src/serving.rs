@@ -34,7 +34,7 @@ use tpu_sim::timing::ModelDims;
 use tpu_sim::{Device, DeviceConfig};
 use wide_nn::compile;
 
-use crate::backend::{fingerprint, ResiliencePolicy, CALIBRATION_ROWS};
+use crate::backend::{fingerprint, CALIBRATION_ROWS};
 use crate::config::PipelineConfig;
 use crate::fleet::{DeviceFaultSummary, DevicePool, StageSeat};
 use crate::schedule::{self, SchedulePlan};
@@ -59,7 +59,7 @@ fn encode_executor<'env>(
         let start = (ctx.firing as usize) * chunk;
         let end = (start + chunk).min(rows);
         let part = features.slice_rows(start, end)?;
-        Ok((vec![seat.invoke(&part)?], Fire::Continue))
+        Ok((vec![seat.invoke(&part, ctx.deadline_s)?], Fire::Continue))
     })
 }
 
@@ -71,8 +71,8 @@ fn score_executor<'env>(
     seat: &'env StageSeat<'env>,
     predictions: &'env std::sync::Mutex<Vec<usize>>,
 ) -> SupervisedFn<'env, Matrix, crate::FrameworkError> {
-    Box::new(move |_ctx: FiringCtx, tokens: &[Matrix]| {
-        let scores = seat.invoke(&tokens[0])?;
+    Box::new(move |ctx: FiringCtx, tokens: &[Matrix]| {
+        let scores = seat.invoke(&tokens[0], ctx.deadline_s)?;
         let mut out = predictions.lock().expect("predictions sink");
         for r in 0..scores.rows() {
             out.push(ops::argmax(scores.row(r))?);
@@ -153,6 +153,7 @@ pub struct TwoDeviceServer {
     score_dims: ModelDims,
     device_config: DeviceConfig,
     chunk: usize,
+    supervision: Supervision,
 }
 
 impl TwoDeviceServer {
@@ -168,8 +169,10 @@ impl TwoDeviceServer {
     ///
     /// # Errors
     ///
-    /// Compilation or model-load failures (e.g. a parameter buffer too
-    /// small for a half-network), or shape errors from calibration.
+    /// [`FrameworkError::InvalidConfig`](crate::FrameworkError::InvalidConfig)
+    /// if `config` fails [`PipelineConfig::validate`]; compilation or
+    /// model-load failures (e.g. a parameter buffer too small for a
+    /// half-network), or shape errors from calibration.
     pub fn new(
         model: &HdcModel,
         config: &PipelineConfig,
@@ -190,6 +193,7 @@ impl TwoDeviceServer {
         calibration: &Matrix,
         spares: usize,
     ) -> crate::Result<Self> {
+        config.validate()?;
         let rows = calibration.rows().min(CALIBRATION_ROWS);
         let feature_cal = calibration.slice_rows(0, rows)?;
         let encoded_cal = model.encoder().encode(&feature_cal)?;
@@ -208,7 +212,7 @@ impl TwoDeviceServer {
         let encoder_key = fingerprint(TAG_SERVE_ENCODER, &[&feature_cal]);
         let score_key = fingerprint(TAG_SERVE_SCORE, &[&encoded_cal]);
 
-        let pool = DevicePool::with_policy(&config.device, 2 + spares, config.resilience);
+        let pool = DevicePool::new(&config.device, 2 + spares, config.quarantine_threshold);
         pool.register(encoder_key, encoder_compiled);
         pool.register(score_key, score_compiled);
         // Seat the halves on their schedule resources now (encoder →
@@ -231,6 +235,7 @@ impl TwoDeviceServer {
             score_dims,
             device_config: config.device.clone(),
             chunk: config.infer_batch.max(1),
+            supervision: config.supervision,
         })
     }
 
@@ -289,13 +294,7 @@ impl TwoDeviceServer {
         let rows = features.rows();
         let plan = self.plan(rows)?;
         let chunk = self.chunk;
-        let policy = *self.pool.policy();
-        let supervision = Supervision::retries(
-            policy.max_retries,
-            policy.backoff_base_s,
-            policy.backoff_factor,
-        )
-        .with_deadline(policy.invoke_deadline_s);
+        let supervision = self.supervision;
 
         let encode_seat = StageSeat::new(&self.pool, self.encoder_key)?;
         let score_seat = StageSeat::new(&self.pool, self.score_key)?;
@@ -436,12 +435,6 @@ impl TwoDeviceServer {
             self.pool.device(i).reset_ledger();
         }
     }
-
-    /// The resilience policy the pool supervises under.
-    #[must_use]
-    pub fn policy(&self) -> &ResiliencePolicy {
-        self.pool.policy()
-    }
 }
 
 #[cfg(test)]
@@ -462,6 +455,22 @@ mod tests {
         let config = TrainConfig::new(256).with_iterations(4).with_seed(72);
         let (model, _) = HdcModel::fit(&features, &labels, 3, &config).unwrap();
         (model, features)
+    }
+
+    #[test]
+    fn construction_rejects_an_invalid_config() {
+        let (model, features) = trained();
+        let zero = PipelineConfig::new(256).with_quarantine_threshold(0);
+        let nan = PipelineConfig::new(256).with_supervision(Supervision::retries(3, f64::NAN, 2.0));
+        for config in [zero, nan] {
+            let err = TwoDeviceServer::with_spares(&model, &config, &features, 1)
+                .err()
+                .expect("an invalid config must not build a server");
+            assert!(
+                matches!(err, crate::FrameworkError::InvalidConfig(_)),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

@@ -248,8 +248,7 @@ impl Supervision {
     }
 
     /// Backoff charged before the `retry`-th retry (1-based):
-    /// `base * factor^(retry-1)` — the same schedule the backend
-    /// resilience policy uses.
+    /// `base * factor^(retry-1)`.
     #[must_use]
     pub fn backoff_s(&self, retry: u32) -> f64 {
         self.backoff_base_s * self.backoff_factor.powi(retry.saturating_sub(1) as i32)

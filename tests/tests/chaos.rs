@@ -16,7 +16,7 @@ use proptest::prelude::*;
 
 use hd_bagging::MemberRecovery;
 use hd_tensor::Matrix;
-use hyperedge::{ExecutionSetting, Pipeline, PipelineConfig, ResiliencePolicy, TrainingTelemetry};
+use hyperedge::{ExecutionSetting, Pipeline, PipelineConfig, Supervision, TrainingTelemetry};
 use integration_tests::clustered_dataset;
 use tpu_sim::{FaultConfig, FaultTrace};
 
@@ -63,11 +63,8 @@ fn retried_transient_faults_converge_bit_exact() {
             .with_transient_rate(0.4)
             .with_link_corruption_rate(0.2),
     )
-    .with_resilience(
-        ResiliencePolicy::default()
-            .with_max_retries(6)
-            .with_breaker_threshold(7),
-    );
+    .with_supervision(Supervision::retries(6, 2e-3, 2.0))
+    .with_quarantine_threshold(7);
     let faulted = Pipeline::new(cfg);
     let before = faulted.backend(ExecutionSetting::Tpu).ledger();
     let outcome = faulted
@@ -153,11 +150,8 @@ fn same_seed_reproduces_trace_ledger_and_model() {
                 .with_weight_upset_rate(0.1)
                 .with_hang(0.1, 1e-3),
         )
-        .with_resilience(
-            ResiliencePolicy::default()
-                .with_max_retries(8)
-                .with_breaker_threshold(9),
-        );
+        .with_supervision(Supervision::retries(8, 2e-3, 2.0))
+        .with_quarantine_threshold(9);
         let pipeline = Pipeline::new(cfg);
         let outcome = pipeline
             .train(&features, &labels, CLASSES, ExecutionSetting::Tpu)
@@ -201,11 +195,8 @@ fn bagged_members_recover_from_hard_device_failure() {
         chaos_config(17),
         FaultConfig::default().with_seed(3).with_transient_rate(1.0),
     )
-    .with_resilience(
-        ResiliencePolicy::default()
-            .with_max_retries(1)
-            .with_breaker_threshold(50),
-    );
+    .with_supervision(Supervision::retries(1, 2e-3, 2.0))
+    .with_quarantine_threshold(50);
 
     // Fail (default): the hard error propagates.
     let failing = Pipeline::new(cfg.clone());
@@ -264,11 +255,8 @@ proptest! {
                     .with_link_corruption_rate(link)
                     .with_weight_upset_rate(upset),
             )
-            .with_resilience(
-                ResiliencePolicy::default()
-                    .with_max_retries(10)
-                    .with_breaker_threshold(11),
-            );
+            .with_supervision(Supervision::retries(10, 2e-3, 2.0))
+            .with_quarantine_threshold(11);
             let pipeline = Pipeline::new(cfg);
             let outcome = pipeline
                 .train(&features, &labels, CLASSES, ExecutionSetting::Tpu)

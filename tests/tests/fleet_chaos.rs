@@ -32,7 +32,7 @@ use hd_dataflow::{Resource, SdfGraph};
 use hd_tensor::{ops, Matrix};
 use hdc::{HdcModel, TrainConfig};
 use hyperedge::fleet::{DevicePool, StageSeat};
-use hyperedge::{wide_model, FrameworkError, PipelineConfig, ResiliencePolicy, TwoDeviceServer};
+use hyperedge::{wide_model, FrameworkError, PipelineConfig, TwoDeviceServer};
 use integration_tests::clustered_dataset;
 use tpu_sim::{FaultConfig, LinkDirection, SimError};
 use wide_nn::compile;
@@ -93,7 +93,7 @@ impl Kind {
 /// A hang only terminates under a firing deadline; every faulted config
 /// in this suite serves under one so all four kinds are survivable.
 fn resilient(config: &mut PipelineConfig) {
-    config.resilience = ResiliencePolicy::default().with_deadline(Some(0.5));
+    config.supervision = config.supervision.with_deadline(Some(0.5));
 }
 
 #[test]
@@ -165,7 +165,7 @@ fn pooled_halves(model: &HdcModel, features: &Matrix, n: usize) -> (DevicePool, 
         &config.device.target,
     )
     .unwrap();
-    let pool = DevicePool::new(&config.device, n);
+    let pool = DevicePool::new(&config.device, n, config.quarantine_threshold);
     pool.register(1, encoder_compiled);
     pool.register(2, score_compiled);
     (pool, 1, 2, encoded)
@@ -220,13 +220,16 @@ fn run_pooled_with_injection(
                 let start = (ctx.firing as usize) * chunk;
                 let end = (start + chunk).min(rows);
                 let part = features.slice_rows(start, end)?;
-                Ok((vec![encode_seat.invoke(&part)?], Fire::Continue))
+                Ok((
+                    vec![encode_seat.invoke(&part, ctx.deadline_s)?],
+                    Fire::Continue,
+                ))
             })
         };
         let score_exec = move || -> SupervisedFn<'_, Matrix, FrameworkError> {
             Box::new(move |ctx: FiringCtx, tokens: &[Matrix]| {
                 inject(1, ctx.firing)?;
-                let scores = score_seat.invoke(&tokens[0])?;
+                let scores = score_seat.invoke(&tokens[0], ctx.deadline_s)?;
                 let mut out = predictions.lock().unwrap();
                 for r in 0..scores.rows() {
                     out.push(ops::argmax(scores.row(r))?);

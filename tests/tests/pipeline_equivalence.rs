@@ -21,7 +21,7 @@ use hd_tensor::rng::DetRng;
 use hd_tensor::{ops, Matrix};
 use hdc::{BaseHypervectors, Encoder, Executor, HdcModel, NonlinearEncoder, TrainConfig};
 use hyperedge::{
-    ExecutionBackend, ExecutionSetting, Pipeline, PipelineConfig, ResiliencePolicy, TwoDeviceServer,
+    ExecutionBackend, ExecutionSetting, Pipeline, PipelineConfig, Supervision, TwoDeviceServer,
 };
 use integration_tests::clustered_dataset;
 use tpu_sim::{Device, DeviceConfig, FaultConfig};
@@ -195,11 +195,8 @@ fn streamed_training_with_transient_faults_stays_bit_exact() {
     let mut cfg = PipelineConfig::new(128)
         .with_batches(8, 8)
         .with_threads(2)
-        .with_resilience(
-            ResiliencePolicy::default()
-                .with_max_retries(8)
-                .with_breaker_threshold(9),
-        );
+        .with_supervision(Supervision::retries(8, 2e-3, 2.0))
+        .with_quarantine_threshold(9);
     cfg.device.fault = FaultConfig::default()
         .with_seed(0xFA17)
         .with_transient_rate(0.35);
