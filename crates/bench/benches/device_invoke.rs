@@ -33,7 +33,7 @@ fn bench_device_invoke(c: &mut Criterion) {
         let device = Device::new(DeviceConfig::default());
         device.load_model(compiled).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(d), &d, |bench, _| {
-            bench.iter(|| device.invoke(black_box(&batch)).unwrap());
+            bench.iter(|| device.invoke_overlapped(black_box(&batch)).unwrap());
         });
     }
     group.finish();

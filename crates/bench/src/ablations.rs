@@ -141,7 +141,7 @@ pub fn ablation_quant() -> ResultTable {
         .expect("compile");
         device.load_model(compiled).expect("load");
         let (scores, _) = device
-            .invoke_chunked(&data.test.features, 64)
+            .invoke_overlapped(&data.test.features)
             .expect("invoke");
         let pc_preds: Vec<usize> = (0..scores.rows())
             .map(|r| hd_tensor::ops::argmax(scores.row(r)).expect("non-empty"))
@@ -176,8 +176,8 @@ pub fn ablation_batch() -> ResultTable {
     let enc = ModelDims::encoder(784, PAPER_DIM);
     let inf = ModelDims::inference(784, PAPER_DIM, 10);
     for batch in [1usize, 4, 16, 64, 256, 1024] {
-        let enc_t = timing::invoke_estimate(&cfg.device, &enc, batch).total_s / batch as f64;
-        let inf_t = timing::invoke_estimate(&cfg.device, &inf, batch).total_s / batch as f64;
+        let enc_t = timing::stage_costs(&cfg.device, &enc, batch).serial_elapsed_s() / batch as f64;
+        let inf_t = timing::stage_costs(&cfg.device, &inf, batch).serial_elapsed_s() / batch as f64;
         t.push_row(vec![
             batch.to_string(),
             format!("{:.1}", enc_t * 1e6),
@@ -290,7 +290,7 @@ pub fn robustness() -> ResultTable {
         let mut rng = DetRng::new(SEED ^ (rate * 1e7) as u64);
         device.inject_weight_faults(rate, &mut rng).expect("inject");
         let (scores, _) = device
-            .invoke_chunked(&data.test.features, 64)
+            .invoke_overlapped(&data.test.features)
             .expect("invoke");
         let preds: Vec<usize> = (0..scores.rows())
             .map(|r| hd_tensor::ops::argmax(scores.row(r)).expect("non-empty"))

@@ -11,7 +11,7 @@ use hd_tensor::rng::DetRng;
 use hdc::Encoder;
 use hyperedge::runtime::{self, UpdateProfile};
 use hyperedge::{ExecutionSetting, Pipeline};
-use tpu_sim::timing::{self, ModelDims};
+use tpu_sim::timing::ModelDims;
 
 use crate::{
     fmt_pct, fmt_speedup, functional_config, functional_dataset, paper_config, paper_workload,
@@ -229,7 +229,7 @@ pub fn fig8() -> ResultTable {
     }
 
     for (alpha, beta) in points {
-        let bagging = hd_bagging::BaggingConfig::paper_defaults(crate::FUNCTIONAL_DIM)
+        let bagging = hd_bagging::BaggingConfig::paper_defaults(functional_config().dim)
             .with_dataset_ratio(alpha)
             .with_feature_ratio(beta)
             .with_seed(SEED);
@@ -275,7 +275,7 @@ pub fn fig9() -> ResultTable {
 
     let mut rows = Vec::new();
     for iters in 3..=8usize {
-        let bagging = hd_bagging::BaggingConfig::paper_defaults(crate::FUNCTIONAL_DIM)
+        let bagging = hd_bagging::BaggingConfig::paper_defaults(functional_config().dim)
             .with_iterations(iters)
             .with_seed(SEED);
         let pipeline = Pipeline::new(functional_config().with_bagging(bagging));
@@ -317,7 +317,7 @@ pub fn fig10() -> ResultTable {
     for &n in &[20, 50, 100, 200, 300, 400, 500, 600, 700] {
         let cpu_s = cost::encode_s(&host, samples, n, PAPER_DIM);
         let dims = ModelDims::encoder(n, PAPER_DIM);
-        let tpu_s = timing::batched_time_s(&cfg.device, &dims, samples, cfg.encode_batch)
+        let tpu_s = runtime::serial_device_s(&cfg.device, &dims, samples, cfg.encode_batch)
             + cost::quantize_s(&host, samples * n)
             + cost::quantize_s(&host, samples * PAPER_DIM);
         t.push_row(vec![
@@ -429,7 +429,7 @@ pub fn fig_fault() -> ResultTable {
         let mut rng = DetRng::new(SEED ^ (rate * 1e7) as u64);
         device.inject_weight_faults(rate, &mut rng).expect("inject");
         let (scores, _) = device
-            .invoke_chunked(&data.test.features, 64)
+            .invoke_overlapped(&data.test.features)
             .expect("invoke");
         let preds: Vec<usize> = (0..scores.rows())
             .map(|r| hd_tensor::ops::argmax(scores.row(r)).expect("non-empty"))
@@ -483,12 +483,13 @@ pub const PIPELINE_CHUNK: usize = 32;
 ///
 /// Two independent overlaps, two rows:
 ///
-/// 1. **Simulated clock** — the same transfer-bound encode batch runs
-///    through [`tpu_sim::Device::invoke_chunked`] (serial DMA → compute →
-///    DMA per chunk) and [`tpu_sim::Device::invoke_pipelined`]
-///    (double-buffered; per chunk the critical-path max), on two fresh
-///    devices. Outputs are asserted bit-identical; the speedup is read
-///    off the device timing ledgers.
+/// 1. **Simulated clock** — a transfer-bound encode batch runs chunk by
+///    chunk through [`tpu_sim::Device::invoke_overlapped`]
+///    (double-buffered; per chunk the critical-path max), read off the
+///    device timing ledger. The serial column is the same invocations'
+///    legs run back to back
+///    ([`tpu_sim::InvokeStats::serial_elapsed_s`]: DMA → compute → DMA
+///    per chunk).
 /// 2. **Wall clock** — the paper's `M = 4` bagged members train on the
 ///    host sequentially vs. on worker threads
 ///    ([`hd_bagging::train_members_parallel`]), with the tensor kernels
@@ -500,8 +501,8 @@ pub const PIPELINE_CHUNK: usize = 32;
 ///
 /// # Panics
 ///
-/// Panics on any pipeline/device error, or if either overlapped schedule
-/// fails to reproduce the sequential results bit-exactly.
+/// Panics on any pipeline/device error, or if parallel member training
+/// fails to reproduce the sequential models bit-exactly.
 pub fn fig_pipeline_report() -> (ResultTable, crate::report::PipelineBenchReport) {
     let smoke = crate::smoke_mode();
     let mut t = ResultTable::new(
@@ -526,27 +527,18 @@ pub fn fig_pipeline_report() -> (ResultTable, crate::report::PipelineBenchReport
     let compiled = wide_nn::compile::compile(&network, &batch, &wide_nn::TargetSpec::default())
         .expect("compile");
 
-    let timed_invoke = |pipelined: bool| {
-        let device = tpu_sim::Device::new(tpu_sim::DeviceConfig::default());
-        device.load_model(compiled.clone()).expect("load");
-        let before = device.ledger().total_s;
-        let (out, _) = if pipelined {
-            device
-                .invoke_pipelined(&batch, PIPELINE_CHUNK)
-                .expect("invoke")
-        } else {
-            device
-                .invoke_chunked(&batch, PIPELINE_CHUNK)
-                .expect("invoke")
-        };
-        (out, device.ledger().total_s - before)
-    };
-    let (serial_out, simulated_serial_s) = timed_invoke(false);
-    let (piped_out, simulated_pipelined_s) = timed_invoke(true);
-    assert_eq!(
-        serial_out, piped_out,
-        "pipelined invoke must be bit-exact with the serial schedule"
-    );
+    let device = tpu_sim::Device::new(tpu_sim::DeviceConfig::default());
+    device.load_model(compiled).expect("load");
+    let before = device.ledger().total_s;
+    let mut simulated_serial_s = 0.0;
+    for start in (0..samples).step_by(PIPELINE_CHUNK) {
+        let part = batch
+            .slice_rows(start, (start + PIPELINE_CHUNK).min(samples))
+            .expect("chunk rows");
+        let (_, stats) = device.invoke_overlapped(&part).expect("invoke");
+        simulated_serial_s += stats.serial_elapsed_s();
+    }
+    let simulated_pipelined_s = device.ledger().total_s - before;
     let simulated_speedup = simulated_serial_s / simulated_pipelined_s;
     t.push_row(vec![
         format!("device encode {samples}x{PIPELINE_FEATURES}->d={PIPELINE_DIM} (simulated)"),
@@ -1132,6 +1124,7 @@ pub fn reference_profile(iterations: usize) -> UpdateProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpu_sim::timing;
 
     // Functional experiments are exercised end-to-end by the binaries and
     // integration tests; here we pin the cheap analytic tables.
@@ -1175,8 +1168,10 @@ mod tests {
         let cfg = tpu_sim::DeviceConfig::default();
         let dims = ModelDims::encoder(PIPELINE_FEATURES, PIPELINE_DIM);
         for &samples in &[64usize, 128] {
-            let serial = timing::batched_time_s(&cfg, &dims, samples, PIPELINE_CHUNK);
-            let piped = timing::batched_time_pipelined_s(&cfg, &dims, samples, PIPELINE_CHUNK);
+            let serial = runtime::serial_device_s(&cfg, &dims, samples, PIPELINE_CHUNK);
+            let piped = timing::chunked_s(samples, PIPELINE_CHUNK, |rows| {
+                timing::stage_costs(&cfg, &dims, rows).total_s
+            });
             let speedup = serial / piped;
             assert!(
                 speedup >= 1.3,
@@ -1185,7 +1180,7 @@ mod tests {
         }
         // Transfer-bound, as the workload claims: per chunk, the link
         // legs outweigh the MXU leg.
-        let est = timing::invoke_estimate(&cfg, &dims, PIPELINE_CHUNK);
+        let est = timing::stage_costs(&cfg, &dims, PIPELINE_CHUNK);
         assert!(est.input_transfer_s + est.output_transfer_s > est.compute_s);
     }
 

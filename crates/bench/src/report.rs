@@ -16,7 +16,8 @@ use std::path::{Path, PathBuf};
 /// parallel host threads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineBenchReport {
-    /// Simulated seconds for the serial chunked invoke schedule.
+    /// Simulated seconds for the same chunked invocations with their
+    /// legs run back to back.
     pub simulated_serial_s: f64,
     /// Simulated seconds for the double-buffered pipelined schedule.
     pub simulated_pipelined_s: f64,

@@ -197,6 +197,21 @@ pub fn cpu_training(
     }
 }
 
+/// Device seconds to run `samples` rows through a model of shape `dims`
+/// in invocations of at most `batch` rows, each invocation's legs run
+/// back to back (the serial driver the paper-scale figures model).
+#[must_use]
+pub fn serial_device_s(
+    device: &DeviceConfig,
+    dims: &ModelDims,
+    samples: usize,
+    batch: usize,
+) -> f64 {
+    timing::chunked_s(samples, batch, |rows| {
+        timing::stage_costs(device, dims, rows).serial_elapsed_s()
+    })
+}
+
 /// Training breakdown for the **TPU setting**: the training set encodes
 /// on the accelerator (plus host-side int8 quantize/dequantize around the
 /// invocations), updates stay on the host, and the one-time costs cover
@@ -215,7 +230,7 @@ pub fn tpu_training(
     let inf = ModelDims::inference(workload.features, d, workload.classes);
     let s = workload.train_samples;
 
-    let encode_s = timing::batched_time_s(device, &enc, s, encode_batch)
+    let encode_s = serial_device_s(device, &enc, s, encode_batch)
         + cost::quantize_s(spec, s * workload.features)
         + cost::quantize_s(spec, s * d);
     let update_s = update_cost_s(spec, s, d, workload.classes, iterations, profile);
@@ -254,7 +269,7 @@ pub fn tpu_bagging_training(
     let mut update_s = 0.0;
     let mut model_gen_s = cost::model_generation_s(inf.param_bytes());
     for _ in 0..bagging.sub_models {
-        encode_s += timing::batched_time_s(device, &enc, sub_samples, encode_batch)
+        encode_s += serial_device_s(device, &enc, sub_samples, encode_batch)
             + cost::quantize_s(spec, sub_samples * workload.features)
             + cost::quantize_s(spec, sub_samples * d_sub);
         update_s += update_cost_s(
@@ -294,7 +309,7 @@ pub fn tpu_inference(
     infer_batch: usize,
 ) -> f64 {
     let inf = ModelDims::inference(workload.features, d, workload.classes);
-    timing::batched_time_s(device, &inf, workload.test_samples, infer_batch)
+    serial_device_s(device, &inf, workload.test_samples, infer_batch)
         + cost::quantize_s(spec, workload.test_samples * workload.features)
         + cost::quantize_s(spec, workload.test_samples * workload.classes)
 }
@@ -332,11 +347,14 @@ pub fn tpu_training_scaled(
 
     // Samples split evenly; the slowest device bounds the phase.
     let per_device = s.div_ceil(devices);
-    let device_time = if pipelined {
-        timing::batched_time_pipelined_s(device, &enc, per_device, encode_batch)
-    } else {
-        timing::batched_time_s(device, &enc, per_device, encode_batch)
-    };
+    let device_time = timing::chunked_s(per_device, encode_batch, |rows| {
+        let costs = timing::stage_costs(device, &enc, rows);
+        if pipelined {
+            costs.total_s
+        } else {
+            costs.serial_elapsed_s()
+        }
+    });
     let encode_s =
         device_time + cost::quantize_s(spec, s * workload.features) + cost::quantize_s(spec, s * d);
     let update_s = update_cost_s(spec, s, d, workload.classes, iterations, profile);

@@ -71,7 +71,7 @@ pub fn streamed_encode_graph(
     depth: usize,
     update_cost_s: f64,
 ) -> SdfGraph {
-    let encode_cost_s = timing::invoke_estimate_pipelined(cfg, dims, chunk.max(1)).total_s;
+    let encode_cost_s = timing::stage_costs(cfg, dims, chunk.max(1)).total_s;
     let mut g = SdfGraph::new("streamed-encode-train");
     let encode = g.add_stage("encode", Resource::DEVICE, encode_cost_s);
     let update = g.add_stage("update", Resource::Host, update_cost_s);
@@ -110,8 +110,8 @@ pub fn encode_score_graph(
     score_dims: &ModelDims,
     samples: usize,
 ) -> SdfGraph {
-    let encode_cost_s = timing::invoke_estimate_pipelined(cfg, encoder_dims, samples).total_s;
-    let score_cost_s = timing::invoke_estimate_pipelined(cfg, score_dims, samples).total_s;
+    let encode_cost_s = timing::stage_costs(cfg, encoder_dims, samples).total_s;
+    let score_cost_s = timing::stage_costs(cfg, score_dims, samples).total_s;
     let mut g = SdfGraph::new("two-device-serve");
     let encode = g.add_stage("encode", Resource::DEVICE, encode_cost_s);
     let score = g.add_stage("score", Resource::Device(1), score_cost_s);
@@ -146,28 +146,20 @@ pub fn predicted_serve_elapsed_s(
             "batch must be positive".into(),
         ));
     }
-    let full_chunks = total_samples / batch;
-    let remainder = total_samples % batch;
     let mut busy: Vec<(Resource, f64)> = Vec::new();
-    let mut accumulate = |samples: usize, iterations: f64| -> crate::Result<()> {
+    for (samples, count) in timing::chunks(total_samples, batch) {
         let plan =
             SchedulePlan::declare(encode_score_graph(cfg, encoder_dims, score_dims, samples))?;
         let analysis = plan.report().analysis.as_ref().ok_or_else(|| {
             FrameworkError::InvalidConfig("declared schedule has no rate analysis".into())
         })?;
+        let iterations = count as f64;
         for &(resource, seconds) in &analysis.resource_busy_s {
             match busy.iter_mut().find(|(r, _)| *r == resource) {
                 Some((_, total)) => *total += iterations * seconds,
                 None => busy.push((resource, iterations * seconds)),
             }
         }
-        Ok(())
-    };
-    if full_chunks > 0 {
-        accumulate(batch, full_chunks as f64)?;
-    }
-    if remainder > 0 {
-        accumulate(remainder, 1.0)?;
     }
     Ok(busy.iter().fold(0.0, |acc, &(_, s)| acc.max(s)))
 }
@@ -274,16 +266,10 @@ pub fn predicted_pipelined_elapsed_s(
             "batch must be positive".into(),
         ));
     }
-    let full_chunks = total_samples / batch;
-    let remainder = total_samples % batch;
     let mut elapsed = 0.0;
-    if full_chunks > 0 {
-        let plan = SchedulePlan::declare(overlapped_invoke_graph(cfg, dims, batch))?;
-        elapsed += full_chunks as f64 * plan.critical_path_s()?;
-    }
-    if remainder > 0 {
-        let plan = SchedulePlan::declare(overlapped_invoke_graph(cfg, dims, remainder))?;
-        elapsed += plan.critical_path_s()?;
+    for (samples, count) in timing::chunks(total_samples, batch) {
+        let plan = SchedulePlan::declare(overlapped_invoke_graph(cfg, dims, samples))?;
+        elapsed += count as f64 * plan.critical_path_s()?;
     }
     Ok(elapsed)
 }
@@ -394,7 +380,7 @@ mod tests {
         for samples in [1usize, 7, 32] {
             let plan =
                 SchedulePlan::declare(overlapped_invoke_graph(&cfg, &dims, samples)).unwrap();
-            let expected = timing::invoke_estimate_pipelined(&cfg, &dims, samples).total_s;
+            let expected = timing::stage_costs(&cfg, &dims, samples).total_s;
             let got = plan.critical_path_s().unwrap();
             assert!((got - expected).abs() < 1e-15, "{got} vs {expected}");
         }
@@ -405,7 +391,9 @@ mod tests {
         let cfg = DeviceConfig::default();
         let dims = ModelDims::encoder(64, 512);
         let got = predicted_pipelined_elapsed_s(&cfg, &dims, 70, 32).unwrap();
-        let expected = timing::batched_time_pipelined_s(&cfg, &dims, 70, 32);
+        let expected = timing::chunked_s(70, 32, |rows| {
+            timing::stage_costs(&cfg, &dims, rows).total_s
+        });
         assert!((got - expected).abs() < 1e-12, "{got} vs {expected}");
         assert!(predicted_pipelined_elapsed_s(&cfg, &dims, 70, 0).is_err());
     }

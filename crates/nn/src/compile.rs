@@ -142,7 +142,7 @@ impl CompiledModel {
     ///
     /// Returns [`NnError::ModelTooLarge`] if the quantized parameters
     /// exceed the target's buffer.
-    pub fn from_quantized(quantized: QuantizedModel, target: &TargetSpec) -> Result<Self> {
+    pub fn lower(quantized: QuantizedModel, target: &TargetSpec) -> Result<Self> {
         let required = quantized.param_bytes();
         if required > target.param_buffer_bytes {
             return Err(NnError::ModelTooLarge {
@@ -334,7 +334,7 @@ fn compile_inner(
         QuantizedModel::quantize(model, calibration)?
     };
 
-    CompiledModel::from_quantized(quantized, target)
+    CompiledModel::lower(quantized, target)
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use hd_tensor::Matrix;
-use wide_nn::{CompiledModel, QuantStage};
+use wide_nn::{CompiledModel, QuantStage, QuantizedModel};
 
 use crate::buffer::UnifiedBuffer;
 use crate::config::DeviceConfig;
@@ -10,27 +10,8 @@ use crate::error::SimError;
 use crate::fault::{FaultKind, FaultPlan, FaultTrace, LinkDirection};
 use crate::link::HostLink;
 use crate::systolic::SystolicArray;
-use crate::timing::ModelDims;
+use crate::timing::{self, InvokeStats, ModelDims};
 use crate::Result;
-
-/// Timing breakdown of one [`Device::invoke`] call, all in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct InvokeStats {
-    /// Number of samples processed.
-    pub samples: usize,
-    /// MXU + activation-unit cycles consumed.
-    pub compute_cycles: u64,
-    /// Compute time at the device clock.
-    pub compute_s: f64,
-    /// Host-to-device input payload time.
-    pub input_transfer_s: f64,
-    /// Device-to-host output payload time.
-    pub output_transfer_s: f64,
-    /// Fixed per-invocation dispatch latency.
-    pub overhead_s: f64,
-    /// Sum of all components.
-    pub total_s: f64,
-}
 
 /// One-time cost report from [`Device::load_model`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -69,30 +50,32 @@ pub struct TimingLedger {
     /// the per-phase success buckets.
     #[serde(default)]
     pub fault_s: f64,
-    /// Transfer seconds hidden behind compute by a double-buffered
-    /// (pipelined) invocation. Serial invocations contribute zero.
+    /// Transfer seconds hidden behind compute by the double-buffered
+    /// schedule: per invocation, the shorter of the transfer and compute
+    /// legs.
     #[serde(default)]
     pub overlapped_s: f64,
-    /// Transfer seconds left on the critical path: `transfer_s` minus
-    /// `overlapped_s`. For pipelined invocations `total_s` decomposes as
-    /// `overhead_s + compute_s + exposed_transfer_s` (plus fault stalls);
-    /// serial invocations expose their full transfer time.
-    #[serde(default)]
-    pub exposed_transfer_s: f64,
     /// Grand total (loads + invocations + failed attempts).
     pub total_s: f64,
 }
 
 impl TimingLedger {
-    fn record_invoke(&mut self, stats: &InvokeStats, overlapped_s: f64) {
+    /// Transfer seconds left on the critical path: `transfer_s` minus
+    /// `overlapped_s`. The successful invocations' share of `total_s`
+    /// decomposes as `overhead_s + compute_s + exposed_transfer_s()`.
+    #[must_use]
+    pub fn exposed_transfer_s(&self) -> f64 {
+        self.transfer_s - self.overlapped_s
+    }
+
+    fn record_invoke(&mut self, stats: &InvokeStats) {
         self.invocations += 1;
         self.samples += stats.samples as u64;
         self.compute_s += stats.compute_s;
         let transfer_s = stats.input_transfer_s + stats.output_transfer_s;
         self.transfer_s += transfer_s;
         self.overhead_s += stats.overhead_s;
-        self.overlapped_s += overlapped_s;
-        self.exposed_transfer_s += transfer_s - overlapped_s;
+        self.overlapped_s += transfer_s.min(stats.compute_s);
         self.total_s += stats.total_s;
     }
 
@@ -109,7 +92,8 @@ impl TimingLedger {
 }
 
 struct DeviceState {
-    model: Option<CompiledModel>,
+    /// The resident model and its shape, which prices every invocation.
+    model: Option<(CompiledModel, ModelDims)>,
     buffer: UnifiedBuffer,
     ledger: TimingLedger,
     faults: FaultPlan,
@@ -124,6 +108,9 @@ struct DeviceState {
 /// the previous one and pays the full parameter-transfer cost again. This
 /// is exactly the overhead that motivates the paper's merged single
 /// inference model for bagging.
+///
+/// Every invocation runs under double-buffered DMA and is charged
+/// [`timing::stage_costs`] on the resident model's [`ModelDims`].
 ///
 /// The device is `Send + Sync`; invocations serialize on an internal lock,
 /// like a real single-queue accelerator.
@@ -258,7 +245,7 @@ impl Device {
                 available: state.buffer.capacity(),
             });
         }
-        state.model = Some(compiled);
+        state.model = Some((compiled, dims));
         state.weights_corrupt = false;
         state.ledger.record_load(&report);
         Ok(report)
@@ -278,24 +265,32 @@ impl Device {
     /// The numeric path is: quantize inputs with the model's calibrated
     /// input parameters, run every stage in int8 through the systolic
     /// array and activation LUTs, dequantize the outputs. This matches
-    /// [`wide_nn::QuantizedModel::forward`] bit-for-bit.
+    /// [`wide_nn::QuantizedModel::forward`] bit-for-bit, and because rows
+    /// are independent, splitting a batch across invocations does not
+    /// change a single output.
     ///
-    /// Host-side costs (the quantize/dequantize themselves) are *not*
-    /// charged here — they belong to the host CPU model, exactly as in the
-    /// paper's co-design accounting.
+    /// The clock runs the double-buffered DMA schedule: the input DMA of
+    /// the next tile and the output DMA of the previous tile both run
+    /// while the MXU computes, so the returned [`InvokeStats`] carries the
+    /// raw legs of [`timing::stage_costs`] and a `total_s` of
+    /// `overhead + max(transfer, compute)`. The hidden transfer seconds
+    /// land in the ledger's `overlapped_s` bucket. Host-side costs (the
+    /// quantize/dequantize themselves) are *not* charged here — they
+    /// belong to the host CPU model, exactly as in the paper's co-design
+    /// accounting.
     ///
     /// # Errors
     ///
     /// * [`SimError::NoModelLoaded`] — no model resident.
     /// * [`SimError::BatchWidth`] — batch width mismatch.
-    /// * Any fault error of [`Device::invoke_with_deadline`] when the
-    ///   device's [`crate::FaultConfig`] is armed.
-    pub fn invoke(&self, batch: &Matrix) -> Result<(Matrix, InvokeStats)> {
-        self.invoke_with_deadline(batch, None)
+    /// * Any fault error of [`Device::invoke_overlapped_with_deadline`]
+    ///   when the device's [`crate::FaultConfig`] is armed.
+    pub fn invoke_overlapped(&self, batch: &Matrix) -> Result<(Matrix, InvokeStats)> {
+        self.invoke_overlapped_with_deadline(batch, None)
     }
 
-    /// Like [`Device::invoke`], but with an optional per-invocation
-    /// watchdog deadline and the device's seeded fault schedule applied.
+    /// Like [`Device::invoke_overlapped`], but with an optional
+    /// per-invocation watchdog deadline.
     ///
     /// When the device's [`crate::FaultConfig`] is armed, each attempt may
     /// fail with a typed, *detected* fault; the failed attempt's simulated
@@ -310,67 +305,23 @@ impl Device {
     ///   bugs; these never consume a fault-schedule attempt.
     /// * [`SimError::TransientInvokeFailure`] — dispatch failed before any
     ///   payload moved; only the dispatch overhead is charged.
-    /// * [`SimError::LinkCorruption`] — a payload failed its CRC; the
-    ///   wasted transfer time is charged.
+    /// * [`SimError::LinkCorruption`] — a payload failed its CRC. A bad
+    ///   input charges the overhead plus the input transfer; a bad output
+    ///   charges the invocation's full elapsed time.
     /// * [`SimError::WeightCorruption`] — the resident weights failed
     ///   parity (a new or earlier SRAM upset); every invocation fails
     ///   until a pristine model is reloaded via [`Device::load_model`].
     /// * [`SimError::DeviceHang`] — the invocation exceeded `deadline_s`
     ///   (an injected stall or a naturally slow invocation); exactly the
     ///   deadline is charged, as the watchdog kills the attempt there.
-    pub fn invoke_with_deadline(
-        &self,
-        batch: &Matrix,
-        deadline_s: Option<f64>,
-    ) -> Result<(Matrix, InvokeStats)> {
-        self.invoke_inner(batch, deadline_s, false)
-    }
-
-    /// Like [`Device::invoke`], but timed under the double-buffered DMA
-    /// schedule: the input DMA of the next tile and the output DMA of the
-    /// previous tile both run while the MXU computes, so the invocation's
-    /// elapsed time is the critical-path max of the transfer and compute
-    /// legs (plus the once-per-invocation dispatch overhead).
-    ///
-    /// Outputs are bit-identical to [`Device::invoke`] — only the clock
-    /// model changes. The returned [`InvokeStats`] keeps the raw per-stage
-    /// times; `total_s` is the pipelined elapsed time, so the stages no
-    /// longer sum to it. The hidden transfer seconds land in the ledger's
-    /// `overlapped_s` bucket.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Device::invoke`].
-    pub fn invoke_overlapped(&self, batch: &Matrix) -> Result<(Matrix, InvokeStats)> {
-        self.invoke_overlapped_with_deadline(batch, None)
-    }
-
-    /// [`Device::invoke_overlapped`] with an optional watchdog deadline;
-    /// fault semantics match [`Device::invoke_with_deadline`] draw for
-    /// draw — one fault-schedule attempt per call, identical charge rules
-    /// (a fatal hang still charges exactly the deadline; a corrupted
-    /// output charges the pipelined elapsed time).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Device::invoke_with_deadline`].
     pub fn invoke_overlapped_with_deadline(
         &self,
         batch: &Matrix,
         deadline_s: Option<f64>,
     ) -> Result<(Matrix, InvokeStats)> {
-        self.invoke_inner(batch, deadline_s, true)
-    }
-
-    fn invoke_inner(
-        &self,
-        batch: &Matrix,
-        deadline_s: Option<f64>,
-        overlapped: bool,
-    ) -> Result<(Matrix, InvokeStats)> {
         let mut state = self.state.lock();
         let state = &mut *state;
-        let model = state.model.as_ref().ok_or(SimError::NoModelLoaded)?;
+        let (model, dims) = state.model.as_ref().ok_or(SimError::NoModelLoaded)?;
         let quantized = model.quantized();
         if batch.cols() != quantized.input_dim() {
             return Err(SimError::BatchWidth {
@@ -381,28 +332,28 @@ impl Device {
 
         let samples = batch.rows();
         let (attempt, faults) = state.faults.begin_attempt();
-        let overhead_s = self.link.invoke_latency_s();
+        let costs = timing::stage_costs(&self.config, dims, samples);
         let input_bytes = samples * quantized.input_dim();
-        let input_transfer_s = self.link.transfer_time_s(input_bytes);
 
         if faults.transient {
             state
                 .faults
-                .record(attempt, FaultKind::TransientInvokeFailure, overhead_s);
-            state.ledger.record_failed_attempt(overhead_s);
+                .record(attempt, FaultKind::TransientInvokeFailure, costs.overhead_s);
+            state.ledger.record_failed_attempt(costs.overhead_s);
             return Err(SimError::TransientInvokeFailure);
         }
+        // What an attempt has consumed once its input payload landed.
+        let landed_s = costs.overhead_s + costs.input_transfer_s;
         if faults.corrupt_input {
-            let charged = overhead_s + input_transfer_s;
             state.faults.record(
                 attempt,
                 FaultKind::LinkCorruption {
                     direction: LinkDirection::HostToDevice,
                     bytes: input_bytes,
                 },
-                charged,
+                landed_s,
             );
-            state.ledger.record_failed_attempt(charged);
+            state.ledger.record_failed_attempt(landed_s);
             return Err(SimError::LinkCorruption {
                 direction: LinkDirection::HostToDevice,
                 bytes: input_bytes,
@@ -412,77 +363,23 @@ impl Device {
             // Parity trips as the weights stream into the array, after the
             // input payload already landed.
             state.weights_corrupt = true;
-            state.faults.record(
-                attempt,
-                FaultKind::WeightUpset,
-                overhead_s + input_transfer_s,
-            );
+            state
+                .faults
+                .record(attempt, FaultKind::WeightUpset, landed_s);
         }
         if state.weights_corrupt {
-            state
-                .ledger
-                .record_failed_attempt(overhead_s + input_transfer_s);
+            state.ledger.record_failed_attempt(landed_s);
             return Err(SimError::WeightCorruption);
         }
-        let mut cycles: u64 = 0;
-        let mut current = quantized.quantize_input(batch)?;
-        for stage in quantized.stages() {
-            match stage {
-                QuantStage::FullyConnected {
-                    weights,
-                    out_params,
-                } => {
-                    let (next, c) = self.array.execute_fc(&current, weights, *out_params)?;
-                    cycles += c;
-                    current = next;
-                }
-                QuantStage::FullyConnectedPerChannel {
-                    weights,
-                    out_params,
-                } => {
-                    // Per-channel requantization shares the MXU streaming
-                    // cost; the per-column scale multiply happens in the
-                    // output stage at no extra cycles.
-                    let real = weights
-                        .matmul_dequantized(&current)
-                        .map_err(wide_nn::NnError::from)?;
-                    cycles +=
-                        self.array
-                            .stream_cycles(current.rows(), weights.rows(), weights.cols());
-                    current = hd_quant::QuantizedMatrix::quantize(&real, *out_params);
-                }
-                QuantStage::Lut(lut) => {
-                    let mut data = current.as_slice().to_vec();
-                    lut.apply_slice(&mut data);
-                    cycles += self.array.activation_cycles(data.len());
-                    current = hd_quant::QuantizedMatrix::from_raw(
-                        current.rows(),
-                        current.cols(),
-                        data,
-                        lut.output_params(),
-                    );
-                }
-            }
-        }
-        let output = current.dequantize();
+        let output = self.run_stages(quantized, batch)?;
 
         let output_bytes = samples * quantized.output_dim();
-        let output_transfer_s = self.link.transfer_time_s(output_bytes);
-        let compute_s = cycles as f64 / self.config.clock_hz;
         let stall_s = if faults.hang {
             state.faults.config().hang_stall_s
         } else {
             0.0
         };
-        let transfer_s = input_transfer_s + output_transfer_s;
-        let staged_s = if overlapped {
-            // Double-buffered DMA: transfers ride under compute, so only
-            // the longer leg is on the critical path.
-            transfer_s.max(compute_s)
-        } else {
-            transfer_s + compute_s
-        };
-        let elapsed_s = overhead_s + staged_s + stall_s;
+        let elapsed_s = costs.total_s + stall_s;
 
         if let Some(deadline) = deadline_s {
             if elapsed_s > deadline {
@@ -507,8 +404,8 @@ impl Device {
         }
         if faults.hang {
             // Survivable stall: the invocation completes, just late. The
-            // stall rides in the overhead bucket so `total_s` stays the
-            // sum of the parts.
+            // stall rides in the overhead bucket so `total_s` stays on the
+            // critical path of the parts.
             state.faults.record(
                 attempt,
                 FaultKind::Hang {
@@ -519,16 +416,15 @@ impl Device {
             );
         }
         if faults.corrupt_output {
-            let charged = elapsed_s;
             state.faults.record(
                 attempt,
                 FaultKind::LinkCorruption {
                     direction: LinkDirection::DeviceToHost,
                     bytes: output_bytes,
                 },
-                charged,
+                elapsed_s,
             );
-            state.ledger.record_failed_attempt(charged);
+            state.ledger.record_failed_attempt(elapsed_s);
             return Err(SimError::LinkCorruption {
                 direction: LinkDirection::DeviceToHost,
                 bytes: output_bytes,
@@ -536,95 +432,49 @@ impl Device {
         }
 
         let stats = InvokeStats {
-            samples,
-            compute_cycles: cycles,
-            compute_s,
-            input_transfer_s,
-            output_transfer_s,
-            overhead_s: overhead_s + stall_s,
+            overhead_s: costs.overhead_s + stall_s,
             total_s: elapsed_s,
+            ..costs
         };
-        let overlapped_s = if overlapped {
-            transfer_s.min(compute_s)
-        } else {
-            0.0
-        };
-        state.ledger.record_invoke(&stats, overlapped_s);
+        state.ledger.record_invoke(&stats);
         state.ledger.fault_s += stall_s;
         Ok((output, stats))
     }
 
-    /// Runs a batch in chunks of at most `chunk` rows, as a host driver
-    /// would, returning the stitched outputs and per-chunk stats.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Device::invoke`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk == 0`.
-    pub fn invoke_chunked(
-        &self,
-        batch: &Matrix,
-        chunk: usize,
-    ) -> Result<(Matrix, Vec<InvokeStats>)> {
-        self.run_chunked(batch, chunk, false)
-    }
-
-    /// Runs a batch in chunks of at most `chunk` rows under the
-    /// double-buffered DMA schedule: while the MXU computes chunk *i*, the
-    /// link streams chunk *i+1* in and chunk *i-1* out. Each chunk's
-    /// simulated elapsed time is therefore the critical-path max of its
-    /// transfer and compute legs (dispatch overhead still paid once per
-    /// chunk), and the outputs are bit-identical to
-    /// [`Device::invoke_chunked`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Device::invoke`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk == 0`.
-    pub fn invoke_pipelined(
-        &self,
-        batch: &Matrix,
-        chunk: usize,
-    ) -> Result<(Matrix, Vec<InvokeStats>)> {
-        self.run_chunked(batch, chunk, true)
-    }
-
-    fn run_chunked(
-        &self,
-        batch: &Matrix,
-        chunk: usize,
-        overlapped: bool,
-    ) -> Result<(Matrix, Vec<InvokeStats>)> {
-        assert!(chunk > 0, "chunk must be positive");
-        if batch.rows() == 0 {
-            let empty = Matrix::vstack(&[]).map_err(wide_nn::NnError::from)?;
-            return Ok((empty, Vec::new()));
+    /// The functional int8 datapath: quantize, run every stage, dequantize.
+    fn run_stages(&self, quantized: &QuantizedModel, batch: &Matrix) -> Result<Matrix> {
+        let mut current = quantized.quantize_input(batch)?;
+        for stage in quantized.stages() {
+            current = match stage {
+                QuantStage::FullyConnected {
+                    weights,
+                    out_params,
+                } => self.array.execute_fc(&current, weights, *out_params)?,
+                QuantStage::FullyConnectedPerChannel {
+                    weights,
+                    out_params,
+                } => {
+                    // Per-channel requantization shares the MXU datapath;
+                    // the per-column scale multiply happens in the output
+                    // stage.
+                    let real = weights
+                        .matmul_dequantized(&current)
+                        .map_err(wide_nn::NnError::from)?;
+                    hd_quant::QuantizedMatrix::quantize(&real, *out_params)
+                }
+                QuantStage::Lut(lut) => {
+                    let mut data = current.as_slice().to_vec();
+                    lut.apply_slice(&mut data);
+                    hd_quant::QuantizedMatrix::from_raw(
+                        current.rows(),
+                        current.cols(),
+                        data,
+                        lut.output_params(),
+                    )
+                }
+            };
         }
-        // Stitch into one preallocated buffer instead of vstack-reallocating
-        // the collected chunks; output width is known after the first chunk.
-        let mut stitched: Option<Matrix> = None;
-        let mut all_stats = Vec::with_capacity(batch.rows().div_ceil(chunk));
-        let mut start = 0;
-        while start < batch.rows() {
-            let end = (start + chunk).min(batch.rows());
-            let part = batch
-                .slice_rows(start, end)
-                .map_err(wide_nn::NnError::from)?;
-            let (out, stats) = self.invoke_inner(&part, None, overlapped)?;
-            let cols = out.cols();
-            let dest = stitched.get_or_insert_with(|| Matrix::zeros(batch.rows(), cols));
-            dest.as_mut_slice()[start * cols..end * cols].copy_from_slice(out.as_slice());
-            all_stats.push(stats);
-            start = end;
-        }
-        let stitched = stitched.expect("non-empty batch produced at least one chunk");
-        Ok((stitched, all_stats))
+        Ok(current.dequantize())
     }
 
     /// Injects random bit flips into the resident model's weights — a
@@ -645,7 +495,7 @@ impl Device {
         rng: &mut hd_tensor::rng::DetRng,
     ) -> Result<usize> {
         let mut state = self.state.lock();
-        let model = state.model.as_mut().ok_or(SimError::NoModelLoaded)?;
+        let (model, _) = state.model.as_mut().ok_or(SimError::NoModelLoaded)?;
         Ok(model.inject_weight_faults(rate, rng))
     }
 
@@ -675,7 +525,6 @@ impl Device {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timing;
     use hd_tensor::rng::DetRng;
     use wide_nn::{compile, Activation, ModelBuilder, QuantizedModel, TargetSpec};
 
@@ -694,11 +543,33 @@ mod tests {
         (compiled, calib)
     }
 
+    /// Runs `batch` through `device` in invocations of at most `chunk`
+    /// rows, returning the stitched outputs and per-chunk stats.
+    fn invoke_in_chunks(
+        device: &Device,
+        batch: &Matrix,
+        chunk: usize,
+    ) -> (Matrix, Vec<InvokeStats>) {
+        let (outs, stats): (Vec<Matrix>, Vec<InvokeStats>) = (0..batch.rows())
+            .step_by(chunk)
+            .map(|start| {
+                let part = batch
+                    .slice_rows(start, (start + chunk).min(batch.rows()))
+                    .unwrap();
+                device.invoke_overlapped(&part).unwrap()
+            })
+            .unzip();
+        (
+            Matrix::vstack(&outs.iter().collect::<Vec<_>>()).unwrap(),
+            stats,
+        )
+    }
+
     #[test]
     fn invoke_without_model_fails() {
         let device = Device::new(DeviceConfig::default());
         assert_eq!(
-            device.invoke(&Matrix::zeros(1, 4)).unwrap_err(),
+            device.invoke_overlapped(&Matrix::zeros(1, 4)).unwrap_err(),
             SimError::NoModelLoaded
         );
     }
@@ -709,7 +580,7 @@ mod tests {
         let reference = compiled.quantized().clone();
         let device = Device::new(DeviceConfig::default());
         device.load_model(compiled).unwrap();
-        let (device_out, _) = device.invoke(&calib).unwrap();
+        let (device_out, _) = device.invoke_overlapped(&calib).unwrap();
         let ref_out = reference.forward(&calib).unwrap();
         assert_eq!(
             device_out, ref_out,
@@ -723,7 +594,7 @@ mod tests {
         let device = Device::new(DeviceConfig::default());
         device.load_model(compiled).unwrap();
         assert!(matches!(
-            device.invoke(&Matrix::zeros(1, 21)).unwrap_err(),
+            device.invoke_overlapped(&Matrix::zeros(1, 21)).unwrap_err(),
             SimError::BatchWidth {
                 expected: 20,
                 actual: 21
@@ -738,10 +609,8 @@ mod tests {
         let cfg = DeviceConfig::default();
         let device = Device::new(cfg.clone());
         device.load_model(compiled).unwrap();
-        let (_, stats) = device.invoke(&calib).unwrap();
-        let est = timing::invoke_estimate(&cfg, &dims, calib.rows());
-        assert_eq!(stats.compute_cycles, est.compute_cycles);
-        assert!((stats.total_s - est.total_s).abs() < 1e-12);
+        let (_, stats) = device.invoke_overlapped(&calib).unwrap();
+        assert_eq!(stats, timing::stage_costs(&cfg, &dims, calib.rows()));
     }
 
     #[test]
@@ -767,7 +636,7 @@ mod tests {
         device.load_model(second).unwrap();
         // Old 20-wide batches no longer fit; new model expects 30.
         assert!(matches!(
-            device.invoke(&calib1).unwrap_err(),
+            device.invoke_overlapped(&calib1).unwrap_err(),
             SimError::BatchWidth { expected: 30, .. }
         ));
     }
@@ -787,8 +656,8 @@ mod tests {
         let (compiled, calib) = compiled_model(20, 64, 4, 8);
         let device = Device::new(DeviceConfig::default());
         let report = device.load_model(compiled).unwrap();
-        device.invoke(&calib).unwrap();
-        device.invoke(&calib).unwrap();
+        device.invoke_overlapped(&calib).unwrap();
+        device.invoke_overlapped(&calib).unwrap();
         let ledger = device.ledger();
         assert_eq!(ledger.invocations, 2);
         assert_eq!(ledger.samples, 2 * calib.rows() as u64);
@@ -803,8 +672,8 @@ mod tests {
         let (compiled, calib) = compiled_model(20, 96, 5, 9);
         let device = Device::new(DeviceConfig::default());
         device.load_model(compiled).unwrap();
-        let (single, _) = device.invoke(&calib).unwrap();
-        let (chunked, stats) = device.invoke_chunked(&calib, 7).unwrap();
+        let (single, _) = device.invoke_overlapped(&calib).unwrap();
+        let (chunked, stats) = invoke_in_chunks(&device, &calib, 7);
         assert_eq!(single, chunked);
         assert_eq!(stats.len(), calib.rows().div_ceil(7));
     }
@@ -815,7 +684,7 @@ mod tests {
         let device = Device::new(DeviceConfig::default());
         device.load_model(compiled).unwrap();
         device.reset_ledger();
-        let (_, stats) = device.invoke_chunked(&calib, 6).unwrap();
+        let (_, stats) = invoke_in_chunks(&device, &calib, 6);
         let total_overhead: f64 = stats.iter().map(|s| s.overhead_s).sum();
         let expected = stats.len() as f64 * DeviceConfig::default().link.per_invoke_latency_s;
         assert!((total_overhead - expected).abs() < 1e-12);
@@ -857,7 +726,7 @@ mod tests {
         let big = compile::compile(&model, &big_calib, &big_target).unwrap();
         assert!(device.load_model(big).is_err());
         // Original model still answers.
-        assert!(device.invoke(&calib).is_ok());
+        assert!(device.invoke_overlapped(&calib).is_ok());
     }
 
     fn fault_device(fault: crate::FaultConfig) -> (Device, Matrix) {
@@ -877,11 +746,11 @@ mod tests {
             .with_transient_rate(0.5);
         let (device, calib) = fault_device(fault);
         let (clean, _) = fault_device(crate::FaultConfig::default());
-        let (want, _) = clean.invoke(&calib).unwrap();
+        let (want, _) = clean.invoke_overlapped(&calib).unwrap();
 
         let mut failures = 0;
         let got = loop {
-            match device.invoke(&calib) {
+            match device.invoke_overlapped(&calib) {
                 Ok((out, _)) => break out,
                 Err(e) => {
                     assert_eq!(e, SimError::TransientInvokeFailure);
@@ -907,13 +776,13 @@ mod tests {
         let fault = crate::FaultConfig::default().with_weight_upset_rate(1.0);
         let (device, calib) = fault_device(fault);
         assert_eq!(
-            device.invoke(&calib).unwrap_err(),
+            device.invoke_overlapped(&calib).unwrap_err(),
             SimError::WeightCorruption
         );
         assert!(device.weights_corrupt());
         // Still corrupt on the next attempt, independent of new draws.
         assert_eq!(
-            device.invoke(&calib).unwrap_err(),
+            device.invoke_overlapped(&calib).unwrap_err(),
             SimError::WeightCorruption
         );
         let (pristine, _) = compiled_model(20, 96, 5, 21);
@@ -928,10 +797,49 @@ mod tests {
     }
 
     #[test]
+    fn output_link_corruption_charges_the_overlapped_elapsed_time() {
+        let fault = crate::FaultConfig::default()
+            .with_seed(31)
+            .with_link_corruption_rate(0.5);
+        let (device, calib) = fault_device(fault);
+        let (clean, _) = fault_device(crate::FaultConfig::default());
+        let (_, clean_stats) = clean.invoke_overlapped(&calib).unwrap();
+        let output_side = (0..64)
+            .map(|_| device.invoke_overlapped(&calib))
+            .position(|r| {
+                r.err()
+                    == Some(SimError::LinkCorruption {
+                        direction: LinkDirection::DeviceToHost,
+                        bytes: calib.rows() * 5,
+                    })
+            });
+        assert!(output_side.is_some(), "no device-to-host corruption drawn");
+        let record = device
+            .fault_trace()
+            .records()
+            .iter()
+            .find(|r| {
+                matches!(
+                    r.kind,
+                    FaultKind::LinkCorruption {
+                        direction: LinkDirection::DeviceToHost,
+                        ..
+                    }
+                )
+            })
+            .copied()
+            .unwrap();
+        let transfer = clean_stats.input_transfer_s + clean_stats.output_transfer_s;
+        let expected = clean_stats.overhead_s + transfer.max(clean_stats.compute_s);
+        assert_eq!(record.charged_s, expected);
+        assert_eq!(record.charged_s, clean_stats.total_s);
+    }
+
+    #[test]
     fn link_corruption_charges_overhead_plus_transfer() {
         let fault = crate::FaultConfig::default().with_link_corruption_rate(1.0);
         let (device, calib) = fault_device(fault);
-        let err = device.invoke(&calib).unwrap_err();
+        let err = device.invoke_overlapped(&calib).unwrap_err();
         assert_eq!(
             err,
             SimError::LinkCorruption {
@@ -953,7 +861,7 @@ mod tests {
         let (device, calib) = fault_device(fault);
         let deadline = 1e-3;
         let err = device
-            .invoke_with_deadline(&calib, Some(deadline))
+            .invoke_overlapped_with_deadline(&calib, Some(deadline))
             .unwrap_err();
         match err {
             SimError::DeviceHang {
@@ -982,8 +890,8 @@ mod tests {
         let fault = crate::FaultConfig::default().with_hang(1.0, stall);
         let (device, calib) = fault_device(fault);
         let (clean, _) = fault_device(crate::FaultConfig::default());
-        let (want, clean_stats) = clean.invoke(&calib).unwrap();
-        let (got, stats) = device.invoke(&calib).unwrap();
+        let (want, clean_stats) = clean.invoke_overlapped(&calib).unwrap();
+        let (got, stats) = device.invoke_overlapped(&calib).unwrap();
         assert_eq!(got, want);
         assert!((stats.total_s - (clean_stats.total_s + stall)).abs() < 1e-12);
         assert_eq!(
@@ -998,7 +906,9 @@ mod tests {
     #[test]
     fn natural_deadline_overrun_hangs_without_trace() {
         let (device, calib) = fault_device(crate::FaultConfig::default());
-        let err = device.invoke_with_deadline(&calib, Some(0.0)).unwrap_err();
+        let err = device
+            .invoke_overlapped_with_deadline(&calib, Some(0.0))
+            .unwrap_err();
         assert!(matches!(err, SimError::DeviceHang { .. }));
         assert!(device.fault_trace().is_empty());
         assert_eq!(device.ledger().faulted_invocations, 1);
@@ -1014,8 +924,8 @@ mod tests {
         let (a, calib) = fault_device(fault);
         let (b, _) = fault_device(fault);
         for _ in 0..32 {
-            let ra = a.invoke(&calib);
-            let rb = b.invoke(&calib);
+            let ra = a.invoke_overlapped(&calib);
+            let rb = b.invoke_overlapped(&calib);
             assert_eq!(ra.is_ok(), rb.is_ok());
         }
         assert_eq!(a.fault_trace(), b.fault_trace());
@@ -1025,12 +935,14 @@ mod tests {
     #[test]
     fn pipelined_outputs_bit_exact_with_chunked() {
         let (compiled, calib) = compiled_model(20, 96, 5, 15);
+        let reference = compiled.quantized().forward(&calib).unwrap();
         let device = Device::new(DeviceConfig::default());
         device.load_model(compiled).unwrap();
-        let (serial, _) = device.invoke_chunked(&calib, 7).unwrap();
-        let (pipelined, stats) = device.invoke_pipelined(&calib, 7).unwrap();
-        assert_eq!(serial, pipelined, "pipelining changed the datapath");
-        assert_eq!(stats.len(), calib.rows().div_ceil(7));
+        for chunk in [1, 7, calib.rows() + 3] {
+            let (chunked, stats) = invoke_in_chunks(&device, &calib, chunk);
+            assert_eq!(chunked, reference, "chunk {chunk} changed the datapath");
+            assert_eq!(stats.len(), calib.rows().div_ceil(chunk));
+        }
     }
 
     #[test]
@@ -1041,9 +953,13 @@ mod tests {
         let device = Device::new(cfg.clone());
         device.load_model(compiled).unwrap();
         let (_, stats) = device.invoke_overlapped(&calib).unwrap();
-        let est = timing::invoke_estimate_pipelined(&cfg, &dims, calib.rows());
-        assert_eq!(stats.compute_cycles, est.compute_cycles);
-        assert!((stats.total_s - est.total_s).abs() < 1e-12);
+        let costs = timing::stage_costs(&cfg, &dims, calib.rows());
+        let transfer = costs.input_transfer_s + costs.output_transfer_s;
+        assert_eq!(
+            stats.total_s,
+            costs.overhead_s + transfer.max(costs.compute_s)
+        );
+        assert!(stats.total_s <= costs.serial_elapsed_s());
     }
 
     #[test]
@@ -1054,18 +970,17 @@ mod tests {
         let device = Device::new(cfg.clone());
         device.load_model(compiled).unwrap();
         device.reset_ledger();
-        let (_, stats) = device.invoke_pipelined(&calib, 7).unwrap();
+        let (_, stats) = invoke_in_chunks(&device, &calib, 7);
         let total: f64 = stats.iter().map(|s| s.total_s).sum();
-        let expected = timing::batched_time_pipelined_s(&cfg, &dims, calib.rows(), 7);
+        let expected = timing::chunked_s(calib.rows(), 7, |rows| {
+            timing::stage_costs(&cfg, &dims, rows).total_s
+        });
         assert!((total - expected).abs() < 1e-12);
         let ledger = device.ledger();
         assert!((ledger.total_s - expected).abs() < 1e-12);
-        // The overlap buckets partition the transfer time ...
-        let parts = ledger.overlapped_s + ledger.exposed_transfer_s;
-        assert!((parts - ledger.transfer_s).abs() < 1e-15);
         assert!(ledger.overlapped_s > 0.0, "nothing overlapped");
-        // ... and the pipelined total decomposes along the critical path.
-        let critical = ledger.overhead_s + ledger.compute_s + ledger.exposed_transfer_s;
+        // The pipelined total decomposes along the critical path.
+        let critical = ledger.overhead_s + ledger.compute_s + ledger.exposed_transfer_s();
         assert!((ledger.total_s - critical).abs() < 1e-12);
     }
 
@@ -1075,10 +990,30 @@ mod tests {
         let device = Device::new(DeviceConfig::default());
         device.load_model(compiled).unwrap();
         device.reset_ledger();
-        device.invoke_chunked(&calib, 7).unwrap();
+        let (_, stats) = invoke_in_chunks(&device, &calib, 7);
+        // Run back to back, the legs expose every transfer second; the
+        // double-buffered schedule saves exactly what the ledger hides.
+        let serial: f64 = stats.iter().map(InvokeStats::serial_elapsed_s).sum();
         let ledger = device.ledger();
-        assert_eq!(ledger.overlapped_s, 0.0);
-        assert!((ledger.exposed_transfer_s - ledger.transfer_s).abs() < 1e-15);
+        let exposed_serially = serial - ledger.overhead_s - ledger.compute_s;
+        assert!((exposed_serially - ledger.transfer_s).abs() < 1e-15);
+        assert!((serial - ledger.total_s - ledger.overlapped_s).abs() < 1e-15);
+    }
+
+    #[test]
+    fn compute_bound_invocation_hides_its_whole_transfer() {
+        // 20 -> 512 -> 2: a few hundred bytes on the link, eight MXU
+        // tiles per layer.
+        let (compiled, calib) = compiled_model(20, 512, 2, 18);
+        let device = Device::new(DeviceConfig::default());
+        device.load_model(compiled).unwrap();
+        device.reset_ledger();
+        let (_, stats) = device.invoke_overlapped(&calib).unwrap();
+        assert!(stats.input_transfer_s + stats.output_transfer_s < stats.compute_s);
+        let ledger = device.ledger();
+        assert_eq!(ledger.overlapped_s, ledger.transfer_s);
+        assert_eq!(ledger.exposed_transfer_s(), 0.0);
+        assert_eq!(ledger.total_s, ledger.overhead_s + ledger.compute_s);
     }
 
     #[test]
@@ -1087,11 +1022,18 @@ mod tests {
         let fault = crate::FaultConfig::default().with_hang(1.0, stall);
         let (device, calib) = fault_device(fault);
         let (clean, _) = fault_device(crate::FaultConfig::default());
-        let (want, clean_stats) = clean.invoke_overlapped(&calib).unwrap();
-        let (got, stats) = device.invoke_overlapped(&calib).unwrap();
-        assert_eq!(got, want);
-        assert!((stats.total_s - (clean_stats.total_s + stall)).abs() < 1e-12);
-        assert!((device.ledger().fault_s - stall).abs() < 1e-15);
+        device.reset_ledger();
+        clean.reset_ledger();
+        device.invoke_overlapped(&calib).unwrap();
+        clean.invoke_overlapped(&calib).unwrap();
+        let (hung, clean) = (device.ledger(), clean.ledger());
+        // The stall rides in the overhead bucket on the critical path:
+        // double buffering hides none of it.
+        assert!((hung.overhead_s - (clean.overhead_s + stall)).abs() < 1e-15);
+        assert_eq!(hung.overlapped_s, clean.overlapped_s);
+        assert!((hung.total_s - (clean.total_s + stall)).abs() < 1e-12);
+        assert!((hung.fault_s - stall).abs() < 1e-15);
+        assert_eq!(hung.faulted_invocations, 0);
     }
 
     #[test]
@@ -1100,7 +1042,7 @@ mod tests {
         let reference: QuantizedModel = compiled.quantized().clone();
         let device = Device::new(DeviceConfig::default());
         device.load_model(compiled).unwrap();
-        let (out, _) = device.invoke(&calib).unwrap();
+        let (out, _) = device.invoke_overlapped(&calib).unwrap();
         let ref_out = reference.forward(&calib).unwrap();
         for r in 0..calib.rows() {
             assert_eq!(

@@ -17,22 +17,26 @@
 //!   outputs** (bit-identical to [`wide_nn::QuantizedModel`]'s reference
 //!   executor — an integration test pins this) and a per-invocation
 //!   [`InvokeStats`] timing breakdown,
-//! * [`timing`] — the shared analytic formulas, usable standalone to
-//!   estimate paper-scale workloads without executing them.
+//! * [`timing`] — the analytic cost law the device charges, usable
+//!   standalone to estimate paper-scale workloads without executing them.
 //!
 //! # Timing model
 //!
-//! One invocation of a loaded model on `s` samples costs
+//! One invocation of a loaded model on `s` samples has four legs
+//! ([`timing::stage_costs`]):
 //!
 //! ```text
-//! t = overhead                                  (driver + USB dispatch)
-//!   + in_bytes / bandwidth                      (s x input_dim, int8)
-//!   + sum_fc  tiles_k*tiles_n*(s + R + C) / f   (MXU streaming)
-//!   + sum_lut ceil(s*width / C) / f             (activation unit)
-//!   + out_bytes / bandwidth                     (s x output_dim, int8)
+//! overhead = per-invoke latency                      (driver + USB dispatch)
+//! in       = in_bytes / bandwidth                    (s x input_dim, int8)
+//! compute  = ( sum_fc  tiles_k*tiles_n*(s + R + C)   (MXU streaming)
+//!            + sum_lut ceil(s*width / C) ) / f       (activation unit)
+//! out      = out_bytes / bandwidth                   (s x output_dim, int8)
 //! ```
 //!
-//! with `R x C` the array shape and `f` the clock. Loading a model costs
+//! with `R x C` the array shape and `f` the clock. The device runs them
+//! double-buffered, so an invocation takes
+//! `overhead + max(in + out, compute)`; the legs run back to back would
+//! take their sum ([`InvokeStats::serial_elapsed_s`]). Loading a model costs
 //! `param_bytes / bandwidth` plus `tiles * R / f` of weight-load cycles,
 //! charged once — matching the paper's observation that model preparation
 //! is a one-time cost excluded from inference runtime.
@@ -55,7 +59,7 @@
 //!
 //! let device = Device::new(DeviceConfig::default());
 //! device.load_model(compiled)?;
-//! let (out, stats) = device.invoke(&calib)?;
+//! let (out, stats) = device.invoke_overlapped(&calib)?;
 //! assert_eq!(out.shape(), (8, 64));
 //! assert!(stats.total_s > 0.0);
 //! # Ok(())
@@ -77,11 +81,12 @@ pub mod timing;
 
 pub use buffer::UnifiedBuffer;
 pub use config::{DeviceConfig, HostLinkConfig};
-pub use device::{Device, InvokeStats, LoadReport, TimingLedger};
+pub use device::{Device, LoadReport, TimingLedger};
 pub use error::SimError;
 pub use fault::{FaultConfig, FaultKind, FaultRecord, FaultTrace, LinkDirection};
 pub use link::HostLink;
 pub use systolic::SystolicArray;
+pub use timing::InvokeStats;
 
 /// Convenience result alias for fallible simulator operations.
 pub type Result<T> = std::result::Result<T, SimError>;

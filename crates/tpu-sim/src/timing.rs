@@ -5,12 +5,14 @@
 //! but the *runtime* figures (paper Figs. 5, 6, 8, 9, 10 and Table II) are
 //! computed from these closed-form models at the paper's full scale — the
 //! same separation the paper itself relies on when normalizing runtimes.
-//! [`Device::invoke`](crate::Device::invoke) charges exactly these
-//! formulas, and a unit test pins the two paths to equality.
+//! The simulated [`Device`](crate::Device) calls [`stage_costs`] for every
+//! invocation, so functional runs and paper-scale models charge one cost
+//! law; [`InvokeStats`] composes its legs serially or double-buffered, and
+//! [`chunks`] is the one rule for splitting a batch into invocations.
 
 use serde::{Deserialize, Serialize};
 
-use wide_nn::{CompiledModel, Model, QuantizedModel};
+use wide_nn::CompiledModel;
 
 use crate::config::DeviceConfig;
 use crate::systolic::SystolicArray;
@@ -52,55 +54,6 @@ impl ModelDims {
         }
     }
 
-    /// Extracts dimensions from a float model.
-    #[must_use]
-    pub fn from_model(model: &Model) -> Self {
-        let mut dims = ModelDims {
-            input_dim: model.input_dim(),
-            fc_layers: Vec::new(),
-            lut_widths: Vec::new(),
-            output_dim: model.output_dim(),
-        };
-        let mut width = model.input_dim();
-        for layer in model.layers() {
-            match layer {
-                wide_nn::Layer::FullyConnected { weights } => {
-                    dims.fc_layers.push((weights.rows(), weights.cols()));
-                    width = weights.cols();
-                }
-                wide_nn::Layer::Activation(_) => dims.lut_widths.push(width),
-                wide_nn::Layer::Elementwise { .. } => {}
-            }
-        }
-        dims
-    }
-
-    /// Extracts dimensions from a quantized model.
-    #[must_use]
-    pub fn from_quantized(model: &QuantizedModel) -> Self {
-        let mut dims = ModelDims {
-            input_dim: model.input_dim(),
-            fc_layers: Vec::new(),
-            lut_widths: Vec::new(),
-            output_dim: model.output_dim(),
-        };
-        let mut width = model.input_dim();
-        for stage in model.stages() {
-            match stage {
-                wide_nn::QuantStage::FullyConnected { weights, .. } => {
-                    dims.fc_layers.push(weights.shape());
-                    width = weights.cols();
-                }
-                wide_nn::QuantStage::FullyConnectedPerChannel { weights, .. } => {
-                    dims.fc_layers.push((weights.rows(), weights.cols()));
-                    width = weights.cols();
-                }
-                wide_nn::QuantStage::Lut(_) => dims.lut_widths.push(width),
-            }
-        }
-        dims
-    }
-
     /// Extracts dimensions from a compiled model.
     #[must_use]
     pub fn from_compiled(compiled: &CompiledModel) -> Self {
@@ -133,34 +86,17 @@ impl ModelDims {
     }
 }
 
-/// Per-invocation time breakdown, all in seconds.
+/// The cost of one invocation, leg by leg, in seconds: what
+/// [`stage_costs`] predicts and what [`Device::invoke_overlapped`]
+/// charges and returns.
+///
+/// [`Device::invoke_overlapped`]: crate::Device::invoke_overlapped
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct InvokeEstimate {
+pub struct InvokeStats {
     /// Samples in the invocation.
     pub samples: usize,
-    /// Fixed dispatch overhead.
-    pub overhead_s: f64,
-    /// Host-to-device input payload time.
-    pub input_transfer_s: f64,
-    /// MXU + activation-unit time.
-    pub compute_s: f64,
-    /// Device-to-host output payload time.
-    pub output_transfer_s: f64,
-    /// Total MXU/activation cycles.
-    pub compute_cycles: u64,
-    /// Sum of all components.
-    pub total_s: f64,
-}
-
-/// Per-firing cost of each pipeline stage of one invocation, in seconds
-/// — the raw inputs a dataflow scheduler (or the static schedule
-/// analyzer in `hd-analysis`) needs, without committing to any
-/// serial/overlapped composition. [`invoke_estimate`] composes these
-/// serially; a double-buffered driver overlaps the link stages with
-/// compute ([`invoke_estimate_pipelined`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct StageCosts {
-    /// Fixed per-invocation dispatch overhead (cannot be hidden).
+    /// Fixed per-invocation dispatch overhead (cannot be hidden). A
+    /// survivable device hang adds its stall here.
     pub overhead_s: f64,
     /// Host-to-device input DMA time on the link.
     pub input_transfer_s: f64,
@@ -170,12 +106,51 @@ pub struct StageCosts {
     pub output_transfer_s: f64,
     /// Total MXU/activation cycles behind `compute_s`.
     pub compute_cycles: u64,
+    /// Elapsed time under the device's double-buffered schedule,
+    /// [`InvokeStats::overlapped_elapsed_s`] (a hang stall enters once,
+    /// through `overhead_s`).
+    pub total_s: f64,
 }
 
-/// Per-stage costs of invoking a model with the given dimensions on
-/// `samples` rows. This is the cost model that parameterizes declared
-/// SDF schedule graphs; [`invoke_estimate`] is its serial composition.
-pub fn stage_costs(cfg: &DeviceConfig, dims: &ModelDims, samples: usize) -> StageCosts {
+impl InvokeStats {
+    /// Elapsed time if the legs ran one after another:
+    /// `overhead + in + compute + out`.
+    #[must_use]
+    pub fn serial_elapsed_s(&self) -> f64 {
+        self.overhead_s + self.input_transfer_s + self.compute_s + self.output_transfer_s
+    }
+
+    /// Elapsed time under double-buffered DMA: the input DMA of the next
+    /// tile and the output DMA of the previous one run while the MXU
+    /// computes, so only the longer of the link and compute legs is on
+    /// the critical path: `overhead + max(in + out, compute)`.
+    #[must_use]
+    pub fn overlapped_elapsed_s(&self) -> f64 {
+        self.overhead_s + (self.input_transfer_s + self.output_transfer_s).max(self.compute_s)
+    }
+}
+
+/// Costs of invoking a model with the given dimensions on `samples`
+/// rows. This is the one place an invocation's legs are computed: the
+/// simulated device charges it, declared SDF schedule graphs take their
+/// stage costs from it, and every serial, overlapped or chunked
+/// prediction composes it.
+///
+/// # Examples
+///
+/// ```
+/// use tpu_sim::{timing, DeviceConfig};
+///
+/// let cfg = DeviceConfig::default();
+/// let dims = timing::ModelDims::encoder(784, 10_000);
+/// let costs = timing::stage_costs(&cfg, &dims, 256);
+/// assert!(costs.total_s > 0.0);
+/// // Output transfer (256 x 10000 bytes) dominates the input transfer.
+/// assert!(costs.output_transfer_s > costs.input_transfer_s);
+/// // Double buffering never loses to running the legs back to back.
+/// assert!(costs.total_s <= costs.serial_elapsed_s());
+/// ```
+pub fn stage_costs(cfg: &DeviceConfig, dims: &ModelDims, samples: usize) -> InvokeStats {
     let array = SystolicArray::new(cfg.target.array_rows, cfg.target.array_cols);
     let bw = cfg.link.bandwidth_bytes_per_sec;
 
@@ -187,106 +162,44 @@ pub fn stage_costs(cfg: &DeviceConfig, dims: &ModelDims, samples: usize) -> Stag
         cycles += array.activation_cycles(samples * w);
     }
 
-    StageCosts {
+    let mut costs = InvokeStats {
+        samples,
         overhead_s: cfg.link.per_invoke_latency_s,
         input_transfer_s: (samples * dims.input_dim) as f64 / bw,
         compute_s: cycles as f64 / cfg.clock_hz,
         output_transfer_s: (samples * dims.output_dim) as f64 / bw,
         compute_cycles: cycles,
-    }
+        total_s: 0.0,
+    };
+    costs.total_s = costs.overlapped_elapsed_s();
+    costs
 }
 
-/// Estimates one invocation of a model with the given dimensions on
-/// `samples` rows.
-///
-/// # Examples
-///
-/// ```
-/// use tpu_sim::{timing, DeviceConfig};
-///
-/// let cfg = DeviceConfig::default();
-/// let dims = timing::ModelDims::encoder(784, 10_000);
-/// let est = timing::invoke_estimate(&cfg, &dims, 256);
-/// assert!(est.total_s > 0.0);
-/// // Output transfer (256 x 10000 bytes) dominates the input transfer.
-/// assert!(est.output_transfer_s > est.input_transfer_s);
-/// ```
-pub fn invoke_estimate(cfg: &DeviceConfig, dims: &ModelDims, samples: usize) -> InvokeEstimate {
-    let costs = stage_costs(cfg, dims, samples);
-    InvokeEstimate {
-        samples,
-        overhead_s: costs.overhead_s,
-        input_transfer_s: costs.input_transfer_s,
-        compute_s: costs.compute_s,
-        output_transfer_s: costs.output_transfer_s,
-        compute_cycles: costs.compute_cycles,
-        total_s: costs.overhead_s
-            + costs.input_transfer_s
-            + costs.compute_s
-            + costs.output_transfer_s,
-    }
-}
-
-/// [`invoke_estimate`] under a double-buffered driver that overlaps the
-/// host-link transfers of one chunk with the MXU compute of the previous
-/// one: per steady-state chunk the cost is the *maximum* of transfer and
-/// compute instead of their sum (dispatch overhead cannot be hidden).
-pub fn invoke_estimate_pipelined(
-    cfg: &DeviceConfig,
-    dims: &ModelDims,
-    samples: usize,
-) -> InvokeEstimate {
-    let serial = invoke_estimate(cfg, dims, samples);
-    let transfer = serial.input_transfer_s + serial.output_transfer_s;
-    let overlapped = transfer.max(serial.compute_s);
-    InvokeEstimate {
-        total_s: serial.overhead_s + overlapped,
-        ..serial
-    }
-}
-
-/// Estimates processing `total_samples` rows through a double-buffered
-/// driver (see [`invoke_estimate_pipelined`]).
+/// Splits `total_samples` rows into invocations of at most `batch` rows
+/// as `(rows, count)` segments: `count` full chunks of `batch` rows, then
+/// one partial chunk of the remainder. Segments with no rows or no
+/// chunks are skipped.
 ///
 /// # Panics
 ///
 /// Panics if `batch == 0`.
-pub fn batched_time_pipelined_s(
-    cfg: &DeviceConfig,
-    dims: &ModelDims,
-    total_samples: usize,
-    batch: usize,
-) -> f64 {
+pub fn chunks(total_samples: usize, batch: usize) -> impl Iterator<Item = (usize, usize)> {
     assert!(batch > 0, "batch must be positive");
-    let full_chunks = total_samples / batch;
-    let remainder = total_samples % batch;
-    let mut t = full_chunks as f64 * invoke_estimate_pipelined(cfg, dims, batch).total_s;
-    if remainder > 0 {
-        t += invoke_estimate_pipelined(cfg, dims, remainder).total_s;
-    }
-    t
+    [(batch, total_samples / batch), (total_samples % batch, 1)]
+        .into_iter()
+        .filter(|&(rows, count)| rows > 0 && count > 0)
 }
 
-/// Estimates processing `total_samples` rows in invocations of at most
-/// `batch` rows (the last chunk may be partial), returning total seconds.
+/// Seconds to process `total_samples` rows in invocations of at most
+/// `batch` rows, where `cost(rows)` is the time of one `rows`-row
+/// invocation — for example `|rows| stage_costs(cfg, dims, rows).total_s`
+/// for the device's double-buffered schedule.
 ///
 /// # Panics
 ///
 /// Panics if `batch == 0`.
-pub fn batched_time_s(
-    cfg: &DeviceConfig,
-    dims: &ModelDims,
-    total_samples: usize,
-    batch: usize,
-) -> f64 {
-    assert!(batch > 0, "batch must be positive");
-    let full_chunks = total_samples / batch;
-    let remainder = total_samples % batch;
-    let mut t = full_chunks as f64 * invoke_estimate(cfg, dims, batch).total_s;
-    if remainder > 0 {
-        t += invoke_estimate(cfg, dims, remainder).total_s;
-    }
-    t
+pub fn chunked_s(total_samples: usize, batch: usize, mut cost: impl FnMut(usize) -> f64) -> f64 {
+    chunks(total_samples, batch).fold(0.0, |t, (rows, count)| t + count as f64 * cost(rows))
 }
 
 /// Estimates the one-time model load: parameter transfer over the link
@@ -316,26 +229,33 @@ mod tests {
     }
 
     #[test]
-    fn invoke_estimate_components_sum() {
+    fn serial_composition_sums_the_legs() {
         let cfg = DeviceConfig::default();
         let dims = ModelDims::inference(128, 1024, 8);
-        let est = invoke_estimate(&cfg, &dims, 16);
-        let sum = est.overhead_s + est.input_transfer_s + est.compute_s + est.output_transfer_s;
-        assert!((est.total_s - sum).abs() < 1e-12);
+        let costs = stage_costs(&cfg, &dims, 16);
+        let sum =
+            costs.overhead_s + costs.input_transfer_s + costs.compute_s + costs.output_transfer_s;
+        assert_eq!(costs.serial_elapsed_s(), sum);
     }
 
     #[test]
-    fn stage_costs_match_invoke_estimate_components() {
+    fn stage_costs_legs_follow_the_link_and_array_formulas() {
         let cfg = DeviceConfig::default();
         let dims = ModelDims::inference(128, 1024, 8);
+        let array = SystolicArray::new(cfg.target.array_rows, cfg.target.array_cols);
+        let bw = cfg.link.bandwidth_bytes_per_sec;
         for samples in [1usize, 7, 64] {
             let costs = stage_costs(&cfg, &dims, samples);
-            let est = invoke_estimate(&cfg, &dims, samples);
-            assert!((costs.overhead_s - est.overhead_s).abs() < 1e-15);
-            assert!((costs.input_transfer_s - est.input_transfer_s).abs() < 1e-15);
-            assert!((costs.compute_s - est.compute_s).abs() < 1e-15);
-            assert!((costs.output_transfer_s - est.output_transfer_s).abs() < 1e-15);
-            assert_eq!(costs.compute_cycles, est.compute_cycles);
+            let cycles = array.stream_cycles(samples, 128, 1024)
+                + array.stream_cycles(samples, 1024, 8)
+                + array.activation_cycles(samples * 1024);
+            assert_eq!(costs.samples, samples);
+            assert_eq!(costs.overhead_s, cfg.link.per_invoke_latency_s);
+            assert_eq!(costs.input_transfer_s, (samples * 128) as f64 / bw);
+            assert_eq!(costs.output_transfer_s, (samples * 8) as f64 / bw);
+            assert_eq!(costs.compute_cycles, cycles);
+            assert_eq!(costs.compute_s, cycles as f64 / cfg.clock_hz);
+            assert_eq!(costs.total_s, costs.overlapped_elapsed_s());
         }
     }
 
@@ -343,8 +263,8 @@ mod tests {
     fn larger_batch_amortizes_overhead() {
         let cfg = DeviceConfig::default();
         let dims = ModelDims::encoder(784, 10_000);
-        let per_sample_small = invoke_estimate(&cfg, &dims, 8).total_s / 8.0;
-        let per_sample_big = invoke_estimate(&cfg, &dims, 256).total_s / 256.0;
+        let per_sample_small = stage_costs(&cfg, &dims, 8).serial_elapsed_s() / 8.0;
+        let per_sample_big = stage_costs(&cfg, &dims, 256).serial_elapsed_s() / 256.0;
         assert!(per_sample_big < per_sample_small);
     }
 
@@ -352,18 +272,21 @@ mod tests {
     fn batched_time_handles_remainder() {
         let cfg = DeviceConfig::default();
         let dims = ModelDims::encoder(64, 256);
-        let t_exact = batched_time_s(&cfg, &dims, 100, 32);
-        let expected = 3.0 * invoke_estimate(&cfg, &dims, 32).total_s
-            + invoke_estimate(&cfg, &dims, 4).total_s;
+        let serial = |rows| stage_costs(&cfg, &dims, rows).serial_elapsed_s();
+        assert_eq!(chunks(100, 32).collect::<Vec<_>>(), [(32, 3), (4, 1)]);
+        assert_eq!(chunks(96, 32).collect::<Vec<_>>(), [(32, 3)]);
+        assert_eq!(chunks(5, 32).collect::<Vec<_>>(), [(5, 1)]);
+        assert_eq!(chunks(0, 32).count(), 0);
+        let t_exact = chunked_s(100, 32, serial);
+        let expected = 3.0 * serial(32) + serial(4);
         assert!((t_exact - expected).abs() < 1e-12);
+        assert_eq!(chunked_s(0, 32, serial), 0.0);
     }
 
     #[test]
     #[should_panic(expected = "batch must be positive")]
     fn zero_batch_panics() {
-        let cfg = DeviceConfig::default();
-        let dims = ModelDims::encoder(4, 8);
-        let _ = batched_time_s(&cfg, &dims, 10, 0);
+        let _ = chunked_s(10, 0, |_| 1.0);
     }
 
     #[test]
@@ -371,22 +294,21 @@ mod tests {
         let cfg = DeviceConfig::default();
         let dims = ModelDims::encoder(784, 10_000);
         for samples in [1usize, 16, 256] {
-            let serial = invoke_estimate(&cfg, &dims, samples);
-            let piped = invoke_estimate_pipelined(&cfg, &dims, samples);
-            assert!(piped.total_s <= serial.total_s + 1e-15);
-            let transfer = serial.input_transfer_s + serial.output_transfer_s;
-            let expected = serial.overhead_s + transfer.max(serial.compute_s);
-            assert!((piped.total_s - expected).abs() < 1e-15);
+            let costs = stage_costs(&cfg, &dims, samples);
+            assert!(costs.overlapped_elapsed_s() <= costs.serial_elapsed_s() + 1e-15);
+            let transfer = costs.input_transfer_s + costs.output_transfer_s;
+            let expected = costs.overhead_s + transfer.max(costs.compute_s);
+            assert!((costs.overlapped_elapsed_s() - expected).abs() < 1e-15);
         }
     }
 
     #[test]
-    fn pipelined_batched_time_sums_chunks() {
+    fn pipelined_chunked_time_sums_chunks() {
         let cfg = DeviceConfig::default();
         let dims = ModelDims::encoder(64, 512);
-        let t = batched_time_pipelined_s(&cfg, &dims, 70, 32);
-        let expected = 2.0 * invoke_estimate_pipelined(&cfg, &dims, 32).total_s
-            + invoke_estimate_pipelined(&cfg, &dims, 6).total_s;
+        let piped = |rows| stage_costs(&cfg, &dims, rows).total_s;
+        let t = chunked_s(70, 32, piped);
+        let expected = 2.0 * piped(32) + piped(6);
         assert!((t - expected).abs() < 1e-12);
     }
 
@@ -406,7 +328,7 @@ mod tests {
         // upper end and Fig. 5's MNIST bar.
         let cfg = DeviceConfig::default();
         let dims = ModelDims::encoder(784, 10_000);
-        let tpu_per_sample = invoke_estimate(&cfg, &dims, 256).total_s / 256.0;
+        let tpu_per_sample = stage_costs(&cfg, &dims, 256).serial_elapsed_s() / 256.0;
         let cpu_per_sample = 2.0 * 784.0 * 10_000.0 / 35.0e9;
         let speedup = cpu_per_sample / tpu_per_sample;
         assert!(
@@ -422,7 +344,7 @@ mod tests {
         // counterexample dataset).
         let cfg = DeviceConfig::default();
         let dims = ModelDims::encoder(27, 10_000);
-        let tpu_per_sample = invoke_estimate(&cfg, &dims, 256).total_s / 256.0;
+        let tpu_per_sample = stage_costs(&cfg, &dims, 256).serial_elapsed_s() / 256.0;
         let cpu_per_sample = 2.0 * 27.0 * 10_000.0 / 35.0e9;
         assert!(
             tpu_per_sample > cpu_per_sample,

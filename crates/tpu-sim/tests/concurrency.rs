@@ -29,7 +29,7 @@ fn loaded_device() -> (Arc<Device>, Matrix) {
 #[test]
 fn concurrent_invocations_match_serial_results() {
     let (device, batch) = loaded_device();
-    let (expected, _) = device.invoke(&batch).unwrap();
+    let (expected, _) = device.invoke_overlapped(&batch).unwrap();
     device.reset_ledger();
 
     let threads = 8;
@@ -40,7 +40,7 @@ fn concurrent_invocations_match_serial_results() {
             let batch = batch.clone();
             std::thread::spawn(move || {
                 for _ in 0..per_thread {
-                    let (out, stats) = device.invoke(&batch).unwrap();
+                    let (out, stats) = device.invoke_overlapped(&batch).unwrap();
                     assert_eq!(out, batch_expected(&batch, &out));
                     assert!(stats.total_s > 0.0);
                 }
@@ -57,7 +57,7 @@ fn concurrent_invocations_match_serial_results() {
     assert_eq!(ledger.samples, (threads * per_thread * batch.rows()) as u64);
 
     // And the arithmetic never changed under contention.
-    let (after, _) = device.invoke(&batch).unwrap();
+    let (after, _) = device.invoke_overlapped(&batch).unwrap();
     assert_eq!(after, expected);
 }
 
@@ -100,7 +100,7 @@ fn concurrent_load_and_invoke_never_corrupt_state() {
             let batch = batch.clone();
             std::thread::spawn(move || {
                 for _ in 0..50 {
-                    match device.invoke(&batch) {
+                    match device.invoke_overlapped(&batch) {
                         Ok((out, _)) => {
                             assert_eq!(out.rows(), batch.rows());
                             assert!(out.cols() == 4 || out.cols() == 64);

@@ -11,7 +11,8 @@
 //! ```
 
 use cpu_model::{cost, Platform};
-use tpu_sim::timing::{self, ModelDims};
+use hyperedge::runtime;
+use tpu_sim::timing::ModelDims;
 use tpu_sim::DeviceConfig;
 
 fn main() {
@@ -42,7 +43,7 @@ fn main() {
     for &n in &[20, 50, 100, 150, 200, 300, 400, 500, 600, 700] {
         let cpu_s = cost::encode_s(&host, samples, n, d);
         let dims = ModelDims::encoder(n, d);
-        let tpu_s = timing::batched_time_s(&device, &dims, samples, encode_batch)
+        let tpu_s = runtime::serial_device_s(&device, &dims, samples, encode_batch)
             + cost::quantize_s(&host, samples * n)
             + cost::quantize_s(&host, samples * d);
         let speedup = cpu_s / tpu_s;

@@ -88,7 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         load.total_s * 1e3
     );
 
-    let (device_scores, stats) = device.invoke(&data.test.features)?;
+    let (device_scores, stats) = device.invoke_overlapped(&data.test.features)?;
     let reference_scores = qmodel.forward(&data.test.features)?;
     assert_eq!(device_scores, reference_scores);
     println!(

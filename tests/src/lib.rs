@@ -35,6 +35,33 @@ pub fn clustered_dataset(
     (m, labels)
 }
 
+/// Runs `batch` through `device` in invocations of at most `chunk` rows,
+/// as a host driver would, returning the stitched outputs and each
+/// invocation's stats.
+///
+/// # Panics
+///
+/// Panics if `chunk == 0`.
+pub fn invoke_in_chunks(
+    device: &tpu_sim::Device,
+    batch: &Matrix,
+    chunk: usize,
+) -> tpu_sim::Result<(Matrix, Vec<tpu_sim::InvokeStats>)> {
+    assert!(chunk > 0, "chunk must be positive");
+    let mut outputs = Vec::new();
+    let mut stats = Vec::new();
+    for start in (0..batch.rows()).step_by(chunk) {
+        let part = batch
+            .slice_rows(start, (start + chunk).min(batch.rows()))
+            .expect("chunk rows in range");
+        let (out, s) = device.invoke_overlapped(&part)?;
+        outputs.push(out);
+        stats.push(s);
+    }
+    let stitched = Matrix::vstack(&outputs.iter().collect::<Vec<_>>()).expect("equal widths");
+    Ok((stitched, stats))
+}
+
 /// Splits a dataset into train/test halves, interleaved so both halves
 /// stay class-balanced.
 pub fn split_half(features: &Matrix, labels: &[usize]) -> (Matrix, Vec<usize>, Matrix, Vec<usize>) {

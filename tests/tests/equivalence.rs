@@ -17,7 +17,7 @@ use hd_tensor::rng::DetRng;
 use hd_tensor::{kernels, Matrix};
 use hdc::{Encoder, HdcModel, TrainConfig};
 use hyperedge::wide_model;
-use integration_tests::clustered_dataset;
+use integration_tests::{clustered_dataset, invoke_in_chunks};
 use tpu_sim::{Device, DeviceConfig, SimError};
 use wide_nn::{
     compile, serialize, Activation, CompiledModel, ModelBuilder, QuantStage, QuantizedModel,
@@ -50,7 +50,7 @@ fn device_bit_exact_with_reference_across_shapes() {
         let reference = compiled.quantized().clone();
         let device = Device::new(DeviceConfig::default());
         device.load_model(compiled).unwrap();
-        let (device_out, _) = device.invoke(&batch).unwrap();
+        let (device_out, _) = device.invoke_overlapped(&batch).unwrap();
         let ref_out = reference.forward(&batch).unwrap();
         assert_eq!(device_out, ref_out, "shape ({n}, {d}, {k}) diverged");
     }
@@ -64,7 +64,7 @@ fn device_bit_exact_under_chunked_invocation() {
     let device = Device::new(DeviceConfig::default());
     device.load_model(compiled).unwrap();
     for chunk in [1usize, 5, 32] {
-        let (out, _) = device.invoke_chunked(&batch, chunk).unwrap();
+        let (out, _) = invoke_in_chunks(&device, &batch, chunk).unwrap();
         assert_eq!(out, reference.forward(&batch).unwrap(), "chunk {chunk}");
     }
 }
@@ -82,7 +82,7 @@ fn worst_case_fc(k: usize) -> (CompiledModel, Matrix) {
         out_params,
     }];
     let model = QuantizedModel::from_parts(k, n, zero_127, stages).unwrap();
-    let compiled = CompiledModel::from_quantized(model, &TargetSpec::default()).unwrap();
+    let compiled = CompiledModel::lower(model, &TargetSpec::default()).unwrap();
     (compiled, Matrix::from_fn(2, k, |_, _| -255.0))
 }
 
@@ -136,7 +136,7 @@ fn assert_exact_with_and_without_simd(device: &Device, model: &QuantizedModel, b
         kernels::set_simd_enabled(simd);
         let before = kernels::stats();
         let (acc, _) = hd_quant::gemm::matmul_accumulate(&input, weights).unwrap();
-        let device_out = device.invoke(batch).map(|(out, _)| out);
+        let device_out = device.invoke_overlapped(batch).map(|(out, _)| out);
         let portable_calls = kernels::stats().delta_since(&before).portable_gemm_calls;
         kernels::set_simd_enabled(true);
         if !simd {
@@ -200,7 +200,7 @@ fn reduction_past_the_depth_bound_is_rejected_at_load() {
         }
     );
     // The previous model stays resident and serves.
-    assert!(device.invoke(&batch).is_ok());
+    assert!(device.invoke_overlapped(&batch).is_ok());
 }
 
 #[test]
@@ -266,8 +266,8 @@ fn serialized_model_behaves_identically_on_device() {
     dev_a.load_model(compiled_a).unwrap();
     dev_b.load_model(compiled_b).unwrap();
     assert_eq!(
-        dev_a.invoke(&batch).unwrap().0,
-        dev_b.invoke(&batch).unwrap().0
+        dev_a.invoke_overlapped(&batch).unwrap().0,
+        dev_b.invoke_overlapped(&batch).unwrap().0
     );
 }
 
@@ -299,7 +299,7 @@ fn encoder_network_and_hdc_encoder_agree_through_quantization() {
     let compiled = compile::compile(&network, &batch, &TargetSpec::default()).unwrap();
     let device = Device::new(DeviceConfig::default());
     device.load_model(compiled).unwrap();
-    let (device_encoded, _) = device.invoke(&batch).unwrap();
+    let (device_encoded, _) = device.invoke_overlapped(&batch).unwrap();
 
     for r in 0..batch.rows() {
         let cos = hd_tensor::ops::cosine(float_encoded.row(r), device_encoded.row(r)).unwrap();

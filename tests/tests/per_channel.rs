@@ -38,7 +38,7 @@ fn per_channel_compiled_model_matches_reference_on_device() {
     ));
     let device = Device::new(DeviceConfig::default());
     device.load_model(compiled).unwrap();
-    let (device_out, stats) = device.invoke(&batch).unwrap();
+    let (device_out, stats) = device.invoke_overlapped(&batch).unwrap();
     let ref_out = reference.forward(&batch).unwrap();
     assert_eq!(device_out, ref_out);
     assert!(stats.compute_cycles > 0);
@@ -59,7 +59,7 @@ fn per_channel_and_per_tensor_device_paths_both_classify() {
         };
         let device = Device::new(DeviceConfig::default());
         device.load_model(compiled).unwrap();
-        let (scores, _) = device.invoke(&features).unwrap();
+        let (scores, _) = device.invoke_overlapped(&features).unwrap();
         let mut correct = 0usize;
         for (r, &label) in labels.iter().enumerate() {
             if hd_tensor::ops::argmax(scores.row(r)).unwrap() == label {
@@ -83,8 +83,8 @@ fn per_channel_costs_the_same_device_time() {
     let dev_pc = Device::new(DeviceConfig::default());
     dev_pt.load_model(pt).unwrap();
     dev_pc.load_model(pc).unwrap();
-    let (_, stats_pt) = dev_pt.invoke(&batch).unwrap();
-    let (_, stats_pc) = dev_pc.invoke(&batch).unwrap();
+    let (_, stats_pt) = dev_pt.invoke_overlapped(&batch).unwrap();
+    let (_, stats_pc) = dev_pc.invoke_overlapped(&batch).unwrap();
     assert_eq!(stats_pt.compute_cycles, stats_pc.compute_cycles);
 }
 

@@ -23,6 +23,7 @@ use hyperedge::schedule::{
     streamed_encode_graph, SchedulePlan,
 };
 use hyperedge::FrameworkError;
+use integration_tests::invoke_in_chunks;
 use tpu_sim::timing::ModelDims;
 use tpu_sim::{Device, DeviceConfig};
 use wide_nn::{compile, Activation, ModelBuilder, TargetSpec};
@@ -66,7 +67,7 @@ proptest! {
     ) {
         let (device, batch, dims) = loaded_device(12, 64, rows, seed);
         device.reset_ledger();
-        device.invoke_pipelined(&batch, chunk).unwrap();
+        invoke_in_chunks(&device, &batch, chunk).unwrap();
         let measured = device.ledger().total_s;
 
         let predicted =

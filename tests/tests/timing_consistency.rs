@@ -6,6 +6,7 @@ use hd_tensor::rng::DetRng;
 use hd_tensor::Matrix;
 use hyperedge::runtime::{self, UpdateProfile, WorkloadSpec};
 use hyperedge::{ExecutionSetting, PipelineConfig};
+use integration_tests::invoke_in_chunks;
 use tpu_sim::timing::{self, ModelDims};
 use tpu_sim::{Device, DeviceConfig};
 use wide_nn::{compile, Activation, ModelBuilder, TargetSpec};
@@ -32,10 +33,8 @@ fn device_invoke_time_equals_analytic_estimate() {
     let cfg = DeviceConfig::default();
     let device = Device::new(cfg.clone());
     device.load_model(model).unwrap();
-    let (_, stats) = device.invoke(&batch).unwrap();
-    let est = timing::invoke_estimate(&cfg, &dims, batch.rows());
-    assert_eq!(stats.compute_cycles, est.compute_cycles);
-    assert!((stats.total_s - est.total_s).abs() < 1e-12);
+    let (_, stats) = device.invoke_overlapped(&batch).unwrap();
+    assert_eq!(stats, timing::stage_costs(&cfg, &dims, batch.rows()));
 }
 
 #[test]
@@ -47,9 +46,11 @@ fn chunked_ledger_matches_batched_formula() {
     device.load_model(model).unwrap();
     device.reset_ledger();
     let chunk = 7;
-    device.invoke_chunked(&batch, chunk).unwrap();
+    invoke_in_chunks(&device, &batch, chunk).unwrap();
     let ledger = device.ledger();
-    let expected = timing::batched_time_s(&cfg, &dims, batch.rows(), chunk);
+    let expected = timing::chunked_s(batch.rows(), chunk, |rows| {
+        timing::stage_costs(&cfg, &dims, rows).total_s
+    });
     assert!(
         (ledger.total_s - expected).abs() < 1e-12,
         "ledger {} vs formula {}",
@@ -136,7 +137,7 @@ fn larger_encode_batches_never_hurt() {
     let dims = ModelDims::encoder(617, 10_000);
     let mut prev = f64::INFINITY;
     for batch in [8usize, 32, 128, 512] {
-        let t = timing::batched_time_s(&cfg, &dims, 4096, batch);
+        let t = runtime::serial_device_s(&cfg, &dims, 4096, batch);
         assert!(t <= prev + 1e-9, "batch {batch} slower than smaller batch");
         prev = t;
     }
@@ -148,8 +149,8 @@ fn model_load_is_charged_once_not_per_invoke() {
     let device = Device::new(DeviceConfig::default());
     let report = device.load_model(model).unwrap();
     device.reset_ledger();
-    device.invoke(&batch).unwrap();
-    device.invoke(&batch).unwrap();
+    device.invoke_overlapped(&batch).unwrap();
+    device.invoke_overlapped(&batch).unwrap();
     let ledger = device.ledger();
     assert_eq!(ledger.load_s, 0.0, "loads must not accrue after reset");
     assert!(report.total_s > 0.0);
