@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::error::BaggingError;
 
 /// Configuration of bagged HDC training.
@@ -8,7 +6,7 @@ use crate::error::BaggingError;
 /// with hypervector width d = 2500 for 6 iterations ... dataset sampling
 /// ratio as 0.6 ... feature sampling ratio is disabled") is available as
 /// [`BaggingConfig::paper_defaults`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BaggingConfig {
     /// Number of sub-models `M`.
     pub sub_models: usize,

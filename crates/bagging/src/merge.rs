@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use hd_tensor::packed::{majority_bundle, PackedBipolar, PackedClassHypervectors};
 use hd_tensor::Matrix;
 use hdc::bipolar::{binarize_classes, BipolarModel};
@@ -9,7 +7,7 @@ use crate::error::BaggingError;
 
 /// One weak learner: its (possibly feature-masked) base hypervectors and
 /// trained class hypervectors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SubModel {
     /// The sub-model's encoder (an `n x d'` base matrix, zero rows for
     /// unsampled features).
@@ -28,7 +26,7 @@ pub struct SubModel {
 /// `O = tanh(F B) C` computes the *sum of all sub-model scores* — the
 /// bagging consensus — with exactly the cost of one full-width model and
 /// therefore **zero inference overhead**.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BaggedModel {
     sub_models: Vec<SubModel>,
     classes: usize,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use hd_dataflow::runtime::{
     self, Binding, ExecutablePlan, Fire, RunError, Supervised, Supervision,
 };
@@ -23,7 +21,7 @@ use crate::sample::{bootstrap_rows, feature_subset};
 /// Caller bugs — label counts, shape mismatches, empty datasets — always
 /// propagate regardless of this setting; only backend failures are
 /// recoverable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MemberRecovery {
     /// Propagate the failure (the pre-resilience behaviour).
     #[default]
@@ -37,7 +35,7 @@ pub enum MemberRecovery {
 }
 
 /// Telemetry for one trained sub-model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SubModelStats {
     /// Sub-model index.
     pub index: usize,
@@ -50,16 +48,14 @@ pub struct SubModelStats {
 }
 
 /// Telemetry for a full bagged training run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct BaggingStats {
     /// One entry per *surviving* sub-model, in index order.
     pub sub_models: Vec<SubModelStats>,
     /// Indices of members dropped under [`MemberRecovery::Drop`].
-    #[serde(default)]
     pub dropped_members: Vec<usize>,
     /// Indices of members retrained on the host under
     /// [`MemberRecovery::RetrainOnHost`].
-    #[serde(default)]
     pub retrained_on_host: Vec<usize>,
 }
 

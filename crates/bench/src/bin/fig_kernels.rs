@@ -5,13 +5,6 @@
 //! `hd_bench::experiments::fig_kernels_report`.
 
 fn main() {
-    let (table, report) = hd_bench::experiments::fig_kernels_report();
-    table.emit("fig_kernels");
-    match hd_bench::report::write_bench_report("kernels", &report.to_json()) {
-        Ok(path) => println!("(report written to {})", path.display()),
-        Err(e) => {
-            eprintln!("error: could not write BENCH_kernels.json: {e}");
-            std::process::exit(1);
-        }
-    }
+    let (table, record) = hd_bench::experiments::fig_kernels_report();
+    hd_bench::report::emit(&table, &record);
 }

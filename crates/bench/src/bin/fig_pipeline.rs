@@ -4,13 +4,6 @@
 //! repository root. See `hd_bench::experiments::fig_pipeline_report`.
 
 fn main() {
-    let (table, report) = hd_bench::experiments::fig_pipeline_report();
-    table.emit("fig_pipeline");
-    match hd_bench::report::write_bench_report("pipeline", &report.to_json()) {
-        Ok(path) => println!("(report written to {})", path.display()),
-        Err(e) => {
-            eprintln!("error: could not write BENCH_pipeline.json: {e}");
-            std::process::exit(1);
-        }
-    }
+    let (table, record) = hd_bench::experiments::fig_pipeline_report();
+    hd_bench::report::emit(&table, &record);
 }

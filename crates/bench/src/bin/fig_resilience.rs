@@ -4,13 +4,6 @@
 //! the repository root. See `hd_bench::experiments::fig_resilience_report`.
 
 fn main() {
-    let (table, report) = hd_bench::experiments::fig_resilience_report();
-    table.emit("fig_resilience");
-    match hd_bench::report::write_bench_report("resilience", &report.to_json()) {
-        Ok(path) => println!("(report written to {})", path.display()),
-        Err(e) => {
-            eprintln!("error: could not write BENCH_resilience.json: {e}");
-            std::process::exit(1);
-        }
-    }
+    let (table, record) = hd_bench::experiments::fig_resilience_report();
+    hd_bench::report::emit(&table, &record);
 }

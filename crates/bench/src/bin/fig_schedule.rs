@@ -5,13 +5,6 @@
 //! at the repository root. See `hd_bench::experiments::fig_schedule_report`.
 
 fn main() {
-    let (table, report) = hd_bench::experiments::fig_schedule_report();
-    table.emit("fig_schedule");
-    match hd_bench::report::write_bench_report("schedule", &report.to_json()) {
-        Ok(path) => println!("(report written to {})", path.display()),
-        Err(e) => {
-            eprintln!("error: could not write BENCH_schedule.json: {e}");
-            std::process::exit(1);
-        }
-    }
+    let (table, record) = hd_bench::experiments::fig_schedule_report();
+    hd_bench::report::emit(&table, &record);
 }

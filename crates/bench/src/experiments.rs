@@ -9,10 +9,11 @@ use cpu_model::{cost, Platform};
 use hd_datasets::registry;
 use hd_tensor::rng::DetRng;
 use hdc::Encoder;
-use hyperedge::runtime::{self, UpdateProfile};
+use hyperedge::runtime;
 use hyperedge::{ExecutionSetting, Pipeline};
 use tpu_sim::timing::ModelDims;
 
+use crate::report::BenchRecord;
 use crate::{
     fmt_pct, fmt_speedup, functional_config, functional_dataset, paper_config, paper_workload,
     run_functional, FunctionalRun, ResultTable, PAPER_DIM,
@@ -503,7 +504,7 @@ pub const PIPELINE_CHUNK: usize = 32;
 ///
 /// Panics on any pipeline/device error, or if parallel member training
 /// fails to reproduce the sequential models bit-exactly.
-pub fn fig_pipeline_report() -> (ResultTable, crate::report::PipelineBenchReport) {
+pub fn fig_pipeline_report() -> (ResultTable, BenchRecord) {
     let smoke = crate::smoke_mode();
     let mut t = ResultTable::new(
         "Fig. pipeline: overlapped DMA/compute + parallel bagged training",
@@ -604,17 +605,18 @@ pub fn fig_pipeline_report() -> (ResultTable, crate::report::PipelineBenchReport
         fmt_speedup(wall_speedup),
     ]);
 
-    let report = crate::report::PipelineBenchReport {
-        simulated_serial_s,
-        simulated_pipelined_s,
-        simulated_speedup,
-        wall_sequential_s,
-        wall_parallel_s,
-        wall_speedup,
-        threads,
-        smoke,
-    };
-    (t, report)
+    let record = BenchRecord::new("pipeline", smoke)
+        .field("threads", threads.to_string())
+        .field("simulated_serial_s", format!("{simulated_serial_s:.9}"))
+        .field(
+            "simulated_pipelined_s",
+            format!("{simulated_pipelined_s:.9}"),
+        )
+        .field("simulated_speedup", format!("{simulated_speedup:.4}"))
+        .field("wall_sequential_s", format!("{wall_sequential_s:.6}"))
+        .field("wall_parallel_s", format!("{wall_parallel_s:.6}"))
+        .field("wall_speedup", format!("{wall_speedup:.4}"));
+    (t, record)
 }
 
 /// `fig_pipeline`: the table half of [`fig_pipeline_report`].
@@ -670,7 +672,7 @@ fn run_declared_schedule(graph: hd_dataflow::SdfGraph, iterations: u64) -> (f64,
 /// Panics on any schedule/device error, if a runtime measurement drifts
 /// from its prediction, or if the pipelined serve fails to reproduce the
 /// sequential predictions bit-exactly.
-pub fn fig_schedule_report() -> (ResultTable, crate::report::ScheduleBenchReport) {
+pub fn fig_schedule_report() -> (ResultTable, BenchRecord) {
     let smoke = crate::smoke_mode();
     let mut t = ResultTable::new(
         "Fig. schedule: declared SDF graphs executed by the generic runtime",
@@ -770,22 +772,26 @@ pub fn fig_schedule_report() -> (ResultTable, crate::report::ScheduleBenchReport
         fmt_speedup(serve_speedup),
     ]);
 
-    let report = crate::report::ScheduleBenchReport {
-        overlapped_invoke_predicted_s: pairs[0].0,
-        overlapped_invoke_measured_s: pairs[0].1,
-        streamed_encode_predicted_s: pairs[1].0,
-        streamed_encode_measured_s: pairs[1].1,
-        parallel_members_predicted_s: pairs[2].0,
-        parallel_members_measured_s: pairs[2].1,
-        two_device_predicted_s: pairs[3].0,
-        two_device_measured_s: pairs[3].1,
-        max_abs_delta_s,
-        serve_serial_s,
-        serve_pipelined_s,
-        serve_speedup,
-        smoke,
-    };
-    (t, report)
+    let mut record = BenchRecord::new("schedule", smoke);
+    for (name, (predicted, measured)) in [
+        "overlapped_invoke",
+        "streamed_encode",
+        "parallel_members",
+        "two_device",
+    ]
+    .iter()
+    .zip(&pairs)
+    {
+        record = record
+            .field(&format!("{name}_predicted_s"), format!("{predicted:.12}"))
+            .field(&format!("{name}_measured_s"), format!("{measured:.12}"));
+    }
+    let record = record
+        .field("max_abs_delta_s", format!("{max_abs_delta_s:.15}"))
+        .field("serve_serial_s", format!("{serve_serial_s:.9}"))
+        .field("serve_pipelined_s", format!("{serve_pipelined_s:.9}"))
+        .field("serve_speedup", format!("{serve_speedup:.4}"));
+    (t, record)
 }
 
 /// `fig_schedule`: the table half of [`fig_schedule_report`].
@@ -806,7 +812,7 @@ pub fn fig_schedule() -> ResultTable {
 /// Panics on any training/serving error, if any faulted run's
 /// predictions drift from the fault-free reference, or if a fault-free
 /// supervised serve reports non-zero fault counters.
-pub fn fig_resilience_report() -> (ResultTable, crate::report::ResilienceBenchReport) {
+pub fn fig_resilience_report() -> (ResultTable, BenchRecord) {
     let smoke = crate::smoke_mode();
     let mut t = ResultTable::new(
         "Fig. resilience: recovered serve throughput vs injected fault rate",
@@ -899,20 +905,21 @@ pub fn fig_resilience_report() -> (ResultTable, crate::report::ResilienceBenchRe
         .skip(1)
         .fold(f64::INFINITY, |m, &x| m.min(x))
         / throughputs[0];
-    let report = crate::report::ResilienceBenchReport {
-        rows,
-        predicted_s,
-        supervised_clean_s,
-        zero_fault_overhead: supervised_clean_s / predicted_s,
-        throughput_clean: throughputs[0],
-        throughput_2pct: throughputs[1],
-        throughput_10pct: throughputs[2],
-        throughput_30pct: throughputs[3],
-        min_recovered_frac,
-        total_faults,
-        smoke,
-    };
-    (t, report)
+    let mut record = BenchRecord::new("resilience", smoke)
+        .field("rows", rows.to_string())
+        .field("predicted_s", format!("{predicted_s:.12}"))
+        .field("supervised_clean_s", format!("{supervised_clean_s:.12}"))
+        .field(
+            "zero_fault_overhead",
+            format!("{:.6}", supervised_clean_s / predicted_s),
+        );
+    for (name, throughput) in ["clean", "2pct", "10pct", "30pct"].iter().zip(&throughputs) {
+        record = record.field(&format!("throughput_{name}"), format!("{throughput:.3}"));
+    }
+    let record = record
+        .field("min_recovered_frac", format!("{min_recovered_frac:.6}"))
+        .field("total_faults", total_faults.to_string());
+    (t, record)
 }
 
 /// `fig_resilience`: the table half of [`fig_resilience_report`].
@@ -973,7 +980,7 @@ fn i8_vec(rng: &mut DetRng, n: usize) -> Vec<i8> {
 ///
 /// Panics if any fast kernel disagrees with its scalar reference, or on
 /// shape errors (all shapes are constructed consistently here).
-pub fn fig_kernels_report() -> (ResultTable, crate::report::KernelsBenchReport) {
+pub fn fig_kernels_report() -> (ResultTable, BenchRecord) {
     use hd_tensor::packed::{
         majority_bundle, majority_bundle_reference, PackedBipolar, PackedClassHypervectors,
     };
@@ -1086,39 +1093,31 @@ pub fn fig_kernels_report() -> (ResultTable, crate::report::KernelsBenchReport) 
         String::from("-"),
     ]);
 
-    let report = crate::report::KernelsBenchReport {
-        dim,
-        rows,
-        classes,
-        packed_score_s,
-        scalar_score_s,
-        packed_speedup,
-        gemm_m,
-        gemm_k,
-        gemm_n,
-        simd_gemm_s,
-        naive_gemm_s,
-        simd_gemm_gops,
-        naive_gemm_gops,
-        gemm_speedup,
-        i8_kernel,
-        bundle_vectors,
-        bundle_s,
-        bundle_gib_s,
-        smoke,
-    };
-    (t, report)
+    let record = BenchRecord::new("kernels", smoke)
+        .field("dim", dim.to_string())
+        .field("rows", rows.to_string())
+        .field("classes", classes.to_string())
+        .field("packed_score_s", format!("{packed_score_s:.12}"))
+        .field("scalar_score_s", format!("{scalar_score_s:.12}"))
+        .field("packed_speedup", format!("{packed_speedup:.3}"))
+        .field("gemm_m", gemm_m.to_string())
+        .field("gemm_k", gemm_k.to_string())
+        .field("gemm_n", gemm_n.to_string())
+        .field("simd_gemm_s", format!("{simd_gemm_s:.12}"))
+        .field("naive_gemm_s", format!("{naive_gemm_s:.12}"))
+        .field("simd_gemm_gops", format!("{simd_gemm_gops:.3}"))
+        .field("naive_gemm_gops", format!("{naive_gemm_gops:.3}"))
+        .field("gemm_speedup", format!("{gemm_speedup:.3}"))
+        .field("i8_kernel", format!("\"{i8_kernel}\""))
+        .field("bundle_vectors", bundle_vectors.to_string())
+        .field("bundle_s", format!("{bundle_s:.12}"))
+        .field("bundle_gib_s", format!("{bundle_gib_s:.3}"));
+    (t, record)
 }
 
 /// `fig_kernels`: the table half of [`fig_kernels_report`].
 pub fn fig_kernels() -> ResultTable {
     fig_kernels_report().0
-}
-
-/// The per-iteration default profile used when a measured one is not
-/// available (kept public so tests can pin its shape).
-pub fn reference_profile(iterations: usize) -> UpdateProfile {
-    crate::default_profile(iterations)
 }
 
 #[cfg(test)]

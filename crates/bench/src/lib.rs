@@ -22,6 +22,7 @@
 //! | `fig_kernels` | extension — packed bipolar + SIMD i8 host-kernel |
 //! |          | wall-clock microbenchmarks vs scalar references       |
 //! |          | (also writes the `BENCH_kernels.json` CI baseline)    |
+//! | `gate`   | CI regression gate: fresh `BENCH_*.json` vs baselines |
 //! | `reproduce_all` | runs everything above in sequence              |
 //!
 //! The split between *functional* and *analytic* measurement is the same

@@ -1,254 +1,216 @@
-//! Machine-readable benchmark reports for CI perf-regression gating.
+//! Machine-readable benchmark records and the regression gate CI runs
+//! over them.
 //!
 //! CSV tables under `results/` are for humans and plots; the
 //! `BENCH_<name>.json` artifacts written at the repository root are for
-//! machines — CI reruns a benchmark binary and compares the fresh numbers
-//! against the committed baseline, failing only on clear regressions.
-//! The workspace's `serde` facade is a derive-only shim, so the JSON is
-//! rendered by hand with a fixed, flat key set that line-oriented tools
-//! (`grep`/`awk` in CI) can parse without a JSON library.
+//! machines — CI reruns a benchmark binary at reduced scale and the
+//! `gate` binary compares the fresh numbers against the committed
+//! baseline, failing only on clear regressions. Every artifact is one
+//! [`BenchRecord`]: a flat JSON object with one key per line, rendered
+//! and parsed here without a JSON library.
 
 use std::path::{Path, PathBuf};
 
-/// Measurements of one `fig_pipeline` run: the simulated-clock gain of
-/// the overlapped DMA/compute invoke schedule on a transfer-bound encode
-/// workload, and the wall-clock gain of training bagged members on
-/// parallel host threads.
+use crate::ResultTable;
+
+/// One benchmark run's machine-readable record: the bench name, whether
+/// it ran at `HD_BENCH_SMOKE` scale, and its measurements as ordered
+/// `(key, rendered value)` pairs. Each writer renders its values at the
+/// precision the key needs, so a record round-trips through its JSON
+/// form byte-identically.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PipelineBenchReport {
-    /// Simulated seconds for the same chunked invocations with their
-    /// legs run back to back.
-    pub simulated_serial_s: f64,
-    /// Simulated seconds for the double-buffered pipelined schedule.
-    pub simulated_pipelined_s: f64,
-    /// `simulated_serial_s / simulated_pipelined_s`.
-    pub simulated_speedup: f64,
-    /// Wall-clock seconds training the bagged members sequentially.
-    pub wall_sequential_s: f64,
-    /// Wall-clock seconds training the same members on worker threads.
-    pub wall_parallel_s: f64,
-    /// `wall_sequential_s / wall_parallel_s`.
-    pub wall_speedup: f64,
-    /// Worker threads used by the parallel run.
-    pub threads: usize,
+pub struct BenchRecord {
+    /// Bench name; the artifact is `BENCH_<bench>.json`.
+    pub bench: String,
     /// Whether the run was at `HD_BENCH_SMOKE` scale.
     pub smoke: bool,
+    /// Measurements in render order, each value a JSON literal.
+    pub fields: Vec<(String, String)>,
 }
 
-impl PipelineBenchReport {
-    /// Renders the flat JSON form. `git_describe` is always `null`: the
-    /// artifact is committed alongside the code it measured, so the
-    /// revision is the commit itself and the harness never shells out.
+impl BenchRecord {
+    /// An empty record for `bench`.
+    #[must_use]
+    pub fn new(bench: &str, smoke: bool) -> Self {
+        BenchRecord {
+            bench: bench.to_string(),
+            smoke,
+            fields: Vec::new(),
+        }
+    }
+
+    /// Appends `key` with its already-rendered JSON value.
+    #[must_use]
+    pub fn field(mut self, key: &str, value: impl Into<String>) -> Self {
+        self.fields.push((key.to_string(), value.into()));
+        self
+    }
+
+    /// Renders the flat JSON form, one key per line. `git_describe` is
+    /// always `null`: the artifact is committed alongside the code it
+    /// measured, so the revision is the commit itself.
     #[must_use]
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"bench\": \"pipeline\",\n  \"git_describe\": null,\n  \"smoke\": {},\n  \"threads\": {},\n  \"simulated_serial_s\": {:.9},\n  \"simulated_pipelined_s\": {:.9},\n  \"simulated_speedup\": {:.4},\n  \"wall_sequential_s\": {:.6},\n  \"wall_parallel_s\": {:.6},\n  \"wall_speedup\": {:.4}\n}}\n",
-            self.smoke,
-            self.threads,
-            self.simulated_serial_s,
-            self.simulated_pipelined_s,
-            self.simulated_speedup,
-            self.wall_sequential_s,
-            self.wall_parallel_s,
-            self.wall_speedup,
-        )
+        let mut json = format!(
+            "{{\n  \"bench\": \"{}\",\n  \"git_describe\": null,\n  \"smoke\": {}",
+            self.bench, self.smoke
+        );
+        for (key, value) in &self.fields {
+            json.push_str(&format!(",\n  \"{key}\": {value}"));
+        }
+        json.push_str("\n}\n");
+        json
+    }
+
+    /// Parses the form [`BenchRecord::to_json`] renders; any other text,
+    /// down to a missing comma, is refused because it does not re-render
+    /// byte-identically.
+    ///
+    /// # Errors
+    ///
+    /// If `text` is not a record in the rendered form.
+    pub fn parse(text: &str) -> Result<Self, String> {
+        let mut fields: Vec<(String, String)> = text
+            .lines()
+            .filter_map(|line| {
+                let (key, value) = line.trim().trim_end_matches(',').split_once(": ")?;
+                Some((key.trim_matches('"').to_string(), value.to_string()))
+            })
+            .collect();
+        if fields.len() < 3 {
+            return Err("no bench/git_describe/smoke header".to_string());
+        }
+        let header: Vec<_> = fields.drain(..3).collect();
+        let record = BenchRecord {
+            bench: header[0].1.trim_matches('"').to_string(),
+            smoke: header[2].1 == "true",
+            fields,
+        };
+        if record.to_json() == text {
+            Ok(record)
+        } else {
+            Err("not a flat one-key-per-line bench record".to_string())
+        }
+    }
+
+    /// The value of `key`, as rendered and as a finite number.
+    fn measurement(&self, key: &str) -> Result<(&str, f64), String> {
+        let value = self
+            .fields
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+            .ok_or_else(|| format!("{}: key `{key}` is missing", self.bench))?;
+        match value.parse::<f64>() {
+            Ok(number) if number.is_finite() => Ok((value, number)),
+            _ => Err(format!("{}: `{key}` = {value} is not a number", self.bench)),
+        }
     }
 }
 
-/// Measurements of one `fig_schedule` run: for every production SDF
-/// graph, the analyzer's predicted critical path against the elapsed
-/// time the generic runtime actually measures executing that same
-/// declaration, plus the simulated gain of the two-device serving
-/// schedule over running both devices back to back.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScheduleBenchReport {
-    /// Analyzer-predicted seconds for the overlapped-invoke graph.
-    pub overlapped_invoke_predicted_s: f64,
-    /// Runtime-measured seconds executing the overlapped-invoke graph.
-    pub overlapped_invoke_measured_s: f64,
-    /// Predicted seconds for the streamed encode→train graph.
-    pub streamed_encode_predicted_s: f64,
-    /// Runtime-measured seconds for the streamed encode→train graph.
-    pub streamed_encode_measured_s: f64,
-    /// Predicted seconds for the parallel-members graph.
-    pub parallel_members_predicted_s: f64,
-    /// Runtime-measured seconds for the parallel-members graph.
-    pub parallel_members_measured_s: f64,
-    /// Predicted seconds for the two-device serve graph.
-    pub two_device_predicted_s: f64,
-    /// Runtime-measured seconds for the two-device serve graph.
-    pub two_device_measured_s: f64,
-    /// Largest |measured − predicted| across the four schedules.
-    pub max_abs_delta_s: f64,
-    /// Simulated seconds serving the batch with both devices serialized.
-    pub serve_serial_s: f64,
-    /// Simulated seconds for the pipelined two-device serve.
-    pub serve_pipelined_s: f64,
-    /// `serve_serial_s / serve_pipelined_s`.
-    pub serve_speedup: f64,
-    /// Whether the run was at `HD_BENCH_SMOKE` scale.
-    pub smoke: bool,
+/// What a [`Check`] compares its key against.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bound {
+    /// Passes when `fresh >= limit`.
+    AtLeast(f64),
+    /// Passes when `fresh <= limit`.
+    AtMost(f64),
+    /// Passes when `fresh >= factor * baseline` for the same key.
+    AtLeastBaseline(f64),
 }
 
-impl ScheduleBenchReport {
-    /// Renders the flat JSON form (same conventions as
-    /// [`PipelineBenchReport::to_json`]: one key per line, no serde).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"bench\": \"schedule\",\n  \"git_describe\": null,\n  \"smoke\": {},\n  \"overlapped_invoke_predicted_s\": {:.12},\n  \"overlapped_invoke_measured_s\": {:.12},\n  \"streamed_encode_predicted_s\": {:.12},\n  \"streamed_encode_measured_s\": {:.12},\n  \"parallel_members_predicted_s\": {:.12},\n  \"parallel_members_measured_s\": {:.12},\n  \"two_device_predicted_s\": {:.12},\n  \"two_device_measured_s\": {:.12},\n  \"max_abs_delta_s\": {:.15},\n  \"serve_serial_s\": {:.9},\n  \"serve_pipelined_s\": {:.9},\n  \"serve_speedup\": {:.4}\n}}\n",
-            self.smoke,
-            self.overlapped_invoke_predicted_s,
-            self.overlapped_invoke_measured_s,
-            self.streamed_encode_predicted_s,
-            self.streamed_encode_measured_s,
-            self.parallel_members_predicted_s,
-            self.parallel_members_measured_s,
-            self.two_device_predicted_s,
-            self.two_device_measured_s,
-            self.max_abs_delta_s,
-            self.serve_serial_s,
-            self.serve_pipelined_s,
-            self.serve_speedup,
-        )
+/// One regression check of the gate.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Check {
+    /// Bench whose record holds the key.
+    pub bench: &'static str,
+    /// Key of the measurement checked.
+    pub key: &'static str,
+    /// The passing region.
+    pub bound: Bound,
+    /// Failure message; `{fresh}` and `{baseline}` expand to the values
+    /// as rendered in the records.
+    pub failure: &'static str,
+}
+
+/// The gate's thresholds. Simulated-clock numbers (schedule drift,
+/// supervision overhead) are gated exactly; wall-clock ratios sit far
+/// below the committed full-scale baselines, because CI runners are
+/// noisy and only a path falling back to serial or scalar-shaped work
+/// should trip them. Smoke runs amortize fixed backoff over fewer rows,
+/// hence the generous factor on the recovered-throughput baseline.
+#[rustfmt::skip]
+pub const CHECKS: [Check; 11] = [
+    Check { bench: "pipeline", key: "simulated_speedup", bound: Bound::AtLeast(1.0),
+        failure: "pipelined schedule no faster than serial ({fresh}x)" },
+    Check { bench: "pipeline", key: "simulated_speedup", bound: Bound::AtLeastBaseline(0.5),
+        failure: "simulated speedup regressed >50% vs baseline ({fresh}x vs {baseline}x)" },
+    Check { bench: "pipeline", key: "wall_speedup", bound: Bound::AtLeast(0.7),
+        failure: "parallel member training clearly slower than sequential ({fresh}x)" },
+    Check { bench: "schedule", key: "max_abs_delta_s", bound: Bound::AtMost(1e-9),
+        failure: "runtime drifted from the declared prediction ({fresh}s)" },
+    Check { bench: "schedule", key: "serve_speedup", bound: Bound::AtLeast(1.2),
+        failure: "two-device serve schedule lost its overlap win ({fresh}x)" },
+    Check { bench: "resilience", key: "zero_fault_overhead", bound: Bound::AtMost(1.01),
+        failure: "supervision costs {fresh}x on the fault-free path" },
+    Check { bench: "resilience", key: "total_faults", bound: Bound::AtLeast(1.0),
+        failure: "fault injection never fired ({fresh} faults)" },
+    Check { bench: "resilience", key: "min_recovered_frac", bound: Bound::AtLeast(0.05),
+        failure: "recovered throughput collapsed ({fresh} of clean)" },
+    Check { bench: "resilience", key: "min_recovered_frac", bound: Bound::AtLeastBaseline(0.25),
+        failure: "recovered throughput collapsed vs baseline ({fresh} vs {baseline}; smoke runs \
+                  amortize fixed backoff over fewer rows, hence the generous factor)" },
+    Check { bench: "kernels", key: "packed_speedup", bound: Bound::AtLeast(2.0),
+        failure: "packed scoring lost its representation win ({fresh}x)" },
+    Check { bench: "kernels", key: "gemm_speedup", bound: Bound::AtLeast(1.5),
+        failure: "dispatched i8 gemm barely beats the naive loop ({fresh}x)" },
+];
+
+impl Check {
+    /// Applies the check to a fresh record and its baseline.
+    ///
+    /// # Errors
+    ///
+    /// The failure message if the fresh value is outside the bound, or a
+    /// message naming the bench and key if a value the check reads is
+    /// missing or not a number.
+    pub fn apply(&self, fresh: &BenchRecord, baseline: &BenchRecord) -> Result<(), String> {
+        let (fresh_text, value) = fresh.measurement(self.key)?;
+        let (pass, baseline_text) = match self.bound {
+            Bound::AtLeast(limit) => (value >= limit, ""),
+            Bound::AtMost(limit) => (value <= limit, ""),
+            Bound::AtLeastBaseline(factor) => {
+                let (text, b) = baseline.measurement(self.key)?;
+                (value >= factor * b, text)
+            }
+        };
+        if pass {
+            return Ok(());
+        }
+        let message = self
+            .failure
+            .replace("{fresh}", fresh_text)
+            .replace("{baseline}", baseline_text);
+        Err(format!("{}: {message}", self.bench))
     }
 }
 
-/// Measurements of one `fig_resilience` run: recovered throughput of
-/// the supervised two-device server under seeded fault injection, as a
-/// function of the injected fault rate, plus the failover machinery's
-/// overhead on the fault-free path. Every run in the sweep must return
-/// predictions bit-exact with the fault-free reference (asserted inside
-/// the bench), so "recovered" throughput is the honest kind: the rows
-/// all came back correct, faults only cost time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResilienceBenchReport {
-    /// Rows served per run.
-    pub rows: usize,
-    /// Analyzer-predicted fault-free serve seconds (declared schedule).
-    pub predicted_s: f64,
-    /// Measured seconds for the supervised fault-free serve.
-    pub supervised_clean_s: f64,
-    /// `supervised_clean_s / predicted_s` — the supervision layer's
-    /// fault-free overhead (the failover win must be ~free when nothing
-    /// fails).
-    pub zero_fault_overhead: f64,
-    /// Recovered throughput (rows/simulated-second, retries and backoff
-    /// charged) at 0% injected faults.
-    pub throughput_clean: f64,
-    /// Recovered throughput at a 2% transient-fault rate.
-    pub throughput_2pct: f64,
-    /// Recovered throughput at a 10% transient-fault rate.
-    pub throughput_10pct: f64,
-    /// Recovered throughput at a 30% transient-fault rate.
-    pub throughput_30pct: f64,
-    /// `min(throughput_at_rate) / throughput_clean` over the sweep.
-    pub min_recovered_frac: f64,
-    /// Total supervised faults observed across the faulted runs
-    /// (evidence the injection actually fired).
-    pub total_faults: u64,
-    /// Whether the run was at `HD_BENCH_SMOKE` scale.
-    pub smoke: bool,
-}
-
-impl ResilienceBenchReport {
-    /// Renders the flat JSON form (same conventions as
-    /// [`PipelineBenchReport::to_json`]: one key per line, no serde).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"bench\": \"resilience\",\n  \"git_describe\": null,\n  \"smoke\": {},\n  \"rows\": {},\n  \"predicted_s\": {:.12},\n  \"supervised_clean_s\": {:.12},\n  \"zero_fault_overhead\": {:.6},\n  \"throughput_clean\": {:.3},\n  \"throughput_2pct\": {:.3},\n  \"throughput_10pct\": {:.3},\n  \"throughput_30pct\": {:.3},\n  \"min_recovered_frac\": {:.6},\n  \"total_faults\": {}\n}}\n",
-            self.smoke,
-            self.rows,
-            self.predicted_s,
-            self.supervised_clean_s,
-            self.zero_fault_overhead,
-            self.throughput_clean,
-            self.throughput_2pct,
-            self.throughput_10pct,
-            self.throughput_30pct,
-            self.min_recovered_frac,
-            self.total_faults,
-        )
+/// Runs every check of [`CHECKS`] on `bench`, returning one failure
+/// message per failed check (empty when all pass). A record that names
+/// another bench fails outright, so no check is silently skipped.
+#[must_use]
+pub fn gate(bench: &str, fresh: &BenchRecord, baseline: &BenchRecord) -> Vec<String> {
+    if fresh.bench != bench || baseline.bench != bench {
+        return vec![format!(
+            "{bench}: records name `{}` and `{}`",
+            fresh.bench, baseline.bench
+        )];
     }
-}
-
-/// Machine-readable baseline for the `fig_kernels` host-kernel
-/// microbenchmarks, written to `BENCH_kernels.json` at the repository
-/// root and regression-gated in CI.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelsBenchReport {
-    /// Hypervector dimensionality of the scoring and bundling runs.
-    pub dim: usize,
-    /// Query rows scored per run.
-    pub rows: usize,
-    /// Class hypervectors scored against.
-    pub classes: usize,
-    /// Best-of-3 wall-clock seconds for packed XOR+popcount batch
-    /// scoring (`PackedClassHypervectors::predict_batch`).
-    pub packed_score_s: f64,
-    /// Best-of-3 wall-clock seconds for the former `f32` GEMM + argmax
-    /// scoring path over the same queries.
-    pub scalar_score_s: f64,
-    /// `scalar_score_s / packed_score_s`.
-    pub packed_speedup: f64,
-    /// `i8` GEMM shape (rows of A).
-    pub gemm_m: usize,
-    /// `i8` GEMM shape (inner dimension).
-    pub gemm_k: usize,
-    /// `i8` GEMM shape (columns of B).
-    pub gemm_n: usize,
-    /// Best-of-3 wall-clock seconds for the dispatched `i8` GEMM.
-    pub simd_gemm_s: f64,
-    /// Best-of-3 wall-clock seconds for the naive triple-loop reference.
-    pub naive_gemm_s: f64,
-    /// Dispatched-kernel throughput in GOP/s (2·m·k·n ops).
-    pub simd_gemm_gops: f64,
-    /// Reference throughput in GOP/s.
-    pub naive_gemm_gops: f64,
-    /// `naive_gemm_s / simd_gemm_s`.
-    pub gemm_speedup: f64,
-    /// The `i8` GEMM kernel the dispatcher selected ("avx2"/"portable").
-    pub i8_kernel: String,
-    /// Vectors per majority bundle.
-    pub bundle_vectors: usize,
-    /// Best-of-3 wall-clock seconds for one vertical-counter majority
-    /// bundle over `bundle_vectors` packed vectors.
-    pub bundle_s: f64,
-    /// Bundling input bandwidth in GiB/s (packed words consumed).
-    pub bundle_gib_s: f64,
-    /// Whether the run was at `HD_BENCH_SMOKE` scale.
-    pub smoke: bool,
-}
-
-impl KernelsBenchReport {
-    /// Renders the flat JSON form (same conventions as
-    /// [`PipelineBenchReport::to_json`]: one key per line, no serde).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"bench\": \"kernels\",\n  \"git_describe\": null,\n  \"smoke\": {},\n  \"dim\": {},\n  \"rows\": {},\n  \"classes\": {},\n  \"packed_score_s\": {:.12},\n  \"scalar_score_s\": {:.12},\n  \"packed_speedup\": {:.3},\n  \"gemm_m\": {},\n  \"gemm_k\": {},\n  \"gemm_n\": {},\n  \"simd_gemm_s\": {:.12},\n  \"naive_gemm_s\": {:.12},\n  \"simd_gemm_gops\": {:.3},\n  \"naive_gemm_gops\": {:.3},\n  \"gemm_speedup\": {:.3},\n  \"i8_kernel\": \"{}\",\n  \"bundle_vectors\": {},\n  \"bundle_s\": {:.12},\n  \"bundle_gib_s\": {:.3}\n}}\n",
-            self.smoke,
-            self.dim,
-            self.rows,
-            self.classes,
-            self.packed_score_s,
-            self.scalar_score_s,
-            self.packed_speedup,
-            self.gemm_m,
-            self.gemm_k,
-            self.gemm_n,
-            self.simd_gemm_s,
-            self.naive_gemm_s,
-            self.simd_gemm_gops,
-            self.naive_gemm_gops,
-            self.gemm_speedup,
-            self.i8_kernel,
-            self.bundle_vectors,
-            self.bundle_s,
-            self.bundle_gib_s,
-        )
-    }
+    CHECKS
+        .iter()
+        .filter(|c| c.bench == bench)
+        .filter_map(|c| c.apply(fresh, baseline).err())
+        .collect()
 }
 
 /// Repository-root path of the `BENCH_<name>.json` artifact.
@@ -260,53 +222,24 @@ pub fn bench_report_path(name: &str) -> PathBuf {
         .join(format!("BENCH_{name}.json"))
 }
 
-/// Writes `json` to the repository-root `BENCH_<name>.json` artifact and
-/// returns the path written.
-///
-/// # Errors
-///
-/// Propagates the filesystem error if the root is not writable.
-pub fn write_bench_report(name: &str, json: &str) -> std::io::Result<PathBuf> {
-    let path = bench_report_path(name);
-    std::fs::write(&path, json)?;
-    Ok(path)
+/// Prints and writes `table` as `results/fig_<bench>.csv`, then writes
+/// `record` to the repository-root `BENCH_<bench>.json` artifact.
+/// Exits with status 1 if the artifact cannot be written.
+pub fn emit(table: &ResultTable, record: &BenchRecord) {
+    table.emit(&format!("fig_{}", record.bench));
+    let path = bench_report_path(&record.bench);
+    match std::fs::write(&path, record.to_json()) {
+        Ok(()) => println!("(report written to {})", path.display()),
+        Err(e) => {
+            eprintln!("error: could not write {}: {e}", path.display());
+            std::process::exit(1);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> PipelineBenchReport {
-        PipelineBenchReport {
-            simulated_serial_s: 0.012,
-            simulated_pipelined_s: 0.008,
-            simulated_speedup: 1.5,
-            wall_sequential_s: 0.2,
-            wall_parallel_s: 0.1,
-            wall_speedup: 2.0,
-            threads: 2,
-            smoke: true,
-        }
-    }
-
-    #[test]
-    fn json_is_flat_and_line_parsable() {
-        let json = sample().to_json();
-        assert!(json.starts_with("{\n"));
-        assert!(json.ends_with("}\n"));
-        for key in [
-            "\"bench\": \"pipeline\"",
-            "\"git_describe\": null",
-            "\"smoke\": true",
-            "\"threads\": 2",
-            "\"simulated_speedup\": 1.5000",
-            "\"wall_speedup\": 2.0000",
-        ] {
-            assert!(json.contains(key), "missing `{key}` in\n{json}");
-        }
-        // One key per line so CI can grep values without a JSON parser.
-        assert_eq!(json.lines().count(), 12);
-    }
 
     #[test]
     fn report_path_lands_at_repo_root() {
@@ -315,99 +248,183 @@ mod tests {
     }
 
     #[test]
-    fn resilience_json_is_flat_and_line_parsable() {
-        let json = ResilienceBenchReport {
-            rows: 96,
-            predicted_s: 0.008,
-            supervised_clean_s: 0.008,
-            zero_fault_overhead: 1.0,
-            throughput_clean: 12000.0,
-            throughput_2pct: 11000.0,
-            throughput_10pct: 9000.0,
-            throughput_30pct: 6000.0,
-            min_recovered_frac: 0.5,
-            total_faults: 7,
-            smoke: true,
+    fn committed_baselines_round_trip_byte_identical() {
+        for name in ["pipeline", "schedule", "resilience", "kernels"] {
+            let text = std::fs::read_to_string(bench_report_path(name)).unwrap();
+            let record = BenchRecord::parse(&text).unwrap();
+            assert_eq!(record.bench, name);
+            assert_eq!(record.to_json(), text, "BENCH_{name}.json");
         }
-        .to_json();
-        for key in [
-            "\"bench\": \"resilience\"",
-            "\"git_describe\": null",
-            "\"smoke\": true",
-            "\"zero_fault_overhead\": 1.000000",
-            "\"min_recovered_frac\": 0.500000",
-            "\"total_faults\": 7",
-        ] {
-            assert!(json.contains(key), "missing `{key}` in\n{json}");
-        }
-        assert_eq!(json.lines().count(), 15);
     }
 
     #[test]
-    fn kernels_json_is_flat_and_line_parsable() {
-        let json = KernelsBenchReport {
-            dim: 7680,
-            rows: 256,
-            classes: 26,
-            packed_score_s: 0.001,
-            scalar_score_s: 0.02,
-            packed_speedup: 20.0,
-            gemm_m: 128,
-            gemm_k: 256,
-            gemm_n: 7680,
-            simd_gemm_s: 0.005,
-            naive_gemm_s: 0.05,
-            simd_gemm_gops: 100.0,
-            naive_gemm_gops: 10.0,
-            gemm_speedup: 10.0,
-            i8_kernel: "avx2".to_string(),
-            bundle_vectors: 33,
-            bundle_s: 0.0001,
-            bundle_gib_s: 3.0,
-            smoke: true,
+    fn committed_baselines_pass_the_gate_against_themselves() {
+        for name in ["pipeline", "schedule", "resilience", "kernels"] {
+            let text = std::fs::read_to_string(bench_report_path(name)).unwrap();
+            let record = BenchRecord::parse(&text).unwrap();
+            assert_eq!(gate(name, &record, &record), Vec::<String>::new());
         }
-        .to_json();
-        for key in [
-            "\"bench\": \"kernels\"",
-            "\"git_describe\": null",
-            "\"smoke\": true",
-            "\"packed_speedup\": 20.000",
-            "\"gemm_speedup\": 10.000",
-            "\"i8_kernel\": \"avx2\"",
-            "\"bundle_gib_s\": 3.000",
-        ] {
-            assert!(json.contains(key), "missing `{key}` in\n{json}");
-        }
-        assert_eq!(json.lines().count(), 23);
     }
 
     #[test]
-    fn schedule_json_is_flat_and_line_parsable() {
-        let json = ScheduleBenchReport {
-            overlapped_invoke_predicted_s: 0.009,
-            overlapped_invoke_measured_s: 0.009,
-            streamed_encode_predicted_s: 0.004,
-            streamed_encode_measured_s: 0.004,
-            parallel_members_predicted_s: 0.9,
-            parallel_members_measured_s: 0.9,
-            two_device_predicted_s: 0.002,
-            two_device_measured_s: 0.002,
-            max_abs_delta_s: 0.0,
-            serve_serial_s: 0.004,
-            serve_pipelined_s: 0.0025,
-            serve_speedup: 1.6,
-            smoke: true,
-        }
-        .to_json();
-        for key in [
-            "\"bench\": \"schedule\"",
-            "\"git_describe\": null",
-            "\"smoke\": true",
-            "\"max_abs_delta_s\": 0.000000000000000",
-            "\"serve_speedup\": 1.6000",
+    fn parse_rejects_malformed_records() {
+        for bad in [
+            "",
+            "{\n  \"bench\": \"x\"\n}",
+            "{\n  \"bench\": \"x\"\n  \"git_describe\": null\n}\n",
+            "{\n  \"bench\": x,\n  \"git_describe\": null,\n  \"smoke\": true\n}\n",
+            "{\n  \"bench\": \"x\",\n  \"git_describe\": \"v1\",\n  \"smoke\": true\n}\n",
+            "{\n  \"bench\": \"x\",\n  \"git_describe\": null,\n  \"smoke\": 1\n}\n",
+            "{\n  \"git_describe\": null,\n  \"bench\": \"x\",\n  \"smoke\": true\n}\n",
         ] {
-            assert!(json.contains(key), "missing `{key}` in\n{json}");
+            assert!(BenchRecord::parse(bad).is_err(), "accepted {bad:?}");
         }
-        assert_eq!(json.lines().count(), 17);
+    }
+
+    /// A record of `bench` whose every gated key passes, with `key`
+    /// overridden to `value` (or removed when `value` is `None`).
+    fn record(bench: &str, key: &str, value: Option<&str>) -> BenchRecord {
+        let passing: &[(&str, &str)] = match bench {
+            "pipeline" => &[("simulated_speedup", "1.4729"), ("wall_speedup", "0.9642")],
+            "schedule" => &[
+                ("max_abs_delta_s", "0.000000000000000"),
+                ("serve_speedup", "1.9960"),
+            ],
+            "resilience" => &[
+                ("zero_fault_overhead", "1.000000"),
+                ("min_recovered_frac", "0.136570"),
+                ("total_faults", "22"),
+            ],
+            "kernels" => &[("packed_speedup", "16.752"), ("gemm_speedup", "12.084")],
+            other => panic!("unknown bench {other}"),
+        };
+        let mut r = BenchRecord::new(bench, true);
+        for &(k, v) in passing {
+            if k != key {
+                r = r.field(k, v);
+            }
+        }
+        match value {
+            Some(v) => r.field(key, v),
+            None => r,
+        }
+    }
+
+    /// Gate outcome for a fresh `key = fresh` against a baseline
+    /// `key = baseline`, every other key passing.
+    fn outcome(bench: &str, key: &str, fresh: &str, baseline: &str) -> Vec<String> {
+        gate(
+            bench,
+            &record(bench, key, Some(fresh)),
+            &record(bench, key, Some(baseline)),
+        )
+    }
+
+    #[test]
+    fn every_check_passes_at_its_threshold_and_fails_just_past_it() {
+        // (bench, key, baseline, at the threshold, just past it); each
+        // pair of inputs isolates one of the eleven checks.
+        let cases = [
+            (
+                "pipeline",
+                "simulated_speedup",
+                "1.4729",
+                "1.0000",
+                "0.9999",
+            ),
+            (
+                "pipeline",
+                "simulated_speedup",
+                "3.0000",
+                "1.5000",
+                "1.4999",
+            ),
+            ("pipeline", "wall_speedup", "0.9642", "0.7000", "0.6999"),
+            (
+                "schedule",
+                "max_abs_delta_s",
+                "0.000000000000000",
+                "0.000000001000000",
+                "0.000000001000001",
+            ),
+            ("schedule", "serve_speedup", "1.9960", "1.2000", "1.1999"),
+            (
+                "resilience",
+                "zero_fault_overhead",
+                "1.000000",
+                "1.010000",
+                "1.010001",
+            ),
+            ("resilience", "total_faults", "22", "1", "0"),
+            (
+                "resilience",
+                "min_recovered_frac",
+                "0.136570",
+                "0.050000",
+                "0.049999",
+            ),
+            (
+                "resilience",
+                "min_recovered_frac",
+                "0.400000",
+                "0.100000",
+                "0.099999",
+            ),
+            ("kernels", "packed_speedup", "16.752", "2.000", "1.999"),
+            ("kernels", "gemm_speedup", "12.084", "1.500", "1.499"),
+        ];
+        assert_eq!(cases.len(), CHECKS.len());
+        for (check, (bench, key, baseline, at, past)) in CHECKS.iter().zip(cases) {
+            assert_eq!((check.bench, check.key), (bench, key));
+            assert_eq!(outcome(bench, key, at, baseline), Vec::<String>::new());
+            let failures = outcome(bench, key, past, baseline);
+            let expected = check
+                .failure
+                .replace("{fresh}", past)
+                .replace("{baseline}", baseline);
+            assert_eq!(failures, vec![format!("{bench}: {expected}")]);
+        }
+    }
+
+    #[test]
+    fn a_missing_or_non_numeric_key_fails_naming_bench_and_key() {
+        for check in &CHECKS {
+            let (bench, key) = (check.bench, check.key);
+            let full = record(bench, key, Some("1000"));
+            let missing = record(bench, key, None);
+            let garbage = record(bench, key, Some("\"avx2\""));
+            let failures = gate(bench, &missing, &full);
+            assert!(
+                failures.contains(&format!("{bench}: key `{key}` is missing")),
+                "{failures:?}"
+            );
+            let failures = gate(bench, &garbage, &full);
+            assert!(
+                failures.contains(&format!("{bench}: `{key}` = \"avx2\" is not a number")),
+                "{failures:?}"
+            );
+            if matches!(check.bound, Bound::AtLeastBaseline(_)) {
+                assert!(gate(bench, &full, &missing)
+                    .contains(&format!("{bench}: key `{key}` is missing")));
+                assert!(gate(bench, &full, &garbage)
+                    .contains(&format!("{bench}: `{key}` = \"avx2\" is not a number")));
+            }
+        }
+        let nan = record("schedule", "max_abs_delta_s", Some("NaN"));
+        assert_eq!(
+            gate("schedule", &nan, &nan),
+            vec!["schedule: `max_abs_delta_s` = NaN is not a number".to_string()]
+        );
+    }
+
+    #[test]
+    fn a_record_of_another_bench_fails_instead_of_skipping_its_checks() {
+        let kernels = record("kernels", "gemm_speedup", Some("12.084"));
+        let schedule = record("schedule", "serve_speedup", Some("1.9960"));
+        assert_eq!(
+            gate("schedule", &kernels, &schedule),
+            vec!["schedule: records name `kernels` and `schedule`".to_string()]
+        );
+        assert_eq!(gate("schedule", &schedule, &kernels).len(), 1);
     }
 }

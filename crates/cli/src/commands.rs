@@ -43,9 +43,6 @@ COMMANDS:
     info       --model <model.hdm>    describe a saved model
     runtime    --dataset <name> [--setting ...] [--platform i5|a53]
                                       paper-scale runtime & energy breakdown
-    federated  --dataset <name> [--nodes N] [--rounds N] [--skew P]
-               [--dim N] [--train N] [--test N] [--seed N]
-                                      collaborative training across edge nodes
     lint       [--format text|json] [--deny-warnings]
                                       run the workspace lint pass (hd-analysis)
     verify     [--features N] [--dim N] [--classes N] [--buffer BYTES]
@@ -450,63 +447,6 @@ pub fn runtime_report(args: &ParsedArgs) -> CmdResult {
     Ok(out)
 }
 
-/// `hyperedge federated`
-pub fn federated(args: &ParsedArgs) -> CmdResult {
-    check_flags(
-        args,
-        &[
-            "dataset", "csv", "header", "nodes", "rounds", "skew", "dim", "train", "test", "seed",
-        ],
-    )?;
-    let nodes = args.get_or("nodes", 4usize)?;
-    let rounds = args.get_or("rounds", 5usize)?;
-    let dim = args.get_or("dim", 2048usize)?;
-    let seed = args.get_or("seed", 42u64)?;
-    let data = load_dataset(args, 600, 200)?;
-
-    let mut config = hyperedge::federated::FederatedConfig::new(dim)
-        .with_nodes(nodes)
-        .with_rounds(rounds)
-        .with_seed(seed);
-    if let Some(raw) = args.get("skew") {
-        let skew: f64 = raw
-            .parse()
-            .map_err(|_| format!("--skew `{raw}` is not a number"))?;
-        config = config.with_partition(hyperedge::federated::Partition::ClassSkew(skew));
-    }
-    let (model, stats) = hyperedge::federated::federated_fit(
-        &data.train.features,
-        &data.train.labels,
-        data.classes,
-        &config,
-    )?;
-    let predictions = model.predict(&data.test.features)?;
-    let accuracy = hdc::eval::accuracy(&predictions, &data.test.labels)?;
-
-    let mut out = format!(
-        "federated training: {} nodes, {} rounds, d = {dim}
-shard sizes: {:?}
-",
-        nodes, rounds, stats.shard_sizes
-    );
-    for round in &stats.rounds {
-        out.push_str(&format!(
-            "  round {}: mean local accuracy {:.1}%, {} updates
-",
-            round.round + 1,
-            100.0 * round.mean_local_accuracy,
-            round.updates
-        ));
-    }
-    out.push_str(&format!(
-        "global model test accuracy: {:.1}% over {} samples
-",
-        100.0 * accuracy,
-        data.test.len()
-    ));
-    Ok(out)
-}
-
 /// Dispatches a parsed command line.
 pub fn run(args: &ParsedArgs) -> CmdResult {
     match args.command.as_str() {
@@ -516,7 +456,6 @@ pub fn run(args: &ParsedArgs) -> CmdResult {
         "serve" => serve(args),
         "info" => info(args),
         "runtime" => runtime_report(args),
-        "federated" => federated(args),
         "help" | "--help" | "-h" => Ok(USAGE.to_string()),
         other => Err(format!("unknown command `{other}`\n\n{USAGE}").into()),
     }
@@ -882,45 +821,6 @@ mod tests {
         assert!(out.contains("test accuracy"), "{out}");
         std::fs::remove_file(&csv_path).ok();
         std::fs::remove_file(&model_path).ok();
-    }
-
-    #[test]
-    fn federated_command_runs() {
-        let out = federated(&parsed(&[
-            "federated",
-            "--dataset",
-            "pamap2",
-            "--nodes",
-            "3",
-            "--rounds",
-            "2",
-            "--dim",
-            "256",
-            "--train",
-            "120",
-            "--test",
-            "60",
-        ]))
-        .unwrap();
-        assert!(out.contains("global model test accuracy"), "{out}");
-        assert!(out.contains("round 2"), "{out}");
-    }
-
-    #[test]
-    fn federated_rejects_bad_skew() {
-        let err = federated(&parsed(&[
-            "federated",
-            "--dataset",
-            "pamap2",
-            "--skew",
-            "lots",
-            "--train",
-            "40",
-            "--test",
-            "20",
-        ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("skew"), "{err}");
     }
 
     #[test]

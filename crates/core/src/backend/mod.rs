@@ -24,7 +24,6 @@
 
 use hd_tensor::Matrix;
 use hdc::{Executor, HdcModel};
-use serde::{Deserialize, Serialize};
 
 use crate::config::{ExecutionSetting, PipelineConfig};
 use crate::runtime::RuntimeBreakdown;
@@ -75,7 +74,7 @@ pub trait ExecutionBackend: Executor {
 /// (at the simulated clocks of the device and host cost models), and how
 /// often the expensive one-time work — compilation, device construction,
 /// parameter loads — really happened.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BackendLedger {
     /// Networks compiled for the accelerator target.
     pub compilations: u64,
@@ -103,28 +102,21 @@ pub struct BackendLedger {
     /// Measured inference seconds.
     pub infer_s: f64,
     /// Device invocation attempts that were retried after a fault.
-    #[serde(default)]
     pub retries: u64,
     /// Device faults observed (every failed attempt, retried or not).
-    #[serde(default)]
     pub faults_observed: u64,
     /// Invocations degraded to the host CPU after the device was
     /// quarantined.
-    #[serde(default)]
     pub fallbacks: u64,
     /// Simulated seconds spent backing off between retries (also included
     /// in the affected phase's seconds).
-    #[serde(default)]
     pub backoff_s: f64,
     /// Query rows scored through the bit-packed bipolar Hamming kernel
     /// instead of the `f32` GEMM path.
-    #[serde(default)]
     pub packed_score_rows: u64,
     /// `i8` GEMM calls dispatched to the SIMD kernel.
-    #[serde(default)]
     pub simd_gemm_calls: u64,
     /// `i8` GEMM calls dispatched to the portable blocked kernel.
-    #[serde(default)]
     pub portable_gemm_calls: u64,
 }
 

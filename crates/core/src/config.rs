@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use cpu_model::Platform;
 use hd_bagging::{BaggingConfig, MemberRecovery};
 use hd_dataflow::runtime::Supervision;
@@ -8,7 +6,7 @@ use tpu_sim::DeviceConfig;
 use crate::error::FrameworkError;
 
 /// Which of the paper's three framework settings to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecutionSetting {
     /// Everything on the host CPU — the paper's baseline.
     CpuBaseline,
@@ -138,13 +136,6 @@ impl PipelineConfig {
     #[must_use]
     pub fn with_platform(mut self, platform: Platform) -> Self {
         self.platform = platform;
-        self
-    }
-
-    /// Sets the accelerator configuration.
-    #[must_use]
-    pub fn with_device(mut self, device: DeviceConfig) -> Self {
-        self.device = device;
         self
     }
 

@@ -25,8 +25,6 @@
 //!   placements ([`CpuBackend`], [`TpuBackend`], [`HybridBackend`]),
 //!   with a persistent device and compiled-model cache on the
 //!   accelerator side,
-//! * [`InferenceEngine`] — runs trained models on test data under each
-//!   setting,
 //! * [`wide_model`] — the HDC-to-wide-NN interpretation (Fig. 2),
 //! * [`runtime`] — closed-form runtime models usable at paper scale
 //!   without functional execution,
@@ -64,11 +62,9 @@
 
 mod config;
 mod error;
-mod inference;
 mod pipeline;
 
 pub mod backend;
-pub mod federated;
 pub mod fleet;
 pub mod runtime;
 pub mod schedule;
@@ -82,8 +78,9 @@ pub use config::{ExecutionSetting, PipelineConfig};
 pub use error::FrameworkError;
 pub use fleet::{DeviceFaultSummary, DeviceHealth, DevicePool, StageSeat};
 pub use hd_dataflow::runtime::Supervision;
-pub use inference::{InferenceEngine, InferenceReport};
-pub use pipeline::{EvaluationReport, Pipeline, TrainingOutcome, TrainingTelemetry};
+pub use pipeline::{
+    EvaluationReport, InferenceReport, Pipeline, TrainingOutcome, TrainingTelemetry,
+};
 pub use runtime::{EnergyBreakdown, RuntimeBreakdown, UpdateProfile, WorkloadSpec};
 pub use schedule::SchedulePlan;
 pub use serving::TwoDeviceServer;

@@ -8,7 +8,6 @@ use hdc::{BaseHypervectors, HdcModel, NonlinearEncoder, TrainConfig, TrainStats}
 use crate::backend::{BackendLedger, BackendRegistry, ExecutionBackend};
 use crate::config::{ExecutionSetting, PipelineConfig};
 use crate::error::FrameworkError;
-use crate::inference::InferenceReport;
 use crate::runtime::{self, RuntimeBreakdown, UpdateProfile, WorkloadSpec};
 use crate::Result;
 
@@ -58,6 +57,16 @@ impl TrainingOutcome {
             }
         }
     }
+}
+
+/// Result of running inference over a test batch.
+#[derive(Debug, Clone, PartialEq)]
+pub struct InferenceReport {
+    /// Predicted class per test sample.
+    pub predictions: Vec<usize>,
+    /// Modeled inference time for this batch at its actual size, in
+    /// seconds (model load is one-time and excluded, as in the paper).
+    pub runtime_s: f64,
 }
 
 /// Result of evaluating a trained model on held-out data.
@@ -527,5 +536,74 @@ mod tests {
             )
             .unwrap();
         assert_eq!(a.model, b.model);
+    }
+
+    fn separable_model() -> (HdcModel, Matrix, Vec<usize>) {
+        let mut rng = DetRng::new(31);
+        let mut features = Matrix::random_normal(60, 10, &mut rng);
+        let labels: Vec<usize> = (0..60).map(|i| i % 3).collect();
+        for (i, &l) in labels.iter().enumerate() {
+            features.row_mut(i)[l] += 3.0;
+        }
+        let config = TrainConfig::new(512).with_iterations(5).with_seed(32);
+        let (model, _) = HdcModel::fit(&features, &labels, 3, &config).unwrap();
+        (model, features, labels)
+    }
+
+    #[test]
+    fn cpu_and_tpu_paths_agree_on_separable_data() {
+        let (model, features, labels) = separable_model();
+        let p = Pipeline::new(PipelineConfig::new(512));
+        let cpu = p
+            .infer(&model, &features, ExecutionSetting::CpuBaseline)
+            .unwrap();
+        let tpu = p.infer(&model, &features, ExecutionSetting::Tpu).unwrap();
+        let cpu_acc = hdc::eval::accuracy(&cpu.predictions, &labels).unwrap();
+        let tpu_acc = hdc::eval::accuracy(&tpu.predictions, &labels).unwrap();
+        assert!(cpu_acc > 0.95, "cpu accuracy {cpu_acc}");
+        // int8 quantization may cost a little accuracy, but not much.
+        assert!(
+            tpu_acc > cpu_acc - 0.1,
+            "tpu accuracy {tpu_acc} vs cpu {cpu_acc}"
+        );
+    }
+
+    #[test]
+    fn bagging_setting_runs_the_merged_model_identically() {
+        let (model, features, _) = separable_model();
+        let p = Pipeline::new(PipelineConfig::new(512));
+        let a = p.infer(&model, &features, ExecutionSetting::Tpu).unwrap();
+        let b = p
+            .infer(&model, &features, ExecutionSetting::TpuBagging)
+            .unwrap();
+        assert_eq!(a.predictions, b.predictions);
+        assert_eq!(
+            a.runtime_s, b.runtime_s,
+            "merged model must add zero overhead"
+        );
+        // Both settings share one backend handle, so the second run hits
+        // the compiled-model cache instead of recompiling.
+        let ledger = p.backend(ExecutionSetting::TpuBagging).ledger();
+        assert_eq!(ledger.compilations, 1);
+        assert_eq!(ledger.cache_hits, 1);
+        assert_eq!(ledger.devices_created, 1);
+    }
+
+    #[test]
+    fn runtime_is_positive_and_scales_with_batch() {
+        let (model, features, _) = separable_model();
+        let p = Pipeline::new(PipelineConfig::new(512));
+        let full = p
+            .infer(&model, &features, ExecutionSetting::CpuBaseline)
+            .unwrap();
+        let half = p
+            .infer(
+                &model,
+                &features.slice_rows(0, 30).unwrap(),
+                ExecutionSetting::CpuBaseline,
+            )
+            .unwrap();
+        assert!(full.runtime_s > half.runtime_s);
+        assert!(half.runtime_s > 0.0);
     }
 }

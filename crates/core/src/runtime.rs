@@ -10,8 +10,6 @@
 //! functional runs and extrapolated — the same quantity at any dataset
 //! size for a given difficulty.
 
-use serde::{Deserialize, Serialize};
-
 use cpu_model::{cost, PlatformSpec};
 use hd_bagging::BaggingConfig;
 use tpu_sim::timing::{self, ModelDims};
@@ -21,7 +19,7 @@ use crate::config::PipelineConfig;
 
 /// Shape of a workload: everything the runtime models need to know about
 /// a dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkloadSpec {
     /// Training samples.
     pub train_samples: usize,
@@ -48,7 +46,7 @@ impl WorkloadSpec {
 
 /// Per-iteration fraction of training samples that triggered a
 /// class-hypervector update.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UpdateProfile {
     fractions: Vec<f64>,
 }
@@ -136,7 +134,7 @@ impl UpdateProfile {
 }
 
 /// Per-phase training runtime, in seconds — one bar group of Fig. 5.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RuntimeBreakdown {
     /// Training-set encoding (accelerator or host, per setting).
     pub encode_s: f64,
@@ -374,7 +372,7 @@ pub fn tpu_training_scaled(
 /// Table II with power parity ("embedded ARM CPU ... that consumes
 /// similar power consumption"); these models make the comparison
 /// explicit.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyBreakdown {
     /// Joules consumed by host-CPU phases.
     pub host_j: f64,

@@ -1,12 +1,10 @@
-use serde::{Deserialize, Serialize};
-
 /// Sustained-throughput profile of a host processor.
 ///
 /// All figures are *sustained* rates for the kind of kernels an HDC
 /// framework actually runs (large single-precision GEMM through a generic
 /// ML runtime, element-wise vector updates, `tanh` evaluation), not
 /// datasheet peaks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlatformSpec {
     /// Human-readable processor name.
     pub name: String,

@@ -1,11 +1,9 @@
-use serde::{Deserialize, Serialize};
-
 use hd_tensor::rng::DetRng;
 use hd_tensor::{stats, Matrix};
 
 /// One partition of a dataset: a `samples x features` matrix plus one
 /// label per row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Split {
     /// Feature matrix, one sample per row.
     pub features: Matrix,
@@ -59,7 +57,7 @@ impl Split {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     /// Name of the (synthetic stand-in) dataset.
     pub name: String,

@@ -42,7 +42,6 @@ mod generate;
 mod spec;
 
 pub mod csv;
-pub mod drift;
 pub mod registry;
 
 pub use dataset::{Dataset, Split};

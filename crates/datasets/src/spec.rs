@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::dataset::Dataset;
 use crate::generate::{generate, SyntheticConfig};
 use crate::Result;
@@ -11,7 +9,7 @@ use crate::Result;
 /// the within-class spread; `informative_fraction` controls how many
 /// features actually carry class signal (the rest are pure noise, as in
 /// real sensor data).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DifficultyProfile {
     /// Scale of class-center separation.
     pub separation: f32,
@@ -32,7 +30,7 @@ impl Default for DifficultyProfile {
 }
 
 /// How many samples to generate relative to the paper's Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SampleBudget {
     /// The full Table I sample count (train) plus a 20% test split.
     /// Appropriate for analytic-runtime computations; functional runs at
@@ -49,7 +47,7 @@ pub enum SampleBudget {
 
 /// Static description of one paper dataset (a Table I row) plus the
 /// difficulty profile of its synthetic stand-in.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetSpec {
     /// Lower-case dataset name (`"mnist"`, `"isolet"`, ...).
     pub name: &'static str,

@@ -20,8 +20,6 @@
 //! binarized encoded samples through bit-sliced vertical counters, never
 //! materializing a float class matrix.
 
-use serde::{Deserialize, Serialize};
-
 use hd_tensor::packed::{majority_bundle, PackedClassHypervectors};
 use hd_tensor::rng::DetRng;
 use hd_tensor::Matrix;
@@ -51,7 +49,7 @@ pub use hd_tensor::packed::PackedBipolar as BipolarVector;
 /// stay informative), but the *query* hypervector and the class
 /// hypervectors reduce to signs, so the associative search runs on packed
 /// bits.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BipolarModel {
     encoder: crate::encoder::NonlinearEncoder,
     classes: PackedClassHypervectors,

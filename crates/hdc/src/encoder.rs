@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use hd_tensor::rng::DetRng;
 use hd_tensor::{gemm, ops, Matrix};
 
@@ -25,7 +23,7 @@ use crate::Result;
 /// assert_eq!(base.feature_count(), 16);
 /// assert_eq!(base.dim(), 2048);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BaseHypervectors {
     matrix: Matrix,
 }
@@ -106,7 +104,7 @@ impl BaseHypervectors {
 
 /// The optional non-linearity an [`Encoder`] applies after the base
 /// projection — the hidden-layer activation of the wide-NN interpretation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EncoderActivation {
     /// No activation: the linear mapping `E = F x B` of prior work.
     Identity,
@@ -175,7 +173,7 @@ pub trait Encoder: Send + Sync {
 /// accelerate on most hardware accelerators" — this type is the host-side
 /// reference; the accelerated path runs the same computation as the first
 /// two layers of the wide NN.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NonlinearEncoder {
     base: BaseHypervectors,
 }
@@ -210,7 +208,7 @@ impl Encoder for NonlinearEncoder {
 ///
 /// Kept as the ablation baseline: the `ablation_encoding` bench binary
 /// compares the two on every paper dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearEncoder {
     base: BaseHypervectors,
 }

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use hd_tensor::rng::DetRng;
 use hd_tensor::{gemm, ops, Matrix};
 
@@ -9,7 +7,7 @@ use crate::train::{train_encoded, TrainConfig, TrainStats};
 use crate::Result;
 
 /// How query-to-class similarity is computed during classification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Similarity {
     /// Plain dot product — the paper's accelerator-friendly approximation
     /// (`delta(E, C) = E . C`), a pure MAC loop.
@@ -26,7 +24,7 @@ pub enum Similarity {
 /// Stored transposed relative to the intuitive `k x d` layout so that the
 /// similarity search is directly the second-half wide-NN layer
 /// `scores = E x C`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassHypervectors {
     matrix: Matrix,
 }
@@ -112,7 +110,7 @@ impl ClassHypervectors {
 /// # Examples
 ///
 /// See the [crate-level example](crate).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HdcModel {
     encoder: NonlinearEncoder,
     classes: ClassHypervectors,

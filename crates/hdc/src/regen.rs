@@ -34,8 +34,6 @@
 //! # }
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use hd_tensor::rng::DetRng;
 use hd_tensor::{stats, Matrix};
 
@@ -48,7 +46,7 @@ use crate::train::{train_encoded_warm, TrainConfig};
 use crate::Result;
 
 /// Configuration of the regeneration loop.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegenConfig {
     /// Fraction of dimensions redrawn per round, in `(0, 1)`.
     pub regen_fraction: f64,
@@ -92,7 +90,7 @@ impl RegenConfig {
 }
 
 /// Telemetry of one regeneration round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegenRound {
     /// Zero-based round index.
     pub round: usize,
@@ -103,7 +101,7 @@ pub struct RegenRound {
 }
 
 /// Full regeneration telemetry.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RegenStats {
     /// One entry per round.
     pub rounds: Vec<RegenRound>,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use hd_tensor::packed::{PackedBipolar, PackedClassHypervectors};
 use hd_tensor::{gemm, ops, Matrix};
 
@@ -23,7 +21,7 @@ use crate::Result;
 ///     .with_seed(1234);
 /// assert_eq!(config.dim, 10_000);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainConfig {
     /// Hypervector dimensionality `d`.
     pub dim: usize,
@@ -117,7 +115,7 @@ impl TrainConfig {
 }
 
 /// Per-iteration training telemetry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterationStats {
     /// Zero-based iteration index.
     pub iteration: usize,
@@ -135,7 +133,7 @@ pub struct IterationStats {
 /// The update counts feed the runtime models (each update is a bundling
 /// plus a detaching sweep on the host CPU), and the accuracy series is
 /// exactly what the paper plots in Fig. 4.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TrainStats {
     /// Telemetry for each completed pass.
     pub iterations: Vec<IterationStats>,
@@ -227,10 +225,8 @@ pub fn train_encoded_tracked(
 
 /// [`train_encoded_tracked`] starting from *existing* class hypervectors
 /// instead of zeros — the warm-start primitive behind incremental
-/// retraining and federated aggregation (a node refines the global model
-/// on its local shard; see [`hyperedge`-level federated training]).
-///
-/// [`hyperedge`-level federated training]: https://docs.rs/hyperedge
+/// retraining (each round of [`crate::regen`] refines the class
+/// hypervectors that survive its dimension drop).
 ///
 /// # Errors
 ///

@@ -45,8 +45,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use hd_quant::lut::ActivationLut;
 use hd_quant::QuantParams;
 
@@ -56,7 +54,7 @@ use crate::quantized::{QuantStage, QuantizedModel};
 /// A closed integer interval `[lo, hi]` — one element of the abstract
 /// domain. Kept in `i64` so worst-case int8 GEMM accumulators (which may
 /// exceed `i32`) are represented exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Interval {
     /// Inclusive lower bound.
     pub lo: i64,
@@ -117,7 +115,7 @@ impl fmt::Display for Interval {
 }
 
 /// Tunable thresholds for the range analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RangeConfig {
     /// Fraction of a stage's output columns that may saturate before a
     /// `range/output-saturation` warning fires.
@@ -152,7 +150,7 @@ impl RangeConfig {
 }
 
 /// The inferred value ranges of one quantized stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageRange {
     /// Index of the stage in execution order.
     pub stage_index: usize,
@@ -173,7 +171,7 @@ pub struct StageRange {
 
 /// The outcome of a range-analysis pass: per-stage intervals plus every
 /// finding, mirroring the shape of [`crate::verify::VerifyReport`].
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RangeReport {
     input: Interval,
     stages: Vec<StageRange>,

@@ -9,8 +9,6 @@
 //! [`TilePlan`] for the systolic array, and enforces the parameter-buffer
 //! capacity.
 
-use serde::{Deserialize, Serialize};
-
 use hd_tensor::Matrix;
 
 use crate::error::NnError;
@@ -23,7 +21,7 @@ use crate::Result;
 ///
 /// The default models the Google Edge TPU: a 64x64 systolic MXU and an
 /// 8 MiB on-chip parameter buffer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TargetSpec {
     /// Human-readable target name used in diagnostics.
     pub name: String,
@@ -103,7 +101,7 @@ impl TargetSpec {
 /// `R x C` weight tile; an `in x out` layer therefore needs
 /// `ceil(in / R) * ceil(out / C)` tiles, and every input row streams
 /// through each tile pair once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TilePlan {
     /// Index of the stage in the quantized model.
     pub stage_index: usize,
@@ -124,7 +122,7 @@ impl TilePlan {
 
 /// A model lowered for a specific accelerator target: quantized stages
 /// plus the tile program and buffer accounting the simulator executes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledModel {
     target: TargetSpec,
     quantized: QuantizedModel,

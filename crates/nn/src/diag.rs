@@ -8,13 +8,11 @@
 //! lets the `hd-lint` driver merge source-level and graph-level findings
 //! into a single report with one output format.
 
-use serde::{Deserialize, Serialize};
-
 /// How bad a finding is.
 ///
 /// Ordering is by increasing severity, so `max()` over a report yields the
 /// worst finding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     /// Informational; never fails a check.
     Note,
@@ -46,7 +44,7 @@ impl Severity {
 }
 
 /// Where a finding is anchored.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Site {
     /// No meaningful anchor (whole-model / whole-workspace findings).
     Global,
@@ -79,7 +77,7 @@ impl std::fmt::Display for Site {
 }
 
 /// One structured finding from a static check.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Diagnostic {
     /// How bad the finding is.
     pub severity: Severity,

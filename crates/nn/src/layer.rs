@@ -1,9 +1,7 @@
-use serde::{Deserialize, Serialize};
-
 use hd_tensor::Matrix;
 
 /// Scalar activation functions available to the wide NN.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Activation {
     /// Hyperbolic tangent — the paper's non-linear encoding activation.
     Tanh,
@@ -41,7 +39,7 @@ impl Activation {
 /// [`NnError::UnsupportedOp`](crate::NnError::UnsupportedOp) — mirroring
 /// the paper's finding that the Edge TPU cannot run them, which is why its
 /// framework keeps the update step on the host CPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ElementwiseOp {
     /// `y += lambda * x` — bundling.
     ScaledAdd,
@@ -60,7 +58,7 @@ impl ElementwiseOp {
 }
 
 /// One layer of the wide NN.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Layer {
     /// Dense layer: output `(batch x out) = input (batch x in) * weights
     /// (in x out)`. No bias — HDC encoding and similarity search are pure

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use hd_quant::lut::ActivationLut;
 use hd_quant::{gemm as qgemm, CalibrationMethod, Calibrator, QuantParams, QuantizedMatrix};
 use hd_tensor::Matrix;
@@ -23,7 +21,7 @@ fn check_ranges(model: &QuantizedModel) -> Result<()> {
 }
 
 /// One executable stage of a quantized model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum QuantStage {
     /// Dense layer: int8 weights, requantized into `out_params`.
     FullyConnected {
@@ -72,7 +70,7 @@ pub enum QuantStage {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedModel {
     input_dim: usize,
     output_dim: usize,

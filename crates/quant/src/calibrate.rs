@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use hd_tensor::stats;
 
 use crate::error::QuantError;
@@ -7,7 +5,7 @@ use crate::params::QuantParams;
 use crate::Result;
 
 /// Strategy for choosing the real-value range covered by the int8 mapping.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CalibrationMethod {
     /// Cover the exact observed `[min, max]` range.
     MinMax,

@@ -8,8 +8,6 @@
 //! `tpu-sim` apply activations through [`ActivationLut`], which makes
 //! their results bit-identical.
 
-use serde::{Deserialize, Serialize};
-
 use crate::params::QuantParams;
 
 /// A 256-entry `i8 -> i8` lookup table implementing a scalar activation
@@ -30,7 +28,7 @@ use crate::params::QuantParams;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActivationLut {
     table: Vec<i8>,
     input_params: QuantParams,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use hd_tensor::Matrix;
 
 use crate::params::QuantParams;
@@ -25,7 +23,7 @@ use crate::params::QuantParams;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedMatrix {
     rows: usize,
     cols: usize,

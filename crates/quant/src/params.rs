@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::error::QuantError;
 use crate::Result;
 
@@ -23,7 +21,7 @@ use crate::Result;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantParams {
     scale: f32,
     zero_point: i32,

@@ -10,8 +10,6 @@
 //! costs — see the `per_channel_beats_per_tensor_on_skewed_columns` test
 //! and the `quantization` Criterion bench.
 
-use serde::{Deserialize, Serialize};
-
 use hd_tensor::{Matrix, TensorError};
 
 use crate::error::QuantError;
@@ -40,7 +38,7 @@ use crate::Result;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChannelQuantizedMatrix {
     rows: usize,
     cols: usize,

@@ -20,8 +20,6 @@
 //! (which must shift-splice words when the running dimension is not
 //! word-aligned).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TensorError;
 use crate::Result;
 
@@ -41,7 +39,7 @@ pub const LANES: usize = 64;
 /// assert_eq!(a.hamming(&b).unwrap(), 1);
 /// assert_eq!(a.dot(&b).unwrap(), 1); // 3 - 2*1
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedBipolar {
     words: Vec<u64>,
     dim: usize,
@@ -210,7 +208,7 @@ fn hamming_words(a: &[u64], b: &[u64]) -> u32 {
 /// class under maximum dot is exactly the nearest under minimum Hamming
 /// distance, and ties resolve to the lowest class index — the same rule as
 /// [`crate::ops::argmax`] on the float path.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedClassHypervectors {
     /// `classes * words_per_class` packed words, class-major.
     words: Vec<u64>,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use wide_nn::TargetSpec;
 
 use crate::fault::FaultConfig;
@@ -10,7 +8,7 @@ use crate::SimError;
 /// The defaults model an Edge TPU on USB 3.0 as the paper's setup does:
 /// 320 MB/s of effective payload bandwidth and a 0.5 ms per-invocation
 /// dispatch latency (interpreter + driver + transaction setup).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostLinkConfig {
     /// Effective payload bandwidth in bytes per second.
     pub bandwidth_bytes_per_sec: f64,
@@ -92,7 +90,7 @@ impl HostLinkConfig {
 /// reproduction: a 64x64 systolic MXU at 480 MHz (about 3.9 int8 TOPS,
 /// matching the Edge TPU's advertised 4 TOPS), an 8 MiB on-chip parameter
 /// buffer, and a USB 3.0 host link.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceConfig {
     /// Compute-target geometry (array shape, parameter buffer).
     pub target: TargetSpec,
@@ -104,7 +102,6 @@ pub struct DeviceConfig {
     /// watts (the USB Edge TPU is a ~2 W device).
     pub active_power_w: f64,
     /// Seeded fault-injection schedule (default: fully disabled).
-    #[serde(default)]
     pub fault: FaultConfig,
 }
 

@@ -1,5 +1,4 @@
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use hd_tensor::Matrix;
 use wide_nn::{CompiledModel, QuantStage, QuantizedModel};
@@ -14,7 +13,7 @@ use crate::timing::{self, InvokeStats, ModelDims};
 use crate::Result;
 
 /// One-time cost report from [`Device::load_model`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadReport {
     /// Parameter bytes moved onto the device.
     pub param_bytes: usize,
@@ -27,7 +26,7 @@ pub struct LoadReport {
 }
 
 /// Accumulated device activity since construction or the last reset.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TimingLedger {
     /// Number of invocations served.
     pub invocations: u64,
@@ -43,17 +42,14 @@ pub struct TimingLedger {
     pub load_s: f64,
     /// Invocation attempts that failed with an injected fault (or a
     /// watchdog-deadline overrun).
-    #[serde(default)]
     pub faulted_invocations: u64,
     /// Seconds consumed by failed attempts plus injected hang stalls.
     /// Failed-attempt seconds are counted here and in `total_s`, never in
     /// the per-phase success buckets.
-    #[serde(default)]
     pub fault_s: f64,
     /// Transfer seconds hidden behind compute by the double-buffered
     /// schedule: per invocation, the shorter of the transfer and compute
     /// legs.
-    #[serde(default)]
     pub overlapped_s: f64,
     /// Grand total (loads + invocations + failed attempts).
     pub total_s: f64,

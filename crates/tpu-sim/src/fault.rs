@@ -18,10 +18,9 @@
 //! assert the schedule (and its determinism) exactly.
 
 use hd_tensor::rng::DetRng;
-use serde::{Deserialize, Serialize};
 
 /// Which direction a corrupted host-link transfer was moving.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkDirection {
     /// Input payload, host to device.
     HostToDevice,
@@ -45,7 +44,7 @@ impl std::fmt::Display for LinkDirection {
 /// every existing caller. The schedule is driven by a [`DetRng`] seeded
 /// from `seed`, so two devices built from equal configs inject byte-wise
 /// identical fault sequences for identical invocation sequences.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Seed of the fault schedule's RNG stream.
     pub seed: u64,
@@ -154,7 +153,7 @@ impl FaultConfig {
 }
 
 /// One fault class, as recorded in the trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// The invocation failed at dispatch.
     TransientInvokeFailure,
@@ -179,7 +178,7 @@ pub enum FaultKind {
 
 /// One injected fault: which invocation attempt it hit, what fired, and
 /// how much simulated time the failed (or slowed) attempt consumed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultRecord {
     /// Zero-based index of the invocation attempt the fault hit.
     pub invocation: u64,
@@ -190,7 +189,7 @@ pub struct FaultRecord {
 }
 
 /// The ordered record of every injected fault since device construction.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultTrace {
     records: Vec<FaultRecord>,
 }

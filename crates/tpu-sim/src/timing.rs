@@ -10,15 +10,13 @@
 //! law; [`InvokeStats`] composes its legs serially or double-buffered, and
 //! [`chunks`] is the one rule for splitting a batch into invocations.
 
-use serde::{Deserialize, Serialize};
-
 use wide_nn::CompiledModel;
 
 use crate::config::DeviceConfig;
 use crate::systolic::SystolicArray;
 
 /// Shape summary of a model: everything the timing model needs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelDims {
     /// Feature width consumed per sample.
     pub input_dim: usize,
@@ -91,7 +89,7 @@ impl ModelDims {
 /// charges and returns.
 ///
 /// [`Device::invoke_overlapped`]: crate::Device::invoke_overlapped
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InvokeStats {
     /// Samples in the invocation.
     pub samples: usize,

@@ -1,10 +1,9 @@
 //! Property-based tests over the extension subsystems: bipolar packing,
-//! CSV round-trips, drift algebra, and fault-injection accounting.
+//! CSV round-trips and fault-injection accounting.
 
 use proptest::prelude::*;
 
 use hd_datasets::csv::{parse_csv, to_csv, CsvOptions};
-use hd_datasets::drift::{Drift, DriftConfig};
 use hd_datasets::Split;
 use hd_quant::{QuantParams, QuantizedMatrix};
 use hd_tensor::rng::DetRng;
@@ -60,26 +59,6 @@ proptest! {
             for (c, d) in split.labels.iter().zip(&import.split.labels) {
                 prop_assert_eq!(a == c, b == d);
             }
-        }
-    }
-
-    #[test]
-    fn drift_is_affine_and_invertible_for_unit_gain(seed in 0u64..2000, cols in 1usize..16) {
-        let config = DriftConfig {
-            affected_fraction: 1.0,
-            offset: 1.5,
-            offset_jitter: 0.0,
-            gain: 1.0,
-            seed,
-        };
-        let drift = Drift::sample(cols, &config).unwrap();
-        let mut rng = DetRng::new(seed ^ 1);
-        let original = Matrix::random_normal(4, cols, &mut rng);
-        let mut drifted = original.clone();
-        drift.apply(&mut drifted).unwrap();
-        // Constant offset: x' - x == 1.5 everywhere.
-        for (a, b) in original.iter().zip(drifted.iter()) {
-            prop_assert!((b - a - 1.5).abs() < 1e-5);
         }
     }
 
