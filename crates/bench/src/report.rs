@@ -247,6 +247,88 @@ mod tests {
         assert!(path.ends_with("../../BENCH_pipeline.json"));
     }
 
+    /// Checks the committed `BENCH_<bench>.json`: a flat object of
+    /// `lines` lines, one key per line, each `(key, decimals)` rendered
+    /// as a number with that many digits after the point (0: an integer).
+    fn assert_flat_and_line_parsable(bench: &str, lines: usize, keys: &[(&str, usize)]) {
+        let json = std::fs::read_to_string(bench_report_path(bench)).unwrap();
+        assert!(json.starts_with("{\n"));
+        assert!(json.ends_with("}\n"));
+        // One key per line so CI can read values without a JSON parser.
+        assert_eq!(json.lines().count(), lines, "BENCH_{bench}.json");
+        for header in [
+            format!("\"bench\": \"{bench}\""),
+            "\"git_describe\": null".to_string(),
+        ] {
+            assert!(json.contains(&header), "missing `{header}` in\n{json}");
+        }
+        let record = BenchRecord::parse(&json).unwrap();
+        for &(key, decimals) in keys {
+            let (value, _) = record.measurement(key).unwrap();
+            let fraction = value.split_once('.').map_or(0, |(_, f)| f.len());
+            assert_eq!(
+                fraction, decimals,
+                "`{key}` = {value} in BENCH_{bench}.json"
+            );
+        }
+    }
+
+    #[test]
+    fn json_is_flat_and_line_parsable() {
+        assert_flat_and_line_parsable(
+            "pipeline",
+            12,
+            &[
+                ("threads", 0),
+                ("simulated_speedup", 4),
+                ("wall_speedup", 4),
+            ],
+        );
+    }
+
+    #[test]
+    fn resilience_json_is_flat_and_line_parsable() {
+        assert_flat_and_line_parsable(
+            "resilience",
+            15,
+            &[
+                ("zero_fault_overhead", 6),
+                ("min_recovered_frac", 6),
+                ("total_faults", 0),
+            ],
+        );
+    }
+
+    #[test]
+    fn kernels_json_is_flat_and_line_parsable() {
+        assert_flat_and_line_parsable(
+            "kernels",
+            23,
+            &[
+                ("packed_speedup", 3),
+                ("gemm_speedup", 3),
+                ("bundle_gib_s", 3),
+            ],
+        );
+        let json = std::fs::read_to_string(bench_report_path("kernels")).unwrap();
+        let record = BenchRecord::parse(&json).unwrap();
+        let (_, kernel) = record
+            .fields
+            .iter()
+            .find(|(k, _)| k == "i8_kernel")
+            .unwrap();
+        assert!(kernel.starts_with('"') && kernel.ends_with('"'), "{kernel}");
+    }
+
+    #[test]
+    fn schedule_json_is_flat_and_line_parsable() {
+        assert_flat_and_line_parsable(
+            "schedule",
+            17,
+            &[("max_abs_delta_s", 15), ("serve_speedup", 4)],
+        );
+    }
+
     #[test]
     fn committed_baselines_round_trip_byte_identical() {
         for name in ["pipeline", "schedule", "resilience", "kernels"] {
