@@ -27,7 +27,6 @@ pub const RULE_NAMES: &[&str] = &[
     "missing-must-use",
     "no-unseeded-rng",
     "no-adhoc-concurrency",
-    "no-unsupervised-binding",
     "no-unpacked-bipolar-hot-path",
 ];
 
@@ -85,13 +84,6 @@ pub const RULES: &[RuleInfo] = &[
                       SDF schedule (allowlisted sites carry the declaration)",
     },
     RuleInfo {
-        name: "no-unsupervised-binding",
-        severity: Severity::Error,
-        description: "no raw Binding::Map/ParMap/Stream construction outside the runtime — \
-                      production stage executors must go through a Supervision wrapper so \
-                      faults are retried, escalated, and counted",
-    },
-    RuleInfo {
         name: "no-unpacked-bipolar-hot-path",
         severity: Severity::Error,
         description: "no PackedBipolar unpacking (`.to_signs()`/`.sign(`) in production code — \
@@ -126,7 +118,6 @@ pub fn lint_source(path: &str, source: &MaskedSource) -> Vec<Diagnostic> {
     missing_must_use(path, source, &mut out);
     no_unseeded_rng(path, source, &mut out);
     no_adhoc_concurrency(path, source, &mut out);
-    no_unsupervised_binding(path, source, &mut out);
     no_unpacked_bipolar_hot_path(path, source, &mut out);
     out
 }
@@ -602,49 +593,6 @@ fn no_adhoc_concurrency(path: &str, source: &MaskedSource, out: &mut Vec<Diagnos
     }
 }
 
-/// `no-unsupervised-binding`: forbids constructing the raw
-/// [`Binding::Map`]/`ParMap`/`Stream` variants in production crates.
-/// Since the supervised-execution work, every production stage executor
-/// is expected to flow through a `Supervision` policy — built with
-/// `Supervised::map(..).into_binding()` or the
-/// `Binding::SupervisedParMap`/`SupervisedStream` forms — so device
-/// faults are retried with deterministic backoff, escalated
-/// (substitute/quarantine) instead of aborting the run, and counted in
-/// the `RunReport`. A raw binding silently opts a stage out of all of
-/// that. The dataflow crate itself is exempt: the runtime *interprets*
-/// bindings, so the variant names appear in its dispatcher and docs.
-/// Sanctioned pure-host sites (no device fault domain) carry `lint.toml`
-/// allowlist entries explaining why supervision would be inert there.
-fn no_unsupervised_binding(path: &str, source: &MaskedSource, out: &mut Vec<Diagnostic>) {
-    if path.starts_with("crates/dataflow/") || path.contains("/dataflow/src/") {
-        return;
-    }
-    const NEEDLES: &[&str] = &["Binding::Map(", "Binding::ParMap", "Binding::Stream("];
-    for needle in NEEDLES {
-        for offset in occurrences(source, needle) {
-            out.push(
-                at(
-                    Diagnostic::error(
-                        "lint/no-unsupervised-binding",
-                        format!(
-                            "raw `{}` binding constructed outside a Supervision wrapper",
-                            needle.trim_end_matches('('),
-                        ),
-                    ),
-                    path,
-                    source,
-                    offset,
-                )
-                .with_help(
-                    "wrap the executor with Supervised::map(policy, ..).into_binding() (or \
-                     Binding::SupervisedParMap/SupervisedStream) so faults are retried and \
-                     escalated, or allowlist the site if it has no fault domain",
-                ),
-            );
-        }
-    }
-}
-
 /// `no-unpacked-bipolar-hot-path`: forbids unpacking a `PackedBipolar`
 /// back into scalar signs in production code. `.to_signs()` and
 /// `.sign(i)` exist for debugging and for pinning tests against the
@@ -959,50 +907,6 @@ mod tests {
         let diags = lint("crates/core/src/lib.rs", src);
         assert!(
             !codes(&diags).contains(&"lint/no-adhoc-concurrency"),
-            "{diags:?}"
-        );
-    }
-
-    #[test]
-    fn raw_bindings_flagged_in_production_crates() {
-        for src in [
-            "fn f() { let b = Binding::Map(Box::new(|_, _| Ok((vec![], Fire::Continue)))); }\n",
-            "fn f() { let b = Binding::ParMap { workers: 2, f: g() }; }\n",
-            "fn f() { let b = Binding::Stream(Box::new(|_| Ok(()))); }\n",
-        ] {
-            let diags = lint("crates/core/src/serving.rs", src);
-            assert!(
-                codes(&diags).contains(&"lint/no-unsupervised-binding"),
-                "{src}: {diags:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn supervised_bindings_not_flagged() {
-        let src = "fn f() { let b = Supervised::map(policy, g).into_binding(); \
-                   let p = Binding::SupervisedParMap { workers: 2, policy, f: g(), recover: None }; \
-                   let s = Binding::SupervisedStream { f: h(), fallback: None }; }\n";
-        let diags = lint("crates/core/src/serving.rs", src);
-        assert!(
-            !codes(&diags).contains(&"lint/no-unsupervised-binding"),
-            "{diags:?}"
-        );
-    }
-
-    #[test]
-    fn runtime_and_tests_exempt_from_binding_rule() {
-        let src =
-            "fn f() { let b = Binding::Map(Box::new(|_, _| Ok((vec![], Fire::Continue)))); }\n";
-        let diags = lint("crates/dataflow/src/runtime.rs", src);
-        assert!(
-            !codes(&diags).contains(&"lint/no-unsupervised-binding"),
-            "{diags:?}"
-        );
-        let src = "#[cfg(test)]\nmod tests {\n    fn t() { let _ = Binding::Map(g()); }\n}\n";
-        let diags = lint("crates/core/src/serving.rs", src);
-        assert!(
-            !codes(&diags).contains(&"lint/no-unsupervised-binding"),
             "{diags:?}"
         );
     }

@@ -345,7 +345,6 @@ pub fn members_graph(members: usize, member_cost_s: f64) -> SdfGraph {
 /// How one parallel member firing produced its class hypervectors — the
 /// token the member stage emits and the assembly loop folds into
 /// [`BaggingStats`] in index order.
-#[derive(Clone)]
 enum MemberYield {
     /// Trained through the caller's executor.
     Trained(ClassHypervectors, TrainStats),
@@ -415,7 +414,7 @@ pub fn train_members_parallel(
         let specs = &specs;
         let gathered = &mut outcomes;
         let bindings: Vec<Binding<'_, MemberToken, BaggingError>> = vec![
-            Supervised::map(Supervision::none(), move |_, _: &[MemberToken]| {
+            Supervised::map(Supervision::none(), move |_, _: &mut [MemberToken]| {
                 Ok(((0..members).map(|_| None).collect(), Fire::Continue))
             })
             .into_binding(),
@@ -449,8 +448,8 @@ pub fn train_members_parallel(
                     }
                 })),
             },
-            Supervised::map(Supervision::none(), move |_, tokens: &[MemberToken]| {
-                gathered.extend(tokens.iter().cloned());
+            Supervised::map(Supervision::none(), move |_, tokens: &mut [MemberToken]| {
+                gathered.extend(tokens.iter_mut().map(Option::take));
                 Ok((Vec::new(), Fire::Continue))
             })
             .into_binding(),

@@ -630,7 +630,7 @@ pub fn fig_pipeline() -> ResultTable {
 /// analyzer's critical path for `iterations` steady-state iterations
 /// against the elapsed time the runtime measures from observed firings.
 fn run_declared_schedule(graph: hd_dataflow::SdfGraph, iterations: u64) -> (f64, f64) {
-    use hd_dataflow::runtime::{Binding, ExecutablePlan, Fire};
+    use hd_dataflow::runtime::{Binding, ExecutablePlan, Fire, Supervised, Supervision};
     let predicted = hyperedge::schedule::SchedulePlan::declare(graph.clone())
         .expect("production schedule verifies")
         .critical_path_s()
@@ -650,9 +650,10 @@ fn run_declared_schedule(graph: hd_dataflow::SdfGraph, iterations: u64) -> (f64,
                 .filter(|c| c.from.index() == s)
                 .map(|c| c.produce)
                 .sum();
-            Binding::Map(Box::new(move |_, _| {
+            Supervised::map(Supervision::none(), move |_, _| {
                 Ok((vec![(); produce], Fire::Continue))
-            }))
+            })
+            .into_binding()
         })
         .collect();
     let report = hd_dataflow::runtime::run(&plan, iterations, bindings)

@@ -241,11 +241,11 @@ impl TpuBackend {
         // The bounded stage channels are the declared INVOKE_BUFFERS
         // double-buffer; the device serializes invocations internally.
         let before = self.device().ledger();
-        let backoff_total = std::sync::atomic::AtomicU64::new(0.0f64.to_bits());
-        let degraded = std::sync::atomic::AtomicBool::new(false);
+        let mut backoff_total = 0.0f64;
+        let mut degraded = false;
         {
-            let backoff_total = &backoff_total;
-            let degraded = &degraded;
+            let backoff_total = &mut backoff_total;
+            let degraded = &mut degraded;
             let on_chunk = &mut on_chunk;
             let rows = batch.rows();
             let bindings: Vec<Binding<'_, (usize, Matrix), crate::FrameworkError>> = vec![
@@ -257,13 +257,11 @@ impl TpuBackend {
                     Ok((vec![(start, batch.slice_rows(start, end)?)], Fire::Continue))
                 })
                 .into_binding(),
-                Supervised::map(self.supervision, move |ctx: FiringCtx, tokens: &[_]| {
+                Supervised::map(self.supervision, move |ctx: FiringCtx, tokens: &mut [_]| {
                     if ctx.attempt > 0 {
                         // The supervisor granted a retry: charge its
                         // simulated backoff to the backend ledgers.
-                        let mut bits = backoff_total.load(std::sync::atomic::Ordering::SeqCst);
-                        bits = (f64::from_bits(bits) + ctx.backoff_s).to_bits();
-                        backoff_total.store(bits, std::sync::atomic::Ordering::SeqCst);
+                        *backoff_total += ctx.backoff_s;
                         let mut ledger = self.ledger.lock();
                         ledger.retries += 1;
                         ledger.backoff_s += ctx.backoff_s;
@@ -292,22 +290,23 @@ impl TpuBackend {
                     if !(e.device_fault() && self.breaker_open()) {
                         return None;
                     }
-                    degraded.store(true, std::sync::atomic::Ordering::SeqCst);
-                    Some(Box::new(|_ctx: FiringCtx, _tokens: &[(usize, Matrix)]| {
-                        Ok((Vec::new(), Fire::Stop))
-                    })
-                        as runtime::SupervisedFn<
-                            '_,
-                            (usize, Matrix),
-                            crate::FrameworkError,
-                        >)
+                    *degraded = true;
+                    Some(
+                        Box::new(|_ctx: FiringCtx, _tokens: &mut [(usize, Matrix)]| {
+                            Ok((Vec::new(), Fire::Stop))
+                        })
+                            as runtime::SupervisedFn<'_, (usize, Matrix), crate::FrameworkError>,
+                    )
                 })
                 .into_binding(),
-                Supervised::map(Supervision::none(), move |_ctx: FiringCtx, tokens: &[_]| {
-                    let (start, out): &(usize, Matrix) = &tokens[0];
-                    on_chunk(*start, out.clone());
-                    Ok((Vec::new(), Fire::Continue))
-                })
+                Supervised::map(
+                    Supervision::none(),
+                    move |_ctx: FiringCtx, tokens: &mut [_]| {
+                        let (start, out): &mut (usize, Matrix) = &mut tokens[0];
+                        on_chunk(*start, std::mem::replace(out, Matrix::zeros(0, 0)));
+                        Ok((Vec::new(), Fire::Continue))
+                    },
+                )
                 .into_binding(),
             ];
             let chunks = rows.div_ceil(chunk.max(1)) as u64;
@@ -325,8 +324,6 @@ impl TpuBackend {
             let mut ledger = self.ledger.lock();
             ledger.invocations += after.invocations.saturating_sub(before.invocations);
         }
-        let backoff_total = f64::from_bits(backoff_total.load(std::sync::atomic::Ordering::SeqCst));
-        let degraded = degraded.load(std::sync::atomic::Ordering::SeqCst);
         let device_s = (after.total_s - before.total_s).max(0.0) + backoff_total;
         Ok((!degraded, device_s))
     }

@@ -55,7 +55,7 @@ fn encode_executor<'env>(
     chunk: usize,
 ) -> SupervisedFn<'env, Matrix, crate::FrameworkError> {
     let rows = features.rows();
-    Box::new(move |ctx: FiringCtx, _inputs: &[Matrix]| {
+    Box::new(move |ctx: FiringCtx, _inputs: &mut [Matrix]| {
         let start = (ctx.firing as usize) * chunk;
         let end = (start + chunk).min(rows);
         let part = features.slice_rows(start, end)?;
@@ -71,7 +71,7 @@ fn score_executor<'env>(
     seat: &'env StageSeat<'env>,
     predictions: &'env std::sync::Mutex<Vec<usize>>,
 ) -> SupervisedFn<'env, Matrix, crate::FrameworkError> {
-    Box::new(move |ctx: FiringCtx, tokens: &[Matrix]| {
+    Box::new(move |ctx: FiringCtx, tokens: &mut [Matrix]| {
         let scores = seat.invoke(&tokens[0], ctx.deadline_s)?;
         let mut out = predictions.lock().expect("predictions sink");
         for r in 0..scores.rows() {

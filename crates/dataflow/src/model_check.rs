@@ -6,7 +6,8 @@
 //! stage over bounded `sync_channel`s, where every token send and
 //! receive is its own blocking step. This module closes the gap between
 //! the two: a **virtual scheduler** that replays the runtime's exact
-//! per-token semantics — the recv/fire/send loop of `run_map`, over the
+//! per-token semantics — the recv/fire/send loop of `run_supervised`,
+//! the one loop every serial stage runs, over the
 //! endpoint layout fixed by
 //! [`runtime::stage_ports`](crate::runtime::stage_ports) — and
 //! exhaustively explores **all interleavings** of those steps with a
@@ -53,10 +54,15 @@
 //!   a superset of the stored one is re-explored under the
 //!   intersection, so the combination stays exhaustive.
 //!
-//! The checker models the [`Binding::Map`](crate::runtime::Binding)
-//! contract, which `ParMap` (order-preserving reassembly) and
-//! rate-respecting `Stream` bindings refine; rate violations by a
-//! binding are the runtime's own protocol check, out of scope here.
+//! The checker models the serial supervised loop
+//! ([`Binding::Supervised`](crate::runtime::Binding::Supervised)) with
+//! each firing's outcome — produce, stop, or an error that escalates to
+//! abort — as one atomic step; `SupervisedParMap` (order-preserving
+//! reassembly) and rate-respecting `SupervisedStream` bindings refine
+//! it. Retries and quarantine re-binds re-run a firing over inputs
+//! already collected, touching no channel, and are not modelled as
+//! separate transitions. Rate violations by a binding are the runtime's
+//! own protocol check, out of scope here.
 //! Multi-input stages drain their ports in channel order, so — exactly
 //! like the runtime — a fault can strand tokens on a *later* port of a
 //! stage that wound down on an earlier one; the checker reports that as
@@ -535,7 +541,7 @@ fn is_done(phase: &Phase) -> bool {
 }
 
 /// Enumerates the enabled steps of one stage in deterministic order,
-/// mirroring the runtime's `run_map` loop: check the firing target,
+/// mirroring the runtime's `run_supervised` loop: check the firing target,
 /// collect inputs port-by-port, execute, emit outputs port-by-port.
 /// Every stage has at most one enabled step, except at a firing point
 /// with an unspent fault budget, where the normal / stop / error

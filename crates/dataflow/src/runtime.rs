@@ -9,6 +9,18 @@
 //! bounded `sync_channel`s sized exactly from the plan's capacities,
 //! and drives each stage `repetition × iterations` firings.
 //!
+//! Each stage shape has exactly one executor type and one run loop, and
+//! every binding carries a fault policy: a serial stage is a
+//! [`Supervised`] executor, a data-parallel stage a
+//! [`Binding::SupervisedParMap`], a self-paced stage a
+//! [`Binding::SupervisedStream`]. A stage that wants no fault handling
+//! binds [`Supervision::none()`] with no escalation (no fallback,
+//! no recovery); on a run that returns `Ok` it behaves exactly like a
+//! bare executor. Executors borrow a firing's inputs as `&mut [T]`, so a
+//! terminal stage can move its tokens out instead of cloning them. A
+//! retried, re-bound or recovered attempt sees the slice as the failed
+//! attempt left it; executors that can fail should only read it.
+//!
 //! This module is the single sanctioned concurrency site in the
 //! workspace: the `no-adhoc-concurrency` lint allowlists exactly this
 //! file, and every production pipeline (overlapped device invoke,
@@ -176,7 +188,7 @@ impl ExecutablePlan {
     }
 }
 
-/// Flow control returned by a [`Binding::Map`] executor.
+/// Flow control returned by a serial [`Supervised`] executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fire {
     /// Keep firing until the repetition target is met.
@@ -261,7 +273,7 @@ impl Supervision {
 /// charged immediately before this attempt (zero on first attempts).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FiringCtx {
-    /// Firing index (the same index a [`MapFn`] receives).
+    /// Zero-based firing index within the run.
     pub firing: u64,
     /// Zero-based attempt number within this firing.
     pub attempt: u32,
@@ -271,11 +283,14 @@ pub struct FiringCtx {
     pub deadline_s: Option<f64>,
 }
 
-/// Serial supervised executor: like [`MapFn`], but inputs arrive by
-/// reference so the runtime can re-run the same firing after a fault
-/// without requiring `T: Clone`.
+/// Serial per-firing executor: receives this firing's consumed tokens
+/// (in channel order), returns the produced tokens (in channel order)
+/// and whether to keep firing; on [`Fire::Stop`] the produced tokens
+/// may be empty. Inputs are borrowed so the runtime can re-run the same
+/// firing after a fault without requiring `T: Clone`; a retry or a
+/// re-bound executor sees the slice as the failed attempt left it.
 pub type SupervisedFn<'env, T, E> =
-    Box<dyn FnMut(FiringCtx, &[T]) -> Result<(Vec<T>, Fire), E> + Send + 'env>;
+    Box<dyn FnMut(FiringCtx, &mut [T]) -> Result<(Vec<T>, Fire), E> + Send + 'env>;
 
 /// Quarantine handler: given the failing firing, the attempts spent on
 /// the current executor, and the error that exhausted them, either
@@ -286,34 +301,32 @@ pub type SupervisedFn<'env, T, E> =
 pub type RebindFn<'env, T, E> =
     Box<dyn FnMut(u64, u32, &E) -> Option<SupervisedFn<'env, T, E>> + Send + 'env>;
 
-/// Data-parallel supervised executor: like [`ParMapFn`], but receives a
-/// [`FiringCtx`] and borrows its inputs so a faulted firing can retry
-/// on its worker.
+/// Data-parallel per-firing executor: like [`SupervisedFn`] but pure
+/// enough to run firings on a worker pool. Outputs are re-ordered to
+/// firing order before being sent downstream, so execution stays
+/// deterministic. A faulted firing retries on its worker over the slice
+/// as the failed attempt left it.
 pub type SupervisedParFn<'env, T, E> =
-    Box<dyn Fn(FiringCtx, &[T]) -> Result<Vec<T>, E> + Send + Sync + 'env>;
+    Box<dyn Fn(FiringCtx, &mut [T]) -> Result<Vec<T>, E> + Send + Sync + 'env>;
 
 /// Per-firing recovery for a supervised data-parallel stage, consulted
-/// after a firing's retry budget is spent: `None` aborts with the
-/// original error; `Some(result)` stands in for the firing (an `Err`
-/// aborts with the replacement's error). Unlike the serial
-/// [`Escalation::Substitute`], recovery is consulted independently per
-/// firing — parallel firings are independent work items, so one item's
-/// recovery must not degrade its siblings.
+/// after a firing's retry budget is spent with the firing's inputs as
+/// the failed attempt left them: `None` aborts with the original error;
+/// `Some(result)` stands in for the firing (an `Err` aborts with the
+/// replacement's error). Unlike the serial [`Escalation::Quarantine`],
+/// recovery is consulted independently per firing — parallel firings
+/// are independent work items, so one item's recovery must not degrade
+/// its siblings.
 pub type RecoverFn<'env, T, E> =
-    Box<dyn Fn(u64, u32, &E, &[T]) -> Option<Result<Vec<T>, E>> + Send + Sync + 'env>;
+    Box<dyn Fn(u64, u32, &E, &mut [T]) -> Option<Result<Vec<T>, E>> + Send + Sync + 'env>;
 
 /// What a supervised serial stage does once a firing's retry budget is
 /// exhausted (or the error is not retryable), in escalation order:
-/// retry < substitute < quarantine < abort.
+/// retry < quarantine < abort.
 pub enum Escalation<'env, T, E> {
     /// Fail the run with a [`RunError::Stage`] naming the stage,
     /// firing, and attempt count.
     Abort,
-    /// Permanently swap in a fallback executor (circuit-breaker
-    /// semantics: the primary is never consulted again) and re-run the
-    /// failed firing on it with a fresh retry budget. If the fallback
-    /// itself escalates, the stage aborts.
-    Substitute(SupervisedFn<'env, T, E>),
     /// Ask a [`RebindFn`] for a replacement executor; reusable across
     /// the run, so a stage can drain through a whole pool of siblings
     /// before giving up.
@@ -336,7 +349,7 @@ impl<'env, T, E> Supervised<'env, T, E> {
     #[must_use]
     pub fn map(
         policy: Supervision,
-        f: impl FnMut(FiringCtx, &[T]) -> Result<(Vec<T>, Fire), E> + Send + 'env,
+        f: impl FnMut(FiringCtx, &mut [T]) -> Result<(Vec<T>, Fire), E> + Send + 'env,
     ) -> Self {
         Supervised {
             policy,
@@ -351,16 +364,6 @@ impl<'env, T, E> Supervised<'env, T, E> {
     #[must_use]
     pub fn retry_when(mut self, pred: impl FnMut(&E) -> bool + Send + 'env) -> Self {
         self.retryable = Box::new(pred);
-        self
-    }
-
-    /// Escalates to a permanent fallback executor.
-    #[must_use]
-    pub fn or_substitute(
-        mut self,
-        fallback: impl FnMut(FiringCtx, &[T]) -> Result<(Vec<T>, Fire), E> + Send + 'env,
-    ) -> Self {
-        self.escalation = Escalation::Substitute(Box::new(fallback));
         self
     }
 
@@ -381,43 +384,23 @@ impl<'env, T, E> Supervised<'env, T, E> {
     }
 }
 
-/// Serial per-firing executor: receives this firing's consumed tokens
-/// (in channel order), returns the produced tokens (in channel order)
-/// and whether to keep firing. On [`Fire::Stop`] the produced tokens
-/// may be empty.
-pub type MapFn<'env, T, E> = Box<dyn FnMut(u64, Vec<T>) -> Result<(Vec<T>, Fire), E> + Send + 'env>;
-
-/// Data-parallel per-firing executor: like [`MapFn`] but pure enough to
-/// run firings on a worker pool. Outputs are re-ordered to firing order
-/// before being sent downstream, so execution stays deterministic.
-pub type ParMapFn<'env, T, E> = Box<dyn Fn(u64, Vec<T>) -> Result<Vec<T>, E> + Send + Sync + 'env>;
-
 /// Self-paced executor: drives its own receive/send loop through a
 /// [`StageCtx`] (e.g. wrapping an external streaming API that owns its
 /// chunking).
 pub type StreamFn<'env, T, E> = Box<dyn FnOnce(&mut StageCtx<T>) -> Result<(), E> + Send + 'env>;
 
-/// The executor bound to one stage of an [`ExecutablePlan`].
+/// The executor bound to one stage of an [`ExecutablePlan`]: one
+/// variant per stage shape, each under a fault policy.
 pub enum Binding<'env, T, E> {
-    /// Fire serially, once per repetition-vector entry per iteration.
-    Map(MapFn<'env, T, E>),
-    /// Fire on up to `workers` pooled threads, preserving firing order
-    /// on the output channels.
-    ParMap {
-        /// Worker-pool width (clamped to at least 1).
-        workers: usize,
-        /// The per-firing executor.
-        f: ParMapFn<'env, T, E>,
-    },
-    /// The stage paces itself against its channels.
-    Stream(StreamFn<'env, T, E>),
-    /// A serial executor under a per-stage fault policy: the runtime
-    /// retries, substitutes, or quarantines around every firing per the
-    /// wrapped [`Supervision`] and [`Escalation`].
+    /// Fire serially, once per repetition-vector entry per iteration,
+    /// under a per-stage fault policy: the runtime retries or
+    /// quarantines around every firing per the wrapped [`Supervision`]
+    /// and [`Escalation`].
     Supervised(Box<Supervised<'env, T, E>>),
-    /// A data-parallel executor under a fault policy: each firing
-    /// retries on its worker per `policy`, then consults `recover`
-    /// (per-firing recovery instead of the serial sticky escalation).
+    /// Fire on up to `workers` pooled threads, preserving firing order
+    /// on the output channels: each firing retries on its worker per
+    /// `policy`, then consults `recover` (per-firing recovery instead of
+    /// the serial escalation).
     SupervisedParMap {
         /// Worker-pool width (clamped to at least 1).
         workers: usize,
@@ -429,8 +412,9 @@ pub enum Binding<'env, T, E> {
         /// behaves like [`Escalation::Abort`].
         recover: Option<RecoverFn<'env, T, E>>,
     },
-    /// A self-paced executor with an optional fallback: if the primary
-    /// stream errors, the fallback resumes on the same [`StageCtx`]
+    /// The stage paces itself against its channels, with an optional
+    /// fallback: if the primary stream errors, the fallback resumes on
+    /// the same [`StageCtx`]
     /// (same channels, same counters) and the stage only faults if the
     /// fallback errors too.
     SupervisedStream {
@@ -441,7 +425,7 @@ pub enum Binding<'env, T, E> {
     },
 }
 
-/// Channel endpoints handed to a [`Binding::Stream`] executor, with
+/// Channel endpoints handed to a [`Binding::SupervisedStream`] executor, with
 /// token counters for the run report.
 pub struct StageCtx<T> {
     inputs: Vec<Receiver<T>>,
@@ -529,12 +513,12 @@ pub enum RunError<E> {
         /// The firing index that failed.
         firing: u64,
         /// Attempts spent on that firing before giving up (1 when the
-        /// stage was unsupervised or the error was not retryable).
+        /// policy granted no retries or the error was not retryable).
         attempts: u32,
         /// The executor's error.
         error: E,
     },
-    /// A binding violated the declared rates (e.g. a `Map` executor
+    /// A binding violated the declared rates (e.g. a serial executor
     /// returned the wrong number of tokens) or the binding list does
     /// not match the graph.
     Protocol {
@@ -576,7 +560,9 @@ pub enum FaultAction {
         /// Simulated backoff charged before the retry.
         backoff_s: f64,
     },
-    /// The stage permanently swapped to its fallback executor.
+    /// A fallback stood in: a data-parallel firing's [`RecoverFn`]
+    /// produced its result, or a self-paced stage's fallback stream
+    /// resumed after the primary errored.
     Substituted,
     /// The stage's quarantine handler re-bound it to a replacement
     /// executor.
@@ -598,8 +584,8 @@ pub struct FaultEvent {
 }
 
 /// Per-stage supervision counters and fault trace, reported in
-/// [`RunReport::supervision`]. All-zero (and trace empty) for
-/// unsupervised bindings and for supervised stages that never faulted.
+/// [`RunReport::supervision`]. All-zero (and trace empty) for stages
+/// that never faulted.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct StageSupervision {
     /// Executor errors observed (every failed attempt counts one).
@@ -608,8 +594,8 @@ pub struct StageSupervision {
     pub retries: u64,
     /// Total simulated backoff charged across all retries.
     pub backoff_s: f64,
-    /// Permanent fallback swaps ([`Escalation::Substitute`] taken, or a
-    /// parallel firing recovered by its [`RecoverFn`]).
+    /// Fallbacks taken: a parallel firing recovered by its
+    /// [`RecoverFn`], or a stream stage resumed by its fallback.
     pub substitutions: u64,
     /// Quarantine re-binds ([`Escalation::Quarantine`] produced a
     /// replacement executor).
@@ -721,7 +707,7 @@ struct StageIo<T> {
 
 /// Executes a validated plan: one scoped thread per stage, bounded
 /// channels sized from the plan, `repetition × iterations` firings per
-/// `Map`/`ParMap` stage. Returns the per-stage firing counts, or the
+/// serial or data-parallel stage. Returns the per-stage firing counts, or the
 /// first (lowest stage index) executor error.
 pub fn run<'env, T, E>(
     plan: &ExecutablePlan,
@@ -847,9 +833,6 @@ fn run_stage<T: Send, E: Send>(
     target: u64,
 ) -> StageOutcome<E> {
     match binding {
-        Binding::Map(f) => run_map(f, io, target),
-        Binding::ParMap { workers, f } => run_parmap(&f, io, target, workers),
-        Binding::Stream(f) => run_stream(f, None, io),
         Binding::Supervised(sup) => run_supervised(*sup, io, target),
         Binding::SupervisedParMap {
             workers,
@@ -894,61 +877,11 @@ fn send_outputs<T>(io: &StageIo<T>, outs: Vec<T>) -> bool {
     true
 }
 
-fn run_map<T: Send, E: Send>(
-    mut f: MapFn<'_, T, E>,
-    io: StageIo<T>,
-    target: u64,
-) -> StageOutcome<E> {
-    let total_produce: usize = io.out_rates.iter().sum();
-    let mut firings = 0u64;
-    for firing in 0..target {
-        let Some(inputs) = collect_inputs(&io) else {
-            break;
-        };
-        match f(firing, inputs) {
-            Ok((outs, fire)) => {
-                let stop = matches!(fire, Fire::Stop);
-                if outs.len() != total_produce && !(stop && outs.is_empty()) {
-                    return StageOutcome {
-                        firings,
-                        fault: Some(Fault::Protocol(format!(
-                            "executor returned {} token(s), the graph declares {total_produce}",
-                            outs.len()
-                        ))),
-                        supervision: StageSupervision::default(),
-                    };
-                }
-                firings += 1;
-                if !send_outputs(&io, outs) || stop {
-                    break;
-                }
-            }
-            Err(error) => {
-                return StageOutcome {
-                    firings,
-                    fault: Some(Fault::Stage {
-                        error,
-                        firing,
-                        attempts: 1,
-                    }),
-                    supervision: StageSupervision::default(),
-                };
-            }
-        }
-    }
-    StageOutcome {
-        firings,
-        fault: None,
-        supervision: StageSupervision::default(),
-    }
-}
-
-/// Runs one stage under a [`Supervision`] policy: per firing, attempt →
-/// retry (within budget, retryable errors only) → escalate
-/// (substitute / quarantine-rebind, each granting a fresh budget for the
-/// same firing over the same inputs) → abort. Substitution is sticky —
-/// the primary is never consulted again — while quarantine may re-bind
-/// repeatedly, draining the stage across a pool of replacements.
+/// Runs one serial stage under a [`Supervision`] policy: per firing,
+/// attempt → retry (within budget, retryable errors only) → escalate
+/// (quarantine-rebind, granting a fresh budget for the same firing over
+/// the same inputs) → abort. Quarantine may re-bind repeatedly, draining
+/// the stage across a pool of replacements.
 fn run_supervised<T: Send, E: Send>(
     mut sup: Supervised<'_, T, E>,
     io: StageIo<T>,
@@ -958,7 +891,7 @@ fn run_supervised<T: Send, E: Send>(
     let mut stats = StageSupervision::default();
     let mut firings = 0u64;
     'firing: for firing in 0..target {
-        let Some(inputs) = collect_inputs(&io) else {
+        let Some(mut inputs) = collect_inputs(&io) else {
             break;
         };
         let mut attempt = 0u32;
@@ -970,7 +903,7 @@ fn run_supervised<T: Send, E: Send>(
                 backoff_s,
                 deadline_s: sup.policy.deadline_s,
             };
-            match (sup.primary)(ctx, &inputs) {
+            match (sup.primary)(ctx, &mut inputs) {
                 Ok((outs, fire)) => {
                     let stop = matches!(fire, Fire::Stop);
                     if outs.len() != total_produce && !(stop && outs.is_empty()) {
@@ -1005,69 +938,36 @@ fn run_supervised<T: Send, E: Send>(
                         continue;
                     }
                     let attempts = attempt + 1;
-                    // Take the escalation by value so a chosen fallback
-                    // can move into `primary`; quarantine puts its
-                    // handler back (it is reusable), substitute decays
-                    // to abort (it is one-shot).
-                    match std::mem::replace(&mut sup.escalation, Escalation::Abort) {
-                        Escalation::Abort => {
-                            stats.trace.push(FaultEvent {
+                    let replacement = match &mut sup.escalation {
+                        Escalation::Abort => None,
+                        Escalation::Quarantine(rebind) => rebind(firing, attempts, &error),
+                    };
+                    let Some(replacement) = replacement else {
+                        stats.trace.push(FaultEvent {
+                            firing,
+                            attempt,
+                            action: FaultAction::Aborted,
+                        });
+                        return StageOutcome {
+                            firings,
+                            fault: Some(Fault::Stage {
+                                error,
                                 firing,
-                                attempt,
-                                action: FaultAction::Aborted,
-                            });
-                            return StageOutcome {
-                                firings,
-                                fault: Some(Fault::Stage {
-                                    error,
-                                    firing,
-                                    attempts,
-                                }),
-                                supervision: stats,
-                            };
-                        }
-                        Escalation::Substitute(fallback) => {
-                            sup.primary = fallback;
-                            stats.substitutions += 1;
-                            stats.trace.push(FaultEvent {
-                                firing,
-                                attempt,
-                                action: FaultAction::Substituted,
-                            });
-                        }
-                        Escalation::Quarantine(mut rebind) => {
-                            match rebind(firing, attempts, &error) {
-                                Some(replacement) => {
-                                    sup.primary = replacement;
-                                    sup.escalation = Escalation::Quarantine(rebind);
-                                    stats.rebinds += 1;
-                                    stats.trace.push(FaultEvent {
-                                        firing,
-                                        attempt,
-                                        action: FaultAction::Rebound,
-                                    });
-                                }
-                                None => {
-                                    stats.trace.push(FaultEvent {
-                                        firing,
-                                        attempt,
-                                        action: FaultAction::Aborted,
-                                    });
-                                    return StageOutcome {
-                                        firings,
-                                        fault: Some(Fault::Stage {
-                                            error,
-                                            firing,
-                                            attempts,
-                                        }),
-                                        supervision: stats,
-                                    };
-                                }
-                            }
-                        }
-                    }
+                                attempts,
+                            }),
+                            supervision: stats,
+                        };
+                    };
+                    sup.primary = replacement;
+                    stats.rebinds += 1;
+                    stats.trace.push(FaultEvent {
+                        firing,
+                        attempt,
+                        action: FaultAction::Rebound,
+                    });
                     // Fresh budget for the replacement executor; the
-                    // same firing re-runs over the same inputs.
+                    // same firing re-runs over the inputs as the failed
+                    // attempt left them.
                     attempt = 0;
                     backoff_s = 0.0;
                 }
@@ -1081,102 +981,13 @@ fn run_supervised<T: Send, E: Send>(
     }
 }
 
-fn run_parmap<T: Send, E: Send>(
-    f: &ParMapFn<'_, T, E>,
-    io: StageIo<T>,
-    target: u64,
-    workers: usize,
-) -> StageOutcome<E> {
-    let workers = workers.max(1).min(target.max(1) as usize);
-    let total_produce: usize = io.out_rates.iter().sum();
-    // Every worker queue holds its full share of jobs and results, so
-    // dispatch and collection can run strictly in sequence without
-    // blocking each other.
-    let per_worker = (target as usize).div_ceil(workers).max(1);
-
-    thread::scope(|scope| {
-        let mut job_txs = Vec::with_capacity(workers);
-        let mut result_rxs = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (job_tx, job_rx) = sync_channel::<(u64, Vec<T>)>(per_worker);
-            let (result_tx, result_rx) = sync_channel::<Result<Vec<T>, E>>(per_worker);
-            scope.spawn(move || {
-                for (firing, inputs) in job_rx {
-                    if result_tx.send(f(firing, inputs)).is_err() {
-                        break;
-                    }
-                }
-            });
-            job_txs.push(job_tx);
-            result_rxs.push(result_rx);
-        }
-
-        let mut dispatched = 0u64;
-        for firing in 0..target {
-            let Some(inputs) = collect_inputs(&io) else {
-                break;
-            };
-            if job_txs[(firing as usize) % workers]
-                .send((firing, inputs))
-                .is_err()
-            {
-                break;
-            }
-            dispatched += 1;
-        }
-        drop(job_txs);
-
-        // Workers answer their queues in dispatch order, so pulling
-        // worker (firing % workers) reassembles strict firing order.
-        let mut firings = 0u64;
-        for firing in 0..dispatched {
-            match result_rxs[(firing as usize) % workers].recv() {
-                Ok(Ok(outs)) => {
-                    if outs.len() != total_produce {
-                        return StageOutcome {
-                            firings,
-                            fault: Some(Fault::Protocol(format!(
-                                "executor returned {} token(s), the graph declares \
-                                 {total_produce}",
-                                outs.len()
-                            ))),
-                            supervision: StageSupervision::default(),
-                        };
-                    }
-                    firings += 1;
-                    if !send_outputs(&io, outs) {
-                        break;
-                    }
-                }
-                Ok(Err(error)) => {
-                    return StageOutcome {
-                        firings,
-                        fault: Some(Fault::Stage {
-                            error,
-                            firing,
-                            attempts: 1,
-                        }),
-                        supervision: StageSupervision::default(),
-                    };
-                }
-                Err(_) => break,
-            }
-        }
-        StageOutcome {
-            firings,
-            fault: None,
-            supervision: StageSupervision::default(),
-        }
-    })
-}
-
 /// Per-firing supervised work item outcome, reassembled in firing
 /// order by the collector.
 type ParItem<T, E> = Result<Vec<T>, (E, u32)>;
 
 /// Borrowed form of [`RecoverFn`], as consulted by the worker loop.
 type RecoverRef<'a, T, E> =
-    &'a (dyn Fn(u64, u32, &E, &[T]) -> Option<Result<Vec<T>, E>> + Send + Sync);
+    &'a (dyn Fn(u64, u32, &E, &mut [T]) -> Option<Result<Vec<T>, E>> + Send + Sync);
 
 /// Runs a data-parallel stage under a [`Supervision`] policy. Each
 /// firing retries on its worker with the policy's budget (all errors
@@ -1207,7 +1018,7 @@ fn run_supervised_parmap<T: Send, E: Send>(
             let (result_tx, result_rx) = sync_channel::<ParItem<T, E>>(per_worker);
             let shared_stats = &shared_stats;
             scope.spawn(move || {
-                for (firing, inputs) in job_rx {
+                for (firing, mut inputs) in job_rx {
                     let mut attempt = 0u32;
                     let mut backoff_s = 0.0f64;
                     let item: ParItem<T, E> = loop {
@@ -1217,7 +1028,7 @@ fn run_supervised_parmap<T: Send, E: Send>(
                             backoff_s,
                             deadline_s: policy.deadline_s,
                         };
-                        match f(ctx, &inputs) {
+                        match f(ctx, &mut inputs) {
                             Ok(outs) => break Ok(outs),
                             Err(error) => {
                                 let mut stats = shared_stats.lock().expect("stats mutex");
@@ -1240,7 +1051,7 @@ fn run_supervised_parmap<T: Send, E: Send>(
                                 // sibling workers may fault meanwhile.
                                 drop(stats);
                                 let recovered =
-                                    recover.and_then(|r| r(firing, attempts, &error, &inputs));
+                                    recover.and_then(|r| r(firing, attempts, &error, &mut inputs));
                                 let mut stats = shared_stats.lock().expect("stats mutex");
                                 match recovered {
                                     Some(Ok(outs)) => {
@@ -1430,6 +1241,28 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
 
+    /// A serial stage with no fault handling, from a bare per-firing
+    /// closure.
+    fn map<'env, T, E>(
+        mut f: impl FnMut(u64, &mut [T]) -> Result<(Vec<T>, Fire), E> + Send + 'env,
+    ) -> Binding<'env, T, E> {
+        Supervised::map(
+            Supervision::none(),
+            move |ctx: FiringCtx, inputs: &mut [T]| f(ctx.firing, inputs),
+        )
+        .into_binding()
+    }
+
+    /// A self-paced stage with no fallback.
+    fn stream<'env, T, E>(
+        f: impl FnOnce(&mut StageCtx<T>) -> Result<(), E> + Send + 'env,
+    ) -> Binding<'env, T, E> {
+        Binding::SupervisedStream {
+            f: Box::new(f),
+            fallback: None,
+        }
+    }
+
     fn unit_chain(cap: usize) -> SdfGraph {
         let mut g = SdfGraph::new("chain").with_overhead_s(1e-3);
         let a = g.add_stage("produce", Resource::LINK, 2e-3);
@@ -1472,16 +1305,12 @@ mod tests {
         let plan = ExecutablePlan::validate(unit_chain(2)).unwrap();
         let seen = Mutex::new(Vec::new());
         let bindings: Vec<Binding<'_, u64, Infallible>> = vec![
-            Binding::Map(Box::new(|firing, _| {
-                Ok((vec![firing * 10], Fire::Continue))
-            })),
-            Binding::Map(Box::new(|_, inputs| {
-                Ok((vec![inputs[0] + 1], Fire::Continue))
-            })),
-            Binding::Map(Box::new(|_, inputs| {
+            map(|firing, _| Ok((vec![firing * 10], Fire::Continue))),
+            map(|_, inputs| Ok((vec![inputs[0] + 1], Fire::Continue))),
+            map(|_, inputs| {
                 seen.lock().unwrap().push(inputs[0]);
                 Ok((vec![], Fire::Continue))
-            })),
+            }),
         ];
         let report = run(&plan, 5, bindings).unwrap();
         assert!(report.completed);
@@ -1503,15 +1332,17 @@ mod tests {
         let plan = ExecutablePlan::validate(g).unwrap();
         let seen = Mutex::new(Vec::new());
         let bindings: Vec<Binding<'_, u64, Infallible>> = vec![
-            Binding::Map(Box::new(|firing, _| Ok((vec![firing], Fire::Continue)))),
-            Binding::ParMap {
+            map(|firing, _| Ok((vec![firing], Fire::Continue))),
+            Binding::SupervisedParMap {
                 workers: 4,
-                f: Box::new(|_, inputs| Ok(vec![inputs[0] * 2])),
+                policy: Supervision::none(),
+                f: Box::new(|_, inputs: &mut [u64]| Ok(vec![inputs[0] * 2])),
+                recover: None,
             },
-            Binding::Map(Box::new(|_, inputs| {
+            map(|_, inputs| {
                 seen.lock().unwrap().push(inputs[0]);
                 Ok((vec![], Fire::Continue))
-            })),
+            }),
         ];
         let report = run(&plan, 16, bindings).unwrap();
         assert!(report.completed);
@@ -1525,15 +1356,15 @@ mod tests {
     fn stage_error_tears_down_and_reports_lowest_stage() {
         let plan = ExecutablePlan::validate(unit_chain(2)).unwrap();
         let bindings: Vec<Binding<'_, u64, &'static str>> = vec![
-            Binding::Map(Box::new(|firing, _| Ok((vec![firing], Fire::Continue)))),
-            Binding::Map(Box::new(|firing, inputs| {
+            map(|firing, _| Ok((vec![firing], Fire::Continue))),
+            map(|firing, inputs| {
                 if firing == 3 {
                     Err("device fault")
                 } else {
                     Ok((vec![inputs[0]], Fire::Continue))
                 }
-            })),
-            Binding::Map(Box::new(|_, _| Ok((vec![], Fire::Continue)))),
+            }),
+            map(|_, _| Ok((vec![], Fire::Continue))),
         ];
         let err = run(&plan, 10, bindings).unwrap_err();
         assert_eq!(
@@ -1557,7 +1388,7 @@ mod tests {
         let plan = ExecutablePlan::validate(unit_chain(2)).unwrap();
         let attempts_seen = AtomicU64::new(0);
         let bindings: Vec<Binding<'_, u64, &'static str>> = vec![
-            Binding::Map(Box::new(|firing, _| Ok((vec![firing], Fire::Continue)))),
+            map(|firing, _| Ok((vec![firing], Fire::Continue))),
             Supervised::map(
                 Supervision::retries(3, 1e-3, 2.0),
                 |ctx: FiringCtx, inputs| {
@@ -1570,7 +1401,7 @@ mod tests {
                 },
             )
             .into_binding(),
-            Binding::Map(Box::new(|_, _| Ok((vec![], Fire::Continue)))),
+            map(|_, _| Ok((vec![], Fire::Continue))),
         ];
         let report = run(&plan, 5, bindings).unwrap();
         assert!(report.completed);
@@ -1606,7 +1437,7 @@ mod tests {
     fn supervised_budget_exhaustion_aborts_with_firing_and_attempts() {
         let plan = ExecutablePlan::validate(unit_chain(2)).unwrap();
         let bindings: Vec<Binding<'_, u64, &'static str>> = vec![
-            Binding::Map(Box::new(|firing, _| Ok((vec![firing], Fire::Continue)))),
+            map(|firing, _| Ok((vec![firing], Fire::Continue))),
             Supervised::map(Supervision::retries(2, 1e-3, 2.0), |ctx: FiringCtx, _| {
                 if ctx.firing == 1 {
                     Err("dead device")
@@ -1615,7 +1446,7 @@ mod tests {
                 }
             })
             .into_binding(),
-            Binding::Map(Box::new(|_, _| Ok((vec![], Fire::Continue)))),
+            map(|_, _| Ok((vec![], Fire::Continue))),
         ];
         let err = run(&plan, 4, bindings).unwrap_err();
         assert_eq!(
@@ -1634,7 +1465,7 @@ mod tests {
     fn supervised_non_retryable_error_skips_the_budget() {
         let plan = ExecutablePlan::validate(unit_chain(2)).unwrap();
         let bindings: Vec<Binding<'_, u64, &'static str>> = vec![
-            Binding::Map(Box::new(|firing, _| Ok((vec![firing], Fire::Continue)))),
+            map(|firing, _| Ok((vec![firing], Fire::Continue))),
             Supervised::map(Supervision::retries(5, 1e-3, 2.0), |ctx: FiringCtx, _| {
                 if ctx.firing == 0 {
                     Err("config error")
@@ -1644,7 +1475,7 @@ mod tests {
             })
             .retry_when(|e: &&'static str| *e != "config error")
             .into_binding(),
-            Binding::Map(Box::new(|_, _| Ok((vec![], Fire::Continue)))),
+            map(|_, _| Ok((vec![], Fire::Continue))),
         ];
         let err = run(&plan, 2, bindings).unwrap_err();
         assert_eq!(
@@ -1660,59 +1491,13 @@ mod tests {
     }
 
     #[test]
-    fn supervised_substitute_swaps_permanently_and_rereuns_the_firing() {
-        let plan = ExecutablePlan::validate(unit_chain(2)).unwrap();
-        let primary_calls = AtomicU64::new(0);
-        let seen = Mutex::new(Vec::new());
-        let bindings: Vec<Binding<'_, u64, &'static str>> = vec![
-            Binding::Map(Box::new(|firing, _| Ok((vec![firing], Fire::Continue)))),
-            Supervised::map(Supervision::none(), |ctx: FiringCtx, inputs| {
-                primary_calls.fetch_add(1, Ordering::SeqCst);
-                if ctx.firing >= 2 {
-                    Err("device quarantined")
-                } else {
-                    Ok((vec![inputs[0] * 10], Fire::Continue))
-                }
-            })
-            .or_substitute(|_ctx: FiringCtx, inputs: &[u64]| {
-                // Host fallback: same arithmetic, different executor.
-                Ok((vec![inputs[0] * 10], Fire::Continue))
-            })
-            .into_binding(),
-            Binding::Map(Box::new(|_, inputs| {
-                seen.lock().unwrap().push(inputs[0]);
-                Ok((vec![], Fire::Continue))
-            })),
-        ];
-        let report = run(&plan, 6, bindings).unwrap();
-        assert!(report.completed);
-        // The failed firing re-ran on the fallback over the same
-        // inputs: no token lost, bit-exact sequence.
-        assert_eq!(*seen.lock().unwrap(), vec![0, 10, 20, 30, 40, 50]);
-        // Substitution is sticky: primary consulted for firings 0, 1
-        // and the failed attempt at 2, never again.
-        assert_eq!(primary_calls.load(Ordering::SeqCst), 3);
-        let sup = &report.supervision[1];
-        assert_eq!(sup.faults, 1);
-        assert_eq!(sup.substitutions, 1);
-        assert_eq!(
-            sup.trace,
-            vec![FaultEvent {
-                firing: 2,
-                attempt: 0,
-                action: FaultAction::Substituted
-            }]
-        );
-    }
-
-    #[test]
     fn supervised_quarantine_rebinds_through_a_pool_then_aborts() {
         let plan = ExecutablePlan::validate(unit_chain(2)).unwrap();
         // Two healthy siblings; each replacement executor dies two
         // firings after taking over, driving repeated re-binds until
         // the pool is exhausted and the handler returns None.
         let bindings: Vec<Binding<'_, u64, &'static str>> = vec![
-            Binding::Map(Box::new(|firing, _| Ok((vec![firing], Fire::Continue)))),
+            map(|firing, _| Ok((vec![firing], Fire::Continue))),
             Supervised::map(Supervision::none(), |ctx: FiringCtx, _| {
                 if ctx.firing >= 2 {
                     Err("device 0 down")
@@ -1729,7 +1514,7 @@ mod tests {
                     }
                     siblings -= 1;
                     let die_at = rebind_at + 2;
-                    Some(Box::new(move |ctx: FiringCtx, _inputs: &[u64]| {
+                    Some(Box::new(move |ctx: FiringCtx, _inputs: &mut [u64]| {
                         if ctx.firing >= die_at {
                             Err("sibling down")
                         } else {
@@ -1740,7 +1525,7 @@ mod tests {
                 }
             })
             .into_binding(),
-            Binding::Map(Box::new(|_, _| Ok((vec![], Fire::Continue)))),
+            map(|_, _| Ok((vec![], Fire::Continue))),
         ];
         let err = run(&plan, 10, bindings).unwrap_err();
         // Device 0 dies at firing 2, sibling A at 4, sibling B at 6;
@@ -1762,7 +1547,7 @@ mod tests {
         let plan = ExecutablePlan::validate(unit_chain(2)).unwrap();
         let seen = Mutex::new(Vec::new());
         let bindings: Vec<Binding<'_, u64, &'static str>> = vec![
-            Binding::Map(Box::new(|firing, _| Ok((vec![firing], Fire::Continue)))),
+            map(|firing, _| Ok((vec![firing], Fire::Continue))),
             Supervised::map(Supervision::none(), |ctx: FiringCtx, inputs| {
                 if ctx.firing >= 1 {
                     Err("device 0 down")
@@ -1771,15 +1556,15 @@ mod tests {
                 }
             })
             .or_quarantine(|_f, _a, _e: &&'static str| {
-                Some(Box::new(|_ctx: FiringCtx, inputs: &[u64]| {
+                Some(Box::new(|_ctx: FiringCtx, inputs: &mut [u64]| {
                     Ok((vec![inputs[0] + 100], Fire::Continue))
                 }) as SupervisedFn<'_, u64, &'static str>)
             })
             .into_binding(),
-            Binding::Map(Box::new(|_, inputs| {
+            map(|_, inputs| {
                 seen.lock().unwrap().push(inputs[0]);
                 Ok((vec![], Fire::Continue))
-            })),
+            }),
         ];
         let report = run(&plan, 4, bindings).unwrap();
         assert!(report.completed);
@@ -1809,11 +1594,11 @@ mod tests {
         let plan = ExecutablePlan::validate(g).unwrap();
         let seen = Mutex::new(Vec::new());
         let bindings: Vec<Binding<'_, u64, &'static str>> = vec![
-            Binding::Map(Box::new(|firing, _| Ok((vec![firing], Fire::Continue)))),
+            map(|firing, _| Ok((vec![firing], Fire::Continue))),
             Binding::SupervisedParMap {
                 workers: 4,
                 policy: Supervision::retries(1, 1e-3, 2.0),
-                f: Box::new(|ctx: FiringCtx, inputs: &[u64]| {
+                f: Box::new(|ctx: FiringCtx, inputs: &mut [u64]| {
                     // Firing 3 always fails; firing 5 heals on retry.
                     if ctx.firing == 3 || (ctx.firing == 5 && ctx.attempt == 0) {
                         Err("member fault")
@@ -1821,17 +1606,17 @@ mod tests {
                         Ok(vec![inputs[0] * 2])
                     }
                 }),
-                recover: Some(Box::new(|firing, attempts, _e, inputs: &[u64]| {
+                recover: Some(Box::new(|firing, attempts, _e, inputs: &mut [u64]| {
                     assert_eq!(firing, 3);
                     assert_eq!(attempts, 2);
                     // Host retrain stands in for the dead member.
                     Some(Ok(vec![inputs[0] * 2]))
                 })),
             },
-            Binding::Map(Box::new(|_, inputs| {
+            map(|_, inputs| {
                 seen.lock().unwrap().push(inputs[0]);
                 Ok((vec![], Fire::Continue))
-            })),
+            }),
         ];
         let report = run(&plan, 12, bindings).unwrap();
         assert!(report.completed);
@@ -1877,11 +1662,11 @@ mod tests {
         g.add_channel(work, sink, 1, 1, Some(8));
         let plan = ExecutablePlan::validate(g).unwrap();
         let bindings: Vec<Binding<'_, u64, &'static str>> = vec![
-            Binding::Map(Box::new(|firing, _| Ok((vec![firing], Fire::Continue)))),
+            map(|firing, _| Ok((vec![firing], Fire::Continue))),
             Binding::SupervisedParMap {
                 workers: 2,
                 policy: Supervision::retries(2, 1e-3, 2.0),
-                f: Box::new(|ctx: FiringCtx, inputs: &[u64]| {
+                f: Box::new(|ctx: FiringCtx, inputs: &mut [u64]| {
                     if ctx.firing == 4 {
                         Err("member fault")
                     } else {
@@ -1890,7 +1675,7 @@ mod tests {
                 }),
                 recover: None,
             },
-            Binding::Map(Box::new(|_, _| Ok((vec![], Fire::Continue)))),
+            map(|_, _| Ok((vec![], Fire::Continue))),
         ];
         let err = run(&plan, 8, bindings).unwrap_err();
         assert_eq!(
@@ -1934,14 +1719,14 @@ mod tests {
                     Ok(())
                 })),
             },
-            Binding::Stream(Box::new(|ctx| {
+            stream(|ctx| {
                 let mut sum = 0;
                 for v in ctx.input_iter(0) {
                     sum += v;
                 }
                 *total.lock().unwrap() = sum;
                 Ok(())
-            })),
+            }),
         ];
         let report = run(&plan, 7, bindings).unwrap();
         assert_eq!(*total.lock().unwrap(), 21);
@@ -1953,23 +1738,64 @@ mod tests {
     }
 
     #[test]
+    fn executors_own_their_input_slice_across_attempts() {
+        // A token without `Clone`: a terminal stage must move it out.
+        #[derive(Debug, PartialEq)]
+        struct Owned(u64);
+        let plan = ExecutablePlan::validate(unit_chain(2)).unwrap();
+        let gathered = Mutex::new(Vec::new());
+        let bindings: Vec<Binding<'_, Option<Owned>, &'static str>> = vec![
+            map(|firing, _| Ok((vec![Some(Owned(firing))], Fire::Continue))),
+            Supervised::map(
+                Supervision::retries(1, 0.0, 1.0),
+                |ctx: FiringCtx, inputs: &mut [Option<Owned>]| {
+                    let token = inputs[0].as_mut().expect("a token per firing");
+                    if ctx.attempt == 0 {
+                        // The failed attempt edits the slice; the retry
+                        // must see that edit, not a fresh copy.
+                        token.0 += 100;
+                        return Err("transient fault");
+                    }
+                    assert!(token.0 >= 100, "retry sees the failed attempt's slice");
+                    Ok((vec![inputs[0].take()], Fire::Continue))
+                },
+            )
+            .into_binding(),
+            map(|_, inputs: &mut [Option<Owned>]| {
+                gathered
+                    .lock()
+                    .unwrap()
+                    .extend(inputs.iter_mut().map(Option::take));
+                Ok((vec![], Fire::Continue))
+            }),
+        ];
+        let report = run(&plan, 3, bindings).unwrap();
+        assert!(report.completed);
+        assert_eq!(report.supervision[1].retries, 3);
+        assert_eq!(
+            gathered.into_inner().unwrap(),
+            vec![Some(Owned(100)), Some(Owned(101)), Some(Owned(102))]
+        );
+    }
+
+    #[test]
     fn stop_drains_tokens_already_produced() {
         let plan = ExecutablePlan::validate(unit_chain(2)).unwrap();
         let delivered = AtomicU64::new(0);
         let bindings: Vec<Binding<'_, u64, Infallible>> = vec![
-            Binding::Map(Box::new(|firing, _| Ok((vec![firing], Fire::Continue)))),
-            Binding::Map(Box::new(|firing, inputs| {
+            map(|firing, _| Ok((vec![firing], Fire::Continue))),
+            map(|firing, inputs| {
                 if firing == 4 {
                     // Simulates a circuit breaker opening mid-run.
                     Ok((vec![], Fire::Stop))
                 } else {
                     Ok((vec![inputs[0]], Fire::Continue))
                 }
-            })),
-            Binding::Map(Box::new(|_, _| {
+            }),
+            map(|_, _| {
                 delivered.fetch_add(1, Ordering::SeqCst);
                 Ok((vec![], Fire::Continue))
-            })),
+            }),
         ];
         let report = run(&plan, 10, bindings).unwrap();
         assert!(!report.completed);
@@ -1986,22 +1812,22 @@ mod tests {
         let plan = ExecutablePlan::validate(g).unwrap();
         let total = Mutex::new(0u64);
         let bindings: Vec<Binding<'_, u64, Infallible>> = vec![
-            Binding::Stream(Box::new(|ctx| {
+            stream(|ctx| {
                 for v in 0..7u64 {
                     if !ctx.send(v) {
                         break;
                     }
                 }
                 Ok(())
-            })),
-            Binding::Stream(Box::new(|ctx| {
+            }),
+            stream(|ctx| {
                 let mut sum = 0;
                 for v in ctx.input_iter(0) {
                     sum += v;
                 }
                 *total.lock().unwrap() = sum;
                 Ok(())
-            })),
+            }),
         ];
         let report = run(&plan, 7, bindings).unwrap();
         assert_eq!(*total.lock().unwrap(), 21);
@@ -2013,9 +1839,9 @@ mod tests {
     fn wrong_token_count_is_a_protocol_error() {
         let plan = ExecutablePlan::validate(unit_chain(2)).unwrap();
         let bindings: Vec<Binding<'_, u64, Infallible>> = vec![
-            Binding::Map(Box::new(|_, _| Ok((vec![1, 2], Fire::Continue)))),
-            Binding::Map(Box::new(|_, inputs| Ok((vec![inputs[0]], Fire::Continue)))),
-            Binding::Map(Box::new(|_, _| Ok((vec![], Fire::Continue)))),
+            map(|_, _| Ok((vec![1, 2], Fire::Continue))),
+            map(|_, inputs| Ok((vec![inputs[0]], Fire::Continue))),
+            map(|_, _| Ok((vec![], Fire::Continue))),
         ];
         let err = run(&plan, 1, bindings).unwrap_err();
         assert!(matches!(err, RunError::Protocol { stage: 0, .. }));
@@ -2025,7 +1851,7 @@ mod tests {
     fn binding_count_mismatch_is_rejected_up_front() {
         let plan = ExecutablePlan::validate(unit_chain(2)).unwrap();
         let bindings: Vec<Binding<'_, u64, Infallible>> =
-            vec![Binding::Map(Box::new(|_, _| Ok((vec![], Fire::Continue))))];
+            vec![map(|_, _| Ok((vec![], Fire::Continue)))];
         assert!(matches!(
             run(&plan, 1, bindings),
             Err(RunError::Protocol { .. })
@@ -2036,9 +1862,9 @@ mod tests {
     fn zero_iterations_is_a_clean_noop() {
         let plan = ExecutablePlan::validate(unit_chain(2)).unwrap();
         let bindings: Vec<Binding<'_, u64, Infallible>> = vec![
-            Binding::Map(Box::new(|firing, _| Ok((vec![firing], Fire::Continue)))),
-            Binding::Map(Box::new(|_, inputs| Ok((vec![inputs[0]], Fire::Continue)))),
-            Binding::Map(Box::new(|_, _| Ok((vec![], Fire::Continue)))),
+            map(|firing, _| Ok((vec![firing], Fire::Continue))),
+            map(|_, inputs| Ok((vec![inputs[0]], Fire::Continue))),
+            map(|_, _| Ok((vec![], Fire::Continue))),
         ];
         let report = run(&plan, 0, bindings).unwrap();
         assert!(report.completed);

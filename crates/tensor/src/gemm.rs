@@ -14,7 +14,7 @@
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use hd_dataflow::runtime::{self, Binding, ExecutablePlan, Fire};
+use hd_dataflow::runtime::{self, Binding, ExecutablePlan, Fire, Supervised, Supervision};
 use hd_dataflow::{Resource, SdfGraph};
 
 use crate::error::TensorError;
@@ -93,7 +93,16 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) -> Result<()> {
     let work = m.saturating_mul(n);
     let threads = available_threads();
     if work >= PARALLEL_THRESHOLD && threads > 1 && m > 1 {
-        parallel_rows(a, b, out, threads);
+        let b = b.as_slice();
+        parallel_bands(
+            a.as_slice(),
+            out.as_mut_slice(),
+            (m, k, n),
+            threads,
+            |a, out, rows| {
+                block_kernel(a, b, out, rows, k, n);
+            },
+        );
     } else {
         block_kernel(a.as_slice(), b.as_slice(), out.as_mut_slice(), m, k, n);
     }
@@ -158,56 +167,69 @@ pub fn available_threads() -> usize {
     threads.max(1)
 }
 
-/// One row-band of the output, paired with the matching band of `a`.
-struct RowJob<'a> {
-    a: &'a [f32],
-    out: &'a mut [f32],
+/// One row band of an `m x k` by `k x n` product: the band's rows of
+/// `a`, the matching disjoint rows of the output, and the row count.
+struct Band<'a, A, O> {
+    a: &'a [A],
+    out: &'a mut [O],
     rows: usize,
 }
 
-fn parallel_rows(a: &Matrix, b: &Matrix, out: &mut Matrix, threads: usize) {
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let rows_per_chunk = m.div_ceil(threads).max(1);
-    let a_data = a.as_slice();
-    let b_data = b.as_slice();
+/// Row-band parallel driver shared by the `f32` and `i8` products: a
+/// two-stage SDF schedule (plan -> rows) executed through the generic
+/// runtime. `out` (`m x n`, `n > 0`) is carved into up to `threads`
+/// disjoint row bands, the plan firing hands them out, and the
+/// worker-pooled rows stage runs `kernel(a_band, out_band, rows)` once
+/// per band. Both GEMM kernels compute each output row from its own row
+/// of `a` alone, so the result is bit-identical to one serial kernel
+/// call over the whole product.
+fn parallel_bands<A: Sync, O: Send>(
+    a: &[A],
+    out: &mut [O],
+    (m, k, n): (usize, usize, usize),
+    threads: usize,
+    kernel: impl Fn(&[A], &mut [O], usize) + Sync,
+) {
+    let rows_per_band = m.div_ceil(threads).max(1);
+    // Slice `a` by row index rather than chunking it: with `k == 0` the
+    // band of `a` is empty but the band of `out` is not.
+    let bands: Vec<Band<'_, A, O>> = out
+        .chunks_mut(rows_per_band * n)
+        .enumerate()
+        .map(|(i, out)| {
+            let rows = out.len() / n;
+            let start = i * rows_per_band;
+            Band {
+                a: &a[start * k..(start + rows) * k],
+                out,
+                rows,
+            }
+        })
+        .collect();
 
-    // Carve the output into disjoint row bands up front; the plan stage
-    // hands one band per firing to the worker-pooled rows stage.
-    let mut jobs = Vec::new();
-    let mut remaining = out.as_mut_slice();
-    let mut row_start = 0;
-    while row_start < m {
-        let rows_here = rows_per_chunk.min(m - row_start);
-        let (chunk, rest) = remaining.split_at_mut(rows_here * n);
-        remaining = rest;
-        jobs.push(RowJob {
-            a: &a_data[row_start * k..(row_start + rows_here) * k],
-            out: chunk,
-            rows: rows_here,
-        });
-        row_start += rows_here;
-    }
-
-    let bands = jobs.len();
+    let count = bands.len();
     let mut graph = SdfGraph::new("gemm-rows");
     let plan = graph.add_stage("plan", Resource::Host, 0.0);
     let rows = graph.add_stage("rows", Resource::Host, 0.0);
-    graph.add_channel(plan, rows, bands, 1, Some(bands));
+    graph.add_channel(plan, rows, count, 1, Some(count));
     let plan = ExecutablePlan::validate(graph).expect("gemm row schedule is statically valid");
 
-    let mut jobs = Some(jobs);
-    let bindings: Vec<Binding<'_, RowJob<'_>, Infallible>> = vec![
-        Binding::Map(Box::new(move |_, _| {
-            Ok((jobs.take().unwrap_or_default(), Fire::Continue))
-        })),
-        Binding::ParMap {
+    let kernel = &kernel;
+    let mut bands = Some(bands);
+    let bindings: Vec<Binding<'_, Band<'_, A, O>, Infallible>> = vec![
+        Supervised::map(Supervision::none(), move |_, _| {
+            Ok((bands.take().unwrap_or_default(), Fire::Continue))
+        })
+        .into_binding(),
+        Binding::SupervisedParMap {
             workers: threads,
-            f: Box::new(move |_, mut inputs| {
-                let job = inputs.pop().expect("one row band per firing");
-                block_kernel(job.a, b_data, job.out, job.rows, k, n);
+            policy: Supervision::none(),
+            f: Box::new(move |_, inputs: &mut [Band<'_, A, O>]| {
+                let band = &mut inputs[0];
+                kernel(band.a, band.out, band.rows);
                 Ok(Vec::new())
             }),
+            recover: None,
         },
     ];
     runtime::run(&plan, 1, bindings).expect("gemm row schedule cannot fail");
@@ -316,7 +338,9 @@ pub fn matmul_i8_i32(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Result
     }
     let threads = available_threads();
     if m.saturating_mul(n) >= PARALLEL_THRESHOLD && threads > 1 && m > 1 {
-        parallel_rows_i8(a, b, &mut out, m, k, n, threads, use_simd);
+        parallel_bands(a, &mut out, (m, k, n), threads, |a, out, rows| {
+            i8_band_kernel(a, b, out, rows, k, n, use_simd);
+        });
     } else {
         i8_band_kernel(a, b, &mut out, m, k, n, use_simd);
     }
@@ -349,67 +373,6 @@ pub fn matmul_i8_i32_reference(
         }
     }
     Ok(out)
-}
-
-/// One row-band of an `i8` product.
-struct RowJobI8<'a> {
-    a: &'a [i8],
-    out: &'a mut [i32],
-    rows: usize,
-}
-
-/// Row-band parallel driver for the `i8` kernel: the same two-stage SDF
-/// schedule (plan -> rows) as the `f32` path, executed through the
-/// generic runtime.
-#[allow(clippy::too_many_arguments)]
-fn parallel_rows_i8(
-    a: &[i8],
-    b: &[i8],
-    out: &mut [i32],
-    m: usize,
-    k: usize,
-    n: usize,
-    threads: usize,
-    use_simd: bool,
-) {
-    let rows_per_chunk = m.div_ceil(threads).max(1);
-    let mut jobs = Vec::new();
-    let mut remaining = out;
-    let mut row_start = 0;
-    while row_start < m {
-        let rows_here = rows_per_chunk.min(m - row_start);
-        let (chunk, rest) = remaining.split_at_mut(rows_here * n);
-        remaining = rest;
-        jobs.push(RowJobI8 {
-            a: &a[row_start * k..(row_start + rows_here) * k],
-            out: chunk,
-            rows: rows_here,
-        });
-        row_start += rows_here;
-    }
-
-    let bands = jobs.len();
-    let mut graph = SdfGraph::new("gemm-i8-rows");
-    let plan = graph.add_stage("plan", Resource::Host, 0.0);
-    let rows = graph.add_stage("rows", Resource::Host, 0.0);
-    graph.add_channel(plan, rows, bands, 1, Some(bands));
-    let plan = ExecutablePlan::validate(graph).expect("gemm row schedule is statically valid");
-
-    let mut jobs = Some(jobs);
-    let bindings: Vec<Binding<'_, RowJobI8<'_>, Infallible>> = vec![
-        Binding::Map(Box::new(move |_, _| {
-            Ok((jobs.take().unwrap_or_default(), Fire::Continue))
-        })),
-        Binding::ParMap {
-            workers: threads,
-            f: Box::new(move |_, mut inputs| {
-                let job = inputs.pop().expect("one row band per firing");
-                i8_band_kernel(job.a, b, job.out, job.rows, k, n, use_simd);
-                Ok(Vec::new())
-            }),
-        },
-    ];
-    runtime::run(&plan, 1, bindings).expect("gemm row schedule cannot fail");
 }
 
 /// Serial `i8` band kernel: dispatches one row band to the AVX2 or
@@ -598,15 +561,36 @@ mod tests {
         assert_close(&fast, &slow, 1e-3);
     }
 
+    /// Band-driver shapes: the production-sized product, uneven bands,
+    /// fewer rows than threads, and an empty inner dimension.
+    const BAND_SHAPES: [(usize, usize, usize); 4] =
+        [(192, 80, 512), (17, 9, 13), (2, 5, 9), (5, 0, 4)];
+
     #[test]
     fn parallel_path_matches_reference() {
-        // Large enough to cross PARALLEL_THRESHOLD.
+        // The band driver is called directly with explicit thread counts,
+        // so the threaded path runs whatever the host's core count or
+        // the process-global thread cap.
         let mut rng = DetRng::new(3);
-        let a = Matrix::random_normal(192, 80, &mut rng);
-        let b = Matrix::random_normal(80, 512, &mut rng);
-        let fast = matmul(&a, &b).unwrap();
-        let slow = matmul_reference(&a, &b).unwrap();
-        assert_close(&fast, &slow, 1e-3);
+        for (m, k, n) in BAND_SHAPES {
+            let a = Matrix::random_normal(m, k, &mut rng);
+            let b = Matrix::random_normal(k, n, &mut rng);
+            let mut serial = Matrix::zeros(m, n);
+            block_kernel(a.as_slice(), b.as_slice(), serial.as_mut_slice(), m, k, n);
+            assert_close(&serial, &matmul_reference(&a, &b).unwrap(), 1e-3);
+            for threads in [2, 3, 7] {
+                let mut banded = Matrix::zeros(m, n);
+                parallel_bands(
+                    a.as_slice(),
+                    banded.as_mut_slice(),
+                    (m, k, n),
+                    threads,
+                    |a, out, rows| block_kernel(a, b.as_slice(), out, rows, k, n),
+                );
+                let bits = |x: &Matrix| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&banded), bits(&serial), "({m},{k},{n}) x {threads}");
+            }
+        }
     }
 
     #[test]
@@ -726,12 +710,19 @@ mod tests {
     #[test]
     fn i8_gemm_parallel_path_matches_reference() {
         let mut rng = DetRng::new(9);
-        let (m, k, n) = (192, 80, 512);
-        let a = random_i8(m * k, &mut rng);
-        let b = random_i8(k * n, &mut rng);
-        let slow = matmul_i8_i32_reference(&a, &b, m, k, n).unwrap();
-        let fast = matmul_i8_i32(&a, &b, m, k, n).unwrap();
-        assert_eq!(fast, slow);
+        let use_simd = i8_simd_selected();
+        for (m, k, n) in BAND_SHAPES {
+            let a = random_i8(m * k, &mut rng);
+            let b = random_i8(k * n, &mut rng);
+            let slow = matmul_i8_i32_reference(&a, &b, m, k, n).unwrap();
+            for threads in [2, 3, 7] {
+                let mut fast = vec![0i32; m * n];
+                parallel_bands(&a, &mut fast, (m, k, n), threads, |a, out, rows| {
+                    i8_band_kernel(a, &b, out, rows, k, n, use_simd);
+                });
+                assert_eq!(fast, slow, "({m},{k},{n}) x {threads}");
+            }
+        }
     }
 
     #[test]

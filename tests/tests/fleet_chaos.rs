@@ -215,7 +215,7 @@ fn run_pooled_with_injection(
             Ok(())
         };
         let encode_exec = move || -> SupervisedFn<'_, Matrix, FrameworkError> {
-            Box::new(move |ctx: FiringCtx, _inputs: &[Matrix]| {
+            Box::new(move |ctx: FiringCtx, _inputs: &mut [Matrix]| {
                 inject(0, ctx.firing)?;
                 let start = (ctx.firing as usize) * chunk;
                 let end = (start + chunk).min(rows);
@@ -227,7 +227,7 @@ fn run_pooled_with_injection(
             })
         };
         let score_exec = move || -> SupervisedFn<'_, Matrix, FrameworkError> {
-            Box::new(move |ctx: FiringCtx, tokens: &[Matrix]| {
+            Box::new(move |ctx: FiringCtx, tokens: &mut [Matrix]| {
                 inject(1, ctx.firing)?;
                 let scores = score_seat.invoke(&tokens[0], ctx.deadline_s)?;
                 let mut out = predictions.lock().unwrap();

@@ -93,25 +93,30 @@ fn run_with_fault(
             let produce_total: usize = outs.iter().map(|&(_, r)| r as usize).sum();
             let produced = produced.clone();
             let consumed = consumed.clone();
-            Binding::Map(Box::new(move |firing, _inputs| {
-                // The runtime collected this firing's full input batch
-                // before invoking us, so it counts as consumed even if
-                // the firing faults below — exactly the runtime's
-                // semantics (an erroring firing wastes its inputs).
-                for &(c, rate) in &ins {
-                    consumed[c].fetch_add(rate, Ordering::SeqCst);
-                }
-                if s == victim && firing == kill_at {
-                    return match fault {
-                        Fault::Error => Err("injected fault".to_string()),
-                        Fault::Stop => Ok((Vec::new(), Fire::Stop)),
-                    };
-                }
-                for &(c, rate) in &outs {
-                    produced[c].fetch_add(rate, Ordering::SeqCst);
-                }
-                Ok((vec![(); produce_total], Fire::Continue))
-            }))
+            Supervised::map(
+                Supervision::none(),
+                move |ctx: FiringCtx, _inputs: &mut [()]| {
+                    let firing = ctx.firing;
+                    // The runtime collected this firing's full input batch
+                    // before invoking us, so it counts as consumed even if
+                    // the firing faults below — exactly the runtime's
+                    // semantics (an erroring firing wastes its inputs).
+                    for &(c, rate) in &ins {
+                        consumed[c].fetch_add(rate, Ordering::SeqCst);
+                    }
+                    if s == victim && firing == kill_at {
+                        return match fault {
+                            Fault::Error => Err("injected fault".to_string()),
+                            Fault::Stop => Ok((Vec::new(), Fire::Stop)),
+                        };
+                    }
+                    for &(c, rate) in &outs {
+                        produced[c].fetch_add(rate, Ordering::SeqCst);
+                    }
+                    Ok((vec![(); produce_total], Fire::Continue))
+                },
+            )
+            .into_binding()
         })
         .collect();
 
@@ -138,26 +143,23 @@ fn run_with_fault(
 /// How the supervised victim stage escalates after its injected fault.
 #[derive(Clone, Copy, Debug)]
 enum Escalated {
-    /// `Escalation::Substitute`: a permanent fallback executor takes
-    /// over and the run completes.
-    Substitute,
     /// `Escalation::Quarantine` whose rebind handler supplies a
     /// replacement: the firing re-runs and the run completes.
     QuarantineRebinds,
     /// `Escalation::Quarantine` whose rebind handler declines: the run
-    /// aborts exactly like an unsupervised stage error.
+    /// aborts exactly like a stage error under `Escalation::Abort`.
     QuarantineDeclines,
 }
 
 /// Runs `plan` with the victim stage wrapped in a `Supervision` policy
 /// that faults at firing `kill_at` and escalates per `mode`; healthy
-/// stages run unsupervised. Returns the per-channel
+/// stages run under `Supervision::none()`. Returns the per-channel
 /// `(produced, consumed)` counts the closures observed.
 ///
 /// The consumed counter bumps once per *firing* (not per attempt): the
 /// runtime collects a firing's inputs once and replays the same batch
-/// into every retry, substitute, and re-bound executor, so a re-run
-/// must not double-count the drain.
+/// into every retry and re-bound executor, so a re-run must not
+/// double-count the drain.
 fn run_with_escalation(
     plan: &ExecutablePlan,
     iterations: u64,
@@ -194,10 +196,10 @@ fn run_with_escalation(
             let produce_total: usize = outs.iter().map(|&(_, r)| r as usize).sum();
             let produced = produced.clone();
             let consumed = consumed.clone();
-            // Healthy firing body, shared by the primary, the
-            // substitute, and the re-bound executor. `counted` tracks
-            // the next un-tallied firing so attempt replays of the same
-            // firing count its consumed inputs exactly once.
+            // Healthy firing body, shared by the primary and the
+            // re-bound executor. `counted` tracks the next un-tallied
+            // firing so attempt replays of the same firing count its
+            // consumed inputs exactly once.
             let counted = Arc::new(AtomicU64::new(0));
             let healthy = {
                 let ins = ins.clone();
@@ -222,14 +224,18 @@ fn run_with_escalation(
             };
             if s != victim {
                 let healthy = healthy.clone();
-                return Binding::Map(Box::new(move |firing, _| healthy(firing)));
+                return Supervised::map(
+                    Supervision::none(),
+                    move |ctx: FiringCtx, _: &mut [()]| healthy(ctx.firing),
+                )
+                .into_binding();
             }
             let primary = {
                 let healthy = healthy.clone();
                 let consumed = consumed.clone();
                 let counted = counted.clone();
                 let ins = ins.clone();
-                move |ctx: FiringCtx, _inputs: &[()]| {
+                move |ctx: FiringCtx, _inputs: &mut [()]| {
                     if ctx.firing == kill_at {
                         // The runtime already drained this firing's
                         // inputs off the channels; tally them even
@@ -254,21 +260,15 @@ fn run_with_escalation(
             };
             let supervised = Supervised::map(Supervision::none(), primary);
             match mode {
-                Escalated::Substitute => {
-                    let healthy = healthy.clone();
-                    supervised
-                        .or_substitute(move |ctx: FiringCtx, _inputs: &[()]| healthy(ctx.firing))
-                        .into_binding()
-                }
                 Escalated::QuarantineRebinds => {
                     let healthy = healthy.clone();
                     supervised
                         .or_quarantine(move |_firing, _attempts, _e: &String| {
                             let healthy = healthy.clone();
-                            Some(
-                                Box::new(move |ctx: FiringCtx, _inputs: &[()]| healthy(ctx.firing))
-                                    as runtime::SupervisedFn<'_, (), String>,
-                            )
+                            Some(Box::new(move |ctx: FiringCtx, _inputs: &mut [()]| {
+                                healthy(ctx.firing)
+                            })
+                                as runtime::SupervisedFn<'_, (), String>)
                         })
                         .into_binding()
                 }
@@ -281,15 +281,12 @@ fn run_with_escalation(
 
     let result = runtime::run(plan, iterations, bindings);
     match mode {
-        Escalated::Substitute | Escalated::QuarantineRebinds => {
+        Escalated::QuarantineRebinds => {
             let report = result.expect("escalation recovers the run");
             assert!(report.completed, "recovered runs complete");
             let stats = &report.supervision[victim];
             assert_eq!(stats.faults, 1, "exactly the injected fault");
-            match mode {
-                Escalated::Substitute => assert_eq!(stats.substitutions, 1),
-                _ => assert_eq!(stats.rebinds, 1),
-            }
+            assert_eq!(stats.rebinds, 1);
         }
         Escalated::QuarantineDeclines => match result {
             Err(RunError::Stage {
@@ -368,11 +365,11 @@ proptest! {
 
     /// The same law under every `Supervision` escalation path: fault
     /// every stage of every production graph at every firing index and
-    /// escalate via `Substitute`, a re-binding `Quarantine`, and a
-    /// declining `Quarantine`. Recovered runs must complete with every
-    /// channel fully drained (produced == consumed); the declining
-    /// quarantine must tear down exactly like an unsupervised stage
-    /// error, with downstream receivers draining everything buffered.
+    /// escalate via a re-binding `Quarantine` and a declining
+    /// `Quarantine`. Recovered runs must complete with every channel
+    /// fully drained (produced == consumed); the declining quarantine
+    /// must tear down exactly like an aborting stage error, with
+    /// downstream receivers draining everything buffered.
     #[test]
     fn prop_escalations_preserve_the_teardown_guarantees(
         iterations in 1u64..3,
@@ -386,15 +383,11 @@ proptest! {
                 plan.repetition().iter().map(|&r| r * iterations).collect();
             for (victim, &target) in targets.iter().enumerate() {
                 for kill_at in 0..target {
-                    for mode in [
-                        Escalated::Substitute,
-                        Escalated::QuarantineRebinds,
-                        Escalated::QuarantineDeclines,
-                    ] {
+                    for mode in [Escalated::QuarantineRebinds, Escalated::QuarantineDeclines] {
                         let counts =
                             run_with_escalation(&plan, iterations, victim, kill_at, mode);
                         match mode {
-                            Escalated::Substitute | Escalated::QuarantineRebinds => {
+                            Escalated::QuarantineRebinds => {
                                 // Recovery is total: the run completed, so
                                 // every channel is fully drained.
                                 for (c, channel) in

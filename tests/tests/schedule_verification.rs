@@ -14,7 +14,7 @@ use std::convert::Infallible;
 use proptest::prelude::*;
 
 use hd_analysis::dataflow::analyze;
-use hd_dataflow::runtime::{self, Binding, ExecutablePlan, Fire};
+use hd_dataflow::runtime::{self, Binding, ExecutablePlan, Fire, Supervised, Supervision};
 use hd_dataflow::SdfGraph;
 use hd_tensor::rng::DetRng;
 use hd_tensor::Matrix;
@@ -96,9 +96,10 @@ fn synthetic_bindings(graph: &SdfGraph) -> Vec<Binding<'static, (), Infallible>>
                 .filter(|c| c.from.index() == s)
                 .map(|c| c.produce)
                 .sum();
-            Binding::Map(Box::new(move |_, _| {
+            Supervised::map(Supervision::none(), move |_, _| {
                 Ok((vec![(); produce], Fire::Continue))
-            }))
+            })
+            .into_binding()
         })
         .collect()
 }
