@@ -958,9 +958,9 @@ fn i8_vec(rng: &mut DetRng, n: usize) -> Vec<i8> {
 }
 
 /// `fig_kernels` plus its machine-readable report: honest wall-clock
-/// microbenchmarks of the three host kernels behind the packed bipolar
-/// datapath, each pinned bit-exact against its scalar reference before
-/// the timings are trusted:
+/// microbenchmarks of the host kernels behind the packed bipolar and
+/// quantized datapaths, each pinned bit-exact against its scalar
+/// reference before the timings are trusted:
 ///
 /// 1. batch scoring — packed XOR+popcount Hamming scan
 ///    ([`hd_tensor::packed::PackedClassHypervectors::predict_batch`])
@@ -969,7 +969,11 @@ fn i8_vec(rng: &mut DetRng, n: usize) -> Vec<i8> {
 /// 2. `i8` GEMM — the runtime-dispatched kernel
 ///    ([`hd_tensor::gemm::matmul_i8_i32`], AVX2 where the host has it)
 ///    vs the naive triple loop, at the encode shape (features × `d`);
-/// 3. majority bundling — vertical bit-sliced counters
+/// 3. `f32` GEMM — the packed register-tiled kernel
+///    ([`hd_tensor::gemm::matmul`]) vs the naive triple loop
+///    ([`hd_tensor::gemm::matmul_reference`]) at the same shape,
+///    bit-identical because both sum in ascending order;
+/// 4. majority bundling — vertical bit-sliced counters
 ///    ([`hd_tensor::packed::majority_bundle`]) over 33 packed vectors.
 ///
 /// All numbers are best-of-3 wall-clock on the current host — no
@@ -1056,7 +1060,25 @@ pub fn fig_kernels_report() -> (ResultTable, BenchRecord) {
     let gemm_speedup = naive_gemm_s / simd_gemm_s;
     let i8_kernel = hd_tensor::kernels::i8_gemm_kernel_name().to_string();
 
-    // --- 3. vertical-counter majority bundling ------------------------
+    // --- 3. packed vs naive f32 GEMM ----------------------------------
+    let a_f32 = Matrix::random_normal(gemm_m, gemm_k, &mut rng);
+    let b_f32 = Matrix::random_normal(gemm_k, gemm_n, &mut rng);
+    let (f32_gemm_s, f32_out) = best_of(3, || {
+        gemm::matmul(&a_f32, &b_f32).expect("gemm shapes agree")
+    });
+    let (f32_reference_s, f32_reference) = best_of(3, || {
+        gemm::matmul_reference(&a_f32, &b_f32).expect("gemm shapes agree")
+    });
+    assert!(
+        f32_out
+            .iter()
+            .zip(f32_reference.iter())
+            .all(|(x, y)| x.to_bits() == y.to_bits()),
+        "packed f32 GEMM must be bit-identical to the naive reference"
+    );
+    let f32_gemm_speedup = f32_reference_s / f32_gemm_s;
+
+    // --- 4. vertical-counter majority bundling ------------------------
     let members: Vec<PackedBipolar> = (0..bundle_vectors)
         .map(|_| PackedBipolar::from_signs(&sign_vec(&mut rng, dim)))
         .collect();
@@ -1088,6 +1110,12 @@ pub fn fig_kernels_report() -> (ResultTable, BenchRecord) {
         fmt_speedup(gemm_speedup),
     ]);
     t.push_row(vec![
+        format!("f32 gemm {gemm_m}x{gemm_k}x{gemm_n}"),
+        crate::fmt_secs(f32_reference_s),
+        crate::fmt_secs(f32_gemm_s),
+        fmt_speedup(f32_gemm_speedup),
+    ]);
+    t.push_row(vec![
         format!("majority bundle ({bundle_vectors} vectors, d={dim})"),
         format!("{:.3} GiB/s", bundle_gib_s),
         crate::fmt_secs(bundle_s),
@@ -1110,6 +1138,9 @@ pub fn fig_kernels_report() -> (ResultTable, BenchRecord) {
         .field("naive_gemm_gops", format!("{naive_gemm_gops:.3}"))
         .field("gemm_speedup", format!("{gemm_speedup:.3}"))
         .field("i8_kernel", format!("\"{i8_kernel}\""))
+        .field("f32_gemm_s", format!("{f32_gemm_s:.12}"))
+        .field("f32_reference_s", format!("{f32_reference_s:.12}"))
+        .field("f32_gemm_speedup", format!("{f32_gemm_speedup:.3}"))
         .field("bundle_vectors", bundle_vectors.to_string())
         .field("bundle_s", format!("{bundle_s:.12}"))
         .field("bundle_gib_s", format!("{bundle_gib_s:.3}"));

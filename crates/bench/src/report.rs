@@ -140,7 +140,7 @@ pub struct Check {
 /// should trip them. Smoke runs amortize fixed backoff over fewer rows,
 /// hence the generous factor on the recovered-throughput baseline.
 #[rustfmt::skip]
-pub const CHECKS: [Check; 11] = [
+pub const CHECKS: [Check; 12] = [
     Check { bench: "pipeline", key: "simulated_speedup", bound: Bound::AtLeast(1.0),
         failure: "pipelined schedule no faster than serial ({fresh}x)" },
     Check { bench: "pipeline", key: "simulated_speedup", bound: Bound::AtLeastBaseline(0.5),
@@ -164,6 +164,8 @@ pub const CHECKS: [Check; 11] = [
         failure: "packed scoring lost its representation win ({fresh}x)" },
     Check { bench: "kernels", key: "gemm_speedup", bound: Bound::AtLeast(1.5),
         failure: "dispatched i8 gemm barely beats the naive loop ({fresh}x)" },
+    Check { bench: "kernels", key: "f32_gemm_speedup", bound: Bound::AtLeast(1.5),
+        failure: "packed f32 gemm barely beats the naive loop ({fresh}x)" },
 ];
 
 impl Check {
@@ -303,10 +305,11 @@ mod tests {
     fn kernels_json_is_flat_and_line_parsable() {
         assert_flat_and_line_parsable(
             "kernels",
-            23,
+            26,
             &[
                 ("packed_speedup", 3),
                 ("gemm_speedup", 3),
+                ("f32_gemm_speedup", 3),
                 ("bundle_gib_s", 3),
             ],
         );
@@ -377,7 +380,11 @@ mod tests {
                 ("min_recovered_frac", "0.136570"),
                 ("total_faults", "22"),
             ],
-            "kernels" => &[("packed_speedup", "16.752"), ("gemm_speedup", "12.084")],
+            "kernels" => &[
+                ("packed_speedup", "16.752"),
+                ("gemm_speedup", "12.084"),
+                ("f32_gemm_speedup", "20.000"),
+            ],
             other => panic!("unknown bench {other}"),
         };
         let mut r = BenchRecord::new(bench, true);
@@ -405,7 +412,7 @@ mod tests {
     #[test]
     fn every_check_passes_at_its_threshold_and_fails_just_past_it() {
         // (bench, key, baseline, at the threshold, just past it); each
-        // pair of inputs isolates one of the eleven checks.
+        // pair of inputs isolates one of the twelve checks.
         let cases = [
             (
                 "pipeline",
@@ -454,6 +461,7 @@ mod tests {
             ),
             ("kernels", "packed_speedup", "16.752", "2.000", "1.999"),
             ("kernels", "gemm_speedup", "12.084", "1.500", "1.499"),
+            ("kernels", "f32_gemm_speedup", "20.000", "1.500", "1.499"),
         ];
         assert_eq!(cases.len(), CHECKS.len());
         for (check, (bench, key, baseline, at, past)) in CHECKS.iter().zip(cases) {

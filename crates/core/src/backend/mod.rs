@@ -114,9 +114,9 @@ pub struct BackendLedger {
     /// Query rows scored through the bit-packed bipolar Hamming kernel
     /// instead of the `f32` GEMM path.
     pub packed_score_rows: u64,
-    /// `i8` GEMM calls dispatched to the SIMD kernel.
+    /// `i8` GEMM calls that ran the AVX2 tile.
     pub simd_gemm_calls: u64,
-    /// `i8` GEMM calls dispatched to the portable blocked kernel.
+    /// `i8` GEMM calls that ran the portable scalar tile.
     pub portable_gemm_calls: u64,
 }
 

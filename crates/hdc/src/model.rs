@@ -60,11 +60,6 @@ impl ClassHypervectors {
         &self.matrix
     }
 
-    /// Mutable access for the training loop.
-    pub(crate) fn as_matrix_mut(&mut self) -> &mut Matrix {
-        &mut self.matrix
-    }
-
     /// Consumes `self` and returns the underlying matrix.
     pub fn into_matrix(self) -> Matrix {
         self.matrix

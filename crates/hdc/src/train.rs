@@ -254,13 +254,12 @@ pub fn train_encoded_warm(
         validate_labels(val.rows(), val_labels, classes)?;
     }
 
-    let mut class_hvs = initial;
     let mut stats = TrainStats::default();
     // Scratch: class scores per sample; class matrix is d x k so scoring a
     // sample is k dots of length d done via transpose-free row walks.
     let mut class_rows: Vec<Vec<f32>> = (0..classes)
         .map(|j| {
-            class_hvs
+            initial
                 .class(j)
                 .expect("class index in range by construction")
         })
@@ -304,14 +303,10 @@ pub fn train_encoded_warm(
         }
     }
 
-    // Materialize the d x k matrix from the row-major per-class scratch.
-    let m = class_hvs.as_matrix_mut();
-    for (j, row) in class_rows.iter().enumerate() {
-        for (i, &v) in row.iter().enumerate() {
-            m[(i, j)] = v;
-        }
-    }
-    Ok((class_hvs, stats))
+    Ok((
+        ClassHypervectors::from_matrix(class_matrix(&class_rows)),
+        stats,
+    ))
 }
 
 /// One perceptron pass of `labels` over `encoded`, mutating the per-class
@@ -542,21 +537,18 @@ where
         }
     }
 
-    let mut class_hvs = ClassHypervectors::zeros(d, classes);
-    let m = class_hvs.as_matrix_mut();
-    for (j, row) in class_rows.iter().enumerate() {
-        for (i, &v) in row.iter().enumerate() {
-            m[(i, j)] = v;
-        }
-    }
-    Ok((class_hvs, stats))
+    Ok((
+        ClassHypervectors::from_matrix(class_matrix(&class_rows)),
+        stats,
+    ))
 }
 
 fn predict_one(class_rows: &[Vec<f32>], sample: &[f32]) -> Result<usize> {
+    let mut scores = vec![0.0f32; class_rows.len()];
+    ops::dots(sample, class_rows, &mut scores).map_err(HdcError::from)?;
     let mut best = 0usize;
     let mut best_score = f32::NEG_INFINITY;
-    for (j, class) in class_rows.iter().enumerate() {
-        let score = ops::dot(sample, class).map_err(HdcError::from)?;
+    for (j, &score) in scores.iter().enumerate() {
         if score > best_score {
             best_score = score;
             best = j;
@@ -663,15 +655,7 @@ impl OnlineTrainer {
 
     /// Finalizes into class hypervectors.
     pub fn finish(self) -> ClassHypervectors {
-        let d = self.class_rows.first().map_or(0, Vec::len);
-        let k = self.class_rows.len();
-        let mut m = Matrix::zeros(d, k);
-        for (j, row) in self.class_rows.iter().enumerate() {
-            for (i, &v) in row.iter().enumerate() {
-                m[(i, j)] = v;
-            }
-        }
-        ClassHypervectors::from_matrix(m)
+        ClassHypervectors::from_matrix(class_matrix(&self.class_rows))
     }
 }
 

@@ -1,15 +1,43 @@
-//! Blocked, optionally multi-threaded matrix multiplication.
+//! Packed, register-tiled, optionally multi-threaded matrix multiplication.
 //!
 //! HDC encoding is "indeed a vector–matrix multiplication that is ready to
-//! accelerate on most hardware accelerators" (paper, Section III-A); on the
-//! host CPU baseline it is a plain SGEMM. This module provides a cache
-//! blocked kernel plus a row-parallel driver — a two-stage SDF schedule
-//! (plan → rows) executed through the generic runtime in
-//! [`hd_dataflow::runtime`] — so that the *functional* parts of the
-//! experiments (accuracy measurements) finish in reasonable wall-clock
-//! time. The *analytic* runtime models in the `cpu-model` and `tpu-sim`
-//! crates are what reproduce the paper's timing figures; this kernel's
-//! real speed is never reported as an experiment result.
+//! accelerate on most hardware accelerators" (paper, Section III-A). On the
+//! host CPU baseline it is a plain SGEMM, and the device simulator's
+//! functional int8 path is an `i8 x i8 -> i32` GEMM. Both dtypes run one
+//! kernel shape, the host's small-scale version of the paper's
+//! weight-stationary array:
+//!
+//! * **Packing.** `b` is packed per call, one `KC x NC` slab (256 rows by
+//!   256 columns, cut into 16-column panels) at a time, into one scratch
+//!   buffer of at most 256 KiB per row band. No packed copy outlives the
+//!   call, so memory stays bounded and fault-flipped device weights are
+//!   read exactly as stored. `i8` slabs hold `k`-pairs widened to `i16`
+//!   for `_mm256_madd_epi16`.
+//! * **Register tile.** An `MR x NR` (6 x 16) block of the output stays in
+//!   registers while a slab streams past it. The f32 tile keeps each
+//!   output's ascending-`p` order with a separate multiply and add (no
+//!   FMA), so [`matmul_into`] is bit-identical to [`matmul_reference`]; the
+//!   `i8` tile's `i32` sums are exact, so [`matmul_i8_i32`] equals
+//!   [`matmul_i8_i32_reference`]. A narrow last panel is zero-padded and
+//!   its store writes only the real columns.
+//! * **Zero skip.** The f32 kernel skips products whose `a` is zero, so a
+//!   zero in `a` never picks up a NaN or infinity from `b`. An
+//!   accumulator starts at `+0` and never becomes `-0`, so adding a `±0`
+//!   product is a no-op whenever `b` is finite: the pack pass checks each
+//!   slab, the AVX2 tile runs finite slabs without the test, and the
+//!   scalar tile, which keeps it, runs the rest. For `i8` a zero product
+//!   is always a no-op.
+//! * **Dispatch.** The AVX2 tiles run when the host has AVX2 and SIMD is
+//!   permitted ([`crate::kernels::set_simd_enabled`], `HD_NO_SIMD`);
+//!   otherwise, and under Miri, a scalar tile runs over the same packing.
+//! * **Threads.** Large products split into row bands, a two-stage SDF
+//!   schedule (plan -> rows) executed through the generic runtime in
+//!   [`hd_dataflow::runtime`]; each band packs its own slabs.
+//!
+//! The *analytic* runtime models in the `cpu-model` and `tpu-sim` crates
+//! reproduce the paper's timing figures. The wall-clock speed of these
+//! kernels is what the `fig_kernels` bench and the end-to-end benchmark
+//! measure.
 
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -21,8 +49,16 @@ use crate::error::TensorError;
 use crate::matrix::Matrix;
 use crate::Result;
 
-/// Cache-block edge length used by the inner kernel.
-const BLOCK: usize = 64;
+/// Rows of one register tile of the output.
+const MR: usize = 6;
+/// Columns of one register tile, and the width of one packed panel of `b`.
+const NR: usize = 16;
+/// Depth of one packed slab of `b`. Even, so only a product's last slab
+/// can end in an unpaired `i8` row.
+const KC: usize = 256;
+/// Columns of one packed slab of `b`: 16 panels, so an f32 slab
+/// (`KC x NC`) is 256 KiB and an `i8` one half that.
+const NC: usize = 256;
 
 /// Process-wide worker-thread cap set via [`set_thread_cap`]; `0` means
 /// uncapped (use every hardware thread).
@@ -44,8 +80,8 @@ fn check_compatible(a: &Matrix, b: &Matrix, op: &'static str) -> Result<()> {
 
 /// Multiplies `a (m x k)` by `b (k x n)`, producing an `m x n` matrix.
 ///
-/// Uses a blocked kernel, and splits rows across threads when the output is
-/// large enough to amortize thread startup.
+/// Uses the packed register-tiled kernel, and splits rows across threads
+/// when the output is large enough to amortize thread startup.
 ///
 /// # Errors
 ///
@@ -86,31 +122,19 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) -> Result<()> {
             rhs: (a.rows(), b.cols()),
         });
     }
-    let (m, k) = a.shape();
-    let n = b.cols();
     out.as_mut_slice().fill(0.0);
-
-    let work = m.saturating_mul(n);
-    let threads = available_threads();
-    if work >= PARALLEL_THRESHOLD && threads > 1 && m > 1 {
-        let b = b.as_slice();
-        parallel_bands(
-            a.as_slice(),
-            out.as_mut_slice(),
-            (m, k, n),
-            threads,
-            |a, out, rows| {
-                block_kernel(a, b, out, rows, k, n);
-            },
-        );
-    } else {
-        block_kernel(a.as_slice(), b.as_slice(), out.as_mut_slice(), m, k, n);
-    }
+    matmul_f32(
+        a.as_slice(),
+        b.as_slice(),
+        out.as_mut_slice(),
+        (a.rows(), a.cols(), b.cols()),
+    );
     Ok(())
 }
 
 /// Vector–matrix product `x (1 x k) * b (k x n)`, returning a length-`n`
-/// vector. This is the per-sample encoding step `E = F x B`.
+/// vector: the per-sample encoding step `E = F x B`, run as a one-row
+/// [`matmul_into`].
 ///
 /// # Errors
 ///
@@ -123,19 +147,18 @@ pub fn matvec(x: &[f32], b: &Matrix) -> Result<Vec<f32>> {
             rhs: b.shape(),
         });
     }
-    let n = b.cols();
-    let mut out = vec![0.0f32; n];
-    // Row-major b: accumulate row-by-row, which is sequential in memory.
-    for (i, &xi) in x.iter().enumerate() {
-        if xi == 0.0 {
-            continue;
-        }
-        let row = b.row(i);
-        for (o, &bv) in out.iter_mut().zip(row) {
-            *o += xi * bv;
-        }
-    }
+    let mut out = vec![0.0f32; b.cols()];
+    matmul_f32(x, b.as_slice(), &mut out, (1, x.len(), b.cols()));
     Ok(out)
+}
+
+/// `out (m x n) += a (m x k) * b (k x n)` over row-major slices, with
+/// `out` zeroed by the caller.
+fn matmul_f32(a: &[f32], b: &[f32], out: &mut [f32], (m, k, n): (usize, usize, usize)) {
+    let simd = simd_selected();
+    banded(a, out, (m, k, n), |a, out, rows| {
+        f32_kernel(a, b, out, (rows, k, n), simd);
+    });
 }
 
 /// Caps the number of worker threads the parallel kernels may use; `0`
@@ -165,6 +188,23 @@ pub fn available_threads() -> usize {
         threads = threads.min(env_cap);
     }
     threads.max(1)
+}
+
+/// Runs `kernel` over the whole product, or over row bands through
+/// [`parallel_bands`] when the output is large enough and more than one
+/// thread is available.
+fn banded<A: Sync, O: Send>(
+    a: &[A],
+    out: &mut [O],
+    (m, k, n): (usize, usize, usize),
+    kernel: impl Fn(&[A], &mut [O], usize) + Sync,
+) {
+    let threads = available_threads();
+    if m.saturating_mul(n) >= PARALLEL_THRESHOLD && threads > 1 && m > 1 {
+        parallel_bands(a, out, (m, k, n), threads, kernel);
+    } else {
+        kernel(a, out, m);
+    }
 }
 
 /// One row band of an `m x k` by `k x n` product: the band's rows of
@@ -235,33 +275,118 @@ fn parallel_bands<A: Sync, O: Send>(
     runtime::run(&plan, 1, bindings).expect("gemm row schedule cannot fail");
 }
 
-/// The serial blocked kernel: `out (m x n) += a (m x k) * b (k x n)`.
-///
-/// `out` must be zeroed by the caller. Iteration order is (i, p, j) within
-/// blocks so the innermost loop streams both `b` and `out` rows.
-fn block_kernel(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    for ib in (0..m).step_by(BLOCK) {
-        let i_end = (ib + BLOCK).min(m);
-        for pb in (0..k).step_by(BLOCK) {
-            let p_end = (pb + BLOCK).min(k);
-            for jb in (0..n).step_by(BLOCK) {
-                let j_end = (jb + BLOCK).min(n);
-                for i in ib..i_end {
-                    let a_row = &a[i * k..(i + 1) * k];
-                    let out_row = &mut out[i * n + jb..i * n + j_end];
-                    for p in pb..p_end {
-                        let av = a_row[p];
-                        if av == 0.0 {
-                            continue;
-                        }
-                        let b_row = &b[p * n + jb..p * n + j_end];
-                        for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                            *o += av * bv;
-                        }
-                    }
+/// One register tile's place in a product: the row strides of `a` (`k`)
+/// and of the output (`n`), the depth of the slab it runs over, and how
+/// many of its `MR` rows and `NR` columns are real.
+#[derive(Debug, Clone, Copy)]
+struct Tile {
+    k: usize,
+    n: usize,
+    depth: usize,
+    rows: usize,
+    cols: usize,
+}
+
+/// The f32 kernel over one row band: `out (m x n) += a (m x k) * b (k x n)`
+/// with `out` zeroed by the caller. For each `KC x NC` block of `b` it
+/// packs one slab, then runs every `MR`-row tile of the band across the
+/// slab's panels; each output sums its products in ascending `p`.
+fn f32_kernel(a: &[f32], b: &[f32], out: &mut [f32], (m, k, n): (usize, usize, usize), simd: bool) {
+    let mut slab = vec![0.0f32; KC.min(k) * NC.min(n).next_multiple_of(NR)];
+    for j0 in (0..n).step_by(NC) {
+        let width = NC.min(n - j0);
+        for p0 in (0..k).step_by(KC) {
+            let depth = KC.min(k - p0);
+            let fast = pack_f32(b, n, (p0, j0), (depth, width), &mut slab) && simd;
+            for i0 in (0..m).step_by(MR) {
+                let a = &a[i0 * k + p0..];
+                for (panel, jp) in (0..width).step_by(NR).enumerate() {
+                    let tile = Tile {
+                        k,
+                        n,
+                        depth,
+                        rows: MR.min(m - i0),
+                        cols: NR.min(width - jp),
+                    };
+                    let slab = &slab[panel * depth * NR..][..depth * NR];
+                    tile_f32(a, slab, &mut out[i0 * n + j0 + jp..], tile, fast);
                 }
             }
         }
+    }
+}
+
+/// Packs the `depth x width` block of row-major `b (.. x n)` whose
+/// top-left element is `b[p0][j0]` as `NR`-column panels, each `depth`
+/// rows of `NR` lanes, zero-padding the last panel's lanes past `width`.
+/// Returns whether every packed value is finite.
+fn pack_f32(
+    b: &[f32],
+    n: usize,
+    (p0, j0): (usize, usize),
+    (depth, width): (usize, usize),
+    slab: &mut [f32],
+) -> bool {
+    let mut max_magnitude = 0u32;
+    for p in 0..depth {
+        let row = &b[(p0 + p) * n + j0..][..width];
+        // Non-finite values are exactly those with all exponent bits set.
+        max_magnitude = row
+            .iter()
+            .fold(max_magnitude, |max, v| max.max(v.to_bits() & 0x7FFF_FFFF));
+        for (panel, cols) in row.chunks(NR).enumerate() {
+            slab[(panel * depth + p) * NR..][..NR].copy_from_slice(&padded(cols));
+        }
+    }
+    max_magnitude < f32::INFINITY.to_bits()
+}
+
+/// One panel row: `cols` (at most `NR` values) zero-padded to `NR` lanes.
+fn padded<T: Copy + Default>(cols: &[T]) -> [T; NR] {
+    <[T; NR]>::try_from(cols).unwrap_or_else(|_| {
+        let mut lanes = [T::default(); NR];
+        lanes[..cols.len()].copy_from_slice(cols);
+        lanes
+    })
+}
+
+/// Runs one f32 tile: the AVX2 tile when `fast` (SIMD selected and the
+/// slab finite), the scalar tile otherwise.
+fn tile_f32(a: &[f32], slab: &[f32], out: &mut [f32], tile: Tile, fast: bool) {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if fast {
+        // SAFETY: `fast` implies `simd_selected()` detected AVX2 at run
+        // time; the tile checks its own slice bounds.
+        #[allow(unsafe_code)]
+        unsafe {
+            simd::tile_f32(a, slab, out, tile);
+        }
+        return;
+    }
+    let _ = fast;
+    tile_f32_portable(a, slab, out, tile);
+}
+
+/// The scalar f32 tile: the AVX2 tile's arithmetic one lane at a time,
+/// plus the `a == 0` skip (see the module docs).
+fn tile_f32_portable(a: &[f32], slab: &[f32], out: &mut [f32], tile: Tile) {
+    let mut acc = [[0.0f32; NR]; MR];
+    for (r, acc) in acc.iter_mut().enumerate().take(tile.rows) {
+        acc[..tile.cols].copy_from_slice(&out[r * tile.n..][..tile.cols]);
+    }
+    for (p, b) in slab.chunks_exact(NR).enumerate() {
+        for (r, acc) in acc.iter_mut().enumerate().take(tile.rows) {
+            let av = a[r * tile.k + p];
+            if av == 0.0 {
+                continue;
+            }
+            for (o, &bv) in acc.iter_mut().zip(b) {
+                *o += av * bv;
+            }
+        }
+    }
+    for (r, acc) in acc.iter().enumerate().take(tile.rows) {
+        out[r * tile.n..][..tile.cols].copy_from_slice(&acc[..tile.cols]);
     }
 }
 
@@ -282,9 +407,9 @@ fn check_i8_shapes(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Result<(
     Ok(())
 }
 
-/// Whether the SIMD `i8` kernel would be selected right now: policy
+/// Whether the AVX2 tiles would be selected right now: policy
 /// (`set_simd_enabled` / `HD_NO_SIMD`) plus runtime feature detection.
-fn i8_simd_selected() -> bool {
+fn simd_selected() -> bool {
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     {
         crate::kernels::simd_permitted() && std::arch::is_x86_feature_detected!("avx2")
@@ -299,20 +424,19 @@ fn i8_simd_selected() -> bool {
 /// (`"avx2"` or `"portable"`). Exposed via
 /// [`crate::kernels::i8_gemm_kernel_name`].
 pub(crate) fn selected_i8_kernel() -> &'static str {
-    if i8_simd_selected() {
+    if simd_selected() {
         "avx2"
     } else {
         "portable"
     }
 }
 
-/// Blocked `i8 x i8 -> i32` GEMM: multiplies row-major `a (m x k)` by
-/// `b (k x n)`, returning the `m x n` accumulator matrix as a flat
-/// vector.
+/// `i8 x i8 -> i32` GEMM: multiplies row-major `a (m x k)` by `b (k x n)`,
+/// returning the `m x n` accumulator matrix as a flat vector.
 ///
-/// Dispatches to a runtime-detected AVX2 kernel when permitted (see
+/// Runs the packed kernel with the AVX2 tile when permitted (see
 /// [`crate::kernels::set_simd_enabled`] and the `HD_NO_SIMD` variable)
-/// and to a portable chunked kernel otherwise; both are bit-exact with
+/// and the scalar tile otherwise; both are bit-exact with
 /// [`matmul_i8_i32_reference`]. Large products split into row bands
 /// across worker threads under the same [`set_thread_cap`] /
 /// `HD_THREADS` budget as the `f32` kernel.
@@ -330,20 +454,15 @@ pub(crate) fn selected_i8_kernel() -> &'static str {
 pub fn matmul_i8_i32(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Result<Vec<i32>> {
     check_i8_shapes(a, b, m, k, n)?;
     let mut out = vec![0i32; m.saturating_mul(n)];
-    let use_simd = i8_simd_selected();
-    if use_simd {
+    let simd = simd_selected();
+    if simd {
         crate::kernels::note_simd_gemm();
     } else {
         crate::kernels::note_portable_gemm();
     }
-    let threads = available_threads();
-    if m.saturating_mul(n) >= PARALLEL_THRESHOLD && threads > 1 && m > 1 {
-        parallel_bands(a, &mut out, (m, k, n), threads, |a, out, rows| {
-            i8_band_kernel(a, b, out, rows, k, n, use_simd);
-        });
-    } else {
-        i8_band_kernel(a, b, &mut out, m, k, n, use_simd);
-    }
+    banded(a, &mut out, (m, k, n), |a, out, rows| {
+        i8_kernel(a, b, out, (rows, k, n), simd);
+    });
     Ok(out)
 }
 
@@ -375,130 +494,296 @@ pub fn matmul_i8_i32_reference(
     Ok(out)
 }
 
-/// Serial `i8` band kernel: dispatches one row band to the AVX2 or
-/// portable implementation. `out` must be zeroed by the caller.
-fn i8_band_kernel(
-    a: &[i8],
-    b: &[i8],
-    out: &mut [i32],
-    m: usize,
-    k: usize,
-    n: usize,
-    use_simd: bool,
-) {
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    if use_simd {
-        // SAFETY: `use_simd` is only true after the dispatcher observed
-        // `is_x86_feature_detected!("avx2")`; slice bounds are checked by
-        // `check_i8_shapes` and the band carving above.
-        #[allow(unsafe_code)]
-        unsafe {
-            simd::gemm_i8_avx2(a, b, out, m, k, n)
-        };
-        return;
-    }
-    let _ = use_simd;
-    i8_portable_kernel(a, b, out, m, k, n);
-}
-
-/// Portable blocked `i8` kernel: (i, p, j) loops with `i32` accumulation,
-/// written so the inner `j` loop is a flat multiply-add stream LLVM can
-/// autovectorize on any target.
-fn i8_portable_kernel(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize, n: usize) {
-    for ib in (0..m).step_by(BLOCK) {
-        let i_end = (ib + BLOCK).min(m);
-        for pb in (0..k).step_by(BLOCK) {
-            let p_end = (pb + BLOCK).min(k);
-            for jb in (0..n).step_by(BLOCK) {
-                let j_end = (jb + BLOCK).min(n);
-                for i in ib..i_end {
-                    let a_row = &a[i * k..(i + 1) * k];
-                    let out_row = &mut out[i * n + jb..i * n + j_end];
-                    for p in pb..p_end {
-                        let av = i32::from(a_row[p]);
-                        if av == 0 {
-                            continue;
-                        }
-                        let b_row = &b[p * n + jb..p * n + j_end];
-                        for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                            *o += av * i32::from(bv);
-                        }
-                    }
+/// The `i8` kernel over one row band: the f32 kernel's loop nest over
+/// `k`-pair slabs, `out (m x n) += a (m x k) * b (k x n)` with `out`
+/// zeroed by the caller.
+fn i8_kernel(a: &[i8], b: &[i8], out: &mut [i32], (m, k, n): (usize, usize, usize), simd: bool) {
+    let mut slab = vec![0i16; KC.min(k).next_multiple_of(2) * NC.min(n).next_multiple_of(NR)];
+    for j0 in (0..n).step_by(NC) {
+        let width = NC.min(n - j0);
+        for p0 in (0..k).step_by(KC) {
+            let depth = KC.min(k - p0);
+            pack_i8(b, n, (p0, j0), (depth, width), &mut slab);
+            let panel_len = depth.div_ceil(2) * 2 * NR;
+            for i0 in (0..m).step_by(MR) {
+                let a = &a[i0 * k + p0..];
+                for (panel, jp) in (0..width).step_by(NR).enumerate() {
+                    let tile = Tile {
+                        k,
+                        n,
+                        depth,
+                        rows: MR.min(m - i0),
+                        cols: NR.min(width - jp),
+                    };
+                    let slab = &slab[panel * panel_len..][..panel_len];
+                    tile_i8(a, slab, &mut out[i0 * n + j0 + jp..], tile, simd);
                 }
             }
         }
     }
 }
 
-/// The AVX2 `i8` kernel. Isolated in its own module so the crate-level
-/// `deny(unsafe_code)` stays intact everywhere else; this is the only
-/// unsafe code in the workspace's algorithm crates.
+/// Packs the `depth x width` block of row-major `b (.. x n)` whose
+/// top-left element is `b[p0][j0]` as `NR`-column panels of `k`-pairs:
+/// row `q` of a panel holds, for each of its columns, `b[p0 + 2q]` then
+/// `b[p0 + 2q + 1]` of that column widened to `i16`. A row past `depth`
+/// and the last panel's columns past `width` are zero.
+fn pack_i8(
+    b: &[i8],
+    n: usize,
+    (p0, j0): (usize, usize),
+    (depth, width): (usize, usize),
+    slab: &mut [i16],
+) {
+    const ZERO_ROW: [i8; NC] = [0; NC];
+    let pairs = depth.div_ceil(2);
+    let row = |p: usize| {
+        if p < depth {
+            &b[(p0 + p) * n + j0..][..width]
+        } else {
+            &ZERO_ROW[..width]
+        }
+    };
+    for q in 0..pairs {
+        let (lo, hi) = (row(2 * q), row(2 * q + 1));
+        for (panel, (lo, hi)) in lo.chunks(NR).zip(hi.chunks(NR)).enumerate() {
+            let (lo, hi) = (padded(lo), padded(hi));
+            let lanes = &mut slab[(panel * pairs + q) * 2 * NR..][..2 * NR];
+            for (pair, (&x, &y)) in lanes.chunks_exact_mut(2).zip(lo.iter().zip(&hi)) {
+                pair[0] = i16::from(x);
+                pair[1] = i16::from(y);
+            }
+        }
+    }
+}
+
+/// Runs one `i8` tile: the AVX2 tile when `simd`, the scalar tile
+/// otherwise.
+fn tile_i8(a: &[i8], slab: &[i16], out: &mut [i32], tile: Tile, simd: bool) {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if simd {
+        // SAFETY: `simd` is only true after `simd_selected()` detected
+        // AVX2 at run time; the tile checks its own slice bounds.
+        #[allow(unsafe_code)]
+        unsafe {
+            simd::tile_i8(a, slab, out, tile);
+        }
+        return;
+    }
+    let _ = simd;
+    tile_i8_portable(a, slab, out, tile);
+}
+
+/// The scalar `i8` tile: the AVX2 tile's pair sums one lane at a time.
+fn tile_i8_portable(a: &[i8], slab: &[i16], out: &mut [i32], tile: Tile) {
+    let mut acc = [[0i32; NR]; MR];
+    for (r, acc) in acc.iter_mut().enumerate().take(tile.rows) {
+        acc[..tile.cols].copy_from_slice(&out[r * tile.n..][..tile.cols]);
+    }
+    for (q, b) in slab.chunks_exact(2 * NR).enumerate() {
+        let p = 2 * q;
+        for (r, acc) in acc.iter_mut().enumerate().take(tile.rows) {
+            let lo = i32::from(a[r * tile.k + p]);
+            let hi = if p + 1 < tile.depth {
+                i32::from(a[r * tile.k + p + 1])
+            } else {
+                0
+            };
+            for (o, pair) in acc.iter_mut().zip(b.chunks_exact(2)) {
+                *o += lo * i32::from(pair[0]) + hi * i32::from(pair[1]);
+            }
+        }
+    }
+    for (r, acc) in acc.iter().enumerate().take(tile.rows) {
+        out[r * tile.n..][..tile.cols].copy_from_slice(&acc[..tile.cols]);
+    }
+}
+
+/// The AVX2 register tiles. Isolated in their own module so the
+/// crate-level `deny(unsafe_code)` stays intact everywhere else; this is
+/// the only unsafe code in the workspace's algorithm crates.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 #[allow(unsafe_code)]
 mod simd {
     #[allow(clippy::wildcard_imports)]
     use std::arch::x86_64::*;
 
-    /// `out (m x n) += a (m x k) * b (k x n)` with 16-lane widening
-    /// multiply-accumulate: per scalar `a[i,p]`, 16 `i8` values of the
-    /// `b` row are sign-extended to `i16`, multiplied (products fit
-    /// `i16`: |a·b| <= 128·128), widened to `i32`, and accumulated.
+    use super::{Tile, MR, NR};
+
+    /// Asserts that every access a `rows`-row tile over a `depth`-deep
+    /// slab makes through `a` and `out` is in bounds.
+    fn check_bounds<A, O>(a: &[A], out: &[O], tile: Tile) {
+        assert!(
+            (1..=MR).contains(&tile.rows) && (1..=NR).contains(&tile.cols),
+            "{tile:?}"
+        );
+        assert!(a.len() >= (tile.rows - 1) * tile.k + tile.depth, "{tile:?}");
+        assert!(
+            out.len() >= (tile.rows - 1) * tile.n + tile.cols,
+            "{tile:?}"
+        );
+    }
+
+    /// AVX2 f32 tile: up to 6 rows x 16 columns of the output in two
+    /// registers per row. Per `p`: two slab loads, one broadcast per row,
+    /// and a separate multiply and add per register (no FMA), so every
+    /// output rounds exactly as the scalar loop does.
     ///
     /// # Safety
     ///
-    /// Caller must guarantee AVX2 is available and that slice lengths
-    /// match the declared shapes.
+    /// The host must support AVX2.
+    ///
+    /// # Panics
+    ///
+    /// If `a`, `slab` or `out` is shorter than `tile` says, which would
+    /// be a bug in the kernel's loop nest.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gemm_i8_avx2(
-        a: &[i8],
-        b: &[i8],
-        out: &mut [i32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let out_row = &mut out[i * n..(i + 1) * n];
-            for (p, &ap) in a_row.iter().enumerate() {
-                if ap == 0 {
-                    continue;
-                }
-                let b_row = &b[p * n..(p + 1) * n];
-                let va = _mm256_set1_epi16(i16::from(ap));
-                let mut j = 0usize;
-                while j + 16 <= n {
-                    // SAFETY: j + 16 <= n bounds every 16-lane access.
-                    unsafe {
-                        let vb8 = _mm_loadu_si128(b_row.as_ptr().add(j).cast());
-                        let vb = _mm256_cvtepi8_epi16(vb8);
-                        let prod = _mm256_mullo_epi16(va, vb);
-                        let lo = _mm256_cvtepi16_epi32(_mm256_castsi256_si128(prod));
-                        let hi = _mm256_cvtepi16_epi32(_mm256_extracti128_si256(prod, 1));
-                        let out_lo: *mut __m256i = out_row.as_mut_ptr().add(j).cast();
-                        _mm256_storeu_si256(
-                            out_lo,
-                            _mm256_add_epi32(_mm256_loadu_si256(out_lo), lo),
-                        );
-                        let out_hi: *mut __m256i = out_row.as_mut_ptr().add(j + 8).cast();
-                        _mm256_storeu_si256(
-                            out_hi,
-                            _mm256_add_epi32(_mm256_loadu_si256(out_hi), hi),
-                        );
-                    }
-                    j += 16;
-                }
-                let av = i32::from(ap);
-                for (o, &bv) in out_row[j..].iter_mut().zip(&b_row[j..]) {
-                    *o += av * i32::from(bv);
+    pub(super) unsafe fn tile_f32(a: &[f32], slab: &[f32], out: &mut [f32], tile: Tile) {
+        check_bounds(a, out, tile);
+        assert_eq!(slab.len(), tile.depth * NR);
+        // SAFETY: AVX2 is guaranteed by the caller; bounds checked above.
+        unsafe {
+            match tile.rows {
+                6 => f32_rows::<6>(a, slab, out, tile),
+                5 => f32_rows::<5>(a, slab, out, tile),
+                4 => f32_rows::<4>(a, slab, out, tile),
+                3 => f32_rows::<3>(a, slab, out, tile),
+                2 => f32_rows::<2>(a, slab, out, tile),
+                _ => f32_rows::<1>(a, slab, out, tile),
+            }
+        }
+    }
+
+    /// # Safety
+    ///
+    /// AVX2, `tile.rows == R`, and the bounds [`tile_f32`] checks.
+    #[target_feature(enable = "avx2")]
+    unsafe fn f32_rows<const R: usize>(a: &[f32], slab: &[f32], out: &mut [f32], tile: Tile) {
+        let mut acc = [[_mm256_setzero_ps(); 2]; R];
+        for (r, acc) in acc.iter_mut().enumerate() {
+            let mut lanes = [0.0f32; NR];
+            lanes[..tile.cols].copy_from_slice(&out[r * tile.n..][..tile.cols]);
+            // SAFETY: `lanes` holds NR = 16 floats.
+            unsafe {
+                *acc = [
+                    _mm256_loadu_ps(lanes.as_ptr()),
+                    _mm256_loadu_ps(lanes.as_ptr().add(8)),
+                ];
+            }
+        }
+        let a = a.as_ptr();
+        for (p, b) in slab.chunks_exact(NR).enumerate() {
+            // SAFETY: `b` holds NR = 16 floats; `r * k + p` is below
+            // `(R - 1) * k + depth <= a.len()`, checked by the caller.
+            unsafe {
+                let b0 = _mm256_loadu_ps(b.as_ptr());
+                let b1 = _mm256_loadu_ps(b.as_ptr().add(8));
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    let av = _mm256_broadcast_ss(&*a.add(r * tile.k + p));
+                    acc[0] = _mm256_add_ps(acc[0], _mm256_mul_ps(av, b0));
+                    acc[1] = _mm256_add_ps(acc[1], _mm256_mul_ps(av, b1));
                 }
             }
+        }
+        for (r, acc) in acc.iter().enumerate() {
+            let mut lanes = [0.0f32; NR];
+            // SAFETY: `lanes` holds NR = 16 floats.
+            unsafe {
+                _mm256_storeu_ps(lanes.as_mut_ptr(), acc[0]);
+                _mm256_storeu_ps(lanes.as_mut_ptr().add(8), acc[1]);
+            }
+            out[r * tile.n..][..tile.cols].copy_from_slice(&lanes[..tile.cols]);
+        }
+    }
+
+    /// AVX2 `i8` tile: up to 6 rows x 16 columns of `i32` accumulators.
+    /// Per `k`-pair: two slab loads, one broadcast of the row's `a` pair
+    /// per row, and `_mm256_madd_epi16`, whose pair sums (at most `2^15`
+    /// for `i8` operands) are exact in `i32`. `maddubs` would saturate in
+    /// `i16`, so it is not used.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2.
+    ///
+    /// # Panics
+    ///
+    /// If `a`, `slab` or `out` is shorter than `tile` says, which would
+    /// be a bug in the kernel's loop nest.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn tile_i8(a: &[i8], slab: &[i16], out: &mut [i32], tile: Tile) {
+        check_bounds(a, out, tile);
+        assert_eq!(slab.len(), tile.depth.div_ceil(2) * 2 * NR);
+        // SAFETY: AVX2 is guaranteed by the caller; bounds checked above.
+        unsafe {
+            match tile.rows {
+                6 => i8_rows::<6>(a, slab, out, tile),
+                5 => i8_rows::<5>(a, slab, out, tile),
+                4 => i8_rows::<4>(a, slab, out, tile),
+                3 => i8_rows::<3>(a, slab, out, tile),
+                2 => i8_rows::<2>(a, slab, out, tile),
+                _ => i8_rows::<1>(a, slab, out, tile),
+            }
+        }
+    }
+
+    /// # Safety
+    ///
+    /// AVX2, `tile.rows == R`, and the bounds [`tile_i8`] checks.
+    #[target_feature(enable = "avx2")]
+    unsafe fn i8_rows<const R: usize>(a: &[i8], slab: &[i16], out: &mut [i32], tile: Tile) {
+        let mut acc = [[_mm256_setzero_si256(); 2]; R];
+        for (r, acc) in acc.iter_mut().enumerate() {
+            let mut lanes = [0i32; NR];
+            lanes[..tile.cols].copy_from_slice(&out[r * tile.n..][..tile.cols]);
+            // SAFETY: `lanes` holds NR = 16 integers.
+            unsafe {
+                *acc = [
+                    _mm256_loadu_si256(lanes.as_ptr().cast()),
+                    _mm256_loadu_si256(lanes.as_ptr().add(8).cast()),
+                ];
+            }
+        }
+        let a = a.as_ptr();
+        for (q, b) in slab.chunks_exact(2 * NR).enumerate() {
+            let p = 2 * q;
+            let paired = p + 1 < tile.depth;
+            // SAFETY: `b` holds 2 * NR = 32 lanes; `r * k + p` (and
+            // `r * k + p + 1` when `paired`) is below
+            // `(R - 1) * k + depth <= a.len()`, checked by the caller.
+            unsafe {
+                let b0 = _mm256_loadu_si256(b.as_ptr().cast());
+                let b1 = _mm256_loadu_si256(b.as_ptr().add(NR).cast());
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    let row = a.add(r * tile.k + p);
+                    let lo = i32::from(*row) & 0xFFFF;
+                    let hi = if paired {
+                        i32::from(*row.add(1)) << 16
+                    } else {
+                        0
+                    };
+                    let av = _mm256_set1_epi32(lo | hi);
+                    acc[0] = _mm256_add_epi32(acc[0], _mm256_madd_epi16(av, b0));
+                    acc[1] = _mm256_add_epi32(acc[1], _mm256_madd_epi16(av, b1));
+                }
+            }
+        }
+        for (r, acc) in acc.iter().enumerate() {
+            let mut lanes = [0i32; NR];
+            // SAFETY: `lanes` holds NR = 16 integers.
+            unsafe {
+                _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc[0]);
+                _mm256_storeu_si256(lanes.as_mut_ptr().add(8).cast(), acc[1]);
+            }
+            out[r * tile.n..][..tile.cols].copy_from_slice(&lanes[..tile.cols]);
         }
     }
 }
 
 /// Reference (naive triple-loop) multiplication used by tests to validate
-/// the blocked/parallel kernels.
+/// the packed/parallel kernel. It sums each output in ascending `p` from
+/// `+0`, as the kernel does, so for finite operands the two agree
+/// bit-for-bit.
 ///
 /// # Errors
 ///
@@ -525,11 +810,26 @@ mod tests {
     use super::*;
     use crate::rng::DetRng;
 
-    fn assert_close(a: &Matrix, b: &Matrix, tol: f32) {
-        assert_eq!(a.shape(), b.shape());
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert!((x - y).abs() <= tol, "{x} vs {y}");
-        }
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn assert_bitwise(fast: &Matrix, slow: &Matrix, what: &str) {
+        assert_eq!(fast.shape(), slow.shape(), "{what}");
+        assert_eq!(bits(fast), bits(slow), "{what}");
+    }
+
+    /// Runs `check` with SIMD permitted and again with it forced off, so
+    /// both the AVX2 tiles (where the host has AVX2) and the scalar tiles
+    /// are held to it.
+    fn with_simd_on_and_off(mut check: impl FnMut(&str)) {
+        let _guard = crate::kernels::TEST_SIMD_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        check("simd on");
+        crate::kernels::set_simd_enabled(false);
+        check("simd off");
+        crate::kernels::set_simd_enabled(true);
     }
 
     #[test]
@@ -537,7 +837,7 @@ mod tests {
         let mut rng = DetRng::new(1);
         let a = Matrix::random_normal(5, 5, &mut rng);
         let c = matmul(&a, &Matrix::identity(5)).unwrap();
-        assert_close(&c, &a, 0.0);
+        assert_bitwise(&c, &a, "a * I");
     }
 
     #[test]
@@ -556,41 +856,82 @@ mod tests {
         let mut rng = DetRng::new(2);
         let a = Matrix::random_normal(17, 93, &mut rng);
         let b = Matrix::random_normal(93, 41, &mut rng);
-        let fast = matmul(&a, &b).unwrap();
         let slow = matmul_reference(&a, &b).unwrap();
-        assert_close(&fast, &slow, 1e-3);
+        with_simd_on_and_off(|mode| {
+            assert_bitwise(&matmul(&a, &b).unwrap(), &slow, mode);
+        });
     }
 
-    /// Band-driver shapes: the production-sized product, uneven bands,
-    /// fewer rows than threads, and an empty inner dimension.
-    const BAND_SHAPES: [(usize, usize, usize); 4] =
-        [(192, 80, 512), (17, 9, 13), (2, 5, 9), (5, 0, 4)];
+    /// Tile and slab tails: `m` around the 6-row tile, `n` around the
+    /// 16-column panel (26 is the class-scoring width), `k` around the
+    /// 256-deep slab.
+    #[cfg(not(miri))]
+    const TAIL_SHAPES: ([usize; 5], [usize; 6], [usize; 6]) = (
+        [1, 5, 6, 7, 13],
+        [1, 15, 16, 17, 26, 2048],
+        [0, 1, 255, 256, 257, 617],
+    );
+    #[cfg(miri)]
+    const TAIL_SHAPES: ([usize; 2], [usize; 2], [usize; 3]) = ([1, 7], [1, 17], [0, 1, 3]);
+
+    #[cfg(not(miri))]
+    const THREADS: [usize; 4] = [1, 2, 3, 7];
+    #[cfg(miri)]
+    const THREADS: [usize; 2] = [1, 3];
 
     #[test]
     fn parallel_path_matches_reference() {
         // The band driver is called directly with explicit thread counts,
-        // so the threaded path runs whatever the host's core count or
-        // the process-global thread cap.
+        // so the threaded path runs whatever the host's core count or the
+        // process-global thread cap; every band count must reproduce the
+        // reference's bits.
         let mut rng = DetRng::new(3);
-        for (m, k, n) in BAND_SHAPES {
-            let a = Matrix::random_normal(m, k, &mut rng);
-            let b = Matrix::random_normal(k, n, &mut rng);
-            let mut serial = Matrix::zeros(m, n);
-            block_kernel(a.as_slice(), b.as_slice(), serial.as_mut_slice(), m, k, n);
-            assert_close(&serial, &matmul_reference(&a, &b).unwrap(), 1e-3);
-            for threads in [2, 3, 7] {
-                let mut banded = Matrix::zeros(m, n);
-                parallel_bands(
-                    a.as_slice(),
-                    banded.as_mut_slice(),
-                    (m, k, n),
-                    threads,
-                    |a, out, rows| block_kernel(a, b.as_slice(), out, rows, k, n),
-                );
-                let bits = |x: &Matrix| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&banded), bits(&serial), "({m},{k},{n}) x {threads}");
+        let (ms, ns, ks) = TAIL_SHAPES;
+        for m in ms {
+            for n in ns {
+                for k in ks {
+                    let a = Matrix::random_normal(m, k, &mut rng);
+                    let b = Matrix::random_normal(k, n, &mut rng);
+                    let slow = matmul_reference(&a, &b).unwrap();
+                    for simd in [simd_selected(), false] {
+                        for threads in THREADS {
+                            let mut banded = Matrix::zeros(m, n);
+                            parallel_bands(
+                                a.as_slice(),
+                                banded.as_mut_slice(),
+                                (m, k, n),
+                                threads,
+                                |a, out, rows| f32_kernel(a, b.as_slice(), out, (rows, k, n), simd),
+                            );
+                            let what = format!("({m},{k},{n}) x {threads}, simd {simd}");
+                            assert_bitwise(&banded, &slow, &what);
+                        }
+                    }
+                }
             }
         }
+    }
+
+    #[test]
+    fn matmul_skips_zero_inputs() {
+        // A zero in `a` facing NaN or ±inf in `b` contributes nothing, as
+        // it always has; a non-zero `a` still propagates them.
+        let b = Matrix::from_rows(&[
+            &[1.0, 2.0, 3.0],
+            &[f32::NAN, f32::INFINITY, f32::NEG_INFINITY],
+            &[4.0, 5.0, 6.0],
+        ])
+        .unwrap();
+        let a =
+            Matrix::from_rows(&[&[1.0, 0.0, 1.0], &[1.0, -0.0, 0.0], &[0.0, 2.0, 0.0]]).unwrap();
+        with_simd_on_and_off(|mode| {
+            let c = matmul(&a, &b).unwrap();
+            assert_eq!(c.row(0), &[5.0, 7.0, 9.0], "{mode}");
+            assert_eq!(c.row(1), &[1.0, 2.0, 3.0], "{mode}");
+            assert!(c[(2, 0)].is_nan(), "{mode}");
+            assert_eq!(c[(2, 1)], f32::INFINITY, "{mode}");
+            assert_eq!(c[(2, 2)], f32::NEG_INFINITY, "{mode}");
+        });
     }
 
     #[test]
@@ -614,7 +955,7 @@ mod tests {
         let b = Matrix::filled(2, 2, 2.0);
         let mut out = Matrix::filled(2, 2, 99.0);
         matmul_into(&a, &b, &mut out).unwrap();
-        assert_close(&out, &b, 0.0);
+        assert_bitwise(&out, &b, "I * b");
     }
 
     #[test]
@@ -624,9 +965,8 @@ mod tests {
         let x = Matrix::random_normal(1, 30, &mut rng);
         let via_matmul = matmul(&x, &b).unwrap();
         let via_matvec = matvec(x.row(0), &b).unwrap();
-        for (a, b) in via_matmul.row(0).iter().zip(&via_matvec) {
-            assert!((a - b).abs() < 1e-4);
-        }
+        let bits_of = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits_of(via_matmul.row(0)), bits_of(&via_matvec));
     }
 
     #[test]
@@ -663,14 +1003,18 @@ mod tests {
     fn thread_cap_clamps_and_clears() {
         set_thread_cap(1);
         assert_eq!(available_threads(), 1);
-        // A parallel-sized product must stay correct on the forced
+        // A parallel-sized product must stay exact on the forced
         // sequential path.
         let mut rng = DetRng::new(7);
-        let a = Matrix::random_normal(192, 80, &mut rng);
-        let b = Matrix::random_normal(80, 512, &mut rng);
+        let (m, k, n) = if cfg!(miri) {
+            (4, 9, 6)
+        } else {
+            (192, 80, 512)
+        };
+        let a = Matrix::random_normal(m, k, &mut rng);
+        let b = Matrix::random_normal(k, n, &mut rng);
         let fast = matmul(&a, &b).unwrap();
-        let slow = matmul_reference(&a, &b).unwrap();
-        assert_close(&fast, &slow, 1e-3);
+        assert_bitwise(&fast, &matmul_reference(&a, &b).unwrap(), "capped");
         set_thread_cap(0);
         assert!(available_threads() >= 1);
     }
@@ -683,9 +1027,6 @@ mod tests {
 
     #[test]
     fn i8_gemm_matches_reference_all_kernels() {
-        let _guard = crate::kernels::TEST_SIMD_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
         let mut rng = DetRng::new(8);
         for &(m, k, n) in &[
             (1, 1, 1),
@@ -693,36 +1034,61 @@ mod tests {
             (17, 93, 41),
             (64, 64, 64),
             (5, 40, 33),
+            (7, 257, 17),
         ] {
             let a = random_i8(m * k, &mut rng);
             let b = random_i8(k * n, &mut rng);
             let slow = matmul_i8_i32_reference(&a, &b, m, k, n).unwrap();
-            let fast = matmul_i8_i32(&a, &b, m, k, n).unwrap();
-            assert_eq!(fast, slow, "({m},{k},{n}) selected kernel");
-            // Force the portable kernel and re-check bit-exactness.
-            crate::kernels::set_simd_enabled(false);
-            let portable = matmul_i8_i32(&a, &b, m, k, n).unwrap();
-            crate::kernels::set_simd_enabled(true);
-            assert_eq!(portable, slow, "({m},{k},{n}) portable kernel");
+            with_simd_on_and_off(|mode| {
+                let fast = matmul_i8_i32(&a, &b, m, k, n).unwrap();
+                assert_eq!(fast, slow, "({m},{k},{n}) {mode}");
+            });
         }
     }
 
     #[test]
     fn i8_gemm_parallel_path_matches_reference() {
         let mut rng = DetRng::new(9);
-        let use_simd = i8_simd_selected();
-        for (m, k, n) in BAND_SHAPES {
-            let a = random_i8(m * k, &mut rng);
-            let b = random_i8(k * n, &mut rng);
-            let slow = matmul_i8_i32_reference(&a, &b, m, k, n).unwrap();
-            for threads in [2, 3, 7] {
-                let mut fast = vec![0i32; m * n];
-                parallel_bands(&a, &mut fast, (m, k, n), threads, |a, out, rows| {
-                    i8_band_kernel(a, &b, out, rows, k, n, use_simd);
-                });
-                assert_eq!(fast, slow, "({m},{k},{n}) x {threads}");
+        let (ms, ns, ks) = TAIL_SHAPES;
+        for m in ms {
+            for n in ns {
+                for k in ks {
+                    let a = random_i8(m * k, &mut rng);
+                    let b = random_i8(k * n, &mut rng);
+                    let slow = matmul_i8_i32_reference(&a, &b, m, k, n).unwrap();
+                    for simd in [simd_selected(), false] {
+                        for threads in THREADS {
+                            let mut fast = vec![0i32; m * n];
+                            parallel_bands(&a, &mut fast, (m, k, n), threads, |a, out, rows| {
+                                i8_kernel(a, &b, out, (rows, k, n), simd);
+                            });
+                            assert_eq!(fast, slow, "({m},{k},{n}) x {threads}, simd {simd}");
+                        }
+                    }
+                }
             }
         }
+    }
+
+    #[test]
+    fn i8_gemm_skips_zero_inputs() {
+        // The i8 analogue of `matmul_skips_zero_inputs`: zeros in `a`
+        // facing the extreme values of `b` contribute exactly nothing,
+        // including in the unpaired last row of an odd depth.
+        let (m, k, n) = (3, 5, 17);
+        let a: Vec<i8> = vec![
+            0, -128, 0, 127, 0, //
+            -128, 0, 0, 0, 0, //
+            0, 0, 0, 0, 0,
+        ];
+        let b: Vec<i8> = (0..k * n)
+            .map(|i| if i % 2 == 0 { -128 } else { 127 })
+            .collect();
+        let slow = matmul_i8_i32_reference(&a, &b, m, k, n).unwrap();
+        assert!(slow[2 * n..].iter().all(|&v| v == 0));
+        with_simd_on_and_off(|mode| {
+            assert_eq!(matmul_i8_i32(&a, &b, m, k, n).unwrap(), slow, "{mode}");
+        });
     }
 
     #[test]
@@ -756,14 +1122,25 @@ mod tests {
 
     #[test]
     fn block_boundary_sizes() {
-        // Sizes straddling the 64-wide block boundary.
-        for &(m, k, n) in &[(63, 65, 64), (64, 64, 64), (65, 63, 66), (1, 128, 1)] {
+        // Sizes straddling the 6-row tile, 16-column panel and 256-deep slab.
+        let shapes: &[(usize, usize, usize)] = if cfg!(miri) {
+            &[(7, 5, 17), (1, 9, 1)]
+        } else {
+            &[
+                (63, 65, 64),
+                (64, 64, 64),
+                (65, 63, 66),
+                (1, 128, 1),
+                (13, 513, 33),
+            ]
+        };
+        for &(m, k, n) in shapes {
             let mut rng = DetRng::new(6);
             let a = Matrix::random_normal(m, k, &mut rng);
             let b = Matrix::random_normal(k, n, &mut rng);
             let fast = matmul(&a, &b).unwrap();
             let slow = matmul_reference(&a, &b).unwrap();
-            assert_close(&fast, &slow, 1e-3);
+            assert_bitwise(&fast, &slow, &format!("({m},{k},{n})"));
         }
     }
 }

@@ -1,19 +1,26 @@
 //! Kernel-selection switches and process-wide kernel counters.
 //!
-//! The packed-bipolar and SIMD int8 kernels are drop-in replacements for
-//! scalar math, so nothing in an experiment's *output* reveals which
-//! kernel actually ran. This module makes the selection observable: every
-//! kernel entry point bumps a monotone process-wide counter, and callers
+//! The packed-bipolar kernels and the SIMD GEMM tiles are drop-in
+//! replacements for scalar math, so nothing in an experiment's *output*
+//! reveals which kernel actually ran. This module makes the selection
+//! observable: every counted kernel entry point bumps a monotone
+//! process-wide counter, and callers
 //! snapshot before and after a workload to attribute kernel activity:
 //! the CLI's `train`/`serve` reports read the process-wide [`stats`], and
 //! the execution backends read [`thread_stats`], so a `BackendLedger`
 //! counts only the calls its own workload made, whatever other threads
 //! run at the same time.
 //!
+//! The GEMM counters (`simd_gemm_calls`, `portable_gemm_calls`) count
+//! `i8` products only. The `f32` GEMM takes the same SIMD switch but
+//! bumps no counter, so a `BackendLedger` and the CLI's report lines read
+//! the same whichever `f32` tile ran.
+//!
 //! It also owns the SIMD escape hatch: [`set_simd_enabled`] (wired to the
 //! CLI's `--no-simd` flag) and the `HD_NO_SIMD` environment variable both
-//! force the portable fallback, which is how the equivalence suite pins
-//! the non-SIMD path on machines where AVX2 would otherwise be selected.
+//! force the portable fallback of the `i8` and `f32` GEMMs, which is how
+//! the equivalence suite pins the non-SIMD path on machines where AVX2
+//! would otherwise be selected.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -55,9 +62,11 @@ pub(crate) static TEST_SIMD_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new((
 pub struct KernelStats {
     /// Rows scored through the packed XOR+popcount class scan.
     pub packed_score_rows: u64,
-    /// `i8` GEMM calls dispatched to the SIMD kernel.
+    /// `i8` GEMM calls that ran the AVX2 tile (`f32` calls are not
+    /// counted).
     pub simd_gemm_calls: u64,
-    /// `i8` GEMM calls dispatched to the portable fallback kernel.
+    /// `i8` GEMM calls that ran the portable scalar tile (`f32` calls are
+    /// not counted).
     pub portable_gemm_calls: u64,
     /// Packed words accumulated by the vertical-counter bundler.
     pub bundle_words: u64,
@@ -128,7 +137,7 @@ pub(crate) fn note_bundle_word(words: usize) {
 }
 
 /// Enables or disables the SIMD kernels process-wide; `false` forces the
-/// portable fallback (the CLI's `--no-simd` escape hatch).
+/// portable fallback of both GEMMs (the CLI's `--no-simd` escape hatch).
 pub fn set_simd_enabled(enabled: bool) {
     SIMD_DISABLED.store(!enabled, Ordering::Relaxed);
 }

@@ -7,8 +7,9 @@
 //!
 //! * [`Matrix`] — an owned, row-major, dense `f32` matrix with shape-checked
 //!   constructors, views, and stacking operations,
-//! * [`gemm`] — blocked, optionally multi-threaded matrix multiplication
-//!   (`f32` and SIMD-accelerated `i8`×`i8`→`i32`),
+//! * [`gemm`] — packed, register-tiled, optionally multi-threaded matrix
+//!   multiplication (`f32` and `i8`×`i8`→`i32`, AVX2 tiles where the host
+//!   has them),
 //! * [`packed`] — bit-packed ±1 bipolar kernels: XOR+popcount scoring and
 //!   vertical-counter majority bundling,
 //! * [`kernels`] — kernel-selection switches (`--no-simd` / `HD_NO_SIMD`)
@@ -32,9 +33,9 @@
 //! # }
 //! ```
 
-// `deny` rather than `forbid`: the SIMD int8 GEMM kernel in
-// `gemm::simd` needs `std::arch` intrinsics behind a scoped
-// `#[allow(unsafe_code)]`; everything else in the crate stays safe.
+// `deny` rather than `forbid`: the AVX2 GEMM tiles in `gemm::simd`
+// need `std::arch` intrinsics behind a scoped `#[allow(unsafe_code)]`;
+// everything else in the crate stays safe.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

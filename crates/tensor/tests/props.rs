@@ -28,7 +28,8 @@ proptest! {
         let b = random_matrix(k, n, seed ^ 1);
         let fast = gemm::matmul(&a, &b).unwrap();
         let slow = gemm::matmul_reference(&a, &b).unwrap();
-        assert_close(&fast, &slow, 1e-3)?;
+        // Same ascending summation order: exactly equal, not just close.
+        assert_close(&fast, &slow, 0.0)?;
     }
 
     #[test]

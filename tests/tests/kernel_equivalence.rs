@@ -1,10 +1,12 @@
 //! Bit-exactness of every fast host kernel against its scalar
 //! reference: packed bipolar dot/Hamming scoring and vertical-counter
-//! bundling vs their per-component scans, and the runtime-dispatched
-//! `i8` GEMM vs the naive triple loop — including with SIMD forced off,
-//! so the portable fallback is held to the same contract as the
+//! bundling vs their per-component scans, the packed `f32` and `i8` GEMMs
+//! vs the naive triple loops, and the interleaved class scoring
+//! (`ops::dots`) vs one `ops::dot` per class — including with SIMD forced
+//! off, so the portable fallback is held to the same contract as the
 //! vectorized kernel. Dimensions are drawn to cover `d % 64 != 0` tail
-//! words, the packed representation's main edge case.
+//! words, the packed representation's main edge case, and the GEMM
+//! tile (6 x 16) and slab (256-deep) tails.
 
 use proptest::prelude::*;
 
@@ -107,6 +109,47 @@ proptest! {
             gemm::matmul_i8_i32(&a, &b, m, k, n).unwrap(),
             gemm::matmul_i8_i32_reference(&a, &b, m, k, n).unwrap()
         );
+    }
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn packed_f32_gemm_matches_reference_bitwise(
+        seed in 0u64..5000,
+        m in 1usize..14,
+        k in 0usize..300,
+        n in 1usize..40,
+    ) {
+        let mut rng = DetRng::new(seed);
+        let a = Matrix::random_normal(m, k, &mut rng);
+        let b = Matrix::random_normal(k, n, &mut rng);
+        prop_assert_eq!(
+            bits(gemm::matmul(&a, &b).unwrap().as_slice()),
+            bits(gemm::matmul_reference(&a, &b).unwrap().as_slice())
+        );
+    }
+
+    #[test]
+    fn interleaved_dots_match_per_class_dot(
+        seed in 0u64..5000,
+        dim in 0usize..300,
+        classes in 0usize..30,
+    ) {
+        let mut rng = DetRng::new(seed);
+        let sample: Vec<f32> = (0..dim).map(|_| rng.next_normal()).collect();
+        let rows: Vec<Vec<f32>> = (0..classes)
+            .map(|_| (0..dim).map(|_| rng.next_normal()).collect())
+            .collect();
+        let mut scores = vec![0.0f32; classes];
+        ops::dots(&sample, &rows, &mut scores).unwrap();
+        let per_class: Vec<f32> = rows.iter().map(|r| ops::dot(&sample, r).unwrap()).collect();
+        prop_assert_eq!(bits(&scores), bits(&per_class));
     }
 }
 
