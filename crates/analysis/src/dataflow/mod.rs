@@ -1,10 +1,9 @@
 //! Static verification of declared dataflow schedules.
 //!
-//! PR 5 introduced three hand-built overlapped schedules (the device's
-//! double-buffered DMA/compute invoke, the streamed encode→update
-//! training chain, and parallel bagged member training). Their
-//! correctness rested entirely on runtime `TimingLedger` invariants.
-//! This module is the static half of that contract: a small
+//! The framework's overlapped schedules (the device's double-buffered
+//! DMA/compute invoke, parallel bagged member training, and two-device
+//! serving) were first checked only by runtime `TimingLedger`
+//! invariants. This module is the static half of that contract: a small
 //! [synchronous-dataflow](https://en.wikipedia.org/wiki/Synchronous_Data_Flow)
 //! (SDF) stage-graph IR plus an analyzer that *proves* a declared
 //! schedule safe before any thread spawns or any simulated DMA fires.

@@ -180,24 +180,6 @@ pub fn train_members(
     train_members_with_recovery(features, labels, classes, specs, exec, MemberRecovery::Fail)
 }
 
-/// Encodes and trains one member through `exec`'s encode→update chain
-/// (which a pipelined executor may stream chunk-by-chunk).
-fn encode_and_train(
-    spec: &MemberSpec,
-    member_features: &Matrix,
-    member_labels: &[usize],
-    classes: usize,
-    exec: &dyn Executor,
-) -> Result<(ClassHypervectors, TrainStats), BaggingError> {
-    Ok(exec.encode_train(
-        &spec.encoder,
-        member_features,
-        member_labels,
-        classes,
-        &spec.train,
-    )?)
-}
-
 /// Resolves one member's training rows and runs its encode→update chain;
 /// returns the outcome plus the member's sampled-row count.
 fn train_one_member(
@@ -220,11 +202,11 @@ fn train_one_member(
         }
         None => (features, labels),
     };
-    let sampled_rows = member_features.rows();
-    (
-        encode_and_train(spec, member_features, member_labels, classes, exec),
-        sampled_rows,
-    )
+    let trained = exec
+        .encode_batch(&spec.encoder, member_features)
+        .and_then(|encoded| exec.train_classes(&encoded, member_labels, classes, &spec.train))
+        .map_err(BaggingError::from);
+    (trained, member_features.rows())
 }
 
 /// [`train_members`] with a member-level fault policy: when a member's
@@ -266,18 +248,7 @@ pub fn train_members_with_recovery(
     let mut sub_models = Vec::with_capacity(specs.len());
     let mut stats = BaggingStats::default();
     for spec in specs {
-        let selected;
-        let selected_labels;
-        let (member_features, member_labels): (&Matrix, &[usize]) = match &spec.rows {
-            Some(rows) => {
-                selected = features.select_rows(rows)?;
-                selected_labels = rows.iter().map(|&r| labels[r]).collect::<Vec<usize>>();
-                (&selected, &selected_labels)
-            }
-            None => (features, labels),
-        };
-
-        let outcome = encode_and_train(&spec, member_features, member_labels, classes, exec);
+        let (outcome, sampled_rows) = train_one_member(&spec, features, labels, classes, exec);
         let (class_hvs, train_stats) = match outcome {
             Ok(trained) => trained,
             Err(BaggingError::Hdc(hdc::HdcError::Backend(reason))) => match recovery {
@@ -286,13 +257,7 @@ pub fn train_members_with_recovery(
                 }
                 MemberRecovery::RetrainOnHost => {
                     stats.retrained_on_host.push(spec.index);
-                    encode_and_train(
-                        &spec,
-                        member_features,
-                        member_labels,
-                        classes,
-                        &HostExecutor,
-                    )?
+                    train_one_member(&spec, features, labels, classes, &HostExecutor).0?
                 }
                 MemberRecovery::Drop => {
                     stats.dropped_members.push(spec.index);
@@ -304,7 +269,7 @@ pub fn train_members_with_recovery(
 
         stats.sub_models.push(SubModelStats {
             index: spec.index,
-            sampled_rows: member_features.rows(),
+            sampled_rows,
             sampled_features: spec.sampled_features,
             train: train_stats,
         });

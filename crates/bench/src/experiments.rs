@@ -694,17 +694,6 @@ pub fn fig_schedule_report() -> (ResultTable, BenchRecord) {
             iterations,
         ),
         (
-            "streamed-encode-train",
-            hyperedge::schedule::streamed_encode_graph(
-                &cfg,
-                &dims,
-                samples,
-                hyperedge::schedule::STREAM_DEPTH,
-                1e-3,
-            ),
-            iterations,
-        ),
-        (
             "parallel-members",
             hyperedge::schedule::parallel_members_graph(members, 1e-3),
             1,
@@ -774,14 +763,9 @@ pub fn fig_schedule_report() -> (ResultTable, BenchRecord) {
     ]);
 
     let mut record = BenchRecord::new("schedule", smoke);
-    for (name, (predicted, measured)) in [
-        "overlapped_invoke",
-        "streamed_encode",
-        "parallel_members",
-        "two_device",
-    ]
-    .iter()
-    .zip(&pairs)
+    for (name, (predicted, measured)) in ["overlapped_invoke", "parallel_members", "two_device"]
+        .iter()
+        .zip(&pairs)
     {
         record = record
             .field(&format!("{name}_predicted_s"), format!("{predicted:.12}"))

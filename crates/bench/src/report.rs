@@ -327,7 +327,7 @@ mod tests {
     fn schedule_json_is_flat_and_line_parsable() {
         assert_flat_and_line_parsable(
             "schedule",
-            17,
+            15,
             &[("max_abs_delta_s", 15), ("serve_speedup", 4)],
         );
     }

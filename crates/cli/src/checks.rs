@@ -4,10 +4,9 @@
 //! hyperedge lint   [--format text|json|sarif] [--deny-warnings]
 //! hyperedge verify [--features N] [--dim D] [--classes K]
 //!                  [--buffer BYTES] [--ranges] [--format text|json|sarif]
-//! hyperedge verify --schedule [--stream-depth N] [--members M]
+//! hyperedge verify --schedule [--members M] [--format text|json|sarif]
+//! hyperedge verify --model-check [--depth N] [--members M]
 //!                  [--format text|json|sarif]
-//! hyperedge verify --model-check [--depth N] [--stream-depth N]
-//!                  [--members M] [--format text|json|sarif]
 //! ```
 //!
 //! `lint` runs the `hd-analysis` workspace lint engine (the same pass as
@@ -22,16 +21,13 @@
 //! accumulator exceeds the i32 datapath fails the check (exit 1).
 //!
 //! `verify --schedule` runs the static dataflow-schedule analyzer over
-//! the framework's three declared SDF execution schedules (the
-//! double-buffered device invoke, the streamed encode→train loop, and
-//! parallel bagged-member training): repetition vectors, buffer bounds,
-//! deadlock-freedom, and the analytic critical path.  `--stream-depth`
-//! and `--members` re-declare the streamed channel bound and the bagging
-//! fan-out, so a deliberately undersized bound (e.g. `--stream-depth 0`)
-//! demonstrates the analyzer's rejection with the computed minimum.
+//! the framework's two declared SDF training schedules (the
+//! double-buffered device invoke and parallel bagged-member training):
+//! repetition vectors, buffer bounds, deadlock-freedom, and the analytic
+//! critical path. `--members` re-declares the bagging fan-out.
 //!
-//! `verify --model-check` goes one level deeper: it hands all four
-//! production schedules (the three above plus the two-device serving
+//! `verify --model-check` goes one level deeper: it hands all three
+//! production schedules (the two above plus the two-device serving
 //! graph) to the exhaustive interleaving model checker
 //! ([`hd_analysis::dataflow::check_interleavings`]), which replays the
 //! runtime's per-token channel semantics over every reachable schedule
@@ -65,9 +61,8 @@ const CHECKS_USAGE: &str = "usage: hyperedge <lint|verify> [options]\n\
     hyperedge lint   [--format text|json|sarif] [--deny-warnings]\n\
     hyperedge verify [--features N] [--dim D] [--classes K] \
 [--buffer BYTES] [--ranges] [--format text|json|sarif]\n\
-    hyperedge verify --schedule [--stream-depth N] [--members M] \
-[--format text|json|sarif]\n\
-    hyperedge verify --model-check [--depth N] [--stream-depth N] [--members M] \
+    hyperedge verify --schedule [--members M] [--format text|json|sarif]\n\
+    hyperedge verify --model-check [--depth N] [--members M] \
 [--format text|json|sarif]";
 
 /// Driver name stamped into SARIF output from the verify subcommand.
@@ -201,19 +196,15 @@ fn schedules_summary_json(pairs: &[(SdfGraph, ScheduleReport)]) -> String {
     out
 }
 
-/// Runs the static dataflow-schedule analyzer over the three declared
-/// execution schedules; returns `Ok(true)` when none has an error.
+/// Runs the static dataflow-schedule analyzer over `graphs`; returns
+/// the rendered report and whether no graph has an error.
 ///
 /// JSON and SARIF output carry the solved facts, not just pass/fail: the
 /// repetition vector and the computed minimal bound per channel ride
 /// alongside the diagnostics (as a `schedules` key in JSON, and as the
 /// SARIF run's property bag).
-fn run_verify_schedule(
-    stream_depth: usize,
-    members: usize,
-    format: Format,
-) -> Result<bool, String> {
-    let pairs: Vec<_> = schedule::standard_schedules(stream_depth, members)
+fn run_verify_schedule(graphs: Vec<SdfGraph>, format: Format) -> (String, bool) {
+    let pairs: Vec<_> = graphs
         .into_iter()
         .map(|graph| {
             let report = analyze(&graph);
@@ -227,28 +218,22 @@ fn run_verify_schedule(
             .flat_map(|(_, r)| r.diagnostics.iter().cloned())
             .collect()
     };
-    match format {
-        Format::Text => {
-            for (_, report) in &pairs {
-                print!("{report}");
-            }
-        }
-        Format::Json => {
-            println!(
-                "{{\"schedules\": {}, \"diagnostics\": {}}}",
-                schedules_summary_json(&pairs),
-                json::encode(&diagnostics())
-            );
-        }
+    let text = match format {
+        Format::Text => pairs.iter().map(|(_, report)| report.to_string()).collect(),
+        Format::Json => format!(
+            "{{\"schedules\": {}, \"diagnostics\": {}}}\n",
+            schedules_summary_json(&pairs),
+            json::encode(&diagnostics())
+        ),
         Format::Sarif => {
             let properties = format!("{{\"schedules\": {}}}", schedules_summary_json(&pairs));
-            println!(
-                "{}",
+            format!(
+                "{}\n",
                 sarif::encode_with_properties(VERIFY_DRIVER, &diagnostics(), Some(&properties))
-            );
+            )
         }
-    }
-    Ok(!any_errors)
+    };
+    (text, !any_errors)
 }
 
 /// Renders the exploration statistics of every model-checked schedule
@@ -279,8 +264,8 @@ fn model_check_summary_json(reports: &[InterleavingReport]) -> String {
     out
 }
 
-/// Runs the exhaustive interleaving model checker over the four
-/// production schedules; returns `Ok(true)` when no schedule has an
+/// Runs the exhaustive interleaving model checker over `graphs`;
+/// returns the rendered report and whether no graph has an
 /// error-severity finding.
 ///
 /// Every output format discloses how much was explored (states,
@@ -288,16 +273,15 @@ fn model_check_summary_json(reports: &[InterleavingReport]) -> String {
 /// short by the state budget or an explicit `--depth` bound is visible
 /// even when no violation was found.
 fn run_verify_model_check(
-    stream_depth: usize,
-    members: usize,
+    graphs: &[SdfGraph],
     depth: Option<usize>,
     format: Format,
-) -> Result<bool, String> {
+) -> (String, bool) {
     let cfg = CheckConfig {
         max_depth: depth,
         ..CheckConfig::default()
     };
-    let reports: Vec<InterleavingReport> = schedule::production_schedules(stream_depth, members)
+    let reports: Vec<InterleavingReport> = graphs
         .iter()
         .map(|graph| check_interleavings(graph, &cfg))
         .collect();
@@ -308,43 +292,43 @@ fn run_verify_model_check(
             .flat_map(|r| r.diagnostics.iter().cloned())
             .collect()
     };
-    match format {
+    let text = match format {
         Format::Text => {
+            let mut text = String::new();
             for report in &reports {
                 let verdict = if report.has_errors() {
                     "REJECTED"
                 } else {
                     "ok"
                 };
-                println!(
-                    "model-check `{}`: {verdict} ({})",
+                text.push_str(&format!(
+                    "model-check `{}`: {verdict} ({})\n",
                     report.graph,
                     report.coverage()
-                );
+                ));
                 for d in &report.diagnostics {
-                    println!("  {d}");
+                    text.push_str(&format!("  {d}\n"));
                 }
             }
+            text
         }
-        Format::Json => {
-            println!(
-                "{{\"model_check\": {}, \"diagnostics\": {}}}",
-                model_check_summary_json(&reports),
-                json::encode(&diagnostics())
-            );
-        }
+        Format::Json => format!(
+            "{{\"model_check\": {}, \"diagnostics\": {}}}\n",
+            model_check_summary_json(&reports),
+            json::encode(&diagnostics())
+        ),
         Format::Sarif => {
             let properties = format!(
                 "{{\"model_check\": {}}}",
                 model_check_summary_json(&reports)
             );
-            println!(
-                "{}",
+            format!(
+                "{}\n",
                 sarif::encode_with_properties(VERIFY_DRIVER, &diagnostics(), Some(&properties))
-            );
+            )
         }
-    }
-    Ok(!any_errors)
+    };
+    (text, !any_errors)
 }
 
 /// Builds the paper's `features -> dim -> classes` wide inference network
@@ -359,7 +343,6 @@ fn run_verify(args: &[String]) -> Result<bool, String> {
     let mut schedule_mode = false;
     let mut model_check_mode = false;
     let mut depth: Option<usize> = None;
-    let mut stream_depth = schedule::STREAM_DEPTH;
     let mut members = 8usize;
     let mut it = args.iter();
     let parse_usize = |value: Option<&String>, flag: &str| -> Result<usize, String> {
@@ -378,17 +361,19 @@ fn run_verify(args: &[String]) -> Result<bool, String> {
             "--schedule" => schedule_mode = true,
             "--model-check" => model_check_mode = true,
             "--depth" => depth = Some(parse_usize(it.next(), "--depth")?),
-            "--stream-depth" => stream_depth = parse_usize(it.next(), "--stream-depth")?,
             "--members" => members = parse_usize(it.next(), "--members")?,
             "--format" => format = parse_format(it.next())?,
             other => return Err(format!("unknown verify option {other:?}\n{CHECKS_USAGE}")),
         }
     }
-    if model_check_mode {
-        return run_verify_model_check(stream_depth, members, depth, format);
-    }
-    if schedule_mode {
-        return run_verify_schedule(stream_depth, members, format);
+    if model_check_mode || schedule_mode {
+        let (text, ok) = if model_check_mode {
+            run_verify_model_check(&schedule::production_schedules(members), depth, format)
+        } else {
+            run_verify_schedule(schedule::standard_schedules(members), format)
+        };
+        print!("{text}");
+        return Ok(ok);
     }
 
     let defaults = TargetSpec::default();
@@ -457,4 +442,94 @@ fn run_verify(args: &[String]) -> Result<bool, String> {
         }
     }
     Ok(!report.has_errors() && !range_failed)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hd_analysis::dataflow::Resource;
+
+    /// The production schedules with a mutant declared second: a
+    /// two-stage device-encode → host-update graph whose chunk channel
+    /// has no room at all.
+    fn with_undersized_mutant(mut graphs: Vec<SdfGraph>) -> Vec<SdfGraph> {
+        let mut mutant = SdfGraph::new("encode-update");
+        let encode = mutant.add_stage("encode", Resource::DEVICE, 3e-3);
+        let update = mutant.add_stage("update", Resource::Host, 1e-3);
+        mutant.add_channel(encode, update, 1, 1, Some(0));
+        graphs.insert(1, mutant);
+        graphs
+    }
+
+    #[test]
+    fn undersized_channel_fails_with_sarif_minimum() {
+        let graphs = with_undersized_mutant(schedule::standard_schedules(8));
+        let (text, ok) = run_verify_schedule(graphs, Format::Sarif);
+        assert!(!ok, "{text}");
+        assert!(text.contains("\"schedule/buffer-undersized\""), "{text}");
+        assert!(text.contains("minimal safe bound 1"), "{text}");
+        assert!(text.contains("\"hyperedge-verify\""), "{text}");
+    }
+
+    #[test]
+    fn undersized_json_reports_declared_zero_against_minimum_one() {
+        let graphs = with_undersized_mutant(schedule::standard_schedules(8));
+        let (text, ok) = run_verify_schedule(graphs, Format::Json);
+        assert!(!ok, "{text}");
+        assert!(
+            text.contains("{\"channel\": \"encode -> update\", \"declared\": 0, \"minimum\": 1}"),
+            "{text}"
+        );
+        assert!(text.contains("schedule/buffer-undersized"), "{text}");
+    }
+
+    #[test]
+    fn model_check_flags_the_undersized_mutant_with_interleaving_deadlock() {
+        let graphs = with_undersized_mutant(schedule::production_schedules(8));
+        let (text, ok) = run_verify_model_check(&graphs, None, Format::Text);
+        assert!(!ok, "{text}");
+        assert!(
+            text.contains("error[schedule/interleaving-deadlock]"),
+            "{text}"
+        );
+        assert!(
+            text.contains("`encode` is waiting for space on `encode -> update`"),
+            "{text}"
+        );
+        // The healthy graphs still report their coverage around the mutant.
+        assert!(
+            text.contains("model-check `parallel-members`: ok"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn model_check_diagnostic_order_is_deterministic_across_graphs() {
+        // Diagnostics come out in graph declaration order, and inside each
+        // graph sorted by (stage index, channel index) with whole-search
+        // findings last — pinned here as the exact code sequence.
+        let graphs = with_undersized_mutant(schedule::production_schedules(8));
+        let (text, ok) = run_verify_model_check(&graphs, Some(3), Format::Text);
+        assert!(!ok, "{text}");
+        let codes: Vec<&str> = text
+            .lines()
+            .filter_map(|l| {
+                let l = l.trim_start();
+                (l.starts_with("error[") || l.starts_with("warning[")).then(|| {
+                    let end = l.find(']').unwrap();
+                    &l[..=end]
+                })
+            })
+            .collect();
+        assert_eq!(
+            codes,
+            vec![
+                "warning[schedule/interleaving-livelock]",
+                "error[schedule/interleaving-deadlock]",
+                "warning[schedule/interleaving-livelock]",
+                "warning[schedule/interleaving-livelock]",
+            ],
+            "{text}"
+        );
+    }
 }

@@ -26,8 +26,8 @@ COMMANDS:
                [--train N] [--test N] [--seed N] [--threads N]
                [--no-simd true]       train a model and save it (CSV: label
                                       in the last column, 20% tail held out;
-                                      --threads 1, or HD_THREADS, forces the
-                                      exact sequential path; --no-simd true,
+                                      --threads N, or HD_THREADS, caps the
+                                      GEMM worker threads; --no-simd true,
                                       or HD_NO_SIMD=1, forces the portable
                                       i8 GEMM kernel)
     evaluate   --model <model.hdm> --dataset <name>
@@ -113,9 +113,8 @@ fn parse_setting(raw: &str) -> Result<ExecutionSetting, String> {
     }
 }
 
-/// Resolves the worker-thread budget for `train`: the `--threads` flag
-/// wins, then the `HD_THREADS` environment variable, then 1 — the exact
-/// sequential path.
+/// Resolves the GEMM thread cap for `train`: the `--threads` flag wins,
+/// then the `HD_THREADS` environment variable, then 1.
 fn resolve_threads(args: &ParsedArgs) -> Result<usize, Box<dyn Error>> {
     let (source, raw) = match args.get("threads") {
         Some(raw) => ("--threads", raw.to_string()),
@@ -203,8 +202,7 @@ pub fn train(args: &ParsedArgs) -> CmdResult {
     let kernels_before = hd_tensor::kernels::stats();
     let config = PipelineConfig::new(dim)
         .with_iterations(iterations)
-        .with_seed(seed)
-        .with_threads(threads);
+        .with_seed(seed);
     let pipeline = Pipeline::new(config);
     let outcome = pipeline.train(
         &data.train.features,

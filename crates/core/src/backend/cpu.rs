@@ -30,30 +30,6 @@ impl CpuBackend {
             ledger: Mutex::new(BackendLedger::default()),
         }
     }
-
-    /// The host platform profile this backend charges costs against.
-    pub(crate) fn spec(&self) -> &PlatformSpec {
-        &self.spec
-    }
-
-    /// Charges the host update-phase cost for a finished training run:
-    /// one similarity pass over `rows` samples plus the executed class
-    /// updates, per iteration. Shared by [`CpuBackend::train_classes`]
-    /// and the hybrid backend's streamed encode→update path, so both
-    /// charge identically for identical work.
-    pub(crate) fn charge_update(
-        &self,
-        rows: usize,
-        classes: usize,
-        stats: &TrainStats,
-        config: &TrainConfig,
-    ) {
-        let mut ledger = self.ledger.lock();
-        for iteration in &stats.iterations {
-            ledger.update_s += cost::similarity_s(&self.spec, rows, config.dim, classes)
-                + cost::class_update_s(&self.spec, iteration.updates, config.dim);
-        }
-    }
 }
 
 impl Executor for CpuBackend {
@@ -80,8 +56,14 @@ impl Executor for CpuBackend {
         let kernels_before = hd_tensor::kernels::thread_stats();
         let (class_hvs, stats) = train_encoded(encoded, labels, classes, config)?;
         let kernel_delta = hd_tensor::kernels::thread_stats().delta_since(&kernels_before);
-        self.ledger.lock().absorb_kernel_stats(kernel_delta);
-        self.charge_update(encoded.rows(), classes, &stats, config);
+        // One similarity pass over every sample plus the executed class
+        // updates, per iteration.
+        let mut ledger = self.ledger.lock();
+        ledger.absorb_kernel_stats(kernel_delta);
+        for iteration in &stats.iterations {
+            ledger.update_s += cost::similarity_s(&self.spec, encoded.rows(), config.dim, classes)
+                + cost::class_update_s(&self.spec, iteration.updates, config.dim);
+        }
         Ok((class_hvs, stats))
     }
 }

@@ -95,7 +95,7 @@ impl TpuBackend {
 
     /// The device configuration this backend simulates under (used to
     /// parameterize declared schedule graphs with its cost model).
-    pub(crate) fn device_config(&self) -> &DeviceConfig {
+    fn device_config(&self) -> &DeviceConfig {
         self.device().config()
     }
 
@@ -140,7 +140,10 @@ impl TpuBackend {
     /// backoff charged to the simulated clock, the pool reloads the
     /// pristine model after detected weight corruption, and once the pool
     /// quarantines the device the whole batch is abandoned to the host
-    /// fallback.
+    /// fallback. Device invocations use the double-buffered
+    /// [`Device::invoke_overlapped_with_deadline`] schedule, so each
+    /// chunk's simulated time is the critical-path max of its transfer and
+    /// compute legs.
     ///
     /// Returns `(None, wasted_s)` when degraded — the caller must rerun
     /// the batch on the host and still charge the wasted device seconds —
@@ -152,51 +155,8 @@ impl TpuBackend {
         batch: &Matrix,
         chunk: usize,
     ) -> crate::Result<(Option<Matrix>, f64)> {
-        // Stitch into one preallocated buffer (width known after the first
-        // chunk) instead of vstack-reallocating collected chunks.
-        let mut stitched: Option<Matrix> = None;
-        let rows = batch.rows();
-        let (completed, device_s) =
-            self.run_cached_with(key, build, batch, chunk, |start, out| {
-                let cols = out.cols();
-                let dest = stitched.get_or_insert_with(|| Matrix::zeros(rows, cols));
-                dest.as_mut_slice()[start * cols..start * cols + out.as_slice().len()]
-                    .copy_from_slice(out.as_slice());
-            })?;
-        if !completed {
-            return Ok((None, device_s));
-        }
-        let stitched = match stitched {
-            Some(m) => m,
-            // Preserve the historical empty-batch error.
-            None => Matrix::vstack(&[])?,
-        };
-        Ok((Some(stitched), device_s))
-    }
-
-    /// The streaming core of [`TpuBackend::run_cached`]: instead of
-    /// returning the stitched output, hands each chunk's rows to
-    /// `on_chunk(start_row, output)` as soon as the device produces them —
-    /// the producer half of the pipelined encode→update schedule. Device
-    /// invocations use the double-buffered
-    /// [`Device::invoke_overlapped_with_deadline`] schedule, so each
-    /// chunk's simulated time is the critical-path max of its transfer and
-    /// compute legs. Fault handling is unchanged: each chunk retries under
-    /// the supervision policy, weight corruption reloads the pristine
-    /// model, and a quarantined device abandons the remaining chunks.
-    ///
-    /// Returns `(completed, device_s)`; when `completed` is false the
-    /// stream degraded part-way and the caller owns the un-streamed rows.
-    fn run_cached_with(
-        &self,
-        key: u64,
-        build: impl FnOnce() -> crate::Result<(Model, Matrix)>,
-        batch: &Matrix,
-        chunk: usize,
-        mut on_chunk: impl FnMut(usize, Matrix) + Send,
-    ) -> crate::Result<(bool, f64)> {
         if self.breaker_open() {
-            return Ok((false, 0.0));
+            return Ok((None, 0.0));
         }
         // One schedule run at a time on the one device.
         let _run = self.run_lock.lock();
@@ -229,7 +189,7 @@ impl TpuBackend {
         .executable()?;
         // The lease loads the model unless it is already resident.
         let Some(seat) = self.pool.lease(key)? else {
-            return Ok((false, 0.0));
+            return Ok((None, 0.0));
         };
 
         // Execute the verified plan through the generic SDF runtime:
@@ -237,16 +197,18 @@ impl TpuBackend {
         // device invoke under the configured supervision (bounded retries
         // with deterministic backoff; the pool reloads pristine weights
         // after an upset, and a quarantined device escalates to a
-        // graceful stop), dma_out hands finished chunks to the caller.
-        // The bounded stage channels are the declared INVOKE_BUFFERS
+        // graceful stop), dma_out stitches finished chunks into one
+        // preallocated buffer (width known after the first chunk). The
+        // bounded stage channels are the declared INVOKE_BUFFERS
         // double-buffer; the device serializes invocations internally.
         let before = self.device().ledger();
         let mut backoff_total = 0.0f64;
         let mut degraded = false;
+        let mut stitched: Option<Matrix> = None;
         {
             let backoff_total = &mut backoff_total;
             let degraded = &mut degraded;
-            let on_chunk = &mut on_chunk;
+            let stitched = &mut stitched;
             let rows = batch.rows();
             let bindings: Vec<Binding<'_, (usize, Matrix), crate::FrameworkError>> = vec![
                 // dma_in derives its slice from the firing index, so a
@@ -302,8 +264,11 @@ impl TpuBackend {
                 Supervised::map(
                     Supervision::none(),
                     move |_ctx: FiringCtx, tokens: &mut [_]| {
-                        let (start, out): &mut (usize, Matrix) = &mut tokens[0];
-                        on_chunk(*start, std::mem::replace(out, Matrix::zeros(0, 0)));
+                        let (start, out): &(usize, Matrix) = &tokens[0];
+                        let cols = out.cols();
+                        let dest = stitched.get_or_insert_with(|| Matrix::zeros(rows, cols));
+                        dest.as_mut_slice()[start * cols..start * cols + out.as_slice().len()]
+                            .copy_from_slice(out.as_slice());
                         Ok((Vec::new(), Fire::Continue))
                     },
                 )
@@ -325,78 +290,15 @@ impl TpuBackend {
             ledger.invocations += after.invocations.saturating_sub(before.invocations);
         }
         let device_s = (after.total_s - before.total_s).max(0.0) + backoff_total;
-        Ok((!degraded, device_s))
-    }
-
-    /// Streams the device-encoded rows of `batch` into `sink` chunk by
-    /// chunk — the producer side of the pipelined encode→update training
-    /// schedule used by [`HybridBackend`](crate::backend::HybridBackend).
-    ///
-    /// The fingerprint and calibration slice cover the *full* batch, so
-    /// the compiled network, its quantization, and therefore every emitted
-    /// row are bit-identical to a monolithic
-    /// [`encode_batch`](Executor::encode_batch) call. If the device
-    /// degrades part-way, the rows already streamed stand (they cannot be
-    /// retracted from a consumer) and the remaining rows are host-encoded —
-    /// row-wise identical to the device-clean output only up to int8
-    /// quantization, exactly like the non-streamed fallback.
-    ///
-    /// # Errors
-    ///
-    /// Shape/compile errors, or a hard device failure before the device
-    /// is quarantined.
-    pub(crate) fn encode_batch_streamed(
-        &self,
-        encoder: &dyn Encoder,
-        batch: &Matrix,
-        mut sink: impl FnMut(Matrix) + Send,
-    ) -> crate::Result<()> {
-        let calibration = Self::calibration(batch)?;
-        let key = fingerprint(
-            TAG_ENCODER
-                .wrapping_add(u64::from(encoder.activation() == hdc::EncoderActivation::Tanh) << 8),
-            &[encoder.base().as_matrix(), &calibration],
-        );
-        let mut device_rows = 0usize;
-        let (completed, device_s) = self.run_cached_with(
-            key,
-            || Ok((wide_model::encoder_network(encoder)?, calibration.clone())),
-            batch,
-            self.encode_chunk,
-            |_, out| {
-                device_rows += out.rows();
-                sink(out);
-            },
-        )?;
-        if completed {
-            let mut ledger = self.ledger.lock();
-            ledger.encoded_samples += batch.rows() as u64;
-            ledger.encode_s += device_s
-                + cost::quantize_s(&self.spec, batch.rows() * encoder.feature_count())
-                + cost::quantize_s(&self.spec, batch.rows() * encoder.dim());
-            return Ok(());
+        if degraded {
+            return Ok((None, device_s));
         }
-        // Degraded mid-stream: host-encode only the rows the device never
-        // produced. The chunks already handed to the sink stand.
-        let remaining = batch.slice_rows(device_rows, batch.rows())?;
-        {
-            let mut ledger = self.ledger.lock();
-            ledger.fallbacks += 1;
-            ledger.encoded_samples += batch.rows() as u64;
-            ledger.encode_s += device_s
-                + cost::quantize_s(&self.spec, device_rows * encoder.feature_count())
-                + cost::quantize_s(&self.spec, device_rows * encoder.dim())
-                + cost::encode_s(
-                    &self.spec,
-                    remaining.rows(),
-                    encoder.feature_count(),
-                    encoder.dim(),
-                );
-        }
-        if remaining.rows() > 0 {
-            sink(encoder.encode(&remaining)?);
-        }
-        Ok(())
+        let stitched = match stitched {
+            Some(m) => m,
+            // Preserve the historical empty-batch error.
+            None => Matrix::vstack(&[])?,
+        };
+        Ok((Some(stitched), device_s))
     }
 
     fn device_encode(&self, encoder: &dyn Encoder, batch: &Matrix) -> crate::Result<Matrix> {

@@ -73,9 +73,10 @@ pub struct PipelineConfig {
     /// What the bagged settings do with an ensemble member whose backend
     /// failed permanently.
     pub member_recovery: MemberRecovery,
-    /// Worker-thread budget for the pipelined host paths (streamed
-    /// encode→update overlap and parallel bagged-member training). `1`
-    /// forces the exact sequential execution order.
+    /// Worker-thread budget a caller hands to
+    /// [`hd_bagging::train_members_parallel`].
+    /// [`Pipeline::train`](crate::Pipeline::train) does not read it: it
+    /// trains members one after another. Must be at least 1.
     pub threads: usize,
 }
 
@@ -168,8 +169,7 @@ impl PipelineConfig {
         self
     }
 
-    /// Sets the worker-thread budget for the pipelined host paths; `1`
-    /// (the default) forces the exact sequential execution order.
+    /// Sets the [`PipelineConfig::threads`] budget (default 1).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;

@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use hd_bagging::{bagged_member_specs, train_members_parallel, BaggingStats, MemberSpec};
+use hd_bagging::{bagged_member_specs, train_members_with_recovery, BaggingStats, MemberSpec};
 use hd_tensor::rng::DetRng;
 use hd_tensor::Matrix;
 use hdc::{BaseHypervectors, HdcModel, NonlinearEncoder, TrainConfig, TrainStats};
@@ -147,30 +147,13 @@ impl Pipeline {
         let backend = self.backend(setting);
         let before = backend.ledger();
         let specs = self.member_plan(features, setting)?;
-        let threads = self.member_threads(setting);
-        if threads > 1 && specs.len() > 1 {
-            // Members will train on scoped worker threads: verify the
-            // declared parallel-members SDF schedule (fan-out rates and
-            // index-ordered result slots) before any thread spawns.
-            let member_cost_s = cpu_model::cost::encode_s(
-                &self.config.platform.spec(),
-                features.rows(),
-                features.cols(),
-                self.config.dim,
-            );
-            crate::schedule::SchedulePlan::declare(crate::schedule::parallel_members_graph(
-                specs.len(),
-                member_cost_s,
-            ))?;
-        }
-        let (bagged, stats) = train_members_parallel(
+        let (bagged, stats) = train_members_with_recovery(
             features,
             labels,
             classes,
             specs,
             backend,
             self.config.member_recovery,
-            threads,
         )?;
         let model = bagged.merge()?;
         let ledger = backend.ledger().delta_since(&before);
@@ -212,18 +195,6 @@ impl Pipeline {
             runtime,
             ledger,
         })
-    }
-
-    /// How many worker threads train members concurrently under
-    /// `setting`. Host-only members fan out to the configured budget;
-    /// device-backed members stay sequential so the accelerator keeps its
-    /// one-model-resident discipline (the device serializes invocations
-    /// anyway, and interleaved members would thrash residency reloads).
-    fn member_threads(&self, setting: ExecutionSetting) -> usize {
-        match setting {
-            ExecutionSetting::CpuBaseline => self.config.threads,
-            ExecutionSetting::Tpu | ExecutionSetting::TpuBagging => 1,
-        }
     }
 
     /// Builds the training plan for a setting: one full-width member over

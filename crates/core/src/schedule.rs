@@ -2,11 +2,9 @@
 //! paths, verified statically before any thread spawns.
 //!
 //! Every place this crate overlaps work — the double-buffered device
-//! invoke ([`TpuBackend`](crate::backend::TpuBackend)), the streamed
-//! encode→update training loop
-//! ([`HybridBackend`](crate::backend::HybridBackend)), and parallel
-//! bagged-member training ([`Pipeline::train`](crate::Pipeline::train))
-//! — is described here as an explicit
+//! invoke ([`TpuBackend`](crate::backend::TpuBackend)), parallel
+//! bagged-member training (`hd_bagging::train_members_parallel`), and
+//! two-device serving — is described here as an explicit
 //! [`SdfGraph`](hd_analysis::dataflow::SdfGraph): stages with token
 //! rates, resource pins, and per-firing costs taken from the
 //! [`tpu_sim::timing`] model. [`SchedulePlan::declare`] runs the static
@@ -31,12 +29,6 @@ use tpu_sim::DeviceConfig;
 
 use crate::FrameworkError;
 
-/// Depth of the bounded chunk channel between the device-encode
-/// producer and the host-update consumer in the streamed training
-/// schedule: two in-flight chunks give the classic double-buffer
-/// overlap without letting the producer run arbitrarily ahead.
-pub const STREAM_DEPTH: usize = 2;
-
 /// Double-buffer slot count of the overlapped device invoke: one chunk
 /// in flight on the link while the previous one computes.
 pub const INVOKE_BUFFERS: usize = 2;
@@ -54,28 +46,6 @@ pub fn overlapped_invoke_graph(cfg: &DeviceConfig, dims: &ModelDims, samples: us
     let dma_out = g.add_stage("dma_out", Resource::LINK, costs.output_transfer_s);
     g.add_channel(dma_in, compute, 1, 1, Some(INVOKE_BUFFERS));
     g.add_channel(compute, dma_out, 1, 1, Some(INVOKE_BUFFERS));
-    g
-}
-
-/// The streamed encode→train schedule
-/// (`HybridBackend::encode_train`): a device-encode producer feeds
-/// host-update firings through a bounded channel of `depth` chunks.
-/// `depth` is a parameter (rather than pinned to [`STREAM_DEPTH`]) so
-/// `hyperedge verify --schedule --stream-depth N` can probe what the
-/// analyzer says about shallower declarations.
-#[must_use]
-pub fn streamed_encode_graph(
-    cfg: &DeviceConfig,
-    dims: &ModelDims,
-    chunk: usize,
-    depth: usize,
-    update_cost_s: f64,
-) -> SdfGraph {
-    let encode_cost_s = timing::stage_costs(cfg, dims, chunk.max(1)).total_s;
-    let mut g = SdfGraph::new("streamed-encode-train");
-    let encode = g.add_stage("encode", Resource::DEVICE, encode_cost_s);
-    let update = g.add_stage("update", Resource::Host, update_cost_s);
-    g.add_channel(encode, update, 1, 1, Some(depth));
     g
 }
 
@@ -274,40 +244,35 @@ pub fn predicted_pipelined_elapsed_s(
     Ok(elapsed)
 }
 
-/// The three production schedules at paper-scale defaults (MNIST-like
-/// 784→10000 encoder, 256-row chunks, the default device), as declared
-/// graphs for `hyperedge verify --schedule`. `stream_depth` and
-/// `members` parameterize the streamed-encode channel bound and the
-/// bagging fan-out so the CLI can probe deliberately broken
-/// declarations.
+/// The two training-side production schedules at paper-scale defaults
+/// (MNIST-like 784→10000 encoder, 256-row chunks, the default device),
+/// as declared graphs for `hyperedge verify --schedule`. `members`
+/// parameterizes the bagging fan-out.
 #[must_use]
-pub fn standard_schedules(stream_depth: usize, members: usize) -> Vec<SdfGraph> {
+pub fn standard_schedules(members: usize) -> Vec<SdfGraph> {
     let cfg = DeviceConfig::default();
     let dims = ModelDims::encoder(784, 10_000);
     let chunk = 256;
-    let spec = Platform::MobileI5.spec();
-    let update_cost_s = cost::class_update_s(&spec, chunk, 10_000);
-    let member_cost_s = cost::encode_s(&spec, chunk, 784, 10_000);
+    let member_cost_s = cost::encode_s(&Platform::MobileI5.spec(), chunk, 784, 10_000);
     vec![
         overlapped_invoke_graph(&cfg, &dims, chunk),
-        streamed_encode_graph(&cfg, &dims, chunk, stream_depth, update_cost_s),
         parallel_members_graph(members, member_cost_s),
     ]
 }
 
-/// All four production schedules: the three from
+/// All three production schedules: the two from
 /// [`standard_schedules`] plus the two-device serving graph. This is
 /// the set `hyperedge verify --model-check` exhaustively explores —
 /// every declared graph the framework can hand to the SDF runtime.
 /// The serving graph scores 10 classes off the 10 000-dimensional
-/// encoding, matching the paper-scale defaults of the other three.
+/// encoding, matching the paper-scale defaults of the other two.
 #[must_use]
-pub fn production_schedules(stream_depth: usize, members: usize) -> Vec<SdfGraph> {
+pub fn production_schedules(members: usize) -> Vec<SdfGraph> {
     let cfg = DeviceConfig::default();
     let dims = ModelDims::encoder(784, 10_000);
     let score_dims = ModelDims::encoder(10_000, 10);
     let chunk = 256;
-    let mut graphs = standard_schedules(stream_depth, members);
+    let mut graphs = standard_schedules(members);
     graphs.push(encode_score_graph(&cfg, &dims, &score_dims, chunk));
     graphs
 }
@@ -316,9 +281,19 @@ pub fn production_schedules(stream_depth: usize, members: usize) -> Vec<SdfGraph
 mod tests {
     use super::*;
 
+    /// A two-stage device-encode → host-update graph whose one chunk
+    /// channel is `depth` deep.
+    fn encode_update_graph(depth: usize) -> SdfGraph {
+        let mut g = SdfGraph::new("encode-update");
+        let encode = g.add_stage("encode", Resource::DEVICE, 3e-3);
+        let update = g.add_stage("update", Resource::Host, 1e-3);
+        g.add_channel(encode, update, 1, 1, Some(depth));
+        g
+    }
+
     #[test]
     fn all_three_production_schedules_are_accepted() {
-        for graph in standard_schedules(STREAM_DEPTH, 8) {
+        for graph in production_schedules(8) {
             let name = graph.name().to_string();
             let plan = SchedulePlan::declare(graph)
                 .unwrap_or_else(|e| panic!("schedule `{name}` rejected: {e}"));
@@ -332,22 +307,8 @@ mod tests {
     }
 
     #[test]
-    fn default_stream_depth_overlaps_without_warnings() {
-        let report = &standard_schedules(STREAM_DEPTH, 8)
-            .into_iter()
-            .map(|g| analyze(&g))
-            .collect::<Vec<_>>()[1];
-        assert!(
-            report.diagnostics.is_empty(),
-            "depth {STREAM_DEPTH} should be warning-free: {:?}",
-            report.diagnostics
-        );
-    }
-
-    #[test]
     fn zero_stream_depth_is_rejected_naming_the_minimum() {
-        let graphs = standard_schedules(0, 8);
-        let err = SchedulePlan::declare(graphs[1].clone()).unwrap_err();
+        let err = SchedulePlan::declare(encode_update_graph(0)).unwrap_err();
         let FrameworkError::Schedule(diags) = err else {
             panic!("expected Schedule error");
         };
@@ -364,8 +325,7 @@ mod tests {
 
     #[test]
     fn depth_one_warns_about_lost_overlap_but_is_accepted() {
-        let graphs = standard_schedules(1, 8);
-        let plan = SchedulePlan::declare(graphs[1].clone()).expect("depth 1 is safe");
+        let plan = SchedulePlan::declare(encode_update_graph(1)).expect("depth 1 is safe");
         assert!(plan
             .report()
             .diagnostics
@@ -408,9 +368,9 @@ mod tests {
 
     #[test]
     fn production_schedules_adds_the_serving_graph() {
-        let graphs = production_schedules(STREAM_DEPTH, 8);
-        assert_eq!(graphs.len(), 4);
-        assert_eq!(graphs[3].name(), "two-device-serve");
+        let graphs = production_schedules(8);
+        assert_eq!(graphs.len(), 3);
+        assert_eq!(graphs[2].name(), "two-device-serve");
         for graph in graphs {
             let name = graph.name().to_string();
             SchedulePlan::declare(graph)
@@ -420,8 +380,7 @@ mod tests {
 
     #[test]
     fn schedule_error_display_carries_diagnostics() {
-        let graphs = standard_schedules(0, 8);
-        let err = SchedulePlan::declare(graphs[1].clone()).unwrap_err();
+        let err = SchedulePlan::declare(encode_update_graph(0)).unwrap_err();
         let text = err.to_string();
         assert!(text.contains("schedule rejected"), "{text}");
         assert!(text.contains("buffer-undersized"), "{text}");

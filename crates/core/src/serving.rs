@@ -7,7 +7,7 @@
 //! device 1 — so consecutive chunks overlap: while device 1 scores chunk
 //! `i`, device 0 already encodes chunk `i+1`.
 //!
-//! Unlike the three production schedules that were *migrated* onto the
+//! Unlike the training schedules that were *migrated* onto the
 //! SDF runtime, this one never had a hand-written implementation: it is
 //! born as the declared [`schedule::encode_score_graph`], verified by the
 //! same analyzer that backs `hyperedge verify --schedule`, and executed

@@ -19,7 +19,8 @@
 //!    plan — the properties the symbolic analyzer only checks
 //!    atomically.
 //! 4. [`runtime`] — the executor. A validated [`ExecutablePlan`] binds
-//!    one executor closure per stage and runs the graph on real scoped
+//!    one supervised executor per stage, in one of two shapes (a serial
+//!    stage or a data-parallel map), and runs the graph on real scoped
 //!    threads connected by bounded `sync_channel`s sized from the
 //!    solver's minimal safe bounds. This module is the single
 //!    sanctioned concurrency site in the workspace (see the
@@ -39,4 +40,4 @@ pub mod solve;
 
 pub use graph::{Channel, Resource, SdfGraph, Stage, StageId};
 pub use model_check::{check_graph, check_plan, CheckConfig, CheckReport, Inject, Violation};
-pub use runtime::{run, Binding, ExecutablePlan, Fire, PlanError, RunError, RunReport, StageCtx};
+pub use runtime::{run, Binding, ExecutablePlan, Fire, PlanError, RunError, RunReport};

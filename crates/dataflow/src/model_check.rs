@@ -57,9 +57,9 @@
 //! The checker models the serial supervised loop
 //! ([`Binding::Supervised`](crate::runtime::Binding::Supervised)) with
 //! each firing's outcome — produce, stop, or an error that escalates to
-//! abort — as one atomic step; `SupervisedParMap` (order-preserving
-//! reassembly) and rate-respecting `SupervisedStream` bindings refine
-//! it. Retries and quarantine re-binds re-run a firing over inputs
+//! abort — as one atomic step. Every serial stage in production runs
+//! that loop; the only other stage shape, `SupervisedParMap`, refines
+//! it by reassembling its firings' outputs in firing order. Retries and quarantine re-binds re-run a firing over inputs
 //! already collected, touching no channel, and are not modelled as
 //! separate transitions. Rate violations by a binding are the runtime's
 //! own protocol check, out of scope here.

@@ -12,8 +12,7 @@
 //! Each stage shape has exactly one executor type and one run loop, and
 //! every binding carries a fault policy: a serial stage is a
 //! [`Supervised`] executor, a data-parallel stage a
-//! [`Binding::SupervisedParMap`], a self-paced stage a
-//! [`Binding::SupervisedStream`]. A stage that wants no fault handling
+//! [`Binding::SupervisedParMap`]. A stage that wants no fault handling
 //! binds [`Supervision::none()`] with no escalation (no fallback,
 //! no recovery); on a run that returns `Ok` it behaves exactly like a
 //! bare executor. Executors borrow a firing's inputs as `&mut [T]`, so a
@@ -24,16 +23,14 @@
 //! This module is the single sanctioned concurrency site in the
 //! workspace: the `no-adhoc-concurrency` lint allowlists exactly this
 //! file, and every production pipeline (overlapped device invoke,
-//! streamed encode→train, parallel ensemble members, blocked GEMM rows,
-//! two-device serving) executes through it.
+//! parallel ensemble members, blocked GEMM rows, two-device serving)
+//! executes through it.
 //!
 //! Teardown is cooperative and loss-free for completed work: when a
 //! stage stops early — [`Fire::Stop`], an executor error, or a
 //! disconnected neighbour — it drops its channel endpoints. Upstream
 //! senders then fail fast, while downstream receivers still drain every
-//! token already buffered, so results produced before a fault stand
-//! (this is what keeps the degraded mid-stream host fallback of the
-//! streamed training path loss-free).
+//! token already buffered, so results produced before a fault stand.
 
 use std::fmt;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -384,11 +381,6 @@ impl<'env, T, E> Supervised<'env, T, E> {
     }
 }
 
-/// Self-paced executor: drives its own receive/send loop through a
-/// [`StageCtx`] (e.g. wrapping an external streaming API that owns its
-/// chunking).
-pub type StreamFn<'env, T, E> = Box<dyn FnOnce(&mut StageCtx<T>) -> Result<(), E> + Send + 'env>;
-
 /// The executor bound to one stage of an [`ExecutablePlan`]: one
 /// variant per stage shape, each under a fault policy.
 pub enum Binding<'env, T, E> {
@@ -412,93 +404,6 @@ pub enum Binding<'env, T, E> {
         /// behaves like [`Escalation::Abort`].
         recover: Option<RecoverFn<'env, T, E>>,
     },
-    /// The stage paces itself against its channels, with an optional
-    /// fallback: if the primary stream errors, the fallback resumes on
-    /// the same [`StageCtx`]
-    /// (same channels, same counters) and the stage only faults if the
-    /// fallback errors too.
-    SupervisedStream {
-        /// The primary self-paced executor.
-        f: StreamFn<'env, T, E>,
-        /// Resumes the stage after a primary error.
-        fallback: Option<StreamFn<'env, T, E>>,
-    },
-}
-
-/// Channel endpoints handed to a [`Binding::SupervisedStream`] executor, with
-/// token counters for the run report.
-pub struct StageCtx<T> {
-    inputs: Vec<Receiver<T>>,
-    outputs: Vec<SyncSender<T>>,
-    received: u64,
-    sent: u64,
-}
-
-impl<T> StageCtx<T> {
-    /// Receives one token from the stage's first input channel;
-    /// `None` once every upstream sender is gone and the buffer is
-    /// drained.
-    pub fn recv(&mut self) -> Option<T> {
-        self.recv_from(0)
-    }
-
-    /// [`StageCtx::recv`] from input channel `input` (graph channel
-    /// order among this stage's inputs).
-    pub fn recv_from(&mut self, input: usize) -> Option<T> {
-        match self.inputs.get(input)?.recv() {
-            Ok(token) => {
-                self.received += 1;
-                Some(token)
-            }
-            Err(_) => None,
-        }
-    }
-
-    /// Sends one token on the stage's first output channel; `false`
-    /// when the consumer is gone (the stage should wind down).
-    pub fn send(&mut self, token: T) -> bool {
-        self.send_to(0, token)
-    }
-
-    /// [`StageCtx::send`] on output channel `output` (graph channel
-    /// order among this stage's outputs).
-    pub fn send_to(&mut self, output: usize, token: T) -> bool {
-        let Some(tx) = self.outputs.get(output) else {
-            return false;
-        };
-        match tx.send(token) {
-            Ok(()) => {
-                self.sent += 1;
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// A draining iterator over input channel `input`; ends once every
-    /// upstream sender is gone and the buffer is empty.
-    pub fn input_iter(&mut self, input: usize) -> InputIter<'_, T> {
-        InputIter {
-            rx: self.inputs.get(input),
-            count: &mut self.received,
-        }
-    }
-}
-
-/// Iterator over one input channel of a [`StageCtx`].
-pub struct InputIter<'a, T> {
-    rx: Option<&'a Receiver<T>>,
-    count: &'a mut u64,
-}
-
-impl<T> Iterator for InputIter<'_, T> {
-    type Item = T;
-
-    fn next(&mut self) -> Option<T> {
-        let token = self.rx?.recv().ok()?;
-        *self.count += 1;
-        Some(token)
-    }
 }
 
 /// Why a [`run`] failed.
@@ -561,8 +466,7 @@ pub enum FaultAction {
         backoff_s: f64,
     },
     /// A fallback stood in: a data-parallel firing's [`RecoverFn`]
-    /// produced its result, or a self-paced stage's fallback stream
-    /// resumed after the primary errored.
+    /// produced its result.
     Substituted,
     /// The stage's quarantine handler re-bound it to a replacement
     /// executor.
@@ -595,7 +499,7 @@ pub struct StageSupervision {
     /// Total simulated backoff charged across all retries.
     pub backoff_s: f64,
     /// Fallbacks taken: a parallel firing recovered by its
-    /// [`RecoverFn`], or a stream stage resumed by its fallback.
+    /// [`RecoverFn`].
     pub substitutions: u64,
     /// Quarantine re-binds ([`Escalation::Quarantine`] produced a
     /// replacement executor).
@@ -840,7 +744,6 @@ fn run_stage<T: Send, E: Send>(
             f,
             recover,
         } => run_supervised_parmap(&f, recover.as_deref(), policy, io, target, workers),
-        Binding::SupervisedStream { f, fallback } => run_stream(f, fallback, io),
     }
 }
 
@@ -1153,86 +1056,6 @@ fn run_supervised_parmap<T: Send, E: Send>(
     }
 }
 
-fn run_stream<T: Send, E: Send>(
-    f: StreamFn<'_, T, E>,
-    fallback: Option<StreamFn<'_, T, E>>,
-    io: StageIo<T>,
-) -> StageOutcome<E> {
-    let consume_per_firing: usize = io.in_rates.iter().sum();
-    let produce_per_firing: usize = io.out_rates.iter().sum();
-    let mut ctx = StageCtx {
-        inputs: io.inputs,
-        outputs: io.outputs,
-        received: 0,
-        sent: 0,
-    };
-    let mut stats = StageSupervision::default();
-    let infer_firings = |ctx: &StageCtx<T>| {
-        // A stream stage's firing count is inferred from the tokens it
-        // actually moved relative to the declared per-firing rates.
-        let from_in = if consume_per_firing > 0 {
-            ctx.received / consume_per_firing as u64
-        } else {
-            0
-        };
-        let from_out = if produce_per_firing > 0 {
-            ctx.sent / produce_per_firing as u64
-        } else {
-            0
-        };
-        from_in.max(from_out)
-    };
-    let fault = match f(&mut ctx) {
-        Ok(()) => None,
-        Err(error) => {
-            stats.faults += 1;
-            match fallback {
-                // The fallback resumes on the same StageCtx: channels
-                // stay open and the token counters keep accumulating,
-                // so everything the primary already moved stands.
-                Some(fb) => {
-                    stats.substitutions += 1;
-                    stats.trace.push(FaultEvent {
-                        firing: infer_firings(&ctx),
-                        attempt: 0,
-                        action: FaultAction::Substituted,
-                    });
-                    match fb(&mut ctx) {
-                        Ok(()) => None,
-                        Err(error) => {
-                            stats.faults += 1;
-                            let firing = infer_firings(&ctx);
-                            stats.trace.push(FaultEvent {
-                                firing,
-                                attempt: 1,
-                                action: FaultAction::Aborted,
-                            });
-                            Some(Fault::Stage {
-                                error,
-                                firing,
-                                attempts: 2,
-                            })
-                        }
-                    }
-                }
-                None => {
-                    let firing = infer_firings(&ctx);
-                    Some(Fault::Stage {
-                        error,
-                        firing,
-                        attempts: 1,
-                    })
-                }
-            }
-        }
-    };
-    StageOutcome {
-        firings: infer_firings(&ctx),
-        fault,
-        supervision: stats,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1251,16 +1074,6 @@ mod tests {
             move |ctx: FiringCtx, inputs: &mut [T]| f(ctx.firing, inputs),
         )
         .into_binding()
-    }
-
-    /// A self-paced stage with no fallback.
-    fn stream<'env, T, E>(
-        f: impl FnOnce(&mut StageCtx<T>) -> Result<(), E> + Send + 'env,
-    ) -> Binding<'env, T, E> {
-        Binding::SupervisedStream {
-            f: Box::new(f),
-            fallback: None,
-        }
     }
 
     fn unit_chain(cap: usize) -> SdfGraph {
@@ -1691,53 +1504,6 @@ mod tests {
     }
 
     #[test]
-    fn supervised_stream_fallback_resumes_on_the_same_channels() {
-        let mut g = SdfGraph::new("stream");
-        let enc = g.add_stage("encode", Resource::DEVICE, 3e-3);
-        let upd = g.add_stage("update", Resource::Host, 1e-3);
-        g.add_channel(enc, upd, 1, 1, Some(2));
-        let plan = ExecutablePlan::validate(g).unwrap();
-        let total = Mutex::new(0u64);
-        let bindings: Vec<Binding<'_, u64, &'static str>> = vec![
-            Binding::SupervisedStream {
-                f: Box::new(|ctx| {
-                    // Device stream dies after three chunks.
-                    for v in 0..3u64 {
-                        if !ctx.send(v) {
-                            break;
-                        }
-                    }
-                    Err("device stream fault")
-                }),
-                fallback: Some(Box::new(|ctx| {
-                    // Host picks up exactly where the device stopped.
-                    for v in 3..7u64 {
-                        if !ctx.send(v) {
-                            break;
-                        }
-                    }
-                    Ok(())
-                })),
-            },
-            stream(|ctx| {
-                let mut sum = 0;
-                for v in ctx.input_iter(0) {
-                    sum += v;
-                }
-                *total.lock().unwrap() = sum;
-                Ok(())
-            }),
-        ];
-        let report = run(&plan, 7, bindings).unwrap();
-        assert_eq!(*total.lock().unwrap(), 21);
-        assert_eq!(report.firings, vec![7, 7]);
-        assert!(report.completed);
-        let sup = &report.supervision[0];
-        assert_eq!(sup.faults, 1);
-        assert_eq!(sup.substitutions, 1);
-    }
-
-    #[test]
     fn executors_own_their_input_slice_across_attempts() {
         // A token without `Clone`: a terminal stage must move it out.
         #[derive(Debug, PartialEq)]
@@ -1801,38 +1567,6 @@ mod tests {
         assert!(!report.completed);
         // Firings 0..=3 produced tokens; all four must reach the sink.
         assert_eq!(delivered.load(Ordering::SeqCst), 4);
-    }
-
-    #[test]
-    fn stream_stages_pace_themselves() {
-        let mut g = SdfGraph::new("stream");
-        let enc = g.add_stage("encode", Resource::DEVICE, 3e-3);
-        let upd = g.add_stage("update", Resource::Host, 1e-3);
-        g.add_channel(enc, upd, 1, 1, Some(2));
-        let plan = ExecutablePlan::validate(g).unwrap();
-        let total = Mutex::new(0u64);
-        let bindings: Vec<Binding<'_, u64, Infallible>> = vec![
-            stream(|ctx| {
-                for v in 0..7u64 {
-                    if !ctx.send(v) {
-                        break;
-                    }
-                }
-                Ok(())
-            }),
-            stream(|ctx| {
-                let mut sum = 0;
-                for v in ctx.input_iter(0) {
-                    sum += v;
-                }
-                *total.lock().unwrap() = sum;
-                Ok(())
-            }),
-        ];
-        let report = run(&plan, 7, bindings).unwrap();
-        assert_eq!(*total.lock().unwrap(), 21);
-        assert_eq!(report.firings, vec![7, 7]);
-        assert!(report.completed);
     }
 
     #[test]

@@ -50,29 +50,6 @@ pub trait Executor: Send + Sync {
     ) -> Result<(ClassHypervectors, TrainStats)> {
         train_encoded(encoded, labels, classes, config)
     }
-
-    /// Runs the full encode→update chain for one training unit.
-    ///
-    /// The default implementation chains [`Executor::encode_batch`] and
-    /// [`Executor::train_classes`] phase-serially; a pipelined executor
-    /// overrides it to stream encoded chunks into the host update loop
-    /// while later chunks are still being encoded. Overrides must keep
-    /// the result bit-exact with the default chain (same sample order).
-    ///
-    /// # Errors
-    ///
-    /// Any error of the two chained phases.
-    fn encode_train(
-        &self,
-        encoder: &dyn Encoder,
-        batch: &Matrix,
-        labels: &[usize],
-        classes: usize,
-        config: &TrainConfig,
-    ) -> Result<(ClassHypervectors, TrainStats)> {
-        let encoded = self.encode_batch(encoder, batch)?;
-        self.train_classes(&encoded, labels, classes, config)
-    }
 }
 
 /// The all-host reference executor: encodes in `f32` on the CPU and

@@ -56,8 +56,8 @@ pub use error::HdcError;
 pub use exec::{Executor, HostExecutor};
 pub use model::{ClassHypervectors, HdcModel, Similarity};
 pub use train::{
-    predict_batch, train_encoded, train_encoded_streamed, train_encoded_tracked,
-    train_encoded_warm, IterationStats, OnlineTrainer, TrainConfig, TrainStats,
+    predict_batch, train_encoded, train_encoded_tracked, train_encoded_warm, IterationStats,
+    OnlineTrainer, TrainConfig, TrainStats,
 };
 
 /// Convenience result alias for fallible HDC operations.

@@ -310,9 +310,7 @@ pub fn train_encoded_warm(
 }
 
 /// One perceptron pass of `labels` over `encoded`, mutating the per-class
-/// scratch rows in sample order. Returns `(updates, correct)`. Factored
-/// out so the streamed trainer applies *exactly* the sequential update
-/// discipline to each arriving chunk.
+/// scratch rows in sample order. Returns `(updates, correct)`.
 fn pass_over(
     class_rows: &mut [Vec<f32>],
     encoded: &Matrix,
@@ -414,133 +412,6 @@ fn predict_rows_packed(class_matrix: &Matrix, encoded: &Matrix) -> Option<Vec<us
 /// class hypervector dimensionality.
 pub fn predict_batch(classes: &ClassHypervectors, encoded: &Matrix) -> Result<Vec<usize>> {
     predict_rows(classes.as_matrix(), encoded)
-}
-
-/// [`train_encoded`] over a stream of encoded chunks instead of one
-/// materialized matrix — the consumer half of the pipelined
-/// encode→update schedule, where the accelerator hands over encoded
-/// chunks while later chunks are still in flight.
-///
-/// The first training pass runs *incrementally*, chunk by chunk, in
-/// arrival order; because the perceptron update for sample `i` depends
-/// only on samples seen before `i`, the result is bit-exact with running
-/// [`train_encoded`] on the concatenated chunks. The chunks are retained
-/// to run the remaining passes (and the patience schedule) identically
-/// to the sequential trainer. Chunk widths must agree; labels cover the
-/// concatenated stream in order.
-///
-/// # Errors
-///
-/// Same as [`train_encoded`], plus any error carried by a chunk (e.g. a
-/// device fault surfaced mid-stream), and [`HdcError::InvalidConfig`]
-/// for mismatched chunk widths.
-pub fn train_encoded_streamed<I>(
-    chunks: I,
-    labels: &[usize],
-    classes: usize,
-    config: &TrainConfig,
-) -> Result<(ClassHypervectors, TrainStats)>
-where
-    I: IntoIterator<Item = Result<Matrix>>,
-{
-    config.validate()?;
-    if classes == 0 {
-        return Err(HdcError::EmptyDataset);
-    }
-    if let Some(&bad) = labels.iter().find(|&&l| l >= classes) {
-        return Err(HdcError::LabelOutOfRange {
-            label: bad,
-            classes,
-        });
-    }
-
-    let mut class_rows: Vec<Vec<f32>> = Vec::new();
-    let mut d = 0usize;
-    let mut seen = 0usize;
-    let mut pass0_updates = 0usize;
-    let mut pass0_correct = 0usize;
-    let mut data: Vec<f32> = Vec::new();
-    for chunk in chunks {
-        let chunk = chunk?;
-        if chunk.rows() == 0 {
-            continue;
-        }
-        if class_rows.is_empty() {
-            d = chunk.cols();
-            class_rows = vec![vec![0.0; d]; classes];
-        } else if chunk.cols() != d {
-            return Err(HdcError::InvalidConfig(
-                "streamed chunk width differs from the first chunk",
-            ));
-        }
-        let end = seen + chunk.rows();
-        if end > labels.len() {
-            return Err(HdcError::LabelCount {
-                samples: end,
-                labels: labels.len(),
-            });
-        }
-        let (u, c) = pass_over(
-            &mut class_rows,
-            &chunk,
-            &labels[seen..end],
-            config.learning_rate,
-        )?;
-        pass0_updates += u;
-        pass0_correct += c;
-        seen = end;
-        data.extend_from_slice(chunk.as_slice());
-    }
-    if seen == 0 {
-        return Err(HdcError::EmptyDataset);
-    }
-    if seen != labels.len() {
-        return Err(HdcError::LabelCount {
-            samples: seen,
-            labels: labels.len(),
-        });
-    }
-    let encoded = Matrix::from_vec(seen, d, data).map_err(HdcError::from)?;
-
-    let mut stats = TrainStats::default();
-    let pass0_accuracy = pass0_correct as f64 / labels.len() as f64;
-    stats.iterations.push(IterationStats {
-        iteration: 0,
-        updates: pass0_updates,
-        train_accuracy: pass0_accuracy,
-        validation_accuracy: None,
-    });
-    // Pass 0 always improves on the f64::MIN sentinel, so the sequential
-    // trainer's patience state after its first pass is exactly this.
-    let mut best_accuracy = pass0_accuracy;
-    let mut stale_passes = 0usize;
-    for iteration in 1..config.iterations {
-        let (updates, correct) =
-            pass_over(&mut class_rows, &encoded, labels, config.learning_rate)?;
-        let train_accuracy = correct as f64 / labels.len() as f64;
-        stats.iterations.push(IterationStats {
-            iteration,
-            updates,
-            train_accuracy,
-            validation_accuracy: None,
-        });
-        if let Some(patience) = config.patience {
-            if train_accuracy > best_accuracy + 1e-12 {
-                best_accuracy = train_accuracy;
-                stale_passes = 0;
-            } else {
-                stale_passes += 1;
-                if stale_passes >= patience {
-                    break;
-                }
-            }
-        }
-    }
-
-    Ok((
-        ClassHypervectors::from_matrix(class_matrix(&class_rows)),
-        stats,
-    ))
 }
 
 fn predict_one(class_rows: &[Vec<f32>], sample: &[f32]) -> Result<usize> {
@@ -885,67 +756,6 @@ mod tests {
         config.patience = Some(0);
         assert!(config.validate().is_err());
         assert!(TrainConfig::new(64).with_patience(1).validate().is_ok());
-    }
-
-    fn chunked<'a>(encoded: &'a Matrix, chunk: usize) -> impl Iterator<Item = Result<Matrix>> + 'a {
-        (0..encoded.rows()).step_by(chunk).map(move |s| {
-            let e = (s + chunk).min(encoded.rows());
-            encoded.slice_rows(s, e).map_err(HdcError::from)
-        })
-    }
-
-    #[test]
-    fn streamed_training_matches_sequential_bit_exact() {
-        let (encoded, labels) = encoded_clusters(20, 64, 3);
-        for chunk in [1, 7, 16, 60, 100] {
-            let config = TrainConfig::new(64).with_iterations(4);
-            let (seq, seq_stats) = train_encoded(&encoded, &labels, 3, &config).unwrap();
-            let (streamed, streamed_stats) =
-                train_encoded_streamed(chunked(&encoded, chunk), &labels, 3, &config).unwrap();
-            assert_eq!(seq.as_matrix(), streamed.as_matrix(), "chunk {chunk}");
-            assert_eq!(seq_stats, streamed_stats, "chunk {chunk}");
-        }
-    }
-
-    #[test]
-    fn streamed_training_matches_under_patience() {
-        let (encoded, labels) = encoded_clusters(30, 256, 3);
-        let config = TrainConfig::new(256).with_iterations(50).with_patience(2);
-        let (seq, seq_stats) = train_encoded(&encoded, &labels, 3, &config).unwrap();
-        let (streamed, streamed_stats) =
-            train_encoded_streamed(chunked(&encoded, 13), &labels, 3, &config).unwrap();
-        assert_eq!(seq.as_matrix(), streamed.as_matrix());
-        assert_eq!(seq_stats, streamed_stats);
-    }
-
-    #[test]
-    fn streamed_training_validates_the_stream() {
-        let (encoded, labels) = encoded_clusters(5, 32, 2);
-        let config = TrainConfig::new(32).with_iterations(1);
-        // Too few labels for the stream.
-        let err =
-            train_encoded_streamed(chunked(&encoded, 4), &labels[..4], 2, &config).unwrap_err();
-        assert!(matches!(err, HdcError::LabelCount { .. }));
-        // Too many labels.
-        let mut long = labels.clone();
-        long.push(0);
-        let err = train_encoded_streamed(chunked(&encoded, 4), &long, 2, &config).unwrap_err();
-        assert!(matches!(err, HdcError::LabelCount { .. }));
-        // A faulted chunk propagates.
-        let err = train_encoded_streamed(
-            vec![
-                Ok(encoded.slice_rows(0, 4).unwrap()),
-                Err(HdcError::Backend("device died".into())),
-            ],
-            &labels,
-            2,
-            &config,
-        )
-        .unwrap_err();
-        assert!(matches!(err, HdcError::Backend(_)));
-        // Empty stream.
-        let err = train_encoded_streamed(std::iter::empty(), &[], 2, &config).unwrap_err();
-        assert_eq!(err, HdcError::EmptyDataset);
     }
 
     #[test]

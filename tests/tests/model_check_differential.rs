@@ -15,10 +15,11 @@
 //! may legitimately end unbalanced when the back-edge consumer retires
 //! before the delay tokens are repaid.)
 //!
-//! The four production schedules are additionally pinned clean under
+//! The three production schedules are additionally pinned clean under
 //! exhaustive stop/error fault injection, with the exact capacities the
-//! runtime's `sync_channel`s would use, and the undersized
-//! stream-depth-0 mutant must be flagged with an interleaving deadlock.
+//! runtime's `sync_channel`s would use, and an encode→update chunk
+//! stream declared zero deep must be flagged with an interleaving
+//! deadlock.
 
 use proptest::prelude::*;
 
@@ -143,13 +144,13 @@ proptest! {
     }
 }
 
-/// All four production schedules are clean under exhaustive stop/error
+/// All three production schedules are clean under exhaustive stop/error
 /// fault injection, checked with exactly the channel capacities the
 /// runtime would allocate (via [`check_plan`] on the validated plan).
 /// This is the tier-1 gate backing `hyperedge verify --model-check`.
 #[test]
 fn production_schedules_model_check_clean_under_fault_injection() {
-    for graph in schedule::production_schedules(schedule::STREAM_DEPTH, 8) {
+    for graph in schedule::production_schedules(8) {
         let name = graph.name().to_string();
         let plan = ExecutablePlan::validate(graph).expect("production graphs validate");
         let report = check_plan(&plan, &CheckConfig::default()).expect("rates consistent");
@@ -162,12 +163,15 @@ fn production_schedules_model_check_clean_under_fault_injection() {
     }
 }
 
-/// The deliberately undersized mutant (stream depth 0) is flagged with
-/// a `Violation::Deadlock` exhibiting the wedged interleaving.
+/// A deliberately undersized mutant — a device-encode → host-update
+/// chunk stream declared zero deep — is flagged with a
+/// `Violation::Deadlock` exhibiting the wedged interleaving.
 #[test]
 fn undersized_stream_mutant_is_flagged_with_interleaving_deadlock() {
-    let graphs = schedule::production_schedules(0, 8);
-    assert_eq!(graphs[1].name(), "streamed-encode-train");
-    let report = check_graph(&graphs[1], &CheckConfig::default()).expect("rates consistent");
+    let mut graph = SdfGraph::new("encode-update");
+    let encode = graph.add_stage("encode", Resource::DEVICE, 3e-3);
+    let update = graph.add_stage("update", Resource::Host, 1e-3);
+    graph.add_channel(encode, update, 1, 1, Some(0));
+    let report = check_graph(&graph, &CheckConfig::default()).expect("rates consistent");
     assert!(report.has_deadlock(), "{:?}", report.violations);
 }

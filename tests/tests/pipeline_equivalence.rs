@@ -8,18 +8,16 @@
 //!   reference executor's outputs exactly while the device's timing
 //!   ledger obeys the critical-path invariants (property-tested over
 //!   batch rows, chunk size, and data seed),
-//! * [`hdc::train_encoded_streamed`] reproduces [`hdc::train_encoded`]
-//!   exactly for any chunking of the encoded stream,
 //! * the GEMM-batched scorer ([`hdc::predict_batch`]) agrees with the
 //!   per-sample scalar argmax,
-//! * the hybrid backend's streamed encode→update training reproduces the
-//!   phase-serial chain, including under injected transient faults.
+//! * the hybrid backend's chunked device encode followed by the host
+//!   update stays bit-exact under injected transient faults.
 
 use proptest::prelude::*;
 
 use hd_tensor::rng::DetRng;
 use hd_tensor::{ops, Matrix};
-use hdc::{BaseHypervectors, Encoder, Executor, HdcModel, NonlinearEncoder, TrainConfig};
+use hdc::{BaseHypervectors, Executor, HdcModel, NonlinearEncoder, TrainConfig};
 use hyperedge::{
     ExecutionBackend, ExecutionSetting, Pipeline, PipelineConfig, Supervision, TwoDeviceServer,
 };
@@ -91,36 +89,6 @@ proptest! {
         );
     }
 
-    /// Over arbitrary chunkings: streaming encoded chunks into the
-    /// training loop reproduces the monolithic reference bit-for-bit.
-    #[test]
-    fn prop_streamed_training_matches_monolithic(
-        chunk in 1usize..30,
-        seed in 0u64..500,
-        iterations in 1usize..5,
-    ) {
-        let (features, labels) = clustered_dataset(8, 10, CLASSES, 0.5, seed);
-        let mut rng = DetRng::new(seed ^ 0xE11C0DE);
-        let encoder = NonlinearEncoder::new(BaseHypervectors::generate(10, 96, &mut rng));
-        let encoded = encoder.encode(&features).unwrap();
-        let config = TrainConfig::new(96)
-            .with_iterations(iterations)
-            .with_seed(seed);
-
-        let (reference, ref_stats) =
-            hdc::train_encoded(&encoded, &labels, CLASSES, &config).unwrap();
-        let chunks = (0..encoded.rows()).step_by(chunk).map(|start| {
-            encoded
-                .slice_rows(start, (start + chunk).min(encoded.rows()))
-                .map_err(hdc::HdcError::from)
-        });
-        let (streamed, stats) =
-            hdc::train_encoded_streamed(chunks, &labels, CLASSES, &config).unwrap();
-
-        prop_assert_eq!(streamed.as_matrix(), reference.as_matrix());
-        prop_assert_eq!(stats, ref_stats);
-    }
-
     /// The batched GEMM scorer agrees with the scalar per-sample argmax.
     #[test]
     fn prop_gemm_scoring_matches_scalar_argmax(seed in 0u64..500, rows in 1usize..40) {
@@ -140,74 +108,40 @@ proptest! {
     }
 }
 
-/// The hybrid backend's streamed encode→update schedule (worker thread +
-/// bounded channel) reproduces the phase-serial chain bit-for-bit.
+/// Injected transient faults retry to bit-exactness through the hybrid
+/// backend's supervised invoke schedule: device encode, then the host
+/// update, matches the fault-free run with no host fallback.
 #[test]
-fn streamed_hybrid_training_matches_phase_serial() {
-    let (features, labels) = clustered_dataset(20, 10, CLASSES, 0.4, 23);
-    let mut rng = DetRng::new(24);
-    let encoder = NonlinearEncoder::new(BaseHypervectors::generate(10, 128, &mut rng));
-    let train = TrainConfig::new(128).with_iterations(3).with_seed(25);
-    let base_cfg = PipelineConfig::new(128).with_batches(8, 8);
-
-    let serial = Pipeline::new(base_cfg.clone());
-    let encoded = serial
-        .backends()
-        .hybrid()
-        .encode_batch(&encoder, &features)
-        .unwrap();
-    let (expected, expected_stats) = serial
-        .backends()
-        .hybrid()
-        .train_classes(&encoded, &labels, CLASSES, &train)
-        .unwrap();
-
-    let streamed = Pipeline::new(base_cfg.with_threads(3));
-    let (classes, stats) = streamed
-        .backends()
-        .hybrid()
-        .encode_train(&encoder, &features, &labels, CLASSES, &train)
-        .unwrap();
-
-    assert_eq!(classes.as_matrix(), expected.as_matrix());
-    assert_eq!(stats, expected_stats);
-}
-
-/// Injected transient faults retry to bit-exactness under the pipelined
-/// streaming schedule too: the chaos guarantees survive the overlap.
-#[test]
-fn streamed_training_with_transient_faults_stays_bit_exact() {
+fn hybrid_training_with_transient_faults_stays_bit_exact() {
     let (features, labels) = clustered_dataset(16, 10, CLASSES, 0.4, 31);
     let mut rng = DetRng::new(32);
     let encoder = NonlinearEncoder::new(BaseHypervectors::generate(10, 128, &mut rng));
     let train = TrainConfig::new(128).with_iterations(3).with_seed(33);
+    let encode_train = |pipeline: &Pipeline| {
+        let hybrid = pipeline.backends().hybrid();
+        let encoded = hybrid.encode_batch(&encoder, &features).unwrap();
+        hybrid
+            .train_classes(&encoded, &labels, CLASSES, &train)
+            .unwrap()
+    };
 
-    let clean = Pipeline::new(PipelineConfig::new(128).with_batches(8, 8).with_threads(2));
-    let (expected, expected_stats) = clean
-        .backends()
-        .hybrid()
-        .encode_train(&encoder, &features, &labels, CLASSES, &train)
-        .unwrap();
+    let clean = Pipeline::new(PipelineConfig::new(128).with_batches(8, 8));
+    let (expected, expected_stats) = encode_train(&clean);
 
     let mut cfg = PipelineConfig::new(128)
         .with_batches(8, 8)
-        .with_threads(2)
         .with_supervision(Supervision::retries(8, 2e-3, 2.0))
         .with_quarantine_threshold(9);
     cfg.device.fault = FaultConfig::default()
         .with_seed(0xFA17)
         .with_transient_rate(0.35);
     let faulted = Pipeline::new(cfg);
-    let (classes, stats) = faulted
-        .backends()
-        .hybrid()
-        .encode_train(&encoder, &features, &labels, CLASSES, &train)
-        .unwrap();
+    let (classes, stats) = encode_train(&faulted);
 
     assert_eq!(
         classes.as_matrix(),
         expected.as_matrix(),
-        "retried faults must not leak into the streamed numerics"
+        "retried faults must not leak into the trained numerics"
     );
     assert_eq!(stats, expected_stats);
     let ledger = faulted.backends().hybrid().ledger();

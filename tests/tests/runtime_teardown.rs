@@ -323,7 +323,7 @@ proptest! {
         iterations in 1u64..3,
         members in 2usize..5,
     ) {
-        let graphs = schedule::production_schedules(schedule::STREAM_DEPTH, members);
+        let graphs = schedule::production_schedules(members);
         for graph in graphs {
             let name = graph.name().to_string();
             let plan = ExecutablePlan::validate(graph).expect("production graphs validate");
@@ -375,7 +375,7 @@ proptest! {
         iterations in 1u64..3,
         members in 2usize..5,
     ) {
-        let graphs = schedule::production_schedules(schedule::STREAM_DEPTH, members);
+        let graphs = schedule::production_schedules(members);
         for graph in graphs {
             let name = graph.name().to_string();
             let plan = ExecutablePlan::validate(graph).expect("production graphs validate");

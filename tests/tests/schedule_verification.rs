@@ -5,9 +5,9 @@
 //! hold that claim to the measured clock: the device
 //! [`TimingLedger`](tpu_sim::TimingLedger) of a pipelined run must equal
 //! the analyzer's predicted elapsed time to 1e-12 over randomized
-//! workloads, and the three production schedules must verify cleanly
-//! while a deliberately undersized channel bound is rejected with the
-//! analyzer's computed minimum in the message.
+//! workloads, and the production schedules must verify cleanly while a
+//! deliberately undersized channel bound is rejected with the analyzer's
+//! computed minimum in the message.
 
 use std::convert::Infallible;
 
@@ -15,12 +15,11 @@ use proptest::prelude::*;
 
 use hd_analysis::dataflow::analyze;
 use hd_dataflow::runtime::{self, Binding, ExecutablePlan, Fire, Supervised, Supervision};
-use hd_dataflow::SdfGraph;
+use hd_dataflow::{Resource, SdfGraph};
 use hd_tensor::rng::DetRng;
 use hd_tensor::Matrix;
 use hyperedge::schedule::{
-    self, encode_score_graph, overlapped_invoke_graph, parallel_members_graph,
-    streamed_encode_graph, SchedulePlan,
+    self, encode_score_graph, overlapped_invoke_graph, parallel_members_graph, SchedulePlan,
 };
 use hyperedge::FrameworkError;
 use integration_tests::invoke_in_chunks;
@@ -117,7 +116,6 @@ proptest! {
     fn prop_runtime_elapsed_equals_analyzer_critical_path(
         samples in 1usize..64,
         members in 1usize..9,
-        depth in 1usize..4,
         iterations in 1u64..6,
     ) {
         let cfg = DeviceConfig::default();
@@ -125,7 +123,6 @@ proptest! {
         let score_dims = ModelDims::encoder(64, 3);
         let graphs = [
             overlapped_invoke_graph(&cfg, &encoder_dims, samples),
-            streamed_encode_graph(&cfg, &encoder_dims, samples, depth, 1e-3),
             parallel_members_graph(members, 0.25),
             encode_score_graph(&cfg, &encoder_dims, &score_dims, samples),
         ];
@@ -149,10 +146,10 @@ proptest! {
     }
 }
 
-/// All three production schedules verify cleanly as declared.
+/// Every production schedule verifies cleanly as declared.
 #[test]
 fn production_schedules_are_accepted() {
-    for graph in schedule::standard_schedules(schedule::STREAM_DEPTH, 8) {
+    for graph in schedule::production_schedules(8) {
         let report = analyze(&graph);
         assert!(
             !report.has_errors(),
@@ -163,13 +160,16 @@ fn production_schedules_are_accepted() {
     }
 }
 
-/// An undersized streamed-channel declaration is rejected with the
-/// analyzer's computed minimal safe bound in the diagnostic.
+/// An undersized chunk channel between a device-encode stage and a
+/// host-update stage is rejected with the analyzer's computed minimal
+/// safe bound in the diagnostic.
 #[test]
 fn undersized_stream_channel_is_rejected_with_minimum() {
-    let cfg = DeviceConfig::default();
-    let dims = ModelDims::encoder(64, 512);
-    let err = SchedulePlan::declare(streamed_encode_graph(&cfg, &dims, 32, 0, 1e-3)).unwrap_err();
+    let mut graph = SdfGraph::new("encode-update");
+    let encode = graph.add_stage("encode", Resource::DEVICE, 3e-3);
+    let update = graph.add_stage("update", Resource::Host, 1e-3);
+    graph.add_channel(encode, update, 1, 1, Some(0));
+    let err = SchedulePlan::declare(graph).unwrap_err();
     let FrameworkError::Schedule(diags) = err else {
         panic!("expected a Schedule error");
     };
