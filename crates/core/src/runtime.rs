@@ -233,7 +233,7 @@ pub fn tpu_training(
         + cost::quantize_s(spec, s * d);
     let update_s = update_cost_s(spec, s, d, workload.classes, iterations, profile);
     let model_gen_s = cost::model_generation_s(enc.param_bytes())
-        + timing::load_time_s(device, &enc)
+        + timing::load_cost(device, &enc).total_s
         + cost::model_generation_s(inf.param_bytes());
     RuntimeBreakdown {
         encode_s,
@@ -279,7 +279,7 @@ pub fn tpu_bagging_training(
             &sub_profile,
         );
         model_gen_s +=
-            cost::model_generation_s(enc.param_bytes()) + timing::load_time_s(device, &enc);
+            cost::model_generation_s(enc.param_bytes()) + timing::load_cost(device, &enc).total_s;
     }
     RuntimeBreakdown {
         encode_s,
@@ -357,7 +357,7 @@ pub fn tpu_training_scaled(
         device_time + cost::quantize_s(spec, s * workload.features) + cost::quantize_s(spec, s * d);
     let update_s = update_cost_s(spec, s, d, workload.classes, iterations, profile);
     let model_gen_s = cost::model_generation_s(enc.param_bytes())
-        + devices as f64 * timing::load_time_s(device, &enc)
+        + devices as f64 * timing::load_cost(device, &enc).total_s
         + cost::model_generation_s(inf.param_bytes());
     RuntimeBreakdown {
         encode_s,

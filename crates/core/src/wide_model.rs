@@ -162,10 +162,11 @@ mod tests {
     fn encoder_network_matches_encoder() {
         let (model, features) = trained_model();
         let network = encoder_network(model.encoder()).unwrap();
-        let nn_encoded = network.forward(&features).unwrap();
-        let hdc_encoded = model.encoder().encode(&features).unwrap();
-        let dist = nn_encoded.frobenius_distance(&hdc_encoded).unwrap();
-        assert!(dist < 1e-3, "distance {dist}");
+        // One GEMM and one `tanh` on both sides: bit-identical.
+        assert_eq!(
+            network.forward(&features).unwrap(),
+            model.encoder().encode(&features).unwrap()
+        );
     }
 
     #[test]

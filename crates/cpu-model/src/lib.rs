@@ -1,4 +1,4 @@
-//! Host CPU functional execution and analytic runtime model.
+//! Host CPU analytic runtime model.
 //!
 //! The paper's framework is a *co-design*: encoding and inference run on
 //! the accelerator, but class-hypervector update — which the Edge TPU
@@ -10,9 +10,7 @@
 //!   i5-5250U host and the Raspberry Pi 3's ARM Cortex-A53 (Table II's
 //!   comparison point),
 //! * [`cost`] — closed-form per-op costs (GEMM, activations, element-wise
-//!   updates, quantize/dequantize, model generation),
-//! * [`CpuEngine`] — functional `f32` execution of wide-NN models with
-//!   the analytic time charged alongside.
+//!   updates, quantize/dequantize, model generation).
 //!
 //! Calibration: the sustained-GEMM figures are set so the simulated
 //! accelerator/host runtime *ratios* land in the paper's reported regime
@@ -25,10 +23,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod engine;
 mod platform;
 
 pub mod cost;
 
-pub use engine::CpuEngine;
 pub use platform::{Platform, PlatformSpec};

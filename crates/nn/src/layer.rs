@@ -1,4 +1,4 @@
-use hd_tensor::Matrix;
+use hd_tensor::{ops, Matrix};
 
 /// Scalar activation functions available to the wide NN.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -15,9 +15,23 @@ impl Activation {
     /// Evaluates the activation on a real value.
     pub fn eval(self, v: f32) -> f32 {
         match self {
-            Activation::Tanh => v.tanh(),
+            Activation::Tanh => ops::tanh(v),
             Activation::Relu => v.max(0.0),
             Activation::Identity => v,
+        }
+    }
+
+    /// Applies the activation to every value in place, bit-identical to
+    /// [`Activation::eval`] per element; `tanh` runs as
+    /// [`ops::tanh_inplace`]'s vectorized pass.
+    pub fn apply(self, values: &mut [f32]) {
+        match self {
+            Activation::Tanh => ops::tanh_inplace(values),
+            Activation::Relu | Activation::Identity => {
+                for v in values.iter_mut() {
+                    *v = self.eval(*v);
+                }
+            }
         }
     }
 
@@ -123,6 +137,27 @@ impl Layer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn tanh_eval_is_the_owned_tanh(bits in any::<u32>(), near in -12.0f32..12.0) {
+            for x in [f32::from_bits(bits), near] {
+                prop_assert_eq!(Activation::Tanh.eval(x).to_bits(), ops::tanh(x).to_bits());
+            }
+        }
+
+        #[test]
+        fn apply_is_eval_per_element(values in proptest::collection::vec(-12.0f32..12.0, 0..64)) {
+            for act in [Activation::Tanh, Activation::Relu, Activation::Identity] {
+                let mut out = values.clone();
+                act.apply(&mut out);
+                for (x, y) in values.iter().zip(&out) {
+                    prop_assert_eq!(y.to_bits(), act.eval(*x).to_bits());
+                }
+            }
+        }
+    }
 
     #[test]
     fn activation_eval() {

@@ -121,19 +121,16 @@ impl Model {
         }
         let mut current = batch.clone();
         for layer in &self.layers {
-            current = match layer {
-                Layer::FullyConnected { weights } => gemm::matmul(&current, weights)?,
-                Layer::Activation(act) => {
-                    let a = *act;
-                    current.map(|v| a.eval(v))
-                }
+            match layer {
+                Layer::FullyConnected { weights } => current = gemm::matmul(&current, weights)?,
+                Layer::Activation(act) => act.apply(current.as_mut_slice()),
                 Layer::Elementwise { op, .. } => {
                     return Err(NnError::UnsupportedOp {
                         op: op.name(),
                         target: "float forward (inference)".into(),
                     })
                 }
-            };
+            }
         }
         Ok(current)
     }
@@ -159,8 +156,9 @@ impl Model {
             let next = match layer {
                 Layer::FullyConnected { weights } => gemm::matmul(prev, weights)?,
                 Layer::Activation(act) => {
-                    let a = *act;
-                    prev.map(|v| a.eval(v))
+                    let mut next = prev.clone();
+                    act.apply(next.as_mut_slice());
+                    next
                 }
                 Layer::Elementwise { op, .. } => {
                     return Err(NnError::UnsupportedOp {

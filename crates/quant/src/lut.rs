@@ -57,10 +57,11 @@ impl ActivationLut {
     }
 
     /// Builds the hyperbolic-tangent table used by the paper's non-linear
-    /// encoding layer.
+    /// encoding layer, from [`hd_tensor::ops::tanh`]: the same function
+    /// the host encoder applies.
     #[must_use]
     pub fn tanh(input_params: QuantParams, output_params: QuantParams) -> Self {
-        Self::from_fn(input_params, output_params, f32::tanh)
+        Self::from_fn(input_params, output_params, hd_tensor::ops::tanh)
     }
 
     /// Builds an identity (requantization-only) table.

@@ -162,11 +162,116 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) -> Result<()> {
     Ok(())
 }
 
-/// Applies `tanh` element-wise in place — the paper's non-linear encoding
-/// activation.
+/// Below this magnitude [`tanh`] takes its odd polynomial, from it on the
+/// exponential form.
+const TANH_POLY_LIMIT: f32 = 0.55;
+
+/// `tanh(a) = a + a·u·P(u)` with `u = a²` on `[0, 0.55]`: a degree-4
+/// Chebyshev fit of `(tanh(a) − a) / a³`.
+const TANH_ODD: [f32; 5] = [
+    -3.333_333e-1,
+    1.333_311_3e-1,
+    -5.390_943e-2,
+    2.130_938_9e-2,
+    -6.610_227_7e-3,
+];
+
+/// `e^r = 1 + r·Q(r)` on `[0, ln 2)`: a degree-5 Chebyshev fit of
+/// `(e^r − 1) / r`. Every coefficient is positive.
+const EXP_Q: [f32; 6] = [
+    1.0,
+    5.000_014_3e-1,
+    1.666_423_8e-1,
+    4.181_424_5e-2,
+    7.932_47e-3,
+    1.877_087_3e-3,
+];
+
+/// `f32` rounds `tanh` to 1.0 from `13·ln 2 ≈ 9.011` on; clamping there
+/// keeps `e^{2|x|}` finite.
+const TANH_CLAMP: f32 = 10.0;
+/// `ln 2` split so that `n·LN2_HI` is exact for every `n` reached here.
+const LN2_HI: f32 = 6.931_457_5e-1;
+const LN2_LO: f32 = 1.428_606_8e-6;
+/// Adding and subtracting `2^23` rounds a small non-negative `f32` to an
+/// integer.
+const ROUND: f32 = 8_388_608.0;
+const SIGN: u32 = 0x8000_0000;
+
+/// `c[0] + x·(c[1] + x·(… + x·c[last]))`.
+#[inline(always)]
+fn horner<const N: usize>(x: f32, c: &[f32; N]) -> f32 {
+    let (rest, last) = c.split_at(N - 1);
+    rest.iter().rev().fold(last[0], |acc, &k| k + x * acc)
+}
+
+/// Hyperbolic tangent — the paper's non-linear encoding activation — as
+/// the workspace computes it everywhere on the host.
+///
+/// Built only from IEEE `+ − × ÷`, compares, selects and bit operations
+/// in a fixed order with no fused multiply-add, so it returns the same
+/// bits on every host, libm and vector width. Both forms are evaluated
+/// and one is selected, so a loop over it vectorizes without branches.
+///
+/// * `|x| < 0.55`: an odd polynomial.
+/// * Otherwise `1 − 2/(e^{2|x|} + 1)`, with `e^z = 2^n · e^r`,
+///   `n = ⌊z / ln 2⌋` and a polynomial for `e^r`, `r ∈ [0, ln 2)`.
+///   Each step is a monotone function of the one before, so the result
+///   is monotone; `r ≥ 0` and `e^r ≤ 2` are enforced so that neighbouring
+///   `n` stay ordered where a rounded `z / ln 2` picks `n`.
+/// * The sign of `x` is copied back by bit operation, so `tanh(−x)` is
+///   bit-equal to `−tanh(x)`. NaN passes through, `±∞ → ±1`, `±0 → ±0`
+///   and subnormals map to themselves.
+///
+/// Over all 2^32 inputs it is monotone non-decreasing and within 1 ULP
+/// of `(x as f64).tanh() as f32` (`tests/tanh.rs`, an ignored exhaustive
+/// test).
+///
+/// # Examples
+///
+/// ```
+/// use hd_tensor::ops::tanh;
+///
+/// assert_eq!(tanh(0.0), 0.0);
+/// assert_eq!(tanh(-2.0), -tanh(2.0));
+/// assert_eq!(tanh(f32::INFINITY), 1.0);
+/// assert!((tanh(0.5) - 0.462_117_16).abs() < 1e-7);
+/// ```
+#[inline]
+pub fn tanh(x: f32) -> f32 {
+    let bits = x.to_bits();
+    let a = f32::from_bits(bits & !SIGN);
+
+    let u = a * a;
+    let odd = a + a * (u * horner(u, &TANH_ODD));
+
+    // NaN compares false and takes the clamp; it is passed through below.
+    let z = 2.0 * if a < TANH_CLAMP { a } else { TANH_CLAMP };
+    let t = z * std::f32::consts::LOG2_E;
+    let nearest = (t + ROUND) - ROUND;
+    let n = if nearest > t { nearest - 1.0 } else { nearest };
+    let r = (z - n * LN2_HI) - n * LN2_LO;
+    let r = if r > 0.0 { r } else { 0.0 };
+    let exp_r = 1.0 + r * horner(r, &EXP_Q);
+    let exp_r = if exp_r < 2.0 { exp_r } else { 2.0 };
+    // `n + 2^23 + 127` holds the biased exponent of 2^n in its low bits.
+    let pow2_n = f32::from_bits((n + (ROUND + 127.0)).to_bits() << 23);
+    let saturating = 1.0 - 2.0 / (exp_r * pow2_n + 1.0);
+
+    let y = if a < TANH_POLY_LIMIT { odd } else { saturating };
+    if x.is_nan() {
+        x
+    } else {
+        f32::from_bits(y.to_bits() | (bits & SIGN))
+    }
+}
+
+/// Applies [`tanh`] element-wise in place — the paper's non-linear
+/// encoding activation. The loop auto-vectorizes to whatever lane width
+/// the build targets; every width gives the same bits.
 pub fn tanh_inplace(a: &mut [f32]) {
     for v in a.iter_mut() {
-        *v = v.tanh();
+        *v = tanh(*v);
     }
 }
 

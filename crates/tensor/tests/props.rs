@@ -129,7 +129,7 @@ proptest! {
         ops::tanh_inplace(&mut neg);
         for (a, b) in v.iter().zip(&neg) {
             prop_assert!((-1.0..=1.0).contains(a));
-            prop_assert!((a + b).abs() < 1e-6, "tanh must be odd");
+            prop_assert_eq!(a.to_bits(), (-b).to_bits(), "tanh must be odd");
         }
     }
 }

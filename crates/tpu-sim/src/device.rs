@@ -7,23 +7,9 @@ use crate::buffer::UnifiedBuffer;
 use crate::config::DeviceConfig;
 use crate::error::SimError;
 use crate::fault::{FaultKind, FaultPlan, FaultTrace, LinkDirection};
-use crate::link::HostLink;
 use crate::systolic::SystolicArray;
-use crate::timing::{self, InvokeStats, ModelDims};
+use crate::timing::{self, InvokeStats, LoadReport, ModelDims};
 use crate::Result;
-
-/// One-time cost report from [`Device::load_model`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LoadReport {
-    /// Parameter bytes moved onto the device.
-    pub param_bytes: usize,
-    /// Link time for the parameter transfer.
-    pub transfer_s: f64,
-    /// Cycles spent shifting weights into the array.
-    pub weight_load_cycles: u64,
-    /// Total load time.
-    pub total_s: f64,
-}
 
 /// Accumulated device activity since construction or the last reset.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -113,7 +99,6 @@ struct DeviceState {
 pub struct Device {
     config: DeviceConfig,
     array: SystolicArray,
-    link: HostLink,
     ordinal: usize,
     state: Mutex<DeviceState>,
 }
@@ -155,8 +140,7 @@ impl Device {
     #[must_use]
     pub fn with_ordinal(config: DeviceConfig, ordinal: usize) -> Self {
         let array = SystolicArray::new(config.target.array_rows, config.target.array_cols);
-        let link = HostLink::new(config.link);
-        if let Err(e) = config.fault.validate() {
+        if let Err(e) = config.link.validate().and(config.fault.validate()) {
             panic!("{e}");
         }
         let buffer = UnifiedBuffer::new(config.target.param_buffer_bytes);
@@ -164,7 +148,6 @@ impl Device {
         Device {
             config,
             array,
-            link,
             ordinal,
             state: Mutex::new(DeviceState {
                 model: None,
@@ -206,7 +189,9 @@ impl Device {
     /// The previous model remains loaded in either case.
     pub fn load_model(&self, compiled: CompiledModel) -> Result<LoadReport> {
         let mut state = self.state.lock();
-        let bytes = compiled.param_bytes();
+        let dims = ModelDims::from_compiled(&compiled);
+        let report = timing::load_cost(&self.config, &dims);
+        let bytes = report.param_bytes;
         if bytes > state.buffer.capacity() {
             return Err(SimError::BufferOverflow {
                 required: bytes,
@@ -214,23 +199,10 @@ impl Device {
             });
         }
 
-        let dims = ModelDims::from_compiled(&compiled);
         let max = hd_quant::gemm::MAX_EXACT_DEPTH;
         if let Some(&(depth, _)) = dims.fc_layers.iter().find(|&&(k, _)| k > max) {
             return Err(SimError::AccumulatorDepth { depth, max });
         }
-        let transfer_s = self.link.transfer_time_s(bytes);
-        let weight_load_cycles: u64 = dims
-            .fc_layers
-            .iter()
-            .map(|&(k, n)| self.array.weight_load_cycles(k, n))
-            .sum();
-        let report = LoadReport {
-            param_bytes: bytes,
-            transfer_s,
-            weight_load_cycles,
-            total_s: transfer_s + weight_load_cycles as f64 / self.config.clock_hz,
-        };
 
         state.buffer.reset();
         if state.buffer.allocate(bytes).is_err() {
@@ -702,6 +674,29 @@ mod tests {
         assert!(report.transfer_s > 0.0);
         assert!(report.weight_load_cycles > 0);
         assert!(report.total_s >= report.transfer_s);
+    }
+
+    #[test]
+    fn load_charge_matches_the_prediction_for_a_per_channel_model() {
+        let mut rng = DetRng::new(13);
+        let model = ModelBuilder::new(20)
+            .fully_connected(Matrix::random_normal(20, 64, &mut rng))
+            .unwrap()
+            .activation(Activation::Tanh)
+            .fully_connected(Matrix::random_normal(64, 4, &mut rng))
+            .unwrap()
+            .build()
+            .unwrap();
+        let calib = Matrix::random_normal(24, 20, &mut rng);
+        let compiled =
+            compile::compile_per_channel(&model, &calib, &TargetSpec::default()).unwrap();
+        let dims = ModelDims::from_compiled(&compiled);
+        assert_eq!(dims.channel_scales, 64 + 4);
+        assert_eq!(dims.param_bytes(), compiled.param_bytes());
+        let cfg = DeviceConfig::default();
+        let predicted = timing::load_cost(&cfg, &dims);
+        let charged = Device::new(cfg).load_model(compiled).unwrap();
+        assert_eq!(charged, predicted);
     }
 
     #[test]

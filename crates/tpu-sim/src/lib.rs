@@ -39,7 +39,8 @@
 //! take their sum ([`InvokeStats::serial_elapsed_s`]). Loading a model costs
 //! `param_bytes / bandwidth` plus `tiles * R / f` of weight-load cycles,
 //! charged once — matching the paper's observation that model preparation
-//! is a one-time cost excluded from inference runtime.
+//! is a one-time cost excluded from inference runtime. [`timing::load_cost`]
+//! is that formula for the device and the paper-scale predictors alike.
 //!
 //! # Examples
 //!
@@ -81,12 +82,12 @@ pub mod timing;
 
 pub use buffer::UnifiedBuffer;
 pub use config::{DeviceConfig, HostLinkConfig};
-pub use device::{Device, LoadReport, TimingLedger};
+pub use device::{Device, TimingLedger};
 pub use error::SimError;
 pub use fault::{FaultConfig, FaultKind, FaultRecord, FaultTrace, LinkDirection};
 pub use link::HostLink;
 pub use systolic::SystolicArray;
-pub use timing::InvokeStats;
+pub use timing::{InvokeStats, LoadReport};
 
 /// Convenience result alias for fallible simulator operations.
 pub type Result<T> = std::result::Result<T, SimError>;

@@ -13,7 +13,6 @@ use crate::config::HostLinkConfig;
 ///     per_invoke_latency_s: 1.0e-3,
 /// });
 /// assert_eq!(link.transfer_time_s(100_000_000), 1.0);
-/// assert_eq!(link.invoke_latency_s(), 1.0e-3);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostLink {
@@ -52,11 +51,6 @@ impl HostLink {
     /// Seconds to move `bytes` across the link (payload only).
     pub fn transfer_time_s(&self, bytes: usize) -> f64 {
         bytes as f64 / self.config.bandwidth_bytes_per_sec
-    }
-
-    /// The fixed dispatch latency charged once per invocation.
-    pub fn invoke_latency_s(&self) -> f64 {
-        self.config.per_invoke_latency_s
     }
 
     /// The underlying configuration.

@@ -26,6 +26,9 @@ pub struct ModelDims {
     pub lut_widths: Vec<usize>,
     /// Width produced per sample.
     pub output_dim: usize,
+    /// `f32` scales loaded with per-channel FC layers, one per output
+    /// column.
+    pub channel_scales: usize,
 }
 
 impl ModelDims {
@@ -37,6 +40,7 @@ impl ModelDims {
             fc_layers: vec![(n, d)],
             lut_widths: vec![d],
             output_dim: d,
+            channel_scales: 0,
         }
     }
 
@@ -49,6 +53,7 @@ impl ModelDims {
             fc_layers: vec![(n, d), (d, k)],
             lut_widths: vec![d],
             output_dim: k,
+            channel_scales: 0,
         }
     }
 
@@ -60,6 +65,7 @@ impl ModelDims {
             fc_layers: Vec::new(),
             lut_widths: Vec::new(),
             output_dim: compiled.output_dim(),
+            channel_scales: 0,
         };
         let mut width = compiled.input_dim();
         for stage in compiled.quantized().stages() {
@@ -70,6 +76,7 @@ impl ModelDims {
                 }
                 wide_nn::QuantStage::FullyConnectedPerChannel { weights, .. } => {
                     dims.fc_layers.push((weights.rows(), weights.cols()));
+                    dims.channel_scales += weights.cols();
                     width = weights.cols();
                 }
                 wide_nn::QuantStage::Lut(_) => dims.lut_widths.push(width),
@@ -78,9 +85,13 @@ impl ModelDims {
         dims
     }
 
-    /// Total quantized parameter bytes (weights plus 256-byte LUTs).
+    /// Total quantized parameter bytes: `i8` weights, 256-byte LUTs and
+    /// 4-byte per-channel scales. For a compiled model this equals
+    /// [`CompiledModel::param_bytes`].
     pub fn param_bytes(&self) -> usize {
-        self.fc_layers.iter().map(|(k, n)| k * n).sum::<usize>() + 256 * self.lut_widths.len()
+        self.fc_layers.iter().map(|(k, n)| k * n).sum::<usize>()
+            + 256 * self.lut_widths.len()
+            + 4 * self.channel_scales
     }
 }
 
@@ -200,16 +211,38 @@ pub fn chunked_s(total_samples: usize, batch: usize, mut cost: impl FnMut(usize)
     chunks(total_samples, batch).fold(0.0, |t, (rows, count)| t + count as f64 * cost(rows))
 }
 
-/// Estimates the one-time model load: parameter transfer over the link
-/// plus shifting the weights into the array.
-pub fn load_time_s(cfg: &DeviceConfig, dims: &ModelDims) -> f64 {
+/// One-time cost of loading a model, from [`load_cost`]: what the
+/// paper-scale predictors charge and what
+/// [`Device::load_model`](crate::Device::load_model) charges and returns.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LoadReport {
+    /// Parameter bytes moved onto the device, [`ModelDims::param_bytes`].
+    pub param_bytes: usize,
+    /// Link time for the parameter transfer.
+    pub transfer_s: f64,
+    /// Cycles spent shifting weights into the array.
+    pub weight_load_cycles: u64,
+    /// Total load time.
+    pub total_s: f64,
+}
+
+/// The one-time model load: parameter transfer over the link plus
+/// shifting the weights into the array.
+pub fn load_cost(cfg: &DeviceConfig, dims: &ModelDims) -> LoadReport {
     let array = SystolicArray::new(cfg.target.array_rows, cfg.target.array_cols);
-    let transfer = dims.param_bytes() as f64 / cfg.link.bandwidth_bytes_per_sec;
-    let mut cycles = 0u64;
-    for &(k, n) in &dims.fc_layers {
-        cycles += array.weight_load_cycles(k, n);
+    let param_bytes = dims.param_bytes();
+    let transfer_s = param_bytes as f64 / cfg.link.bandwidth_bytes_per_sec;
+    let weight_load_cycles: u64 = dims
+        .fc_layers
+        .iter()
+        .map(|&(k, n)| array.weight_load_cycles(k, n))
+        .sum();
+    LoadReport {
+        param_bytes,
+        transfer_s,
+        weight_load_cycles,
+        total_s: transfer_s + weight_load_cycles as f64 / cfg.clock_hz,
     }
-    transfer + cycles as f64 / cfg.clock_hz
 }
 
 #[cfg(test)]
@@ -313,8 +346,8 @@ mod tests {
     #[test]
     fn load_time_scales_with_params() {
         let cfg = DeviceConfig::default();
-        let small = load_time_s(&cfg, &ModelDims::encoder(64, 256));
-        let big = load_time_s(&cfg, &ModelDims::encoder(784, 10_000));
+        let small = load_cost(&cfg, &ModelDims::encoder(64, 256)).total_s;
+        let big = load_cost(&cfg, &ModelDims::encoder(784, 10_000)).total_s;
         assert!(big > small * 10.0);
     }
 
