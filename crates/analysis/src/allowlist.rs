@@ -13,6 +13,9 @@
 //! `rule` must be one of the known rule names, `path` matches any file
 //! whose workspace-relative path ends with it, and `reason` is mandatory:
 //! an allowlist entry without a human justification is itself an error.
+//! An entry that suppresses nothing in a workspace run is reported as a
+//! `lint/stale-allow` warning (see [`crate::lint_workspace`]), so an
+//! exemption cannot outlive the code it was written for.
 
 use crate::rules::RULE_NAMES;
 use wide_nn::diag::Diagnostic;
@@ -26,6 +29,8 @@ pub struct AllowEntry {
     pub path: String,
     /// Why the violation is acceptable.
     pub reason: String,
+    /// One-based `lint.toml` line of the entry's `[[allow]]` header.
+    pub line: usize,
 }
 
 /// A parsed allowlist.
@@ -107,6 +112,7 @@ impl Allowlist {
                         rule: String::new(),
                         path: String::new(),
                         reason: String::new(),
+                        line: lineno,
                     },
                 ));
                 continue;
@@ -167,6 +173,20 @@ impl Allowlist {
             diag.code == format!("lint/{}", e.rule)
                 && (file == &e.path || file.ends_with(&format!("/{}", e.path)))
         })
+    }
+
+    /// The entries that suppress none of `suppressed` — the findings a run
+    /// filtered through this allowlist. An entry shadowed by an earlier
+    /// one for the same rule and file is stale too.
+    pub(crate) fn stale_entries(&self, suppressed: &[Diagnostic]) -> Vec<&AllowEntry> {
+        let used: Vec<&AllowEntry> = suppressed
+            .iter()
+            .filter_map(|d| self.entry_for(d))
+            .collect();
+        self.entries
+            .iter()
+            .filter(|e| !used.iter().any(|u| std::ptr::eq(*u, *e)))
+            .collect()
     }
 }
 

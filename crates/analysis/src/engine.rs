@@ -111,7 +111,9 @@ fn walk(dir: &Path, files: &mut Vec<PathBuf>) -> Result<(), String> {
     Ok(())
 }
 
-/// Lints every workspace source file under `root`.
+/// Lints every workspace source file under `root`, then reports each
+/// allowlist entry that suppressed nothing as a `lint/stale-allow`
+/// warning sited at its `[[allow]]` line in `lint.toml`.
 ///
 /// # Errors
 ///
@@ -132,6 +134,19 @@ pub fn lint_workspace(root: &Path, allowlist: &Allowlist) -> Result<LintReport, 
         report.diagnostics.extend(file_report.diagnostics);
         report.suppressed.extend(file_report.suppressed);
         report.files_scanned += 1;
+    }
+    for entry in allowlist.stale_entries(&report.suppressed) {
+        report.diagnostics.push(
+            Diagnostic::warning(
+                "lint/stale-allow",
+                format!(
+                    "[[allow]] entry for `{}` in `{}` suppressed nothing",
+                    entry.rule, entry.path
+                ),
+            )
+            .at_source("lint.toml", entry.line, 1)
+            .with_help("delete the entry; the code it exempted is gone or now passes"),
+        );
     }
     Ok(report)
 }
@@ -190,6 +205,38 @@ mod tests {
         let text = report.to_text();
         assert!(text.contains("lint/no-float-eq"), "{text}");
         assert!(text.contains("1 error(s)"), "{text}");
+    }
+
+    #[test]
+    fn stale_allowlist_entry_is_a_warning() {
+        let root = std::env::temp_dir().join(format!("hd-lint-stale-{}", std::process::id()));
+        let src = root.join("crates/x/src");
+        std::fs::create_dir_all(&src).unwrap();
+        std::fs::write(root.join("Cargo.toml"), "[workspace]\n").unwrap();
+        std::fs::write(src.join("lib.rs"), "fn f(x: f32) -> bool { x == 0.0 }\n").unwrap();
+        let allow = Allowlist::parse(
+            "[[allow]]\nrule = \"no-float-eq\"\npath = \"crates/x/src/lib.rs\"\nreason = \"used\"\n\
+             [[allow]]\nrule = \"no-float-eq\"\npath = \"crates/y/src/lib.rs\"\nreason = \"stale\"\n",
+        )
+        .unwrap();
+        let report = lint_workspace(&root, &allow).unwrap();
+        std::fs::remove_dir_all(&root).ok();
+        assert_eq!(report.suppressed.len(), 1);
+        assert_eq!(report.diagnostics.len(), 1, "{:?}", report.diagnostics);
+        let stale = &report.diagnostics[0];
+        assert_eq!(stale.code, "lint/stale-allow");
+        assert_eq!(stale.severity, Severity::Warning);
+        assert!(
+            stale.message.contains("crates/y/src/lib.rs"),
+            "{}",
+            stale.message
+        );
+        assert!(matches!(
+            &stale.site,
+            wide_nn::Site::Source { file, line: 5, .. } if file == "lint.toml"
+        ));
+        assert!(!report.fails(false));
+        assert!(report.fails(true));
     }
 
     #[test]

@@ -28,6 +28,7 @@ pub const RULE_NAMES: &[&str] = &[
     "no-unseeded-rng",
     "no-adhoc-concurrency",
     "no-unpacked-bipolar-hot-path",
+    "stale-allow",
 ];
 
 /// Static metadata about one lint rule, surfaced by `hd-lint
@@ -88,6 +89,11 @@ pub const RULES: &[RuleInfo] = &[
         severity: Severity::Error,
         description: "no PackedBipolar unpacking (`.to_signs()`/`.sign(`) in production code — \
                       scoring and bundling must stay on the packed word-level kernels",
+    },
+    RuleInfo {
+        name: "stale-allow",
+        severity: Severity::Warning,
+        description: "every lint.toml [[allow]] entry must suppress a finding in a workspace run",
     },
 ];
 

@@ -1,7 +1,5 @@
-use hd_tensor::packed::{majority_bundle, PackedBipolar, PackedClassHypervectors};
 use hd_tensor::Matrix;
-use hdc::bipolar::{binarize_classes, BipolarModel};
-use hdc::{BaseHypervectors, ClassHypervectors, Encoder, HdcModel, NonlinearEncoder, Similarity};
+use hdc::{BaseHypervectors, ClassHypervectors, Encoder, HdcModel, NonlinearEncoder};
 
 use crate::error::BaggingError;
 
@@ -145,88 +143,8 @@ impl BaggedModel {
         HdcModel::from_parts(
             NonlinearEncoder::new(BaseHypervectors::from_matrix(merged_base)),
             ClassHypervectors::from_matrix(merged_classes),
-            Similarity::Dot,
         )
         .map_err(BaggingError::from)
-    }
-
-    /// Merges the sub-models into one packed bipolar inference model,
-    /// entirely in the packed domain: each member's class hypervectors
-    /// binarize to packed sign vectors, and class `j` of the merged model
-    /// is the bit-level concatenation of the members' class-`j` vectors —
-    /// [`PackedBipolar::concat`] shift-splices across word boundaries, so
-    /// member widths need not be multiples of 64.
-    ///
-    /// Because the float merge stacks member class matrices vertically,
-    /// this is bit-exact with binarizing [`BaggedModel::merge`]'s output
-    /// (`sign` is elementwise, so it commutes with concatenation); a test
-    /// pins that equivalence.
-    ///
-    /// # Errors
-    ///
-    /// Propagates stacking/packing shape errors (impossible for models
-    /// built via [`BaggedModel::new`]).
-    pub fn merge_bipolar(&self) -> Result<BipolarModel, BaggingError> {
-        let bases: Vec<&Matrix> = self
-            .sub_models
-            .iter()
-            .map(|sm| sm.encoder.base().as_matrix())
-            .collect();
-        let merged_base = Matrix::hstack(&bases)?;
-
-        let member_classes: Vec<Vec<PackedBipolar>> = self
-            .sub_models
-            .iter()
-            .map(|sm| binarize_classes(&sm.classes))
-            .collect();
-        let merged: Vec<PackedBipolar> = (0..self.classes)
-            .map(|j| {
-                let parts: Vec<PackedBipolar> =
-                    member_classes.iter().map(|m| m[j].clone()).collect();
-                PackedBipolar::concat(&parts)
-            })
-            .collect();
-        let packed =
-            PackedClassHypervectors::from_classes(&merged).map_err(BaggingError::Tensor)?;
-        BipolarModel::from_parts(
-            NonlinearEncoder::new(BaseHypervectors::from_matrix(merged_base)),
-            packed,
-        )
-        .map_err(BaggingError::from)
-    }
-
-    /// Majority-bundles the members' binarized class hypervectors through
-    /// the bit-sliced vertical counters in
-    /// [`hd_tensor::packed::majority_bundle`]: component `i` of consensus
-    /// class `j` is the majority vote of `sign(C^1_j[i]) ... sign(C^M_j[i])`
-    /// (ties round to `+1`, the repo-wide binarization rule).
-    ///
-    /// This is the classic HDC ensemble-bundling consensus — a single
-    /// `d'`-wide packed class model, `M`x smaller than the merged model.
-    /// Unlike [`BaggedModel::merge`], it is *not* equivalent to summing
-    /// member scores (members encode with different base hypervectors);
-    /// it is the packed sketch used when one shared encoder serves all
-    /// members, and the bundling-bandwidth benchmark exercises it at
-    /// scale.
-    ///
-    /// # Errors
-    ///
-    /// Propagates packing shape errors (impossible for models built via
-    /// [`BaggedModel::new`]).
-    pub fn bundle_classes(&self) -> Result<PackedClassHypervectors, BaggingError> {
-        let member_classes: Vec<Vec<PackedBipolar>> = self
-            .sub_models
-            .iter()
-            .map(|sm| binarize_classes(&sm.classes))
-            .collect();
-        let bundled: Vec<PackedBipolar> = (0..self.classes)
-            .map(|j| {
-                let votes: Vec<PackedBipolar> =
-                    member_classes.iter().map(|m| m[j].clone()).collect();
-                majority_bundle(&votes).map_err(BaggingError::Tensor)
-            })
-            .collect::<Result<_, _>>()?;
-        PackedClassHypervectors::from_classes(&bundled).map_err(BaggingError::Tensor)
     }
 }
 
@@ -320,64 +238,6 @@ mod tests {
         assert!(model.sub_model(3).is_some());
         assert!(model.sub_model(4).is_none());
         assert_eq!(model.iter().count(), 4);
-    }
-
-    #[test]
-    fn bipolar_merge_is_bitexact_with_binarized_float_merge() {
-        // Sub-model width 128 is word-aligned; also force an unaligned
-        // width so `concat` exercises its shift-splice path.
-        let (model, features, _) = trained(7);
-        let merged_bipolar = model.merge_bipolar().unwrap();
-        let reference = BipolarModel::binarize(&model.merge().unwrap());
-        assert_eq!(
-            merged_bipolar.packed_classes(),
-            reference.packed_classes(),
-            "packed concat merge must equal binarized vstack merge"
-        );
-        assert_eq!(
-            merged_bipolar.predict(&features).unwrap(),
-            reference.predict(&features).unwrap()
-        );
-    }
-
-    #[test]
-    fn bipolar_merge_handles_unaligned_member_widths() {
-        let (model, _, _) = trained(8);
-        // Truncate each member to an unaligned width d' = 100.
-        let subs: Vec<SubModel> = model
-            .iter()
-            .map(|sm| {
-                let base = sm.encoder.base().as_matrix();
-                let narrow_base = Matrix::from_fn(base.rows(), 100, |i, j| base[(i, j)]);
-                let classes = sm.classes.as_matrix();
-                let narrow_classes = Matrix::from_fn(100, classes.cols(), |i, j| classes[(i, j)]);
-                SubModel {
-                    encoder: NonlinearEncoder::new(BaseHypervectors::from_matrix(narrow_base)),
-                    classes: ClassHypervectors::from_matrix(narrow_classes),
-                }
-            })
-            .collect();
-        let narrow = BaggedModel::new(subs, 3).unwrap();
-        let merged_bipolar = narrow.merge_bipolar().unwrap();
-        let reference = BipolarModel::binarize(&narrow.merge().unwrap());
-        assert_eq!(merged_bipolar.packed_classes(), reference.packed_classes());
-        assert_eq!(merged_bipolar.dim(), 400);
-    }
-
-    #[test]
-    fn bundled_classes_match_scalar_majority_of_members() {
-        let (model, _, _) = trained(9);
-        let bundled = model.bundle_classes().unwrap();
-        assert_eq!(bundled.class_count(), 3);
-        assert_eq!(bundled.dim(), model.sub_dim());
-        for j in 0..3 {
-            let votes: Vec<hdc::bipolar::BipolarVector> = model
-                .iter()
-                .map(|sm| binarize_classes(&sm.classes)[j].clone())
-                .collect();
-            let reference = hd_tensor::packed::majority_bundle_reference(&votes).unwrap();
-            assert_eq!(bundled.class(j).unwrap(), reference, "class {j}");
-        }
     }
 
     #[test]

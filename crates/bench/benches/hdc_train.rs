@@ -6,7 +6,7 @@ use std::hint::black_box;
 
 use hd_tensor::rng::DetRng;
 use hd_tensor::Matrix;
-use hdc::{train_encoded, OnlineTrainer, TrainConfig};
+use hdc::{train_encoded, TrainConfig};
 
 fn encoded_clusters(samples: usize, d: usize, classes: usize) -> (Matrix, Vec<usize>) {
     let mut rng = DetRng::new(13);
@@ -77,23 +77,5 @@ fn bench_full_vs_bagged_width(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_online_trainer(c: &mut Criterion) {
-    let (encoded, labels) = encoded_clusters(256, 1024, 10);
-    c.bench_function("hdc-train/online-256-samples", |bench| {
-        bench.iter(|| {
-            let mut t = OnlineTrainer::new(1024, 10, 1.0).unwrap();
-            for (i, &l) in labels.iter().enumerate() {
-                t.observe(black_box(encoded.row(i)), l).unwrap();
-            }
-            t.finish()
-        });
-    });
-}
-
-criterion_group!(
-    benches,
-    bench_train_iterations,
-    bench_full_vs_bagged_width,
-    bench_online_trainer
-);
+criterion_group!(benches, bench_train_iterations, bench_full_vs_bagged_width);
 criterion_main!(benches);

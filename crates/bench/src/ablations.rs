@@ -17,7 +17,7 @@ use hd_tensor::rng::DetRng;
 use hdc::bipolar::BipolarModel;
 use hdc::{
     train_encoded, BaseHypervectors, Encoder, HdcModel, LinearEncoder, NonlinearEncoder,
-    Similarity, TrainConfig,
+    TrainConfig,
 };
 use hyperedge::runtime;
 use hyperedge::{ExecutionSetting, Pipeline};
@@ -51,9 +51,7 @@ pub fn ablation_encoding() -> ResultTable {
                         .expect("training succeeds");
                 let mut correct = 0usize;
                 for (r, &label) in data.test.labels.iter().enumerate() {
-                    let scores = classes
-                        .scores(encoded_test.row(r), Similarity::Dot)
-                        .expect("scores");
+                    let scores = classes.scores(encoded_test.row(r)).expect("scores");
                     if hd_tensor::ops::argmax(&scores).expect("non-empty") == label {
                         correct += 1;
                     }

@@ -393,13 +393,11 @@ pub fn info(args: &ParsedArgs) -> CmdResult {
          features (n):        {}\n\
          dimensionality (d):  {}\n\
          classes (k):         {}\n\
-         similarity:          {:?}\n\
          f32 parameters:      {params} ({:.2} MB)\n\
          int8 on accelerator: {:.2} MB\n",
         model.feature_count(),
         model.dim(),
         model.class_count(),
-        model.similarity(),
         params as f64 * 4.0 / 1e6,
         params as f64 / 1e6,
     ))

@@ -126,7 +126,7 @@ mod tests {
 
         let train = TrainConfig::new(256).with_iterations(3).with_seed(22);
         let (classes, _) = backend.train_classes(&encoded, &labels, 2, &train).unwrap();
-        let model = HdcModel::from_parts(encoder, classes, hdc::Similarity::Dot).unwrap();
+        let model = HdcModel::from_parts(encoder, classes).unwrap();
         let preds = backend.predict(&model, &features).unwrap();
         assert_eq!(preds, model.predict(&features).unwrap());
 

@@ -98,7 +98,7 @@ mod tests {
         let encoded = backend.encode_batch(&encoder, &features).unwrap();
         let train = TrainConfig::new(128).with_iterations(2).with_seed(32);
         let (classes, _) = backend.train_classes(&encoded, &labels, 2, &train).unwrap();
-        let model = HdcModel::from_parts(encoder, classes, hdc::Similarity::Dot).unwrap();
+        let model = HdcModel::from_parts(encoder, classes).unwrap();
         backend.predict(&model, &features).unwrap();
 
         let ledger = backend.ledger();

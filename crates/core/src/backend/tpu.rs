@@ -657,7 +657,7 @@ mod tests {
         let encoded = encoder.encode(&features).unwrap();
         let train = TrainConfig::new(256).with_iterations(2).with_seed(49);
         let (classes, _) = hdc::train_encoded(&encoded, &labels, 2, &train).unwrap();
-        let model = HdcModel::from_parts(encoder, classes, hdc::Similarity::Dot).unwrap();
+        let model = HdcModel::from_parts(encoder, classes).unwrap();
 
         let degraded = b.predict(&model, &features).unwrap();
         let host = cpu.predict(&model, &features).unwrap();

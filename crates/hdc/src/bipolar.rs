@@ -14,20 +14,15 @@
 //! The kernels live in [`hd_tensor::packed`]: [`BipolarVector`] is the
 //! packed type itself, and [`BipolarModel`] keeps its class hypervectors
 //! resident in a [`PackedClassHypervectors`] scan table so batch
-//! prediction is one flat XOR+popcount sweep per query. Besides
-//! binarizing a trained float model, [`BipolarModel::fit_bundled`] trains
-//! one-shot in the packed domain: per-class majority bundling of the
-//! binarized encoded samples through bit-sliced vertical counters, never
-//! materializing a float class matrix.
+//! prediction is one flat XOR+popcount sweep per query. A bipolar model
+//! is made by binarizing a trained float model ([`BipolarModel::binarize`]).
 
-use hd_tensor::packed::{majority_bundle, PackedClassHypervectors};
-use hd_tensor::rng::DetRng;
+use hd_tensor::packed::PackedClassHypervectors;
 use hd_tensor::Matrix;
 
-use crate::encoder::{BaseHypervectors, Encoder, NonlinearEncoder};
+use crate::encoder::Encoder;
 use crate::error::HdcError;
 use crate::model::{ClassHypervectors, HdcModel};
-use crate::train::TrainConfig;
 use crate::Result;
 
 /// A packed vector of `+1`/`-1` components (bit set = `+1`) — re-exported
@@ -72,80 +67,6 @@ impl BipolarModel {
         }
     }
 
-    /// Assembles a bipolar model from an encoder and packed classes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::InvalidConfig`] when the encoder and class
-    /// dimensionalities disagree.
-    pub fn from_parts(encoder: NonlinearEncoder, classes: PackedClassHypervectors) -> Result<Self> {
-        if encoder.base().dim() != classes.dim() {
-            return Err(HdcError::InvalidConfig(
-                "encoder dimensionality does not match packed class hypervectors",
-            ));
-        }
-        Ok(BipolarModel { encoder, classes })
-    }
-
-    /// One-shot HDC training entirely in the packed domain: encode each
-    /// sample, binarize it, and majority-bundle each class's samples
-    /// through the bit-sliced vertical counters in
-    /// [`hd_tensor::packed::majority_bundle`]. No float class matrix is
-    /// ever materialized. A class with no samples gets the all-`+1`
-    /// vector (the majority rule applied to an empty vote: the zero sum
-    /// binarizes to `+1`).
-    ///
-    /// # Errors
-    ///
-    /// * [`HdcError::EmptyDataset`] — no samples or `classes == 0`.
-    /// * [`HdcError::LabelCount`] / [`HdcError::LabelOutOfRange`] — label
-    ///   problems.
-    /// * [`HdcError::InvalidConfig`] — bad dimension/iterations/rate.
-    pub fn fit_bundled(
-        features: &Matrix,
-        labels: &[usize],
-        classes: usize,
-        config: &TrainConfig,
-    ) -> Result<Self> {
-        config.validate()?;
-        if features.rows() == 0 || classes == 0 {
-            return Err(HdcError::EmptyDataset);
-        }
-        if labels.len() != features.rows() {
-            return Err(HdcError::LabelCount {
-                samples: features.rows(),
-                labels: labels.len(),
-            });
-        }
-        if let Some(&bad) = labels.iter().find(|&&l| l >= classes) {
-            return Err(HdcError::LabelOutOfRange {
-                label: bad,
-                classes,
-            });
-        }
-        let mut rng = DetRng::new(config.seed);
-        let base = BaseHypervectors::generate(features.cols(), config.dim, &mut rng);
-        let encoder = NonlinearEncoder::new(base);
-        let encoded = encoder.encode(features)?;
-
-        let mut members: Vec<Vec<BipolarVector>> = vec![Vec::new(); classes];
-        for (r, &label) in labels.iter().enumerate() {
-            members[label].push(BipolarVector::from_signs(encoded.row(r)));
-        }
-        let bundled: Vec<BipolarVector> = members
-            .iter()
-            .map(|m| {
-                if m.is_empty() {
-                    Ok(BipolarVector::from_signs(&vec![0.0; config.dim]))
-                } else {
-                    majority_bundle(m).map_err(HdcError::from)
-                }
-            })
-            .collect::<Result<_>>()?;
-        let classes = PackedClassHypervectors::from_classes(&bundled).map_err(HdcError::from)?;
-        Ok(BipolarModel { encoder, classes })
-    }
-
     /// Number of classes.
     pub fn class_count(&self) -> usize {
         self.classes.class_count()
@@ -159,11 +80,6 @@ impl BipolarModel {
     /// Packed class-model storage in bytes (vs `4 * d * k` for f32).
     pub fn class_bytes(&self) -> usize {
         self.classes.byte_size()
-    }
-
-    /// The resident packed class hypervectors.
-    pub fn packed_classes(&self) -> &PackedClassHypervectors {
-        &self.classes
     }
 
     /// Predicts labels for a batch of raw samples: encode in f32,
@@ -335,55 +251,5 @@ mod tests {
             })
             .collect();
         assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn fit_bundled_learns_separable_data() {
-        let (_, features, labels) = trained();
-        let config = TrainConfig::new(2048).with_seed(64);
-        let model = BipolarModel::fit_bundled(&features, &labels, 3, &config).unwrap();
-        let acc = crate::eval::accuracy(&model.predict(&features).unwrap(), &labels).unwrap();
-        assert!(acc > 0.9, "bundled one-shot accuracy {acc}");
-        assert_eq!(model.class_count(), 3);
-        assert_eq!(model.dim(), 2048);
-    }
-
-    #[test]
-    fn fit_bundled_validates_inputs() {
-        let features = Matrix::zeros(4, 2);
-        let config = TrainConfig::new(64);
-        assert!(matches!(
-            BipolarModel::fit_bundled(&Matrix::zeros(0, 2), &[], 2, &config).unwrap_err(),
-            HdcError::EmptyDataset
-        ));
-        assert!(matches!(
-            BipolarModel::fit_bundled(&features, &[0, 1], 2, &config).unwrap_err(),
-            HdcError::LabelCount { .. }
-        ));
-        assert!(matches!(
-            BipolarModel::fit_bundled(&features, &[0, 1, 2, 5], 2, &config).unwrap_err(),
-            HdcError::LabelOutOfRange { .. }
-        ));
-    }
-
-    #[test]
-    fn fit_bundled_empty_class_gets_all_plus_one() {
-        let mut rng = DetRng::new(65);
-        let features = Matrix::random_normal(6, 4, &mut rng);
-        let labels = vec![0usize; 6]; // class 1 never appears
-        let config = TrainConfig::new(96).with_seed(66);
-        let model = BipolarModel::fit_bundled(&features, &labels, 2, &config).unwrap();
-        let class1 = model.packed_classes().class(1).unwrap();
-        assert_eq!(class1.to_signs(), vec![1.0; 96]);
-    }
-
-    #[test]
-    fn from_parts_checks_dimensions() {
-        let mut rng = DetRng::new(67);
-        let encoder = NonlinearEncoder::new(BaseHypervectors::generate(4, 128, &mut rng));
-        let classes =
-            PackedClassHypervectors::from_classes(&[BipolarVector::from_signs(&vec![1.0; 64])])
-                .unwrap();
-        assert!(BipolarModel::from_parts(encoder, classes).is_err());
     }
 }

@@ -12,7 +12,8 @@
 //!    samples *bundle* into their true class (`C_a += lambda E`) and
 //!    *detach* from the predicted one (`C_b -= lambda E`),
 //! 3. **Classification** ([`HdcModel::predict`]): the class with the
-//!    highest similarity (dot product, approximating cosine) wins.
+//!    highest dot product `E . C` (the paper's approximation of cosine
+//!    similarity) wins.
 //!
 //! # Examples
 //!
@@ -54,10 +55,10 @@ pub mod serialize;
 pub use encoder::{BaseHypervectors, Encoder, EncoderActivation, LinearEncoder, NonlinearEncoder};
 pub use error::HdcError;
 pub use exec::{Executor, HostExecutor};
-pub use model::{ClassHypervectors, HdcModel, Similarity};
+pub use model::{ClassHypervectors, HdcModel};
 pub use train::{
     predict_batch, train_encoded, train_encoded_tracked, train_encoded_warm, IterationStats,
-    OnlineTrainer, TrainConfig, TrainStats,
+    TrainConfig, TrainStats,
 };
 
 /// Convenience result alias for fallible HDC operations.

@@ -1,22 +1,10 @@
 use hd_tensor::rng::DetRng;
-use hd_tensor::{gemm, ops, Matrix};
+use hd_tensor::{gemm, Matrix};
 
 use crate::encoder::{BaseHypervectors, Encoder, NonlinearEncoder};
 use crate::error::HdcError;
 use crate::train::{train_encoded, TrainConfig, TrainStats};
 use crate::Result;
-
-/// How query-to-class similarity is computed during classification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Similarity {
-    /// Plain dot product — the paper's accelerator-friendly approximation
-    /// (`delta(E, C) = E . C`), a pure MAC loop.
-    #[default]
-    Dot,
-    /// Full cosine similarity, normalizing by both operands' norms. More
-    /// expensive; used as the accuracy reference.
-    Cosine,
-}
 
 /// The trained class hypervectors: a `d x k` matrix whose column `j` is
 /// the class hypervector `C_j`.
@@ -74,33 +62,22 @@ impl ClassHypervectors {
         self.matrix.col(j).map_err(HdcError::from)
     }
 
-    /// Similarity scores of one encoded hypervector against every class.
+    /// Dot-product scores `delta(E, C_j) = E . C_j` of one encoded
+    /// hypervector against every class.
     ///
     /// # Errors
     ///
     /// Returns a wrapped shape error if `encoded.len() != self.dim()`.
-    pub fn scores(&self, encoded: &[f32], similarity: Similarity) -> Result<Vec<f32>> {
-        let raw = gemm::matvec(encoded, &self.matrix).map_err(HdcError::from)?;
-        match similarity {
-            Similarity::Dot => Ok(raw),
-            Similarity::Cosine => {
-                let qn = ops::norm(encoded);
-                if qn == 0.0 {
-                    return Ok(vec![0.0; self.class_count()]);
-                }
-                let mut scores = raw;
-                for (j, s) in scores.iter_mut().enumerate() {
-                    let cn = ops::norm(&self.matrix.col(j).map_err(HdcError::from)?);
-                    *s = if cn == 0.0 { 0.0 } else { *s / (qn * cn) };
-                }
-                Ok(scores)
-            }
-        }
+    pub fn scores(&self, encoded: &[f32]) -> Result<Vec<f32>> {
+        gemm::matvec(encoded, &self.matrix).map_err(HdcError::from)
     }
 }
 
 /// A complete HDC classifier: base hypervectors (encoder weights) plus
-/// trained class hypervectors (classifier weights).
+/// trained class hypervectors (classifier weights). It scores by dot
+/// product, `delta(E, C) = E . C` — the paper's accelerator-friendly
+/// approximation of cosine similarity, which turns the class
+/// hypervectors into the second fully connected layer of the wide NN.
 ///
 /// # Examples
 ///
@@ -109,7 +86,6 @@ impl ClassHypervectors {
 pub struct HdcModel {
     encoder: NonlinearEncoder,
     classes: ClassHypervectors,
-    similarity: Similarity,
 }
 
 impl HdcModel {
@@ -119,21 +95,13 @@ impl HdcModel {
     ///
     /// Returns [`HdcError::InvalidConfig`] if the encoder dimensionality
     /// and class-hypervector dimensionality disagree.
-    pub fn from_parts(
-        encoder: NonlinearEncoder,
-        classes: ClassHypervectors,
-        similarity: Similarity,
-    ) -> Result<Self> {
+    pub fn from_parts(encoder: NonlinearEncoder, classes: ClassHypervectors) -> Result<Self> {
         if encoder.base().dim() != classes.dim() {
             return Err(HdcError::InvalidConfig(
                 "encoder dimensionality does not match class hypervectors",
             ));
         }
-        Ok(HdcModel {
-            encoder,
-            classes,
-            similarity,
-        })
+        Ok(HdcModel { encoder, classes })
     }
 
     /// Trains a model end to end: generate base hypervectors, encode the
@@ -164,7 +132,6 @@ impl HdcModel {
             HdcModel {
                 encoder,
                 classes: class_hvs,
-                similarity: config.similarity,
             },
             stats,
         ))
@@ -178,11 +145,6 @@ impl HdcModel {
     /// The trained class hypervectors.
     pub fn classes(&self) -> &ClassHypervectors {
         &self.classes
-    }
-
-    /// The similarity metric used for prediction.
-    pub fn similarity(&self) -> Similarity {
-        self.similarity
     }
 
     /// Hypervector dimensionality `d`.
@@ -211,25 +173,15 @@ impl HdcModel {
     }
 
     /// Predicts class labels for already-encoded hypervectors — the path
-    /// used when encoding ran on the accelerator.
-    ///
-    /// Dot-similarity scoring goes through [`crate::predict_batch`]'s
-    /// dispatch, so a fully bipolar model (±1 classes scoring ±1
-    /// queries) takes the packed XOR+popcount kernel bit-exactly.
+    /// used when encoding ran on the accelerator. Scoring is one GEMM
+    /// against the class matrix plus a row-argmax
+    /// ([`crate::predict_batch`]).
     ///
     /// # Errors
     ///
     /// Returns a wrapped shape error on a dimensionality mismatch.
     pub fn predict_encoded(&self, encoded: &Matrix) -> Result<Vec<usize>> {
-        match self.similarity {
-            Similarity::Dot => crate::train::predict_rows(self.classes.as_matrix(), encoded),
-            Similarity::Cosine => (0..encoded.rows())
-                .map(|r| {
-                    let scores = self.classes.scores(encoded.row(r), Similarity::Cosine)?;
-                    ops::argmax(&scores).map_err(HdcError::from)
-                })
-                .collect(),
-        }
+        crate::predict_batch(&self.classes, encoded)
     }
 
     /// Raw similarity scores (`samples x classes`) for a raw-sample batch.
@@ -279,19 +231,25 @@ mod tests {
 
     #[test]
     fn dot_and_cosine_agree_on_clear_cases() {
+        // Dot-product scoring is the paper's stand-in for cosine
+        // similarity; on well-separated data both pick the same class.
         let (features, labels) = separable_dataset();
         let config = TrainConfig::new(1024).with_iterations(10).with_seed(2);
         let (model, _) = HdcModel::fit(&features, &labels, 3, &config).unwrap();
-        let cos_model = HdcModel::from_parts(
-            model.encoder().clone(),
-            model.classes().clone(),
-            Similarity::Cosine,
-        )
-        .unwrap();
-        assert_eq!(
-            model.predict(&features).unwrap(),
-            cos_model.predict(&features).unwrap()
-        );
+        let encoded = model.encoder().encode(&features).unwrap();
+        let class_cols: Vec<Vec<f32>> = (0..model.class_count())
+            .map(|j| model.classes().class(j).unwrap())
+            .collect();
+        let cosine: Vec<usize> = (0..encoded.rows())
+            .map(|r| {
+                let scores: Vec<f32> = class_cols
+                    .iter()
+                    .map(|c| hd_tensor::ops::cosine(encoded.row(r), c).unwrap())
+                    .collect();
+                hd_tensor::ops::argmax(&scores).unwrap()
+            })
+            .collect();
+        assert_eq!(model.predict(&features).unwrap(), cosine);
     }
 
     #[test]
@@ -321,7 +279,7 @@ mod tests {
         let encoder = NonlinearEncoder::new(BaseHypervectors::generate(4, 128, &mut rng));
         let classes = ClassHypervectors::zeros(64, 2);
         assert!(matches!(
-            HdcModel::from_parts(encoder, classes, Similarity::Dot).unwrap_err(),
+            HdcModel::from_parts(encoder, classes).unwrap_err(),
             HdcError::InvalidConfig(_)
         ));
     }
@@ -330,14 +288,7 @@ mod tests {
     fn zero_class_hypervectors_score_zero() {
         let classes = ClassHypervectors::zeros(8, 3);
         let encoded = vec![1.0f32; 8];
-        assert_eq!(
-            classes.scores(&encoded, Similarity::Dot).unwrap(),
-            vec![0.0; 3]
-        );
-        assert_eq!(
-            classes.scores(&encoded, Similarity::Cosine).unwrap(),
-            vec![0.0; 3]
-        );
+        assert_eq!(classes.scores(&encoded).unwrap(), vec![0.0; 3]);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! HDM1 | u32 version | u32 features | u32 dim | u32 classes
-//!      | u8 similarity (0 dot, 1 cosine)
+//!      | u8 similarity tag (always 0: dot product)
 //!      | f32 x (features * dim)   base hypervectors, row-major
 //!      | f32 x (dim * classes)    class hypervectors, row-major
 //! ```
@@ -20,11 +20,14 @@ use hd_tensor::Matrix;
 
 use crate::encoder::{BaseHypervectors, NonlinearEncoder};
 use crate::error::HdcError;
-use crate::model::{ClassHypervectors, HdcModel, Similarity};
+use crate::model::{ClassHypervectors, HdcModel};
 use crate::Result;
 
 const MAGIC: &[u8; 4] = b"HDM1";
 const VERSION: u32 = 1;
+/// The header's similarity tag. Models score by dot product only; the
+/// byte stays so existing files keep their layout.
+const DOT_TAG: u8 = 0;
 
 /// Serializes a trained model to its binary container.
 ///
@@ -50,10 +53,7 @@ pub fn write_model(model: &HdcModel) -> Bytes {
     buf.put_u32_le(model.feature_count() as u32);
     buf.put_u32_le(model.dim() as u32);
     buf.put_u32_le(model.class_count() as u32);
-    buf.put_u8(match model.similarity() {
-        Similarity::Dot => 0,
-        Similarity::Cosine => 1,
-    });
+    buf.put_u8(DOT_TAG);
     for &v in model.encoder().base().as_matrix().iter() {
         buf.put_f32_le(v);
     }
@@ -101,11 +101,9 @@ pub fn read_model(data: &[u8]) -> Result<HdcModel> {
     let features = buf.get_u32_le() as usize;
     let dim = buf.get_u32_le() as usize;
     let classes = buf.get_u32_le() as usize;
-    let similarity = match buf.get_u8() {
-        0 => Similarity::Dot,
-        1 => Similarity::Cosine,
-        _ => return Err(HdcError::InvalidConfig("unknown similarity tag")),
-    };
+    if buf.get_u8() != DOT_TAG {
+        return Err(HdcError::InvalidConfig("unknown similarity tag"));
+    }
 
     let base_len = features
         .checked_mul(dim)
@@ -130,7 +128,7 @@ pub fn read_model(data: &[u8]) -> Result<HdcModel> {
         features, dim, base,
     )?));
     let class_hvs = ClassHypervectors::from_matrix(Matrix::from_vec(dim, classes, class_data)?);
-    HdcModel::from_parts(encoder, class_hvs, similarity)
+    HdcModel::from_parts(encoder, class_hvs)
 }
 
 /// Writes a model to a file.
@@ -159,32 +157,27 @@ mod tests {
     use crate::train::TrainConfig;
     use hd_tensor::rng::DetRng;
 
-    fn trained(similarity: Similarity) -> HdcModel {
+    fn trained() -> HdcModel {
         let mut rng = DetRng::new(51);
         let mut features = Matrix::random_normal(30, 8, &mut rng);
         let labels: Vec<usize> = (0..30).map(|i| i % 3).collect();
         for (i, &l) in labels.iter().enumerate() {
             features.row_mut(i)[l] += 2.0;
         }
-        let config = TrainConfig::new(128)
-            .with_iterations(4)
-            .with_similarity(similarity);
+        let config = TrainConfig::new(128).with_iterations(4);
         HdcModel::fit(&features, &labels, 3, &config).unwrap().0
     }
 
     #[test]
-    fn roundtrip_is_exact_for_both_similarities() {
-        for sim in [Similarity::Dot, Similarity::Cosine] {
-            let model = trained(sim);
-            let restored = read_model(&write_model(&model)).unwrap();
-            assert_eq!(restored, model);
-            assert_eq!(restored.similarity(), sim);
-        }
+    fn roundtrip_is_exact() {
+        let model = trained();
+        let restored = read_model(&write_model(&model)).unwrap();
+        assert_eq!(restored, model);
     }
 
     #[test]
     fn roundtrip_preserves_predictions() {
-        let model = trained(Similarity::Dot);
+        let model = trained();
         let mut rng = DetRng::new(52);
         let probe = Matrix::random_normal(10, 8, &mut rng);
         let restored = read_model(&write_model(&model)).unwrap();
@@ -196,7 +189,7 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let model = trained(Similarity::Dot);
+        let model = trained();
         let mut blob = write_model(&model).to_vec();
         blob[0] = b'Z';
         assert!(read_model(&blob).is_err());
@@ -204,7 +197,7 @@ mod tests {
 
     #[test]
     fn bad_version_rejected() {
-        let model = trained(Similarity::Dot);
+        let model = trained();
         let mut blob = write_model(&model).to_vec();
         blob[4] = 77;
         assert!(read_model(&blob).is_err());
@@ -212,15 +205,23 @@ mod tests {
 
     #[test]
     fn bad_similarity_tag_rejected() {
-        let model = trained(Similarity::Dot);
+        let model = trained();
         let mut blob = write_model(&model).to_vec();
-        blob[20] = 9; // similarity byte (after 4+4+4+4+4)
-        assert!(read_model(&blob).is_err());
+        assert_eq!(blob[20], 0, "writer emits the dot tag");
+        // 9 was never a tag; 1 is the retired cosine tag.
+        for tag in [9, 1] {
+            blob[20] = tag; // similarity byte (after 4+4+4+4+4)
+            assert_eq!(
+                read_model(&blob).unwrap_err(),
+                HdcError::InvalidConfig("unknown similarity tag"),
+                "tag {tag}"
+            );
+        }
     }
 
     #[test]
     fn truncation_rejected_at_every_section() {
-        let model = trained(Similarity::Dot);
+        let model = trained();
         let blob = write_model(&model);
         for len in [0usize, 10, 21, 100, blob.len() - 1] {
             assert!(read_model(&blob[..len]).is_err(), "prefix {len} parsed");
@@ -229,7 +230,7 @@ mod tests {
 
     #[test]
     fn file_roundtrip() {
-        let model = trained(Similarity::Dot);
+        let model = trained();
         let dir = std::env::temp_dir().join("hyperedge-hdm-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.hdm");

@@ -1,14 +1,13 @@
-use hd_tensor::packed::{PackedBipolar, PackedClassHypervectors};
 use hd_tensor::{gemm, ops, Matrix};
 
 use crate::error::HdcError;
-use crate::model::{ClassHypervectors, Similarity};
+use crate::model::ClassHypervectors;
 use crate::Result;
 
 /// Configuration of the iterative class-hypervector training.
 ///
 /// Defaults mirror the paper's setup: `d = 10000`, 20 iterations for a
-/// fully trained model, a learning rate of 1.0, dot-product similarity.
+/// fully trained model, a learning rate of 1.0.
 ///
 /// # Examples
 ///
@@ -31,8 +30,6 @@ pub struct TrainConfig {
     pub learning_rate: f32,
     /// Seed for base-hypervector generation.
     pub seed: u64,
-    /// Similarity metric for both training-time prediction and inference.
-    pub similarity: Similarity,
     /// Early stopping: end training once the per-pass training accuracy
     /// has not improved for this many consecutive passes. `None` always
     /// runs the full iteration budget (the paper's fixed-20 schedule).
@@ -49,7 +46,6 @@ impl TrainConfig {
             iterations: 20,
             learning_rate: 1.0,
             seed: 0x5EED,
-            similarity: Similarity::Dot,
             patience: None,
         }
     }
@@ -72,13 +68,6 @@ impl TrainConfig {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the similarity metric.
-    #[must_use]
-    pub fn with_similarity(mut self, similarity: Similarity) -> Self {
-        self.similarity = similarity;
         self
     }
 
@@ -224,9 +213,11 @@ pub fn train_encoded_tracked(
 }
 
 /// [`train_encoded_tracked`] starting from *existing* class hypervectors
-/// instead of zeros — the warm-start primitive behind incremental
-/// retraining (each round of [`crate::regen`] refines the class
-/// hypervectors that survive its dimension drop).
+/// instead of zeros — the one perceptron pass every trainer runs, and the
+/// warm-start primitive behind incremental updates: each round of
+/// [`crate::regen`] refines the class hypervectors that survive its
+/// dimension drop, and a deployed model adapts to drifted data by one
+/// pass seeded from its current class hypervectors.
 ///
 /// # Errors
 ///
@@ -273,7 +264,8 @@ pub fn train_encoded_warm(
             Some((val, val_labels)) if !val_labels.is_empty() => {
                 // Batched GEMM scoring: one matmul + row-argmax instead of
                 // a per-sample dot loop.
-                let predicted = predict_rows(&class_matrix(&class_rows), val)?;
+                let classes = ClassHypervectors::from_matrix(class_matrix(&class_rows));
+                let predicted = predict_batch(&classes, val)?;
                 let val_correct = predicted
                     .iter()
                     .zip(val_labels)
@@ -348,70 +340,19 @@ fn class_matrix(class_rows: &[Vec<f32>]) -> Matrix {
     m
 }
 
-pub(crate) fn predict_rows(class_matrix: &Matrix, encoded: &Matrix) -> Result<Vec<usize>> {
-    if let Some(preds) = predict_rows_packed(class_matrix, encoded) {
-        return Ok(preds);
-    }
-    let scores = gemm::matmul(encoded, class_matrix).map_err(HdcError::from)?;
-    (0..scores.rows())
-        .map(|r| ops::argmax(scores.row(r)).map_err(HdcError::from))
-        .collect()
-}
-
-/// `true` when every value is bitwise `+1.0` or `-1.0` — the probe that
-/// gates the packed fast path. Early-exits on the first other value, so
-/// the common float-model case pays one comparison.
-fn all_pm_one(values: &[f32]) -> bool {
-    const MAGNITUDE_ONE: u32 = 0x3F80_0000; // |±1.0f32| bit pattern
-    values
-        .iter()
-        .all(|&v| v.to_bits() & 0x7FFF_FFFF == MAGNITUDE_ONE)
-}
-
-/// Exact packed fast path: when both the encoded queries and the class
-/// matrix hold only ±1 values, scoring runs as packed XOR+popcount
-/// Hamming scans instead of a float GEMM.
-///
-/// This is bit-exact with the GEMM path: bipolar dot scores are integers
-/// in `[-d, d]`, represented exactly in `f32` for every supported `d`,
-/// maximum dot is minimum Hamming, and both argmaxes take the lowest
-/// index on ties. Returns `None` (fall back to the GEMM) for non-bipolar
-/// data — and for shape mismatches, so the GEMM path owns error
-/// reporting.
-fn predict_rows_packed(class_matrix: &Matrix, encoded: &Matrix) -> Option<Vec<usize>> {
-    let d = class_matrix.rows();
-    let k = class_matrix.cols();
-    if d == 0 || k == 0 || encoded.rows() == 0 || encoded.cols() != d {
-        return None;
-    }
-    if !all_pm_one(encoded.as_slice()) || !all_pm_one(class_matrix.as_slice()) {
-        return None;
-    }
-    let classes: Vec<PackedBipolar> = (0..k)
-        .map(|j| Some(PackedBipolar::from_signs(&class_matrix.col(j).ok()?)))
-        .collect::<Option<_>>()?;
-    let packed = PackedClassHypervectors::from_classes(&classes).ok()?;
-    let queries: Vec<PackedBipolar> = (0..encoded.rows())
-        .map(|r| PackedBipolar::from_signs(encoded.row(r)))
-        .collect();
-    packed.predict_batch(&queries).ok()
-}
-
-/// Batched dot-similarity classification: one GEMM of the encoded samples
+/// Batched dot-product classification: one GEMM of the encoded samples
 /// against the class matrix followed by a row-argmax — the vectorized
 /// replacement for per-sample score loops.
-///
-/// When both operands are exactly ±1 (a binarized model scoring
-/// binarized queries), the scores are computed by the packed
-/// XOR+popcount kernel instead; the result is bit-exact either way, and
-/// the dispatch is visible in [`hd_tensor::kernels::stats`].
 ///
 /// # Errors
 ///
 /// Returns a wrapped shape error if `encoded`'s width differs from the
 /// class hypervector dimensionality.
 pub fn predict_batch(classes: &ClassHypervectors, encoded: &Matrix) -> Result<Vec<usize>> {
-    predict_rows(classes.as_matrix(), encoded)
+    let scores = gemm::matmul(encoded, classes.as_matrix()).map_err(HdcError::from)?;
+    (0..scores.rows())
+        .map(|r| ops::argmax(scores.row(r)).map_err(HdcError::from))
+        .collect()
 }
 
 fn predict_one(class_rows: &[Vec<f32>], sample: &[f32]) -> Result<usize> {
@@ -426,108 +367,6 @@ fn predict_one(class_rows: &[Vec<f32>], sample: &[f32]) -> Result<usize> {
         }
     }
     Ok(best)
-}
-
-/// Single-pass online trainer: bundles every sample into its class on
-/// first sight and applies the mispredict correction immediately.
-///
-/// This is the "OnlineHD"-style variant referenced by the paper's related
-/// work — one pass, no stored encodings, suited to streaming edge data.
-/// It usually reaches slightly lower accuracy than the iterative trainer
-/// but costs a single pass.
-///
-/// # Examples
-///
-/// ```
-/// use hd_tensor::Matrix;
-/// use hdc::OnlineTrainer;
-///
-/// # fn main() -> Result<(), hdc::HdcError> {
-/// let mut trainer = OnlineTrainer::new(64, 2, 1.0)?;
-/// trainer.observe(&[1.0; 64], 0)?;
-/// trainer.observe(&[-1.0; 64], 1)?;
-/// let classes = trainer.finish();
-/// assert_eq!(classes.class_count(), 2);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct OnlineTrainer {
-    class_rows: Vec<Vec<f32>>,
-    learning_rate: f32,
-    seen: usize,
-}
-
-impl OnlineTrainer {
-    /// Creates a trainer for width-`d` hypervectors and `classes` classes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::InvalidConfig`] for zero dimensions/classes or
-    /// a non-positive learning rate.
-    pub fn new(d: usize, classes: usize, learning_rate: f32) -> Result<Self> {
-        if d == 0 || classes == 0 {
-            return Err(HdcError::InvalidConfig(
-                "dimension and classes must be positive",
-            ));
-        }
-        if !learning_rate.is_finite() || learning_rate <= 0.0 {
-            return Err(HdcError::InvalidConfig("learning rate must be positive"));
-        }
-        Ok(OnlineTrainer {
-            class_rows: vec![vec![0.0; d]; classes],
-            learning_rate,
-            seen: 0,
-        })
-    }
-
-    /// Number of samples observed so far.
-    pub fn seen(&self) -> usize {
-        self.seen
-    }
-
-    /// Feeds one encoded sample with its label.
-    ///
-    /// # Errors
-    ///
-    /// * [`HdcError::LabelOutOfRange`] — label beyond the class count.
-    /// * Wrapped shape error — encoded width mismatch.
-    pub fn observe(&mut self, encoded: &[f32], label: usize) -> Result<()> {
-        if label >= self.class_rows.len() {
-            return Err(HdcError::LabelOutOfRange {
-                label,
-                classes: self.class_rows.len(),
-            });
-        }
-        let predicted = predict_one(&self.class_rows, encoded)?;
-        if predicted != label {
-            ops::axpy(self.learning_rate, encoded, &mut self.class_rows[label])
-                .map_err(HdcError::from)?;
-            ops::axpy(
-                -self.learning_rate,
-                encoded,
-                &mut self.class_rows[predicted],
-            )
-            .map_err(HdcError::from)?;
-        } else {
-            // Reinforce correct predictions gently so the first pass still
-            // accumulates class mass (pure perceptron updates would leave
-            // never-missed classes at zero).
-            ops::axpy(
-                self.learning_rate * 0.1,
-                encoded,
-                &mut self.class_rows[label],
-            )
-            .map_err(HdcError::from)?;
-        }
-        self.seen += 1;
-        Ok(())
-    }
-
-    /// Finalizes into class hypervectors.
-    pub fn finish(self) -> ClassHypervectors {
-        ClassHypervectors::from_matrix(class_matrix(&self.class_rows))
-    }
 }
 
 #[cfg(test)]
@@ -643,42 +482,6 @@ mod tests {
     }
 
     #[test]
-    fn online_trainer_learns_clusters() {
-        let (encoded, labels) = encoded_clusters(40, 128, 3);
-        let mut trainer = OnlineTrainer::new(128, 3, 1.0).unwrap();
-        for (row, &label) in labels.iter().enumerate() {
-            trainer.observe(encoded.row(row), label).unwrap();
-        }
-        assert_eq!(trainer.seen(), labels.len());
-        let classes = trainer.finish();
-        // Score each sample and count correct predictions.
-        let mut correct = 0;
-        for (row, &label) in labels.iter().enumerate() {
-            let scores = classes.scores(encoded.row(row), Similarity::Dot).unwrap();
-            if ops::argmax(&scores).unwrap() == label {
-                correct += 1;
-            }
-        }
-        assert!(
-            correct as f64 / labels.len() as f64 > 0.9,
-            "online accuracy {correct}/{}",
-            labels.len()
-        );
-    }
-
-    #[test]
-    fn online_trainer_validates() {
-        assert!(OnlineTrainer::new(0, 2, 1.0).is_err());
-        assert!(OnlineTrainer::new(8, 0, 1.0).is_err());
-        assert!(OnlineTrainer::new(8, 2, -1.0).is_err());
-        let mut t = OnlineTrainer::new(8, 2, 1.0).unwrap();
-        assert!(matches!(
-            t.observe(&[0.0; 8], 5).unwrap_err(),
-            HdcError::LabelOutOfRange { .. }
-        ));
-    }
-
-    #[test]
     fn warm_start_from_zeros_matches_cold_start() {
         let (encoded, labels) = encoded_clusters(20, 64, 3);
         let config = TrainConfig::new(64).with_iterations(4);
@@ -765,7 +568,7 @@ mod tests {
         let (classes, _) = train_encoded(&encoded, &labels, 3, &config).unwrap();
         let batch = predict_batch(&classes, &encoded).unwrap();
         for (row, &p) in batch.iter().enumerate() {
-            let scores = classes.scores(encoded.row(row), Similarity::Dot).unwrap();
+            let scores = classes.scores(encoded.row(row)).unwrap();
             assert_eq!(p, ops::argmax(&scores).unwrap());
         }
     }

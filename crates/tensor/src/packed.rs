@@ -14,11 +14,9 @@
 //! # Tail-word convention
 //!
 //! When `dim % 64 != 0` the last word has `64 - dim % 64` padding bits.
-//! Constructors always leave padding bits **zero**, and the distance
-//! kernels additionally mask the final XOR word, so padding can never
-//! leak into a score even for vectors assembled via [`PackedBipolar::concat`]
-//! (which must shift-splice words when the running dimension is not
-//! word-aligned).
+//! Constructors always leave padding bits **zero**, so the XOR of two
+//! same-dimension vectors is already clean in the tail and padding can
+//! never leak into a score.
 
 use crate::error::TensorError;
 use crate::Result;
@@ -164,32 +162,6 @@ impl PackedBipolar {
     pub fn dot(&self, other: &PackedBipolar) -> Result<i64> {
         let h = i64::from(self.hamming(other)?);
         Ok(self.dim as i64 - 2 * h)
-    }
-
-    /// Concatenates packed vectors into one long packed vector, splicing
-    /// across word boundaries when a running dimension is not a multiple
-    /// of 64 (the case bagged merges hit: member dims need not be
-    /// word-aligned).
-    #[must_use]
-    pub fn concat(parts: &[PackedBipolar]) -> PackedBipolar {
-        let dim: usize = parts.iter().map(PackedBipolar::dim).sum();
-        let mut words = vec![0u64; dim.div_ceil(LANES)];
-        let mut offset = 0usize; // bit offset into `words`
-        for part in parts {
-            let shift = offset % LANES;
-            let base = offset / LANES;
-            for (w, &pw) in part.words.iter().enumerate() {
-                words[base + w] |= pw << shift;
-                if shift != 0 && base + w + 1 < words.len() {
-                    words[base + w + 1] |= pw >> (LANES - shift);
-                }
-            }
-            offset += part.dim;
-        }
-        if let Some(last) = words.last_mut() {
-            *last &= tail_mask(dim);
-        }
-        PackedBipolar { words, dim }
     }
 }
 
@@ -604,24 +576,6 @@ mod tests {
         let a = PackedBipolar::from_signs(&[1.0; 10]);
         let b = PackedBipolar::from_signs(&[1.0; 11]);
         assert!(majority_bundle(&[a, b]).is_err());
-    }
-
-    #[test]
-    fn concat_splices_unaligned_parts() {
-        let mut rng = DetRng::new(74);
-        for dims in [
-            vec![3usize, 64, 61],
-            vec![70, 70, 70],
-            vec![1, 1, 1],
-            vec![64, 128],
-        ] {
-            let parts: Vec<PackedBipolar> =
-                dims.iter().map(|&d| random_packed(d, &mut rng)).collect();
-            let joined = PackedBipolar::concat(&parts);
-            let expected: Vec<f32> = parts.iter().flat_map(|p| p.to_signs()).collect();
-            assert_eq!(joined.to_signs(), expected, "dims {dims:?}");
-            assert_eq!(joined.dim(), dims.iter().sum::<usize>());
-        }
     }
 
     #[test]

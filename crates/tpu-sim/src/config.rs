@@ -146,6 +146,30 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "bandwidth must be positive")]
+    fn zero_bandwidth_rejected() {
+        let _ = HostLinkConfig::new(0.0, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "latency cannot be negative")]
+    fn negative_latency_rejected() {
+        let _ = HostLinkConfig::new(1.0, -1.0);
+    }
+
+    #[test]
+    fn try_new_returns_typed_error() {
+        let err = HostLinkConfig::try_new(-3.0, 0.0).unwrap_err();
+        assert!(matches!(err, SimError::InvalidConfig(_)));
+        assert!(err.to_string().contains("bandwidth must be positive"));
+        let cfg = HostLinkConfig::default();
+        assert_eq!(
+            HostLinkConfig::try_new(cfg.bandwidth_bytes_per_sec, cfg.per_invoke_latency_s),
+            Ok(cfg)
+        );
+    }
+
+    #[test]
     fn default_link_is_usb3_like() {
         let link = HostLinkConfig::default();
         assert!(link.bandwidth_bytes_per_sec > 100e6);

@@ -3,7 +3,6 @@ use parking_lot::Mutex;
 use hd_tensor::Matrix;
 use wide_nn::{CompiledModel, QuantStage, QuantizedModel};
 
-use crate::buffer::UnifiedBuffer;
 use crate::config::DeviceConfig;
 use crate::error::SimError;
 use crate::fault::{FaultKind, FaultPlan, FaultTrace, LinkDirection};
@@ -76,7 +75,6 @@ impl TimingLedger {
 struct DeviceState {
     /// The resident model and its shape, which prices every invocation.
     model: Option<(CompiledModel, ModelDims)>,
-    buffer: UnifiedBuffer,
     ledger: TimingLedger,
     faults: FaultPlan,
     weights_corrupt: bool,
@@ -109,7 +107,6 @@ impl std::fmt::Debug for Device {
         f.debug_struct("Device")
             .field("config", &self.config)
             .field("model_loaded", &state.model.is_some())
-            .field("buffer_used", &state.buffer.used_bytes())
             .finish()
     }
 }
@@ -143,7 +140,6 @@ impl Device {
         if let Err(e) = config.link.validate().and(config.fault.validate()) {
             panic!("{e}");
         }
-        let buffer = UnifiedBuffer::new(config.target.param_buffer_bytes);
         let faults = FaultPlan::new(config.fault);
         Device {
             config,
@@ -151,7 +147,6 @@ impl Device {
             ordinal,
             state: Mutex::new(DeviceState {
                 model: None,
-                buffer,
                 ledger: TimingLedger::default(),
                 faults,
                 weights_corrupt: false,
@@ -191,11 +186,11 @@ impl Device {
         let mut state = self.state.lock();
         let dims = ModelDims::from_compiled(&compiled);
         let report = timing::load_cost(&self.config, &dims);
-        let bytes = report.param_bytes;
-        if bytes > state.buffer.capacity() {
+        let capacity = self.config.target.param_buffer_bytes;
+        if report.param_bytes > capacity {
             return Err(SimError::BufferOverflow {
-                required: bytes,
-                available: state.buffer.capacity(),
+                required: report.param_bytes,
+                available: capacity,
             });
         }
 
@@ -204,15 +199,6 @@ impl Device {
             return Err(SimError::AccumulatorDepth { depth, max });
         }
 
-        state.buffer.reset();
-        if state.buffer.allocate(bytes).is_err() {
-            // Unreachable given the capacity check above, but propagate a
-            // typed error rather than poison the device lock by panicking.
-            return Err(SimError::BufferOverflow {
-                required: bytes,
-                available: state.buffer.capacity(),
-            });
-        }
         state.model = Some((compiled, dims));
         state.weights_corrupt = false;
         state.ledger.record_load(&report);
@@ -221,9 +207,7 @@ impl Device {
 
     /// Unloads the resident model, freeing the parameter buffer.
     pub fn unload_model(&self) {
-        let mut state = self.state.lock();
-        state.model = None;
-        state.buffer.reset();
+        self.state.lock().model = None;
     }
 
     /// Runs the resident model on a batch of `f32` samples (one per row),

@@ -7,12 +7,12 @@
 //! * [`SystolicArray`] — a weight-stationary grid of int8
 //!   multiply-accumulate processing elements with a pipeline fill/drain
 //!   cycle model (the Edge TPU's MXU),
-//! * [`UnifiedBuffer`] — the on-chip parameter store that must hold a
-//!   model's weights (8 MiB on the real device),
-//! * [`HostLink`] — a USB-like channel with finite bandwidth and a fixed
-//!   per-invocation dispatch latency,
+//! * [`HostLinkConfig`] — a USB-like channel with finite bandwidth and a
+//!   fixed per-invocation dispatch latency,
 //! * [`Device`] — the user-facing accelerator: load a compiled model once
-//!   (one-time cost, like the paper's model-preparation phase), then
+//!   (one-time cost, like the paper's model-preparation phase; its
+//!   weights must fit the on-chip parameter buffer, 8 MiB on the real
+//!   device), then
 //!   invoke it on batches and receive both **functionally exact int8
 //!   outputs** (bit-identical to [`wide_nn::QuantizedModel`]'s reference
 //!   executor — an integration test pins this) and a per-invocation
@@ -70,22 +70,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod buffer;
 mod config;
 mod device;
 mod error;
 mod fault;
-mod link;
 mod systolic;
 
 pub mod timing;
 
-pub use buffer::UnifiedBuffer;
 pub use config::{DeviceConfig, HostLinkConfig};
 pub use device::{Device, TimingLedger};
 pub use error::SimError;
 pub use fault::{FaultConfig, FaultKind, FaultRecord, FaultTrace, LinkDirection};
-pub use link::HostLink;
 pub use systolic::SystolicArray;
 pub use timing::{InvokeStats, LoadReport};
 

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use hd_quant::{gemm as qgemm, QuantParams, QuantizedMatrix};
 use hd_tensor::rng::DetRng;
 use hd_tensor::{gemm, ops, Matrix};
-use hdc::{BaseHypervectors, ClassHypervectors, Encoder, HdcModel, NonlinearEncoder, Similarity};
+use hdc::{BaseHypervectors, ClassHypervectors, Encoder, HdcModel, NonlinearEncoder};
 
 fn finite_range() -> impl Strategy<Value = (f32, f32)> {
     (-100.0f32..100.0, 0.01f32..100.0).prop_map(|(lo, span)| (lo, lo + span))
@@ -117,7 +117,6 @@ proptest! {
         let merged = HdcModel::from_parts(
             NonlinearEncoder::new(BaseHypervectors::from_matrix(Matrix::hstack(&bases).unwrap())),
             ClassHypervectors::from_matrix(Matrix::vstack(&class_mats).unwrap()),
-            Similarity::Dot,
         ).unwrap();
         let merged_scores = merged.decision_scores(&probe).unwrap();
 
