@@ -5,15 +5,13 @@
 //! [`wide_nn::absint`], next to the quantized executor whose semantics
 //! it overapproximates (`hd-analysis` depends on `wide-nn`, so the
 //! value-range machinery cannot live here without a crate cycle). This
-//! module re-exports those types so analysis consumers have one import
-//! path, and hosts the lexical companion rule
+//! module describes its findings for SARIF ([`RANGE_RULES`]) and hosts
+//! the lexical companion rule
 //! [`no-unchecked-narrowing`](narrowing): the range verifier proves the
 //! *model* cannot overflow, the narrowing rule proves the *kernels* do
 //! not silently wrap when they shrink an accumulator anyway.
 
 pub(crate) mod narrowing;
-
-pub use wide_nn::absint::{analyze_ranges, Interval, RangeConfig, RangeReport, StageRange};
 
 use crate::rules::RuleInfo;
 use wide_nn::diag::Severity;

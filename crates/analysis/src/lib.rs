@@ -29,8 +29,8 @@
 //!   `thread::scope` or unbounded `mpsc::channel()` outside the declared
 //!   schedule layer.
 //!
-//! The [`absint`] module re-exports the value-range abstract
-//! interpretation from `wide_nn::absint` and hosts the narrowing rule;
+//! The [`absint`] module describes the `range/*` findings of
+//! `wide_nn::absint` and hosts the narrowing rule;
 //! [`dataflow`] holds the SDF stage-graph IR and the static schedule
 //! analyzer behind `hyperedge verify --schedule`; [`sarif`] renders
 //! reports for GitHub code scanning with rule metadata for every

@@ -52,8 +52,7 @@ use hd_analysis::{engine, json, sarif, Allowlist};
 use hd_tensor::Matrix;
 use hyperedge::schedule;
 use wide_nn::{
-    verify_model, verify_ranges, Activation, ModelBuilder, NnError, QuantizedModel, RangeConfig,
-    TargetSpec,
+    analyze_ranges, verify_model, Activation, ModelBuilder, NnError, QuantizedModel, TargetSpec,
 };
 
 const CHECKS_USAGE: &str = "usage: hyperedge <lint|verify> [options]\n\
@@ -402,7 +401,7 @@ fn run_verify(args: &[String]) -> Result<bool, String> {
         let calibration = Matrix::from_fn(8, features, |r, c| ((r * 31 + c) % 97) as f32 / 96.0);
         match QuantizedModel::quantize(&model, &calibration) {
             Ok(quantized) => {
-                let range_report = verify_ranges(&quantized, &RangeConfig::default());
+                let range_report = analyze_ranges(&quantized);
                 range_failed = range_report.has_errors();
                 range_diags.extend(range_report.diagnostics().iter().cloned());
                 range_text = format!("{range_report}");

@@ -33,9 +33,9 @@
 //!
 //! * `range/accumulator-overflow` (**error**) — some reachable input can
 //!   push an accumulator outside the datapath's `i32` range.
-//! * `range/output-saturation` (warning) — at least a configurable
-//!   fraction of a stage's output columns can clip at the int8 rails,
-//!   i.e. calibration under-covers the worst case.
+//! * `range/output-saturation` (warning) — at least a quarter of a
+//!   stage's output columns can clip at the int8 rails, i.e. calibration
+//!   under-covers the worst case.
 //! * `range/dead-range` (warning) — a stage's output is provably constant
 //!   over the whole input range; its quantization range is dead.
 //!
@@ -114,40 +114,17 @@ impl fmt::Display for Interval {
     }
 }
 
-/// Tunable thresholds for the range analysis.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RangeConfig {
-    /// Fraction of a stage's output columns that may saturate before a
-    /// `range/output-saturation` warning fires.
-    pub saturation_warn_fraction: f64,
-    /// Accumulator width of the target datapath in bits. The default (32)
-    /// matches the `i32` MAC accumulators of `tpu_sim::SystolicArray` and
-    /// the reference kernels in `hd_quant::gemm`.
-    pub accumulator_bits: u32,
-}
+/// Fraction of a stage's output columns that may saturate before a
+/// `range/output-saturation` warning fires.
+const SATURATION_WARN_FRACTION: f64 = 0.25;
 
-impl Default for RangeConfig {
-    fn default() -> Self {
-        RangeConfig {
-            saturation_warn_fraction: 0.25,
-            accumulator_bits: 32,
-        }
-    }
-}
-
-impl RangeConfig {
-    /// The accumulator interval representable at
-    /// [`RangeConfig::accumulator_bits`].
-    #[must_use]
-    pub fn accumulator_range(&self) -> Interval {
-        if self.accumulator_bits >= 64 {
-            return Interval::new(i64::MIN, i64::MAX);
-        }
-        let bits = self.accumulator_bits.max(2);
-        let hi = (1i64 << (bits - 1)) - 1;
-        Interval::new(-hi - 1, hi)
-    }
-}
+/// The accumulator interval of the target datapath: the 32-bit MAC
+/// accumulators of `tpu_sim::SystolicArray` and the reference kernels in
+/// `hd_quant::gemm`.
+const ACCUMULATOR_RANGE: Interval = Interval {
+    lo: i32::MIN as i64,
+    hi: i32::MAX as i64,
+};
 
 /// The inferred value ranges of one quantized stage.
 #[derive(Debug, Clone, PartialEq)]
@@ -300,14 +277,13 @@ fn lut_output(lut: &ActivationLut, input: Interval) -> Interval {
     Interval::new(out_lo, out_hi)
 }
 
-fn overflow_diag(index: usize, name: &str, env: Interval, config: &RangeConfig) -> Diagnostic {
-    let datapath = config.accumulator_range();
+fn overflow_diag(index: usize, name: &str, env: Interval) -> Diagnostic {
     Diagnostic::error(
         "range/accumulator-overflow",
         format!(
             "stage {index} ({name}): worst-case accumulator range {env} exceeds the \
-             {}-bit datapath accumulator {datapath}",
-            config.accumulator_bits
+             {}-bit datapath accumulator {ACCUMULATOR_RANGE}",
+            i32::BITS
         ),
     )
     .at_layer(index, name)
@@ -317,14 +293,14 @@ fn overflow_diag(index: usize, name: &str, env: Interval, config: &RangeConfig) 
     )
 }
 
-fn saturation_diag(index: usize, name: &str, fraction: f64, config: &RangeConfig) -> Diagnostic {
+fn saturation_diag(index: usize, name: &str, fraction: f64) -> Diagnostic {
     Diagnostic::warning(
         "range/output-saturation",
         format!(
             "stage {index} ({name}): {:.0}% of output columns can saturate int8 \
              requantization (warn threshold {:.0}%)",
             fraction * 100.0,
-            config.saturation_warn_fraction * 100.0
+            SATURATION_WARN_FRACTION * 100.0
         ),
     )
     .at_layer(index, name)
@@ -363,7 +339,6 @@ fn gemm_stage(
     out_params: QuantParams,
     scale_of: impl Fn(usize) -> f64,
     requant: impl Fn(usize, i64) -> i8,
-    config: &RangeConfig,
     diags: &mut Vec<Diagnostic>,
 ) -> StageRange {
     let mut acc = Interval::ZERO;
@@ -387,12 +362,11 @@ fn gemm_stage(
         saturating as f64 / bounds.len() as f64
     };
 
-    let datapath = config.accumulator_range();
-    if acc.lo < datapath.lo || acc.hi > datapath.hi {
-        diags.push(overflow_diag(index, name, acc, config));
+    if acc.lo < ACCUMULATOR_RANGE.lo || acc.hi > ACCUMULATOR_RANGE.hi {
+        diags.push(overflow_diag(index, name, acc));
     }
-    if fraction >= config.saturation_warn_fraction && fraction > 0.0 {
-        diags.push(saturation_diag(index, name, fraction, config));
+    if fraction >= SATURATION_WARN_FRACTION {
+        diags.push(saturation_diag(index, name, fraction));
     }
     if !bounds.is_empty() && output.is_singleton() && !input.is_singleton() {
         diags.push(dead_range_diag(index, name, output));
@@ -415,7 +389,7 @@ fn gemm_stage(
 /// saturates, so *every* real input lands inside it — the analysis is
 /// sound for arbitrary inputs, not just calibration-shaped ones.
 #[must_use]
-pub fn analyze_ranges(model: &QuantizedModel, config: &RangeConfig) -> RangeReport {
+pub fn analyze_ranges(model: &QuantizedModel) -> RangeReport {
     let input = Interval::I8;
     let mut cur = input;
     let mut cur_params = model.input_params();
@@ -443,7 +417,6 @@ pub fn analyze_ranges(model: &QuantizedModel, config: &RangeConfig) -> RangeRepo
                     *out_params,
                     |_| f64::from(acc_scale),
                     |_, a| requant_saturating(*out_params, a, acc_scale),
-                    config,
                     &mut diagnostics,
                 );
                 cur_params = *out_params;
@@ -469,7 +442,6 @@ pub fn analyze_ranges(model: &QuantizedModel, config: &RangeConfig) -> RangeRepo
                     // Mirror `ChannelQuantizedMatrix::matmul_dequantized`
                     // followed by `QuantizedMatrix::quantize`.
                     |j, a| out_params.quantize(sa * scales[j] * clamp_to_f32(a)),
-                    config,
                     &mut diagnostics,
                 );
                 cur_params = *out_params;
@@ -554,16 +526,14 @@ mod tests {
 
     #[test]
     fn accumulator_range_matches_i32() {
-        let c = RangeConfig::default();
-        let r = c.accumulator_range();
-        assert_eq!(r.lo, i64::from(i32::MIN));
-        assert_eq!(r.hi, i64::from(i32::MAX));
+        assert_eq!(ACCUMULATOR_RANGE.lo, i64::from(i32::MIN));
+        assert_eq!(ACCUMULATOR_RANGE.hi, i64::from(i32::MAX));
     }
 
     #[test]
     fn small_model_is_clean_and_fully_ranged() {
         let q = quantized(8, 16, 4, 7);
-        let report = analyze_ranges(&q, &RangeConfig::default());
+        let report = analyze_ranges(&q);
         assert!(report.is_ok(), "{report}");
         assert_eq!(report.stages().len(), 3);
         assert_eq!(report.input(), Interval::I8);
@@ -579,30 +549,16 @@ mod tests {
     #[test]
     fn intervals_thread_between_stages() {
         let q = quantized(8, 16, 4, 9);
-        let report = analyze_ranges(&q, &RangeConfig::default());
+        let report = analyze_ranges(&q);
         for pair in report.stages().windows(2) {
             assert_eq!(pair[1].input, pair[0].output);
         }
     }
 
     #[test]
-    fn narrow_accumulator_budget_triggers_overflow() {
-        let q = quantized(32, 16, 4, 11);
-        let tight = RangeConfig {
-            accumulator_bits: 16,
-            ..RangeConfig::default()
-        };
-        let report = analyze_ranges(&q, &tight);
-        assert!(report.has_errors());
-        assert!(report
-            .errors()
-            .all(|d| d.code == "range/accumulator-overflow"));
-    }
-
-    #[test]
     fn report_renders_stage_lines() {
         let q = quantized(4, 8, 2, 13);
-        let report = analyze_ranges(&q, &RangeConfig::default());
+        let report = analyze_ranges(&q);
         let text = report.to_string();
         assert!(text.contains("ranges: input q in [-128, 127]"), "{text}");
         assert!(text.contains("stage 0 fully-connected"), "{text}");

@@ -132,15 +132,27 @@ pub struct CompiledModel {
 
 impl CompiledModel {
     /// Lowers an already-quantized model for `target`: plans its tiles and
-    /// attaches its range report. [`compile`] ends here; calling it
-    /// directly serves hand-built or deserialized stages, which skip the
-    /// quantize-time overflow check, so the report may carry errors.
+    /// attaches its range report. Serves hand-built or deserialized
+    /// stages, which skip the quantize-time overflow check, so the report
+    /// may carry errors; [`compile`] attaches the report its quantization
+    /// pass already computed instead.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::ModelTooLarge`] if the quantized parameters
     /// exceed the target's buffer.
     pub fn lower(quantized: QuantizedModel, target: &TargetSpec) -> Result<Self> {
+        let range_report = crate::absint::analyze_ranges(&quantized);
+        Self::lower_with_report(quantized, target, range_report)
+    }
+
+    /// [`CompiledModel::lower`] with the model's range report already in
+    /// hand.
+    fn lower_with_report(
+        quantized: QuantizedModel,
+        target: &TargetSpec,
+        range_report: crate::absint::RangeReport,
+    ) -> Result<Self> {
         let required = quantized.param_bytes();
         if required > target.param_buffer_bytes {
             return Err(NnError::ModelTooLarge {
@@ -151,30 +163,20 @@ impl CompiledModel {
 
         let mut tile_plans = Vec::new();
         for (i, stage) in quantized.stages().iter().enumerate() {
-            let (rows, cols, bytes) = match stage {
-                QuantStage::FullyConnected { weights, .. } => {
-                    (weights.rows(), weights.cols(), weights.byte_size())
+            let (rows, cols) = match stage {
+                QuantStage::FullyConnected { weights, .. } => (weights.rows(), weights.cols()),
+                QuantStage::FullyConnectedPerChannel { weights, .. } => {
+                    (weights.rows(), weights.cols())
                 }
-                QuantStage::FullyConnectedPerChannel { weights, .. } => (
-                    weights.rows(),
-                    weights.cols(),
-                    weights.byte_size() + 4 * weights.cols(),
-                ),
                 QuantStage::Lut(_) => continue,
             };
             tile_plans.push(TilePlan {
                 stage_index: i,
                 tiles_k: rows.div_ceil(target.array_rows),
                 tiles_n: cols.div_ceil(target.array_cols),
-                weight_bytes: bytes,
+                weight_bytes: stage.param_bytes(),
             });
         }
-
-        // Keep the full report (intervals + warnings) attached to the
-        // artifact so every backend-compiled model is range-verified once
-        // per cache entry.
-        let range_report =
-            crate::absint::analyze_ranges(&quantized, &crate::absint::RangeConfig::default());
 
         Ok(CompiledModel {
             target: target.clone(),
@@ -235,10 +237,7 @@ impl CompiledModel {
     pub fn inject_weight_faults(&mut self, rate: f64, rng: &mut hd_tensor::rng::DetRng) -> usize {
         let flipped = self.quantized.inject_weight_faults(rate, rng);
         if flipped > 0 {
-            self.range_report = crate::absint::analyze_ranges(
-                &self.quantized,
-                &crate::absint::RangeConfig::default(),
-            );
+            self.range_report = crate::absint::analyze_ranges(&self.quantized);
         }
         flipped
     }
@@ -326,13 +325,9 @@ fn compile_inner(
         });
     }
 
-    let quantized = if per_channel {
-        QuantizedModel::quantize_per_channel(model, calibration)?
-    } else {
-        QuantizedModel::quantize(model, calibration)?
-    };
-
-    CompiledModel::lower(quantized, target)
+    let (quantized, range_report) =
+        QuantizedModel::quantize_checked(model, calibration, per_channel)?;
+    CompiledModel::lower_with_report(quantized, target, range_report)
 }
 
 #[cfg(test)]
@@ -430,10 +425,7 @@ mod tests {
         let refreshed = compiled.range_report();
         assert_eq!(
             refreshed,
-            &crate::absint::analyze_ranges(
-                compiled.quantized(),
-                &crate::absint::RangeConfig::default()
-            ),
+            &crate::absint::analyze_ranges(compiled.quantized()),
             "report must describe the faulted weights"
         );
         assert_ne!(

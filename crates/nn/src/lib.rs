@@ -55,7 +55,7 @@ pub mod diag;
 pub mod serialize;
 pub mod verify;
 
-pub use absint::{analyze_ranges, Interval, RangeConfig, RangeReport, StageRange};
+pub use absint::{analyze_ranges, Interval, RangeReport, StageRange};
 pub use builder::ModelBuilder;
 pub use compile::{CompiledModel, TargetSpec, TilePlan};
 pub use diag::{Diagnostic, Severity, Site};
@@ -63,7 +63,7 @@ pub use error::NnError;
 pub use layer::{Activation, ElementwiseOp, Layer};
 pub use model::Model;
 pub use quantized::{QuantStage, QuantizedModel};
-pub use verify::{verify_graph, verify_model, verify_ranges, VerifyReport};
+pub use verify::{verify_graph, verify_model, VerifyReport};
 
 /// Convenience result alias for fallible model operations.
 pub type Result<T> = std::result::Result<T, NnError>;

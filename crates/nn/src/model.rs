@@ -1,3 +1,5 @@
+use std::borrow::Cow;
+
 use hd_tensor::{gemm, Matrix};
 
 use crate::error::NnError;
@@ -113,17 +115,33 @@ impl Model {
     /// [`NnError::UnsupportedOp`] because they need a second operand that
     /// inference-style execution does not carry.
     pub fn forward(&self, batch: &Matrix) -> Result<Matrix> {
+        self.forward_observed(batch, |_| {})
+    }
+
+    /// [`Model::forward`], handing every layer-boundary tensor — the batch,
+    /// then each layer's output — to `observe` before the next layer
+    /// consumes it. Only the live tensor is held: activations run in
+    /// place, and the batch is copied only if the first layer is one.
+    /// Post-training quantization calibrates through this.
+    pub(crate) fn forward_observed(
+        &self,
+        batch: &Matrix,
+        mut observe: impl FnMut(&Matrix),
+    ) -> Result<Matrix> {
         if batch.cols() != self.input_dim {
             return Err(NnError::InputDim {
                 expected: self.input_dim,
                 actual: batch.cols(),
             });
         }
-        let mut current = batch.clone();
+        observe(batch);
+        let mut current = Cow::Borrowed(batch);
         for layer in &self.layers {
             match layer {
-                Layer::FullyConnected { weights } => current = gemm::matmul(&current, weights)?,
-                Layer::Activation(act) => act.apply(current.as_mut_slice()),
+                Layer::FullyConnected { weights } => {
+                    current = Cow::Owned(gemm::matmul(&current, weights)?)
+                }
+                Layer::Activation(act) => act.apply(current.to_mut().as_mut_slice()),
                 Layer::Elementwise { op, .. } => {
                     return Err(NnError::UnsupportedOp {
                         op: op.name(),
@@ -131,45 +149,9 @@ impl Model {
                     })
                 }
             }
+            observe(&current);
         }
-        Ok(current)
-    }
-
-    /// Runs the model and additionally returns every intermediate
-    /// activation (the input to each layer plus the final output). Used by
-    /// post-training quantization to calibrate per-tensor ranges.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Model::forward`].
-    pub fn forward_with_intermediates(&self, batch: &Matrix) -> Result<Vec<Matrix>> {
-        if batch.cols() != self.input_dim {
-            return Err(NnError::InputDim {
-                expected: self.input_dim,
-                actual: batch.cols(),
-            });
-        }
-        let mut tensors = Vec::with_capacity(self.layers.len() + 1);
-        tensors.push(batch.clone());
-        for layer in &self.layers {
-            let prev = tensors.last().expect("at least the input is present");
-            let next = match layer {
-                Layer::FullyConnected { weights } => gemm::matmul(prev, weights)?,
-                Layer::Activation(act) => {
-                    let mut next = prev.clone();
-                    act.apply(next.as_mut_slice());
-                    next
-                }
-                Layer::Elementwise { op, .. } => {
-                    return Err(NnError::UnsupportedOp {
-                        op: op.name(),
-                        target: "float forward (inference)".into(),
-                    })
-                }
-            };
-            tensors.push(next);
-        }
-        Ok(tensors)
+        Ok(current.into_owned())
     }
 }
 
@@ -272,26 +254,6 @@ mod tests {
             m.forward(&Matrix::zeros(1, 2)).unwrap_err(),
             NnError::UnsupportedOp { .. }
         ));
-    }
-
-    #[test]
-    fn intermediates_have_one_tensor_per_layer_plus_input() {
-        let m = two_layer_model();
-        let batch = Matrix::zeros(2, 4);
-        let tensors = m.forward_with_intermediates(&batch).unwrap();
-        assert_eq!(tensors.len(), 4);
-        assert_eq!(tensors[0].shape(), (2, 4));
-        assert_eq!(tensors[3].shape(), (2, 3));
-    }
-
-    #[test]
-    fn intermediates_final_matches_forward() {
-        let m = two_layer_model();
-        let mut rng = DetRng::new(4);
-        let batch = Matrix::random_normal(3, 4, &mut rng);
-        let direct = m.forward(&batch).unwrap();
-        let tensors = m.forward_with_intermediates(&batch).unwrap();
-        assert_eq!(tensors.last().unwrap(), &direct);
     }
 
     #[test]

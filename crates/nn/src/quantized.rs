@@ -1,24 +1,13 @@
 use hd_quant::lut::ActivationLut;
-use hd_quant::{gemm as qgemm, CalibrationMethod, Calibrator, QuantParams, QuantizedMatrix};
+use hd_quant::per_channel::ChannelQuantizedMatrix;
+use hd_quant::{gemm as qgemm, Calibrator, QuantParams, QuantizedMatrix};
 use hd_tensor::Matrix;
 
+use crate::absint::{analyze_ranges, RangeReport};
 use crate::error::NnError;
 use crate::layer::Layer;
 use crate::model::Model;
 use crate::Result;
-
-/// Gate every freshly quantized model through the interval range
-/// analysis: a model whose worst-case accumulator can overflow the i32
-/// datapath must never reach an executor.
-fn check_ranges(model: &QuantizedModel) -> Result<()> {
-    let report = crate::absint::analyze_ranges(model, &crate::absint::RangeConfig::default());
-    if report.has_errors() {
-        return Err(NnError::Verification {
-            diagnostics: report.errors().cloned().collect(),
-        });
-    }
-    Ok(())
-}
 
 /// One executable stage of a quantized model.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,6 +30,21 @@ pub enum QuantStage {
     },
     /// Activation through a 256-entry lookup table.
     Lut(ActivationLut),
+}
+
+impl QuantStage {
+    /// Parameter bytes the stage keeps resident: its `i8` weights plus,
+    /// per channel, one `f32` scale per output column; a lookup table's
+    /// 256 entries.
+    pub fn param_bytes(&self) -> usize {
+        match self {
+            QuantStage::FullyConnected { weights, .. } => weights.byte_size(),
+            QuantStage::FullyConnectedPerChannel { weights, .. } => {
+                weights.byte_size() + 4 * weights.cols()
+            }
+            QuantStage::Lut(_) => 256,
+        }
+    }
 }
 
 /// A post-training-quantized wide NN and its reference int8 executor.
@@ -91,7 +95,7 @@ impl QuantizedModel {
     /// static range analysis ([`crate::absint`]) proves some input could
     /// overflow the i32 datapath accumulator.
     pub fn quantize(model: &Model, calibration: &Matrix) -> Result<Self> {
-        Self::quantize_with(model, calibration, CalibrationMethod::MinMax)
+        Self::quantize_checked(model, calibration, false).map(|(quantized, _)| quantized)
     }
 
     /// Quantizes with per-output-channel weight scales — the production
@@ -103,78 +107,57 @@ impl QuantizedModel {
     /// Same as [`QuantizedModel::quantize`], plus per-channel
     /// quantization errors for non-finite weights.
     pub fn quantize_per_channel(model: &Model, calibration: &Matrix) -> Result<Self> {
-        let base = Self::quantize_with(model, calibration, CalibrationMethod::MinMax)?;
-        // Re-quantize the FC stages per channel from the float weights.
-        let mut stages = Vec::with_capacity(base.stages.len());
-        let mut float_fc = model.layers().iter().filter_map(|l| match l {
-            Layer::FullyConnected { weights } => Some(weights),
-            _ => None,
-        });
-        for stage in base.stages {
-            stages.push(match stage {
-                QuantStage::FullyConnected { out_params, .. } => {
-                    let weights = float_fc.next().ok_or_else(|| {
-                        NnError::Internal("quantized stages outnumber float FC layers".into())
-                    })?;
+        Self::quantize_checked(model, calibration, true).map(|(quantized, _)| quantized)
+    }
+
+    /// The one calibration pass behind both weight schemes: a single float
+    /// forward pass min/max-calibrates each layer-boundary tensor as it
+    /// goes, each layer becomes its stage once, and the range analysis
+    /// runs once on the stages returned, whose report comes back alongside
+    /// them so the compiler need not recompute it.
+    pub(crate) fn quantize_checked(
+        model: &Model,
+        calibration: &Matrix,
+        per_channel: bool,
+    ) -> Result<(Self, RangeReport)> {
+        let mut calibrated = Vec::with_capacity(model.layers().len() + 1);
+        model.forward_observed(calibration, |tensor| {
+            let mut cal = Calibrator::new();
+            cal.observe(tensor.as_slice());
+            calibrated.push(cal.to_params());
+        })?;
+        // The first tensor that failed calibration, in layer order, is
+        // the error.
+        let tensor_params = calibrated
+            .into_iter()
+            .collect::<hd_quant::Result<Vec<_>>>()?;
+        let mut boundaries = tensor_params.into_iter();
+        let input_params = boundaries
+            .next()
+            .ok_or_else(|| NnError::Internal("calibration observed no input tensor".into()))?;
+
+        let mut stages = Vec::with_capacity(model.layers().len());
+        let mut in_params = input_params;
+        for (layer, out_params) in model.layers().iter().zip(boundaries) {
+            stages.push(match layer {
+                Layer::FullyConnected { weights } if per_channel => {
                     QuantStage::FullyConnectedPerChannel {
-                        weights: hd_quant::per_channel::ChannelQuantizedMatrix::quantize(weights)?,
+                        weights: ChannelQuantizedMatrix::quantize(weights)?,
                         out_params,
                     }
                 }
-                other => other,
-            });
-        }
-        let rebuilt = QuantizedModel { stages, ..base };
-        // Per-channel scales change the accumulator magnitudes, so the
-        // range gate runs again on the rebuilt stages.
-        check_ranges(&rebuilt)?;
-        Ok(rebuilt)
-    }
-
-    /// Quantizes with an explicit calibration method (e.g. percentile
-    /// clipping for heavy-tailed activations).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`QuantizedModel::quantize`].
-    pub fn quantize_with(
-        model: &Model,
-        calibration: &Matrix,
-        method: CalibrationMethod,
-    ) -> Result<Self> {
-        let tensors = model.forward_with_intermediates(calibration)?;
-        let mut tensor_params = Vec::with_capacity(tensors.len());
-        for t in &tensors {
-            let mut cal = Calibrator::new(method);
-            cal.observe(t.as_slice());
-            tensor_params.push(cal.to_params()?);
-        }
-
-        // `forward_with_intermediates` yields one tensor per layer
-        // boundary; a miss here is a library bug, propagated rather than
-        // panicking mid-run.
-        let params_at = |i: usize| -> Result<QuantParams> {
-            tensor_params.get(i).copied().ok_or_else(|| {
-                NnError::Internal(format!("missing calibration params for tensor {i}"))
-            })
-        };
-
-        let mut stages = Vec::with_capacity(model.layers().len());
-        for (i, layer) in model.layers().iter().enumerate() {
-            match layer {
                 Layer::FullyConnected { weights } => {
                     let wparams = QuantParams::symmetric(weights.max_abs())?;
-                    stages.push(QuantStage::FullyConnected {
+                    QuantStage::FullyConnected {
                         weights: QuantizedMatrix::quantize(weights, wparams),
-                        out_params: params_at(i + 1)?,
-                    });
+                        out_params,
+                    }
                 }
                 Layer::Activation(act) => {
                     let a = *act;
-                    let lut = ActivationLut::from_fn(params_at(i)?, params_at(i + 1)?, move |v| {
+                    QuantStage::Lut(ActivationLut::from_fn(in_params, out_params, move |v| {
                         a.eval(v)
-                    });
-                    stages.push(QuantStage::Lut(lut));
+                    }))
                 }
                 Layer::Elementwise { op, .. } => {
                     return Err(NnError::UnsupportedOp {
@@ -182,16 +165,24 @@ impl QuantizedModel {
                         target: "int8 quantization".into(),
                     })
                 }
-            }
+            });
+            in_params = out_params;
         }
         let quantized = QuantizedModel {
             input_dim: model.input_dim(),
             output_dim: model.output_dim(),
-            input_params: params_at(0)?,
+            input_params,
             stages,
         };
-        check_ranges(&quantized)?;
-        Ok(quantized)
+        // A model whose worst-case accumulator can overflow the i32
+        // datapath must never reach an executor.
+        let report = analyze_ranges(&quantized);
+        if report.has_errors() {
+            return Err(NnError::Verification {
+                diagnostics: report.errors().cloned().collect(),
+            });
+        }
+        Ok((quantized, report))
     }
 
     /// Builds a quantized model from raw parts (used by deserialization).
@@ -258,17 +249,7 @@ impl QuantizedModel {
 
     /// Total int8 parameter bytes — the accelerator buffer footprint.
     pub fn param_bytes(&self) -> usize {
-        self.stages
-            .iter()
-            .map(|s| match s {
-                QuantStage::FullyConnected { weights, .. } => weights.byte_size(),
-                QuantStage::FullyConnectedPerChannel { weights, .. } => {
-                    // i8 weights plus one f32 scale per output channel.
-                    weights.byte_size() + 4 * weights.cols()
-                }
-                QuantStage::Lut(_) => 256,
-            })
-            .sum()
+        self.stages.iter().map(QuantStage::param_bytes).sum()
     }
 
     /// Flips each bit of every per-tensor FC weight independently with
@@ -546,15 +527,5 @@ mod tests {
         // Per-channel stores 4 extra bytes per output channel.
         let pt = QuantizedModel::quantize(&model, &calib).unwrap();
         assert_eq!(pc.param_bytes(), pt.param_bytes() + 4 * (32 + 4));
-    }
-
-    #[test]
-    fn percentile_calibration_also_works() {
-        let (model, calib) = test_model(7);
-        let qmodel =
-            QuantizedModel::quantize_with(&model, &calib, CalibrationMethod::Percentile(0.999))
-                .unwrap();
-        let out = qmodel.forward(&calib).unwrap();
-        assert_eq!(out.shape(), (64, 4));
     }
 }

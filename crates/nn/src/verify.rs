@@ -28,18 +28,17 @@
 //!   parameter bytes must fit the target's buffer; the diagnostic suggests
 //!   a concrete column split for the largest layer.
 //!
-//! A second, *numeric* verification stage — [`verify_ranges`] — runs on
-//! the already-quantized model: it propagates value intervals through
+//! A second, *numeric* verification stage —
+//! [`analyze_ranges`](crate::absint::analyze_ranges) — runs on the
+//! already-quantized model: it propagates value intervals through
 //! every stage (see [`crate::absint`]) and reports accumulator-overflow,
 //! output-saturation and dead-range findings against the accelerator
 //! datapath.
 
-use crate::absint::{self, RangeConfig, RangeReport};
 use crate::compile::TargetSpec;
 use crate::diag::{Diagnostic, Severity};
 use crate::layer::{Activation, Layer};
 use crate::model::Model;
-use crate::quantized::QuantizedModel;
 
 /// Numeric representation of a tensor flowing between layers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -159,17 +158,6 @@ impl std::fmt::Display for VerifyReport {
 /// Equivalent to [`verify_graph`] over the model's layers.
 pub fn verify_model(model: &Model, target: &TargetSpec) -> VerifyReport {
     verify_graph(model.input_dim(), model.layers(), target)
-}
-
-/// Verifies the numeric safety of a quantized model by interval abstract
-/// interpretation — the range-analysis counterpart of [`verify_model`].
-///
-/// Delegates to [`crate::absint::analyze_ranges`]; see the module docs
-/// there for the domain, the transfer functions and the emitted
-/// diagnostic codes.
-#[must_use]
-pub fn verify_ranges(model: &QuantizedModel, config: &RangeConfig) -> RangeReport {
-    absint::analyze_ranges(model, config)
 }
 
 /// Verifies a raw layer stack against a target, without requiring the

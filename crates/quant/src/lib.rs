@@ -11,7 +11,8 @@
 //! * [`QuantParams`] — the affine mapping (scale, zero-point),
 //! * [`QuantizedMatrix`] — an `i8` matrix tagged with its mapping,
 //! * [`gemm`] — quantized matrix multiplication with `i32` accumulators,
-//! * [`Calibrator`] — min/max and percentile-clipping range calibration,
+//! * [`Calibrator`] — min/max range calibration (the TFLite post-training
+//!   default),
 //! * [`lut`] — the 256-entry activation lookup table used for `tanh` on
 //!   the accelerator,
 //! * [`narrow`] — saturating integer narrowing, the sanctioned way to
@@ -46,7 +47,7 @@ pub mod lut;
 pub mod narrow;
 pub mod per_channel;
 
-pub use calibrate::{CalibrationMethod, Calibrator};
+pub use calibrate::Calibrator;
 pub use error::QuantError;
 pub use matrix::QuantizedMatrix;
 pub use params::QuantParams;

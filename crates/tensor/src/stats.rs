@@ -1,5 +1,5 @@
-//! Summary statistics used by quantization calibration and dataset
-//! normalization.
+//! Summary statistics used by dataset normalization and by
+//! quantization-error measurement.
 
 /// Minimum and maximum of a slice; `None` for an empty slice.
 ///
@@ -44,32 +44,6 @@ pub fn variance(values: &[f32]) -> f32 {
 /// Population standard deviation.
 pub fn std_dev(values: &[f32]) -> f32 {
     variance(values).sqrt()
-}
-
-/// The `q`-th percentile (`0.0..=1.0`) using linear interpolation between
-/// closest ranks; `None` for an empty slice.
-///
-/// Used by the percentile-clipping quantization calibrator to ignore
-/// extreme outliers when choosing the int8 range.
-///
-/// # Panics
-///
-/// Panics if `q` is outside `[0, 1]`.
-pub fn percentile(values: &[f32], q: f64) -> Option<f32> {
-    assert!((0.0..=1.0).contains(&q), "percentile {q} outside [0, 1]");
-    if values.is_empty() {
-        return None;
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        return Some(sorted[lo]);
-    }
-    let frac = (pos - lo as f64) as f32;
-    Some(sorted[lo] + frac * (sorted[hi] - sorted[lo]))
 }
 
 /// Mean squared error between two equal-length slices.
@@ -128,33 +102,6 @@ mod tests {
     fn degenerate_inputs() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(variance(&[1.0]), 0.0);
-        assert_eq!(percentile(&[], 0.5), None);
-    }
-
-    #[test]
-    fn percentile_endpoints() {
-        let v = [10.0, 20.0, 30.0, 40.0];
-        assert_eq!(percentile(&v, 0.0), Some(10.0));
-        assert_eq!(percentile(&v, 1.0), Some(40.0));
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let v = [0.0, 10.0];
-        assert_eq!(percentile(&v, 0.5), Some(5.0));
-    }
-
-    #[test]
-    fn percentile_is_order_invariant() {
-        let a = [3.0, 1.0, 2.0];
-        let b = [1.0, 2.0, 3.0];
-        assert_eq!(percentile(&a, 0.5), percentile(&b, 0.5));
-    }
-
-    #[test]
-    #[should_panic(expected = "outside")]
-    fn percentile_rejects_bad_q() {
-        let _ = percentile(&[1.0], 1.5);
     }
 
     #[test]

@@ -10,19 +10,21 @@
 
 use proptest::prelude::*;
 
-use hd_quant::{gemm as qgemm, QuantizedMatrix};
+use hd_quant::lut::ActivationLut;
+use hd_quant::per_channel::ChannelQuantizedMatrix;
+use hd_quant::{gemm as qgemm, Calibrator, QuantParams, QuantizedMatrix};
 use hd_tensor::rng::DetRng;
 use hd_tensor::Matrix;
 use wide_nn::{
-    compile, verify_ranges, Activation, Model, ModelBuilder, NnError, QuantStage, QuantizedModel,
-    RangeConfig, Site, TargetSpec,
+    analyze_ranges, compile, Activation, CompiledModel, Layer, Model, ModelBuilder, NnError,
+    QuantStage, QuantizedModel, Site, TargetSpec,
 };
 
 /// Runs `batch` through the executor stage by stage, asserting every
 /// concrete value (inputs, accumulators, outputs) lies inside the static
 /// interval of the matching [`wide_nn::StageRange`].
 fn assert_sound(qmodel: &QuantizedModel, batch: &Matrix) {
-    let report = verify_ranges(qmodel, &RangeConfig::default());
+    let report = analyze_ranges(qmodel);
     assert!(report.is_ok(), "analysis found errors:\n{report}");
     assert_eq!(report.stages().len(), qmodel.stages().len());
 
@@ -98,6 +100,60 @@ fn assert_sound(qmodel: &QuantizedModel, batch: &Matrix) {
     }
 }
 
+/// The two-pass definition of compilation that the compiler's single
+/// observed forward pass must reproduce: every layer-boundary tensor is
+/// recomputed from scratch by its own prefix model, min/max-calibrated,
+/// each layer is quantized directly, and `CompiledModel::lower` plans the
+/// tiles and attaches a freshly computed range report.
+fn two_pass_compile(model: &Model, calibration: &Matrix, per_channel: bool) -> CompiledModel {
+    let layers = model.layers();
+    let params: Vec<QuantParams> = (0..=layers.len())
+        .map(|i| {
+            let tensor = if i == 0 {
+                calibration.clone()
+            } else {
+                Model::new(model.input_dim(), layers[..i].to_vec())
+                    .unwrap()
+                    .forward(calibration)
+                    .unwrap()
+            };
+            let mut cal = Calibrator::new();
+            cal.observe(tensor.as_slice());
+            cal.to_params().unwrap()
+        })
+        .collect();
+    let stages = layers
+        .iter()
+        .enumerate()
+        .map(|(i, layer)| match layer {
+            Layer::FullyConnected { weights } if per_channel => {
+                QuantStage::FullyConnectedPerChannel {
+                    weights: ChannelQuantizedMatrix::quantize(weights).unwrap(),
+                    out_params: params[i + 1],
+                }
+            }
+            Layer::FullyConnected { weights } => QuantStage::FullyConnected {
+                weights: QuantizedMatrix::quantize(
+                    weights,
+                    QuantParams::symmetric(weights.max_abs()).unwrap(),
+                ),
+                out_params: params[i + 1],
+            },
+            Layer::Activation(act) => {
+                let act = *act;
+                QuantStage::Lut(ActivationLut::from_fn(params[i], params[i + 1], move |v| {
+                    act.eval(v)
+                }))
+            }
+            Layer::Elementwise { .. } => panic!("no element-wise layer reaches the compiler"),
+        })
+        .collect();
+    let quantized =
+        QuantizedModel::from_parts(model.input_dim(), model.output_dim(), params[0], stages)
+            .unwrap();
+    CompiledModel::lower(quantized, &TargetSpec::default()).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -130,6 +186,18 @@ proptest! {
         // from the full int8 interval, so soundness must still hold.
         let batch = Matrix::random_uniform(6, n, -10.0, 10.0, &mut rng);
         assert_sound(&qmodel, &batch);
+
+        // One observed forward pass and one range check give exactly the
+        // two-pass definition: stages, tile plans and range report.
+        let target = TargetSpec::default();
+        let compiled = if per_channel == 1 {
+            compile::compile_per_channel(&model, &calibration, &target)
+        } else {
+            compile::compile(&model, &calibration, &target)
+        }
+        .unwrap();
+        prop_assert_eq!(compiled.quantized(), &qmodel);
+        prop_assert_eq!(compiled, two_pass_compile(&model, &calibration, per_channel == 1));
     }
 }
 
@@ -208,7 +276,7 @@ fn saturating_model() -> (Model, Matrix) {
 fn saturating_fixture_warns_but_compiles() {
     let (model, calibration) = saturating_model();
     let qmodel = QuantizedModel::quantize(&model, &calibration).expect("saturation is a warning");
-    let report = verify_ranges(&qmodel, &RangeConfig::default());
+    let report = analyze_ranges(&qmodel);
     assert!(report.is_ok());
     assert!(
         report
@@ -238,7 +306,7 @@ fn dead_range_fixture_warns() {
         .unwrap();
     let calibration = Matrix::from_fn(4, 8, |r, c| (r as f32 - 1.5) * 0.25 + c as f32 * 0.01);
     let qmodel = QuantizedModel::quantize(&model, &calibration).expect("dead range is a warning");
-    let report = verify_ranges(&qmodel, &RangeConfig::default());
+    let report = analyze_ranges(&qmodel);
     assert!(report.is_ok());
     assert!(
         report
@@ -264,7 +332,7 @@ fn clean_model_reports_no_errors_and_runs() {
         .unwrap();
     let calibration = Matrix::random_normal(32, 8, &mut rng);
     let qmodel = QuantizedModel::quantize(&model, &calibration).unwrap();
-    let report = verify_ranges(&qmodel, &RangeConfig::default());
+    let report = analyze_ranges(&qmodel);
     // Saturation warnings are legitimate here — the analysis seeds from
     // the full int8 input range, and adversarial rail-valued inputs can
     // clip a small random model's outputs — but nothing may error.
