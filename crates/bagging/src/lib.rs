@@ -50,9 +50,8 @@ pub use error::BaggingError;
 pub use merge::{BaggedModel, SubModel};
 pub use sample::{bootstrap_rows, feature_subset};
 pub use train::{
-    bagged_member_specs, members_graph, train_bagged, train_bagged_with, train_members,
-    train_members_parallel, train_members_with_recovery, BaggingStats, MemberRecovery, MemberSpec,
-    SubModelStats,
+    bagged_member_specs, members_graph, train_bagged, train_members_parallel, BaggingStats,
+    MemberRecovery, MemberSpec, SubModelStats,
 };
 
 /// The paper's training-cost reduction estimate

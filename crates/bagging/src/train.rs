@@ -77,7 +77,7 @@ impl BaggingStats {
 /// [`bagged_member_specs`] produces the paper's bootstrap plan;
 /// single-model callers (the pipeline's CPU/TPU settings) build one spec
 /// over the whole dataset, so every setting trains through the same
-/// generic loop in [`train_members`].
+/// loop in [`train_members_parallel`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemberSpec {
     /// Member index within the ensemble.
@@ -157,29 +157,6 @@ pub fn bagged_member_specs(
     Ok(specs)
 }
 
-/// The generic ensemble training loop: trains every member spec through
-/// the given [`Executor`] (encode placement, then class-hypervector
-/// update placement) and collects the results into a [`BaggedModel`].
-///
-/// A one-member plan over the full dataset degenerates to ordinary
-/// single-model training — the merged model *is* the member.
-///
-/// # Errors
-///
-/// * Wrapped [`hdc::HdcError`] — label or shape problems, or executor
-///   failures.
-/// * [`BaggingError::InvalidConfig`] — an empty plan or inconsistent
-///   member shapes.
-pub fn train_members(
-    features: &Matrix,
-    labels: &[usize],
-    classes: usize,
-    specs: Vec<MemberSpec>,
-    exec: &dyn Executor,
-) -> Result<(BaggedModel, BaggingStats), BaggingError> {
-    train_members_with_recovery(features, labels, classes, specs, exec, MemberRecovery::Fail)
-}
-
 /// Resolves one member's training rows and runs its encode→update chain;
 /// returns the outcome plus the member's sampled-row count.
 fn train_one_member(
@@ -209,26 +186,76 @@ fn train_one_member(
     (trained, member_features.rows())
 }
 
-/// [`train_members`] with a member-level fault policy: when a member's
-/// executor fails permanently (an [`hdc::HdcError::Backend`] error — the
-/// backend's own retries and host fallback are already exhausted by the
-/// time it surfaces here), the ensemble can retrain that member on the
-/// host or drop it and merge the survivors, instead of failing the whole
-/// run. [`BaggingStats`] records which members were recovered and how.
+/// The declared parallel-members SDF schedule that
+/// [`train_members_parallel`] executes: one `plan` firing fans `members`
+/// job tokens out, `member` firings train on a worker pool, and one
+/// `merge` firing gathers every outcome back in index order. The slot
+/// vector the merge stage fills is the declared channel capacity. This is
+/// the same declaration `hyperedge verify --schedule` checks, so the graph
+/// that is verified is the graph that runs.
+#[must_use]
+pub fn members_graph(members: usize, member_cost_s: f64) -> SdfGraph {
+    let members = members.max(1);
+    let mut g = SdfGraph::new("parallel-members");
+    let plan = g.add_stage("plan", Resource::Host, 0.0);
+    let member = g.add_stage("member", Resource::Host, member_cost_s);
+    let merge = g.add_stage("merge", Resource::Host, 0.0);
+    g.add_channel(plan, member, members, 1, Some(members));
+    g.add_channel(member, merge, 1, members, Some(members));
+    g
+}
+
+/// How one member firing produced its class hypervectors — the token the
+/// member stage emits and the assembly loop folds into [`BaggingStats`]
+/// in index order.
+enum MemberYield {
+    /// Trained through the caller's executor.
+    Trained(ClassHypervectors, TrainStats),
+    /// Recovered by the stage's supervision: retrained on the host.
+    Retrained(ClassHypervectors, TrainStats),
+    /// Recovered by the stage's supervision: dropped from the ensemble.
+    Dropped,
+}
+
+/// The ensemble training loop: trains every member spec through the given
+/// [`Executor`] (encode placement, then class-hypervector update
+/// placement) and collects the results into a [`BaggedModel`]. A
+/// one-member plan over the full dataset degenerates to ordinary
+/// single-model training — the merged model *is* the member.
+///
+/// Members run as the firings of the declared [`members_graph`] schedule,
+/// executed through the generic SDF runtime on `threads` workers (clamped
+/// to `1..=members`). Members are independent (each has its own encoder,
+/// bootstrap sample and class hypervectors) and assembly runs in index
+/// order, so the result does not depend on `threads`. Device-resident
+/// backends should pass `threads == 1`: the simulated accelerator holds
+/// one model at a time, so concurrent members would thrash residency.
+///
+/// The member stage runs as a supervised data-parallel binding whose
+/// per-firing recovery hook *is* the [`MemberRecovery`] policy: when a
+/// member's executor fails permanently (an [`hdc::HdcError::Backend`]
+/// error — the backend's own retries and host fallback are already
+/// exhausted by the time it surfaces here), that member is retrained on
+/// the host or dropped from the merge instead of failing the run.
+/// [`BaggingStats`] records which members were recovered and how. Under
+/// [`MemberRecovery::Fail`] the first failed member, in index order, ends
+/// the run, and on one worker no later member starts.
 ///
 /// # Errors
 ///
-/// * Same as [`train_members`] under [`MemberRecovery::Fail`].
-/// * Non-backend errors (labels, shapes) always propagate.
-/// * [`BaggingError::InvalidConfig`] — every member failed and was
-///   dropped, or the plan was empty.
-pub fn train_members_with_recovery(
+/// * Wrapped [`hdc::HdcError`] — label or shape problems (these always
+///   propagate, whatever the recovery policy), or executor failures
+///   under [`MemberRecovery::Fail`].
+/// * [`BaggingError::InvalidConfig`] — an empty plan, inconsistent
+///   member shapes, or every member failed and was dropped.
+pub fn train_members_parallel(
     features: &Matrix,
     labels: &[usize],
     classes: usize,
     specs: Vec<MemberSpec>,
     exec: &dyn Executor,
     recovery: MemberRecovery,
+    threads: usize,
 ) -> Result<(BaggedModel, BaggingStats), BaggingError> {
     if features.rows() == 0 || classes == 0 {
         return Err(BaggingError::Hdc(hdc::HdcError::EmptyDataset));
@@ -245,134 +272,18 @@ pub fn train_members_with_recovery(
         ));
     }
 
-    let mut sub_models = Vec::with_capacity(specs.len());
-    let mut stats = BaggingStats::default();
-    for spec in specs {
-        let (outcome, sampled_rows) = train_one_member(&spec, features, labels, classes, exec);
-        let (class_hvs, train_stats) = match outcome {
-            Ok(trained) => trained,
-            Err(BaggingError::Hdc(hdc::HdcError::Backend(reason))) => match recovery {
-                MemberRecovery::Fail => {
-                    return Err(BaggingError::Hdc(hdc::HdcError::Backend(reason)));
-                }
-                MemberRecovery::RetrainOnHost => {
-                    stats.retrained_on_host.push(spec.index);
-                    train_one_member(&spec, features, labels, classes, &HostExecutor).0?
-                }
-                MemberRecovery::Drop => {
-                    stats.dropped_members.push(spec.index);
-                    continue;
-                }
-            },
-            Err(e) => return Err(e),
-        };
-
-        stats.sub_models.push(SubModelStats {
-            index: spec.index,
-            sampled_rows,
-            sampled_features: spec.sampled_features,
-            train: train_stats,
-        });
-        sub_models.push(SubModel {
-            encoder: spec.encoder,
-            classes: class_hvs,
-        });
-    }
-
-    if sub_models.is_empty() {
-        return Err(BaggingError::InvalidConfig(
-            "every ensemble member failed and was dropped".into(),
-        ));
-    }
-    Ok((BaggedModel::new(sub_models, classes)?, stats))
-}
-
-/// The declared parallel-members SDF schedule that
-/// [`train_members_parallel`] executes: one `plan` firing fans `members`
-/// job tokens out, `member` firings train concurrently, and one `merge`
-/// firing gathers every outcome back in index order. The slot vector the
-/// merge stage fills is the declared channel capacity. This is the same
-/// declaration `hyperedge verify --schedule` checks (the framework's
-/// schedule module delegates here), so the graph that is verified is the
-/// graph that runs.
-#[must_use]
-pub fn members_graph(members: usize, member_cost_s: f64) -> SdfGraph {
-    let members = members.max(1);
-    let mut g = SdfGraph::new("parallel-members");
-    let plan = g.add_stage("plan", Resource::Host, 0.0);
-    let member = g.add_stage("member", Resource::Host, member_cost_s);
-    let merge = g.add_stage("merge", Resource::Host, 0.0);
-    g.add_channel(plan, member, members, 1, Some(members));
-    g.add_channel(member, merge, 1, members, Some(members));
-    g
-}
-
-/// How one parallel member firing produced its class hypervectors — the
-/// token the member stage emits and the assembly loop folds into
-/// [`BaggingStats`] in index order.
-enum MemberYield {
-    /// Trained through the caller's executor.
-    Trained(ClassHypervectors, TrainStats),
-    /// Recovered by the stage's supervision: retrained on the host.
-    Retrained(ClassHypervectors, TrainStats),
-    /// Recovered by the stage's supervision: dropped from the ensemble.
-    Dropped,
-}
-
-/// [`train_members_with_recovery`] with member-level parallelism: up to
-/// `threads` ensemble members train concurrently, executed through the
-/// generic SDF runtime from the declared [`members_graph`] schedule.
-/// Members are independent (each has its own encoder, bootstrap sample,
-/// and class hypervectors), so per-member results are bit-exact with the
-/// sequential loop; recovery and assembly still run in index order, and
-/// `threads <= 1` (or a single-member plan) delegates to the exact
-/// sequential path.
-///
-/// The member stage runs as a supervised data-parallel binding: the
-/// [`MemberRecovery`] policy *is* the stage's per-firing recovery hook,
-/// so a member whose backend fails permanently is retrained on the host
-/// or marked dropped right on its worker — firings recover
-/// independently, and there is no second hand-rolled recovery pass.
-///
-/// Intended for host-executed members. Device-resident backends should
-/// keep `threads == 1`: the simulated accelerator holds one model at a
-/// time, so concurrent members would thrash residency.
-///
-/// # Errors
-///
-/// Same as [`train_members_with_recovery`].
-pub fn train_members_parallel(
-    features: &Matrix,
-    labels: &[usize],
-    classes: usize,
-    specs: Vec<MemberSpec>,
-    exec: &dyn Executor,
-    recovery: MemberRecovery,
-    threads: usize,
-) -> Result<(BaggedModel, BaggingStats), BaggingError> {
-    if threads <= 1 || specs.len() <= 1 {
-        return train_members_with_recovery(features, labels, classes, specs, exec, recovery);
-    }
-    if features.rows() == 0 || classes == 0 {
-        return Err(BaggingError::Hdc(hdc::HdcError::EmptyDataset));
-    }
-    if labels.len() != features.rows() {
-        return Err(BaggingError::Hdc(hdc::HdcError::LabelCount {
-            samples: features.rows(),
-            labels: labels.len(),
-        }));
-    }
-
     // Execute the declared parallel-members schedule through the generic
     // SDF runtime. One plan firing emits a job token per member, the
-    // supervised member stage's worker pool trains them concurrently
-    // (the runtime preserves firing order, so firing index == member
-    // index) with the recovery policy attached as the stage's
-    // per-firing recovery hook, and one merge firing gathers every
-    // outcome token in order.
+    // supervised member stage's worker pool trains them (the runtime
+    // preserves firing order, so firing index == member index) with the
+    // recovery policy attached as the stage's per-firing recovery hook,
+    // and one merge firing gathers every outcome token in order.
+    // The member stage declares all of the schedule's work, so the
+    // runtime runs it on this thread; with one worker every member then
+    // trains on the caller's thread.
     type MemberToken = Option<(usize, MemberYield)>;
     let members = specs.len();
-    let plan = ExecutablePlan::validate(members_graph(members, 0.0))
+    let plan = ExecutablePlan::validate(members_graph(members, 1.0))
         .expect("parallel-members schedule is statically valid");
     let mut outcomes: Vec<MemberToken> = Vec::with_capacity(members);
     {
@@ -384,7 +295,7 @@ pub fn train_members_parallel(
             })
             .into_binding(),
             Binding::SupervisedParMap {
-                workers: threads.min(members),
+                workers: threads.clamp(1, members),
                 // The executor's own supervision (retry/backoff/breaker)
                 // already ran inside `exec`; a failure surfacing here is
                 // permanent, so the stage goes straight to recovery.
@@ -428,7 +339,7 @@ pub fn train_members_parallel(
     }
 
     // Assembly in index order: fold the outcome tokens into the stats
-    // and surviving sub-models, exactly as the sequential loop does.
+    // and surviving sub-models.
     let mut sub_models = Vec::with_capacity(specs.len());
     let mut stats = BaggingStats::default();
     for (spec, token) in specs.into_iter().zip(outcomes) {
@@ -465,10 +376,10 @@ pub fn train_members_parallel(
 }
 
 /// Trains `M` bagged HDC sub-models per the paper's recipe (see
-/// [`bagged_member_specs`] for the sampling details).
-///
-/// Encoding runs on the host in `f32`; use [`train_bagged_with`] to route
-/// it through an accelerator backend (the paper's co-designed flow).
+/// [`bagged_member_specs`] for the sampling details), encoding on the
+/// host in `f32` one member at a time. Route encoding through an
+/// accelerator backend (the paper's co-designed flow) by handing
+/// [`bagged_member_specs`] and the backend to [`train_members_parallel`].
 ///
 /// # Errors
 ///
@@ -480,30 +391,16 @@ pub fn train_bagged(
     classes: usize,
     config: &BaggingConfig,
 ) -> Result<(BaggedModel, BaggingStats), BaggingError> {
-    train_bagged_with(features, labels, classes, config, &HostExecutor)
-}
-
-/// [`train_bagged`] with a caller-supplied [`Executor`].
-///
-/// The executor receives each sub-model's encoder and its
-/// bootstrap-sampled batch. The framework passes an accelerator-placed
-/// backend that compiles each sub-encoder once and invokes the shared
-/// device, so training-time encoding exhibits genuine int8 quantization;
-/// the default in [`train_bagged`] is [`HostExecutor`] (`f32` on the
-/// host).
-///
-/// # Errors
-///
-/// Same as [`train_bagged`], plus whatever the executor returns.
-pub fn train_bagged_with(
-    features: &Matrix,
-    labels: &[usize],
-    classes: usize,
-    config: &BaggingConfig,
-    exec: &dyn Executor,
-) -> Result<(BaggedModel, BaggingStats), BaggingError> {
     let specs = bagged_member_specs(features.rows(), features.cols(), config)?;
-    train_members(features, labels, classes, specs, exec)
+    train_members_parallel(
+        features,
+        labels,
+        classes,
+        specs,
+        &HostExecutor,
+        MemberRecovery::Fail,
+        1,
+    )
 }
 
 #[cfg(test)]
@@ -658,8 +555,12 @@ mod tests {
         let config = BaggingConfig::paper_defaults(256).with_seed(14);
         let specs = bagged_member_specs(features.rows(), features.cols(), &config).unwrap();
         let exec = FlakyExecutor::backend_failure(vec![1]);
-        let err = train_members(&features, &labels, 2, specs, &exec).unwrap_err();
+        let err =
+            train_members_parallel(&features, &labels, 2, specs, &exec, MemberRecovery::Fail, 1)
+                .unwrap_err();
         assert!(matches!(err, BaggingError::Hdc(hdc::HdcError::Backend(_))));
+        // Member 1's failure ends the run: members 2 and 3 never encode.
+        assert_eq!(exec.calls.load(std::sync::atomic::Ordering::Relaxed), 2);
     }
 
     #[test]
@@ -669,7 +570,7 @@ mod tests {
         let specs = bagged_member_specs(features.rows(), features.cols(), &config).unwrap();
         let exec = FlakyExecutor::backend_failure(vec![1]);
         let (model, stats) =
-            train_members_with_recovery(&features, &labels, 2, specs, &exec, MemberRecovery::Drop)
+            train_members_parallel(&features, &labels, 2, specs, &exec, MemberRecovery::Drop, 1)
                 .unwrap();
         assert_eq!(model.sub_model_count(), 3);
         assert_eq!(stats.dropped_members, vec![1]);
@@ -689,13 +590,14 @@ mod tests {
         let config = BaggingConfig::paper_defaults(256).with_seed(16);
         let specs = bagged_member_specs(features.rows(), features.cols(), &config).unwrap();
         let exec = FlakyExecutor::backend_failure(vec![2]);
-        let (model, stats) = train_members_with_recovery(
+        let (model, stats) = train_members_parallel(
             &features,
             &labels,
             2,
             specs,
             &exec,
             MemberRecovery::RetrainOnHost,
+            1,
         )
         .unwrap();
         assert_eq!(model.sub_model_count(), 4);
@@ -717,7 +619,7 @@ mod tests {
         let specs = bagged_member_specs(features.rows(), features.cols(), &config).unwrap();
         let exec = FlakyExecutor::backend_failure(vec![0, 1, 2, 3]);
         let err =
-            train_members_with_recovery(&features, &labels, 2, specs, &exec, MemberRecovery::Drop)
+            train_members_parallel(&features, &labels, 2, specs, &exec, MemberRecovery::Drop, 1)
                 .unwrap_err();
         assert!(matches!(err, BaggingError::InvalidConfig(_)));
     }
@@ -733,7 +635,7 @@ mod tests {
             calls: std::sync::atomic::AtomicUsize::new(0),
         };
         let err =
-            train_members_with_recovery(&features, &labels, 2, specs, &exec, MemberRecovery::Drop)
+            train_members_parallel(&features, &labels, 2, specs, &exec, MemberRecovery::Drop, 1)
                 .unwrap_err();
         assert!(matches!(
             err,

@@ -626,17 +626,14 @@ pub fn fig_pipeline() -> ResultTable {
 
 /// Executes one declared SDF graph through the generic runtime with
 /// do-nothing executors (each firing emits exactly the token counts the
-/// graph declares) and returns `(predicted_s, measured_s)`: the
-/// analyzer's critical path for `iterations` steady-state iterations
-/// against the elapsed time the runtime measures from observed firings.
+/// graph declares) and returns `(predicted_s, measured_s)`: the solved
+/// critical path for `iterations` steady-state iterations against the
+/// elapsed time the runtime measures from observed firings.
 fn run_declared_schedule(graph: hd_dataflow::SdfGraph, iterations: u64) -> (f64, f64) {
     use hd_dataflow::runtime::{Binding, ExecutablePlan, Fire, Supervised, Supervision};
-    let predicted = hyperedge::schedule::SchedulePlan::declare(graph.clone())
-        .expect("production schedule verifies")
-        .critical_path_s()
-        .expect("production schedule is rate-consistent")
-        * iterations as f64;
-    let plan = ExecutablePlan::validate(graph).expect("verified schedule validates");
+    let plan = ExecutablePlan::validate(graph).expect("production schedule validates");
+    let predicted =
+        hd_dataflow::solve::critical_path_s(plan.graph(), plan.repetition()) * iterations as f64;
     let bindings: Vec<Binding<'static, (), std::convert::Infallible>> = plan
         .graph()
         .stages()
@@ -695,7 +692,7 @@ pub fn fig_schedule_report() -> (ResultTable, BenchRecord) {
         ),
         (
             "parallel-members",
-            hyperedge::schedule::parallel_members_graph(members, 1e-3),
+            hd_bagging::members_graph(members, 1e-3),
             1,
         ),
         (

@@ -51,9 +51,7 @@ use hd_analysis::dataflow::{
 use hd_analysis::{engine, json, sarif, Allowlist};
 use hd_tensor::Matrix;
 use hyperedge::schedule;
-use wide_nn::{
-    analyze_ranges, verify_model, Activation, ModelBuilder, NnError, QuantizedModel, TargetSpec,
-};
+use wide_nn::{verify_model, Activation, ModelBuilder, NnError, QuantizedModel, TargetSpec};
 
 const CHECKS_USAGE: &str = "usage: hyperedge <lint|verify> [options]\n\
     \n\
@@ -399,15 +397,14 @@ fn run_verify(args: &[String]) -> Result<bool, String> {
     let mut range_failed = false;
     if ranges {
         let calibration = Matrix::from_fn(8, features, |r, c| ((r * 31 + c) % 97) as f32 / 96.0);
-        match QuantizedModel::quantize(&model, &calibration) {
-            Ok(quantized) => {
-                let range_report = analyze_ranges(&quantized);
-                range_failed = range_report.has_errors();
+        match QuantizedModel::quantize_checked(&model, &calibration, false) {
+            // A report that comes back has no errors: quantization
+            // rejects overflowing models itself.
+            Ok((_, range_report)) => {
                 range_diags.extend(range_report.diagnostics().iter().cloned());
                 range_text = format!("{range_report}");
             }
-            // Quantization itself runs the same analysis and rejects
-            // overflowing models; surface its diagnostics as the report.
+            // Surface the rejection's diagnostics as the report.
             Err(NnError::Verification { diagnostics }) => {
                 range_failed = true;
                 range_text = diagnostics

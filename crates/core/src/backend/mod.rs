@@ -16,7 +16,7 @@
 //!   class-hypervector update.
 //!
 //! Every backend implements [`hdc::Executor`] (so the generic training
-//! loop in `hd_bagging::train_members` drives any of them) plus
+//! loop in `hd_bagging::train_members_parallel` drives any of them) plus
 //! prediction, and reports a per-phase [`BackendLedger`] of what actually
 //! executed — measured (simulated-clock) seconds and compile/load/device
 //! counters — which [`crate::runtime::measured_breakdown`] converts into

@@ -3,7 +3,9 @@
 
 use std::sync::Arc;
 
-use hd_dataflow::runtime::{self, Binding, Fire, FiringCtx, RunError, Supervised, Supervision};
+use hd_dataflow::runtime::{
+    self, Binding, ExecutablePlan, Fire, FiringCtx, RunError, Supervised, Supervision,
+};
 use parking_lot::Mutex;
 
 use cpu_model::{cost, PlatformSpec};
@@ -179,14 +181,15 @@ impl TpuBackend {
             }
         };
 
-        // Verify the declared overlapped-invoke SDF graph (rates, buffer
-        // bounds, deadlock-freedom) and compile it into the executable
-        // plan the runtime will drive.
+        // Validate the declared overlapped-invoke SDF graph (rates, buffer
+        // bounds, deadlock-freedom) into the executable plan the runtime
+        // will drive.
         let samples = chunk.min(batch.rows()).max(1);
-        let plan = crate::schedule::SchedulePlan::declare(
-            crate::schedule::overlapped_invoke_graph(self.device_config(), &dims, samples),
-        )?
-        .executable()?;
+        let plan = ExecutablePlan::validate(crate::schedule::overlapped_invoke_graph(
+            self.device_config(),
+            &dims,
+            samples,
+        ))?;
         // The lease loads the model unless it is already resident.
         let Some(seat) = self.pool.lease(key)? else {
             return Ok((None, 0.0));

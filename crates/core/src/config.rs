@@ -76,7 +76,8 @@ pub struct PipelineConfig {
     /// Worker-thread budget a caller hands to
     /// [`hd_bagging::train_members_parallel`].
     /// [`Pipeline::train`](crate::Pipeline::train) does not read it: it
-    /// trains members one after another. Must be at least 1.
+    /// trains members on one worker, one after another. Must be at
+    /// least 1.
     pub threads: usize,
 }
 

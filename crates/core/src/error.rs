@@ -2,10 +2,10 @@ use std::error::Error;
 use std::fmt;
 
 use hd_bagging::BaggingError;
+use hd_dataflow::PlanError;
 use hd_tensor::TensorError;
 use hdc::HdcError;
 use tpu_sim::SimError;
-use wide_nn::diag::Diagnostic;
 use wide_nn::NnError;
 
 /// Error type unifying every failure the framework can surface.
@@ -24,9 +24,6 @@ pub enum FrameworkError {
     Sim(SimError),
     /// A tensor error.
     Tensor(TensorError),
-    /// A declared execution schedule failed static verification; the
-    /// diagnostics carry the analyzer's `schedule/*` findings.
-    Schedule(Vec<Diagnostic>),
 }
 
 impl FrameworkError {
@@ -50,13 +47,6 @@ impl fmt::Display for FrameworkError {
             FrameworkError::Nn(e) => write!(f, "model error: {e}"),
             FrameworkError::Sim(e) => write!(f, "device error: {e}"),
             FrameworkError::Tensor(e) => write!(f, "tensor error: {e}"),
-            FrameworkError::Schedule(diags) => {
-                write!(f, "schedule rejected by static verification:")?;
-                for d in diags {
-                    write!(f, "\n  {d}")?;
-                }
-                Ok(())
-            }
         }
     }
 }
@@ -69,7 +59,7 @@ impl Error for FrameworkError {
             FrameworkError::Nn(e) => Some(e),
             FrameworkError::Sim(e) => Some(e),
             FrameworkError::Tensor(e) => Some(e),
-            FrameworkError::InvalidConfig(_) | FrameworkError::Schedule(_) => None,
+            FrameworkError::InvalidConfig(_) => None,
         }
     }
 }
@@ -101,6 +91,14 @@ impl From<SimError> for FrameworkError {
 impl From<TensorError> for FrameworkError {
     fn from(e: TensorError) -> Self {
         FrameworkError::Tensor(e)
+    }
+}
+
+/// A declared schedule the runtime refuses to run is a configuration
+/// error.
+impl From<PlanError> for FrameworkError {
+    fn from(e: PlanError) -> Self {
+        FrameworkError::InvalidConfig(format!("declared schedule rejected by the runtime: {e}"))
     }
 }
 

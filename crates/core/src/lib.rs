@@ -82,7 +82,6 @@ pub use pipeline::{
     EvaluationReport, InferenceReport, Pipeline, TrainingOutcome, TrainingTelemetry,
 };
 pub use runtime::{EnergyBreakdown, RuntimeBreakdown, UpdateProfile, WorkloadSpec};
-pub use schedule::SchedulePlan;
 pub use serving::TwoDeviceServer;
 
 /// Convenience result alias for fallible framework operations.

@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use hd_bagging::{bagged_member_specs, train_members_with_recovery, BaggingStats, MemberSpec};
+use hd_bagging::{bagged_member_specs, train_members_parallel, BaggingStats, MemberSpec};
 use hd_tensor::rng::DetRng;
 use hd_tensor::Matrix;
 use hdc::{BaseHypervectors, HdcModel, NonlinearEncoder, TrainConfig, TrainStats};
@@ -81,8 +81,8 @@ pub struct EvaluationReport {
 /// The paper's co-designed training/inference orchestrator.
 ///
 /// Every setting trains through **one** generic loop
-/// ([`hd_bagging::train_members`]) parameterized by an
-/// [`ExecutionBackend`] handle: the CPU baseline and the accelerated
+/// ([`hd_bagging::train_members_parallel`], on one worker) parameterized
+/// by an [`ExecutionBackend`] handle: the CPU baseline and the accelerated
 /// settings differ only in the backend the registry hands back and in the
 /// member plan (one full-width member vs. `M` bagged members). The
 /// backends are shared for the pipeline's lifetime, so the accelerated
@@ -147,13 +147,16 @@ impl Pipeline {
         let backend = self.backend(setting);
         let before = backend.ledger();
         let specs = self.member_plan(features, setting)?;
-        let (bagged, stats) = train_members_with_recovery(
+        // One worker: the one device holds one model at a time, so
+        // concurrent members would only add model reloads.
+        let (bagged, stats) = train_members_parallel(
             features,
             labels,
             classes,
             specs,
             backend,
             self.config.member_recovery,
+            1,
         )?;
         let model = bagged.merge()?;
         let ledger = backend.ledger().delta_since(&before);

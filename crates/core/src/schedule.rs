@@ -1,29 +1,32 @@
 //! Declared SDF schedules for the framework's overlapped execution
-//! paths, verified statically before any thread spawns.
+//! paths, verified before any thread spawns.
 //!
 //! Every place this crate overlaps work — the double-buffered device
-//! invoke ([`TpuBackend`](crate::backend::TpuBackend)), parallel
-//! bagged-member training (`hd_bagging::train_members_parallel`), and
-//! two-device serving — is described here as an explicit
-//! [`SdfGraph`](hd_analysis::dataflow::SdfGraph): stages with token
-//! rates, resource pins, and per-firing costs taken from the
-//! [`tpu_sim::timing`] model. [`SchedulePlan::declare`] runs the static
-//! analyzer from `hd-analysis` over the declaration and turns any
-//! `schedule/*` error (rate inconsistency, undersized channel bound,
-//! deadlocking cycle) into a typed
-//! [`FrameworkError::Schedule`](crate::FrameworkError::Schedule) before
-//! the corresponding runtime schedule is allowed to execute. The same
-//! declarations back `hyperedge verify --schedule`.
+//! invoke ([`TpuBackend`](crate::backend::TpuBackend)), bagged-member
+//! training (`hd_bagging::train_members_parallel`), and two-device
+//! serving — is described here as an explicit [`SdfGraph`]: stages with
+//! token rates, resource pins, and per-firing costs taken from the
+//! [`tpu_sim::timing`] model. Each call site checks its declaration once,
+//! with [`ExecutablePlan::validate`] (rates balance, capacities meet the
+//! minimal safe bound, steady state cannot deadlock); a rejection
+//! surfaces as [`FrameworkError::InvalidConfig`] before the runtime is
+//! allowed to execute anything, and the plan it returns is what the
+//! runtime runs. `hyperedge verify --schedule` reports on the same
+//! declarations through the `hd-analysis` analyzer, which rejects exactly
+//! the graphs the validator refuses (a differential property test holds
+//! the two equal).
 //!
-//! The analyzer's critical-path output is not just documentation: for
-//! the overlapped-invoke schedule,
+//! Critical paths and busy times come from [`solve`] over the plan's
+//! repetition vector — the functions the analyzer reports from — and
+//! are not just documentation: for the overlapped-invoke schedule,
 //! [`predicted_pipelined_elapsed_s`] must match the device
 //! [`TimingLedger`](tpu_sim::TimingLedger)'s measured elapsed time to
 //! 1e-12 (a property test pins this), making the dynamic ledger the
 //! oracle for the static model.
 
 use cpu_model::{cost, Platform};
-use hd_analysis::dataflow::{analyze, Resource, ScheduleReport, SdfGraph};
+use hd_dataflow::runtime::ExecutablePlan;
+use hd_dataflow::{solve, Resource, SdfGraph};
 use tpu_sim::timing::{self, ModelDims};
 use tpu_sim::DeviceConfig;
 
@@ -47,18 +50,6 @@ pub fn overlapped_invoke_graph(cfg: &DeviceConfig, dims: &ModelDims, samples: us
     g.add_channel(dma_in, compute, 1, 1, Some(INVOKE_BUFFERS));
     g.add_channel(compute, dma_out, 1, 1, Some(INVOKE_BUFFERS));
     g
-}
-
-/// The parallel bagged-member training schedule
-/// (`train_members_parallel`): a plan stage fans `members` work tokens
-/// out to member firings whose results merge back index-ordered into
-/// one full-width model. Delegates to
-/// [`hd_bagging::members_graph`] — the very declaration
-/// `train_members_parallel` executes through the SDF runtime — so the
-/// graph verified here is the graph that runs.
-#[must_use]
-pub fn parallel_members_graph(members: usize, member_cost_s: f64) -> SdfGraph {
-    hd_bagging::members_graph(members, member_cost_s)
 }
 
 /// The two-device serving schedule: encoding runs on the first
@@ -97,13 +88,12 @@ pub fn encode_score_graph(
 /// pipeline's bottleneck, even if the bottleneck flips on the partial
 /// tail. The two device [`TimingLedger`](tpu_sim::TimingLedger)s must
 /// reproduce this exactly, because each stage invokes with the same
-/// `overhead + max(transfer, compute)` model the analyzer charges.
+/// `overhead + max(transfer, compute)` model the solver charges.
 ///
 /// # Errors
 ///
-/// [`FrameworkError::InvalidConfig`] when `batch == 0`, or
-/// [`FrameworkError::Schedule`] if the declared graph fails
-/// verification (it cannot, by construction).
+/// [`FrameworkError::InvalidConfig`] when `batch == 0`, or if the
+/// declared graph fails validation (it cannot, by construction).
 pub fn predicted_serve_elapsed_s(
     cfg: &DeviceConfig,
     encoder_dims: &ModelDims,
@@ -119,12 +109,9 @@ pub fn predicted_serve_elapsed_s(
     let mut busy: Vec<(Resource, f64)> = Vec::new();
     for (samples, count) in timing::chunks(total_samples, batch) {
         let plan =
-            SchedulePlan::declare(encode_score_graph(cfg, encoder_dims, score_dims, samples))?;
-        let analysis = plan.report().analysis.as_ref().ok_or_else(|| {
-            FrameworkError::InvalidConfig("declared schedule has no rate analysis".into())
-        })?;
+            ExecutablePlan::validate(encode_score_graph(cfg, encoder_dims, score_dims, samples))?;
         let iterations = count as f64;
-        for &(resource, seconds) in &analysis.resource_busy_s {
+        for (resource, seconds) in solve::resource_busy_s(plan.graph(), plan.repetition()) {
             match busy.iter_mut().find(|(r, _)| *r == resource) {
                 Some((_, total)) => *total += iterations * seconds,
                 None => busy.push((resource, iterations * seconds)),
@@ -134,97 +121,18 @@ pub fn predicted_serve_elapsed_s(
     Ok(busy.iter().fold(0.0, |acc, &(_, s)| acc.max(s)))
 }
 
-/// A statically verified schedule: the declared graph plus the
-/// analyzer's report. Construction *is* verification — a plan with a
-/// `schedule/*` error cannot exist.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SchedulePlan {
-    graph: SdfGraph,
-    report: ScheduleReport,
-}
-
-impl SchedulePlan {
-    /// Analyzes `graph` and accepts it only if the analyzer finds no
-    /// errors (warnings — e.g. a declared bound too shallow to overlap
-    /// — are carried in the report but do not reject).
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Schedule`] carrying the analyzer's
-    /// diagnostics when the declaration is rate-inconsistent, declares
-    /// a channel bound below the analyzer's minimum, or deadlocks.
-    pub fn declare(graph: SdfGraph) -> crate::Result<SchedulePlan> {
-        let report = analyze(&graph);
-        if report.has_errors() {
-            return Err(FrameworkError::Schedule(report.diagnostics));
-        }
-        Ok(SchedulePlan { graph, report })
-    }
-
-    /// The declared graph.
-    #[must_use]
-    pub fn graph(&self) -> &SdfGraph {
-        &self.graph
-    }
-
-    /// The analyzer's full report (including any warnings).
-    #[must_use]
-    pub fn report(&self) -> &ScheduleReport {
-        &self.report
-    }
-
-    /// Compiles this verified declaration into an executable runtime
-    /// plan: the solver's repetition vector plus channel bounds sized at
-    /// the analyzer's minimal safe capacity where the declaration left
-    /// them open. This is the handle the backends feed to
-    /// [`hd_dataflow::runtime::run`], so the graph that was verified is
-    /// — structurally, not just by convention — the graph that executes.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::InvalidConfig`] if the runtime refuses the
-    /// declaration (cannot happen for a declared plan: the analyzer
-    /// already proved the same rate, bound, and deadlock properties the
-    /// runtime re-checks).
-    pub fn executable(&self) -> crate::Result<hd_dataflow::runtime::ExecutablePlan> {
-        hd_dataflow::runtime::ExecutablePlan::validate(self.graph.clone()).map_err(|e| {
-            FrameworkError::InvalidConfig(format!("declared schedule rejected by the runtime: {e}"))
-        })
-    }
-
-    /// The analytic critical path of one steady-state iteration in
-    /// seconds — the lower bound no execution of this schedule can
-    /// beat.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::InvalidConfig`] if the analyzer produced no
-    /// quantitative analysis (cannot happen for a declared plan, whose
-    /// rates were proven consistent).
-    pub fn critical_path_s(&self) -> crate::Result<f64> {
-        self.report
-            .analysis
-            .as_ref()
-            .map(|a| a.critical_path_s)
-            .ok_or_else(|| {
-                FrameworkError::InvalidConfig("declared schedule has no rate analysis".into())
-            })
-    }
-}
-
 /// Predicted elapsed seconds for streaming `total_samples` rows through
 /// the declared overlapped-invoke schedule in chunks of `batch` rows
 /// (the last chunk may be partial): the sum of each chunk's analytic
 /// critical path. This is the static lower bound the device
 /// [`TimingLedger`](tpu_sim::TimingLedger) must reproduce exactly,
 /// because `Device::invoke_overlapped` charges precisely the
-/// `overhead + max(transfer, compute)` model the analyzer derives.
+/// `overhead + max(transfer, compute)` model the solver derives.
 ///
 /// # Errors
 ///
-/// [`FrameworkError::InvalidConfig`] when `batch == 0`, or
-/// [`FrameworkError::Schedule`] if the declared graph fails
-/// verification (it cannot, by construction).
+/// [`FrameworkError::InvalidConfig`] when `batch == 0`, or if the
+/// declared graph fails validation (it cannot, by construction).
 pub fn predicted_pipelined_elapsed_s(
     cfg: &DeviceConfig,
     dims: &ModelDims,
@@ -238,8 +146,8 @@ pub fn predicted_pipelined_elapsed_s(
     }
     let mut elapsed = 0.0;
     for (samples, count) in timing::chunks(total_samples, batch) {
-        let plan = SchedulePlan::declare(overlapped_invoke_graph(cfg, dims, samples))?;
-        elapsed += count as f64 * plan.critical_path_s()?;
+        let plan = ExecutablePlan::validate(overlapped_invoke_graph(cfg, dims, samples))?;
+        elapsed += count as f64 * solve::critical_path_s(plan.graph(), plan.repetition());
     }
     Ok(elapsed)
 }
@@ -256,7 +164,7 @@ pub fn standard_schedules(members: usize) -> Vec<SdfGraph> {
     let member_cost_s = cost::encode_s(&Platform::MobileI5.spec(), chunk, 784, 10_000);
     vec![
         overlapped_invoke_graph(&cfg, &dims, chunk),
-        parallel_members_graph(members, member_cost_s),
+        hd_bagging::members_graph(members, member_cost_s),
     ]
 }
 
@@ -291,46 +199,33 @@ mod tests {
         g
     }
 
+    fn critical_path_s(plan: &ExecutablePlan) -> f64 {
+        solve::critical_path_s(plan.graph(), plan.repetition())
+    }
+
     #[test]
     fn all_three_production_schedules_are_accepted() {
         for graph in production_schedules(8) {
             let name = graph.name().to_string();
-            let plan = SchedulePlan::declare(graph)
+            let plan = ExecutablePlan::validate(graph)
                 .unwrap_or_else(|e| panic!("schedule `{name}` rejected: {e}"));
-            assert!(plan.critical_path_s().unwrap() > 0.0);
-            assert!(
-                !plan.report().has_errors(),
-                "{name}: {:?}",
-                plan.report().diagnostics
-            );
+            assert!(critical_path_s(&plan) > 0.0, "{name}");
         }
     }
 
     #[test]
     fn zero_stream_depth_is_rejected_naming_the_minimum() {
-        let err = SchedulePlan::declare(encode_update_graph(0)).unwrap_err();
-        let FrameworkError::Schedule(diags) = err else {
-            panic!("expected Schedule error");
+        let err: FrameworkError = ExecutablePlan::validate(encode_update_graph(0))
+            .unwrap_err()
+            .into();
+        let FrameworkError::InvalidConfig(message) = err else {
+            panic!("expected InvalidConfig");
         };
-        let undersized = diags
-            .iter()
-            .find(|d| d.code == "schedule/buffer-undersized")
-            .expect("buffer-undersized diagnostic");
         assert!(
-            undersized.message.contains("minimal safe bound 1"),
-            "{}",
-            undersized.message
+            message.contains("declared schedule rejected by the runtime"),
+            "{message}"
         );
-    }
-
-    #[test]
-    fn depth_one_warns_about_lost_overlap_but_is_accepted() {
-        let plan = SchedulePlan::declare(encode_update_graph(1)).expect("depth 1 is safe");
-        assert!(plan
-            .report()
-            .diagnostics
-            .iter()
-            .any(|d| d.code == "schedule/no-overlap"));
+        assert!(message.contains("minimal safe bound 1"), "{message}");
     }
 
     #[test]
@@ -339,9 +234,9 @@ mod tests {
         let dims = ModelDims::encoder(64, 512);
         for samples in [1usize, 7, 32] {
             let plan =
-                SchedulePlan::declare(overlapped_invoke_graph(&cfg, &dims, samples)).unwrap();
+                ExecutablePlan::validate(overlapped_invoke_graph(&cfg, &dims, samples)).unwrap();
             let expected = timing::stage_costs(&cfg, &dims, samples).total_s;
-            let got = plan.critical_path_s().unwrap();
+            let got = critical_path_s(&plan);
             assert!((got - expected).abs() < 1e-15, "{got} vs {expected}");
         }
     }
@@ -360,10 +255,9 @@ mod tests {
 
     #[test]
     fn parallel_members_repetition_reflects_fanout() {
-        let plan = SchedulePlan::declare(parallel_members_graph(4, 1.0)).unwrap();
-        let analysis = plan.report().analysis.as_ref().unwrap();
-        assert_eq!(analysis.repetition, vec![1, 4, 1]);
-        assert_eq!(analysis.min_capacities, vec![4, 4]);
+        let plan = ExecutablePlan::validate(hd_bagging::members_graph(4, 1.0)).unwrap();
+        assert_eq!(plan.repetition(), &[1, 4, 1]);
+        assert_eq!(plan.capacities(), &[4, 4]);
     }
 
     #[test]
@@ -373,16 +267,8 @@ mod tests {
         assert_eq!(graphs[2].name(), "two-device-serve");
         for graph in graphs {
             let name = graph.name().to_string();
-            SchedulePlan::declare(graph)
+            ExecutablePlan::validate(graph)
                 .unwrap_or_else(|e| panic!("schedule `{name}` rejected: {e}"));
         }
-    }
-
-    #[test]
-    fn schedule_error_display_carries_diagnostics() {
-        let err = SchedulePlan::declare(encode_update_graph(0)).unwrap_err();
-        let text = err.to_string();
-        assert!(text.contains("schedule rejected"), "{text}");
-        assert!(text.contains("buffer-undersized"), "{text}");
     }
 }

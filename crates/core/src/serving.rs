@@ -25,8 +25,8 @@
 //! quarantined ordinals), never the numbers.
 
 use hd_dataflow::runtime::{
-    self, Binding, Fire, FiringCtx, RunError, StageSupervision, Supervised, SupervisedFn,
-    Supervision,
+    self, Binding, ExecutablePlan, Fire, FiringCtx, RunError, StageSupervision, Supervised,
+    SupervisedFn, Supervision,
 };
 use hd_tensor::{ops, Matrix};
 use hdc::{Encoder, HdcModel};
@@ -37,7 +37,7 @@ use wide_nn::compile;
 use crate::backend::{fingerprint, CALIBRATION_ROWS};
 use crate::config::PipelineConfig;
 use crate::fleet::{DeviceFaultSummary, DevicePool, StageSeat};
-use crate::schedule::{self, SchedulePlan};
+use crate::schedule;
 use crate::wide_model;
 
 /// Fingerprint tags for the two serving half-networks (distinct from the
@@ -257,23 +257,22 @@ impl TwoDeviceServer {
         self.pool.device(1)
     }
 
-    /// The verified, executable plan for serving `rows` samples: the
+    /// The validated, executable plan for serving `rows` samples: the
     /// declared [`schedule::encode_score_graph`] sized for this server's
-    /// chunk, run through the analyzer and the runtime's validator.
+    /// chunk, run through the runtime's validator.
     ///
     /// # Errors
     ///
-    /// [`FrameworkError::Schedule`](crate::FrameworkError::Schedule) if
-    /// the declaration fails verification (it cannot, by construction).
-    pub fn plan(&self, rows: usize) -> crate::Result<hd_dataflow::runtime::ExecutablePlan> {
+    /// [`FrameworkError::InvalidConfig`](crate::FrameworkError::InvalidConfig)
+    /// if the declaration fails validation (it cannot, by construction).
+    pub fn plan(&self, rows: usize) -> crate::Result<ExecutablePlan> {
         let samples = self.chunk.min(rows).max(1);
-        SchedulePlan::declare(schedule::encode_score_graph(
+        Ok(ExecutablePlan::validate(schedule::encode_score_graph(
             &self.device_config,
             &self.encoder_dims,
             &self.score_dims,
             samples,
-        ))?
-        .executable()
+        ))?)
     }
 
     /// Serves `features` through the pipelined two-device schedule under

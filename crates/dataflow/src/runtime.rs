@@ -5,9 +5,10 @@
 //! [`ExecutablePlan`] (rates balance, capacities meet the solver's
 //! minimal safe bounds, steady state cannot deadlock), **bind** one
 //! [`Binding`] executor per stage, then **execute** with [`run`]. The
-//! runtime spawns one scoped thread per stage, connects them with
-//! bounded `sync_channel`s sized exactly from the plan's capacities,
-//! and drives each stage `repetition × iterations` firings.
+//! runtime runs the stage with the most declared work on the calling
+//! thread and every other stage on a scoped thread of its own, connects
+//! them with bounded `sync_channel`s sized exactly from the plan's
+//! capacities, and drives each stage `repetition × iterations` firings.
 //!
 //! Each stage shape has exactly one executor type and one run loop, and
 //! every binding carries a fault policy: a serial stage is a
@@ -609,9 +610,10 @@ struct StageIo<T> {
     out_rates: Vec<usize>,
 }
 
-/// Executes a validated plan: one scoped thread per stage, bounded
-/// channels sized from the plan, `repetition × iterations` firings per
-/// serial or data-parallel stage. Returns the per-stage firing counts, or the
+/// Executes a validated plan: the busiest stage on the calling thread
+/// and one scoped thread per other stage, bounded channels sized from
+/// the plan, `repetition × iterations` firings per serial or
+/// data-parallel stage. Returns the per-stage firing counts, or the
 /// first (lowest stage index) executor error.
 pub fn run<'env, T, E>(
     plan: &ExecutablePlan,
@@ -676,19 +678,34 @@ where
         })
         .collect();
 
+    // The calling thread runs the stage with the most declared work per
+    // iteration (`repetition × cost`, the first on ties) instead of
+    // idling in `join`: one spawn fewer, and that stage's allocations
+    // stay on the caller's thread (and in its malloc arena).
+    let work = |s: usize| plan.repetition()[s] as f64 * graph.stages()[s].cost_s;
+    let busiest = (0..stage_count).fold(0, |best, s| if work(s) > work(best) { s } else { best });
     let outcomes: Vec<StageOutcome<E>> = thread::scope(|scope| {
+        let mut own = None;
         let handles: Vec<_> = bindings
             .into_iter()
             .zip(ios)
             .enumerate()
             .map(|(s, (binding, io))| {
                 let target = plan.repetition()[s] * iterations;
-                scope.spawn(move || run_stage(binding, io, target))
+                if s == busiest {
+                    own = Some((binding, io, target));
+                    return None;
+                }
+                Some(scope.spawn(move || run_stage(binding, io, target)))
             })
             .collect();
+        let mut own = own.map(|(binding, io, target)| run_stage(binding, io, target));
         handles
             .into_iter()
-            .map(|h| h.join().expect("schedule stage panicked"))
+            .map(|h| match h {
+                Some(h) => h.join().expect("schedule stage panicked"),
+                None => own.take().expect("the calling thread ran this stage"),
+            })
             .collect()
     });
 
@@ -892,6 +909,91 @@ type ParItem<T, E> = Result<Vec<T>, (E, u32)>;
 type RecoverRef<'a, T, E> =
     &'a (dyn Fn(u64, u32, &E, &mut [T]) -> Option<Result<Vec<T>, E>> + Send + Sync);
 
+/// Runs one data-parallel firing to its outcome: attempts within the
+/// policy's retry budget (all errors retryable), then the optional
+/// recovery. Stats aggregate under `shared_stats`, which is released
+/// while recovery runs: a host retrain can be slow and sibling workers
+/// may fault meanwhile.
+fn fire_par<T, E>(
+    f: &SupervisedParFn<'_, T, E>,
+    recover: Option<RecoverRef<'_, T, E>>,
+    policy: Supervision,
+    firing: u64,
+    inputs: &mut [T],
+    shared_stats: &std::sync::Mutex<StageSupervision>,
+) -> ParItem<T, E> {
+    let mut attempt = 0u32;
+    let mut backoff_s = 0.0f64;
+    loop {
+        let ctx = FiringCtx {
+            firing,
+            attempt,
+            backoff_s,
+            deadline_s: policy.deadline_s,
+        };
+        let error = match f(ctx, inputs) {
+            Ok(outs) => return Ok(outs),
+            Err(error) => error,
+        };
+        let mut stats = shared_stats.lock().expect("stats mutex");
+        stats.faults += 1;
+        if attempt < policy.max_retries {
+            attempt += 1;
+            backoff_s = policy.backoff_s(attempt);
+            stats.retries += 1;
+            stats.backoff_s += backoff_s;
+            stats.trace.push(FaultEvent {
+                firing,
+                attempt: attempt - 1,
+                action: FaultAction::Retried { backoff_s },
+            });
+            continue;
+        }
+        let attempts = attempt + 1;
+        drop(stats);
+        let recovered = recover.and_then(|r| r(firing, attempts, &error, inputs));
+        let mut stats = shared_stats.lock().expect("stats mutex");
+        let (action, item) = match recovered {
+            Some(Ok(outs)) => {
+                stats.substitutions += 1;
+                (FaultAction::Substituted, Ok(outs))
+            }
+            Some(Err(replacement_error)) => {
+                (FaultAction::Aborted, Err((replacement_error, attempts)))
+            }
+            None => (FaultAction::Aborted, Err((error, attempts))),
+        };
+        stats.trace.push(FaultEvent {
+            firing,
+            attempt,
+            action,
+        });
+        return item;
+    }
+}
+
+/// Hands one firing's outcome downstream: `Ok(false)` when a receiver
+/// is gone, `Err` for an executor error or a wrong token count.
+fn deliver<T, E>(
+    io: &StageIo<T>,
+    total_produce: usize,
+    firing: u64,
+    item: ParItem<T, E>,
+) -> Result<bool, Fault<E>> {
+    match item {
+        Ok(outs) if outs.len() != total_produce => Err(Fault::Protocol(format!(
+            "executor returned {} token(s), the graph declares {total_produce}",
+            outs.len()
+        ))),
+        Ok(outs) => Ok(send_outputs(io, outs)),
+        Err((error, attempts)) => Err(Fault::Stage {
+            error,
+            firing,
+            attempts,
+        }),
+    }
+}
+
 /// Runs a data-parallel stage under a [`Supervision`] policy. Each
 /// firing retries on its worker with the policy's budget (all errors
 /// retryable); once spent, the optional [`RecoverFn`] is consulted
@@ -900,6 +1002,12 @@ type RecoverRef<'a, T, E> =
 /// stage's sticky [`Escalation`]). Stats from the workers aggregate
 /// under a mutex and the trace is sorted to (firing, attempt) order,
 /// keeping the report deterministic regardless of interleaving.
+///
+/// A pool of one worker is the stage's own thread: it fires in order
+/// and stops at the first firing that fails unrecovered. A wider pool
+/// hands firings out round-robin, and a worker stops taking jobs once
+/// one of its firings has failed, since the collector stops at the
+/// first error in firing order.
 fn run_supervised_parmap<T: Send, E: Send>(
     f: &SupervisedParFn<'_, T, E>,
     recover: Option<RecoverRef<'_, T, E>>,
@@ -913,137 +1021,81 @@ fn run_supervised_parmap<T: Send, E: Send>(
     let per_worker = (target as usize).div_ceil(workers).max(1);
     let shared_stats = std::sync::Mutex::new(StageSupervision::default());
 
-    let (firings, fault) = thread::scope(|scope| {
-        let mut job_txs = Vec::with_capacity(workers);
-        let mut result_rxs = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (job_tx, job_rx) = sync_channel::<(u64, Vec<T>)>(per_worker);
-            let (result_tx, result_rx) = sync_channel::<ParItem<T, E>>(per_worker);
-            let shared_stats = &shared_stats;
-            scope.spawn(move || {
-                for (firing, mut inputs) in job_rx {
-                    let mut attempt = 0u32;
-                    let mut backoff_s = 0.0f64;
-                    let item: ParItem<T, E> = loop {
-                        let ctx = FiringCtx {
-                            firing,
-                            attempt,
-                            backoff_s,
-                            deadline_s: policy.deadline_s,
-                        };
-                        match f(ctx, &mut inputs) {
-                            Ok(outs) => break Ok(outs),
-                            Err(error) => {
-                                let mut stats = shared_stats.lock().expect("stats mutex");
-                                stats.faults += 1;
-                                if attempt < policy.max_retries {
-                                    attempt += 1;
-                                    backoff_s = policy.backoff_s(attempt);
-                                    stats.retries += 1;
-                                    stats.backoff_s += backoff_s;
-                                    stats.trace.push(FaultEvent {
-                                        firing,
-                                        attempt: attempt - 1,
-                                        action: FaultAction::Retried { backoff_s },
-                                    });
-                                    continue;
-                                }
-                                let attempts = attempt + 1;
-                                // Release the stats lock while recovery
-                                // runs: a host retrain can be slow and
-                                // sibling workers may fault meanwhile.
-                                drop(stats);
-                                let recovered =
-                                    recover.and_then(|r| r(firing, attempts, &error, &mut inputs));
-                                let mut stats = shared_stats.lock().expect("stats mutex");
-                                match recovered {
-                                    Some(Ok(outs)) => {
-                                        stats.substitutions += 1;
-                                        stats.trace.push(FaultEvent {
-                                            firing,
-                                            attempt,
-                                            action: FaultAction::Substituted,
-                                        });
-                                        break Ok(outs);
-                                    }
-                                    Some(Err(replacement_error)) => {
-                                        stats.trace.push(FaultEvent {
-                                            firing,
-                                            attempt,
-                                            action: FaultAction::Aborted,
-                                        });
-                                        break Err((replacement_error, attempts));
-                                    }
-                                    None => {
-                                        stats.trace.push(FaultEvent {
-                                            firing,
-                                            attempt,
-                                            action: FaultAction::Aborted,
-                                        });
-                                        break Err((error, attempts));
-                                    }
-                                }
-                            }
-                        }
-                    };
-                    if result_tx.send(item).is_err() {
-                        break;
-                    }
-                }
-            });
-            job_txs.push(job_tx);
-            result_rxs.push(result_rx);
-        }
-
-        let mut dispatched = 0u64;
+    let mut firings = 0u64;
+    let fault = if workers == 1 {
+        let mut fault = None;
         for firing in 0..target {
-            let Some(inputs) = collect_inputs(&io) else {
+            let Some(mut inputs) = collect_inputs(&io) else {
                 break;
             };
-            if job_txs[(firing as usize) % workers]
-                .send((firing, inputs))
-                .is_err()
-            {
-                break;
-            }
-            dispatched += 1;
-        }
-        drop(job_txs);
-
-        let mut firings = 0u64;
-        for firing in 0..dispatched {
-            match result_rxs[(firing as usize) % workers].recv() {
-                Ok(Ok(outs)) => {
-                    if outs.len() != total_produce {
-                        return (
-                            firings,
-                            Some(Fault::Protocol(format!(
-                                "executor returned {} token(s), the graph declares \
-                                 {total_produce}",
-                                outs.len()
-                            ))),
-                        );
-                    }
+            let item = fire_par(f, recover, policy, firing, &mut inputs, &shared_stats);
+            match deliver(&io, total_produce, firing, item) {
+                Ok(open) => {
                     firings += 1;
-                    if !send_outputs(&io, outs) {
+                    if !open {
                         break;
                     }
                 }
-                Ok(Err((error, attempts))) => {
-                    return (
-                        firings,
-                        Some(Fault::Stage {
-                            error,
-                            firing,
-                            attempts,
-                        }),
-                    );
+                Err(stage_fault) => {
+                    fault = Some(stage_fault);
+                    break;
                 }
-                Err(_) => break,
             }
         }
-        (firings, None)
-    });
+        fault
+    } else {
+        thread::scope(|scope| {
+            let mut job_txs = Vec::with_capacity(workers);
+            let mut result_rxs = Vec::with_capacity(workers);
+            for _ in 0..workers {
+                let (job_tx, job_rx) = sync_channel::<(u64, Vec<T>)>(per_worker);
+                let (result_tx, result_rx) = sync_channel::<ParItem<T, E>>(per_worker);
+                let shared_stats = &shared_stats;
+                scope.spawn(move || {
+                    for (firing, mut inputs) in job_rx {
+                        let item = fire_par(f, recover, policy, firing, &mut inputs, shared_stats);
+                        let failed = item.is_err();
+                        if result_tx.send(item).is_err() || failed {
+                            break;
+                        }
+                    }
+                });
+                job_txs.push(job_tx);
+                result_rxs.push(result_rx);
+            }
+
+            let mut dispatched = 0u64;
+            for firing in 0..target {
+                let Some(inputs) = collect_inputs(&io) else {
+                    break;
+                };
+                if job_txs[(firing as usize) % workers]
+                    .send((firing, inputs))
+                    .is_err()
+                {
+                    break;
+                }
+                dispatched += 1;
+            }
+            drop(job_txs);
+
+            for firing in 0..dispatched {
+                let Ok(item) = result_rxs[(firing as usize) % workers].recv() else {
+                    break;
+                };
+                match deliver(&io, total_produce, firing, item) {
+                    Ok(open) => {
+                        firings += 1;
+                        if !open {
+                            break;
+                        }
+                    }
+                    Err(stage_fault) => return Some(stage_fault),
+                }
+            }
+            None
+        })
+    };
 
     let mut stats = shared_stats.into_inner().expect("stats mutex");
     stats
@@ -1501,6 +1553,100 @@ mod tests {
                 error: "member fault"
             }
         );
+    }
+
+    /// The members-graph shape: one `plan` firing fans `width` tokens
+    /// out to the `work` stage, the only one with a declared cost, and
+    /// `merge` gathers them.
+    fn fan(width: usize) -> ExecutablePlan {
+        let mut g = SdfGraph::new("fan");
+        let plan = g.add_stage("plan", Resource::Host, 0.0);
+        let work = g.add_stage("work", Resource::Host, 1.0);
+        let merge = g.add_stage("merge", Resource::Host, 0.0);
+        g.add_channel(plan, work, width, 1, Some(width));
+        g.add_channel(work, merge, 1, width, Some(width));
+        ExecutablePlan::validate(g).unwrap()
+    }
+
+    #[test]
+    fn workers_stop_at_their_first_unrecovered_failure() {
+        // One plan firing queues every job before the first one runs;
+        // firing 1 fails. One worker never starts firing 2; of two
+        // workers, the one that failed never starts its later jobs.
+        for (workers, never) in [(1usize, vec![2u64, 3, 4, 5]), (2, vec![3, 5])] {
+            let started = Mutex::new(Vec::new());
+            let bindings: Vec<Binding<'_, u64, &'static str>> = vec![
+                map(|_, _| Ok((vec![0; 6], Fire::Continue))),
+                Binding::SupervisedParMap {
+                    workers,
+                    policy: Supervision::none(),
+                    f: Box::new(|ctx: FiringCtx, inputs: &mut [u64]| {
+                        started.lock().unwrap().push(ctx.firing);
+                        if ctx.firing == 1 {
+                            Err("member fault")
+                        } else {
+                            Ok(vec![inputs[0]])
+                        }
+                    }),
+                    recover: None,
+                },
+                map(|_, _| Ok((vec![], Fire::Continue))),
+            ];
+            let err = run(&fan(6), 1, bindings).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    RunError::Stage {
+                        stage: 1,
+                        firing: 1,
+                        ..
+                    }
+                ),
+                "{workers} worker(s): {err:?}"
+            );
+            let started = started.into_inner().unwrap();
+            assert!(started.contains(&1), "{workers} worker(s): {started:?}");
+            assert!(
+                never.iter().all(|f| !started.contains(f)),
+                "{workers} worker(s): {started:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn busiest_stage_and_its_one_worker_run_on_the_calling_thread() {
+        let caller = thread::current().id();
+        let seen = Mutex::new(Vec::new());
+        let note = |stage: &'static str| seen.lock().unwrap().push((stage, thread::current().id()));
+        let bindings: Vec<Binding<'_, u64, Infallible>> = vec![
+            map(|_, _| {
+                note("plan");
+                Ok((vec![0; 3], Fire::Continue))
+            }),
+            Binding::SupervisedParMap {
+                workers: 1,
+                policy: Supervision::none(),
+                f: Box::new(|_, inputs: &mut [u64]| {
+                    note("work");
+                    Ok(vec![inputs[0]])
+                }),
+                recover: None,
+            },
+            map(|_, _| {
+                note("merge");
+                Ok((vec![], Fire::Continue))
+            }),
+        ];
+        run(&fan(3), 1, bindings).unwrap();
+        let seen = seen.into_inner().unwrap();
+        assert_eq!(seen.len(), 5, "{seen:?}");
+        for (stage, id) in seen {
+            assert_eq!(
+                id == caller,
+                stage == "work",
+                "{stage} ran on the wrong thread"
+            );
+        }
     }
 
     #[test]

@@ -114,8 +114,16 @@ impl QuantizedModel {
     /// forward pass min/max-calibrates each layer-boundary tensor as it
     /// goes, each layer becomes its stage once, and the range analysis
     /// runs once on the stages returned, whose report comes back alongside
-    /// them so the compiler need not recompute it.
-    pub(crate) fn quantize_checked(
+    /// them so callers (the compiler, `hyperedge verify --ranges`) need not
+    /// recompute it. `per_channel` picks
+    /// [`QuantizedModel::quantize_per_channel`]'s weight scheme over
+    /// [`QuantizedModel::quantize`]'s.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`QuantizedModel::quantize_per_channel`] when `per_channel`
+    /// is set, else same as [`QuantizedModel::quantize`].
+    pub fn quantize_checked(
         model: &Model,
         calibration: &Matrix,
         per_channel: bool,

@@ -7,21 +7,24 @@
 //! the analyzer's predicted elapsed time to 1e-12 over randomized
 //! workloads, and the production schedules must verify cleanly while a
 //! deliberately undersized channel bound is rejected with the analyzer's
-//! computed minimum in the message.
+//! computed minimum in the message. Over random graphs the analyzer
+//! (what `hyperedge verify --schedule` reports) and the runtime's
+//! validator (what every execution checks) must reject exactly the same
+//! declarations.
 
 use std::convert::Infallible;
 
 use proptest::prelude::*;
 
 use hd_analysis::dataflow::analyze;
-use hd_dataflow::runtime::{self, Binding, ExecutablePlan, Fire, Supervised, Supervision};
-use hd_dataflow::{Resource, SdfGraph};
+use hd_bagging::members_graph;
+use hd_dataflow::runtime::{
+    self, Binding, ExecutablePlan, Fire, PlanError, Supervised, Supervision,
+};
+use hd_dataflow::{solve, Resource, SdfGraph};
 use hd_tensor::rng::DetRng;
 use hd_tensor::Matrix;
-use hyperedge::schedule::{
-    self, encode_score_graph, overlapped_invoke_graph, parallel_members_graph, SchedulePlan,
-};
-use hyperedge::FrameworkError;
+use hyperedge::schedule::{self, encode_score_graph, overlapped_invoke_graph};
 use integration_tests::invoke_in_chunks;
 use tpu_sim::timing::ModelDims;
 use tpu_sim::{Device, DeviceConfig};
@@ -123,7 +126,7 @@ proptest! {
         let score_dims = ModelDims::encoder(64, 3);
         let graphs = [
             overlapped_invoke_graph(&cfg, &encoder_dims, samples),
-            parallel_members_graph(members, 0.25),
+            members_graph(members, 0.25),
             encode_score_graph(&cfg, &encoder_dims, &score_dims, samples),
         ];
         for graph in graphs {
@@ -169,12 +172,17 @@ fn undersized_stream_channel_is_rejected_with_minimum() {
     let encode = graph.add_stage("encode", Resource::DEVICE, 3e-3);
     let update = graph.add_stage("update", Resource::Host, 1e-3);
     graph.add_channel(encode, update, 1, 1, Some(0));
-    let err = SchedulePlan::declare(graph).unwrap_err();
-    let FrameworkError::Schedule(diags) = err else {
-        panic!("expected a Schedule error");
-    };
-    let hit = diags
-        .iter()
+    assert_eq!(
+        ExecutablePlan::validate(graph.clone()).unwrap_err(),
+        PlanError::Undersized {
+            channel: 0,
+            declared: 0,
+            minimum: 1
+        }
+    );
+    let hit = analyze(&graph)
+        .diagnostics
+        .into_iter()
         .find(|d| d.code == "schedule/buffer-undersized")
         .expect("buffer-undersized diagnostic");
     assert!(
@@ -213,9 +221,64 @@ fn overlapped_invoke_accepts_all_shapes() {
     for (features, dim) in [(4, 16), (27, 10_000), (784, 10_000)] {
         for samples in [1usize, 7, 256] {
             let dims = ModelDims::encoder(features, dim);
-            let plan = SchedulePlan::declare(overlapped_invoke_graph(&cfg, &dims, samples))
-                .expect("overlapped invoke must verify");
-            assert!(plan.critical_path_s().unwrap() > 0.0);
+            let plan = ExecutablePlan::validate(overlapped_invoke_graph(&cfg, &dims, samples))
+                .expect("overlapped invoke must validate");
+            assert!(solve::critical_path_s(plan.graph(), plan.repetition()) > 0.0);
         }
+    }
+}
+
+/// One random channel: endpoint picks (reduced modulo the stage count),
+/// produce and consume rates, and a capacity code (8 leaves the channel
+/// unbounded, anything below is the declared capacity).
+type ChannelSpec = (usize, usize, usize, usize, usize);
+
+/// A graph of `stages` host stages wired by `channels`, without initial
+/// tokens — the runtime cannot materialize delays, so only delay-free
+/// graphs are comparable.
+fn random_graph(stages: usize, channels: &[ChannelSpec]) -> SdfGraph {
+    let mut g = SdfGraph::new("random");
+    let ids: Vec<_> = (0..stages)
+        .map(|s| g.add_stage(format!("s{s}"), Resource::Host, 1.0))
+        .collect();
+    for &(from, to, produce, consume, cap) in channels {
+        let capacity = (cap < 8).then_some(cap);
+        g.add_channel(
+            ids[from % stages],
+            ids[to % stages],
+            produce,
+            consume,
+            capacity,
+        );
+    }
+    g
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// Over random delay-free graphs (1–4 stages, 0–4 channels, rates
+    /// 0–3, capacities open or 0–7, self-loops and cycles included): the
+    /// analyzer reports an error exactly when the runtime's validator
+    /// refuses the graph. A schedule `verify --schedule` rejects can
+    /// therefore never run, and one it accepts always can.
+    #[test]
+    fn prop_analyzer_rejects_exactly_what_the_runtime_refuses(
+        stages in 1usize..5,
+        channels in proptest::collection::vec(
+            (0usize..4, 0usize..4, 0usize..4, 0usize..4, 0usize..9),
+            0..5,
+        ),
+    ) {
+        let graph = random_graph(stages, &channels);
+        let report = analyze(&graph);
+        let validated = ExecutablePlan::validate(graph);
+        prop_assert_eq!(
+            report.has_errors(),
+            validated.is_err(),
+            "analyzer {:?} vs validator {:?}",
+            report.diagnostics,
+            validated.err()
+        );
     }
 }
