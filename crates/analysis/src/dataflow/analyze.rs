@@ -1,24 +1,23 @@
 //! The static schedule analyzer.
 //!
-//! [`analyze`] takes a declared [`SdfGraph`] and produces a
-//! [`ScheduleReport`]: typed `schedule/*` diagnostics plus, whenever the
-//! rates balance, a [`ScheduleAnalysis`] with the repetition vector, the
-//! minimal safe capacity of every channel, and the analytic critical
-//! path of one steady-state iteration.
-//!
-//! The rate mathematics itself (balance-equation solve, minimal bounds,
-//! steady-state simulation, busy times) lives in [`hd_dataflow::solve`]
-//! and is shared verbatim with the executing runtime
-//! ([`hd_dataflow::runtime`]), so what this analyzer proves is exactly
-//! what the runtime runs.
+//! [`analyze`] reports the runtime's own verdict on a declared
+//! [`SdfGraph`]: it calls [`ExecutablePlan::validate`] once — the check
+//! every execution obeys — and renders a refusal as the matching
+//! `schedule/*` error. An accepted plan yields a [`ScheduleAnalysis`]
+//! read from the plan (repetition vector, per-resource busy time and the
+//! analytic critical path of one steady-state iteration) and a
+//! `schedule/no-overlap` warning for every cross-resource channel too
+//! shallow to overlap its endpoints. What this analyzer accepts is
+//! therefore exactly what the runtime runs.
 
 use std::fmt;
 
 use hd_dataflow::graph::{Resource, SdfGraph};
-use hd_dataflow::solve;
+use hd_dataflow::runtime::{ExecutablePlan, PlanError};
+use hd_dataflow::solve::{self, Stall};
 use wide_nn::diag::Diagnostic;
 
-/// Quantitative results of a successful rate analysis.
+/// Solved facts of a plan the runtime accepts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleAnalysis {
     /// Stage names, in [`SdfGraph::stages`] order (for reporting).
@@ -27,10 +26,6 @@ pub struct ScheduleAnalysis {
     /// [`SdfGraph::stages`] order — the smallest positive solution of
     /// the balance equations.
     pub repetition: Vec<u64>,
-    /// Minimal safe capacity of each channel, in
-    /// [`SdfGraph::channels`] order: `produce + consume - gcd`, and
-    /// never below the initial token count.
-    pub min_capacities: Vec<usize>,
     /// Busy seconds per resource over one iteration:
     /// `Σ repetition × cost` of the stages pinned to it, ordered
     /// devices, host, links.
@@ -46,10 +41,9 @@ pub struct ScheduleAnalysis {
 pub struct ScheduleReport {
     /// Name of the analyzed graph.
     pub graph: String,
-    /// All `schedule/*` findings, in emission order.
+    /// The refusal as one error, or the accepted plan's warnings.
     pub diagnostics: Vec<Diagnostic>,
-    /// Quantitative analysis; `None` when the rates are inconsistent
-    /// (no repetition vector exists to analyze further).
+    /// Solved facts; `None` when the runtime refuses the graph.
     pub analysis: Option<ScheduleAnalysis>,
 }
 
@@ -96,11 +90,11 @@ impl fmt::Display for ScheduleReport {
 }
 
 /// Builds the `schedule/deadlock` diagnostic for a stalled state.
-fn deadlock_diag(graph: &SdfGraph, tokens: &[usize], remaining: &[u64]) -> Diagnostic {
+fn deadlock_diag(graph: &SdfGraph, stall: &Stall) -> Diagnostic {
     let mut stuck = Vec::new();
     let mut reason = String::new();
     for (s, stage) in graph.stages().iter().enumerate() {
-        if remaining[s] == 0 {
+        if stall.remaining[s] == 0 {
             continue;
         }
         stuck.push(stage.name.clone());
@@ -108,24 +102,23 @@ fn deadlock_diag(graph: &SdfGraph, tokens: &[usize], remaining: &[u64]) -> Diagn
             continue;
         }
         for (c, channel) in graph.channels().iter().enumerate() {
-            if channel.to.index() == s && tokens[c] < channel.consume {
+            let held = stall.tokens[c];
+            if channel.to.index() == s && held < channel.consume {
                 reason = format!(
-                    "`{}` waits for {} token(s) on `{}` which holds {}",
+                    "`{}` waits for {} token(s) on `{}` which holds {held}",
                     stage.name,
                     channel.consume,
                     graph.channel_label(channel),
-                    tokens[c]
                 );
                 break;
             }
             if channel.from.index() == s {
                 if let Some(cap) = channel.capacity {
-                    if tokens[c] + channel.produce > cap {
+                    if held + channel.produce > cap {
                         reason = format!(
-                            "`{}` has no space on `{}` (capacity {cap}, holding {})",
+                            "`{}` has no space on `{}` (capacity {cap}, holding {held})",
                             stage.name,
                             graph.channel_label(channel),
-                            tokens[c]
                         );
                         break;
                     }
@@ -141,166 +134,98 @@ fn deadlock_diag(graph: &SdfGraph, tokens: &[usize], remaining: &[u64]) -> Diagn
         ),
     )
     .with_help(
-        "break the zero-token dependency cycle with initial tokens (a pipeline delay) \
-         or raise the blocking channel's capacity",
+        "every channel starts empty, so break the dependency cycle or raise the blocking \
+         channel's capacity",
     )
 }
 
-/// Orders keyed diagnostics by (stage index, channel index) — stable,
-/// so findings at the same position keep their emission order — and
-/// strips the keys.
-fn finish(mut keyed: Vec<((usize, usize), Diagnostic)>) -> Vec<Diagnostic> {
-    keyed.sort_by_key(|&(key, _)| key);
-    keyed.into_iter().map(|(_, d)| d).collect()
+/// Renders the validator's refusal as its `schedule/*` error.
+fn plan_error_diag(graph: &SdfGraph, err: &PlanError) -> Diagnostic {
+    let channel = |c: usize| &graph.channels()[c];
+    match err {
+        PlanError::Dangling { .. } => Diagnostic::error(
+            "schedule/rate-inconsistent",
+            "a channel references a stage that is not part of this graph".to_string(),
+        ),
+        PlanError::ZeroRate { channel: c } => {
+            let channel = channel(*c);
+            Diagnostic::error(
+                "schedule/rate-inconsistent",
+                format!(
+                    "channel `{}` declares a zero token rate (produce {}, consume {})",
+                    graph.channel_label(channel),
+                    channel.produce,
+                    channel.consume
+                ),
+            )
+            .with_help("every firing must move at least one token")
+        }
+        PlanError::RateInconsistent { channel: c } => {
+            let channel = channel(*c);
+            Diagnostic::error(
+                "schedule/rate-inconsistent",
+                format!(
+                    "channel `{}` (produce {}, consume {}) contradicts the rates implied by \
+                     the rest of the graph: no balanced repetition vector exists",
+                    graph.channel_label(channel),
+                    channel.produce,
+                    channel.consume
+                ),
+            )
+            .with_help(
+                "every cycle of rate ratios must multiply to 1; fix the \
+                 production/consumption declaration of this channel",
+            )
+        }
+        PlanError::Undersized {
+            channel: c,
+            declared,
+            minimum,
+        } => Diagnostic::error(
+            "schedule/buffer-undersized",
+            format!(
+                "channel `{}` declares capacity {declared}, below the minimal safe bound \
+                 {minimum}",
+                graph.channel_label(channel(*c))
+            ),
+        )
+        .with_help(format!(
+            "raise the declared bound to at least {minimum} (produce + consume - gcd)"
+        )),
+        PlanError::Deadlock(stall) => deadlock_diag(graph, stall),
+    }
 }
 
-/// Analyzes a declared schedule: rate consistency, repetition vector,
-/// buffer bounds, deadlock freedom, and the analytic critical path.
+/// Analyzes a declared schedule: the runtime's verdict on it, and for
+/// an accepted plan its overlap warnings and analytic critical path.
 #[must_use]
 pub fn analyze(graph: &SdfGraph) -> ScheduleReport {
-    // Diagnostics carry a (stage index, channel index) sort key so the
-    // report order is deterministic and position-based, independent of
-    // the order the checks below happen to run in. Whole-graph findings
-    // (deadlock) key past every per-channel one.
-    let mut keyed: Vec<((usize, usize), Diagnostic)> = Vec::new();
-    let stage_count = graph.stages().len();
-
-    // Structural validity: every channel must name real stages and
-    // positive rates, otherwise no balance equation is meaningful.
-    for (c, channel) in graph.channels().iter().enumerate() {
-        if channel.from.index() >= stage_count || channel.to.index() >= stage_count {
-            keyed.push((
-                (channel.from.index().min(stage_count), c),
-                Diagnostic::error(
-                    "schedule/rate-inconsistent",
-                    "a channel references a stage that is not part of this graph".to_string(),
-                ),
-            ));
-        } else if channel.produce == 0 || channel.consume == 0 {
-            keyed.push((
-                (channel.from.index(), c),
-                Diagnostic::error(
-                    "schedule/rate-inconsistent",
-                    format!(
-                        "channel `{}` declares a zero token rate (produce {}, consume {})",
-                        graph.channel_label(channel),
-                        channel.produce,
-                        channel.consume
-                    ),
-                )
-                .with_help("every firing must move at least one token"),
-            ));
-        }
-    }
-    if !keyed.is_empty() {
-        return ScheduleReport {
-            graph: graph.name().to_string(),
-            diagnostics: finish(keyed),
-            analysis: None,
-        };
-    }
-
-    let repetition = match solve::repetition_vector(graph) {
-        Ok(reps) => reps,
+    let plan = match ExecutablePlan::validate(graph.clone()) {
+        Ok(plan) => plan,
         Err(err) => {
-            let diag = match err {
-                solve::RateError::Inconsistent { channel } => {
-                    let channel = &graph.channels()[channel];
-                    Diagnostic::error(
-                        "schedule/rate-inconsistent",
-                        format!(
-                            "channel `{}` (produce {}, consume {}) contradicts the rates \
-                             implied by the rest of the graph: no balanced repetition \
-                             vector exists",
-                            graph.channel_label(channel),
-                            channel.produce,
-                            channel.consume
-                        ),
-                    )
-                    .with_help(
-                        "every cycle of rate ratios must multiply to 1; fix the \
-                         production/consumption declaration of this channel",
-                    )
-                }
-                // Structural errors were already reported above; if the
-                // solver still surfaces one, report it rather than panic.
-                solve::RateError::Dangling { .. } => Diagnostic::error(
-                    "schedule/rate-inconsistent",
-                    "a channel references a stage that is not part of this graph".to_string(),
-                ),
-                solve::RateError::ZeroRate { channel } => {
-                    let channel = &graph.channels()[channel];
-                    Diagnostic::error(
-                        "schedule/rate-inconsistent",
-                        format!(
-                            "channel `{}` declares a zero token rate (produce {}, consume {})",
-                            graph.channel_label(channel),
-                            channel.produce,
-                            channel.consume
-                        ),
-                    )
-                    .with_help("every firing must move at least one token")
-                }
-            };
             return ScheduleReport {
                 graph: graph.name().to_string(),
-                diagnostics: vec![diag],
+                diagnostics: vec![plan_error_diag(graph, &err)],
                 analysis: None,
-            };
+            }
         }
     };
+    let graph = plan.graph();
 
-    // Self-loops that can never gather their own first tokens.
+    // A cross-resource channel whose declared bound cannot hold one
+    // producer and one consumer firing at once serializes its
+    // endpoints. Warnings come out ordered by (producer stage, channel).
+    let mut warnings: Vec<((usize, usize), Diagnostic)> = Vec::new();
     for (c, channel) in graph.channels().iter().enumerate() {
-        if channel.from == channel.to && channel.initial_tokens < channel.consume {
-            keyed.push((
-                (channel.from.index(), c),
-                Diagnostic::error(
-                    "schedule/resource-self-cycle",
-                    format!(
-                        "stage `{}` feeds itself through `{}` holding {} initial token(s) \
-                         but consuming {} per firing: it can never fire",
-                        graph.stages()[channel.from.index()].name,
-                        graph.channel_label(channel),
-                        channel.initial_tokens,
-                        channel.consume
-                    ),
-                )
-                .with_help("seed the self-loop with at least `consume` initial tokens"),
-            ));
-        }
-    }
-
-    // Minimal safe bounds and overlap depth per channel.
-    let mut min_capacities = Vec::with_capacity(graph.channels().len());
-    for (c, channel) in graph.channels().iter().enumerate() {
-        let min_bound = solve::min_capacity(channel);
-        min_capacities.push(min_bound);
         let Some(declared) = channel.capacity else {
             continue;
         };
-        if declared < min_bound {
-            keyed.push((
-                (channel.from.index(), c),
-                Diagnostic::error(
-                    "schedule/buffer-undersized",
-                    format!(
-                        "channel `{}` declares capacity {declared}, below the minimal safe \
-                         bound {min_bound}",
-                        graph.channel_label(channel)
-                    ),
-                )
-                .with_help(format!(
-                    "raise the declared bound to at least {min_bound} \
-                     (produce + consume - gcd)"
-                )),
-            ));
-        } else if declared < channel.produce + channel.consume
+        let overlap = channel.produce + channel.consume;
+        if declared < overlap
             && graph.stages()[channel.from.index()].resource
                 != graph.stages()[channel.to.index()].resource
         {
-            let overlap = channel.produce + channel.consume;
-            keyed.push((
+            warnings.push((
                 (channel.from.index(), c),
                 Diagnostic::warning(
                     "schedule/no-overlap",
@@ -317,33 +242,16 @@ pub fn analyze(graph: &SdfGraph) -> ScheduleReport {
             ));
         }
     }
-
-    // Deadlock freedom, only meaningful once the structure is sound.
-    let structurally_sound = !keyed
-        .iter()
-        .any(|(_, d)| d.severity == wide_nn::diag::Severity::Error);
-    if structurally_sound {
-        if let Err(stall) = solve::simulate_steady_state(graph, &repetition) {
-            keyed.push((
-                (stage_count, graph.channels().len()),
-                deadlock_diag(graph, &stall.tokens, &stall.remaining),
-            ));
-        }
-    }
-
-    // Critical path: resources serialize internally, overlap mutually.
-    let resource_busy_s = solve::resource_busy_s(graph, &repetition);
-    let critical_path_s = solve::critical_path_s(graph, &repetition);
+    warnings.sort_by_key(|&(key, _)| key);
 
     ScheduleReport {
         graph: graph.name().to_string(),
-        diagnostics: finish(keyed),
+        diagnostics: warnings.into_iter().map(|(_, d)| d).collect(),
         analysis: Some(ScheduleAnalysis {
             stage_names: graph.stages().iter().map(|s| s.name.clone()).collect(),
-            repetition,
-            min_capacities,
-            resource_busy_s,
-            critical_path_s,
+            repetition: plan.repetition().to_vec(),
+            resource_busy_s: solve::resource_busy_s(graph, plan.repetition()),
+            critical_path_s: solve::critical_path_s(graph, plan.repetition()),
         }),
     }
 }
@@ -374,7 +282,6 @@ mod tests {
         assert!(report.diagnostics.is_empty(), "{report}");
         let analysis = report.analysis.expect("analysis");
         assert_eq!(analysis.repetition, vec![1, 1, 1]);
-        assert_eq!(analysis.min_capacities, vec![1, 1]);
         // Critical path: overhead + max(link busy 3e-3, device busy 5e-3).
         assert!((analysis.critical_path_s - 6e-3).abs() < 1e-15);
     }
@@ -391,8 +298,6 @@ mod tests {
         assert!(!report.has_errors(), "{report}");
         let analysis = report.analysis.expect("analysis");
         assert_eq!(analysis.repetition, vec![1, 4, 1]);
-        // (4, 1): 4 + 1 - gcd(4,1) = 4.
-        assert_eq!(analysis.min_capacities, vec![4, 4]);
     }
 
     #[test]
@@ -434,8 +339,24 @@ mod tests {
             "{}",
             report.diagnostics[0].message
         );
-        // The analysis still reports the minimum for the caller.
-        assert_eq!(report.analysis.expect("analysis").min_capacities, vec![4]);
+        // A refused graph has no solved facts to report.
+        assert!(report.analysis.is_none());
+    }
+
+    #[test]
+    fn rejection_reports_only_the_validators_first_error() {
+        let mut g = SdfGraph::new("two-faults");
+        let a = g.add_stage("a", Resource::DEVICE, 1.0);
+        let b = g.add_stage("b", Resource::Host, 1.0);
+        g.add_channel(a, b, 1, 1, Some(0));
+        g.add_channel(b, a, 1, 1, Some(0));
+        let report = analyze(&g);
+        assert_eq!(codes(&report), vec!["schedule/buffer-undersized"]);
+        assert!(
+            report.diagnostics[0].message.contains("`a -> b`"),
+            "{}",
+            report.diagnostics[0].message
+        );
     }
 
     #[test]
@@ -463,33 +384,22 @@ mod tests {
         assert!(report.diagnostics[0].message.contains("waits for"));
     }
 
-    #[test]
-    fn initial_tokens_break_the_cycle() {
-        let mut g = SdfGraph::new("pipelined-cycle");
-        let a = g.add_stage("a", Resource::Host, 1.0);
-        let b = g.add_stage("b", Resource::Host, 1.0);
-        g.add_channel(a, b, 1, 1, None);
-        g.add_channel_with_delay(b, a, 1, 1, None, 1);
-        let report = analyze(&g);
-        assert!(!report.has_errors(), "{report}");
-    }
-
+    // Every channel starts empty, so an unfireable self-loop is an
+    // ordinary steady-state deadlock.
     #[test]
     fn unfireable_self_loop_is_rejected() {
         let mut g = SdfGraph::new("self-loop");
         let a = g.add_stage("a", Resource::DEVICE, 1.0);
         g.add_channel(a, a, 1, 1, Some(1));
         let report = analyze(&g);
-        assert!(codes(&report).contains(&"schedule/resource-self-cycle"));
-    }
-
-    #[test]
-    fn seeded_self_loop_is_fine() {
-        let mut g = SdfGraph::new("seeded-self-loop");
-        let a = g.add_stage("a", Resource::DEVICE, 1.0);
-        g.add_channel_with_delay(a, a, 1, 1, Some(1), 1);
-        let report = analyze(&g);
-        assert!(!report.has_errors(), "{report}");
+        assert_eq!(codes(&report), vec!["schedule/deadlock"]);
+        assert!(
+            report.diagnostics[0]
+                .message
+                .contains("`a` waits for 1 token(s) on `a -> a` which holds 0"),
+            "{}",
+            report.diagnostics[0].message
+        );
     }
 
     #[test]
@@ -566,7 +476,6 @@ mod tests {
             "rate-inconsistent",
             "buffer-undersized",
             "deadlock",
-            "resource-self-cycle",
             "no-overlap",
         ] {
             assert!(names.contains(&code), "{code} missing from SCHEDULE_RULES");

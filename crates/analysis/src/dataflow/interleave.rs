@@ -4,10 +4,10 @@
 //! [`hd_dataflow::model_check`] over a declared graph and renders every
 //! [`Violation`] as a `schedule/interleaving-*` diagnostic in the shared
 //! [`Diagnostic`] currency, so model-check findings flow through the
-//! same text/JSON/SARIF machinery as the symbolic analyzer's. The two
-//! are complementary oracles: the symbolic analyzer
-//! ([`analyze`](crate::dataflow::analyze)) fires whole stages atomically
-//! and proves rate/bound/deadlock properties of the *declaration*, while
+//! same text/JSON/SARIF machinery as the analyzer's. The two are
+//! complementary oracles: the analyzer
+//! ([`analyze`](crate::dataflow::analyze)) reports the runtime
+//! validator's whole-stage verdict on the *declaration*, while
 //! the checker replays the runtime's per-token semantics and proves the
 //! same properties — plus loss-free teardown under injected faults — for
 //! every *interleaving* the runtime could schedule.
@@ -99,8 +99,8 @@ fn render(graph: &SdfGraph, violation: &Violation) -> Diagnostic {
                 ),
             )
             .with_help(
-                "raise the blocking channel's capacity or seed the dependency cycle with \
-                 initial tokens; the symbolic analyzer's minimal bounds are necessary but \
+                "raise the blocking channel's capacity or break the dependency cycle (every \
+                 channel starts empty); the validator's minimal bounds are necessary but \
                  this interleaving shows they are not sufficient here",
             )
         }

@@ -11,36 +11,41 @@
 //! The IR ([`hd_dataflow::graph`]) models a schedule as stages with token
 //! production/consumption rates on bounded channels, a resource tag
 //! ([`Resource`]: device, host, or link) and a per-firing cost in
-//! seconds. The analyzer ([`analyze`]) computes:
+//! seconds. Every channel starts empty.
 //!
-//! * the **repetition vector** — the smallest positive integer firing
-//!   counts balancing every channel (`schedule/rate-inconsistent` when
-//!   no such vector exists),
-//! * **minimal safe channel bounds** — `produce + consume - gcd` per
-//!   channel; a declared capacity below it is
-//!   `schedule/buffer-undersized` (the message names the computed
-//!   minimum), and a cross-resource channel too shallow to overlap its
-//!   endpoints earns a `schedule/no-overlap` warning,
-//! * **deadlock-freedom** — symbolic execution of one steady-state
-//!   iteration under the declared capacities; a stalled state is
-//!   `schedule/deadlock`, and a structurally unfireable self-loop is
-//!   `schedule/resource-self-cycle`,
-//! * the **analytic critical path** — per steady-state iteration,
-//!   `overhead + max over resources of Σ(firings × cost)`: resources
-//!   serialize internally and overlap with each other, exactly the
-//!   `elapsed = overhead + max(transfer, compute)` law the simulated
-//!   device's ledger obeys. The prediction is a checkable lower bound
-//!   that the integration suite pins against measured ledgers to 1e-12.
+//! There is one verdict on whether a schedule runs:
+//! [`ExecutablePlan::validate`](hd_dataflow::runtime::ExecutablePlan::validate),
+//! which every execution obeys. The analyzer ([`analyze`]) calls it once
+//! and reports its refusal as one error:
 //!
-//! The symbolic analyzer fires whole stages atomically. Its dynamic
+//! * `schedule/rate-inconsistent` — no smallest positive integer
+//!   repetition vector balances every channel (or a channel is
+//!   dangling or declares a zero rate),
+//! * `schedule/buffer-undersized` — a declared capacity is below the
+//!   minimal safe bound `produce + consume - gcd`; the message names
+//!   the minimum,
+//! * `schedule/deadlock` — symbolic execution of one steady-state
+//!   iteration under the declared capacities stalls (any directed
+//!   cycle, an empty self-loop included, since no channel is seeded);
+//!   the message names the stuck stages and the blocking channel.
+//!
+//! For an accepted plan it adds a `schedule/no-overlap` warning for
+//! every cross-resource channel too shallow to overlap its endpoints,
+//! and reports the **analytic critical path** per steady-state
+//! iteration, `overhead + max over resources of Σ(firings × cost)`:
+//! resources serialize internally and overlap with each other, exactly
+//! the `elapsed = overhead + max(transfer, compute)` law the simulated
+//! device's ledger obeys. The prediction is a checkable lower bound that
+//! the integration suite pins against measured ledgers to 1e-12.
+//!
+//! The validator fires whole stages atomically. Its dynamic
 //! counterpart, [`check_interleavings`], drives the exhaustive
 //! interleaving model checker ([`hd_dataflow::model_check`]) over the
 //! same declaration, replaying the runtime's per-token `sync_channel`
 //! semantics — including `Fire::Stop` and executor-error teardown
 //! injected at every reachable firing — and surfaces its verdicts as
-//! `schedule/interleaving-*` diagnostics. Each side is the other's
-//! oracle: a differential property test holds their deadlock verdicts
-//! equal over random graphs.
+//! `schedule/interleaving-*` diagnostics. A differential property test
+//! holds the two deadlock verdicts equal over random graphs.
 //!
 //! Diagnostics reuse the shared [`Diagnostic`](wide_nn::diag::Diagnostic)
 //! currency under the `schedule/` code namespace; [`SCHEDULE_RULES`]
@@ -56,6 +61,7 @@ pub use interleave::{check_interleavings, InterleavingReport};
 // with the executing runtime; re-exported here so analysis consumers keep
 // their `hd_analysis::dataflow::*` paths.
 pub use hd_dataflow::graph::{Channel, Resource, SdfGraph, Stage, StageId};
+pub use hd_dataflow::solve::min_capacity;
 
 use crate::rules::RuleInfo;
 use wide_nn::diag::Severity;
@@ -81,12 +87,6 @@ pub const SCHEDULE_RULES: &[RuleInfo] = &[
         severity: Severity::Error,
         description: "symbolic execution of the steady state stalls: some stage can never \
                       gather its input tokens and output space",
-    },
-    RuleInfo {
-        name: "resource-self-cycle",
-        severity: Severity::Error,
-        description: "a stage feeds itself through a channel holding fewer initial tokens \
-                      than one firing consumes, so it can never fire",
     },
     RuleInfo {
         name: "no-overlap",

@@ -145,3 +145,38 @@ fn malformed_allowlist_is_a_usage_error() {
         .expect("run hd-lint");
     assert_eq!(output.status.code(), Some(2), "bad allowlist must exit 2");
 }
+
+/// The README's rules table is the `--list-rules` catalog rendered as
+/// Markdown: one row per registered rule, in catalog order, with the
+/// same severity and description.
+#[test]
+fn readme_rule_table_matches_the_registered_rules() {
+    let readme =
+        std::fs::read_to_string(workspace_root().join("README.md")).expect("read README.md");
+    let rows: Vec<(String, String, String)> = readme
+        .lines()
+        .skip_while(|line| *line != "| Rule | Severity | Description |")
+        .skip(2)
+        .take_while(|line| line.starts_with('|'))
+        .map(|line| {
+            let cells = line
+                .strip_prefix("| ")
+                .and_then(|l| l.strip_suffix(" |"))
+                .unwrap_or_else(|| panic!("malformed table row: {line}"));
+            let mut cells = cells.splitn(3, " | ");
+            let mut cell = || cells.next().unwrap_or_default().to_string();
+            (cell().trim_matches('`').to_string(), cell(), cell())
+        })
+        .collect();
+    let registered: Vec<(String, String, String)> = hd_analysis::sarif::registered_rules()
+        .into_iter()
+        .map(|(id, rule)| {
+            (
+                id,
+                rule.severity.name().to_string(),
+                rule.description.to_string(),
+            )
+        })
+        .collect();
+    assert_eq!(rows, registered);
+}

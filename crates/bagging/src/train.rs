@@ -669,28 +669,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_with_one_thread_is_the_sequential_path() {
-        let (features, labels) = clustered(10, 8, 2, 25);
-        let config = BaggingConfig::paper_defaults(256).with_seed(26);
-        let specs = bagged_member_specs(features.rows(), features.cols(), &config).unwrap();
-        let (model, _) = train_members_parallel(
-            &features,
-            &labels,
-            2,
-            specs,
-            &HostExecutor,
-            MemberRecovery::Fail,
-            1,
-        )
-        .unwrap();
-        let (reference, _) = train_bagged(&features, &labels, 2, &config).unwrap();
-        assert_eq!(
-            model.merge().unwrap().classes().as_matrix(),
-            reference.merge().unwrap().classes().as_matrix()
-        );
-    }
-
     /// Fails every encode with a backend error — deterministic under
     /// parallel member scheduling, unlike a call-counting executor.
     struct DeadExecutor;

@@ -20,22 +20,24 @@
 //! per-stage accumulator and output bounds; a model whose worst-case
 //! accumulator exceeds the i32 datapath fails the check (exit 1).
 //!
-//! `verify --schedule` runs the static dataflow-schedule analyzer over
-//! the framework's two declared SDF training schedules (the
-//! double-buffered device invoke and parallel bagged-member training):
-//! repetition vectors, buffer bounds, deadlock-freedom, and the analytic
-//! critical path. `--members` re-declares the bagging fan-out.
+//! `verify --schedule` reports the runtime validator's verdict on the
+//! framework's three production SDF schedules (the double-buffered
+//! device invoke, parallel bagged-member training and two-device
+//! serving): repetition vectors, buffer bounds, deadlock-freedom, and
+//! the analytic critical path. `--members` re-declares the bagging
+//! fan-out and must be at least 1.
 //!
-//! `verify --model-check` goes one level deeper: it hands all three
-//! production schedules (the two above plus the two-device serving
-//! graph) to the exhaustive interleaving model checker
+//! `verify --model-check` goes one level deeper: it hands the same
+//! three production schedules to the exhaustive interleaving model
+//! checker
 //! ([`hd_analysis::dataflow::check_interleavings`]), which replays the
 //! runtime's per-token channel semantics over every reachable schedule
 //! order — with stop and executor-error faults injected at every
 //! reachable firing — and reports `schedule/interleaving-*` findings.
 //! The explored state and transition counts are always printed (and
 //! carried in the JSON/SARIF output), so a truncated search can never
-//! pass silently; `--depth N` bounds the explored depth explicitly.
+//! pass silently; `--depth N` (at least 1) bounds the explored depth
+//! explicitly.
 //!
 //! These flags include bare booleans (`--deny-warnings`), so the two
 //! subcommands parse their own arguments instead of going through
@@ -46,7 +48,8 @@
 use std::process::ExitCode;
 
 use hd_analysis::dataflow::{
-    analyze, check_interleavings, CheckConfig, InterleavingReport, ScheduleReport, SdfGraph,
+    analyze, check_interleavings, min_capacity, CheckConfig, InterleavingReport, ScheduleReport,
+    SdfGraph,
 };
 use hd_analysis::{engine, json, sarif, Allowlist};
 use hd_tensor::Matrix;
@@ -133,9 +136,9 @@ fn run_lint(args: &[String]) -> Result<bool, String> {
 
 /// Renders the solved schedule facts — per-stage repetition counts,
 /// per-channel declared/minimal capacities, and the analytic critical
-/// path — as a JSON array, one object per schedule. Rate-inconsistent
-/// graphs (no solution) carry `null` for the solved fields so a consumer
-/// can still see what was declared.
+/// path — as a JSON array, one object per schedule. Graphs the runtime
+/// refuses carry `null` repetition and critical path, so a consumer can
+/// still see what was declared against each channel's minimum.
 fn schedules_summary_json(pairs: &[(SdfGraph, ScheduleReport)]) -> String {
     let mut out = String::from("[");
     for (g, (graph, report)) in pairs.iter().enumerate() {
@@ -175,12 +178,7 @@ fn schedules_summary_json(pairs: &[(SdfGraph, ScheduleReport)]) -> String {
                 Some(declared) => out.push_str(&declared.to_string()),
                 None => out.push_str("null"),
             }
-            out.push_str(", \"minimum\": ");
-            match analysis.and_then(|a| a.min_capacities.get(i)) {
-                Some(minimum) => out.push_str(&minimum.to_string()),
-                None => out.push_str("null"),
-            }
-            out.push('}');
+            out.push_str(&format!(", \"minimum\": {}}}", min_capacity(channel)));
         }
         out.push_str("], \"critical_path_s\": ");
         match analysis {
@@ -348,6 +346,12 @@ fn run_verify(args: &[String]) -> Result<bool, String> {
             .parse()
             .map_err(|e| format!("{flag}: {e}"))
     };
+    let parse_positive = |value: Option<&String>, flag: &str| -> Result<usize, String> {
+        match parse_usize(value, flag)? {
+            0 => Err(format!("{flag} must be at least 1")),
+            n => Ok(n),
+        }
+    };
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--features" => features = parse_usize(it.next(), "--features")?,
@@ -357,8 +361,8 @@ fn run_verify(args: &[String]) -> Result<bool, String> {
             "--ranges" => ranges = true,
             "--schedule" => schedule_mode = true,
             "--model-check" => model_check_mode = true,
-            "--depth" => depth = Some(parse_usize(it.next(), "--depth")?),
-            "--members" => members = parse_usize(it.next(), "--members")?,
+            "--depth" => depth = Some(parse_positive(it.next(), "--depth")?),
+            "--members" => members = parse_positive(it.next(), "--members")?,
             "--format" => format = parse_format(it.next())?,
             other => return Err(format!("unknown verify option {other:?}\n{CHECKS_USAGE}")),
         }
@@ -367,7 +371,7 @@ fn run_verify(args: &[String]) -> Result<bool, String> {
         let (text, ok) = if model_check_mode {
             run_verify_model_check(&schedule::production_schedules(members), depth, format)
         } else {
-            run_verify_schedule(schedule::standard_schedules(members), format)
+            run_verify_schedule(schedule::production_schedules(members), format)
         };
         print!("{text}");
         return Ok(ok);
@@ -459,7 +463,7 @@ mod tests {
 
     #[test]
     fn undersized_channel_fails_with_sarif_minimum() {
-        let graphs = with_undersized_mutant(schedule::standard_schedules(8));
+        let graphs = with_undersized_mutant(schedule::production_schedules(8));
         let (text, ok) = run_verify_schedule(graphs, Format::Sarif);
         assert!(!ok, "{text}");
         assert!(text.contains("\"schedule/buffer-undersized\""), "{text}");
@@ -469,7 +473,7 @@ mod tests {
 
     #[test]
     fn undersized_json_reports_declared_zero_against_minimum_one() {
-        let graphs = with_undersized_mutant(schedule::standard_schedules(8));
+        let graphs = with_undersized_mutant(schedule::production_schedules(8));
         let (text, ok) = run_verify_schedule(graphs, Format::Json);
         assert!(!ok, "{text}");
         assert!(

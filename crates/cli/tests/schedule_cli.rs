@@ -5,10 +5,11 @@
 //! schedules exits 0, and a model that does not fit its buffer exits 1.
 //! How the verifier reports a deliberately undersized channel is pinned
 //! by the unit tests beside `run_verify_schedule` and
-//! `run_verify_model_check`. The model-check output is pinned as an
-//! exact snapshot: the exploration is deterministic (no wall clock, no
-//! randomness), so the state/transition counts are stable and any
-//! silent change to the search's coverage fails here.
+//! `run_verify_model_check`. Both clean text reports are pinned as exact
+//! snapshots: the analysis and the exploration are deterministic (no
+//! wall clock, no randomness), so the solved facts and the
+//! state/transition counts are stable and any silent change to them
+//! fails here. Zero `--members` or `--depth` is a usage error.
 
 use std::process::{Command, Output};
 
@@ -25,10 +26,59 @@ fn clean_schedules_exit_zero_with_per_graph_reports() {
     let out = run_verify(&["--schedule"]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let stdout = String::from_utf8(out.stdout).unwrap();
-    for graph in ["overlapped-invoke", "parallel-members"] {
+    for graph in ["overlapped-invoke", "parallel-members", "two-device-serve"] {
         assert!(stdout.contains(graph), "missing {graph} in:\n{stdout}");
     }
     assert!(stdout.contains("critical path"), "{stdout}");
+}
+
+#[test]
+fn schedule_output_is_an_exact_deterministic_snapshot() {
+    // The report over all three production graphs is pinned verbatim:
+    // repetition vectors, per-resource busy times and critical paths.
+    let out = run_verify(&["--schedule"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(
+        stdout,
+        "schedule `overlapped-invoke`: ok\n\
+         \x20 repetition: dma_inx1 computex1 dma_outx1\n\
+         \x20 busy device: 1.716e-3 s/iter\n\
+         \x20 busy host: 0.000e0 s/iter\n\
+         \x20 busy link: 8.627e-3 s/iter\n\
+         \x20 critical path: 9.127e-3 s/iter (incl. overhead)\n\
+         schedule `parallel-members`: ok\n\
+         \x20 repetition: planx1 memberx8 mergex1\n\
+         \x20 busy device: 0.000e0 s/iter\n\
+         \x20 busy host: 9.260e-1 s/iter\n\
+         \x20 busy link: 0.000e0 s/iter\n\
+         \x20 critical path: 9.260e-1 s/iter (incl. overhead)\n\
+         schedule `two-device-serve`: ok\n\
+         \x20 repetition: encodex1 scorex1\n\
+         \x20 busy device: 9.127e-3 s/iter\n\
+         \x20 busy device1: 8.508e-3 s/iter\n\
+         \x20 busy host: 0.000e0 s/iter\n\
+         \x20 busy link: 0.000e0 s/iter\n\
+         \x20 critical path: 9.127e-3 s/iter (incl. overhead)\n"
+    );
+}
+
+#[test]
+fn zero_members_is_a_usage_error() {
+    let out = run_verify(&["--schedule", "--members", "0"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(out.stdout.is_empty(), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("--members must be at least 1"), "{stderr}");
+}
+
+#[test]
+fn zero_depth_is_a_usage_error() {
+    let out = run_verify(&["--model-check", "--depth", "0"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(out.stdout.is_empty(), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("--depth must be at least 1"), "{stderr}");
 }
 
 #[test]
@@ -50,7 +100,6 @@ fn sarif_catalog_registers_schedule_rules() {
         "schedule/rate-inconsistent",
         "schedule/buffer-undersized",
         "schedule/deadlock",
-        "schedule/resource-self-cycle",
         "schedule/no-overlap",
     ] {
         assert!(stdout.contains(rule), "missing {rule} in:\n{stdout}");
@@ -74,7 +123,9 @@ fn json_output_carries_repetition_vectors_and_channel_bounds() {
     for needle in [
         "\"name\": \"overlapped-invoke\"",
         "\"name\": \"parallel-members\"",
+        "\"name\": \"two-device-serve\"",
         "{\"stage\": \"member\", \"firings\": 8}",
+        "{\"channel\": \"encode -> score\", \"declared\": 2, \"minimum\": 1}",
         "{\"channel\": \"dma_in -> compute\", \"declared\": 2, \"minimum\": 1}",
         "{\"channel\": \"plan -> member\", \"declared\": 8, \"minimum\": 8}",
         "\"critical_path_s\": ",

@@ -11,10 +11,9 @@
 //! minimal safe bound, steady state cannot deadlock); a rejection
 //! surfaces as [`FrameworkError::InvalidConfig`] before the runtime is
 //! allowed to execute anything, and the plan it returns is what the
-//! runtime runs. `hyperedge verify --schedule` reports on the same
-//! declarations through the `hd-analysis` analyzer, which rejects exactly
-//! the graphs the validator refuses (a differential property test holds
-//! the two equal).
+//! runtime runs. `hyperedge verify --schedule` reports the same
+//! validator's verdict on [`production_schedules`] through the
+//! `hd-analysis` analyzer, which calls it rather than re-deriving it.
 //!
 //! Critical paths and busy times come from [`solve`] over the plan's
 //! repetition vector — the functions the analyzer reports from — and
@@ -152,37 +151,25 @@ pub fn predicted_pipelined_elapsed_s(
     Ok(elapsed)
 }
 
-/// The two training-side production schedules at paper-scale defaults
-/// (MNIST-like 784→10000 encoder, 256-row chunks, the default device),
-/// as declared graphs for `hyperedge verify --schedule`. `members`
-/// parameterizes the bagging fan-out.
-#[must_use]
-pub fn standard_schedules(members: usize) -> Vec<SdfGraph> {
-    let cfg = DeviceConfig::default();
-    let dims = ModelDims::encoder(784, 10_000);
-    let chunk = 256;
-    let member_cost_s = cost::encode_s(&Platform::MobileI5.spec(), chunk, 784, 10_000);
-    vec![
-        overlapped_invoke_graph(&cfg, &dims, chunk),
-        hd_bagging::members_graph(members, member_cost_s),
-    ]
-}
-
-/// All three production schedules: the two from
-/// [`standard_schedules`] plus the two-device serving graph. This is
-/// the set `hyperedge verify --model-check` exhaustively explores —
-/// every declared graph the framework can hand to the SDF runtime.
-/// The serving graph scores 10 classes off the 10 000-dimensional
-/// encoding, matching the paper-scale defaults of the other two.
+/// The three production schedules at paper-scale defaults (MNIST-like
+/// 784→10000 encoder, 256-row chunks, the default device): the
+/// overlapped device invoke, the bagged-member fan-out (`members`
+/// parameterizes it), and the two-device serving graph, which scores 10
+/// classes off the 10 000-dimensional encoding. This is every declared
+/// graph the framework can hand to the SDF runtime, and the set
+/// `hyperedge verify --schedule` and `--model-check` check.
 #[must_use]
 pub fn production_schedules(members: usize) -> Vec<SdfGraph> {
     let cfg = DeviceConfig::default();
     let dims = ModelDims::encoder(784, 10_000);
     let score_dims = ModelDims::encoder(10_000, 10);
     let chunk = 256;
-    let mut graphs = standard_schedules(members);
-    graphs.push(encode_score_graph(&cfg, &dims, &score_dims, chunk));
-    graphs
+    let member_cost_s = cost::encode_s(&Platform::MobileI5.spec(), chunk, 784, 10_000);
+    vec![
+        overlapped_invoke_graph(&cfg, &dims, chunk),
+        hd_bagging::members_graph(members, member_cost_s),
+        encode_score_graph(&cfg, &dims, &score_dims, chunk),
+    ]
 }
 
 #[cfg(test)]

@@ -3,9 +3,10 @@
 //! A [`SdfGraph`] is a set of [`Stage`]s connected by token [`Channel`]s.
 //! Each stage is pinned to one [`Resource`]; each channel declares how
 //! many tokens one producer firing appends and one consumer firing
-//! removes, an optional declared capacity (the `sync_channel` bound or
-//! slot count of the real implementation), and the tokens present before
-//! the first firing (pipeline delays). Costs are plain seconds supplied
+//! removes, and an optional declared capacity (the `sync_channel` bound
+//! or slot count of the real implementation). Every channel starts
+//! empty: the runtime has no token values to seed it with, so a
+//! directed cycle can never fire. Costs are plain seconds supplied
 //! by the caller — this crate never computes hardware costs itself,
 //! keeping it free of any simulator dependency.
 
@@ -85,8 +86,6 @@ pub struct Channel {
     /// Declared capacity (e.g. a `sync_channel` depth or slot count);
     /// `None` models an unbounded buffer.
     pub capacity: Option<usize>,
-    /// Tokens present before the first firing (pipeline delay).
-    pub initial_tokens: usize,
 }
 
 /// A declared dataflow schedule: stages, channels, and the per-iteration
@@ -136,7 +135,7 @@ impl SdfGraph {
     }
 
     /// Connects `from` to `to` with the given rates and declared
-    /// capacity and no initial tokens.
+    /// capacity.
     pub fn add_channel(
         &mut self,
         from: StageId,
@@ -145,27 +144,12 @@ impl SdfGraph {
         consume: usize,
         capacity: Option<usize>,
     ) {
-        self.add_channel_with_delay(from, to, produce, consume, capacity, 0);
-    }
-
-    /// [`SdfGraph::add_channel`] with `initial_tokens` already present
-    /// on the channel before the first firing.
-    pub fn add_channel_with_delay(
-        &mut self,
-        from: StageId,
-        to: StageId,
-        produce: usize,
-        consume: usize,
-        capacity: Option<usize>,
-        initial_tokens: usize,
-    ) {
         self.channels.push(Channel {
             from,
             to,
             produce,
             consume,
             capacity,
-            initial_tokens,
         });
     }
 

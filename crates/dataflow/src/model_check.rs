@@ -1,7 +1,9 @@
 //! Exhaustive interleaving model checker for the SDF runtime.
 //!
-//! The static analyzer (`hd-analysis`) proves properties of a *declared*
-//! graph symbolically, firing whole stages atomically. The runtime
+//! The runtime's validator
+//! ([`ExecutablePlan::validate`](crate::runtime::ExecutablePlan::validate),
+//! which `hd-analysis` reports) proves properties of a *declared* graph
+//! symbolically, firing whole stages atomically. The runtime
 //! ([`crate::runtime`]) executes the same graph with one thread per
 //! stage over bounded `sync_channel`s, where every token send and
 //! receive is its own blocking step. This module closes the gap between
@@ -31,7 +33,7 @@
 //!    ([`Violation::LostToken`]).
 //! 5. **Token balance** — every fault-free terminal state has each
 //!    stage at its full `repetition × iterations` firing target and
-//!    each channel back at its initial occupancy
+//!    every channel empty again
 //!    ([`Violation::Unbalanced`]).
 //!
 //! Exploration is **deterministic**: no wall clock, no RNG, fixed
@@ -74,7 +76,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::graph::SdfGraph;
-use crate::runtime::{stage_ports, ExecutablePlan, StagePorts};
+use crate::runtime::{stage_ports, StagePorts};
 use crate::solve;
 
 /// Fault-injection mode of a check.
@@ -166,7 +168,7 @@ pub enum Violation {
         stage: usize,
         /// Channel index.
         channel: usize,
-        /// Tokens stranded beyond the channel's initial occupancy.
+        /// Tokens stranded on the channel.
         stranded: u32,
         /// Stage index of the fault injected on this path, if any.
         fault: Option<usize>,
@@ -362,8 +364,6 @@ struct Checker<'g> {
     /// Blocking bound per channel (declared, or the solver minimum for
     /// unbounded declarations) — the `sync_channel` size.
     capacities: Vec<usize>,
-    /// Initial occupancy per channel (pipeline delays).
-    initial: Vec<u32>,
     /// Firing target per stage: `repetition × iterations`.
     targets: Vec<u64>,
     inject: Inject,
@@ -397,33 +397,13 @@ impl Search {
     }
 }
 
-/// Model-checks a validated plan — the production entry point, using
-/// exactly the capacities the runtime's `sync_channel`s would.
-///
-/// # Errors
-///
-/// [`CheckSetupError`] when the graph has no repetition vector. A
-/// validated plan always has one, so this only fires for graphs routed
-/// around [`ExecutablePlan::validate`].
-pub fn check_plan(
-    plan: &ExecutablePlan,
-    cfg: &CheckConfig,
-) -> Result<CheckReport, CheckSetupError> {
-    Ok(check_resolved(
-        plan.graph(),
-        plan.capacities().to_vec(),
-        plan.repetition(),
-        cfg,
-    ))
-}
-
-/// Model-checks a declared graph directly, resolving capacities the way
-/// the runtime would (declared bound as-is, solver minimum for
-/// unbounded channels) — but **without** first rejecting undersized
-/// bounds, deadlocking structures, or initial tokens. This is the
-/// diagnostic entry point: it exhibits the interleaving that deadlocks
-/// or strands tokens where [`ExecutablePlan::validate`] would only
-/// refuse.
+/// Model-checks a declared graph, resolving capacities the way
+/// [`ExecutablePlan::validate`](crate::runtime::ExecutablePlan::validate) does (declared bound as-is, solver
+/// minimum for unbounded channels), so for a validated plan this checks
+/// exactly the `sync_channel`s the runtime allocates. It does **not**
+/// first reject undersized bounds or deadlocking structures: where the
+/// validator would only refuse, the checker exhibits the interleaving
+/// that deadlocks or strands tokens.
 ///
 /// # Errors
 ///
@@ -469,11 +449,6 @@ fn check_resolved(
     let max_depth = cfg.max_depth.unwrap_or(analytic_depth).max(1);
     let checker = Checker {
         capacities,
-        initial: graph
-            .channels()
-            .iter()
-            .map(|c| u32::try_from(c.initial_tokens).unwrap_or(u32::MAX))
-            .collect(),
         targets,
         inject: cfg.inject,
         max_states: cfg.max_states,
@@ -484,7 +459,7 @@ fn check_resolved(
     };
 
     let initial = State {
-        tokens: checker.initial.clone(),
+        tokens: vec![0; graph.channels().len()],
         fired: vec![0; graph.stages().len()],
         phases: (0..graph.stages().len())
             .map(|s| Phase::Recv {
@@ -503,19 +478,6 @@ fn check_resolved(
         depth_exceeded: false,
         violations: Vec::new(),
     };
-    // Initial occupancies must already respect the declared bounds.
-    for (c, channel) in graph.channels().iter().enumerate() {
-        if let Some(declared) = channel.capacity {
-            if channel.initial_tokens > declared {
-                search.record(Violation::Overflow {
-                    stage: channel.from.index(),
-                    channel: c,
-                    occupancy: checker.initial[c],
-                    capacity: declared,
-                });
-            }
-        }
-    }
     explore(&checker, &mut search, initial);
 
     if search.truncated {
@@ -692,11 +654,9 @@ fn check_terminal(checker: &Checker<'_>, search: &mut Search, state: &State) {
     for (c, channel) in checker.graph.channels().iter().enumerate() {
         let consumer = channel.to.index();
         let stranded = match state.phases[consumer] {
-            // A consumer that retired at its target may leave at most
-            // the pipeline-delay tokens behind; one that wound down on
-            // a dead upstream was obligated to drain to empty first.
-            Phase::Done(Terminal::Completed) => state.tokens[c].saturating_sub(checker.initial[c]),
-            Phase::Done(Terminal::WoundDownRecv) => state.tokens[c],
+            // A consumer that retired at its target, or wound down on a
+            // dead upstream, was obligated to drain to empty first.
+            Phase::Done(Terminal::Completed | Terminal::WoundDownRecv) => state.tokens[c],
             // Tokens parked behind the fault itself, or behind a stage
             // that failed fast on a dead downstream, are the documented
             // fail-fast semantics, not a drain violation.
@@ -882,6 +842,7 @@ fn explore(checker: &Checker<'_>, search: &mut Search, initial: State) {
 mod tests {
     use super::*;
     use crate::graph::{Resource, SdfGraph};
+    use crate::runtime::ExecutablePlan;
 
     fn chain(cap: usize) -> SdfGraph {
         let mut g = SdfGraph::new("chain");
@@ -896,7 +857,7 @@ mod tests {
     #[test]
     fn validated_chain_is_clean_under_fault_injection() {
         let plan = ExecutablePlan::validate(chain(2)).unwrap();
-        let report = check_plan(&plan, &CheckConfig::default()).unwrap();
+        let report = check_graph(plan.graph(), &CheckConfig::default()).unwrap();
         assert!(report.is_clean(), "{:?}", report.violations);
         assert!(!report.truncated);
         assert!(report.states > 0 && report.transitions > 0);
@@ -920,34 +881,6 @@ mod tests {
     }
 
     #[test]
-    fn primed_cycle_completes_and_restores_delay_tokens() {
-        let mut g = SdfGraph::new("primed");
-        let a = g.add_stage("a", Resource::Host, 1.0);
-        let b = g.add_stage("b", Resource::Host, 1.0);
-        g.add_channel(a, b, 1, 1, Some(1));
-        g.add_channel_with_delay(b, a, 1, 1, Some(1), 1);
-        let report = check_graph(&g, &CheckConfig::default()).unwrap();
-        assert!(report.is_clean(), "{:?}", report.violations);
-    }
-
-    #[test]
-    fn initial_tokens_above_declared_capacity_overflow() {
-        let mut g = SdfGraph::new("over");
-        let a = g.add_stage("a", Resource::Host, 1.0);
-        let b = g.add_stage("b", Resource::Host, 1.0);
-        g.add_channel_with_delay(a, b, 1, 1, Some(1), 2);
-        let report = check_graph(&g, &CheckConfig::default()).unwrap();
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| matches!(v, Violation::Overflow { channel: 0, .. })),
-            "{:?}",
-            report.violations
-        );
-    }
-
-    #[test]
     fn fanout_graph_is_clean_at_min_capacities() {
         let mut g = SdfGraph::new("fan");
         let plan = g.add_stage("plan", Resource::Host, 0.0);
@@ -956,7 +889,7 @@ mod tests {
         g.add_channel(plan, member, 4, 1, Some(4));
         g.add_channel(member, merge, 1, 4, Some(4));
         let plan = ExecutablePlan::validate(g).unwrap();
-        let report = check_plan(&plan, &CheckConfig::default()).unwrap();
+        let report = check_graph(plan.graph(), &CheckConfig::default()).unwrap();
         assert!(report.is_clean(), "{:?}", report.violations);
     }
 
@@ -973,8 +906,8 @@ mod tests {
         g.add_channel(a, j, 1, 1, Some(1));
         g.add_channel(b, j, 1, 1, Some(1));
         let plan = ExecutablePlan::validate(g).unwrap();
-        let clean = check_plan(
-            &plan,
+        let clean = check_graph(
+            plan.graph(),
             &CheckConfig {
                 inject: Inject::None,
                 ..CheckConfig::default()
@@ -982,7 +915,7 @@ mod tests {
         )
         .unwrap();
         assert!(clean.is_clean(), "{:?}", clean.violations);
-        let faulted = check_plan(&plan, &CheckConfig::default()).unwrap();
+        let faulted = check_graph(plan.graph(), &CheckConfig::default()).unwrap();
         assert!(
             faulted
                 .violations

@@ -67,14 +67,9 @@ pub enum PlanError {
         /// The minimal safe bound (`produce + consume - gcd`).
         minimum: usize,
     },
-    /// Steady-state execution stalls under the declared capacities.
-    Deadlock,
-    /// The runtime cannot materialize initial tokens (pipeline delays):
-    /// it would have to invent token values.
-    InitialTokens {
-        /// Index into the graph's channel list.
-        channel: usize,
-    },
+    /// Steady-state execution stalls under the declared capacities; the
+    /// stalled state names the stuck stages and the blocking channel.
+    Deadlock(solve::Stall),
 }
 
 impl fmt::Display for PlanError {
@@ -99,17 +94,12 @@ impl fmt::Display for PlanError {
                 "channel {channel} declares capacity {declared}, below the minimal safe \
                  bound {minimum}"
             ),
-            PlanError::Deadlock => {
+            PlanError::Deadlock(_) => {
                 write!(
                     f,
                     "steady-state execution deadlocks under the declared capacities"
                 )
             }
-            PlanError::InitialTokens { channel } => write!(
-                f,
-                "channel {channel} declares initial tokens, which the runtime cannot \
-                 materialize"
-            ),
         }
     }
 }
@@ -140,9 +130,6 @@ impl ExecutablePlan {
         })?;
         let mut capacities = Vec::with_capacity(graph.channels().len());
         for (c, channel) in graph.channels().iter().enumerate() {
-            if channel.initial_tokens > 0 {
-                return Err(PlanError::InitialTokens { channel: c });
-            }
             let minimum = solve::min_capacity(channel);
             match channel.capacity {
                 Some(declared) if declared < minimum => {
@@ -156,9 +143,7 @@ impl ExecutablePlan {
                 None => capacities.push(minimum),
             }
         }
-        if solve::simulate_steady_state(&graph, &repetition).is_err() {
-            return Err(PlanError::Deadlock);
-        }
+        solve::simulate_steady_state(&graph, &repetition).map_err(PlanError::Deadlock)?;
         Ok(ExecutablePlan {
             graph,
             repetition,

@@ -1,12 +1,13 @@
-//! Rate mathematics shared by the static analyzer and the runtime.
+//! Rate mathematics behind the runtime's validator.
 //!
 //! Everything here is pure: balance-equation solving to the smallest
 //! positive integer repetition vector, minimal safe channel bounds
 //! (`produce + consume - gcd`), a symbolic steady-state execution that
-//! detects capacity-induced deadlocks, and per-resource busy time. The
-//! analyzer (`hd-analysis`) wraps these results in diagnostics; the
-//! [`runtime`](crate::runtime) uses them to size its `sync_channel`s
-//! and drive firings.
+//! detects capacity-induced deadlocks, and per-resource busy time.
+//! [`ExecutablePlan::validate`](crate::runtime::ExecutablePlan::validate)
+//! is their one caller that passes judgement: it sizes the runtime's
+//! `sync_channel`s from them, and the analyzer (`hd-analysis`) renders
+//! its verdict as diagnostics.
 
 use crate::graph::{Channel, Resource, SdfGraph};
 
@@ -154,12 +155,11 @@ pub fn repetition_vector(graph: &SdfGraph) -> Result<Vec<u64>, RateError> {
     Ok(reps)
 }
 
-/// Minimal safe capacity of one channel: `produce + consume - gcd`, and
-/// never below the initial token count.
+/// Minimal safe capacity of one channel: `produce + consume - gcd`.
 #[must_use]
 pub fn min_capacity(channel: &Channel) -> usize {
     let g = gcd(channel.produce as u64, channel.consume as u64) as usize;
-    (channel.produce + channel.consume - g).max(channel.initial_tokens)
+    channel.produce + channel.consume - g
 }
 
 /// The stalled state of a steady-state simulation that deadlocked.
@@ -171,12 +171,13 @@ pub struct Stall {
     pub remaining: Vec<u64>,
 }
 
-/// Symbolically executes one steady-state iteration under the declared
-/// capacities. Returns `Ok(())` when every stage completes its
-/// repetition count, or the stalled state for diagnosis.
+/// Symbolically executes one steady-state iteration from empty
+/// channels under the declared capacities. Returns `Ok(())` when every
+/// stage completes its repetition count, or the stalled state for
+/// diagnosis.
 pub fn simulate_steady_state(graph: &SdfGraph, repetition: &[u64]) -> Result<(), Stall> {
     let channels = graph.channels();
-    let mut tokens: Vec<usize> = channels.iter().map(|c| c.initial_tokens).collect();
+    let mut tokens: Vec<usize> = vec![0; channels.len()];
     let mut remaining: Vec<u64> = repetition.to_vec();
 
     let can_fire = |stage: usize, tokens: &[usize]| -> bool {

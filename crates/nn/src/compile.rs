@@ -1,20 +1,20 @@
-//! Lowering a wide-NN model to an accelerator tile program.
+//! Lowering a wide-NN model for an accelerator target.
 //!
 //! The Edge TPU compiler takes a quantized TFLite model, verifies every op
 //! is supported, checks the parameters fit the on-chip buffer, and emits a
 //! device executable. [`compile`] plays that role for the simulated
 //! accelerator: it quantizes, validates the op set (rejecting the
 //! element-wise training ops, which is how the framework learns to keep
-//! class-hypervector update on the host CPU), computes a per-layer
-//! [`TilePlan`] for the systolic array, and enforces the parameter-buffer
-//! capacity.
+//! class-hypervector update on the host CPU) and enforces the
+//! parameter-buffer capacity. How each layer tiles onto the systolic
+//! array is the simulator's law (`tpu_sim::SystolicArray`).
 
 use hd_tensor::Matrix;
 
 use crate::error::NnError;
 use crate::layer::Layer;
 use crate::model::Model;
-use crate::quantized::{QuantStage, QuantizedModel};
+use crate::quantized::QuantizedModel;
 use crate::Result;
 
 /// Static description of a compilation target.
@@ -94,48 +94,21 @@ impl TargetSpec {
     }
 }
 
-/// Tile decomposition of one fully-connected layer onto the systolic
-/// array.
-///
-/// A weight-stationary array of `R x C` processing elements holds an
-/// `R x C` weight tile; an `in x out` layer therefore needs
-/// `ceil(in / R) * ceil(out / C)` tiles, and every input row streams
-/// through each tile pair once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TilePlan {
-    /// Index of the stage in the quantized model.
-    pub stage_index: usize,
-    /// Tiles along the reduction (input) dimension.
-    pub tiles_k: usize,
-    /// Tiles along the output dimension.
-    pub tiles_n: usize,
-    /// Quantized weight bytes resident for this layer.
-    pub weight_bytes: usize,
-}
-
-impl TilePlan {
-    /// Total number of weight tiles.
-    pub fn tile_count(&self) -> usize {
-        self.tiles_k * self.tiles_n
-    }
-}
-
 /// A model lowered for a specific accelerator target: quantized stages
-/// plus the tile program and buffer accounting the simulator executes.
+/// checked against the target's parameter buffer, with their range report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledModel {
     target: TargetSpec,
     quantized: QuantizedModel,
-    tile_plans: Vec<TilePlan>,
     range_report: crate::absint::RangeReport,
 }
 
 impl CompiledModel {
-    /// Lowers an already-quantized model for `target`: plans its tiles and
-    /// attaches its range report. Serves hand-built or deserialized
-    /// stages, which skip the quantize-time overflow check, so the report
-    /// may carry errors; [`compile`] attaches the report its quantization
-    /// pass already computed instead.
+    /// Lowers an already-quantized model for `target`: checks it fits the
+    /// parameter buffer and attaches its range report. Serves hand-built
+    /// or deserialized stages, which skip the quantize-time overflow
+    /// check, so the report may carry errors; [`compile`] attaches the
+    /// report its quantization pass already computed instead.
     ///
     /// # Errors
     ///
@@ -161,27 +134,9 @@ impl CompiledModel {
             });
         }
 
-        let mut tile_plans = Vec::new();
-        for (i, stage) in quantized.stages().iter().enumerate() {
-            let (rows, cols) = match stage {
-                QuantStage::FullyConnected { weights, .. } => (weights.rows(), weights.cols()),
-                QuantStage::FullyConnectedPerChannel { weights, .. } => {
-                    (weights.rows(), weights.cols())
-                }
-                QuantStage::Lut(_) => continue,
-            };
-            tile_plans.push(TilePlan {
-                stage_index: i,
-                tiles_k: rows.div_ceil(target.array_rows),
-                tiles_n: cols.div_ceil(target.array_cols),
-                weight_bytes: stage.param_bytes(),
-            });
-        }
-
         Ok(CompiledModel {
             target: target.clone(),
             quantized,
-            tile_plans,
             range_report,
         })
     }
@@ -194,11 +149,6 @@ impl CompiledModel {
     /// The quantized stages (shared datapath with the reference executor).
     pub fn quantized(&self) -> &QuantizedModel {
         &self.quantized
-    }
-
-    /// The per-FC-layer tile plans.
-    pub fn tile_plans(&self) -> &[TilePlan] {
-        &self.tile_plans
     }
 
     /// The static range analysis computed at compile time: per-stage
@@ -349,32 +299,6 @@ mod tests {
             .unwrap();
         let calib = Matrix::random_normal(16, n, &mut rng);
         (model, calib)
-    }
-
-    #[test]
-    fn tile_plan_counts_match_ceil_division() {
-        let (model, calib) = model_and_calib(100, 200, 10);
-        let target = TargetSpec::new("t", 64, 64, 1 << 20);
-        let compiled = compile(&model, &calib, &target).unwrap();
-        let plans = compiled.tile_plans();
-        assert_eq!(plans.len(), 2);
-        // 100x200 layer on a 64x64 array: ceil(100/64)=2, ceil(200/64)=4.
-        assert_eq!(plans[0].tiles_k, 2);
-        assert_eq!(plans[0].tiles_n, 4);
-        assert_eq!(plans[0].tile_count(), 8);
-        // 200x10 layer: ceil(200/64)=4, ceil(10/64)=1.
-        assert_eq!(plans[1].tiles_k, 4);
-        assert_eq!(plans[1].tiles_n, 1);
-        assert_eq!(plans[1].stage_index, 2); // after the LUT stage
-    }
-
-    #[test]
-    fn exact_multiple_dims_tile_exactly() {
-        let (model, calib) = model_and_calib(64, 128, 64);
-        let target = TargetSpec::default();
-        let compiled = compile(&model, &calib, &target).unwrap();
-        assert_eq!(compiled.tile_plans()[0].tiles_k, 1);
-        assert_eq!(compiled.tile_plans()[0].tiles_n, 2);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! * [`absint`] — interval abstract interpretation proving the int8
 //!   datapath cannot overflow its i32 accumulators,
 //! * [`serialize`] — a compact binary `.wnn` container,
-//! * [`compile`] — lowering to an accelerator tile program, including the
+//! * [`compile`] — lowering for an accelerator target, including the
 //!   *unsupported-op* diagnostics that force the paper's class-hypervector
 //!   update onto the host CPU.
 //!
@@ -57,7 +57,7 @@ pub mod verify;
 
 pub use absint::{analyze_ranges, Interval, RangeReport, StageRange};
 pub use builder::ModelBuilder;
-pub use compile::{CompiledModel, TargetSpec, TilePlan};
+pub use compile::{CompiledModel, TargetSpec};
 pub use diag::{Diagnostic, Severity, Site};
 pub use error::NnError;
 pub use layer::{Activation, ElementwiseOp, Layer};

@@ -13,7 +13,8 @@
 use hd_datasets::{registry, SampleBudget};
 use hdc::{HdcModel, TrainConfig};
 use hyperedge::wide_model;
-use tpu_sim::{Device, DeviceConfig};
+use tpu_sim::timing::ModelDims;
+use tpu_sim::{Device, DeviceConfig, SystolicArray};
 use wide_nn::{compile, serialize, QuantizedModel, TargetSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -71,12 +72,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. Compile for the accelerator target.
     let compiled = compile::compile(&network, &data.train.features, &TargetSpec::default())?;
-    let plan = compiled.tile_plans();
+    let target = compiled.target();
+    let array = SystolicArray::new(target.array_rows, target.array_cols);
+    let fc_layers = ModelDims::from_compiled(&compiled).fc_layers;
     println!(
         "5. compiled for {}: {} FC layers, {} weight tiles total",
-        compiled.target().name,
-        plan.len(),
-        plan.iter().map(|p| p.tile_count()).sum::<usize>()
+        target.name,
+        fc_layers.len(),
+        fc_layers
+            .iter()
+            .map(|&(k, n)| array.tiles_k(k) * array.tiles_n(n))
+            .sum::<usize>()
     );
 
     // 6. Load and run on the simulated device.

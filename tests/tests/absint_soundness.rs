@@ -188,7 +188,7 @@ proptest! {
         assert_sound(&qmodel, &batch);
 
         // One observed forward pass and one range check give exactly the
-        // two-pass definition: stages, tile plans and range report.
+        // two-pass definition: stages and range report.
         let target = TargetSpec::default();
         let compiled = if per_channel == 1 {
             compile::compile_per_channel(&model, &calibration, &target)

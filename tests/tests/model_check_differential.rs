@@ -1,19 +1,18 @@
 //! Differential tests between the symbolic schedule analyzer and the
 //! exhaustive interleaving model checker.
 //!
-//! The symbolic analyzer ([`hd_dataflow::solve::simulate_steady_state`])
-//! fires whole stages atomically; the model checker
+//! The symbolic steady-state simulation
+//! ([`hd_dataflow::solve::simulate_steady_state`], the validator's
+//! deadlock check) fires whole stages atomically; the model checker
 //! ([`hd_dataflow::model_check`]) replays the runtime's per-token
 //! channel semantics over every interleaving. Over random
-//! rate-consistent graphs whose declared capacities meet the analyzer's
-//! minimal safe bound, the two must reach the same deadlock verdict —
-//! each side is the other's oracle. (Below the minimal bound the
-//! regimes genuinely differ: token-granularity sends can stream through
-//! a buffer smaller than one atomic firing, so the generator stays in
-//! the regime where the verdicts are comparable. On delay-seeded cycles
-//! only the deadlock and overflow verdicts are compared — a finite run
-//! may legitimately end unbalanced when the back-edge consumer retires
-//! before the delay tokens are repaid.)
+//! rate-consistent graphs whose declared capacities meet the minimal
+//! safe bound, the two must reach the same deadlock verdict — each side
+//! is the other's oracle. (Below the minimal bound the regimes genuinely
+//! differ: token-granularity sends can stream through a buffer smaller
+//! than one atomic firing, so the generator stays in the regime where
+//! the verdicts are comparable.) Every channel starts empty, so a chain
+//! closed into a cycle must deadlock under both.
 //!
 //! The three production schedules are additionally pinned clean under
 //! exhaustive stop/error fault injection, with the exact capacities the
@@ -23,7 +22,7 @@
 
 use proptest::prelude::*;
 
-use hd_dataflow::model_check::{check_graph, check_plan, CheckConfig, Inject};
+use hd_dataflow::model_check::{check_graph, CheckConfig, Inject};
 use hd_dataflow::runtime::ExecutablePlan;
 use hd_dataflow::{solve, Resource, SdfGraph};
 use hyperedge::schedule;
@@ -51,13 +50,13 @@ fn differential_config() -> CheckConfig {
 /// `reps[i] * ks[i]` per consumer firing, so `reps` is (a multiple of)
 /// the repetition vector by construction. `extras[i]` declares the
 /// capacity that much above the minimal safe bound (`None` leaves it
-/// open). `back` optionally closes the chain into a cycle seeded with
-/// `delay` initial tokens — the knob that decides both verdicts.
+/// open). `back` optionally closes the chain into a cycle whose back
+/// edge moves `back` times the balancing rates.
 fn chain_graph(
     reps: &[u64],
     ks: &[usize],
     extras: &[Option<usize>],
-    back: Option<(usize, usize)>,
+    back: Option<usize>,
 ) -> SdfGraph {
     let mut g = SdfGraph::new("differential");
     let ids: Vec<_> = (0..reps.len())
@@ -69,11 +68,11 @@ fn chain_graph(
         let cap = extras[i].map(|e| produce + consume - gcd(produce, consume) + e);
         g.add_channel(ids[i], ids[i + 1], produce, consume, cap);
     }
-    if let Some((k, delay)) = back {
+    if let Some(k) = back {
         let last = reps.len() - 1;
         let produce = usize::try_from(reps[0]).unwrap() * k;
         let consume = usize::try_from(reps[last]).unwrap() * k;
-        g.add_channel_with_delay(ids[last], ids[0], produce, consume, None, delay);
+        g.add_channel(ids[last], ids[0], produce, consume, None);
     }
     g
 }
@@ -81,25 +80,24 @@ fn chain_graph(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Over random rate-consistent graphs (open chains and seeded
+    /// Over random rate-consistent graphs (open chains and closed
     /// cycles, capacities at or above the minimal bound): the symbolic
     /// steady-state simulation stalls if and only if the model checker
     /// finds a wedged interleaving — and a symbolically clean graph is
     /// clean under every interleaving, with the exploration exhaustive
-    /// (never truncated by a budget).
+    /// (never truncated by a budget). Cycles stall under both.
     #[test]
     fn prop_symbolic_and_interleaving_deadlock_verdicts_agree(
         reps in proptest::collection::vec(1u64..4, 2..5),
         ks in proptest::collection::vec(1usize..3, 4..5),
         raw_extras in proptest::collection::vec(0usize..4, 4..5),
         back_k in 0usize..3,
-        back_delay in 0usize..7,
     ) {
         // The shim has no Option strategy: 0 encodes None (unbounded
         // capacity / no back edge), n encodes Some(n - 1).
         let extras: Vec<Option<usize>> =
             raw_extras.iter().map(|&e| e.checked_sub(1)).collect();
-        let back = (back_k > 0).then_some((back_k, back_delay));
+        let back = (back_k > 0).then_some(back_k);
         let graph = chain_graph(&reps, &ks, &extras, back);
         let repetition =
             solve::repetition_vector(&graph).expect("consistent by construction");
@@ -114,46 +112,26 @@ proptest! {
             graph,
             check.violations
         );
+        prop_assert_eq!(symbolic_stalls, back.is_some(), "{:?}", graph);
         if !symbolic_stalls {
-            if back.is_none() {
-                // Acyclic and symbolically clean: clean under every
-                // interleaving too.
-                prop_assert!(check.is_clean(), "{:?}", check.violations);
-            } else {
-                // Delay-seeded cycles can legitimately end a finite run
-                // unbalanced: the consumer of the back edge may hit its
-                // firing target and retire (using the initial tokens)
-                // before the producer has paid the delay tokens back,
-                // so the producer's final sends fail fast and tokens
-                // strand. That is the runtime's real finite-horizon
-                // behavior — and exactly why `ExecutablePlan::validate`
-                // refuses initial tokens. Deadlock and overflow
-                // verdicts must still be clean.
-                use hd_dataflow::model_check::Violation;
-                for violation in &check.violations {
-                    prop_assert!(
-                        matches!(
-                            violation,
-                            Violation::Unbalanced { .. } | Violation::LostToken { .. }
-                        ),
-                        "unexpected violation on a symbolically clean cycle: {violation:?}"
-                    );
-                }
-            }
+            // Acyclic and symbolically clean: clean under every
+            // interleaving too.
+            prop_assert!(check.is_clean(), "{:?}", check.violations);
         }
     }
 }
 
 /// All three production schedules are clean under exhaustive stop/error
 /// fault injection, checked with exactly the channel capacities the
-/// runtime would allocate (via [`check_plan`] on the validated plan).
+/// runtime would allocate: [`check_graph`] resolves them as
+/// [`ExecutablePlan::validate`] does.
 /// This is the tier-1 gate backing `hyperedge verify --model-check`.
 #[test]
 fn production_schedules_model_check_clean_under_fault_injection() {
     for graph in schedule::production_schedules(8) {
         let name = graph.name().to_string();
         let plan = ExecutablePlan::validate(graph).expect("production graphs validate");
-        let report = check_plan(&plan, &CheckConfig::default()).expect("rates consistent");
+        let report = check_graph(plan.graph(), &CheckConfig::default()).expect("rates consistent");
         assert!(report.is_clean(), "{name}: {:?}", report.violations);
         assert!(!report.truncated, "{name}: exploration truncated");
         assert!(
