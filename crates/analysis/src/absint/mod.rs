@@ -6,10 +6,10 @@
 //! it overapproximates (`hd-analysis` depends on `wide-nn`, so the
 //! value-range machinery cannot live here without a crate cycle). This
 //! module describes its findings for SARIF ([`RANGE_RULES`]) and hosts
-//! the lexical companion rule
-//! [`no-unchecked-narrowing`](narrowing): the range verifier proves the
-//! *model* cannot overflow, the narrowing rule proves the *kernels* do
-//! not silently wrap when they shrink an accumulator anyway.
+//! the lexical companion rule `no-unchecked-narrowing` (in
+//! `narrowing.rs`): the range verifier proves the *model* cannot
+//! overflow, the narrowing rule proves the *kernels* do not silently wrap
+//! when they shrink an accumulator anyway.
 
 pub(crate) mod narrowing;
 

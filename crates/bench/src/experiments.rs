@@ -948,8 +948,9 @@ fn i8_vec(rng: &mut DetRng, n: usize) -> Vec<i8> {
 ///    vs the former `f32` GEMM + argmax path, at the paper's bagged
 ///    width (`d` = 7680, 26 ISOLET classes);
 /// 2. `i8` GEMM — the runtime-dispatched kernel
-///    ([`hd_tensor::gemm::matmul_i8_i32`], AVX2 where the host has it)
-///    vs the naive triple loop, at the encode shape (features × `d`);
+///    ([`hd_tensor::gemm::matmul_i8_i32`]: pack `b`, then the VNNI or
+///    AVX2 tile where the host has one) vs the naive triple loop, at the
+///    encode shape (features × `d`);
 /// 3. `f32` GEMM — the packed register-tiled kernel
 ///    ([`hd_tensor::gemm::matmul`]) vs the naive triple loop
 ///    ([`hd_tensor::gemm::matmul_reference`]) at the same shape,

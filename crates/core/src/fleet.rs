@@ -23,6 +23,7 @@
 //! [`Supervision`]: hd_dataflow::runtime::Supervision
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -85,8 +86,9 @@ pub struct DevicePool {
     devices: Vec<Device>,
     seats: Mutex<Vec<SeatState>>,
     /// Pristine compiled models by fingerprint — the reload source for
-    /// weight-upset recovery and the host-fallback executor.
-    models: Mutex<HashMap<u64, CompiledModel>>,
+    /// weight-upset recovery and the host-fallback executor. Shared with
+    /// the devices they are loaded on, so a load adds no copy.
+    models: Mutex<HashMap<u64, Arc<CompiledModel>>>,
     /// Consecutive failed attempts that quarantine a device.
     quarantine_threshold: u32,
     on_load: Option<LoadObserver>,
@@ -156,14 +158,17 @@ impl DevicePool {
     /// The copy is the reload source after weight upsets and the
     /// bit-exact host fallback once the pool is exhausted.
     pub fn register(&self, key: u64, model: CompiledModel) {
-        self.models.lock().insert(key, model);
+        self.models.lock().insert(key, Arc::new(model));
     }
 
     /// Shape of the registered model `key`, `None` if it was never
     /// registered.
     #[must_use]
     pub fn model_dims(&self, key: u64) -> Option<ModelDims> {
-        self.models.lock().get(&key).map(ModelDims::from_compiled)
+        self.models
+            .lock()
+            .get(&key)
+            .map(|model| ModelDims::from_compiled(model))
     }
 
     /// Number of registered models.
@@ -597,6 +602,35 @@ mod tests {
         // The pool already reloaded the pristine copy.
         assert!(!pool.device(ordinal).weights_corrupt());
         assert_eq!(pool.health(ordinal), DeviceHealth::Degraded);
+    }
+
+    #[test]
+    fn injected_faults_compute_until_the_pristine_reload() {
+        // The device computes from its packed resident weights: injected
+        // faults must reach them, and the pool's pristine reload must
+        // restore them bit for bit.
+        let (compiled, features) = compiled_encoder();
+        let mut faulted = compiled.clone();
+        let pool = DevicePool::new(&DeviceConfig::default(), 1, 4);
+        pool.register(7, compiled);
+        let ordinal = pool.lease(7).unwrap().unwrap();
+        let clean = pool.invoke(ordinal, 7, &features, None).unwrap();
+
+        let rate = 0.05;
+        let flipped = pool
+            .inject_weight_faults(ordinal, rate, &mut DetRng::new(17))
+            .unwrap();
+        assert_eq!(
+            faulted.inject_weight_faults(rate, &mut DetRng::new(17)),
+            flipped
+        );
+        let (on_faulted, _) = pool.device(ordinal).invoke_overlapped(&features).unwrap();
+        assert_eq!(on_faulted, faulted.quantized().forward(&features).unwrap());
+        assert_ne!(on_faulted, clean);
+
+        pool.release(ordinal);
+        assert_eq!(pool.lease(7).unwrap(), Some(ordinal));
+        assert_eq!(pool.invoke(ordinal, 7, &features, None).unwrap(), clean);
     }
 
     #[test]

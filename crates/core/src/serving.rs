@@ -11,7 +11,7 @@
 //! SDF runtime, this one never had a hand-written implementation: it is
 //! born as the declared [`schedule::encode_score_graph`], verified by the
 //! same analyzer that backs `hyperedge verify --schedule`, and executed
-//! by binding the pool's [`Device`](tpu_sim::Device) handles to its
+//! by binding the pool's [`Device`] handles to its
 //! stages via [`hd_dataflow::runtime::run`].
 //!
 //! Every stage runs under the runtime's [`Supervision`]: device faults

@@ -1,6 +1,6 @@
 //! The SDF schedule runtime: execute a validated graph directly.
 //!
-//! Lifecycle: **declare** an [`SdfGraph`](crate::graph::SdfGraph)
+//! Lifecycle: **declare** an [`SdfGraph`]
 //! (stages + channels + costs), **verify** it into an
 //! [`ExecutablePlan`] (rates balance, capacities meet the solver's
 //! minimal safe bounds, steady state cannot deadlock), **bind** one
@@ -544,8 +544,8 @@ pub struct Port {
 /// order. This is the runtime's firing contract, factored out so the
 /// model checker ([`crate::model_check`]) replays exactly the endpoint
 /// layout and port order [`run`] wires with `sync_channel`s: a stage
-/// collects its input ports in order ([`collect_inputs`]) and emits its
-/// output ports in order ([`send_outputs`]).
+/// collects its input ports in order (`collect_inputs`) and emits its
+/// output ports in order (`send_outputs`).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StagePorts {
     /// Channels this stage consumes from, in graph channel order.

@@ -14,18 +14,20 @@
 //! so the integer kernel accumulates `(qa - za)(qb - zb)` in `i32` and the
 //! combined scale `sa * sb` converts the accumulator to real values.
 
+use hd_tensor::gemm::PackedI8;
 use hd_tensor::{Matrix, TensorError};
 
-use crate::matrix::QuantizedMatrix;
+use crate::matrix::{PackedQuantizedMatrix, QuantizedMatrix};
 use crate::params::QuantParams;
 use crate::Result;
 
-fn check(a: &QuantizedMatrix, b: &QuantizedMatrix) -> Result<()> {
+/// Checks that `a (m x k)` can multiply a `k`-deep `b`.
+fn check(a: &QuantizedMatrix, b: &PackedI8) -> Result<()> {
     if a.cols() != b.rows() {
         return Err(TensorError::ShapeMismatch {
             op: "quantized matmul",
             lhs: a.shape(),
-            rhs: b.shape(),
+            rhs: (b.rows(), b.cols()),
         }
         .into());
     }
@@ -43,7 +45,7 @@ fn check(a: &QuantizedMatrix, b: &QuantizedMatrix) -> Result<()> {
 /// values, so it also covers weights flipped by fault injection.
 pub const MAX_EXACT_DEPTH: usize = 33_025;
 
-/// `sum_p (qa[i,p] - za)(qb[p,j] - zb)` for a row-major `k x n` right
+/// `sum_p (qa[i,p] - za)(qb[p,j] - zb)` for a packed `k x n` right
 /// operand `b` with zero point `zb`: the raw `qa·qb` product through the
 /// SIMD-dispatched int8 kernel, then the zero-point decomposition
 ///
@@ -52,28 +54,19 @@ pub const MAX_EXACT_DEPTH: usize = 33_025;
 ///   = sum_p qa qb - za * colsum_b[j] - zb * rowsum_a[i] + k za zb
 /// ```
 ///
-/// Exact for `k <= MAX_EXACT_DEPTH`.
-pub(crate) fn centred_product(
-    a: &QuantizedMatrix,
-    b: &[i8],
-    zb: i32,
-    n: usize,
-) -> Result<Vec<i32>> {
+/// with `colsum_b` read from the packed copy. Exact for
+/// `k <= MAX_EXACT_DEPTH`.
+pub(crate) fn centred_product(a: &QuantizedMatrix, b: &PackedI8, zb: i32) -> Result<Vec<i32>> {
     let (m, k) = a.shape();
+    let n = b.cols();
     let za = a.params().zero_point();
-    let mut acc = hd_tensor::gemm::matmul_i8_i32(a.as_slice(), b, m, k, n)?;
+    let mut acc = hd_tensor::gemm::matmul_i8_packed(a.as_slice(), b, m)?;
     if za != 0 || zb != 0 {
-        let mut col_sums = vec![0i32; n];
-        for b_row in b.chunks_exact(n.max(1)) {
-            for (cs, &bq) in col_sums.iter_mut().zip(b_row) {
-                *cs += i32::from(bq);
-            }
-        }
         let row_sums = (0..m).map(|i| a.row(i).iter().map(|&aq| i32::from(aq)).sum::<i32>());
         let k_za_zb = crate::narrow::saturate_i64_to_i32(i64::from(za) * i64::from(zb) * k as i64);
         for (out_row, rs) in acc.chunks_mut(n.max(1)).zip(row_sums) {
             let row_corr = zb * rs;
-            for (o, &cs) in out_row.iter_mut().zip(&col_sums) {
+            for (o, &cs) in out_row.iter_mut().zip(b.col_sums()) {
                 *o = *o - za * cs - row_corr + k_za_zb;
             }
         }
@@ -82,7 +75,8 @@ pub(crate) fn centred_product(
 }
 
 /// Multiplies two quantized matrices, returning the raw `i32` accumulator
-/// matrix and the combined accumulator scale.
+/// matrix and the combined accumulator scale. Packs `b` for this one
+/// call.
 ///
 /// `real[i][j] = acc_scale * acc[i][j]`. The accumulator is exact for any
 /// operand values while `a.cols() <= MAX_EXACT_DEPTH`.
@@ -92,8 +86,9 @@ pub(crate) fn centred_product(
 /// Returns a wrapped [`TensorError::ShapeMismatch`] if
 /// `a.cols() != b.rows()`.
 pub fn matmul_accumulate(a: &QuantizedMatrix, b: &QuantizedMatrix) -> Result<(Vec<i32>, f32)> {
-    check(a, b)?;
-    let acc = centred_product(a, b.as_slice(), b.params().zero_point(), b.cols())?;
+    let packed = b.packed();
+    check(a, packed.data())?;
+    let acc = centred_product(a, packed.data(), b.params().zero_point())?;
     Ok((acc, a.params().scale() * b.params().scale()))
 }
 
@@ -131,7 +126,9 @@ pub fn matmul_dequantized(a: &QuantizedMatrix, b: &QuantizedMatrix) -> Result<Ma
 }
 
 /// Multiplies two quantized matrices and requantizes the result into
-/// `out_params` — the full accelerator datapath for one layer.
+/// `out_params` — the full accelerator datapath for one layer. Packs `b`
+/// for this one call; see [`matmul_requantized_packed`] for weights
+/// packed once.
 ///
 /// # Errors
 ///
@@ -142,14 +139,32 @@ pub fn matmul_requantized(
     b: &QuantizedMatrix,
     out_params: QuantParams,
 ) -> Result<QuantizedMatrix> {
-    let (acc, scale) = matmul_accumulate(a, b)?;
+    matmul_requantized_packed(a, &b.packed(), out_params)
+}
+
+/// [`matmul_requantized`] over weights already packed by
+/// [`QuantizedMatrix::packed`]: the path of a device that keeps its
+/// weights resident.
+///
+/// # Errors
+///
+/// Returns a wrapped [`TensorError::ShapeMismatch`] if
+/// `a.cols() != b.rows()`.
+pub fn matmul_requantized_packed(
+    a: &QuantizedMatrix,
+    b: &PackedQuantizedMatrix,
+    out_params: QuantParams,
+) -> Result<QuantizedMatrix> {
+    check(a, b.data())?;
+    let acc = centred_product(a, b.data(), b.params().zero_point())?;
+    let scale = a.params().scale() * b.params().scale();
     let data: Vec<i8> = acc
         .iter()
         .map(|&v| out_params.requantize_accumulator(v, scale))
         .collect();
     Ok(QuantizedMatrix::from_raw(
         a.rows(),
-        b.cols(),
+        b.data().cols(),
         data,
         out_params,
     ))

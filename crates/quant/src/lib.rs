@@ -49,7 +49,7 @@ pub mod per_channel;
 
 pub use calibrate::Calibrator;
 pub use error::QuantError;
-pub use matrix::QuantizedMatrix;
+pub use matrix::{PackedQuantizedMatrix, QuantizedMatrix};
 pub use params::QuantParams;
 
 /// Convenience result alias for fallible quantization operations.

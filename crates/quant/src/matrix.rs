@@ -1,3 +1,4 @@
+use hd_tensor::gemm::PackedI8;
 use hd_tensor::Matrix;
 
 use crate::params::QuantParams;
@@ -41,6 +42,23 @@ impl QuantizedMatrix {
             cols: m.cols(),
             data,
             params,
+        }
+    }
+
+    /// This matrix packed as the right operand of the int8 kernel, with
+    /// its quantization, for a caller that multiplies by it many times.
+    /// The copy does not follow later changes to `self`.
+    ///
+    /// # Panics
+    ///
+    /// Only if the matrix broke its `rows x cols` length invariant, which
+    /// every constructor enforces.
+    #[must_use]
+    pub fn packed(&self) -> PackedQuantizedMatrix {
+        PackedQuantizedMatrix {
+            data: PackedI8::pack(&self.data, self.rows, self.cols)
+                .expect("a quantized matrix holds rows x cols values"),
+            params: self.params,
         }
     }
 
@@ -147,6 +165,27 @@ impl QuantizedMatrix {
             }
         }
         flipped
+    }
+}
+
+/// A [`QuantizedMatrix`] packed once as the right operand of the int8
+/// kernel ([`PackedI8`]), together with its quantization: the weights a
+/// device keeps resident. Built by [`QuantizedMatrix::packed`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct PackedQuantizedMatrix {
+    data: PackedI8,
+    params: QuantParams,
+}
+
+impl PackedQuantizedMatrix {
+    /// The packed values.
+    pub fn data(&self) -> &PackedI8 {
+        &self.data
+    }
+
+    /// The quantization parameters of the values.
+    pub fn params(&self) -> QuantParams {
+        self.params
     }
 }
 

@@ -10,6 +10,7 @@
 //! costs — see the `per_channel_beats_per_tensor_on_skewed_columns` test
 //! and the `quantization` Criterion bench.
 
+use hd_tensor::gemm::PackedI8;
 use hd_tensor::{Matrix, TensorError};
 
 use crate::error::QuantError;
@@ -126,32 +127,73 @@ impl ChannelQuantizedMatrix {
         out
     }
 
+    /// These weights packed as the right operand of the int8 kernel, with
+    /// their scales, for a caller that multiplies by them many times.
+    ///
+    /// # Panics
+    ///
+    /// Only if the matrix broke its `rows x cols` length invariant, which
+    /// [`ChannelQuantizedMatrix::quantize`] enforces.
+    #[must_use]
+    pub fn packed(&self) -> PackedChannelMatrix {
+        PackedChannelMatrix {
+            data: PackedI8::pack(&self.data, self.rows, self.cols)
+                .expect("a quantized matrix holds rows x cols values"),
+            scales: self.scales.clone(),
+        }
+    }
+
     /// Multiplies per-tensor-quantized activations by these per-channel
     /// weights, dequantizing to `f32`: the accumulator for column `j`
-    /// carries scale `a.scale * scales[j]`.
+    /// carries scale `a.scale * scales[j]`. Packs the weights for this
+    /// one call; see [`PackedChannelMatrix::matmul_dequantized`].
     ///
     /// # Errors
     ///
     /// Returns a wrapped shape error if `a.cols() != self.rows()`.
     pub fn matmul_dequantized(&self, a: &crate::QuantizedMatrix) -> Result<Matrix> {
-        if a.cols() != self.rows {
+        self.packed().matmul_dequantized(a)
+    }
+}
+
+/// A [`ChannelQuantizedMatrix`] packed once as the right operand of the
+/// int8 kernel ([`PackedI8`]), together with its per-channel scales: the
+/// weights a device keeps resident. Built by
+/// [`ChannelQuantizedMatrix::packed`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct PackedChannelMatrix {
+    data: PackedI8,
+    scales: Vec<f32>,
+}
+
+impl PackedChannelMatrix {
+    /// [`ChannelQuantizedMatrix::matmul_dequantized`] over the packed
+    /// weights.
+    ///
+    /// # Errors
+    ///
+    /// Returns a wrapped shape error if `a.cols()` is not the weights'
+    /// row count.
+    pub fn matmul_dequantized(&self, a: &crate::QuantizedMatrix) -> Result<Matrix> {
+        let (rows, cols) = (self.data.rows(), self.data.cols());
+        if a.cols() != rows {
             return Err(TensorError::ShapeMismatch {
                 op: "per-channel matmul",
                 lhs: a.shape(),
-                rhs: (self.rows, self.cols),
+                rhs: (rows, cols),
             }
             .into());
         }
         // Weights carry zero point 0: only the `za * colsum` correction of
         // the shared decomposition applies.
-        let acc = crate::gemm::centred_product(a, &self.data, 0, self.cols)?;
+        let acc = crate::gemm::centred_product(a, &self.data, 0)?;
         let sa = a.params().scale();
         let data: Vec<f32> = acc
             .iter()
             .enumerate()
-            .map(|(idx, &v)| sa * self.scales[idx % self.cols] * v as f32)
+            .map(|(idx, &v)| sa * self.scales[idx % cols] * v as f32)
             .collect();
-        Ok(Matrix::from_vec(a.rows(), self.cols, data).expect("shape invariant"))
+        Ok(Matrix::from_vec(a.rows(), cols, data).expect("shape invariant"))
     }
 }
 

@@ -7,17 +7,21 @@
 //! kernel shape, the host's small-scale version of the paper's
 //! weight-stationary array:
 //!
-//! * **Packing.** `b` is packed per call, one `KC x NC` slab (256 rows by
-//!   256 columns, cut into 16-column panels) at a time, into one scratch
-//!   buffer of at most 256 KiB per row band. No packed copy outlives the
-//!   call, so memory stays bounded and fault-flipped device weights are
-//!   read exactly as stored. `i8` slabs hold `k`-pairs widened to `i16`
-//!   for `_mm256_madd_epi16`.
+//! * **Packing.** The f32 `b` is packed per call, one `KC x NC` slab (256
+//!   rows by 256 columns, cut into 16-column panels) at a time, into one
+//!   scratch buffer of at most 256 KiB per row band. The `i8` `b` is
+//!   packed whole into a [`PackedI8`]: 16-column panels of `k`-quads (four
+//!   consecutive rows of a column side by side, the operand layout of
+//!   `vpdpbusd`) plus each column's sum, in the weights' own size. A caller
+//!   that multiplies by the same weights many times keeps the packed copy,
+//!   as the device simulator does for its resident weights from model
+//!   load on; [`matmul_i8_i32`] packs for one call. The copy is a snapshot,
+//!   so weights changed afterwards (fault injection) must be packed again.
 //! * **Register tile.** An `MR x NR` (6 x 16) block of the output stays in
 //!   registers while a slab streams past it. The f32 tile keeps each
 //!   output's ascending-`p` order with a separate multiply and add (no
 //!   FMA), so [`matmul_into`] is bit-identical to [`matmul_reference`]; the
-//!   `i8` tile's `i32` sums are exact, so [`matmul_i8_i32`] equals
+//!   `i8` tiles' `i32` sums are exact, so [`matmul_i8_i32`] equals
 //!   [`matmul_i8_i32_reference`]. A narrow last panel is zero-padded and
 //!   its store writes only the real columns.
 //! * **Zero skip.** The f32 kernel skips products whose `a` is zero, so a
@@ -27,12 +31,19 @@
 //!   slab, the AVX2 tile runs finite slabs without the test, and the
 //!   scalar tile, which keeps it, runs the rest. For `i8` a zero product
 //!   is always a no-op.
-//! * **Dispatch.** The AVX2 tiles run when the host has AVX2 and SIMD is
-//!   permitted ([`crate::kernels::set_simd_enabled`], `HD_NO_SIMD`);
-//!   otherwise, and under Miri, a scalar tile runs over the same packing.
+//! * **Dispatch.** SIMD tiles run only when SIMD is permitted
+//!   ([`crate::kernels::set_simd_enabled`], `HD_NO_SIMD`) and the host has
+//!   the features; otherwise, and under Miri, a scalar tile runs over the
+//!   same packing. The f32 product has one AVX2 tile. The `i8` product
+//!   takes the first of three tiles over the same packed bytes: a
+//!   `vpdpbusd` tile (AVX-VNNI), which multiplies `a ^ 0x80` as its
+//!   unsigned side and subtracts `128 * colsum`; an AVX2 `vpmaddwd` tile,
+//!   which widens the quads to `i16` pairs in registers; and the scalar
+//!   tile.
 //! * **Threads.** Large products split into row bands, a two-stage SDF
 //!   schedule (plan -> rows) executed through the generic runtime in
-//!   [`hd_dataflow::runtime`]; each band packs its own slabs.
+//!   [`hd_dataflow::runtime`]; each f32 band packs its own slabs, and the
+//!   `i8` bands share one packed `b`.
 //!
 //! The *analytic* runtime models in the `cpu-model` and `tpu-sim` crates
 //! reproduce the paper's timing figures. The wall-clock speed of these
@@ -53,12 +64,16 @@ use crate::Result;
 const MR: usize = 6;
 /// Columns of one register tile, and the width of one packed panel of `b`.
 const NR: usize = 16;
-/// Depth of one packed slab of `b`. Even, so only a product's last slab
-/// can end in an unpaired `i8` row.
+/// Depth of one packed f32 slab of `b`.
 const KC: usize = 256;
-/// Columns of one packed slab of `b`: 16 panels, so an f32 slab
-/// (`KC x NC`) is 256 KiB and an `i8` one half that.
+/// Columns of one packed f32 slab of `b`: 16 panels, so a slab
+/// (`KC x NC`) is 256 KiB.
 const NC: usize = 256;
+/// Depth of the part of one packed `i8` panel a tile runs over: 16 KiB,
+/// so it stays in L1 while every row tile of the band passes it. A
+/// multiple of 4, so only a product's last part can end in a partial
+/// quad.
+const I8_KC: usize = 1024;
 
 /// Process-wide worker-thread cap set via [`set_thread_cap`]; `0` means
 /// uncapped (use every hardware thread).
@@ -390,18 +405,12 @@ fn tile_f32_portable(a: &[f32], slab: &[f32], out: &mut [f32], tile: Tile) {
     }
 }
 
-/// Checks the slice lengths for an `m x k` by `k x n` int8 product.
-fn check_i8_shapes(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Result<()> {
-    if a.len() != m.saturating_mul(k) {
+/// Checks that `len` is the `rows x cols` a slice claims to hold.
+fn check_len(len: usize, rows: usize, cols: usize) -> Result<()> {
+    if len != rows.saturating_mul(cols) {
         return Err(TensorError::LengthMismatch {
-            expected: m * k,
-            actual: a.len(),
-        });
-    }
-    if b.len() != k.saturating_mul(n) {
-        return Err(TensorError::LengthMismatch {
-            expected: k * n,
-            actual: b.len(),
+            expected: rows * cols,
+            actual: len,
         });
     }
     Ok(())
@@ -420,26 +429,210 @@ fn simd_selected() -> bool {
     }
 }
 
-/// Name of the `i8` GEMM kernel the dispatcher would select right now
-/// (`"avx2"` or `"portable"`). Exposed via
-/// [`crate::kernels::i8_gemm_kernel_name`].
-pub(crate) fn selected_i8_kernel() -> &'static str {
-    if simd_selected() {
-        "avx2"
-    } else {
-        "portable"
+/// The register tiles of the `i8` product. All of them read the same
+/// [`PackedI8`] bytes and produce the same bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum I8Tile {
+    /// `vpdpbusd` (AVX-VNNI).
+    AvxVnni,
+    /// `vpmaddwd` over quads widened to `i16` pairs in registers.
+    Avx2,
+    /// The scalar tile: Miri, `HD_NO_SIMD`, and hosts without AVX2.
+    Scalar,
+}
+
+impl I8Tile {
+    /// Every tile, in order of preference.
+    const ALL: [I8Tile; 3] = [I8Tile::AvxVnni, I8Tile::Avx2, I8Tile::Scalar];
+
+    /// Whether this host can run the tile.
+    fn supported(self) -> bool {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            match self {
+                I8Tile::AvxVnni => has!("avx2") && has!("avxvnni"),
+                I8Tile::Avx2 => has!("avx2"),
+                I8Tile::Scalar => true,
+            }
+        }
+        #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+        {
+            self == I8Tile::Scalar
+        }
+    }
+
+    /// The tile the dispatcher runs right now: the first one the host
+    /// supports, or the scalar tile when SIMD is not permitted
+    /// ([`crate::kernels::set_simd_enabled`], `HD_NO_SIMD`).
+    fn selected() -> I8Tile {
+        if !crate::kernels::simd_permitted() {
+            return I8Tile::Scalar;
+        }
+        I8Tile::ALL
+            .into_iter()
+            .find(|tile| tile.supported())
+            .unwrap_or(I8Tile::Scalar)
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            I8Tile::AvxVnni => "avxvnni",
+            I8Tile::Avx2 => "avx2",
+            I8Tile::Scalar => "portable",
+        }
     }
 }
 
-/// `i8 x i8 -> i32` GEMM: multiplies row-major `a (m x k)` by `b (k x n)`,
-/// returning the `m x n` accumulator matrix as a flat vector.
+/// Name of the `i8` GEMM tile the dispatcher would select right now
+/// (`"avxvnni"`, `"avx2"` or `"portable"`). Exposed via
+/// [`crate::kernels::i8_gemm_kernel_name`].
+pub(crate) fn selected_i8_kernel() -> &'static str {
+    I8Tile::selected().name()
+}
+
+/// `k` rows per packed quad: the four `i8` products one `i32` lane of
+/// `vpdpbusd` sums.
+const QUAD: usize = 4;
+
+/// The right operand `b (k x n)` of the `i8` product, packed once.
 ///
-/// Runs the packed kernel with the AVX2 tile when permitted (see
-/// [`crate::kernels::set_simd_enabled`] and the `HD_NO_SIMD` variable)
-/// and the scalar tile otherwise; both are bit-exact with
-/// [`matmul_i8_i32_reference`]. Large products split into row bands
-/// across worker threads under the same [`set_thread_cap`] /
-/// `HD_THREADS` budget as the `f32` kernel.
+/// `b` is cut into 16-column panels, the last one zero-padded. A panel
+/// holds `k.div_ceil(4)` quad rows; quad row `q` holds, for each of the
+/// panel's columns in turn, `b[4q..4q + 4]` of that column, four
+/// contiguous bytes, with rows past `k` zero. That is the operand layout
+/// of `vpdpbusd`, and the AVX2 and scalar tiles read the same bytes. The
+/// copy takes the weights' own size up to the padding, plus one `i32`
+/// sum per column, which the VNNI tile's sign correction and
+/// `hd_quant`'s zero-point correction read instead of summing `b` again.
+///
+/// The copy is a snapshot: a caller that changes the weights afterwards
+/// (as fault injection does) must pack them again.
+///
+/// # Examples
+///
+/// ```
+/// use hd_tensor::gemm::{self, PackedI8};
+/// # fn main() -> Result<(), hd_tensor::TensorError> {
+/// let b = [1i8, 2, 3, 4, 5, 6]; // 3 x 2
+/// let packed = PackedI8::pack(&b, 3, 2)?;
+/// assert_eq!(packed.col_sums(), &[9, 12]);
+/// let a = [1i8, 0, -1]; // 1 x 3
+/// assert_eq!(gemm::matmul_i8_packed(&a, &packed, 1)?, vec![-4, -4]);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PackedI8 {
+    k: usize,
+    n: usize,
+    panels: Vec<i8>,
+    col_sums: Vec<i32>,
+}
+
+impl PackedI8 {
+    /// Packs row-major `b (k x n)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::LengthMismatch`] when `b.len() != k * n`.
+    pub fn pack(b: &[i8], k: usize, n: usize) -> Result<Self> {
+        check_len(b.len(), k, n)?;
+        let panel_len = Self::panel_len(k);
+        let mut panels = vec![0i8; n.div_ceil(NR) * panel_len];
+        for (q, quad) in b.chunks(QUAD * n.max(1)).enumerate() {
+            let rows: [&[i8]; QUAD] =
+                std::array::from_fn(|t| quad.get(t * n..(t + 1) * n).unwrap_or_default());
+            for (panel, j0) in (0..n).step_by(NR).enumerate() {
+                let dst: &mut [i8; QUAD * NR] = (&mut panels[panel * panel_len + q * QUAD * NR..]
+                    [..QUAD * NR])
+                    .try_into()
+                    .unwrap();
+                let lanes = rows.map(|row| row.get(j0..j0 + NR).and_then(|r| r.try_into().ok()));
+                match lanes {
+                    [Some(r0), Some(r1), Some(r2), Some(r3)] => interleave([r0, r1, r2, r3], dst),
+                    // The last quad or panel: zero-pad it first.
+                    _ => {
+                        let lanes =
+                            rows.map(|row| padded(row.get(j0..n.min(j0 + NR)).unwrap_or_default()));
+                        interleave(lanes.each_ref(), dst);
+                    }
+                }
+            }
+        }
+        Ok(PackedI8 {
+            k,
+            n,
+            panels,
+            col_sums: col_sums(b, n),
+        })
+    }
+
+    /// Bytes of one packed panel of a `k`-deep operand.
+    fn panel_len(k: usize) -> usize {
+        k.div_ceil(QUAD) * QUAD * NR
+    }
+
+    /// Rows of `b`: the depth of the product.
+    pub fn rows(&self) -> usize {
+        self.k
+    }
+
+    /// Columns of `b`: the width of the product.
+    pub fn cols(&self) -> usize {
+        self.n
+    }
+
+    /// The sum of each column of `b`, wrapped to `i32` (exact for any
+    /// `k` below `2^24`).
+    pub fn col_sums(&self) -> &[i32] {
+        &self.col_sums
+    }
+}
+
+/// Writes one panel's quad row: for each of the `NR` columns, its value
+/// in each of the quad's four `rows`.
+fn interleave(rows: [&[i8; NR]; QUAD], dst: &mut [i8; QUAD * NR]) {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    simd::interleave(rows, dst);
+    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+    interleave_portable(rows, dst);
+}
+
+/// [`interleave`] one byte at a time.
+#[cfg_attr(all(target_arch = "x86_64", not(miri)), allow(dead_code))]
+fn interleave_portable(rows: [&[i8; NR]; QUAD], dst: &mut [i8; QUAD * NR]) {
+    for c in 0..NR {
+        for (t, row) in rows.iter().enumerate() {
+            dst[c * QUAD + t] = row[c];
+        }
+    }
+}
+
+/// The column sums of row-major `b (.. x n)`, wrapped to `i32`. Sums run
+/// in `i16` over blocks of 256 rows, which cannot overflow
+/// (`256 * -128 = i16::MIN`), and then widen.
+fn col_sums(b: &[i8], n: usize) -> Vec<i32> {
+    let mut sums = vec![0i32; n];
+    let mut block_sums = vec![0i16; n];
+    for block in b.chunks(256 * n.max(1)) {
+        block_sums.fill(0);
+        for row in block.chunks_exact(n) {
+            for (sum, &v) in block_sums.iter_mut().zip(row) {
+                *sum += i16::from(v);
+            }
+        }
+        for (sum, &block_sum) in sums.iter_mut().zip(&block_sums) {
+            *sum = sum.wrapping_add(i32::from(block_sum));
+        }
+    }
+    sums
+}
+
+/// `i8 x i8 -> i32` GEMM: multiplies row-major `a (m x k)` by `b (k x n)`,
+/// returning the `m x n` accumulator matrix as a flat vector. Packs `b`
+/// and runs [`matmul_i8_packed`]; a caller that multiplies by the same
+/// `b` again should keep the [`PackedI8`] instead.
 ///
 /// The caller owns overflow. Raw products reach `128^2`, so the
 /// accumulator is exact for any values while `k <= 131071`. Callers that
@@ -452,16 +645,34 @@ pub(crate) fn selected_i8_kernel() -> &'static str {
 /// Returns [`TensorError::LengthMismatch`] when a slice length does not
 /// match its declared shape.
 pub fn matmul_i8_i32(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Result<Vec<i32>> {
-    check_i8_shapes(a, b, m, k, n)?;
-    let mut out = vec![0i32; m.saturating_mul(n)];
-    let simd = simd_selected();
-    if simd {
-        crate::kernels::note_simd_gemm();
-    } else {
+    check_len(a.len(), m, k)?;
+    matmul_i8_packed(a, &PackedI8::pack(b, k, n)?, m)
+}
+
+/// `i8 x i8 -> i32` GEMM of row-major `a (m x k)` by a packed `b`, with
+/// the exactness contract of [`matmul_i8_i32`].
+///
+/// Runs the first tile the host supports when SIMD is permitted (see
+/// [`crate::kernels::set_simd_enabled`] and the `HD_NO_SIMD` variable),
+/// the scalar tile otherwise; every tile is bit-exact with
+/// [`matmul_i8_i32_reference`]. Large products split into row bands
+/// across worker threads under the same [`set_thread_cap`] /
+/// `HD_THREADS` budget as the `f32` kernel.
+///
+/// # Errors
+///
+/// Returns [`TensorError::LengthMismatch`] when `a.len() != m * k`.
+pub fn matmul_i8_packed(a: &[i8], b: &PackedI8, m: usize) -> Result<Vec<i32>> {
+    check_len(a.len(), m, b.k)?;
+    let tile = I8Tile::selected();
+    if tile == I8Tile::Scalar {
         crate::kernels::note_portable_gemm();
+    } else {
+        crate::kernels::note_simd_gemm();
     }
-    banded(a, &mut out, (m, k, n), |a, out, rows| {
-        i8_kernel(a, b, out, (rows, k, n), simd);
+    let mut out = vec![0i32; m.saturating_mul(b.n)];
+    banded(a, &mut out, (m, b.k, b.n), |a, out, rows| {
+        i8_kernel(a, b, out, rows, tile);
     });
     Ok(out)
 }
@@ -480,7 +691,8 @@ pub fn matmul_i8_i32_reference(
     k: usize,
     n: usize,
 ) -> Result<Vec<i32>> {
-    check_i8_shapes(a, b, m, k, n)?;
+    check_len(a.len(), m, k)?;
+    check_len(b.len(), k, n)?;
     let mut out = vec![0i32; m.saturating_mul(n)];
     for i in 0..m {
         for j in 0..n {
@@ -494,121 +706,145 @@ pub fn matmul_i8_i32_reference(
     Ok(out)
 }
 
-/// The `i8` kernel over one row band: the f32 kernel's loop nest over
-/// `k`-pair slabs, `out (m x n) += a (m x k) * b (k x n)` with `out`
-/// zeroed by the caller.
-fn i8_kernel(a: &[i8], b: &[i8], out: &mut [i32], (m, k, n): (usize, usize, usize), simd: bool) {
-    let mut slab = vec![0i16; KC.min(k).next_multiple_of(2) * NC.min(n).next_multiple_of(NR)];
-    for j0 in (0..n).step_by(NC) {
-        let width = NC.min(n - j0);
-        for p0 in (0..k).step_by(KC) {
-            let depth = KC.min(k - p0);
-            pack_i8(b, n, (p0, j0), (depth, width), &mut slab);
-            let panel_len = depth.div_ceil(2) * 2 * NR;
-            for i0 in (0..m).step_by(MR) {
-                let a = &a[i0 * k + p0..];
-                for (panel, jp) in (0..width).step_by(NR).enumerate() {
-                    let tile = Tile {
-                        k,
-                        n,
-                        depth,
-                        rows: MR.min(m - i0),
-                        cols: NR.min(width - jp),
-                    };
-                    let slab = &slab[panel * panel_len..][..panel_len];
-                    tile_i8(a, slab, &mut out[i0 * n + j0 + jp..], tile, simd);
-                }
-            }
-        }
-    }
-}
-
-/// Packs the `depth x width` block of row-major `b (.. x n)` whose
-/// top-left element is `b[p0][j0]` as `NR`-column panels of `k`-pairs:
-/// row `q` of a panel holds, for each of its columns, `b[p0 + 2q]` then
-/// `b[p0 + 2q + 1]` of that column widened to `i16`. A row past `depth`
-/// and the last panel's columns past `width` are zero.
-fn pack_i8(
-    b: &[i8],
-    n: usize,
-    (p0, j0): (usize, usize),
-    (depth, width): (usize, usize),
-    slab: &mut [i16],
-) {
-    const ZERO_ROW: [i8; NC] = [0; NC];
-    let pairs = depth.div_ceil(2);
-    let row = |p: usize| {
-        if p < depth {
-            &b[(p0 + p) * n + j0..][..width]
-        } else {
-            &ZERO_ROW[..width]
-        }
-    };
-    for q in 0..pairs {
-        let (lo, hi) = (row(2 * q), row(2 * q + 1));
-        for (panel, (lo, hi)) in lo.chunks(NR).zip(hi.chunks(NR)).enumerate() {
-            let (lo, hi) = (padded(lo), padded(hi));
-            let lanes = &mut slab[(panel * pairs + q) * 2 * NR..][..2 * NR];
-            for (pair, (&x, &y)) in lanes.chunks_exact_mut(2).zip(lo.iter().zip(&hi)) {
-                pair[0] = i16::from(x);
-                pair[1] = i16::from(y);
-            }
-        }
-    }
-}
-
-/// Runs one `i8` tile: the AVX2 tile when `simd`, the scalar tile
-/// otherwise.
-fn tile_i8(a: &[i8], slab: &[i16], out: &mut [i32], tile: Tile, simd: bool) {
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    if simd {
-        // SAFETY: `simd` is only true after `simd_selected()` detected
-        // AVX2 at run time; the tile checks its own slice bounds.
-        #[allow(unsafe_code)]
-        unsafe {
-            simd::tile_i8(a, slab, out, tile);
-        }
+/// The `i8` kernel over one row band, `out (m x n) = a (m x k) * b`. For
+/// each panel of `b`, in parts of at most [`I8_KC`] rows, every `MR`-row
+/// tile of the band runs over that part of the panel, read in place.
+///
+/// The tiles read `a` a quad at a time, from a copy of the band whose
+/// rows are zero-padded to whole quads (the padded rows of `b` are zero
+/// too). `vpdpbusd` multiplies an unsigned byte by a signed one, so for
+/// the VNNI tile the copy holds `a ^ 0x80`, which read unsigned is
+/// `a + 128`, and the band's outputs start at `-128 * colsum(b)` instead
+/// of zero. Past `k = 65793` the partial sums `(a + 128) b` leave `i32`;
+/// they and the correction wrap, so the result is exact wherever the
+/// true product fits `i32`. The AVX2 and scalar tiles read a copy
+/// widened to `i16`, so a row's quad is two `i16` pairs as they are.
+fn i8_kernel(a: &[i8], b: &PackedI8, out: &mut [i32], m: usize, tile: I8Tile) {
+    let k = b.k;
+    if k == 0 || b.n == 0 {
         return;
     }
-    let _ = simd;
-    tile_i8_portable(a, slab, out, tile);
+    debug_assert!(tile.supported(), "{tile:?} is not supported on this host");
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    // SAFETY: every tile but the scalar one is selected only after
+    // `I8Tile::supported` detected its features at run time; the tiles
+    // check their own slice bounds.
+    #[allow(unsafe_code)]
+    match tile {
+        I8Tile::AvxVnni => {
+            for row in out.chunks_exact_mut(b.n) {
+                for (o, &sum) in row.iter_mut().zip(&b.col_sums) {
+                    *o = sum.wrapping_mul(-128);
+                }
+            }
+            let a = quad_band(a, k, |v| v ^ i8::MIN);
+            return for_each_tile(&a, b, out, m, |a, part, out, shape| unsafe {
+                simd::tile_i8_avxvnni(a, part, out, shape);
+            });
+        }
+        I8Tile::Avx2 => {
+            let a = quad_band(a, k, i16::from);
+            return for_each_tile(&a, b, out, m, |a, part, out, shape| unsafe {
+                simd::tile_i8_avx2(a, part, out, shape);
+            });
+        }
+        I8Tile::Scalar => {}
+    }
+    for_each_tile(&quad_band(a, k, i16::from), b, out, m, tile_i8_portable);
 }
 
-/// The scalar `i8` tile: the AVX2 tile's pair sums one lane at a time.
-fn tile_i8_portable(a: &[i8], slab: &[i16], out: &mut [i32], tile: Tile) {
-    let mut acc = [[0i32; NR]; MR];
-    for (r, acc) in acc.iter_mut().enumerate().take(tile.rows) {
-        acc[..tile.cols].copy_from_slice(&out[r * tile.n..][..tile.cols]);
+/// The band `a (.. x k)` with each row zero-padded to whole quads, every
+/// value mapped by `f`.
+fn quad_band<T: Copy + Default>(a: &[i8], k: usize, f: impl Fn(i8) -> T) -> Vec<T> {
+    let k4 = k.next_multiple_of(QUAD);
+    let mut band = vec![T::default(); a.len() / k * k4];
+    for (dst, src) in band.chunks_exact_mut(k4).zip(a.chunks_exact(k)) {
+        for (d, &v) in dst.iter_mut().zip(src) {
+            *d = f(v);
+        }
     }
-    for (q, b) in slab.chunks_exact(2 * NR).enumerate() {
-        let p = 2 * q;
-        for (r, acc) in acc.iter_mut().enumerate().take(tile.rows) {
-            let lo = i32::from(a[r * tile.k + p]);
-            let hi = if p + 1 < tile.depth {
-                i32::from(a[r * tile.k + p + 1])
-            } else {
-                0
-            };
-            for (o, pair) in acc.iter_mut().zip(b.chunks_exact(2)) {
-                *o += lo * i32::from(pair[0]) + hi * i32::from(pair[1]);
+    band
+}
+
+/// Runs `tile` over every part of every panel of `b` for each `MR`-row
+/// tile of the quad-padded band `a (m x ..)`.
+fn for_each_tile<A>(
+    a: &[A],
+    b: &PackedI8,
+    out: &mut [i32],
+    m: usize,
+    mut tile: impl FnMut(&[A], &[i8], &mut [i32], Tile),
+) {
+    let (k4, n) = (b.k.next_multiple_of(QUAD), b.n);
+    let panel_len = PackedI8::panel_len(b.k);
+    for p0 in (0..k4).step_by(I8_KC) {
+        let depth = I8_KC.min(k4 - p0);
+        for (panel, j0) in (0..n).step_by(NR).enumerate() {
+            let part = &b.panels[panel * panel_len + p0 * NR..][..depth * NR];
+            for i0 in (0..m).step_by(MR) {
+                let shape = Tile {
+                    k: k4,
+                    n,
+                    depth,
+                    rows: MR.min(m - i0),
+                    cols: NR.min(n - j0),
+                };
+                tile(&a[i0 * k4 + p0..], part, &mut out[i0 * n + j0..], shape);
             }
         }
     }
-    for (r, acc) in acc.iter().enumerate().take(tile.rows) {
-        out[r * tile.n..][..tile.cols].copy_from_slice(&acc[..tile.cols]);
+}
+
+/// The scalar `i8` tile: each output adds its quads' four products one
+/// lane at a time. Reads `a` as [`i8_kernel`] lays it out, widened and
+/// in whole quads, so `shape.depth` is a multiple of 4.
+fn tile_i8_portable(a: &[i16], slab: &[i8], out: &mut [i32], shape: Tile) {
+    let mut acc = [[0i32; NR]; MR];
+    for (r, acc) in acc.iter_mut().enumerate().take(shape.rows) {
+        acc[..shape.cols].copy_from_slice(&out[r * shape.n..][..shape.cols]);
+    }
+    for (q, b) in slab.chunks_exact(QUAD * NR).enumerate() {
+        for (r, acc) in acc.iter_mut().enumerate().take(shape.rows) {
+            let quad = &a[r * shape.k + q * QUAD..][..QUAD];
+            for (o, b) in acc.iter_mut().zip(b.chunks_exact(QUAD)) {
+                *o += quad
+                    .iter()
+                    .zip(b)
+                    .map(|(&x, &y)| i32::from(x) * i32::from(y))
+                    .sum::<i32>();
+            }
+        }
+    }
+    for (r, acc) in acc.iter().enumerate().take(shape.rows) {
+        out[r * shape.n..][..shape.cols].copy_from_slice(&acc[..shape.cols]);
     }
 }
 
-/// The AVX2 register tiles. Isolated in their own module so the
-/// crate-level `deny(unsafe_code)` stays intact everywhere else; this is
-/// the only unsafe code in the workspace's algorithm crates.
+/// The SIMD register tiles and the `i8` pack's interleave. Isolated in
+/// their own module so the crate-level `deny(unsafe_code)` stays intact
+/// everywhere else; this is the only unsafe code in the workspace's
+/// algorithm crates.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 #[allow(unsafe_code)]
 mod simd {
     #[allow(clippy::wildcard_imports)]
     use std::arch::x86_64::*;
 
-    use super::{Tile, MR, NR};
+    use super::{Tile, MR, NR, QUAD};
+
+    /// Runs `rows::<R>` for `R = tile.rows`, the tile's real row count.
+    macro_rules! by_rows {
+        ($rows:ident, $a:expr, $slab:expr, $out:expr, $tile:expr) => {
+            match $tile.rows {
+                6 => $rows::<6>($a, $slab, $out, $tile),
+                5 => $rows::<5>($a, $slab, $out, $tile),
+                4 => $rows::<4>($a, $slab, $out, $tile),
+                3 => $rows::<3>($a, $slab, $out, $tile),
+                2 => $rows::<2>($a, $slab, $out, $tile),
+                _ => $rows::<1>($a, $slab, $out, $tile),
+            }
+        };
+    }
 
     /// Asserts that every access a `rows`-row tile over a `depth`-deep
     /// slab makes through `a` and `out` is in bounds.
@@ -642,16 +878,7 @@ mod simd {
         check_bounds(a, out, tile);
         assert_eq!(slab.len(), tile.depth * NR);
         // SAFETY: AVX2 is guaranteed by the caller; bounds checked above.
-        unsafe {
-            match tile.rows {
-                6 => f32_rows::<6>(a, slab, out, tile),
-                5 => f32_rows::<5>(a, slab, out, tile),
-                4 => f32_rows::<4>(a, slab, out, tile),
-                3 => f32_rows::<3>(a, slab, out, tile),
-                2 => f32_rows::<2>(a, slab, out, tile),
-                _ => f32_rows::<1>(a, slab, out, tile),
-            }
-        }
+        unsafe { by_rows!(f32_rows, a, slab, out, tile) }
     }
 
     /// # Safety
@@ -696,11 +923,144 @@ mod simd {
         }
     }
 
-    /// AVX2 `i8` tile: up to 6 rows x 16 columns of `i32` accumulators.
-    /// Per `k`-pair: two slab loads, one broadcast of the row's `a` pair
-    /// per row, and `_mm256_madd_epi16`, whose pair sums (at most `2^15`
-    /// for `i8` operands) are exact in `i32`. `maddubs` would saturate in
-    /// `i16`, so it is not used.
+    /// `super::interleave` in two rounds of SSE2 unpacks: bytes of rows
+    /// 0 and 1 (and of 2 and 3) into pairs, then pairs into quads. SSE2
+    /// is part of the x86-64 baseline, so it needs no detection.
+    pub(super) fn interleave(rows: [&[i8; NR]; QUAD], dst: &mut [i8; QUAD * NR]) {
+        // SAFETY: each row is 16 bytes and `dst` is four times that.
+        unsafe {
+            let [r0, r1, r2, r3] = rows.map(|row| _mm_loadu_si128(row.as_ptr().cast()));
+            let (lo01, hi01) = (_mm_unpacklo_epi8(r0, r1), _mm_unpackhi_epi8(r0, r1));
+            let (lo23, hi23) = (_mm_unpacklo_epi8(r2, r3), _mm_unpackhi_epi8(r2, r3));
+            let dst = dst.as_mut_ptr().cast::<__m128i>();
+            _mm_storeu_si128(dst, _mm_unpacklo_epi16(lo01, lo23));
+            _mm_storeu_si128(dst.add(1), _mm_unpackhi_epi16(lo01, lo23));
+            _mm_storeu_si128(dst.add(2), _mm_unpacklo_epi16(hi01, hi23));
+            _mm_storeu_si128(dst.add(3), _mm_unpackhi_epi16(hi01, hi23));
+        }
+    }
+
+    /// Asserts what every `i8` tile reads and writes is in bounds, and
+    /// that the depth is whole quads.
+    fn check_i8_bounds<A>(a: &[A], slab: &[i8], out: &[i32], tile: Tile) {
+        check_bounds(a, out, tile);
+        assert!(tile.depth.is_multiple_of(QUAD), "{tile:?}");
+        assert_eq!(slab.len(), tile.depth * NR);
+    }
+
+    /// Row `r`'s `a` quad facing quad row `q`, as the `i32` lane that
+    /// holds its four bytes in order.
+    ///
+    /// # Safety
+    ///
+    /// `a` points at a band that [`check_i8_bounds`] accepted for `tile`,
+    /// `r < tile.rows` and `4q < tile.depth`.
+    #[inline(always)]
+    unsafe fn a_word(a: *const i8, tile: Tile, r: usize, q: usize) -> i32 {
+        // SAFETY: the depth is whole quads, so `r * k + 4q + 4 <=
+        // (rows - 1) * k + depth <= a.len()`.
+        let bytes = unsafe {
+            a.add(r * tile.k + q * QUAD)
+                .cast::<[u8; QUAD]>()
+                .read_unaligned()
+        };
+        i32::from_le_bytes(bytes)
+    }
+
+    /// Loads a tile's running sums from `out` into two registers per row.
+    ///
+    /// # Safety
+    ///
+    /// AVX2, and the bounds [`check_i8_bounds`] checks.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn load_i32<const R: usize>(out: &[i32], tile: Tile) -> [[__m256i; 2]; R] {
+        std::array::from_fn(|r| {
+            let mut lanes = [0i32; NR];
+            lanes[..tile.cols].copy_from_slice(&out[r * tile.n..][..tile.cols]);
+            // SAFETY: `lanes` holds NR = 16 integers.
+            unsafe {
+                [
+                    _mm256_loadu_si256(lanes.as_ptr().cast()),
+                    _mm256_loadu_si256(lanes.as_ptr().add(8).cast()),
+                ]
+            }
+        })
+    }
+
+    /// Stores a tile's sums back to the real columns of `out`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2, and the bounds [`check_i8_bounds`] checks.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn store_i32<const R: usize>(acc: &[[__m256i; 2]; R], out: &mut [i32], tile: Tile) {
+        for (r, acc) in acc.iter().enumerate() {
+            let mut lanes = [0i32; NR];
+            // SAFETY: `lanes` holds NR = 16 integers.
+            unsafe {
+                _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc[0]);
+                _mm256_storeu_si256(lanes.as_mut_ptr().add(8).cast(), acc[1]);
+            }
+            out[r * tile.n..][..tile.cols].copy_from_slice(&lanes[..tile.cols]);
+        }
+    }
+
+    /// VNNI `i8` tile: up to 6 rows x 16 columns of `i32` sums. Per quad
+    /// row: two slab loads, one broadcast of the row's `a ^ 0x80` quad per
+    /// row, and one `vpdpbusd` per register, which adds four `u8 x i8`
+    /// products per lane with no intermediate saturation and wraps in
+    /// `i32`. The kernel flips `a` and starts the sums at
+    /// `-128 * colsum` (see `i8_kernel`).
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2 and AVX-VNNI.
+    ///
+    /// # Panics
+    ///
+    /// If `a`, `slab` or `out` is shorter than `tile` says, which would
+    /// be a bug in the kernel's loop nest.
+    #[target_feature(enable = "avx2,avxvnni")]
+    pub(super) unsafe fn tile_i8_avxvnni(a: &[i8], slab: &[i8], out: &mut [i32], tile: Tile) {
+        check_i8_bounds(a, slab, out, tile);
+        // SAFETY: the features are guaranteed by the caller; bounds
+        // checked above.
+        unsafe { by_rows!(avxvnni_rows, a, slab, out, tile) }
+    }
+
+    /// # Safety
+    ///
+    /// AVX2 and AVX-VNNI, `tile.rows == R`, and the bounds
+    /// [`check_i8_bounds`] checks.
+    #[target_feature(enable = "avx2,avxvnni")]
+    unsafe fn avxvnni_rows<const R: usize>(a: &[i8], slab: &[i8], out: &mut [i32], tile: Tile) {
+        // SAFETY: features and bounds as documented.
+        unsafe {
+            let mut acc = load_i32::<R>(out, tile);
+            let a = a.as_ptr();
+            for (q, b) in slab.chunks_exact(QUAD * NR).enumerate() {
+                let b0 = _mm256_loadu_si256(b.as_ptr().cast());
+                let b1 = _mm256_loadu_si256(b.as_ptr().add(8 * QUAD).cast());
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    let av = _mm256_set1_epi32(a_word(a, tile, r, q));
+                    acc[0] = _mm256_dpbusd_avx_epi32(acc[0], av, b0);
+                    acc[1] = _mm256_dpbusd_avx_epi32(acc[1], av, b1);
+                }
+            }
+            store_i32(&acc, out, tile);
+        }
+    }
+
+    /// AVX2 `i8` tile over the same packed quads: up to 6 rows x 16
+    /// columns of `i32` sums. Per quad row and 8-column half: one slab
+    /// load, a byte shuffle and a lane permute that split each column's
+    /// quad into its `k`-pairs `(b0, b1)` and `(b2, b3)`, two sign
+    /// extensions to `i16`, then per row two `_mm256_madd_epi16` against
+    /// the row's `a` pairs, broadcast from the widened band. Pair sums
+    /// (at most `2^15` for `i8` operands) are exact in `i32`; `maddubs`
+    /// would saturate in `i16`, so it is not used.
     ///
     /// # Safety
     ///
@@ -711,71 +1071,55 @@ mod simd {
     /// If `a`, `slab` or `out` is shorter than `tile` says, which would
     /// be a bug in the kernel's loop nest.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn tile_i8(a: &[i8], slab: &[i16], out: &mut [i32], tile: Tile) {
-        check_bounds(a, out, tile);
-        assert_eq!(slab.len(), tile.depth.div_ceil(2) * 2 * NR);
+    pub(super) unsafe fn tile_i8_avx2(a: &[i16], slab: &[i8], out: &mut [i32], tile: Tile) {
+        check_i8_bounds(a, slab, out, tile);
         // SAFETY: AVX2 is guaranteed by the caller; bounds checked above.
-        unsafe {
-            match tile.rows {
-                6 => i8_rows::<6>(a, slab, out, tile),
-                5 => i8_rows::<5>(a, slab, out, tile),
-                4 => i8_rows::<4>(a, slab, out, tile),
-                3 => i8_rows::<3>(a, slab, out, tile),
-                2 => i8_rows::<2>(a, slab, out, tile),
-                _ => i8_rows::<1>(a, slab, out, tile),
-            }
-        }
+        unsafe { by_rows!(avx2_rows, a, slab, out, tile) }
     }
 
     /// # Safety
     ///
-    /// AVX2, `tile.rows == R`, and the bounds [`tile_i8`] checks.
+    /// AVX2, `tile.rows == R`, and the bounds [`check_i8_bounds`] checks.
     #[target_feature(enable = "avx2")]
-    unsafe fn i8_rows<const R: usize>(a: &[i8], slab: &[i16], out: &mut [i32], tile: Tile) {
-        let mut acc = [[_mm256_setzero_si256(); 2]; R];
-        for (r, acc) in acc.iter_mut().enumerate() {
-            let mut lanes = [0i32; NR];
-            lanes[..tile.cols].copy_from_slice(&out[r * tile.n..][..tile.cols]);
-            // SAFETY: `lanes` holds NR = 16 integers.
-            unsafe {
-                *acc = [
-                    _mm256_loadu_si256(lanes.as_ptr().cast()),
-                    _mm256_loadu_si256(lanes.as_ptr().add(8).cast()),
-                ];
-            }
-        }
-        let a = a.as_ptr();
-        for (q, b) in slab.chunks_exact(2 * NR).enumerate() {
-            let p = 2 * q;
-            let paired = p + 1 < tile.depth;
-            // SAFETY: `b` holds 2 * NR = 32 lanes; `r * k + p` (and
-            // `r * k + p + 1` when `paired`) is below
-            // `(R - 1) * k + depth <= a.len()`, checked by the caller.
-            unsafe {
-                let b0 = _mm256_loadu_si256(b.as_ptr().cast());
-                let b1 = _mm256_loadu_si256(b.as_ptr().add(NR).cast());
-                for (r, acc) in acc.iter_mut().enumerate() {
-                    let row = a.add(r * tile.k + p);
-                    let lo = i32::from(*row) & 0xFFFF;
-                    let hi = if paired {
-                        i32::from(*row.add(1)) << 16
-                    } else {
-                        0
-                    };
-                    let av = _mm256_set1_epi32(lo | hi);
-                    acc[0] = _mm256_add_epi32(acc[0], _mm256_madd_epi16(av, b0));
-                    acc[1] = _mm256_add_epi32(acc[1], _mm256_madd_epi16(av, b1));
+    unsafe fn avx2_rows<const R: usize>(a: &[i16], slab: &[i8], out: &mut [i32], tile: Tile) {
+        // SAFETY: AVX2 and bounds as documented.
+        unsafe {
+            // Within each 128-bit lane (four columns' quads): the four
+            // `(b0, b1)` pairs, then the four `(b2, b3)` pairs.
+            let pairs_first = _mm256_setr_epi8(
+                0, 1, 4, 5, 8, 9, 12, 13, 2, 3, 6, 7, 10, 11, 14, 15, //
+                0, 1, 4, 5, 8, 9, 12, 13, 2, 3, 6, 7, 10, 11, 14, 15,
+            );
+            let mut acc = load_i32::<R>(out, tile);
+            let a = a.as_ptr();
+            for (q, b) in slab.chunks_exact(QUAD * NR).enumerate() {
+                for (half, b) in b.chunks_exact(8 * QUAD).enumerate() {
+                    let quads = _mm256_loadu_si256(b.as_ptr().cast());
+                    // Low 128 bits: the eight columns' `(b0, b1)`; high
+                    // 128 bits: their `(b2, b3)`.
+                    let split = _mm256_permute4x64_epi64::<0b11_01_10_00>(_mm256_shuffle_epi8(
+                        quads,
+                        pairs_first,
+                    ));
+                    let b01 = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(split));
+                    let b23 = _mm256_cvtepi8_epi16(_mm256_extracti128_si256::<1>(split));
+                    for (r, acc) in acc.iter_mut().enumerate() {
+                        // Row `r`'s quad: the `i16` pairs `(a0, a1)` and
+                        // `(a2, a3)`, each read as one `i32` lane. The
+                        // depth is whole quads, so `r * k + 4q + 4 <=
+                        // (rows - 1) * k + depth <= a.len()`.
+                        let quad = a.add(r * tile.k + q * QUAD).cast::<i32>();
+                        let lo = _mm256_set1_epi32(quad.read_unaligned());
+                        let hi = _mm256_set1_epi32(quad.add(1).read_unaligned());
+                        let sum = _mm256_add_epi32(
+                            _mm256_madd_epi16(lo, b01),
+                            _mm256_madd_epi16(hi, b23),
+                        );
+                        acc[half] = _mm256_add_epi32(acc[half], sum);
+                    }
                 }
             }
-        }
-        for (r, acc) in acc.iter().enumerate() {
-            let mut lanes = [0i32; NR];
-            // SAFETY: `lanes` holds NR = 16 integers.
-            unsafe {
-                _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc[0]);
-                _mm256_storeu_si256(lanes.as_mut_ptr().add(8).cast(), acc[1]);
-            }
-            out[r * tile.n..][..tile.cols].copy_from_slice(&lanes[..tile.cols]);
+            store_i32(&acc, out, tile);
         }
     }
 }
@@ -1025,6 +1369,28 @@ mod tests {
             .collect()
     }
 
+    /// Every `i8` tile this host can run: the scalar tile everywhere,
+    /// the SIMD tiles where their features are detected.
+    fn host_tiles() -> impl Iterator<Item = I8Tile> {
+        I8Tile::ALL.into_iter().filter(|tile| tile.supported())
+    }
+
+    /// `a (m x k) * b` on one explicit tile, split into `threads` row
+    /// bands by the band driver.
+    fn product_on(a: &[i8], b: &PackedI8, m: usize, tile: I8Tile, threads: usize) -> Vec<i32> {
+        let mut out = vec![0i32; m * b.cols()];
+        parallel_bands(
+            a,
+            &mut out,
+            (m, b.rows(), b.cols()),
+            threads,
+            |a, out, rows| {
+                i8_kernel(a, b, out, rows, tile);
+            },
+        );
+        out
+    }
+
     #[test]
     fn i8_gemm_matches_reference_all_kernels() {
         let mut rng = DetRng::new(8);
@@ -1039,6 +1405,14 @@ mod tests {
             let a = random_i8(m * k, &mut rng);
             let b = random_i8(k * n, &mut rng);
             let slow = matmul_i8_i32_reference(&a, &b, m, k, n).unwrap();
+            let packed = PackedI8::pack(&b, k, n).unwrap();
+            for tile in host_tiles() {
+                assert_eq!(
+                    product_on(&a, &packed, m, tile, 1),
+                    slow,
+                    "({m},{k},{n}) {tile:?}"
+                );
+            }
             with_simd_on_and_off(|mode| {
                 let fast = matmul_i8_i32(&a, &b, m, k, n).unwrap();
                 assert_eq!(fast, slow, "({m},{k},{n}) {mode}");
@@ -1048,6 +1422,8 @@ mod tests {
 
     #[test]
     fn i8_gemm_parallel_path_matches_reference() {
+        // Every tile the host has, each through the band driver with
+        // explicit thread counts.
         let mut rng = DetRng::new(9);
         let (ms, ns, ks) = TAIL_SHAPES;
         for m in ms {
@@ -1056,13 +1432,11 @@ mod tests {
                     let a = random_i8(m * k, &mut rng);
                     let b = random_i8(k * n, &mut rng);
                     let slow = matmul_i8_i32_reference(&a, &b, m, k, n).unwrap();
-                    for simd in [simd_selected(), false] {
+                    let packed = PackedI8::pack(&b, k, n).unwrap();
+                    for tile in host_tiles() {
                         for threads in THREADS {
-                            let mut fast = vec![0i32; m * n];
-                            parallel_bands(&a, &mut fast, (m, k, n), threads, |a, out, rows| {
-                                i8_kernel(a, &b, out, (rows, k, n), simd);
-                            });
-                            assert_eq!(fast, slow, "({m},{k},{n}) x {threads}, simd {simd}");
+                            let fast = product_on(&a, &packed, m, tile, threads);
+                            assert_eq!(fast, slow, "({m},{k},{n}) x {threads}, {tile:?}");
                         }
                     }
                 }
@@ -1071,10 +1445,79 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore = "a 131071-deep product is too slow to interpret")]
+    fn i8_gemm_is_exact_at_the_public_depth_bound() {
+        // The deepest product `matmul_i8_i32` promises exact, with the
+        // operands that push its sums furthest: `127 * -128` (whose VNNI
+        // partial sums `255 * -128 * k` leave i32 long before the end)
+        // and `-128 * -128` (whose true sum sits 16383 below i32::MAX).
+        let (m, k, n) = (2, 131_071, 17);
+        let a: Vec<i8> = [127i8, -128]
+            .iter()
+            .flat_map(|&v| std::iter::repeat_n(v, k))
+            .collect();
+        let b = vec![-128i8; k * n];
+        let k_i64 = i64::try_from(k).unwrap();
+        let exact: Vec<i32> = [127i64 * -128, 128 * 128]
+            .iter()
+            .flat_map(|&term| std::iter::repeat_n(i32::try_from(term * k_i64).unwrap(), n))
+            .collect();
+        let packed = PackedI8::pack(&b, k, n).unwrap();
+        for tile in host_tiles() {
+            assert_eq!(product_on(&a, &packed, m, tile, 1), exact, "{tile:?}");
+        }
+        assert_eq!(matmul_i8_i32(&a, &b, m, k, n).unwrap(), exact);
+    }
+
+    #[test]
+    fn packed_operand_holds_quads_and_column_sums() {
+        // 5 x 17: two quad rows (the second padded with three zero rows)
+        // and two panels (the second holding one real column).
+        let (k, n) = (5, 17);
+        let b: Vec<i8> = (0..k * n)
+            .map(|i| i8::try_from(i % 251).unwrap() - 100)
+            .collect();
+        let packed = PackedI8::pack(&b, k, n).unwrap();
+        assert_eq!((packed.rows(), packed.cols()), (k, n));
+        assert_eq!(packed.panels.len(), 2 * 2 * QUAD * NR);
+        for j in 0..n {
+            let column: Vec<i8> = (0..k).map(|p| b[p * n + j]).collect();
+            let sum: i32 = column.iter().map(|&v| i32::from(v)).sum();
+            assert_eq!(packed.col_sums()[j], sum, "column {j}");
+            let (panel, c) = (j / NR, j % NR);
+            for (p, &v) in column.iter().enumerate() {
+                let at = panel * 2 * QUAD * NR + (p / QUAD) * QUAD * NR + c * QUAD + p % QUAD;
+                assert_eq!(packed.panels[at], v, "b[{p}][{j}]");
+            }
+        }
+        let real = |at: usize| {
+            let (c, t) = ((at % (QUAD * NR)) / QUAD, at % QUAD);
+            let (panel, q) = (at / (2 * QUAD * NR), (at / (QUAD * NR)) % 2);
+            panel * NR + c < n && q * QUAD + t < k
+        };
+        assert!((0..packed.panels.len())
+            .filter(|&at| !real(at))
+            .all(|at| packed.panels[at] == 0));
+        assert!(PackedI8::pack(&b[1..], k, n).is_err());
+        assert!(matmul_i8_packed(&[0; 4], &packed, 1).is_err());
+    }
+
+    #[test]
+    fn quad_interleave_matches_the_byte_loop() {
+        let mut rng = DetRng::new(12);
+        let rows: [[i8; NR]; QUAD] =
+            std::array::from_fn(|_| random_i8(NR, &mut rng).try_into().unwrap());
+        let (mut fast, mut slow) = ([0i8; QUAD * NR], [0i8; QUAD * NR]);
+        interleave(rows.each_ref(), &mut fast);
+        interleave_portable(rows.each_ref(), &mut slow);
+        assert_eq!(fast, slow);
+    }
+
+    #[test]
     fn i8_gemm_skips_zero_inputs() {
         // The i8 analogue of `matmul_skips_zero_inputs`: zeros in `a`
         // facing the extreme values of `b` contribute exactly nothing,
-        // including in the unpaired last row of an odd depth.
+        // including in the zero-padded last quad of a depth of 5.
         let (m, k, n) = (3, 5, 17);
         let a: Vec<i8> = vec![
             0, -128, 0, 127, 0, //
@@ -1096,6 +1539,7 @@ mod tests {
         assert!(matmul_i8_i32(&[0; 5], &[0; 6], 2, 3, 2).is_err());
         assert!(matmul_i8_i32(&[0; 6], &[0; 5], 2, 3, 2).is_err());
         assert!(matmul_i8_i32_reference(&[0; 5], &[0; 6], 2, 3, 2).is_err());
+        assert!(matmul_i8_i32_reference(&[0; 6], &[0; 5], 2, 3, 2).is_err());
     }
 
     #[test]
@@ -1113,8 +1557,11 @@ mod tests {
         let _guard = crate::kernels::TEST_SIMD_LOCK
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        let name = selected_i8_kernel();
-        assert!(name == "avx2" || name == "portable");
+        let fastest = host_tiles().next().unwrap();
+        if crate::kernels::simd_permitted() {
+            assert_eq!(selected_i8_kernel(), fastest.name());
+        }
+        assert!(["avxvnni", "avx2", "portable"].contains(&fastest.name()));
         crate::kernels::set_simd_enabled(false);
         assert_eq!(selected_i8_kernel(), "portable");
         crate::kernels::set_simd_enabled(true);

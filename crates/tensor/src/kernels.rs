@@ -12,22 +12,23 @@
 //! run at the same time.
 //!
 //! The GEMM counters (`simd_gemm_calls`, `portable_gemm_calls`) count
-//! `i8` products only. The `f32` GEMM takes the same SIMD switch but
+//! `i8` products only, one per product whatever its packing: a product
+//! over weights packed once counts like one that packs its own. The `f32` GEMM takes the same SIMD switch but
 //! bumps no counter, so a `BackendLedger` and the CLI's report lines read
 //! the same whichever `f32` tile ran.
 //!
 //! It also owns the SIMD escape hatch: [`set_simd_enabled`] (wired to the
 //! CLI's `--no-simd` flag) and the `HD_NO_SIMD` environment variable both
 //! force the portable fallback of the `i8` and `f32` GEMMs, which is how
-//! the equivalence suite pins the non-SIMD path on machines where AVX2
-//! would otherwise be selected.
+//! the equivalence suite pins the non-SIMD path on machines where a SIMD
+//! tile would otherwise be selected.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Monotone count of rows scored through the packed Hamming kernel.
 static PACKED_SCORE_ROWS: AtomicU64 = AtomicU64::new(0);
-/// Monotone count of `i8` GEMM calls taking the SIMD (AVX2) kernel.
+/// Monotone count of `i8` GEMM calls taking a SIMD (VNNI or AVX2) tile.
 static SIMD_GEMM_CALLS: AtomicU64 = AtomicU64::new(0);
 /// Monotone count of `i8` GEMM calls taking the portable fallback kernel.
 static PORTABLE_GEMM_CALLS: AtomicU64 = AtomicU64::new(0);
@@ -62,8 +63,8 @@ pub(crate) static TEST_SIMD_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new((
 pub struct KernelStats {
     /// Rows scored through the packed XOR+popcount class scan.
     pub packed_score_rows: u64,
-    /// `i8` GEMM calls that ran the AVX2 tile (`f32` calls are not
-    /// counted).
+    /// `i8` GEMM calls that ran a SIMD tile, VNNI or AVX2 (`f32` calls
+    /// are not counted).
     pub simd_gemm_calls: u64,
     /// `i8` GEMM calls that ran the portable scalar tile (`f32` calls are
     /// not counted).
@@ -153,7 +154,9 @@ pub fn simd_permitted() -> bool {
     std::env::var_os("HD_NO_SIMD").is_none_or(|v| v.is_empty() || v == "0")
 }
 
-/// Name of the `i8` GEMM kernel the dispatcher would select right now.
+/// Name of the `i8` GEMM tile the dispatcher would select right now:
+/// `"avxvnni"` (`vpdpbusd`, AVX-VNNI), `"avx2"` (`vpmaddwd`), or `"portable"` (the scalar tile, also what
+/// [`set_simd_enabled`]`(false)` and `HD_NO_SIMD` select).
 pub fn i8_gemm_kernel_name() -> &'static str {
     crate::gemm::selected_i8_kernel()
 }

@@ -1,5 +1,10 @@
+use std::sync::Arc;
+
 use parking_lot::Mutex;
 
+use hd_quant::lut::ActivationLut;
+use hd_quant::per_channel::PackedChannelMatrix;
+use hd_quant::{PackedQuantizedMatrix, QuantParams};
 use hd_tensor::Matrix;
 use wide_nn::{CompiledModel, QuantStage, QuantizedModel};
 
@@ -72,9 +77,70 @@ impl TimingLedger {
     }
 }
 
+/// The resident model: as compiled, its shape, which prices every
+/// invocation, and its stages as the array holds them.
+struct Resident {
+    /// Shared with the caller's copy until a fault changes it.
+    model: Arc<CompiledModel>,
+    dims: ModelDims,
+    /// The stages the device runs, with each fully-connected stage's
+    /// weights packed for the int8 kernel once per load (and again after
+    /// fault injection changes them).
+    stages: Vec<ResidentStage>,
+}
+
+/// One stage of the resident model, ready to run.
+enum ResidentStage {
+    FullyConnected {
+        weights: PackedQuantizedMatrix,
+        out_params: QuantParams,
+    },
+    FullyConnectedPerChannel {
+        weights: PackedChannelMatrix,
+        out_params: QuantParams,
+    },
+    Lut(ActivationLut),
+}
+
+impl Resident {
+    fn new(model: Arc<CompiledModel>, dims: ModelDims) -> Self {
+        let stages = resident_stages(model.quantized());
+        Resident {
+            model,
+            dims,
+            stages,
+        }
+    }
+}
+
+/// Lays out every stage of `quantized` for the array, packing each
+/// fully-connected stage's weights.
+fn resident_stages(quantized: &QuantizedModel) -> Vec<ResidentStage> {
+    quantized
+        .stages()
+        .iter()
+        .map(|stage| match stage {
+            QuantStage::FullyConnected {
+                weights,
+                out_params,
+            } => ResidentStage::FullyConnected {
+                weights: weights.packed(),
+                out_params: *out_params,
+            },
+            QuantStage::FullyConnectedPerChannel {
+                weights,
+                out_params,
+            } => ResidentStage::FullyConnectedPerChannel {
+                weights: weights.packed(),
+                out_params: *out_params,
+            },
+            QuantStage::Lut(lut) => ResidentStage::Lut(lut.clone()),
+        })
+        .collect()
+}
+
 struct DeviceState {
-    /// The resident model and its shape, which prices every invocation.
-    model: Option<(CompiledModel, ModelDims)>,
+    model: Option<Resident>,
     ledger: TimingLedger,
     faults: FaultPlan,
     weights_corrupt: bool,
@@ -173,6 +239,13 @@ impl Device {
     /// Loads a compiled model, evicting any previous one, and returns the
     /// one-time cost report.
     ///
+    /// Like the weight-stationary array, the device lays each
+    /// fully-connected stage's weights out for its int8 kernel once, here,
+    /// and every invocation reads that resident copy. The simulated clock
+    /// charges the load on the model's parameter bytes. A model passed as
+    /// an `Arc` is shared with the caller, not copied;
+    /// [`Device::inject_weight_faults`] copies it before flipping bits.
+    ///
     /// # Errors
     ///
     /// * [`SimError::BufferOverflow`] — the model's parameters do not fit
@@ -182,8 +255,8 @@ impl Device {
     ///   accumulator could overflow.
     ///
     /// The previous model remains loaded in either case.
-    pub fn load_model(&self, compiled: CompiledModel) -> Result<LoadReport> {
-        let mut state = self.state.lock();
+    pub fn load_model(&self, compiled: impl Into<Arc<CompiledModel>>) -> Result<LoadReport> {
+        let compiled = compiled.into();
         let dims = ModelDims::from_compiled(&compiled);
         let report = timing::load_cost(&self.config, &dims);
         let capacity = self.config.target.param_buffer_bytes;
@@ -199,7 +272,11 @@ impl Device {
             return Err(SimError::AccumulatorDepth { depth, max });
         }
 
-        state.model = Some((compiled, dims));
+        // Pack before taking the lock: invocations and ledger reads on this
+        // device need not wait for it.
+        let resident = Resident::new(compiled, dims);
+        let mut state = self.state.lock();
+        state.model = Some(resident);
         state.weights_corrupt = false;
         state.ledger.record_load(&report);
         Ok(report)
@@ -273,8 +350,8 @@ impl Device {
     ) -> Result<(Matrix, InvokeStats)> {
         let mut state = self.state.lock();
         let state = &mut *state;
-        let (model, dims) = state.model.as_ref().ok_or(SimError::NoModelLoaded)?;
-        let quantized = model.quantized();
+        let resident = state.model.as_ref().ok_or(SimError::NoModelLoaded)?;
+        let (quantized, dims) = (resident.model.quantized(), &resident.dims);
         if batch.cols() != quantized.input_dim() {
             return Err(SimError::BatchWidth {
                 expected: quantized.input_dim(),
@@ -323,7 +400,7 @@ impl Device {
             state.ledger.record_failed_attempt(landed_s);
             return Err(SimError::WeightCorruption);
         }
-        let output = self.run_stages(quantized, batch)?;
+        let output = self.run_stages(quantized, &resident.stages, batch)?;
 
         let output_bytes = samples * quantized.output_dim();
         let stall_s = if faults.hang {
@@ -393,16 +470,22 @@ impl Device {
         Ok((output, stats))
     }
 
-    /// The functional int8 datapath: quantize, run every stage, dequantize.
-    fn run_stages(&self, quantized: &QuantizedModel, batch: &Matrix) -> Result<Matrix> {
+    /// The functional int8 datapath: quantize, run every resident stage,
+    /// dequantize.
+    fn run_stages(
+        &self,
+        quantized: &QuantizedModel,
+        stages: &[ResidentStage],
+        batch: &Matrix,
+    ) -> Result<Matrix> {
         let mut current = quantized.quantize_input(batch)?;
-        for stage in quantized.stages() {
+        for stage in stages {
             current = match stage {
-                QuantStage::FullyConnected {
+                ResidentStage::FullyConnected {
                     weights,
                     out_params,
                 } => self.array.execute_fc(&current, weights, *out_params)?,
-                QuantStage::FullyConnectedPerChannel {
+                ResidentStage::FullyConnectedPerChannel {
                     weights,
                     out_params,
                 } => {
@@ -414,7 +497,7 @@ impl Device {
                         .map_err(wide_nn::NnError::from)?;
                     hd_quant::QuantizedMatrix::quantize(&real, *out_params)
                 }
-                QuantStage::Lut(lut) => {
+                ResidentStage::Lut(lut) => {
                     let mut data = current.as_slice().to_vec();
                     lut.apply_slice(&mut data);
                     hd_quant::QuantizedMatrix::from_raw(
@@ -432,7 +515,8 @@ impl Device {
     /// Injects random bit flips into the resident model's weights — a
     /// fault-injection hook modeling on-chip SRAM upsets, for the
     /// robustness experiments the paper's "hardware failure" motivation
-    /// implies. Returns the number of bits flipped.
+    /// implies. Returns the number of bits flipped. The faulted weights
+    /// are packed again, so the next invocation computes with them.
     ///
     /// # Errors
     ///
@@ -447,8 +531,12 @@ impl Device {
         rng: &mut hd_tensor::rng::DetRng,
     ) -> Result<usize> {
         let mut state = self.state.lock();
-        let (model, _) = state.model.as_mut().ok_or(SimError::NoModelLoaded)?;
-        Ok(model.inject_weight_faults(rate, rng))
+        let resident = state.model.as_mut().ok_or(SimError::NoModelLoaded)?;
+        let flipped = Arc::make_mut(&mut resident.model).inject_weight_faults(rate, rng);
+        if flipped > 0 {
+            resident.stages = resident_stages(resident.model.quantized());
+        }
+        Ok(flipped)
     }
 
     /// A snapshot of the ordered record of every injected fault since
@@ -905,6 +993,29 @@ mod tests {
         }
         assert_eq!(a.fault_trace(), b.fault_trace());
         assert!(!a.fault_trace().is_empty(), "rates too low to exercise");
+    }
+
+    #[test]
+    fn weight_faults_reach_the_packed_resident_copy() {
+        // The device computes from weights it packed at load; a fault must
+        // change what it computes exactly as it changes the model.
+        let (compiled, calib) = compiled_model(20, 96, 5, 21);
+        let mut faulted = compiled.clone();
+        let device = Device::new(DeviceConfig::default());
+        device.load_model(compiled).unwrap();
+        let (pristine, _) = device.invoke_overlapped(&calib).unwrap();
+        let rate = 0.05;
+        let flipped = device
+            .inject_weight_faults(rate, &mut DetRng::new(7))
+            .unwrap();
+        assert_eq!(
+            faulted.inject_weight_faults(rate, &mut DetRng::new(7)),
+            flipped
+        );
+        assert!(flipped > 0);
+        let (out, _) = device.invoke_overlapped(&calib).unwrap();
+        assert_eq!(out, faulted.quantized().forward(&calib).unwrap());
+        assert_ne!(out, pristine, "the faults never reached the computation");
     }
 
     #[test]

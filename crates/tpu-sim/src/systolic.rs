@@ -1,4 +1,4 @@
-use hd_quant::{QuantParams, QuantizedMatrix};
+use hd_quant::{PackedQuantizedMatrix, QuantParams, QuantizedMatrix};
 
 use crate::Result;
 
@@ -14,8 +14,10 @@ use crate::Result;
 ///
 /// Timing and arithmetic are separate. Cycles are charged analytically by
 /// [`SystolicArray::stream_cycles`]; the numbers come from
-/// [`hd_quant::gemm::matmul_requantized`], the same int8 kernel the
-/// `wide-nn` reference executor runs, so the two cannot diverge.
+/// [`hd_quant::gemm::matmul_requantized_packed`], the same int8 kernel
+/// the `wide-nn` reference executor runs, so the two cannot diverge. Like
+/// the array, the kernel keeps the weights stationary: they are packed
+/// for it once, when the model is loaded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SystolicArray {
     rows: usize,
@@ -75,8 +77,10 @@ impl SystolicArray {
         (elements as u64).div_ceil(self.cols as u64)
     }
 
-    /// Executes one fully-connected layer, returning the requantized
-    /// output. Its cycles are charged separately, by
+    /// Executes one fully-connected layer over its resident weights,
+    /// packed once at load ([`hd_quant::QuantizedMatrix::packed`]),
+    /// returning the requantized output.
+    /// Its cycles are charged separately, by
     /// [`SystolicArray::stream_cycles`].
     ///
     /// # Errors
@@ -85,10 +89,10 @@ impl SystolicArray {
     pub fn execute_fc(
         &self,
         input: &QuantizedMatrix,
-        weights: &QuantizedMatrix,
+        weights: &PackedQuantizedMatrix,
         out_params: QuantParams,
     ) -> Result<QuantizedMatrix> {
-        let output = hd_quant::gemm::matmul_requantized(input, weights, out_params)
+        let output = hd_quant::gemm::matmul_requantized_packed(input, weights, out_params)
             .map_err(wide_nn::NnError::from)?;
         Ok(output)
     }
@@ -194,7 +198,9 @@ mod tests {
         let input = quantized_with(m, k, za, seed);
         let weights = quantized_with(k, n, zb, seed + 1);
         let out_params = QuantParams::from_min_max(-8.0, 8.0).unwrap();
-        let out = array.execute_fc(&input, &weights, out_params).unwrap();
+        let out = array
+            .execute_fc(&input, &weights.packed(), out_params)
+            .unwrap();
         let reference = tiled_reference(&array, &input, &weights, out_params);
         let case = (dim, m, k, n, za, zb);
         assert_eq!(
@@ -237,7 +243,9 @@ mod tests {
         let input = quantized_with(2, 5, 0, 5);
         let weights = quantized_with(6, 4, 0, 6);
         let out_params = QuantParams::from_min_max(-1.0, 1.0).unwrap();
-        assert!(array.execute_fc(&input, &weights, out_params).is_err());
+        assert!(array
+            .execute_fc(&input, &weights.packed(), out_params)
+            .is_err());
     }
 
     #[test]
