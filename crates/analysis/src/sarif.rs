@@ -12,9 +12,8 @@
 //! was checked, and every result's `ruleId` resolves to driver
 //! metadata via `ruleIndex` regardless of which analysis produced it.
 //! There is no serde in this build, so the encoder is hand-rolled over
-//! the same string-escaping core as `--format json`, and the validity
-//! tests re-parse the output with the strict JSON parser in
-//! [`json`](crate::json).
+//! the same string-escaping core as `--format json`, and exact snapshot
+//! tests pin its output.
 //!
 //! Source sites become `physicalLocation`s with a repository-relative
 //! URI under the `%SRCROOT%` base, which is what the `upload-sarif`
@@ -155,7 +154,6 @@ pub fn encode_with_properties(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{parse_value, Value};
     use crate::rules::RULES;
 
     fn sample() -> Vec<Diagnostic> {
@@ -177,44 +175,89 @@ mod tests {
         ]
     }
 
-    fn run(log: &Value) -> &Value {
-        &log.get("runs").unwrap().as_arr().unwrap()[0]
+    /// The result lines `encode(&sample())` writes.
+    const SAMPLE_RESULTS: [&str; 4] = [
+        r#"        {"ruleId": "lint/no-float-eq", "ruleIndex": 1, "level": "error", "message": {"text": "x == 0.5\nhelp: compare against a tolerance"}, "locations": [{"physicalLocation": {"artifactLocation": {"uri": "crates/a/src/lib.rs", "uriBaseId": "%SRCROOT%"}, "region": {"startLine": 3, "startColumn": 9}}}]},"#,
+        r#"        {"ruleId": "lint/missing-must-use", "ruleIndex": 4, "level": "warning", "message": {"text": "builder"}, "locations": [{"physicalLocation": {"artifactLocation": {"uri": "crates/b/src/lib.rs", "uriBaseId": "%SRCROOT%"}, "region": {"startLine": 7, "startColumn": 5}}}]},"#,
+        r#"        {"ruleId": "range/accumulator-overflow", "ruleIndex": 9, "level": "error", "message": {"text": "acc exceeds i32"}},"#,
+        r#"        {"ruleId": "schedule/buffer-undersized", "ruleIndex": 13, "level": "error", "message": {"text": "channel `encode -> update` declares capacity 0, below the minimal safe bound 1"}}"#,
+    ];
+
+    /// How each line of the rules table starts.
+    const RULE_LINE: &str = r#"            {"id": "#;
+
+    /// `out` without the rules table's lines, which the rule-listing test
+    /// pins on their own.
+    fn without_rules(out: &str) -> String {
+        out.lines()
+            .filter(|line| !line.starts_with(RULE_LINE))
+            .map(|line| format!("{line}\n"))
+            .collect()
+    }
+
+    /// The lines of `out`'s results array.
+    fn result_lines(out: &str) -> Vec<&str> {
+        out.lines()
+            .filter(|line| line.starts_with(r#"        {"ruleId": "#))
+            .collect()
+    }
+
+    /// The exact log around the rules table: `results` holds the result
+    /// lines and `properties` what follows the results array.
+    fn snapshot(tool: &str, results: &[&str], properties: &str) -> String {
+        let results: String = results.iter().map(|line| format!("{line}\n")).collect();
+        format!(
+            r#"{{
+  "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
+  "version": "2.1.0",
+  "runs": [
+    {{
+      "tool": {{
+        "driver": {{
+          "name": "{tool}",
+          "informationUri": "https://github.com/hyperedge/hyperedge",
+          "rules": [
+          ]
+        }}
+      }},
+      "results": [
+{results}      ]{properties}
+    }}
+  ]
+}}
+"#
+        )
     }
 
     #[test]
     fn output_is_valid_json_with_sarif_envelope() {
-        let log = parse_value(&encode(&sample())).expect("sarif parses");
-        assert_eq!(log.get("version").unwrap().as_str(), Some("2.1.0"));
-        assert!(log
-            .get("$schema")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .contains("sarif-2.1.0"));
-        assert_eq!(log.get("runs").unwrap().as_arr().unwrap().len(), 1);
+        assert_eq!(
+            without_rules(&encode(&sample())),
+            snapshot("hd-lint", &SAMPLE_RESULTS, "")
+        );
     }
 
     #[test]
     fn driver_lists_every_registered_rule_even_on_an_empty_run() {
-        let log = parse_value(&encode(&[])).unwrap();
-        let driver = run(&log).get("tool").unwrap().get("driver").unwrap();
-        assert_eq!(driver.get("name").unwrap().as_str(), Some("hd-lint"));
-        let rules = driver.get("rules").unwrap().as_arr().unwrap();
-        let expected = registered_rules();
-        assert_eq!(rules.len(), expected.len());
+        let out = encode(&[]);
+        let lines: Vec<&str> = out.lines().filter(|l| l.starts_with(RULE_LINE)).collect();
+        let rules = registered_rules();
+        assert_eq!(lines.len(), rules.len());
         assert!(rules.len() > RULES.len(), "range/schedule rules missing");
-        for (rule, (id, meta)) in rules.iter().zip(&expected) {
-            assert_eq!(rule.get("id").unwrap().as_str().unwrap(), id);
-            assert_eq!(
-                rule.get("defaultConfiguration")
-                    .unwrap()
-                    .get("level")
-                    .unwrap()
-                    .as_str()
-                    .unwrap(),
+        for (i, (line, (id, meta))) in lines.iter().zip(&rules).enumerate() {
+            let comma = if i + 1 < rules.len() { "," } else { "" };
+            let expected = format!(
+                r#"{RULE_LINE}"{id}", "name": "{}", "shortDescription": {{"text": "{}"}}, "defaultConfiguration": {{"level": "{}"}}}}{comma}"#,
+                meta.name,
+                meta.description,
                 level(meta.severity)
             );
+            assert_eq!(*line, expected);
         }
+        assert_eq!(
+            lines[1],
+            r#"            {"id": "lint/no-float-eq", "name": "no-float-eq", "shortDescription": {"text": "no exact ==/!= comparison against float literals or constants outside tests"}, "defaultConfiguration": {"level": "error"}},"#
+        );
     }
 
     #[test]
@@ -234,139 +277,79 @@ mod tests {
 
     #[test]
     fn custom_driver_name_is_used() {
-        let log = parse_value(&encode_as("hyperedge-verify", &[])).unwrap();
-        let driver = run(&log).get("tool").unwrap().get("driver").unwrap();
         assert_eq!(
-            driver.get("name").unwrap().as_str(),
-            Some("hyperedge-verify")
+            without_rules(&encode_as("hyperedge-verify", &[])),
+            snapshot("hyperedge-verify", &[], "")
         );
     }
 
     #[test]
     fn source_results_carry_physical_locations() {
-        let log = parse_value(&encode(&sample())).unwrap();
-        let results = run(&log).get("results").unwrap().as_arr().unwrap();
-        assert_eq!(results.len(), 4);
-        let first = &results[0];
-        assert_eq!(
-            first.get("ruleId").unwrap().as_str(),
-            Some("lint/no-float-eq")
-        );
-        assert_eq!(first.get("ruleIndex").unwrap().as_usize(), Some(1));
-        assert_eq!(first.get("level").unwrap().as_str(), Some("error"));
-        assert!(first
-            .get("message")
-            .unwrap()
-            .get("text")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .contains("help: compare"));
-        let region = first.get("locations").unwrap().as_arr().unwrap()[0]
-            .get("physicalLocation")
-            .unwrap();
-        assert_eq!(
-            region
-                .get("artifactLocation")
-                .unwrap()
-                .get("uri")
-                .unwrap()
-                .as_str(),
-            Some("crates/a/src/lib.rs")
-        );
-        assert_eq!(
-            region
-                .get("region")
-                .unwrap()
-                .get("startLine")
-                .unwrap()
-                .as_usize(),
-            Some(3)
-        );
+        let out = encode(&sample());
+        assert_eq!(result_lines(&out)[..2], SAMPLE_RESULTS[..2]);
     }
 
     #[test]
     fn range_and_schedule_results_resolve_to_rule_metadata() {
-        let log = parse_value(&encode(&sample())).unwrap();
-        let results = run(&log).get("results").unwrap().as_arr().unwrap();
-        let driver_rules = run(&log)
-            .get("tool")
-            .unwrap()
-            .get("driver")
-            .unwrap()
-            .get("rules")
-            .unwrap()
-            .as_arr()
-            .unwrap();
-        for result in &results[2..] {
-            let id = result.get("ruleId").unwrap().as_str().unwrap();
-            let index = result
-                .get("ruleIndex")
-                .unwrap_or_else(|| panic!("{id} has no ruleIndex"))
-                .as_usize()
-                .unwrap();
-            assert_eq!(
-                driver_rules[index].get("id").unwrap().as_str().unwrap(),
-                id,
-                "ruleIndex must point at the matching driver rule"
+        let out = encode(&sample());
+        let results = result_lines(&out);
+        assert_eq!(results[2..], SAMPLE_RESULTS[2..]);
+        // The pinned indices are the rules' positions in the rules
+        // table; layer-level sites carry no location.
+        let rules = registered_rules();
+        for (line, code) in results[2..]
+            .iter()
+            .zip(["range/accumulator-overflow", "schedule/buffer-undersized"])
+        {
+            let index = rules.iter().position(|(id, _)| id == code).unwrap();
+            assert!(
+                line.contains(&format!(r#""ruleIndex": {index},"#)),
+                "{line}"
             );
+            assert!(!line.contains("locations"), "{line}");
         }
-        // Layer-level sites still (correctly) carry no location.
-        assert!(results[2].get("locations").is_none());
     }
 
     #[test]
     fn unknown_codes_omit_rule_index() {
         let diags = vec![Diagnostic::error("custom/unregistered", "one-off")];
-        let log = parse_value(&encode(&diags)).unwrap();
-        let results = run(&log).get("results").unwrap().as_arr().unwrap();
-        assert!(results[0].get("ruleIndex").is_none());
+        assert_eq!(
+            result_lines(&encode(&diags)),
+            [
+                r#"        {"ruleId": "custom/unregistered", "level": "error", "message": {"text": "one-off"}}"#
+            ]
+        );
     }
 
     #[test]
     fn empty_report_still_valid() {
-        let log = parse_value(&encode(&[])).unwrap();
-        assert_eq!(run(&log).get("results").unwrap().as_arr().unwrap().len(), 0);
+        assert_eq!(without_rules(&encode(&[])), snapshot("hd-lint", &[], ""));
     }
 
     #[test]
     fn run_property_bag_is_injected_verbatim() {
-        let bag = "{\"schedules\": [{\"name\": \"overlapped-invoke\"}]}";
-        let log = parse_value(&encode_with_properties(
-            "hyperedge-verify",
-            &sample(),
-            Some(bag),
-        ))
-        .expect("output with properties parses");
-        let schedules = run(&log)
-            .get("properties")
-            .expect("run carries a properties bag")
-            .get("schedules")
-            .unwrap()
-            .as_arr()
-            .unwrap();
+        let bag = r#"{"schedules": [{"name": "overlapped-invoke"}]}"#;
+        let out = encode_with_properties("hyperedge-verify", &sample(), Some(bag));
+        let properties = format!(",\n      \"properties\": {bag}");
         assert_eq!(
-            schedules[0].get("name").unwrap().as_str(),
-            Some("overlapped-invoke")
+            without_rules(&out),
+            snapshot("hyperedge-verify", &SAMPLE_RESULTS, &properties)
         );
         // Without a bag the run stays bag-free (and encode_as delegates).
-        let plain = parse_value(&encode_as("hyperedge-verify", &sample())).unwrap();
-        assert!(run(&plain).get("properties").is_none());
+        assert_eq!(
+            without_rules(&encode_as("hyperedge-verify", &sample())),
+            snapshot("hyperedge-verify", &SAMPLE_RESULTS, "")
+        );
     }
 
     #[test]
     fn messages_with_quotes_and_newlines_escape_cleanly() {
         let diags = vec![Diagnostic::error("lint/x", "say \"hi\"\nline2")];
-        let log = parse_value(&encode(&diags)).expect("escaped output parses");
-        let results = run(&log).get("results").unwrap().as_arr().unwrap();
         assert_eq!(
-            results[0]
-                .get("message")
-                .unwrap()
-                .get("text")
-                .unwrap()
-                .as_str(),
-            Some("say \"hi\"\nline2")
+            result_lines(&encode(&diags)),
+            [
+                r#"        {"ruleId": "lint/x", "level": "error", "message": {"text": "say \"hi\"\nline2"}}"#
+            ]
         );
     }
 }

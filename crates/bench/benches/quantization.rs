@@ -4,7 +4,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use hd_quant::lut::ActivationLut;
-use hd_quant::{gemm as qgemm, QuantParams, QuantizedMatrix};
+use hd_quant::{gemm as qgemm, PackedQuantizedMatrix, QuantParams, QuantizedMatrix};
 use hd_tensor::rng::DetRng;
 use hd_tensor::Matrix;
 
@@ -31,7 +31,7 @@ fn bench_quantized_gemm(c: &mut Criterion) {
             &Matrix::random_normal(n, n, &mut rng),
             QuantParams::from_min_max(-4.0, 4.0).unwrap(),
         );
-        let b = QuantizedMatrix::quantize(
+        let b = PackedQuantizedMatrix::quantize(
             &Matrix::random_normal(n, n, &mut rng),
             QuantParams::symmetric(4.0).unwrap(),
         );
@@ -71,7 +71,7 @@ fn bench_per_channel_gemm(c: &mut Criterion) {
         QuantParams::from_min_max(-4.0, 4.0).unwrap(),
     );
     let w_f = Matrix::random_normal(n, n, &mut rng);
-    let w_pt = QuantizedMatrix::quantize(&w_f, QuantParams::symmetric(4.0).unwrap());
+    let w_pt = PackedQuantizedMatrix::quantize(&w_f, QuantParams::symmetric(4.0).unwrap());
     let w_pc = ChannelQuantizedMatrix::quantize(&w_f).unwrap();
     group.bench_function("per-tensor-128", |bench| {
         bench.iter(|| qgemm::matmul_dequantized(black_box(&a), black_box(&w_pt)).unwrap());

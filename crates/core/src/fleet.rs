@@ -606,9 +606,9 @@ mod tests {
 
     #[test]
     fn injected_faults_compute_until_the_pristine_reload() {
-        // The device computes from its packed resident weights: injected
-        // faults must reach them, and the pool's pristine reload must
-        // restore them bit for bit.
+        // Injected faults must reach the weights the device computes
+        // from, and the pool's pristine reload must restore them bit for
+        // bit.
         let (compiled, features) = compiled_encoder();
         let mut faulted = compiled.clone();
         let pool = DevicePool::new(&DeviceConfig::default(), 1, 4);

@@ -224,34 +224,34 @@ struct ColumnBound {
     env_hi: i64,
 }
 
-fn column_bounds<'a>(
-    rows: usize,
-    cols: usize,
-    weight_row: impl Fn(usize) -> &'a [i8],
+/// Each column's prefixes run over its rows in ascending order, the
+/// order the kernel's reduction is specified in.
+fn column_bounds(
+    (rows, cols): (usize, usize),
+    weight: impl Fn(usize, usize) -> i8,
     weight_zp: i64,
     av: Interval,
 ) -> Vec<ColumnBound> {
-    let mut bounds: Vec<ColumnBound> = (0..cols)
-        .map(|_| ColumnBound {
-            lo: 0,
-            hi: 0,
-            env_lo: 0,
-            env_hi: 0,
+    (0..cols)
+        .map(|j| {
+            let mut b = ColumnBound {
+                lo: 0,
+                hi: 0,
+                env_lo: 0,
+                env_hi: 0,
+            };
+            for p in 0..rows {
+                let w = i64::from(weight(p, j)) - weight_zp;
+                let x = av.lo * w;
+                let y = av.hi * w;
+                b.lo += x.min(y);
+                b.hi += x.max(y);
+                b.env_lo = b.env_lo.min(b.lo);
+                b.env_hi = b.env_hi.max(b.hi);
+            }
+            b
         })
-        .collect();
-    for p in 0..rows {
-        let row = weight_row(p);
-        for (b, &wq) in bounds.iter_mut().zip(row) {
-            let w = i64::from(wq) - weight_zp;
-            let x = av.lo * w;
-            let y = av.hi * w;
-            b.lo += x.min(y);
-            b.hi += x.max(y);
-            b.env_lo = b.env_lo.min(b.lo);
-            b.env_hi = b.env_hi.max(b.hi);
-        }
-    }
-    bounds
+        .collect()
 }
 
 /// Whether requantizing the accumulator interval `[lo, hi]` at the real
@@ -405,8 +405,7 @@ pub fn analyze_ranges(model: &QuantizedModel) -> RangeReport {
                 let za = i64::from(cur_params.zero_point());
                 let av = Interval::new(cur.lo - za, cur.hi - za);
                 let zb = i64::from(weights.params().zero_point());
-                let bounds =
-                    column_bounds(weights.rows(), weights.cols(), |p| weights.row(p), zb, av);
+                let bounds = column_bounds(weights.shape(), |p, j| weights.get(p, j), zb, av);
                 // Same combined scale the kernel computes.
                 let acc_scale = cur_params.scale() * weights.params().scale();
                 let sr = gemm_stage(
@@ -430,8 +429,12 @@ pub fn analyze_ranges(model: &QuantizedModel) -> RangeReport {
                 let av = Interval::new(cur.lo - za, cur.hi - za);
                 let sa = cur_params.scale();
                 let scales = weights.scales().to_vec();
-                let bounds =
-                    column_bounds(weights.rows(), weights.cols(), |p| weights.row(p), 0, av);
+                let bounds = column_bounds(
+                    (weights.rows(), weights.cols()),
+                    |p, j| weights.get(p, j),
+                    0,
+                    av,
+                );
                 let sr = gemm_stage(
                     i,
                     "fully-connected-per-channel",

@@ -31,16 +31,6 @@ impl Severity {
             Severity::Error => "error",
         }
     }
-
-    /// Parses the stable name back into a severity.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "note" => Some(Severity::Note),
-            "warning" => Some(Severity::Warning),
-            "error" => Some(Severity::Error),
-            _ => None,
-        }
-    }
 }
 
 /// Where a finding is anchored.
@@ -186,8 +176,6 @@ mod tests {
     fn severity_orders_by_badness() {
         assert!(Severity::Note < Severity::Warning);
         assert!(Severity::Warning < Severity::Error);
-        assert_eq!(Severity::parse("warning"), Some(Severity::Warning));
-        assert_eq!(Severity::parse("fatal"), None);
         assert_eq!(Severity::Error.name(), "error");
     }
 

@@ -11,8 +11,8 @@
 //!
 //! * [`Model`] / [`ModelBuilder`] — the float model graph with shape
 //!   inference,
-//! * [`QuantizedModel`] — post-training int8 quantization and the
-//!   reference int8 executor (bit-identical to the `tpu-sim` datapath),
+//! * [`QuantizedModel`] — post-training int8 quantization and the one
+//!   int8 stage loop, which the `tpu-sim` device runs too,
 //! * [`absint`] — interval abstract interpretation proving the int8
 //!   datapath cannot overflow its i32 accumulators,
 //! * [`serialize`] — a compact binary `.wnn` container,

@@ -1,6 +1,6 @@
 use hd_quant::lut::ActivationLut;
 use hd_quant::per_channel::ChannelQuantizedMatrix;
-use hd_quant::{gemm as qgemm, Calibrator, QuantParams, QuantizedMatrix};
+use hd_quant::{gemm as qgemm, Calibrator, PackedQuantizedMatrix, QuantParams, QuantizedMatrix};
 use hd_tensor::Matrix;
 
 use crate::absint::{analyze_ranges, RangeReport};
@@ -15,7 +15,7 @@ pub enum QuantStage {
     /// Dense layer: int8 weights, requantized into `out_params`.
     FullyConnected {
         /// The quantized `in x out` weight matrix (symmetric quantization).
-        weights: QuantizedMatrix,
+        weights: PackedQuantizedMatrix,
         /// Quantization of this stage's output activations.
         out_params: QuantParams,
     },
@@ -24,7 +24,7 @@ pub enum QuantStage {
     /// [`QuantizedModel::quantize_per_channel`]).
     FullyConnectedPerChannel {
         /// The per-channel-quantized `in x out` weight matrix.
-        weights: hd_quant::per_channel::ChannelQuantizedMatrix,
+        weights: ChannelQuantizedMatrix,
         /// Quantization of this stage's output activations.
         out_params: QuantParams,
     },
@@ -45,15 +45,41 @@ impl QuantStage {
             QuantStage::Lut(_) => 256,
         }
     }
+
+    /// Runs this stage on its int8 input.
+    fn run(&self, input: &QuantizedMatrix) -> Result<QuantizedMatrix> {
+        Ok(match self {
+            QuantStage::FullyConnected {
+                weights,
+                out_params,
+            } => qgemm::matmul_requantized(input, weights, *out_params)?,
+            QuantStage::FullyConnectedPerChannel {
+                weights,
+                out_params,
+            } => {
+                // The per-column scale multiply happens in the output
+                // stage, on the dequantized accumulator.
+                let real = weights.matmul_dequantized(input)?;
+                QuantizedMatrix::quantize(&real, *out_params)
+            }
+            QuantStage::Lut(lut) => {
+                let mut data = input.as_slice().to_vec();
+                lut.apply_slice(&mut data);
+                QuantizedMatrix::from_raw(input.rows(), input.cols(), data, lut.output_params())
+            }
+        })
+    }
 }
 
-/// A post-training-quantized wide NN and its reference int8 executor.
+/// A post-training-quantized wide NN and its int8 executor.
 ///
-/// The executor uses the exact kernels of [`hd_quant`], which the
-/// `tpu-sim` crate also uses; an integration test pins the two paths to
-/// bit-identical outputs. This mirrors the paper's toolchain, where the
-/// TFLite reference interpreter and the Edge TPU produce the same
-/// quantized results.
+/// [`QuantizedModel::run_quantized`] is the one int8 stage loop: the
+/// simulated device (`tpu-sim`) runs it on every invocation and the host
+/// fallback runs it as well, so their outputs are identical by
+/// construction. This mirrors the paper's toolchain, where the TFLite
+/// reference interpreter and the Edge TPU produce the same quantized
+/// results. The weights are stored in the form the int8 kernel reads,
+/// packed once when the model is quantized or deserialized.
 ///
 /// # Examples
 ///
@@ -157,7 +183,7 @@ impl QuantizedModel {
                 Layer::FullyConnected { weights } => {
                     let wparams = QuantParams::symmetric(weights.max_abs())?;
                     QuantStage::FullyConnected {
-                        weights: QuantizedMatrix::quantize(weights, wparams),
+                        weights: PackedQuantizedMatrix::quantize(weights, wparams),
                         out_params,
                     }
                 }
@@ -248,9 +274,9 @@ impl QuantizedModel {
         }
     }
 
-    /// The executable stages, in order. Exposed so execution engines (the
-    /// systolic-array simulator, the host engine) can drive the same
-    /// datapath while adding their own timing.
+    /// The executable stages, in order. Exposed so analyses (timing
+    /// dimensions, range analysis, serialization) can read each stage's
+    /// weights and parameters.
     pub fn stages(&self) -> &[QuantStage] {
         &self.stages
     }
@@ -293,39 +319,17 @@ impl QuantizedModel {
         Ok(QuantizedMatrix::quantize(batch, self.input_params))
     }
 
-    /// Runs the int8 pipeline on an already-quantized batch.
+    /// Runs the int8 pipeline on an already-quantized batch: every stage
+    /// in order, the first reading `input` in place.
     ///
     /// # Errors
     ///
-    /// Propagates shape errors from the quantized kernels.
+    /// Propagates shape errors from the quantized kernels, and returns
+    /// [`NnError::EmptyModel`] for a model without stages.
     pub fn run_quantized(&self, input: &QuantizedMatrix) -> Result<QuantizedMatrix> {
-        let mut current = input.clone();
-        for stage in &self.stages {
-            current = match stage {
-                QuantStage::FullyConnected {
-                    weights,
-                    out_params,
-                } => qgemm::matmul_requantized(&current, weights, *out_params)?,
-                QuantStage::FullyConnectedPerChannel {
-                    weights,
-                    out_params,
-                } => {
-                    let real = weights.matmul_dequantized(&current)?;
-                    QuantizedMatrix::quantize(&real, *out_params)
-                }
-                QuantStage::Lut(lut) => {
-                    let mut data = current.as_slice().to_vec();
-                    lut.apply_slice(&mut data);
-                    QuantizedMatrix::from_raw(
-                        current.rows(),
-                        current.cols(),
-                        data,
-                        lut.output_params(),
-                    )
-                }
-            };
-        }
-        Ok(current)
+        let (first, rest) = self.stages.split_first().ok_or(NnError::EmptyModel)?;
+        rest.iter()
+            .try_fold(first.run(input)?, |current, stage| stage.run(&current))
     }
 
     /// Full reference path: quantize `f32` inputs, run int8, dequantize

@@ -30,7 +30,8 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use hd_quant::lut::ActivationLut;
-use hd_quant::{QuantParams, QuantizedMatrix};
+use hd_quant::per_channel::ChannelQuantizedMatrix;
+use hd_quant::{PackedQuantizedMatrix, QuantError, QuantParams};
 use hd_tensor::Matrix;
 
 use crate::error::NnError;
@@ -211,6 +212,27 @@ fn get_qparams(buf: &mut &[u8]) -> Result<QuantParams> {
     QuantParams::from_raw(scale, zp).map_err(NnError::from)
 }
 
+/// Writes a `rows x cols` weight matrix's values in row-major order.
+fn put_weights(
+    buf: &mut BytesMut,
+    (rows, cols): (usize, usize),
+    value: impl Fn(usize, usize) -> i8,
+) {
+    for r in 0..rows {
+        for c in 0..cols {
+            buf.put_i8(value(r, c));
+        }
+    }
+}
+
+/// Reads `len` weight values, row-major; the caller checked they are
+/// there.
+fn get_weights(buf: &mut &[u8], len: usize) -> Vec<i8> {
+    let (values, rest) = buf.split_at(len);
+    *buf = rest;
+    values.iter().map(|&b| b as i8).collect()
+}
+
 /// Serializes a quantized model to its binary container.
 pub fn write_quantized_model(model: &QuantizedModel) -> Bytes {
     let mut buf = BytesMut::new();
@@ -231,9 +253,7 @@ pub fn write_quantized_model(model: &QuantizedModel) -> Bytes {
                 buf.put_u32_le(weights.cols() as u32);
                 put_qparams(&mut buf, weights.params());
                 put_qparams(&mut buf, *out_params);
-                for &q in weights.as_slice() {
-                    buf.put_i8(q);
-                }
+                put_weights(&mut buf, weights.shape(), |r, c| weights.get(r, c));
             }
             QuantStage::FullyConnectedPerChannel {
                 weights,
@@ -246,16 +266,9 @@ pub fn write_quantized_model(model: &QuantizedModel) -> Bytes {
                 for &scale in weights.scales() {
                     buf.put_f32_le(scale);
                 }
-                // The raw i8 values are exactly dequantized / scale, so
-                // exporting through the dequantized matrix is lossless.
-                let deq = weights.dequantize();
-                for r in 0..weights.rows() {
-                    for c in 0..weights.cols() {
-                        let scale = weights.scales()[c];
-                        let q = (deq[(r, c)] / scale).round().clamp(-128.0, 127.0) as i8;
-                        buf.put_i8(q);
-                    }
-                }
+                put_weights(&mut buf, (weights.rows(), weights.cols()), |r, c| {
+                    weights.get(r, c)
+                });
             }
             QuantStage::Lut(lut) => {
                 buf.put_u8(1);
@@ -310,12 +323,9 @@ pub fn read_quantized_model(data: &[u8]) -> Result<QuantizedModel> {
                 let out_params = get_qparams(&mut buf)?;
                 let byte_len = checked_len(rows, cols, 1, "fc weights")?;
                 need(&buf, byte_len, "fc weights")?;
-                let mut data = Vec::with_capacity(rows * cols);
-                for _ in 0..rows * cols {
-                    data.push(buf.get_i8());
-                }
+                let data = get_weights(&mut buf, byte_len);
                 stages.push(QuantStage::FullyConnected {
-                    weights: QuantizedMatrix::from_raw(rows, cols, data, wparams),
+                    weights: PackedQuantizedMatrix::from_raw(rows, cols, &data, wparams),
                     out_params,
                 });
             }
@@ -344,25 +354,16 @@ pub fn read_quantized_model(data: &[u8]) -> Result<QuantizedModel> {
                 }
                 let byte_len = checked_len(rows, cols, 1, "per-channel weights")?;
                 need(&buf, byte_len, "per-channel weights")?;
-                // Reconstruct through the float matrix: scales define the
-                // mapping exactly, so this is lossless.
-                let mut weights = Matrix::zeros(rows, cols);
-                for r in 0..rows {
-                    for c in 0..cols {
-                        let q = buf.get_i8();
-                        let scale = scales[c];
-                        if !scale.is_finite() || scale <= 0.0 {
-                            return Err(NnError::Serialization(format!(
-                                "invalid per-channel scale {scale} in stage {i}"
-                            )));
-                        }
-                        weights[(r, c)] = scale * q as f32;
-                    }
-                }
-                let rebuilt = hd_quant::per_channel::ChannelQuantizedMatrix::quantize(&weights)
-                    .map_err(NnError::from)?;
+                let data = get_weights(&mut buf, byte_len);
+                let weights = ChannelQuantizedMatrix::from_parts(rows, cols, &data, scales)
+                    .map_err(|e| match e {
+                        QuantError::InvalidScale { scale } => NnError::Serialization(format!(
+                            "invalid per-channel scale {scale} in stage {i}"
+                        )),
+                        e => NnError::from(e),
+                    })?;
                 stages.push(QuantStage::FullyConnectedPerChannel {
-                    weights: rebuilt,
+                    weights,
                     out_params,
                 });
             }
@@ -435,11 +436,28 @@ mod tests {
         let qmodel = QuantizedModel::quantize_per_channel(&model, &calib).unwrap();
         let blob = write_quantized_model(&qmodel);
         let restored = read_quantized_model(&blob).unwrap();
-        assert_eq!(
-            restored.forward(&calib).unwrap(),
-            qmodel.forward(&calib).unwrap()
-        );
-        assert_eq!(restored.param_bytes(), qmodel.param_bytes());
+        assert_eq!(restored, qmodel);
+    }
+
+    #[test]
+    fn per_channel_scale_must_be_finite_and_positive() {
+        let model = sample_model();
+        let calib = Matrix::random_normal(16, 6, &mut DetRng::new(23));
+        let qmodel = QuantizedModel::quantize_per_channel(&model, &calib).unwrap();
+        let blob = write_quantized_model(&qmodel).to_vec();
+        // Header (28 bytes), then the first stage's tag, dims and output
+        // parameters (17 bytes), then its first scale.
+        let first_scale = 28 + 17;
+        for bad in [0.0f32, -1.0, f32::NAN, f32::INFINITY] {
+            let mut corrupt = blob.clone();
+            corrupt[first_scale..first_scale + 4].copy_from_slice(&bad.to_le_bytes());
+            match read_quantized_model(&corrupt) {
+                Err(NnError::Serialization(msg)) => {
+                    assert_eq!(msg, format!("invalid per-channel scale {bad} in stage 0"));
+                }
+                other => panic!("scale {bad}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Quantized matrix multiplication with `i32` accumulators.
 //!
-//! This is the arithmetic contract shared between the reference quantized
-//! executor in `wide-nn` and the systolic-array simulator in `tpu-sim`:
-//! both call into these kernels, so their outputs are bit-identical by
-//! construction, and an integration test pins that equivalence.
+//! Every int8 product of the workspace runs here, over weights in their
+//! one stored form: [`PackedQuantizedMatrix`] (and, per channel,
+//! [`crate::per_channel::ChannelQuantizedMatrix`]), packed for the
+//! `hd_tensor` `i8` kernel when they were quantized or read from a model
+//! file. `wide-nn`'s `QuantizedModel::run_quantized` is the one stage
+//! loop over these products; the simulated device and the host fallback
+//! both run it, so their outputs are the same by construction.
 //!
 //! The affine algebra: with `a = sa (qa - za)` and `b = sb (qb - zb)`,
 //!
@@ -74,9 +77,8 @@ pub(crate) fn centred_product(a: &QuantizedMatrix, b: &PackedI8, zb: i32) -> Res
     Ok(acc)
 }
 
-/// Multiplies two quantized matrices, returning the raw `i32` accumulator
-/// matrix and the combined accumulator scale. Packs `b` for this one
-/// call.
+/// Multiplies activations `a` by weights `b`, returning the raw `i32`
+/// accumulator matrix and the combined accumulator scale.
 ///
 /// `real[i][j] = acc_scale * acc[i][j]`. The accumulator is exact for any
 /// operand values while `a.cols() <= MAX_EXACT_DEPTH`.
@@ -85,14 +87,17 @@ pub(crate) fn centred_product(a: &QuantizedMatrix, b: &PackedI8, zb: i32) -> Res
 ///
 /// Returns a wrapped [`TensorError::ShapeMismatch`] if
 /// `a.cols() != b.rows()`.
-pub fn matmul_accumulate(a: &QuantizedMatrix, b: &QuantizedMatrix) -> Result<(Vec<i32>, f32)> {
-    let packed = b.packed();
-    check(a, packed.data())?;
-    let acc = centred_product(a, packed.data(), b.params().zero_point())?;
+pub fn matmul_accumulate(
+    a: &QuantizedMatrix,
+    b: &PackedQuantizedMatrix,
+) -> Result<(Vec<i32>, f32)> {
+    check(a, b.data())?;
+    let acc = centred_product(a, b.data(), b.params().zero_point())?;
     Ok((acc, a.params().scale() * b.params().scale()))
 }
 
-/// Multiplies two quantized matrices and dequantizes the result to `f32`.
+/// Multiplies activations `a` by weights `b` and dequantizes the result
+/// to `f32`.
 ///
 /// # Errors
 ///
@@ -102,7 +107,7 @@ pub fn matmul_accumulate(a: &QuantizedMatrix, b: &QuantizedMatrix) -> Result<(Ve
 /// # Examples
 ///
 /// ```
-/// use hd_quant::{gemm, QuantParams, QuantizedMatrix};
+/// use hd_quant::{gemm, PackedQuantizedMatrix, QuantParams, QuantizedMatrix};
 /// use hd_tensor::Matrix;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -110,7 +115,7 @@ pub fn matmul_accumulate(a: &QuantizedMatrix, b: &QuantizedMatrix) -> Result<(Ve
 ///     &Matrix::from_rows(&[&[1.0, 0.5]])?,
 ///     QuantParams::from_min_max(-1.0, 1.0)?,
 /// );
-/// let b = QuantizedMatrix::quantize(
+/// let b = PackedQuantizedMatrix::quantize(
 ///     &Matrix::from_rows(&[&[1.0], &[1.0]])?,
 ///     QuantParams::symmetric(1.0)?,
 /// );
@@ -119,16 +124,14 @@ pub fn matmul_accumulate(a: &QuantizedMatrix, b: &QuantizedMatrix) -> Result<(Ve
 /// # Ok(())
 /// # }
 /// ```
-pub fn matmul_dequantized(a: &QuantizedMatrix, b: &QuantizedMatrix) -> Result<Matrix> {
+pub fn matmul_dequantized(a: &QuantizedMatrix, b: &PackedQuantizedMatrix) -> Result<Matrix> {
     let (acc, scale) = matmul_accumulate(a, b)?;
     let data: Vec<f32> = acc.iter().map(|&v| scale * v as f32).collect();
     Matrix::from_vec(a.rows(), b.cols(), data).map_err(Into::into)
 }
 
-/// Multiplies two quantized matrices and requantizes the result into
-/// `out_params` — the full accelerator datapath for one layer. Packs `b`
-/// for this one call; see [`matmul_requantized_packed`] for weights
-/// packed once.
+/// Multiplies activations `a` by weights `b` and requantizes the result
+/// into `out_params` — the full accelerator datapath for one layer.
 ///
 /// # Errors
 ///
@@ -136,35 +139,17 @@ pub fn matmul_dequantized(a: &QuantizedMatrix, b: &QuantizedMatrix) -> Result<Ma
 /// `a.cols() != b.rows()`.
 pub fn matmul_requantized(
     a: &QuantizedMatrix,
-    b: &QuantizedMatrix,
-    out_params: QuantParams,
-) -> Result<QuantizedMatrix> {
-    matmul_requantized_packed(a, &b.packed(), out_params)
-}
-
-/// [`matmul_requantized`] over weights already packed by
-/// [`QuantizedMatrix::packed`]: the path of a device that keeps its
-/// weights resident.
-///
-/// # Errors
-///
-/// Returns a wrapped [`TensorError::ShapeMismatch`] if
-/// `a.cols() != b.rows()`.
-pub fn matmul_requantized_packed(
-    a: &QuantizedMatrix,
     b: &PackedQuantizedMatrix,
     out_params: QuantParams,
 ) -> Result<QuantizedMatrix> {
-    check(a, b.data())?;
-    let acc = centred_product(a, b.data(), b.params().zero_point())?;
-    let scale = a.params().scale() * b.params().scale();
+    let (acc, scale) = matmul_accumulate(a, b)?;
     let data: Vec<i8> = acc
         .iter()
         .map(|&v| out_params.requantize_accumulator(v, scale))
         .collect();
     Ok(QuantizedMatrix::from_raw(
         a.rows(),
-        b.data().cols(),
+        b.cols(),
         data,
         out_params,
     ))
@@ -181,12 +166,12 @@ mod tests {
         k: usize,
         n: usize,
         seed: u64,
-    ) -> (Matrix, Matrix, QuantizedMatrix, QuantizedMatrix) {
+    ) -> (Matrix, Matrix, QuantizedMatrix, PackedQuantizedMatrix) {
         let mut rng = DetRng::new(seed);
         let a = Matrix::random_uniform(m, k, -1.0, 1.0, &mut rng);
         let b = Matrix::random_uniform(k, n, -1.0, 1.0, &mut rng);
         let qa = QuantizedMatrix::quantize(&a, QuantParams::from_min_max(-1.0, 1.0).unwrap());
-        let qb = QuantizedMatrix::quantize(&b, QuantParams::symmetric(1.0).unwrap());
+        let qb = PackedQuantizedMatrix::quantize(&b, QuantParams::symmetric(1.0).unwrap());
         (a, b, qa, qb)
     }
 
@@ -211,7 +196,7 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, -2.0]]).unwrap(); // multiples of 0.5
         let b = Matrix::from_rows(&[&[0.75], &[-0.5]]).unwrap(); // multiples of 0.25
         let qa = QuantizedMatrix::quantize(&a, params_a);
-        let qb = QuantizedMatrix::quantize(&b, params_b);
+        let qb = PackedQuantizedMatrix::quantize(&b, params_b);
         let c = matmul_dequantized(&qa, &qb).unwrap();
         assert_eq!(c[(0, 0)], 1.0 * 0.75 + (-2.0) * (-0.5));
     }
@@ -220,7 +205,7 @@ mod tests {
     fn shape_mismatch_rejected() {
         let p = QuantParams::symmetric(1.0).unwrap();
         let a = QuantizedMatrix::from_raw(2, 3, vec![0; 6], p);
-        let b = QuantizedMatrix::from_raw(2, 2, vec![0; 4], p);
+        let b = PackedQuantizedMatrix::from_raw(2, 2, &[0; 4], p);
         assert!(matmul_accumulate(&a, &b).is_err());
         assert!(matmul_dequantized(&a, &b).is_err());
         assert!(matmul_requantized(&a, &b, p).is_err());
@@ -273,7 +258,8 @@ mod tests {
             let b = Matrix::random_uniform(k, n, -1.0, 1.0, &mut rng);
             let qa = QuantizedMatrix::quantize(&a, QuantParams::from_raw(0.01, za).unwrap());
             let qb = QuantizedMatrix::quantize(&b, QuantParams::from_raw(0.01, zb).unwrap());
-            let (acc, _) = matmul_accumulate(&qa, &qb).unwrap();
+            let packed = PackedQuantizedMatrix::from_raw(k, n, qb.as_slice(), qb.params());
+            let (acc, _) = matmul_accumulate(&qa, &packed).unwrap();
             assert_eq!(acc, fused_reference(&qa, &qb), "seed {seed}");
         }
     }
@@ -299,7 +285,7 @@ mod tests {
     fn zero_lhs_row_gives_zero_outputs() {
         let pa = QuantParams::from_raw(1.0, 0).unwrap();
         let a = QuantizedMatrix::from_raw(1, 3, vec![0, 0, 0], pa);
-        let b = QuantizedMatrix::from_raw(3, 2, vec![1, 2, 3, 4, 5, 6], pa);
+        let b = PackedQuantizedMatrix::from_raw(3, 2, &[1, 2, 3, 4, 5, 6], pa);
         let (acc, _) = matmul_accumulate(&a, &b).unwrap();
         assert_eq!(acc, vec![0, 0]);
     }

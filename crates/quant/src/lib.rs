@@ -9,7 +9,11 @@
 //! hardware path in the paper's accuracy figures (Fig. 7).
 //!
 //! * [`QuantParams`] — the affine mapping (scale, zero-point),
-//! * [`QuantizedMatrix`] — an `i8` matrix tagged with its mapping,
+//! * [`QuantizedMatrix`] — an `i8` activation matrix tagged with its
+//!   mapping,
+//! * [`PackedQuantizedMatrix`] — a weight matrix, stored once in the `i8`
+//!   kernel's packed layout (per-channel weights:
+//!   [`per_channel::ChannelQuantizedMatrix`]),
 //! * [`gemm`] — quantized matrix multiplication with `i32` accumulators,
 //! * [`Calibrator`] — min/max range calibration (the TFLite post-training
 //!   default),

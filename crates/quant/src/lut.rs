@@ -3,10 +3,10 @@
 //! Edge accelerators do not evaluate transcendental functions; they apply
 //! activations through a 256-entry table indexed by the quantized input
 //! byte. The paper's non-linear encoder needs `tanh`; this module builds
-//! the table once per (input params, output params) pair. Both the
-//! reference quantized executor in `wide-nn` and the simulator in
-//! `tpu-sim` apply activations through [`ActivationLut`], which makes
-//! their results bit-identical.
+//! the table once per (input params, output params) pair. The one int8
+//! stage loop (`wide-nn`'s `QuantizedModel::run_quantized`, which the
+//! `tpu-sim` device and the host fallback both run) applies activations
+//! through [`ActivationLut`].
 
 use crate::params::QuantParams;
 

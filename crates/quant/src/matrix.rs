@@ -4,11 +4,9 @@ use hd_tensor::Matrix;
 use crate::params::QuantParams;
 
 /// A dense row-major `i8` matrix tagged with its affine quantization
-/// parameters.
-///
-/// This is the on-accelerator representation of both weight matrices of the
-/// paper's wide NN: the `n x d` base-hypervector matrix and the `d x k`
-/// class-hypervector matrix.
+/// parameters: the activations flowing between the stages of a
+/// quantized model. Weights are kept packed, as
+/// [`PackedQuantizedMatrix`].
 ///
 /// # Examples
 ///
@@ -42,23 +40,6 @@ impl QuantizedMatrix {
             cols: m.cols(),
             data,
             params,
-        }
-    }
-
-    /// This matrix packed as the right operand of the int8 kernel, with
-    /// its quantization, for a caller that multiplies by it many times.
-    /// The copy does not follow later changes to `self`.
-    ///
-    /// # Panics
-    ///
-    /// Only if the matrix broke its `rows x cols` length invariant, which
-    /// every constructor enforces.
-    #[must_use]
-    pub fn packed(&self) -> PackedQuantizedMatrix {
-        PackedQuantizedMatrix {
-            data: PackedI8::pack(&self.data, self.rows, self.cols)
-                .expect("a quantized matrix holds rows x cols values"),
-            params: self.params,
         }
     }
 
@@ -133,17 +114,116 @@ impl QuantizedMatrix {
         assert!(r < self.rows, "row index {r} out of bounds ({})", self.rows);
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
+}
+
+/// A weight matrix: `i8` values tagged with their affine quantization,
+/// stored packed as the right operand of the int8 kernel ([`PackedI8`]).
+///
+/// This is the on-accelerator representation of both per-tensor weight
+/// matrices of the paper's wide NN, the `n x d` base-hypervector matrix
+/// and the `d x k` class-hypervector matrix. It is packed once, when it
+/// is quantized or read from a model file; every product over it, and
+/// every read or fault of a single value, works on that one copy.
+///
+/// # Examples
+///
+/// ```
+/// use hd_quant::{PackedQuantizedMatrix, QuantParams};
+/// use hd_tensor::Matrix;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let m = Matrix::from_rows(&[&[0.5, -0.5]])?;
+/// let q = PackedQuantizedMatrix::quantize(&m, QuantParams::symmetric(1.0)?);
+/// assert_eq!(q.shape(), (1, 2));
+/// assert_eq!(q.get(0, 1), -64);
+/// assert!(q.dequantize().frobenius_distance(&m)? < 0.02);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct PackedQuantizedMatrix {
+    data: PackedI8,
+    params: QuantParams,
+}
+
+impl PackedQuantizedMatrix {
+    /// Quantizes a real matrix element-wise under `params`.
+    #[must_use]
+    pub fn quantize(m: &Matrix, params: QuantParams) -> Self {
+        let values: Vec<i8> = m.iter().map(|&v| params.quantize(v)).collect();
+        Self::from_raw(m.rows(), m.cols(), &values, params)
+    }
+
+    /// Packs raw row-major `i8` values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != rows * cols`.
+    #[must_use]
+    pub fn from_raw(rows: usize, cols: usize, data: &[i8], params: QuantParams) -> Self {
+        let data = PackedI8::pack(data, rows, cols).unwrap_or_else(|_| {
+            panic!(
+                "raw data length {} does not match {rows}x{cols}",
+                data.len()
+            )
+        });
+        PackedQuantizedMatrix { data, params }
+    }
+
+    /// The packed values, as the int8 kernel reads them.
+    pub(crate) fn data(&self) -> &PackedI8 {
+        &self.data
+    }
+
+    /// The quantization parameters of the values.
+    pub fn params(&self) -> QuantParams {
+        self.params
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.data.rows()
+    }
+
+    /// Number of columns.
+    pub fn cols(&self) -> usize {
+        self.data.cols()
+    }
+
+    /// Shape as `(rows, cols)`.
+    pub fn shape(&self) -> (usize, usize) {
+        (self.rows(), self.cols())
+    }
+
+    /// The quantized value at row `r`, column `c`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `(r, c)` is out of bounds.
+    #[inline]
+    pub fn get(&self, r: usize, c: usize) -> i8 {
+        self.data.get(r, c)
+    }
 
     /// Storage footprint in bytes — what the accelerator's on-chip
-    /// parameter buffer must hold for this tensor.
+    /// parameter buffer must hold for this tensor: one byte per value,
+    /// whatever the packing pads.
     pub fn byte_size(&self) -> usize {
-        self.data.len()
+        self.rows() * self.cols()
+    }
+
+    /// Recovers the real-valued matrix (with quantization error).
+    pub fn dequantize(&self) -> Matrix {
+        Matrix::from_fn(self.rows(), self.cols(), |r, c| {
+            self.params.dequantize(self.get(r, c))
+        })
     }
 
     /// Flips each stored bit independently with probability `rate` —
     /// a memory-fault injection primitive for robustness studies (edge
     /// SRAM upsets, the failure mode HDC's holographic representation is
-    /// claimed to tolerate).
+    /// claimed to tolerate). Values are visited in row-major order, bits
+    /// from the lowest, one draw of `rng` each.
     ///
     /// Returns the number of bits actually flipped.
     ///
@@ -156,36 +236,19 @@ impl QuantizedMatrix {
             "flip rate {rate} outside [0, 1]"
         );
         let mut flipped = 0usize;
-        for byte in &mut self.data {
-            for bit in 0..8 {
-                if rng.next_f64() < rate {
-                    *byte = (*byte as u8 ^ (1u8 << bit)) as i8;
-                    flipped += 1;
+        for r in 0..self.rows() {
+            for c in 0..self.cols() {
+                let mut byte = self.get(r, c) as u8;
+                for bit in 0..8 {
+                    if rng.next_f64() < rate {
+                        byte ^= 1u8 << bit;
+                        flipped += 1;
+                    }
                 }
+                self.data.set(r, c, byte as i8);
             }
         }
         flipped
-    }
-}
-
-/// A [`QuantizedMatrix`] packed once as the right operand of the int8
-/// kernel ([`PackedI8`]), together with its quantization: the weights a
-/// device keeps resident. Built by [`QuantizedMatrix::packed`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct PackedQuantizedMatrix {
-    data: PackedI8,
-    params: QuantParams,
-}
-
-impl PackedQuantizedMatrix {
-    /// The packed values.
-    pub fn data(&self) -> &PackedI8 {
-        &self.data
-    }
-
-    /// The quantization parameters of the values.
-    pub fn params(&self) -> QuantParams {
-        self.params
     }
 }
 
@@ -211,8 +274,10 @@ mod tests {
         let m = Matrix::zeros(3, 7);
         let q = QuantizedMatrix::quantize(&m, QuantParams::symmetric(1.0).unwrap());
         assert_eq!(q.shape(), (3, 7));
-        assert_eq!(q.byte_size(), 21);
         assert_eq!(q.row(2).len(), 7);
+        let w = PackedQuantizedMatrix::quantize(&m, QuantParams::symmetric(1.0).unwrap());
+        assert_eq!(w.shape(), (3, 7));
+        assert_eq!(w.byte_size(), 21);
     }
 
     #[test]
@@ -245,41 +310,61 @@ mod tests {
     }
 
     #[test]
+    fn packed_weights_hold_the_quantized_values() {
+        let mut rng = DetRng::new(2);
+        let m = Matrix::random_uniform(9, 21, -2.0, 2.0, &mut rng);
+        let params = QuantParams::from_min_max(-2.0, 2.0).unwrap();
+        let rows = QuantizedMatrix::quantize(&m, params);
+        let packed = PackedQuantizedMatrix::quantize(&m, params);
+        for r in 0..9 {
+            for c in 0..21 {
+                assert_eq!(packed.get(r, c), rows.row(r)[c]);
+            }
+        }
+        assert_eq!(packed.dequantize(), rows.dequantize());
+    }
+
+    #[test]
     fn bit_flips_change_exactly_reported_count() {
-        use hd_tensor::rng::DetRng;
         let params = QuantParams::symmetric(1.0).unwrap();
-        let original = QuantizedMatrix::from_raw(8, 8, vec![0; 64], params);
+        let original = PackedQuantizedMatrix::from_raw(8, 8, &[0; 64], params);
         let mut mutated = original.clone();
         let mut rng = DetRng::new(9);
         let flipped = mutated.apply_bit_flips(0.05, &mut rng);
-        let differing_bits: u32 = original
-            .as_slice()
-            .iter()
-            .zip(mutated.as_slice())
-            .map(|(a, b)| ((*a as u8) ^ (*b as u8)).count_ones())
-            .sum();
+        let mut differing_bits = 0;
+        for r in 0..8 {
+            for c in 0..8 {
+                differing_bits +=
+                    ((original.get(r, c) as u8) ^ (mutated.get(r, c) as u8)).count_ones();
+            }
+        }
         assert_eq!(differing_bits as usize, flipped);
         assert!(flipped > 0, "5% of 512 bits should flip something");
     }
 
     #[test]
     fn zero_rate_flips_nothing() {
-        use hd_tensor::rng::DetRng;
         let params = QuantParams::symmetric(1.0).unwrap();
-        let mut m = QuantizedMatrix::from_raw(4, 4, vec![7; 16], params);
+        let mut m = PackedQuantizedMatrix::from_raw(4, 4, &[7; 16], params);
         let mut rng = DetRng::new(10);
         assert_eq!(m.apply_bit_flips(0.0, &mut rng), 0);
-        assert!(m.as_slice().iter().all(|&v| v == 7));
+        assert_eq!(m, PackedQuantizedMatrix::from_raw(4, 4, &[7; 16], params));
     }
 
     #[test]
     #[should_panic(expected = "outside [0, 1]")]
     fn bad_rate_panics() {
-        use hd_tensor::rng::DetRng;
         let params = QuantParams::symmetric(1.0).unwrap();
-        let mut m = QuantizedMatrix::from_raw(1, 1, vec![0], params);
+        let mut m = PackedQuantizedMatrix::from_raw(1, 1, &[0], params);
         let mut rng = DetRng::new(11);
         let _ = m.apply_bit_flips(1.5, &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match")]
+    fn packed_from_raw_rejects_bad_length() {
+        let params = QuantParams::symmetric(1.0).unwrap();
+        let _ = PackedQuantizedMatrix::from_raw(2, 2, &[0; 3], params);
     }
 
     #[test]

@@ -41,9 +41,7 @@ use crate::Result;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChannelQuantizedMatrix {
-    rows: usize,
-    cols: usize,
-    data: Vec<i8>,
+    data: PackedI8,
     scales: Vec<f32>,
 }
 
@@ -80,21 +78,45 @@ impl ChannelQuantizedMatrix {
             }
         }
         Ok(ChannelQuantizedMatrix {
-            rows,
-            cols,
-            data,
+            data: PackedI8::pack(&data, rows, cols)?,
+            scales,
+        })
+    }
+
+    /// Builds the matrix from raw row-major `i8` values and one scale per
+    /// column, as a model file stores them.
+    ///
+    /// # Errors
+    ///
+    /// * [`QuantError::InvalidScale`] — a scale is non-finite or not
+    ///   positive.
+    /// * A wrapped [`TensorError`] if `data.len() != rows * cols` or
+    ///   `scales.len() != cols`.
+    pub fn from_parts(rows: usize, cols: usize, data: &[i8], scales: Vec<f32>) -> Result<Self> {
+        if let Some(&scale) = scales.iter().find(|s| !s.is_finite() || **s <= 0.0) {
+            return Err(QuantError::InvalidScale { scale });
+        }
+        if scales.len() != cols {
+            return Err(TensorError::LengthMismatch {
+                expected: cols,
+                actual: scales.len(),
+            }
+            .into());
+        }
+        Ok(ChannelQuantizedMatrix {
+            data: PackedI8::pack(data, rows, cols)?,
             scales,
         })
     }
 
     /// Number of rows.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.data.rows()
     }
 
     /// Number of columns (output channels).
     pub fn cols(&self) -> usize {
-        self.cols
+        self.data.cols()
     }
 
     /// Per-channel scales.
@@ -102,80 +124,38 @@ impl ChannelQuantizedMatrix {
         &self.scales
     }
 
-    /// One row of quantized weights.
+    /// The quantized weight at row `r`, column `c`.
     ///
     /// # Panics
     ///
-    /// Panics if `r >= self.rows()`.
-    pub fn row(&self, r: usize) -> &[i8] {
-        &self.data[r * self.cols..(r + 1) * self.cols]
+    /// Panics if `(r, c)` is out of bounds.
+    #[inline]
+    pub fn get(&self, r: usize, c: usize) -> i8 {
+        self.data.get(r, c)
     }
 
-    /// Storage bytes of the quantized values.
+    /// Storage bytes of the quantized values: one per value, whatever
+    /// the packing pads.
     pub fn byte_size(&self) -> usize {
-        self.data.len()
+        self.rows() * self.cols()
     }
 
     /// Recovers the real-valued matrix.
     pub fn dequantize(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, self.cols);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out[(r, c)] = self.scales[c] * self.data[r * self.cols + c] as f32;
-            }
-        }
-        out
-    }
-
-    /// These weights packed as the right operand of the int8 kernel, with
-    /// their scales, for a caller that multiplies by them many times.
-    ///
-    /// # Panics
-    ///
-    /// Only if the matrix broke its `rows x cols` length invariant, which
-    /// [`ChannelQuantizedMatrix::quantize`] enforces.
-    #[must_use]
-    pub fn packed(&self) -> PackedChannelMatrix {
-        PackedChannelMatrix {
-            data: PackedI8::pack(&self.data, self.rows, self.cols)
-                .expect("a quantized matrix holds rows x cols values"),
-            scales: self.scales.clone(),
-        }
+        Matrix::from_fn(self.rows(), self.cols(), |r, c| {
+            self.scales[c] * self.get(r, c) as f32
+        })
     }
 
     /// Multiplies per-tensor-quantized activations by these per-channel
     /// weights, dequantizing to `f32`: the accumulator for column `j`
-    /// carries scale `a.scale * scales[j]`. Packs the weights for this
-    /// one call; see [`PackedChannelMatrix::matmul_dequantized`].
+    /// carries scale `a.scale * scales[j]`.
     ///
     /// # Errors
     ///
     /// Returns a wrapped shape error if `a.cols() != self.rows()`.
     pub fn matmul_dequantized(&self, a: &crate::QuantizedMatrix) -> Result<Matrix> {
-        self.packed().matmul_dequantized(a)
-    }
-}
-
-/// A [`ChannelQuantizedMatrix`] packed once as the right operand of the
-/// int8 kernel ([`PackedI8`]), together with its per-channel scales: the
-/// weights a device keeps resident. Built by
-/// [`ChannelQuantizedMatrix::packed`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct PackedChannelMatrix {
-    data: PackedI8,
-    scales: Vec<f32>,
-}
-
-impl PackedChannelMatrix {
-    /// [`ChannelQuantizedMatrix::matmul_dequantized`] over the packed
-    /// weights.
-    ///
-    /// # Errors
-    ///
-    /// Returns a wrapped shape error if `a.cols()` is not the weights'
-    /// row count.
-    pub fn matmul_dequantized(&self, a: &crate::QuantizedMatrix) -> Result<Matrix> {
-        let (rows, cols) = (self.data.rows(), self.data.cols());
+        let (rows, cols) = (self.rows(), self.cols());
         if a.cols() != rows {
             return Err(TensorError::ShapeMismatch {
                 op: "per-channel matmul",
@@ -289,8 +269,8 @@ mod tests {
         for (i, out_row) in acc.chunks_mut(w.cols()).enumerate() {
             for (p, &aq) in a.row(i).iter().enumerate() {
                 let av = i32::from(aq) - za;
-                for (o, &wq) in out_row.iter_mut().zip(w.row(p)) {
-                    *o += av * i32::from(wq);
+                for (j, o) in out_row.iter_mut().enumerate() {
+                    *o += av * i32::from(w.get(p, j));
                 }
             }
         }
@@ -357,5 +337,29 @@ mod tests {
         assert_eq!(q.cols(), 4);
         assert_eq!(q.byte_size(), 12);
         assert_eq!(q.scales().len(), 4);
+    }
+
+    #[test]
+    fn from_parts_rebuilds_quantized_weights() {
+        let q = ChannelQuantizedMatrix::quantize(&skewed_weights(7, 19, 6)).unwrap();
+        let values: Vec<i8> = (0..7)
+            .flat_map(|r| (0..19).map(move |c| (r, c)))
+            .map(|(r, c)| q.get(r, c))
+            .collect();
+        let rebuilt = ChannelQuantizedMatrix::from_parts(7, 19, &values, q.scales().to_vec());
+        assert_eq!(rebuilt.unwrap(), q);
+    }
+
+    #[test]
+    fn from_parts_rejects_bad_scales_and_lengths() {
+        for scale in [0.0, -1.0, f32::NAN, f32::INFINITY] {
+            let err = ChannelQuantizedMatrix::from_parts(1, 2, &[1, 2], vec![1.0, scale]);
+            assert!(
+                matches!(err, Err(QuantError::InvalidScale { scale: s }) if s.to_bits() == scale.to_bits()),
+                "{scale}: {err:?}"
+            );
+        }
+        assert!(ChannelQuantizedMatrix::from_parts(1, 2, &[1], vec![1.0, 1.0]).is_err());
+        assert!(ChannelQuantizedMatrix::from_parts(1, 2, &[1, 2], vec![1.0]).is_err());
     }
 }

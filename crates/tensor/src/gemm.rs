@@ -12,11 +12,10 @@
 //!   scratch buffer of at most 256 KiB per row band. The `i8` `b` is
 //!   packed whole into a [`PackedI8`]: 16-column panels of `k`-quads (four
 //!   consecutive rows of a column side by side, the operand layout of
-//!   `vpdpbusd`) plus each column's sum, in the weights' own size. A caller
-//!   that multiplies by the same weights many times keeps the packed copy,
-//!   as the device simulator does for its resident weights from model
-//!   load on; [`matmul_i8_i32`] packs for one call. The copy is a snapshot,
-//!   so weights changed afterwards (fault injection) must be packed again.
+//!   `vpdpbusd`) plus each column's sum, in the weights' own size. It is
+//!   the one form `hd_quant` keeps its weights in, built where they are
+//!   quantized or read from a model file, so every product over them
+//!   reads it as it is; [`matmul_i8_i32`] packs for one call.
 //! * **Register tile.** An `MR x NR` (6 x 16) block of the output stays in
 //!   registers while a slab streams past it. The f32 tile keeps each
 //!   output's ascending-`p` order with a separate multiply and add (no
@@ -506,8 +505,10 @@ const QUAD: usize = 4;
 /// sum per column, which the VNNI tile's sign correction and
 /// `hd_quant`'s zero-point correction read instead of summing `b` again.
 ///
-/// The copy is a snapshot: a caller that changes the weights afterwards
-/// (as fault injection does) must pack them again.
+/// This is how `hd_quant` stores every weight matrix, from quantization
+/// or deserialization on. [`PackedI8::get`] and [`PackedI8::set`] read
+/// and change single values in place (fault injection flips bits through
+/// them), so no caller needs a row-major copy.
 ///
 /// # Examples
 ///
@@ -587,6 +588,42 @@ impl PackedI8 {
     /// `k` below `2^24`).
     pub fn col_sums(&self) -> &[i32] {
         &self.col_sums
+    }
+
+    /// `b[r][c]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= self.rows()` or `c >= self.cols()`.
+    #[inline]
+    pub fn get(&self, r: usize, c: usize) -> i8 {
+        self.panels[self.index(r, c)]
+    }
+
+    /// Sets `b[r][c]` to `v`, keeping its column sum exact (wrapped to
+    /// `i32`, as [`PackedI8::pack`] sums).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= self.rows()` or `c >= self.cols()`.
+    #[inline]
+    pub fn set(&mut self, r: usize, c: usize, v: i8) {
+        let i = self.index(r, c);
+        let old = std::mem::replace(&mut self.panels[i], v);
+        self.col_sums[c] = self.col_sums[c].wrapping_add(i32::from(v) - i32::from(old));
+    }
+
+    /// Where `b[r][c]` lives: in column `c`'s panel, quad row `r / 4`,
+    /// the column's quad, lane `r % 4`.
+    #[inline]
+    fn index(&self, r: usize, c: usize) -> usize {
+        assert!(
+            r < self.k && c < self.n,
+            "index ({r}, {c}) out of bounds for {}x{}",
+            self.k,
+            self.n
+        );
+        (c / NR) * Self::panel_len(self.k) + (r / QUAD) * QUAD * NR + (c % NR) * QUAD + r % QUAD
     }
 }
 

@@ -132,4 +132,36 @@ proptest! {
             prop_assert_eq!(a.to_bits(), (-b).to_bits(), "tanh must be odd");
         }
     }
+
+    /// `get` inverts `pack`, and `set` edits in place exactly as packing
+    /// the edited bytes would, column sums included. Depths end in a
+    /// partial quad and widths in a partial panel.
+    #[test]
+    fn packed_i8_get_and_set_invert_pack(
+        seed in 0u64..10_000,
+        quads in 0usize..6,
+        extra_rows in 1usize..4,
+        panels in 0usize..4,
+        extra_cols in 1usize..16,
+        edits in 0usize..40,
+    ) {
+        let (k, n) = (4 * quads + extra_rows, 16 * panels + extra_cols);
+        let mut rng = DetRng::new(seed);
+        let mut b: Vec<i8> = (0..k * n).map(|_| rng.next_u64() as i8).collect();
+        let mut packed = gemm::PackedI8::pack(&b, k, n).unwrap();
+        for r in 0..k {
+            for c in 0..n {
+                prop_assert_eq!(packed.get(r, c), b[r * n + c]);
+            }
+        }
+        for _ in 0..edits {
+            let (r, c) = (rng.next_index(k), rng.next_index(n));
+            let v = rng.next_u64() as i8;
+            packed.set(r, c, v);
+            b[r * n + c] = v;
+        }
+        let repacked = gemm::PackedI8::pack(&b, k, n).unwrap();
+        prop_assert_eq!(packed.col_sums(), repacked.col_sums());
+        prop_assert_eq!(packed, repacked);
+    }
 }

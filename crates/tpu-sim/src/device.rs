@@ -2,16 +2,12 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use hd_quant::lut::ActivationLut;
-use hd_quant::per_channel::PackedChannelMatrix;
-use hd_quant::{PackedQuantizedMatrix, QuantParams};
 use hd_tensor::Matrix;
-use wide_nn::{CompiledModel, QuantStage, QuantizedModel};
+use wide_nn::CompiledModel;
 
 use crate::config::DeviceConfig;
 use crate::error::SimError;
 use crate::fault::{FaultKind, FaultPlan, FaultTrace, LinkDirection};
-use crate::systolic::SystolicArray;
 use crate::timing::{self, InvokeStats, LoadReport, ModelDims};
 use crate::Result;
 
@@ -77,66 +73,13 @@ impl TimingLedger {
     }
 }
 
-/// The resident model: as compiled, its shape, which prices every
-/// invocation, and its stages as the array holds them.
+/// The resident model, as compiled, and its shape, which prices every
+/// invocation. The weights are already in the form the int8 kernel
+/// reads, so residency needs nothing else.
 struct Resident {
     /// Shared with the caller's copy until a fault changes it.
     model: Arc<CompiledModel>,
     dims: ModelDims,
-    /// The stages the device runs, with each fully-connected stage's
-    /// weights packed for the int8 kernel once per load (and again after
-    /// fault injection changes them).
-    stages: Vec<ResidentStage>,
-}
-
-/// One stage of the resident model, ready to run.
-enum ResidentStage {
-    FullyConnected {
-        weights: PackedQuantizedMatrix,
-        out_params: QuantParams,
-    },
-    FullyConnectedPerChannel {
-        weights: PackedChannelMatrix,
-        out_params: QuantParams,
-    },
-    Lut(ActivationLut),
-}
-
-impl Resident {
-    fn new(model: Arc<CompiledModel>, dims: ModelDims) -> Self {
-        let stages = resident_stages(model.quantized());
-        Resident {
-            model,
-            dims,
-            stages,
-        }
-    }
-}
-
-/// Lays out every stage of `quantized` for the array, packing each
-/// fully-connected stage's weights.
-fn resident_stages(quantized: &QuantizedModel) -> Vec<ResidentStage> {
-    quantized
-        .stages()
-        .iter()
-        .map(|stage| match stage {
-            QuantStage::FullyConnected {
-                weights,
-                out_params,
-            } => ResidentStage::FullyConnected {
-                weights: weights.packed(),
-                out_params: *out_params,
-            },
-            QuantStage::FullyConnectedPerChannel {
-                weights,
-                out_params,
-            } => ResidentStage::FullyConnectedPerChannel {
-                weights: weights.packed(),
-                out_params: *out_params,
-            },
-            QuantStage::Lut(lut) => ResidentStage::Lut(lut.clone()),
-        })
-        .collect()
 }
 
 struct DeviceState {
@@ -162,7 +105,6 @@ struct DeviceState {
 /// like a real single-queue accelerator.
 pub struct Device {
     config: DeviceConfig,
-    array: SystolicArray,
     ordinal: usize,
     state: Mutex<DeviceState>,
 }
@@ -202,14 +144,12 @@ impl Device {
     /// Same as [`Device::new`].
     #[must_use]
     pub fn with_ordinal(config: DeviceConfig, ordinal: usize) -> Self {
-        let array = SystolicArray::new(config.target.array_rows, config.target.array_cols);
         if let Err(e) = config.link.validate().and(config.fault.validate()) {
             panic!("{e}");
         }
         let faults = FaultPlan::new(config.fault);
         Device {
             config,
-            array,
             ordinal,
             state: Mutex::new(DeviceState {
                 model: None,
@@ -239,12 +179,13 @@ impl Device {
     /// Loads a compiled model, evicting any previous one, and returns the
     /// one-time cost report.
     ///
-    /// Like the weight-stationary array, the device lays each
-    /// fully-connected stage's weights out for its int8 kernel once, here,
-    /// and every invocation reads that resident copy. The simulated clock
-    /// charges the load on the model's parameter bytes. A model passed as
-    /// an `Arc` is shared with the caller, not copied;
-    /// [`Device::inject_weight_faults`] copies it before flipping bits.
+    /// As on the Edge TPU, whose compiler writes the weights out already
+    /// laid out for the array, the compiled model's weights are in the
+    /// form the int8 kernel reads, so the load only makes them resident:
+    /// it packs and copies nothing. The simulated clock charges the load
+    /// on the model's parameter bytes. A model passed as an `Arc` is
+    /// shared with the caller; [`Device::inject_weight_faults`] copies it
+    /// before flipping bits.
     ///
     /// # Errors
     ///
@@ -272,11 +213,11 @@ impl Device {
             return Err(SimError::AccumulatorDepth { depth, max });
         }
 
-        // Pack before taking the lock: invocations and ledger reads on this
-        // device need not wait for it.
-        let resident = Resident::new(compiled, dims);
         let mut state = self.state.lock();
-        state.model = Some(resident);
+        state.model = Some(Resident {
+            model: compiled,
+            dims,
+        });
         state.weights_corrupt = false;
         state.ledger.record_load(&report);
         Ok(report)
@@ -291,12 +232,13 @@ impl Device {
     /// returning the dequantized outputs and the timing breakdown of this
     /// single invocation.
     ///
-    /// The numeric path is: quantize inputs with the model's calibrated
-    /// input parameters, run every stage in int8 through the systolic
-    /// array and activation LUTs, dequantize the outputs. This matches
-    /// [`wide_nn::QuantizedModel::forward`] bit-for-bit, and because rows
-    /// are independent, splitting a batch across invocations does not
-    /// change a single output.
+    /// The numeric path is [`wide_nn::QuantizedModel::forward`] on the
+    /// resident model: quantize inputs with the model's calibrated input
+    /// parameters, run every stage in int8 through the model's one stage
+    /// loop ([`wide_nn::QuantizedModel::run_quantized`]), dequantize the
+    /// outputs. The host fallback runs the same loop, so the two agree
+    /// bit for bit, and because rows are independent, splitting a batch
+    /// across invocations does not change a single output.
     ///
     /// The clock runs the double-buffered DMA schedule: the input DMA of
     /// the next tile and the output DMA of the previous tile both run
@@ -400,7 +342,7 @@ impl Device {
             state.ledger.record_failed_attempt(landed_s);
             return Err(SimError::WeightCorruption);
         }
-        let output = self.run_stages(quantized, &resident.stages, batch)?;
+        let output = quantized.forward(batch)?;
 
         let output_bytes = samples * quantized.output_dim();
         let stall_s = if faults.hang {
@@ -470,53 +412,12 @@ impl Device {
         Ok((output, stats))
     }
 
-    /// The functional int8 datapath: quantize, run every resident stage,
-    /// dequantize.
-    fn run_stages(
-        &self,
-        quantized: &QuantizedModel,
-        stages: &[ResidentStage],
-        batch: &Matrix,
-    ) -> Result<Matrix> {
-        let mut current = quantized.quantize_input(batch)?;
-        for stage in stages {
-            current = match stage {
-                ResidentStage::FullyConnected {
-                    weights,
-                    out_params,
-                } => self.array.execute_fc(&current, weights, *out_params)?,
-                ResidentStage::FullyConnectedPerChannel {
-                    weights,
-                    out_params,
-                } => {
-                    // Per-channel requantization shares the MXU datapath;
-                    // the per-column scale multiply happens in the output
-                    // stage.
-                    let real = weights
-                        .matmul_dequantized(&current)
-                        .map_err(wide_nn::NnError::from)?;
-                    hd_quant::QuantizedMatrix::quantize(&real, *out_params)
-                }
-                ResidentStage::Lut(lut) => {
-                    let mut data = current.as_slice().to_vec();
-                    lut.apply_slice(&mut data);
-                    hd_quant::QuantizedMatrix::from_raw(
-                        current.rows(),
-                        current.cols(),
-                        data,
-                        lut.output_params(),
-                    )
-                }
-            };
-        }
-        Ok(current.dequantize())
-    }
-
     /// Injects random bit flips into the resident model's weights — a
     /// fault-injection hook modeling on-chip SRAM upsets, for the
     /// robustness experiments the paper's "hardware failure" motivation
-    /// implies. Returns the number of bits flipped. The faulted weights
-    /// are packed again, so the next invocation computes with them.
+    /// implies. Returns the number of bits flipped. The bits flip in the
+    /// device's own copy of the model (taken here if the model is still
+    /// shared), in place, so the next invocation computes with them.
     ///
     /// # Errors
     ///
@@ -532,11 +433,7 @@ impl Device {
     ) -> Result<usize> {
         let mut state = self.state.lock();
         let resident = state.model.as_mut().ok_or(SimError::NoModelLoaded)?;
-        let flipped = Arc::make_mut(&mut resident.model).inject_weight_faults(rate, rng);
-        if flipped > 0 {
-            resident.stages = resident_stages(resident.model.quantized());
-        }
-        Ok(flipped)
+        Ok(Arc::make_mut(&mut resident.model).inject_weight_faults(rate, rng))
     }
 
     /// A snapshot of the ordered record of every injected fault since
@@ -997,12 +894,14 @@ mod tests {
 
     #[test]
     fn weight_faults_reach_the_packed_resident_copy() {
-        // The device computes from weights it packed at load; a fault must
-        // change what it computes exactly as it changes the model.
+        // The device shares the caller's model until a fault: the bits
+        // must flip in the device's copy, changing what it computes
+        // exactly as they change the model, and never in the caller's.
         let (compiled, calib) = compiled_model(20, 96, 5, 21);
         let mut faulted = compiled.clone();
+        let shared = Arc::new(compiled);
         let device = Device::new(DeviceConfig::default());
-        device.load_model(compiled).unwrap();
+        device.load_model(Arc::clone(&shared)).unwrap();
         let (pristine, _) = device.invoke_overlapped(&calib).unwrap();
         let rate = 0.05;
         let flipped = device
@@ -1016,6 +915,7 @@ mod tests {
         let (out, _) = device.invoke_overlapped(&calib).unwrap();
         assert_eq!(out, faulted.quantized().forward(&calib).unwrap());
         assert_ne!(out, pristine, "the faults never reached the computation");
+        assert_eq!(shared.quantized().forward(&calib).unwrap(), pristine);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! hardware we do not have, so this crate builds the closest synthetic
 //! equivalent from first principles:
 //!
-//! * [`SystolicArray`] — a weight-stationary grid of int8
-//!   multiply-accumulate processing elements with a pipeline fill/drain
-//!   cycle model (the Edge TPU's MXU),
+//! * [`SystolicArray`] — the cycle model of a weight-stationary grid of
+//!   int8 multiply-accumulate processing elements with pipeline
+//!   fill/drain (the Edge TPU's MXU),
 //! * [`HostLinkConfig`] — a USB-like channel with finite bandwidth and a
 //!   fixed per-invocation dispatch latency,
 //! * [`Device`] — the user-facing accelerator: load a compiled model once
@@ -14,9 +14,9 @@
 //!   weights must fit the on-chip parameter buffer, 8 MiB on the real
 //!   device), then
 //!   invoke it on batches and receive both **functionally exact int8
-//!   outputs** (bit-identical to [`wide_nn::QuantizedModel`]'s reference
-//!   executor — an integration test pins this) and a per-invocation
-//!   [`InvokeStats`] timing breakdown,
+//!   outputs** (the model's own int8 stage loop,
+//!   [`wide_nn::QuantizedModel::run_quantized`], which the host fallback
+//!   runs too) and a per-invocation [`InvokeStats`] timing breakdown,
 //! * [`timing`] — the analytic cost law the device charges, usable
 //!   standalone to estimate paper-scale workloads without executing them.
 //!

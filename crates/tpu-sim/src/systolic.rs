@@ -1,7 +1,3 @@
-use hd_quant::{PackedQuantizedMatrix, QuantParams, QuantizedMatrix};
-
-use crate::Result;
-
 /// A weight-stationary systolic array of int8 multiply-accumulate
 /// processing elements.
 ///
@@ -12,12 +8,13 @@ use crate::Result;
 /// `ceil(k / rows) * ceil(n / cols)` tiles; each tile pass streams the full
 /// batch plus a pipeline fill/drain of `rows + cols` cycles.
 ///
-/// Timing and arithmetic are separate. Cycles are charged analytically by
-/// [`SystolicArray::stream_cycles`]; the numbers come from
-/// [`hd_quant::gemm::matmul_requantized_packed`], the same int8 kernel
-/// the `wide-nn` reference executor runs, so the two cannot diverge. Like
-/// the array, the kernel keeps the weights stationary: they are packed
-/// for it once, when the model is loaded.
+/// This type is the array's timing model only: it charges cycles
+/// analytically ([`SystolicArray::stream_cycles`] and friends). The
+/// numbers come from the compiled model's own int8 stage loop
+/// (`wide_nn::QuantizedModel::run_quantized`), over weights stored in
+/// the layout the `i8` kernel reads since the model was quantized — the
+/// simulator's counterpart of an array that keeps its weights
+/// stationary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SystolicArray {
     rows: usize,
@@ -76,31 +73,13 @@ impl SystolicArray {
     pub fn activation_cycles(&self, elements: usize) -> u64 {
         (elements as u64).div_ceil(self.cols as u64)
     }
-
-    /// Executes one fully-connected layer over its resident weights,
-    /// packed once at load ([`hd_quant::QuantizedMatrix::packed`]),
-    /// returning the requantized output.
-    /// Its cycles are charged separately, by
-    /// [`SystolicArray::stream_cycles`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error (wrapped) if `input.cols() != weights.rows()`.
-    pub fn execute_fc(
-        &self,
-        input: &QuantizedMatrix,
-        weights: &PackedQuantizedMatrix,
-        out_params: QuantParams,
-    ) -> Result<QuantizedMatrix> {
-        let output = hd_quant::gemm::matmul_requantized_packed(input, weights, out_params)
-            .map_err(wide_nn::NnError::from)?;
-        Ok(output)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hd_quant::gemm::matmul_requantized;
+    use hd_quant::{PackedQuantizedMatrix, QuantParams, QuantizedMatrix};
     use hd_tensor::rng::DetRng;
     use hd_tensor::Matrix;
 
@@ -136,10 +115,11 @@ mod tests {
         assert_eq!(a.activation_cycles(65), 2);
     }
 
-    /// The i64 tile loop `execute_fc` ran before it moved onto the shared
+    /// The i64 tile loop the device ran before it moved onto the shared
     /// int8 GEMM: march the weight tiles as the hardware would, pump every
     /// input row through each, and saturate the wide accumulator into the
-    /// requantizer. Kept as the ground-truth reference.
+    /// requantizer. Kept as the ground-truth reference for the one int8
+    /// product, over the row-major weights.
     fn tiled_reference(
         array: &SystolicArray,
         input: &QuantizedMatrix,
@@ -186,8 +166,8 @@ mod tests {
         QuantizedMatrix::quantize(&m, QuantParams::from_raw(1.0 / 100.0, zero_point).unwrap())
     }
 
-    /// Runs `execute_fc` on a `dim x dim` array and checks its output
-    /// against the tiled reference.
+    /// Runs the int8 product over packed `k x n` weights and checks it
+    /// against the tiled reference on a `dim x dim` array.
     fn assert_matches_tiled_reference(
         dim: usize,
         (m, k, n): (usize, usize, usize),
@@ -198,9 +178,8 @@ mod tests {
         let input = quantized_with(m, k, za, seed);
         let weights = quantized_with(k, n, zb, seed + 1);
         let out_params = QuantParams::from_min_max(-8.0, 8.0).unwrap();
-        let out = array
-            .execute_fc(&input, &weights.packed(), out_params)
-            .unwrap();
+        let packed = PackedQuantizedMatrix::from_raw(k, n, weights.as_slice(), weights.params());
+        let out = matmul_requantized(&input, &packed, out_params).unwrap();
         let reference = tiled_reference(&array, &input, &weights, out_params);
         let case = (dim, m, k, n, za, zb);
         assert_eq!(
@@ -239,13 +218,11 @@ mod tests {
 
     #[test]
     fn shape_mismatch_rejected() {
-        let array = SystolicArray::new(8, 8);
         let input = quantized_with(2, 5, 0, 5);
         let weights = quantized_with(6, 4, 0, 6);
+        let packed = PackedQuantizedMatrix::from_raw(6, 4, weights.as_slice(), weights.params());
         let out_params = QuantParams::from_min_max(-1.0, 1.0).unwrap();
-        assert!(array
-            .execute_fc(&input, &weights.packed(), out_params)
-            .is_err());
+        assert!(matmul_requantized(&input, &packed, out_params).is_err());
     }
 
     #[test]

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 use hd_quant::lut::ActivationLut;
 use hd_quant::per_channel::ChannelQuantizedMatrix;
-use hd_quant::{gemm as qgemm, Calibrator, QuantParams, QuantizedMatrix};
+use hd_quant::{gemm as qgemm, Calibrator, PackedQuantizedMatrix, QuantParams, QuantizedMatrix};
 use hd_tensor::rng::DetRng;
 use hd_tensor::Matrix;
 use wide_nn::{
@@ -71,7 +71,7 @@ fn assert_sound(qmodel: &QuantizedModel, batch: &Matrix) {
                         let mut acc = 0i64;
                         for p in 0..weights.rows() {
                             let av = i64::from(current.row(r)[p]) - za;
-                            acc += av * i64::from(weights.row(p)[j]);
+                            acc += av * i64::from(weights.get(p, j));
                         }
                         assert!(
                             bound.contains(acc),
@@ -133,7 +133,7 @@ fn two_pass_compile(model: &Model, calibration: &Matrix, per_channel: bool) -> C
                 }
             }
             Layer::FullyConnected { weights } => QuantStage::FullyConnected {
-                weights: QuantizedMatrix::quantize(
+                weights: PackedQuantizedMatrix::quantize(
                     weights,
                     QuantParams::symmetric(weights.max_abs()).unwrap(),
                 ),

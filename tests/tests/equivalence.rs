@@ -12,7 +12,7 @@ use std::sync::Mutex;
 
 use hd_bagging::{train_bagged, BaggingConfig};
 use hd_quant::gemm::MAX_EXACT_DEPTH;
-use hd_quant::{QuantParams, QuantizedMatrix};
+use hd_quant::{PackedQuantizedMatrix, QuantParams, QuantizedMatrix};
 use hd_tensor::rng::DetRng;
 use hd_tensor::{kernels, Matrix};
 use hdc::{Encoder, HdcModel, TrainConfig};
@@ -75,7 +75,7 @@ fn device_bit_exact_under_chunked_invocation() {
 fn worst_case_fc(k: usize) -> (CompiledModel, Matrix) {
     let n = 17; // one full 16-lane SIMD block plus a 1-wide tail
     let zero_127 = QuantParams::from_raw(1.0, 127).unwrap();
-    let weights = QuantizedMatrix::from_raw(k, n, vec![-128; k * n], zero_127);
+    let weights = PackedQuantizedMatrix::from_raw(k, n, &vec![-128; k * n], zero_127);
     let out_params = QuantParams::from_raw(33_554_432.0, 0).unwrap();
     let stages = vec![QuantStage::FullyConnected {
         weights,
@@ -105,7 +105,7 @@ fn i64_reference(model: &QuantizedModel, batch: &Matrix) -> (Vec<i32>, Matrix) {
     for i in 0..m {
         for j in 0..n {
             let sum: i64 = (0..input.cols())
-                .map(|p| (i64::from(input.row(i)[p]) - za) * (i64::from(weights.row(p)[j]) - zb))
+                .map(|p| (i64::from(input.row(i)[p]) - za) * (i64::from(weights.get(p, j)) - zb))
                 .sum();
             acc.push(i32::try_from(sum).expect("centred sum fits i32"));
         }

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use hd_datasets::csv::{parse_csv, to_csv, CsvOptions};
 use hd_datasets::Split;
-use hd_quant::{QuantParams, QuantizedMatrix};
+use hd_quant::{PackedQuantizedMatrix, QuantParams};
 use hd_tensor::rng::DetRng;
 use hd_tensor::Matrix;
 use hdc::bipolar::BipolarVector;
@@ -66,7 +66,7 @@ proptest! {
     fn fault_injection_is_deterministic_and_bounded(seed in 0u64..2000, rate_milli in 0u64..200) {
         let rate = rate_milli as f64 / 1000.0;
         let params = QuantParams::symmetric(1.0).unwrap();
-        let make = || QuantizedMatrix::from_raw(8, 8, vec![42; 64], params);
+        let make = || PackedQuantizedMatrix::from_raw(8, 8, &[42; 64], params);
         let mut a = make();
         let mut b = make();
         let flips_a = a.apply_bit_flips(rate, &mut DetRng::new(seed));
@@ -74,6 +74,37 @@ proptest! {
         prop_assert_eq!(flips_a, flips_b);
         prop_assert_eq!(a, b);
         prop_assert!(flips_a <= 64 * 8);
+    }
+
+    /// Packed weights flip the same logical bits, with the same draws, as
+    /// flipping the row-major bytes in order, lowest bit first; column
+    /// sums follow the flips. Shapes cut partial quads and panels.
+    #[test]
+    fn packed_bit_flips_follow_row_major_order(
+        seed in 0u64..2000,
+        rows in 1usize..23,
+        cols in 1usize..41,
+        rate_milli in 0u64..300,
+    ) {
+        let rate = rate_milli as f64 / 1000.0;
+        let mut rng = DetRng::new(seed ^ 0x5EED);
+        let mut values: Vec<i8> = (0..rows * cols).map(|_| rng.next_u64() as i8).collect();
+        let params = QuantParams::symmetric(1.0).unwrap();
+        let mut packed = PackedQuantizedMatrix::from_raw(rows, cols, &values, params);
+        let flipped = packed.apply_bit_flips(rate, &mut DetRng::new(seed));
+
+        let mut reference_rng = DetRng::new(seed);
+        let mut reference_flips = 0;
+        for v in &mut values {
+            for bit in 0..8 {
+                if reference_rng.next_f64() < rate {
+                    *v = (*v as u8 ^ (1u8 << bit)) as i8;
+                    reference_flips += 1;
+                }
+            }
+        }
+        prop_assert_eq!(flipped, reference_flips);
+        prop_assert_eq!(packed, PackedQuantizedMatrix::from_raw(rows, cols, &values, params));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use hd_quant::{gemm as qgemm, QuantParams, QuantizedMatrix};
+use hd_quant::{gemm as qgemm, PackedQuantizedMatrix, QuantParams, QuantizedMatrix};
 use hd_tensor::rng::DetRng;
 use hd_tensor::{gemm, ops, Matrix};
 use hdc::{BaseHypervectors, ClassHypervectors, Encoder, HdcModel, NonlinearEncoder};
@@ -57,7 +57,8 @@ proptest! {
             &Matrix::random_uniform(k, n, -1.0, 1.0, &mut rng),
             QuantParams::symmetric(1.0).unwrap(),
         );
-        let (acc, _) = qgemm::matmul_accumulate(&a, &b).unwrap();
+        let packed = PackedQuantizedMatrix::from_raw(k, n, b.as_slice(), b.params());
+        let (acc, _) = qgemm::matmul_accumulate(&a, &packed).unwrap();
         let za = a.params().zero_point();
         let zb = b.params().zero_point();
         for i in 0..m {
@@ -78,7 +79,7 @@ proptest! {
         let af = Matrix::random_uniform(3, k, -1.0, 1.0, &mut rng);
         let bf = Matrix::random_uniform(k, 3, -1.0, 1.0, &mut rng);
         let a = QuantizedMatrix::quantize(&af, QuantParams::from_min_max(-1.0, 1.0).unwrap());
-        let b = QuantizedMatrix::quantize(&bf, QuantParams::symmetric(1.0).unwrap());
+        let b = PackedQuantizedMatrix::quantize(&bf, QuantParams::symmetric(1.0).unwrap());
         let exact = gemm::matmul(&af, &bf).unwrap();
         let approx = qgemm::matmul_dequantized(&a, &b).unwrap();
         // Error grows like sqrt(k) * scale; 0.02 * k is a generous bound.
