@@ -1,3 +1,14 @@
+//! Class-hypervector training: the perceptron pass every trainer runs.
+//!
+//! A pass classifies each sample against the current class hypervectors
+//! and, on a miss, bundles it into its true class and detaches it from
+//! the predicted one. The class scratch is an
+//! [`InterleavedClasses`], scored several samples per sweep over the
+//! classes with speculative rescoring (see [`train_encoded_warm`]); every
+//! prediction and class bit equals a sample-at-a-time pass with
+//! `ops::dot` and `ops::axpy` on row-major classes.
+
+use hd_tensor::interleaved::InterleavedClasses;
 use hd_tensor::{gemm, ops, Matrix};
 
 use crate::error::HdcError;
@@ -219,6 +230,13 @@ pub fn train_encoded_tracked(
 /// dimension drop, and a deployed model adapts to drifted data by one
 /// pass seeded from its current class hypervectors.
 ///
+/// Each pass scores the samples in blocks of
+/// [`InterleavedClasses::sweep_rows`] (4 with AVX-512, 2 otherwise), one
+/// sweep over the class-interleaved scratch per block, and rescores only
+/// the classes an earlier miss in the block changed. The result is
+/// bit-identical to scoring every sample against the current classes
+/// with `ops::dot`, whichever tile runs.
+///
 /// # Errors
 ///
 /// Same as [`train_encoded_tracked`], plus [`HdcError::InvalidConfig`] if
@@ -246,26 +264,30 @@ pub fn train_encoded_warm(
     }
 
     let mut stats = TrainStats::default();
-    // Scratch: class scores per sample; class matrix is d x k so scoring a
-    // sample is k dots of length d done via transpose-free row walks.
-    let mut class_rows: Vec<Vec<f32>> = (0..classes)
-        .map(|j| {
-            initial
-                .class(j)
-                .expect("class index in range by construction")
-        })
-        .collect();
+    // The class matrix the pass started from; validation and the result
+    // read the trained classes back into it.
+    let mut class_matrix = initial.into_matrix();
+    let mut classes = InterleavedClasses::from_matrix(&class_matrix);
+    let mut scores = vec![0.0f32; InterleavedClasses::sweep_rows() * classes.class_count()];
     let mut best_accuracy = f64::MIN;
     let mut stale_passes = 0usize;
 
     for iteration in 0..config.iterations {
-        let (updates, correct) = pass_over(&mut class_rows, encoded, labels, config.learning_rate)?;
+        let (updates, correct) = pass_over(
+            &mut classes,
+            &mut scores,
+            encoded,
+            labels,
+            config.learning_rate,
+        )?;
         let validation_accuracy = match validation {
             Some((val, val_labels)) if !val_labels.is_empty() => {
                 // Batched GEMM scoring: one matmul + row-argmax instead of
                 // a per-sample dot loop.
-                let classes = ClassHypervectors::from_matrix(class_matrix(&class_rows));
-                let predicted = predict_batch(&classes, val)?;
+                classes
+                    .write_to(&mut class_matrix)
+                    .map_err(HdcError::from)?;
+                let predicted = argmax_rows(val, &class_matrix)?;
                 let val_correct = predicted
                     .iter()
                     .zip(val_labels)
@@ -295,49 +317,86 @@ pub fn train_encoded_warm(
         }
     }
 
-    Ok((
-        ClassHypervectors::from_matrix(class_matrix(&class_rows)),
-        stats,
-    ))
+    classes
+        .write_to(&mut class_matrix)
+        .map_err(HdcError::from)?;
+    Ok((ClassHypervectors::from_matrix(class_matrix), stats))
 }
 
-/// One perceptron pass of `labels` over `encoded`, mutating the per-class
-/// scratch rows in sample order. Returns `(updates, correct)`.
+/// One perceptron pass of `labels` over `encoded`, updating `classes` in
+/// sample order. Returns `(updates, correct)`.
+///
+/// Samples are scored in blocks of [`InterleavedClasses::sweep_rows`],
+/// one sweep over the classes per block, against the classes as they
+/// stand at the block's first sample. The block is then walked in order:
+/// a sample that misses changes only its true and its predicted class, so
+/// only those are stale for the rest of the block and are rescored with
+/// [`InterleavedClasses::dot`] before each later argmax. An untouched
+/// class gives the same dot product either way, so every prediction and
+/// update is bit-identical to scoring each sample against the current
+/// classes. `scores` holds one block's scores.
 fn pass_over(
-    class_rows: &mut [Vec<f32>],
+    classes: &mut InterleavedClasses,
+    scores: &mut [f32],
     encoded: &Matrix,
     labels: &[usize],
     learning_rate: f32,
 ) -> Result<(usize, usize)> {
+    let (d, k) = (encoded.cols(), classes.class_count());
+    let block_rows = scores.len() / k;
+    let mut stale: Vec<usize> = Vec::with_capacity(2 * block_rows);
     let mut updates = 0usize;
     let mut correct = 0usize;
-    for (row, &label) in labels.iter().enumerate() {
-        let sample = encoded.row(row);
-        let predicted = predict_one(class_rows, sample)?;
-        if predicted == label {
-            correct += 1;
-        } else {
-            updates += 1;
-            ops::axpy(learning_rate, sample, &mut class_rows[label]).map_err(HdcError::from)?;
-            ops::axpy(-learning_rate, sample, &mut class_rows[predicted])
-                .map_err(HdcError::from)?;
+    for (b0, block_labels) in (0..labels.len())
+        .step_by(block_rows)
+        .zip(labels.chunks(block_rows))
+    {
+        let block = &encoded.as_slice()[b0 * d..(b0 + block_labels.len()) * d];
+        let block_scores = &mut scores[..block_labels.len() * k];
+        classes
+            .scores(block, block_scores)
+            .map_err(HdcError::from)?;
+        stale.clear();
+        for (r, &label) in block_labels.iter().enumerate() {
+            let sample = &block[r * d..(r + 1) * d];
+            let scores = &mut block_scores[r * k..(r + 1) * k];
+            for &j in &stale {
+                scores[j] = classes.dot(j, sample).map_err(HdcError::from)?;
+            }
+            let predicted = first_max(scores);
+            if predicted == label {
+                correct += 1;
+            } else {
+                updates += 1;
+                classes
+                    .axpy(label, learning_rate, sample)
+                    .map_err(HdcError::from)?;
+                classes
+                    .axpy(predicted, -learning_rate, sample)
+                    .map_err(HdcError::from)?;
+                for j in [label, predicted] {
+                    if !stale.contains(&j) {
+                        stale.push(j);
+                    }
+                }
+            }
         }
     }
     Ok((updates, correct))
 }
 
-/// Materializes the row-major per-class scratch as the `d x k` class
-/// matrix expected by the GEMM scoring path.
-fn class_matrix(class_rows: &[Vec<f32>]) -> Matrix {
-    let k = class_rows.len();
-    let d = class_rows.first().map_or(0, Vec::len);
-    let mut m = Matrix::zeros(d, k);
-    for (j, row) in class_rows.iter().enumerate() {
-        for (i, &v) in row.iter().enumerate() {
-            m[(i, j)] = v;
+/// The index of the first greatest score (`0` if none exceeds
+/// `-inf`).
+fn first_max(scores: &[f32]) -> usize {
+    let mut best = 0usize;
+    let mut best_score = f32::NEG_INFINITY;
+    for (j, &score) in scores.iter().enumerate() {
+        if score > best_score {
+            best_score = score;
+            best = j;
         }
     }
-    m
+    best
 }
 
 /// Batched dot-product classification: one GEMM of the encoded samples
@@ -349,24 +408,15 @@ fn class_matrix(class_rows: &[Vec<f32>]) -> Matrix {
 /// Returns a wrapped shape error if `encoded`'s width differs from the
 /// class hypervector dimensionality.
 pub fn predict_batch(classes: &ClassHypervectors, encoded: &Matrix) -> Result<Vec<usize>> {
-    let scores = gemm::matmul(encoded, classes.as_matrix()).map_err(HdcError::from)?;
+    argmax_rows(encoded, classes.as_matrix())
+}
+
+/// [`predict_batch`] against a bare `d x k` class matrix.
+fn argmax_rows(encoded: &Matrix, class_matrix: &Matrix) -> Result<Vec<usize>> {
+    let scores = gemm::matmul(encoded, class_matrix).map_err(HdcError::from)?;
     (0..scores.rows())
         .map(|r| ops::argmax(scores.row(r)).map_err(HdcError::from))
         .collect()
-}
-
-fn predict_one(class_rows: &[Vec<f32>], sample: &[f32]) -> Result<usize> {
-    let mut scores = vec![0.0f32; class_rows.len()];
-    ops::dots(sample, class_rows, &mut scores).map_err(HdcError::from)?;
-    let mut best = 0usize;
-    let mut best_score = f32::NEG_INFINITY;
-    for (j, &score) in scores.iter().enumerate() {
-        if score > best_score {
-            best_score = score;
-            best = j;
-        }
-    }
-    Ok(best)
 }
 
 #[cfg(test)]

@@ -47,6 +47,7 @@ use std::fmt;
 
 use hd_quant::lut::ActivationLut;
 use hd_quant::QuantParams;
+use hd_tensor::gemm::PackedI8;
 
 use crate::diag::{Diagnostic, Severity};
 use crate::quantized::{QuantStage, QuantizedModel};
@@ -225,33 +226,35 @@ struct ColumnBound {
 }
 
 /// Each column's prefixes run over its rows in ascending order, the
-/// order the kernel's reduction is specified in.
-fn column_bounds(
-    (rows, cols): (usize, usize),
-    weight: impl Fn(usize, usize) -> i8,
-    weight_zp: i64,
-    av: Interval,
-) -> Vec<ColumnBound> {
-    (0..cols)
-        .map(|j| {
-            let mut b = ColumnBound {
-                lo: 0,
-                hi: 0,
-                env_lo: 0,
-                env_hi: 0,
-            };
-            for p in 0..rows {
-                let w = i64::from(weight(p, j)) - weight_zp;
+/// order the kernel's reduction is specified in. The weights are read a
+/// packed panel at a time, one lane per column.
+fn column_bounds(weights: &PackedI8, weight_zp: i64, av: Interval) -> Vec<ColumnBound> {
+    const LANES: usize = PackedI8::PANEL_COLS;
+    let mut bounds = Vec::with_capacity(weights.cols().next_multiple_of(LANES));
+    for panel in weights.panel_rows() {
+        let (mut lo, mut hi) = ([0i64; LANES], [0i64; LANES]);
+        let (mut env_lo, mut env_hi) = ([0i64; LANES], [0i64; LANES]);
+        for row in panel {
+            for c in 0..LANES {
+                let w = i64::from(row[c]) - weight_zp;
                 let x = av.lo * w;
                 let y = av.hi * w;
-                b.lo += x.min(y);
-                b.hi += x.max(y);
-                b.env_lo = b.env_lo.min(b.lo);
-                b.env_hi = b.env_hi.max(b.hi);
+                lo[c] += x.min(y);
+                hi[c] += x.max(y);
+                env_lo[c] = env_lo[c].min(lo[c]);
+                env_hi[c] = env_hi[c].max(hi[c]);
             }
-            b
-        })
-        .collect()
+        }
+        bounds.extend((0..LANES).map(|c| ColumnBound {
+            lo: lo[c],
+            hi: hi[c],
+            env_lo: env_lo[c],
+            env_hi: env_hi[c],
+        }));
+    }
+    // The last panel's zero padding is not a column.
+    bounds.truncate(weights.cols());
+    bounds
 }
 
 /// Whether requantizing the accumulator interval `[lo, hi]` at the real
@@ -405,7 +408,7 @@ pub fn analyze_ranges(model: &QuantizedModel) -> RangeReport {
                 let za = i64::from(cur_params.zero_point());
                 let av = Interval::new(cur.lo - za, cur.hi - za);
                 let zb = i64::from(weights.params().zero_point());
-                let bounds = column_bounds(weights.shape(), |p, j| weights.get(p, j), zb, av);
+                let bounds = column_bounds(weights.packed(), zb, av);
                 // Same combined scale the kernel computes.
                 let acc_scale = cur_params.scale() * weights.params().scale();
                 let sr = gemm_stage(
@@ -429,12 +432,7 @@ pub fn analyze_ranges(model: &QuantizedModel) -> RangeReport {
                 let av = Interval::new(cur.lo - za, cur.hi - za);
                 let sa = cur_params.scale();
                 let scales = weights.scales().to_vec();
-                let bounds = column_bounds(
-                    (weights.rows(), weights.cols()),
-                    |p, j| weights.get(p, j),
-                    0,
-                    av,
-                );
+                let bounds = column_bounds(weights.packed(), 0, av);
                 let sr = gemm_stage(
                     i,
                     "fully-connected-per-channel",
@@ -513,6 +511,35 @@ mod tests {
             .unwrap();
         let calibration = Matrix::random_normal(16, n, &mut rng);
         QuantizedModel::quantize(&model, &calibration).unwrap()
+    }
+
+    #[test]
+    fn panel_column_bounds_match_a_walk_of_every_value() {
+        // 37 columns: two whole panels and a padded one.
+        let (rows, cols) = (23, 37);
+        let mut rng = DetRng::new(5);
+        let values: Vec<i8> = (0..rows * cols)
+            .map(|_| i8::try_from(rng.next_index(256) as i64 - 128).unwrap())
+            .collect();
+        let packed = PackedI8::pack(&values, rows, cols).unwrap();
+        let av = Interval::new(-200, 55);
+        let bounds = column_bounds(&packed, 3, av);
+        assert_eq!(bounds.len(), cols);
+        for (j, b) in bounds.iter().enumerate() {
+            let (mut lo, mut hi, mut env_lo, mut env_hi) = (0i64, 0i64, 0i64, 0i64);
+            for p in 0..rows {
+                let w = i64::from(values[p * cols + j]) - 3;
+                lo += (av.lo * w).min(av.hi * w);
+                hi += (av.lo * w).max(av.hi * w);
+                env_lo = env_lo.min(lo);
+                env_hi = env_hi.max(hi);
+            }
+            assert_eq!(
+                (b.lo, b.hi, b.env_lo, b.env_hi),
+                (lo, hi, env_lo, env_hi),
+                "column {j}"
+            );
+        }
     }
 
     #[test]

@@ -461,6 +461,21 @@ mod tests {
     }
 
     #[test]
+    fn per_channel_subnormal_column_roundtrips() {
+        // `1e-44 / 127` underflows to zero; the scale must stay one that
+        // the reader accepts.
+        let model = ModelBuilder::new(2)
+            .fully_connected(Matrix::from_rows(&[&[1e-44, 1.0], &[0.0, -0.5]]).unwrap())
+            .unwrap()
+            .build()
+            .unwrap();
+        let calib = Matrix::from_rows(&[&[1.0, -1.0], &[0.5, 0.25]]).unwrap();
+        let qmodel = QuantizedModel::quantize_per_channel(&model, &calib).unwrap();
+        let restored = read_quantized_model(&write_quantized_model(&qmodel)).unwrap();
+        assert_eq!(restored, qmodel);
+    }
+
+    #[test]
     fn bad_magic_rejected() {
         let model = sample_model();
         let mut blob = write_model(&model).to_vec();

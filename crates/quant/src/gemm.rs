@@ -91,8 +91,8 @@ pub fn matmul_accumulate(
     a: &QuantizedMatrix,
     b: &PackedQuantizedMatrix,
 ) -> Result<(Vec<i32>, f32)> {
-    check(a, b.data())?;
-    let acc = centred_product(a, b.data(), b.params().zero_point())?;
+    check(a, b.packed())?;
+    let acc = centred_product(a, b.packed(), b.params().zero_point())?;
     Ok((acc, a.params().scale() * b.params().scale()))
 }
 

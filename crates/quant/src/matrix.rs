@@ -171,7 +171,7 @@ impl PackedQuantizedMatrix {
     }
 
     /// The packed values, as the int8 kernel reads them.
-    pub(crate) fn data(&self) -> &PackedI8 {
+    pub fn packed(&self) -> &PackedI8 {
         &self.data
     }
 

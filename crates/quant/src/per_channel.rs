@@ -63,11 +63,14 @@ impl ChannelQuantizedMatrix {
                 }
                 max_abs = max_abs.max(v.abs());
             }
-            // All-zero columns keep a scale of 1.0 (any value works).
+            // All-zero columns keep a scale of 1.0 (any value works). A
+            // column below `QMAX` times the smallest subnormal would
+            // underflow to a scale of 0, which `from_parts` rejects; it
+            // takes the smallest subnormal instead.
             scales[c] = if max_abs == 0.0 {
                 1.0
             } else {
-                max_abs / QuantParams::QMAX as f32
+                (max_abs / QuantParams::QMAX as f32).max(f32::from_bits(1))
             };
         }
         let mut data = Vec::with_capacity(rows * cols);
@@ -122,6 +125,11 @@ impl ChannelQuantizedMatrix {
     /// Per-channel scales.
     pub fn scales(&self) -> &[f32] {
         &self.scales
+    }
+
+    /// The packed values, as the int8 kernel reads them.
+    pub fn packed(&self) -> &PackedI8 {
+        &self.data
     }
 
     /// The quantized weight at row `r`, column `c`.

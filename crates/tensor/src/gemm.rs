@@ -56,6 +56,7 @@ use hd_dataflow::runtime::{self, Binding, ExecutablePlan, Fire, Supervised, Supe
 use hd_dataflow::{Resource, SdfGraph};
 
 use crate::error::TensorError;
+use crate::interleaved::ScoreTile;
 use crate::matrix::Matrix;
 use crate::Result;
 
@@ -613,6 +614,26 @@ impl PackedI8 {
         self.col_sums[c] = self.col_sums[c].wrapping_add(i32::from(v) - i32::from(old));
     }
 
+    /// Columns per packed panel.
+    pub const PANEL_COLS: usize = NR;
+
+    /// The panels in column order, each as its rows in ascending order:
+    /// row `r` of the panel that starts at column `j0` holds
+    /// `b[r][j0..j0 + 16]`, zero past the last column. A reader that folds
+    /// every column down its rows can keep one lane per column and
+    /// vectorize across the panel.
+    pub fn panel_rows(&self) -> impl Iterator<Item = impl Iterator<Item = [i8; NR]> + '_> + '_ {
+        let k = self.k;
+        self.panels
+            .chunks_exact(Self::panel_len(k))
+            .map(move |panel| {
+                (0..k).map(move |r| {
+                    let quads = &panel[(r / QUAD) * QUAD * NR..][..QUAD * NR];
+                    std::array::from_fn(|c| quads[c * QUAD + r % QUAD])
+                })
+            })
+    }
+
     /// Where `b[r][c]` lives: in column `c`'s panel, quad row `r / 4`,
     /// the column's quad, lane `r % 4`.
     #[inline]
@@ -790,6 +811,44 @@ fn i8_kernel(a: &[i8], b: &PackedI8, out: &mut [i32], m: usize, tile: I8Tile) {
     for_each_tile(&quad_band(a, k, i16::from), b, out, m, tile_i8_portable);
 }
 
+/// The reduced body sums of [`crate::interleaved::InterleavedClasses`]
+/// scoring on `tile`: for each `d`-wide row `r` of `samples` (at most
+/// `tile.rows()`) and each class `j < k = out.len() / rows`,
+/// `acc0 + acc1 + acc2 + acc3` of `ops::dot` over the first `4 * chunks`
+/// floats, written to `out[r * k + j]`. `body` holds `chunks` 16-float
+/// blocks per class group.
+///
+/// # Panics
+///
+/// If this host cannot run `tile`, which would be a bug in the tile's
+/// selection.
+pub(crate) fn score_interleaved(
+    tile: ScoreTile,
+    body: &[f32],
+    chunks: usize,
+    samples: &[f32],
+    d: usize,
+    out: &mut [f32],
+) {
+    if chunks == 0 || out.is_empty() {
+        out.fill(0.0);
+        return;
+    }
+    assert!(tile.supported(), "{tile:?} is not supported on this host");
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    // SAFETY: the tile's features were detected at run time just above;
+    // the tiles check their own slice bounds.
+    #[allow(unsafe_code)]
+    match tile {
+        ScoreTile::Avx512 => {
+            return unsafe { simd::score_avx512(body, chunks, samples, d, out) };
+        }
+        ScoreTile::Avx2 => return unsafe { simd::score_avx2(body, chunks, samples, d, out) },
+        ScoreTile::Scalar => {}
+    }
+    crate::interleaved::score_portable(body, chunks, samples, d, out);
+}
+
 /// The band `a (.. x k)` with each row zero-padded to whole quads, every
 /// value mapped by `f`.
 fn quad_band<T: Copy + Default>(a: &[i8], k: usize, f: impl Fn(i8) -> T) -> Vec<T> {
@@ -857,10 +916,10 @@ fn tile_i8_portable(a: &[i16], slab: &[i8], out: &mut [i32], shape: Tile) {
     }
 }
 
-/// The SIMD register tiles and the `i8` pack's interleave. Isolated in
-/// their own module so the crate-level `deny(unsafe_code)` stays intact
-/// everywhere else; this is the only unsafe code in the workspace's
-/// algorithm crates.
+/// The SIMD register tiles, the `i8` pack's interleave and the class
+/// scoring tiles. Isolated in their own module so the crate-level
+/// `deny(unsafe_code)` stays intact everywhere else; this is the only
+/// unsafe code in the workspace's algorithm crates.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 #[allow(unsafe_code)]
 mod simd {
@@ -957,6 +1016,219 @@ mod simd {
                 _mm256_storeu_ps(lanes.as_mut_ptr().add(8), acc[1]);
             }
             out[r * tile.n..][..tile.cols].copy_from_slice(&lanes[..tile.cols]);
+        }
+    }
+
+    /// Asserts what a class-scoring tile of at most `max_rows` samples
+    /// reads and writes is in bounds; returns the sample count.
+    fn check_score_bounds(
+        body: &[f32],
+        chunks: usize,
+        samples: &[f32],
+        d: usize,
+        out: &[f32],
+        max_rows: usize,
+    ) -> usize {
+        assert!(chunks >= 1 && chunks * 4 <= d, "{chunks} chunks of {d}");
+        let rows = samples.len() / d;
+        assert!((1..=max_rows).contains(&rows) && samples.len() == rows * d);
+        let k = out.len() / rows;
+        assert!(out.len() == rows * k && body.len() == k.div_ceil(4) * chunks * NR);
+        rows
+    }
+
+    /// Writes the reduced sums of a class group's 4 classes from the
+    /// accumulator lanes `lanes` (class `c` in lanes `4c..4c + 4`), in
+    /// `ops::dot`'s order, to the real classes of `out` from class `j0`.
+    #[inline(always)]
+    fn reduce_group(lanes: &[f32; NR], out: &mut [f32], j0: usize) {
+        for (c, a) in lanes.chunks_exact(4).enumerate() {
+            if let Some(o) = out.get_mut(j0 + c) {
+                *o = a[0] + a[1] + a[2] + a[3];
+            }
+        }
+    }
+
+    /// Runs `groups::<R, 2>` over each pair of class groups of `body`,
+    /// then `groups::<R, 1>` over a last, odd one.
+    macro_rules! by_group_pairs {
+        ($groups:ident, $r:literal, $body:expr, $chunks:expr, $samples:expr, $d:expr, $out:expr) => {{
+            let mut pairs = $body.chunks_exact(2 * $chunks * NR);
+            let mut g0 = 0;
+            for pair in &mut pairs {
+                $groups::<$r, 2>(pair, $chunks, $samples, $d, $out, g0);
+                g0 += 2;
+            }
+            if !pairs.remainder().is_empty() {
+                $groups::<$r, 1>(pairs.remainder(), $chunks, $samples, $d, $out, g0);
+            }
+        }};
+    }
+
+    /// AVX-512 class scoring: up to 4 samples per sweep, over two class
+    /// groups at a time. Per class group and sample, one `zmm` holds the
+    /// four classes' four `ops::dot` lane accumulators; per chunk, one
+    /// load per group, then per sample a broadcast of its 4-float chunk
+    /// to all four 128-bit lanes and a separate multiply and add per
+    /// group (no FMA).
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX-512F.
+    ///
+    /// # Panics
+    ///
+    /// If the slices disagree with `chunks` and `d`, which would be a bug
+    /// in `InterleavedClasses`.
+    #[target_feature(enable = "avx512f")]
+    pub(crate) unsafe fn score_avx512(
+        body: &[f32],
+        chunks: usize,
+        samples: &[f32],
+        d: usize,
+        out: &mut [f32],
+    ) {
+        let rows = check_score_bounds(body, chunks, samples, d, out, 4);
+        // SAFETY: AVX-512F is guaranteed by the caller; bounds checked.
+        unsafe {
+            match rows {
+                4 => by_group_pairs!(avx512_groups, 4, body, chunks, samples, d, out),
+                3 => by_group_pairs!(avx512_groups, 3, body, chunks, samples, d, out),
+                2 => by_group_pairs!(avx512_groups, 2, body, chunks, samples, d, out),
+                _ => by_group_pairs!(avx512_groups, 1, body, chunks, samples, d, out),
+            }
+        }
+    }
+
+    /// The sums of `G` class groups (the first one group `g0`) for `R`
+    /// samples.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F, `groups` holding `G` groups of `chunks` blocks, `R`
+    /// samples, and the bounds [`check_score_bounds`] checks.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn avx512_groups<const R: usize, const G: usize>(
+        groups: &[f32],
+        chunks: usize,
+        samples: &[f32],
+        d: usize,
+        out: &mut [f32],
+        g0: usize,
+    ) {
+        assert_eq!(groups.len(), G * chunks * NR);
+        let k = out.len() / R;
+        let (c, s) = (groups.as_ptr(), samples.as_ptr());
+        let mut acc = [[_mm512_setzero_ps(); G]; R];
+        for i in 0..chunks {
+            // SAFETY: block `i` of group `h` ends at `(h * chunks + i + 1)
+            // * 16 <= groups.len()`; sample `r`'s chunk `i` ends at
+            // `r * d + 4i + 4 <= (R - 1) * d + 4 * chunks`, within
+            // `samples`.
+            unsafe {
+                let mut b = [_mm512_setzero_ps(); G];
+                for (h, b) in b.iter_mut().enumerate() {
+                    *b = _mm512_loadu_ps(c.add((h * chunks + i) * NR));
+                }
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    let x = _mm512_broadcast_f32x4(_mm_loadu_ps(s.add(r * d + i * 4)));
+                    for (acc, &b) in acc.iter_mut().zip(&b) {
+                        *acc = _mm512_add_ps(*acc, _mm512_mul_ps(x, b));
+                    }
+                }
+            }
+        }
+        for (r, acc) in acc.iter().enumerate() {
+            for (h, acc) in acc.iter().enumerate() {
+                let mut lanes = [0.0f32; NR];
+                // SAFETY: `lanes` holds 16 floats.
+                unsafe { _mm512_storeu_ps(lanes.as_mut_ptr(), *acc) };
+                reduce_group(&lanes, &mut out[r * k..(r + 1) * k], (g0 + h) * 4);
+            }
+        }
+    }
+
+    /// AVX2 class scoring: up to 2 samples per sweep, over two class
+    /// groups at a time. Per class group and sample, two `ymm` hold the
+    /// four classes' `ops::dot` lane accumulators, two classes each; per
+    /// chunk, two loads per group, then per sample its 4-float chunk in
+    /// both 128-bit lanes and a separate multiply and add per register
+    /// (no FMA).
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2.
+    ///
+    /// # Panics
+    ///
+    /// If the slices disagree with `chunks` and `d`, which would be a bug
+    /// in `InterleavedClasses`.
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn score_avx2(
+        body: &[f32],
+        chunks: usize,
+        samples: &[f32],
+        d: usize,
+        out: &mut [f32],
+    ) {
+        let rows = check_score_bounds(body, chunks, samples, d, out, 2);
+        // SAFETY: AVX2 is guaranteed by the caller; bounds checked.
+        unsafe {
+            match rows {
+                2 => by_group_pairs!(avx2_groups, 2, body, chunks, samples, d, out),
+                _ => by_group_pairs!(avx2_groups, 1, body, chunks, samples, d, out),
+            }
+        }
+    }
+
+    /// The sums of `G` class groups (the first one group `g0`) for `R`
+    /// samples.
+    ///
+    /// # Safety
+    ///
+    /// AVX2, `groups` holding `G` groups of `chunks` blocks, `R` samples,
+    /// and the bounds [`check_score_bounds`] checks.
+    #[target_feature(enable = "avx2")]
+    unsafe fn avx2_groups<const R: usize, const G: usize>(
+        groups: &[f32],
+        chunks: usize,
+        samples: &[f32],
+        d: usize,
+        out: &mut [f32],
+        g0: usize,
+    ) {
+        assert_eq!(groups.len(), G * chunks * NR);
+        let k = out.len() / R;
+        let (c, s) = (groups.as_ptr(), samples.as_ptr());
+        let mut acc = [[[_mm256_setzero_ps(); 2]; G]; R];
+        for i in 0..chunks {
+            // SAFETY: as in `avx512_groups`.
+            unsafe {
+                let mut b = [[_mm256_setzero_ps(); 2]; G];
+                for (h, b) in b.iter_mut().enumerate() {
+                    let block = c.add((h * chunks + i) * NR);
+                    *b = [_mm256_loadu_ps(block), _mm256_loadu_ps(block.add(8))];
+                }
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    let chunk = _mm_loadu_ps(s.add(r * d + i * 4));
+                    let x = _mm256_set_m128(chunk, chunk);
+                    for (acc, b) in acc.iter_mut().zip(&b) {
+                        acc[0] = _mm256_add_ps(acc[0], _mm256_mul_ps(x, b[0]));
+                        acc[1] = _mm256_add_ps(acc[1], _mm256_mul_ps(x, b[1]));
+                    }
+                }
+            }
+        }
+        for (r, acc) in acc.iter().enumerate() {
+            for (h, acc) in acc.iter().enumerate() {
+                let mut lanes = [0.0f32; NR];
+                // SAFETY: `lanes` holds 16 floats.
+                unsafe {
+                    _mm256_storeu_ps(lanes.as_mut_ptr(), acc[0]);
+                    _mm256_storeu_ps(lanes.as_mut_ptr().add(8), acc[1]);
+                }
+                reduce_group(&lanes, &mut out[r * k..(r + 1) * k], (g0 + h) * 4);
+            }
         }
     }
 
@@ -1537,6 +1809,19 @@ mod tests {
             .all(|at| packed.panels[at] == 0));
         assert!(PackedI8::pack(&b[1..], k, n).is_err());
         assert!(matmul_i8_packed(&[0; 4], &packed, 1).is_err());
+
+        let walked: Vec<Vec<[i8; NR]>> = packed.panel_rows().map(Iterator::collect).collect();
+        assert_eq!(walked.len(), 2);
+        for (panel, rows) in walked.iter().enumerate() {
+            assert_eq!(rows.len(), k);
+            for (p, row) in rows.iter().enumerate() {
+                for (c, &v) in row.iter().enumerate() {
+                    let j = panel * NR + c;
+                    let want = if j < n { b[p * n + j] } else { 0 };
+                    assert_eq!(v, want, "panel row b[{p}][{j}]");
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,6 +10,9 @@
 //! * [`gemm`] — packed, register-tiled, optionally multi-threaded matrix
 //!   multiplication (`f32` and `i8`×`i8`→`i32`, AVX2 tiles where the host
 //!   has them),
+//! * [`interleaved`] — class rows stored class-interleaved for the
+//!   perceptron pass, scored several samples per sweep (AVX-512 and AVX2
+//!   tiles where the host has them), bit-identical to [`ops::dot`],
 //! * [`packed`] — bit-packed ±1 bipolar kernels: XOR+popcount scoring and
 //!   vertical-counter majority bundling,
 //! * [`kernels`] — kernel-selection switches (`--no-simd` / `HD_NO_SIMD`)
@@ -33,8 +36,9 @@
 //! # }
 //! ```
 
-// `deny` rather than `forbid`: the AVX2 GEMM tiles in `gemm::simd`
-// need `std::arch` intrinsics behind a scoped `#[allow(unsafe_code)]`;
+// `deny` rather than `forbid`: the SIMD tiles in `gemm::simd` (the
+// GEMMs' and the interleaved class scoring's) need `std::arch`
+// intrinsics behind a scoped `#[allow(unsafe_code)]`;
 // everything else in the crate stays safe.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,6 +47,7 @@ mod error;
 mod matrix;
 
 pub mod gemm;
+pub mod interleaved;
 pub mod kernels;
 pub mod ops;
 pub mod packed;

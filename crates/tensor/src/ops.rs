@@ -50,74 +50,6 @@ pub fn dot(a: &[f32], b: &[f32]) -> Result<f32> {
     Ok(sum)
 }
 
-/// Rows [`dots`] scores per pass over the sample.
-const DOTS_GROUP: usize = 8;
-
-/// Dot products of `sample` with every row of `rows`, written to `scores`:
-/// the perceptron update's similarity against all classes.
-///
-/// Each row keeps [`dot`]'s own four lane accumulators and final
-/// reduction, so `scores[j]` is bit-identical to `dot(sample, &rows[j])`.
-/// Scoring eight rows per pass over `sample` gives the CPU 32 independent
-/// adds per step instead of the four that one `dot` waits on.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if a row's length differs from
-/// `sample`'s or `scores` does not hold one score per row.
-pub fn dots<R: AsRef<[f32]>>(sample: &[f32], rows: &[R], scores: &mut [f32]) -> Result<()> {
-    let d = sample.len();
-    if let Some(row) = rows.iter().find(|r| r.as_ref().len() != d) {
-        return Err(TensorError::ShapeMismatch {
-            op: "dots",
-            lhs: (1, d),
-            rhs: (1, row.as_ref().len()),
-        });
-    }
-    if scores.len() != rows.len() {
-        return Err(TensorError::ShapeMismatch {
-            op: "dots (scores)",
-            lhs: (1, scores.len()),
-            rhs: (rows.len(), d),
-        });
-    }
-    let grouped = rows.len() / DOTS_GROUP * DOTS_GROUP;
-    for (group, out) in rows[..grouped]
-        .chunks_exact(DOTS_GROUP)
-        .zip(scores.chunks_exact_mut(DOTS_GROUP))
-    {
-        let group: [&[f32]; DOTS_GROUP] = std::array::from_fn(|c| &group[c].as_ref()[..d]);
-        out.copy_from_slice(&dot_group(sample, &group));
-    }
-    for (row, score) in rows[grouped..].iter().zip(&mut scores[grouped..]) {
-        *score = dot(sample, row.as_ref())?;
-    }
-    Ok(())
-}
-
-/// [`dot`] of `sample` with each of `rows` (all of `sample`'s length),
-/// interleaved so the rows' accumulator chains overlap.
-fn dot_group(sample: &[f32], rows: &[&[f32]; DOTS_GROUP]) -> [f32; DOTS_GROUP] {
-    let mut acc = [[0.0f32; 4]; DOTS_GROUP];
-    let body = sample.len() / 4 * 4;
-    for (base, s) in (0..body).step_by(4).zip(sample.chunks_exact(4)) {
-        for (acc, row) in acc.iter_mut().zip(rows) {
-            let r = &row[base..base + 4];
-            for lane in 0..4 {
-                acc[lane] += s[lane] * r[lane];
-            }
-        }
-    }
-    std::array::from_fn(|c| {
-        let acc = acc[c];
-        let mut sum = acc[0] + acc[1] + acc[2] + acc[3];
-        for (s, r) in sample[body..].iter().zip(&rows[c][body..]) {
-            sum += s * r;
-        }
-        sum
-    })
-}
-
 /// Euclidean (L2) norm.
 pub fn norm(a: &[f32]) -> f32 {
     a.iter().map(|v| v * v).sum::<f32>().sqrt()

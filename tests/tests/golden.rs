@@ -13,18 +13,20 @@
 //! reference. The one host-dependent number, which kernel tile served
 //! an `i8` GEMM call, is folded into the total call count.
 
+use hd_bagging::MemberRecovery;
 use hd_tensor::rng::DetRng;
 use hd_tensor::{ops, Matrix};
+use hdc::{TrainConfig, TrainStats};
 use hyperedge::{
     serving::ServeReport, wide_model, BackendLedger, ExecutionSetting, Pipeline, PipelineConfig,
-    Supervision, TwoDeviceServer,
+    Supervision, TrainingTelemetry, TwoDeviceServer,
 };
 use integration_tests::{clustered_dataset, split_half};
 use tpu_sim::{Device, FaultConfig, FaultKind, FaultRecord, LinkDirection};
 use wide_nn::{compile, serialize, Activation, ModelBuilder, QuantizedModel};
 
 /// The committed digest of every scenario, by name.
-const GOLDEN: [(&str, u64); 10] = [
+const GOLDEN: [(&str, u64); 12] = [
     ("tanh_sweep", 0x10ee_c800_923a_432d),
     ("train_cpu", 0x3b6c_e750_6783_b2b8),
     ("train_tpu", 0x7ca1_b760_b563_43de),
@@ -35,6 +37,8 @@ const GOLDEN: [(&str, u64); 10] = [
     ("serve_quarantine", 0xa80b_321e_b89f_f3e7),
     ("hdm_per_tensor", 0xfedc_f0a8_b3c6_e1b1),
     ("hdm_per_channel", 0xf294_7c8a_784c_6aa1),
+    ("bagging_member_recovery", 0x362b_a379_914e_2c9b),
+    ("perceptron_noisy_labels", 0xa9aa_8906_1741_7bd0),
 ];
 
 const CLASSES: usize = 4;
@@ -126,6 +130,16 @@ impl Digest {
                 }
             }
             self.f64(r.charged_s);
+        }
+    }
+
+    fn train_stats(&mut self, stats: &TrainStats) {
+        self.u64(stats.iterations.len() as u64);
+        for it in &stats.iterations {
+            self.u64(it.iteration as u64);
+            self.u64(it.updates as u64);
+            self.f64(it.train_accuracy);
+            self.f64(it.validation_accuracy.unwrap_or(-1.0));
         }
     }
 
@@ -330,6 +344,96 @@ fn hdm_digest(per_channel: bool) -> u64 {
     d.0
 }
 
+/// A bagged TPU run whose members hit hard device failures (one retry,
+/// a quarantine threshold that never trips) and are retrained on the
+/// host: the fault trace, which members were retrained, every member's
+/// training telemetry, the merged model and the ledger.
+fn bagging_recovery_digest() -> u64 {
+    let (train, train_labels, _, _) = dataset();
+    let mut cfg = config()
+        .with_supervision(Supervision::retries(1, 2e-3, 2.0))
+        .with_quarantine_threshold(50)
+        .with_member_recovery(MemberRecovery::RetrainOnHost);
+    cfg.device.fault = FaultConfig::default()
+        .with_seed(0xBA6)
+        .with_transient_rate(0.3);
+    let pipeline = Pipeline::new(cfg);
+    let outcome = pipeline
+        .train(&train, &train_labels, CLASSES, ExecutionSetting::TpuBagging)
+        .expect("train");
+    let TrainingTelemetry::Bagged(stats) = &outcome.telemetry else {
+        panic!("expected bagged telemetry, got {:?}", outcome.telemetry);
+    };
+    assert!(
+        !stats.retrained_on_host.is_empty()
+            && stats.retrained_on_host.len() < stats.sub_models.len(),
+        "some but not all members must be retrained: {:?}",
+        stats.retrained_on_host
+    );
+    let trace = pipeline.backends().hybrid().tpu().device().fault_trace();
+    let mut d = Digest::new();
+    d.records(trace.records());
+    d.usizes(&stats.retrained_on_host);
+    d.usizes(&stats.dropped_members);
+    for member in &stats.sub_models {
+        d.usizes(&[member.index, member.sampled_rows, member.sampled_features]);
+        d.train_stats(&member.train);
+    }
+    d.matrix(outcome.model.classes().as_matrix());
+    d.ledger(&outcome.ledger);
+    d.0
+}
+
+/// `hdc::train_encoded_tracked` at `k = 26`, `d = 2046` (neither a
+/// multiple of 4) on weakly separated classes with one label in ten
+/// flipped, so most samples of the first pass update the classes; then
+/// a run warm-started from its result on a fresh draw, at another
+/// learning rate. Class-hypervector bits and the training telemetry,
+/// validation accuracies included, of both runs.
+fn perceptron_digest() -> u64 {
+    const K: usize = 26;
+    const D: usize = 2046;
+    let mut rng = DetRng::new(0x9E7C);
+    let centers: Vec<Vec<f32>> = (0..K)
+        .map(|_| (0..D).map(|_| rng.next_normal()).collect())
+        .collect();
+    let mut draw = |rows: usize, flip: bool| {
+        let mut m = Matrix::zeros(rows, D);
+        let mut labels = Vec::with_capacity(rows);
+        for r in 0..rows {
+            let class = r % K;
+            for (v, c) in m.row_mut(r).iter_mut().zip(&centers[class]) {
+                *v = ops::tanh(0.1 * c + rng.next_normal());
+            }
+            let flipped = flip && rng.next_index(10) == 0;
+            labels.push(if flipped { rng.next_index(K) } else { class });
+        }
+        (m, labels)
+    };
+    let (train, train_labels) = draw(30 * K, true);
+    let (drifted, drifted_labels) = draw(30 * K, true);
+    let (val, val_labels) = draw(4 * K, false);
+    let validation = Some((&val, val_labels.as_slice()));
+    let config = TrainConfig::new(D).with_iterations(3);
+    let (cold, cold_stats) =
+        hdc::train_encoded_tracked(&train, &train_labels, K, &config, validation).expect("cold");
+    let warm_config = config.with_learning_rate(0.375);
+    let (warm, warm_stats) = hdc::train_encoded_warm(
+        &drifted,
+        &drifted_labels,
+        cold.clone(),
+        &warm_config,
+        validation,
+    )
+    .expect("warm");
+    let mut d = Digest::new();
+    d.matrix(cold.as_matrix());
+    d.train_stats(&cold_stats);
+    d.matrix(warm.as_matrix());
+    d.train_stats(&warm_stats);
+    d.0
+}
+
 /// One test computes every digest, so a failure lists all that moved.
 #[test]
 fn golden_digests_are_unchanged() {
@@ -347,6 +451,8 @@ fn golden_digests_are_unchanged() {
         ("serve_quarantine", serve_digest(true)),
         ("hdm_per_tensor", hdm_digest(false)),
         ("hdm_per_channel", hdm_digest(true)),
+        ("bagging_member_recovery", bagging_recovery_digest()),
+        ("perceptron_noisy_labels", perceptron_digest()),
     ];
     let moved: Vec<String> = GOLDEN
         .iter()

@@ -1,21 +1,24 @@
 //! Bit-exactness of every fast host kernel against its scalar
 //! reference: packed bipolar dot/Hamming scoring and vertical-counter
 //! bundling vs their per-component scans, the packed `f32` and `i8` GEMMs
-//! vs the naive triple loops, and the interleaved class scoring
-//! (`ops::dots`) vs one `ops::dot` per class — including with SIMD forced
-//! off, so the portable fallback is held to the same contract as the
-//! vectorized kernel. Dimensions are drawn to cover `d % 64 != 0` tail
+//! vs the naive triple loops, the class-interleaved scoring
+//! (`InterleavedClasses`) vs one `ops::dot` per class, and the perceptron
+//! pass that scores from it vs the row-major loop it replaced — including
+//! with SIMD forced off, so the portable fallback is held to the same
+//! contract as the vectorized kernel. Dimensions are drawn to cover `d % 64 != 0` tail
 //! words, the packed representation's main edge case, and the GEMM
 //! tile (6 x 16) and slab (256-deep) tails.
 
 use proptest::prelude::*;
 
+use hd_tensor::interleaved::InterleavedClasses;
 use hd_tensor::packed::{
     dot_reference, majority_bundle, majority_bundle_reference, PackedBipolar,
     PackedClassHypervectors,
 };
 use hd_tensor::rng::DetRng;
 use hd_tensor::{gemm, kernels, ops, Matrix};
+use hdc::{ClassHypervectors, IterationStats, TrainConfig, TrainStats};
 
 fn sign_vec(rng: &mut DetRng, n: usize) -> Vec<f32> {
     (0..n)
@@ -136,20 +139,125 @@ proptest! {
     }
 
     #[test]
-    fn interleaved_dots_match_per_class_dot(
+    fn interleaved_scores_match_per_class_dot(
         seed in 0u64..5000,
         dim in 0usize..300,
-        classes in 0usize..30,
+        classes in 1usize..30,
+        rows in 1usize..10,
     ) {
         let mut rng = DetRng::new(seed);
-        let sample: Vec<f32> = (0..dim).map(|_| rng.next_normal()).collect();
-        let rows: Vec<Vec<f32>> = (0..classes)
-            .map(|_| (0..dim).map(|_| rng.next_normal()).collect())
-            .collect();
-        let mut scores = vec![0.0f32; classes];
-        ops::dots(&sample, &rows, &mut scores).unwrap();
-        let per_class: Vec<f32> = rows.iter().map(|r| ops::dot(&sample, r).unwrap()).collect();
-        prop_assert_eq!(bits(&scores), bits(&per_class));
+        let class_matrix = Matrix::random_normal(dim, classes, &mut rng);
+        let samples = Matrix::random_normal(rows, dim, &mut rng);
+        let interleaved = InterleavedClasses::from_matrix(&class_matrix);
+        let mut back = Matrix::zeros(dim, classes);
+        interleaved.write_to(&mut back).unwrap();
+        prop_assert_eq!(&back, &class_matrix);
+        let mut scores = vec![0.0f32; rows * classes];
+        interleaved.scores(samples.as_slice(), &mut scores).unwrap();
+        for r in 0..rows {
+            for j in 0..classes {
+                let want = ops::dot(samples.row(r), &class_matrix.col(j).unwrap()).unwrap();
+                prop_assert_eq!(scores[r * classes + j].to_bits(), want.to_bits());
+                let one = interleaved.dot(j, samples.row(r)).unwrap();
+                prop_assert_eq!(one.to_bits(), want.to_bits());
+            }
+        }
+    }
+}
+
+/// The perceptron pass as it ran on row-major class rows: one
+/// `ops::dot` per class and sample against the current classes, then
+/// `ops::axpy` on a miss. The reference the speculative block scoring of
+/// `hdc::train_encoded_warm` is held to.
+fn row_major_training(
+    encoded: &Matrix,
+    labels: &[usize],
+    initial: &Matrix,
+    config: &TrainConfig,
+    validation: (&Matrix, &[usize]),
+) -> (Matrix, TrainStats) {
+    let (d, k) = initial.shape();
+    let mut rows: Vec<Vec<f32>> = (0..k).map(|j| initial.col(j).unwrap()).collect();
+    let mut stats = TrainStats::default();
+    for iteration in 0..config.iterations {
+        let (mut updates, mut correct) = (0, 0);
+        for (r, &label) in labels.iter().enumerate() {
+            let sample = encoded.row(r);
+            let mut predicted = 0;
+            let mut best = f32::NEG_INFINITY;
+            for (j, row) in rows.iter().enumerate() {
+                let score = ops::dot(sample, row).unwrap();
+                if score > best {
+                    best = score;
+                    predicted = j;
+                }
+            }
+            if predicted == label {
+                correct += 1;
+            } else {
+                updates += 1;
+                ops::axpy(config.learning_rate, sample, &mut rows[label]).unwrap();
+                ops::axpy(-config.learning_rate, sample, &mut rows[predicted]).unwrap();
+            }
+        }
+        let model = Matrix::from_fn(d, k, |i, j| rows[j][i]);
+        let (val, val_labels) = validation;
+        let predicted = hdc::predict_batch(&ClassHypervectors::from_matrix(model), val).unwrap();
+        let val_correct = predicted
+            .iter()
+            .zip(val_labels)
+            .filter(|(p, l)| p == l)
+            .count();
+        stats.iterations.push(IterationStats {
+            iteration,
+            updates,
+            train_accuracy: correct as f64 / labels.len() as f64,
+            validation_accuracy: Some(val_correct as f64 / val_labels.len() as f64),
+        });
+    }
+    (Matrix::from_fn(d, k, |i, j| rows[j][i]), stats)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random labels keep the update rate high, so a block's speculative
+    /// scores go stale and are rescored often; sample counts cut the last
+    /// block short; a warm start and a learning rate other than 1 move
+    /// every bit the pass computes.
+    #[test]
+    fn perceptron_pass_matches_row_major_reference(
+        seed in 0u64..5000,
+        dim in 1usize..300,
+        classes in 1usize..30,
+        samples in 1usize..40,
+        warm in any::<bool>(),
+        rate in 0usize..3,
+    ) {
+        let mut rng = DetRng::new(seed);
+        let encoded = Matrix::random_normal(samples, dim, &mut rng);
+        let labels: Vec<usize> = (0..samples).map(|_| rng.next_index(classes)).collect();
+        let val = Matrix::random_normal(7, dim, &mut rng);
+        let val_labels: Vec<usize> = (0..7).map(|_| rng.next_index(classes)).collect();
+        let initial = if warm {
+            Matrix::random_normal(dim, classes, &mut rng)
+        } else {
+            Matrix::zeros(dim, classes)
+        };
+        let rate = [1.0f32, 0.375, 2.5][rate];
+        let config = TrainConfig::new(dim).with_iterations(3).with_learning_rate(rate);
+        let (trained, stats) = hdc::train_encoded_warm(
+            &encoded,
+            &labels,
+            ClassHypervectors::from_matrix(initial.clone()),
+            &config,
+            Some((&val, &val_labels)),
+        )
+        .unwrap();
+        let (want, want_stats) =
+            row_major_training(&encoded, &labels, &initial, &config, (&val, &val_labels));
+        prop_assert_eq!(bits(trained.as_matrix().as_slice()), bits(want.as_slice()));
+        prop_assert_eq!(stats, want_stats);
     }
 }
 
