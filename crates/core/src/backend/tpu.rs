@@ -201,13 +201,18 @@ impl TpuBackend {
         // with deterministic backoff; the pool reloads pristine weights
         // after an upset, and a quarantined device escalates to a
         // graceful stop), dma_out stitches finished chunks into one
-        // preallocated buffer (width known after the first chunk). The
-        // bounded stage channels are the declared INVOKE_BUFFERS
-        // double-buffer; the device serializes invocations internally.
+        // buffer. The bounded stage channels are the declared
+        // INVOKE_BUFFERS double-buffer; the device serializes invocations
+        // internally.
         let before = self.device().ledger();
         let mut backoff_total = 0.0f64;
         let mut degraded = false;
-        let mut stitched: Option<Matrix> = None;
+        // Allocated here, on the calling thread, rather than lazily on the
+        // dma_out stage thread: a large buffer first touched by a
+        // short-lived thread is served from (and kept in) that thread's
+        // malloc arena, which raises peak RSS without holding more live
+        // memory. An empty batch allocates nothing and keeps its error.
+        let mut stitched = (batch.rows() > 0).then(|| Matrix::zeros(batch.rows(), dims.output_dim));
         {
             let backoff_total = &mut backoff_total;
             let degraded = &mut degraded;
@@ -268,8 +273,15 @@ impl TpuBackend {
                     Supervision::none(),
                     move |_ctx: FiringCtx, tokens: &mut [_]| {
                         let (start, out): &(usize, Matrix) = &tokens[0];
+                        let Some(dest) = stitched.as_mut().filter(|d| d.cols() == out.cols())
+                        else {
+                            return Err(crate::FrameworkError::InvalidConfig(format!(
+                                "device output is {} wide, the compiled model {}",
+                                out.cols(),
+                                dims.output_dim
+                            )));
+                        };
                         let cols = out.cols();
-                        let dest = stitched.get_or_insert_with(|| Matrix::zeros(rows, cols));
                         dest.as_mut_slice()[start * cols..start * cols + out.as_slice().len()]
                             .copy_from_slice(out.as_slice());
                         Ok((Vec::new(), Fire::Continue))
@@ -486,6 +498,31 @@ mod tests {
         assert_eq!(ledger.encoded_samples, 80);
         assert!(ledger.encode_s > 0.0);
         assert!(ledger.model_gen_s > 0.0);
+    }
+
+    #[test]
+    fn chunked_runs_stitch_the_one_chunk_output() {
+        let b = backend();
+        let mut rng = DetRng::new(47);
+        let encoder = NonlinearEncoder::new(BaseHypervectors::generate(10, 256, &mut rng));
+        let batch = Matrix::random_normal(40, 10, &mut rng);
+        let build = || Ok((wide_model::encoder_network(&encoder)?, batch.clone()));
+        let (whole, _) = b.run_cached(1, build, &batch, 64).unwrap();
+        let whole = whole.unwrap();
+        assert_eq!(whole.shape(), (40, 256));
+        // 40 rows in chunks of 7 and of 16: a short last chunk each time.
+        for chunk in [7, 16, 1] {
+            let (stitched, _) = b.run_cached(1, build, &batch, chunk).unwrap();
+            assert_eq!(stitched.as_ref(), Some(&whole), "chunk {chunk}");
+        }
+        // An empty batch keeps its historical error.
+        let empty = Matrix::zeros(0, 10);
+        assert!(matches!(
+            b.run_cached(1, build, &empty, 7),
+            Err(crate::FrameworkError::Tensor(
+                hd_tensor::TensorError::EmptyDimension { op: "vstack" }
+            ))
+        ));
     }
 
     #[test]

@@ -45,6 +45,7 @@
 
 use std::fmt;
 
+use hd_quant::gemm::MAX_EXACT_DEPTH;
 use hd_quant::lut::ActivationLut;
 use hd_quant::QuantParams;
 use hd_tensor::gemm::PackedI8;
@@ -218,6 +219,7 @@ impl fmt::Display for RangeReport {
 
 /// Per-output-column accumulator bounds: the final-sum interval plus the
 /// envelope of every reduction prefix.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct ColumnBound {
     lo: i64,
     hi: i64,
@@ -228,29 +230,57 @@ struct ColumnBound {
 /// Each column's prefixes run over its rows in ascending order, the
 /// order the kernel's reduction is specified in. The weights are read a
 /// packed panel at a time, one lane per column.
-fn column_bounds(weights: &PackedI8, weight_zp: i64, av: Interval) -> Vec<ColumnBound> {
+///
+/// Centred activations and weights lie in `[-255, 255]`, so a row's term
+/// is at most `255^2` and a block of up to [`MAX_EXACT_DEPTH`] rows sums
+/// exactly in `i32`, which vectorizes. Each block's sums and envelopes
+/// are flushed into the `i64` totals.
+///
+/// # Panics
+///
+/// If `av` or `weight_zp` lets a centred value leave `[-255, 255]`: the
+/// stage intervals are `i8` ranges and zero points are `i8`, so that
+/// would be a bug in the analysis.
+fn column_bounds(weights: &PackedI8, weight_zp: i32, av: Interval) -> Vec<ColumnBound> {
     const LANES: usize = PackedI8::PANEL_COLS;
+    let centred = |v: i64| i32::try_from(v).ok().filter(|v| v.abs() <= 255);
+    let (Some(a_lo), Some(a_hi)) = (centred(av.lo), centred(av.hi)) else {
+        panic!("centred activations {av} outside [-255, 255]");
+    };
+    assert!(
+        (-128..=127).contains(&weight_zp),
+        "weight zero point {weight_zp} outside i8"
+    );
     let mut bounds = Vec::with_capacity(weights.cols().next_multiple_of(LANES));
-    for panel in weights.panel_rows() {
-        let (mut lo, mut hi) = ([0i64; LANES], [0i64; LANES]);
-        let (mut env_lo, mut env_hi) = ([0i64; LANES], [0i64; LANES]);
-        for row in panel {
-            for c in 0..LANES {
-                let w = i64::from(row[c]) - weight_zp;
-                let x = av.lo * w;
-                let y = av.hi * w;
-                lo[c] += x.min(y);
-                hi[c] += x.max(y);
-                env_lo[c] = env_lo[c].min(lo[c]);
-                env_hi[c] = env_hi[c].max(hi[c]);
+    for mut panel in weights.panel_rows() {
+        let mut total = [ColumnBound::default(); LANES];
+        loop {
+            let (mut lo, mut hi) = ([0i32; LANES], [0i32; LANES]);
+            let (mut env_lo, mut env_hi) = ([0i32; LANES], [0i32; LANES]);
+            let mut rows = 0usize;
+            for row in panel.by_ref().take(MAX_EXACT_DEPTH) {
+                for c in 0..LANES {
+                    let w = i32::from(row[c]) - weight_zp;
+                    let x = a_lo * w;
+                    let y = a_hi * w;
+                    lo[c] += x.min(y);
+                    hi[c] += x.max(y);
+                    env_lo[c] = env_lo[c].min(lo[c]);
+                    env_hi[c] = env_hi[c].max(hi[c]);
+                }
+                rows += 1;
+            }
+            if rows == 0 {
+                break;
+            }
+            for (c, t) in total.iter_mut().enumerate() {
+                t.env_lo = t.env_lo.min(t.lo + i64::from(env_lo[c]));
+                t.env_hi = t.env_hi.max(t.hi + i64::from(env_hi[c]));
+                t.lo += i64::from(lo[c]);
+                t.hi += i64::from(hi[c]);
             }
         }
-        bounds.extend((0..LANES).map(|c| ColumnBound {
-            lo: lo[c],
-            hi: hi[c],
-            env_lo: env_lo[c],
-            env_hi: env_hi[c],
-        }));
+        bounds.extend(total);
     }
     // The last panel's zero padding is not a column.
     bounds.truncate(weights.cols());
@@ -407,7 +437,7 @@ pub fn analyze_ranges(model: &QuantizedModel) -> RangeReport {
             } => {
                 let za = i64::from(cur_params.zero_point());
                 let av = Interval::new(cur.lo - za, cur.hi - za);
-                let zb = i64::from(weights.params().zero_point());
+                let zb = weights.params().zero_point();
                 let bounds = column_bounds(weights.packed(), zb, av);
                 // Same combined scale the kernel computes.
                 let acc_scale = cur_params.scale() * weights.params().scale();
@@ -513,6 +543,29 @@ mod tests {
         QuantizedModel::quantize(&model, &calibration).unwrap()
     }
 
+    /// The `i64` walk of every value that `column_bounds` replaces.
+    fn walk(
+        value: impl Fn(usize, usize) -> i8,
+        rows: usize,
+        cols: usize,
+        zp: i32,
+        av: Interval,
+    ) -> Vec<ColumnBound> {
+        (0..cols)
+            .map(|j| {
+                let mut b = ColumnBound::default();
+                for p in 0..rows {
+                    let w = i64::from(value(p, j)) - i64::from(zp);
+                    b.lo += (av.lo * w).min(av.hi * w);
+                    b.hi += (av.lo * w).max(av.hi * w);
+                    b.env_lo = b.env_lo.min(b.lo);
+                    b.env_hi = b.env_hi.max(b.hi);
+                }
+                b
+            })
+            .collect()
+    }
+
     #[test]
     fn panel_column_bounds_match_a_walk_of_every_value() {
         // 37 columns: two whole panels and a padded one.
@@ -524,20 +577,50 @@ mod tests {
         let packed = PackedI8::pack(&values, rows, cols).unwrap();
         let av = Interval::new(-200, 55);
         let bounds = column_bounds(&packed, 3, av);
-        assert_eq!(bounds.len(), cols);
-        for (j, b) in bounds.iter().enumerate() {
-            let (mut lo, mut hi, mut env_lo, mut env_hi) = (0i64, 0i64, 0i64, 0i64);
-            for p in 0..rows {
-                let w = i64::from(values[p * cols + j]) - 3;
-                lo += (av.lo * w).min(av.hi * w);
-                hi += (av.lo * w).max(av.hi * w);
-                env_lo = env_lo.min(lo);
-                env_hi = env_hi.max(hi);
-            }
+        assert_eq!(bounds, walk(|p, j| values[p * cols + j], rows, cols, 3, av));
+    }
+
+    #[test]
+    fn column_bounds_stay_exact_past_an_i32_block() {
+        // Every term at the 255^2 extreme, one sign per column, at depths
+        // up to, just past and two blocks past `MAX_EXACT_DEPTH`: the
+        // block sums reach the edge of `i32` and the totals leave it.
+        let av = Interval::new(-255, 255);
+        for rows in [
+            MAX_EXACT_DEPTH,
+            MAX_EXACT_DEPTH + 1,
+            2 * MAX_EXACT_DEPTH + 7,
+        ] {
+            let cols = 3;
+            let values: Vec<i8> = (0..rows * cols)
+                .map(|i| if i % cols == 1 { i8::MAX } else { i8::MIN })
+                .collect();
+            let packed = PackedI8::pack(&values, rows, cols).unwrap();
+            let bounds = column_bounds(&packed, 127, av);
+            let expected = walk(|p, j| values[p * cols + j], rows, cols, 127, av);
+            assert_eq!(bounds, expected, "depth {rows}");
+            assert_eq!(bounds[0].lo, -65_025 * rows as i64, "depth {rows}");
+        }
+    }
+
+    #[test]
+    fn column_bounds_of_bit_flipped_weights_match_the_walk() {
+        let mut rng = DetRng::new(6);
+        let (rows, cols) = (MAX_EXACT_DEPTH + 40, 19);
+        let real = Matrix::random_normal(rows, cols, &mut rng);
+        let params = QuantParams::from_raw(0.01, -5).unwrap();
+        let mut weights = hd_quant::PackedQuantizedMatrix::quantize(&real, params);
+        assert!(weights.apply_bit_flips(0.05, &mut rng) > 0);
+        for av in [
+            Interval::new(-255, 255),
+            Interval::new(-3, 200),
+            Interval::new(0, 0),
+        ] {
+            let bounds = column_bounds(weights.packed(), -5, av);
             assert_eq!(
-                (b.lo, b.hi, b.env_lo, b.env_hi),
-                (lo, hi, env_lo, env_hi),
-                "column {j}"
+                bounds,
+                walk(|p, j| weights.get(p, j), rows, cols, -5, av),
+                "{av}"
             );
         }
     }

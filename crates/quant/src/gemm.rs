@@ -143,10 +143,7 @@ pub fn matmul_requantized(
     out_params: QuantParams,
 ) -> Result<QuantizedMatrix> {
     let (acc, scale) = matmul_accumulate(a, b)?;
-    let data: Vec<i8> = acc
-        .iter()
-        .map(|&v| out_params.requantize_accumulator(v, scale))
-        .collect();
+    let data = out_params.requantize_all(&acc, scale);
     Ok(QuantizedMatrix::from_raw(
         a.rows(),
         b.cols(),

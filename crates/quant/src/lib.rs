@@ -8,7 +8,11 @@
 //! (`tpu-sim`) exhibits genuine quantization error, exactly like the
 //! hardware path in the paper's accuracy figures (Fig. 7).
 //!
-//! * [`QuantParams`] — the affine mapping (scale, zero-point),
+//! * [`QuantParams`] — the affine mapping (scale, zero-point); its
+//!   `quantize` and `requantize_accumulator` are the one-value form of
+//!   the conversion kernel [`hd_tensor::convert`], which quantizes every
+//!   matrix below at the host's widest vector width, so a value
+//!   quantized alone and inside a matrix get the same bits,
 //! * [`QuantizedMatrix`] — an `i8` activation matrix tagged with its
 //!   mapping,
 //! * [`PackedQuantizedMatrix`] — a weight matrix, stored once in the `i8`

@@ -34,7 +34,7 @@ impl QuantizedMatrix {
     /// Quantizes a real matrix element-wise under `params`.
     #[must_use]
     pub fn quantize(m: &Matrix, params: QuantParams) -> Self {
-        let data = m.iter().map(|&v| params.quantize(v)).collect();
+        let data = params.quantize_all(m.as_slice());
         QuantizedMatrix {
             rows: m.rows(),
             cols: m.cols(),
@@ -150,8 +150,12 @@ impl PackedQuantizedMatrix {
     /// Quantizes a real matrix element-wise under `params`.
     #[must_use]
     pub fn quantize(m: &Matrix, params: QuantParams) -> Self {
-        let values: Vec<i8> = m.iter().map(|&v| params.quantize(v)).collect();
-        Self::from_raw(m.rows(), m.cols(), &values, params)
+        Self::from_raw(
+            m.rows(),
+            m.cols(),
+            &params.quantize_all(m.as_slice()),
+            params,
+        )
     }
 
     /// Packs raw row-major `i8` values.

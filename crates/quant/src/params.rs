@@ -24,7 +24,7 @@ use crate::Result;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantParams {
     scale: f32,
-    zero_point: i32,
+    zero_point: i8,
 }
 
 impl QuantParams {
@@ -61,7 +61,7 @@ impl QuantParams {
         let scale = span / (Self::QMAX - Self::QMIN) as f32;
         // Choose the zero point so that real 0.0 maps to an exact integer.
         let zp_real = Self::QMIN as f32 - min / scale;
-        let zero_point = zp_real.round().clamp(Self::QMIN as f32, Self::QMAX as f32) as i32;
+        let zero_point = zp_real.round().clamp(Self::QMIN as f32, Self::QMAX as f32) as i8;
         Ok(QuantParams { scale, zero_point })
     }
 
@@ -104,12 +104,12 @@ impl QuantParams {
         if !scale.is_finite() || scale <= 0.0 {
             return Err(QuantError::InvalidScale { scale });
         }
-        if !(Self::QMIN..=Self::QMAX).contains(&zero_point) {
+        let Ok(zero_point) = i8::try_from(zero_point) else {
             return Err(QuantError::InvalidRange {
                 min: zero_point as f32,
                 max: zero_point as f32,
             });
-        }
+        };
         Ok(QuantParams { scale, zero_point })
     }
 
@@ -120,27 +120,44 @@ impl QuantParams {
 
     /// The zero point, guaranteed to be within the `i8` range.
     pub fn zero_point(&self) -> i32 {
-        self.zero_point
+        i32::from(self.zero_point)
     }
 
-    /// Quantizes a real value to `i8`, rounding to nearest and saturating.
+    /// Quantizes a real value to `i8`: `value / scale` rounded to nearest
+    /// (ties away from zero) plus the zero point, saturated; NaN maps to
+    /// 0. The one-value form of the conversion kernel
+    /// ([`hd_tensor::convert::quantize_value`]), so it gives the same bits
+    /// as the slice form every quantized matrix is built with.
     pub fn quantize(&self, value: f32) -> i8 {
-        let q = (value / self.scale).round() + self.zero_point as f32;
-        q.clamp(Self::QMIN as f32, Self::QMAX as f32) as i8
+        hd_tensor::convert::quantize_value(value, self.scale, self.zero_point)
+    }
+
+    /// Quantizes every value of `values`, [`Self::quantize`] at the
+    /// host's widest vector width ([`hd_tensor::convert::quantize`]).
+    #[must_use]
+    pub(crate) fn quantize_all(&self, values: &[f32]) -> Vec<i8> {
+        hd_tensor::convert::quantize(values, self.scale, self.zero_point)
     }
 
     /// Recovers the real value represented by a quantized `i8`.
     pub fn dequantize(&self, q: i8) -> f32 {
-        self.scale * (q as i32 - self.zero_point) as f32
+        self.scale * (i32::from(q) - self.zero_point()) as f32
     }
 
     /// Requantizes an `i32` accumulator carrying `acc_scale`-scaled values
     /// into this parameter set — the accelerator's output stage.
     ///
-    /// `real = acc_scale * acc`, so `q_out = real / scale + zp`.
+    /// `real = acc_scale * acc`, so `q_out = real / scale + zp`: the
+    /// one-value form of [`hd_tensor::convert::requantize`].
     pub fn requantize_accumulator(&self, acc: i32, acc_scale: f32) -> i8 {
-        let real = acc_scale * acc as f32;
-        self.quantize(real)
+        hd_tensor::convert::requantize_value(acc, acc_scale, self.scale, self.zero_point)
+    }
+
+    /// Requantizes every accumulator of `acc`,
+    /// [`Self::requantize_accumulator`] at the host's widest vector width.
+    #[must_use]
+    pub(crate) fn requantize_all(&self, acc: &[i32], acc_scale: f32) -> Vec<i8> {
+        hd_tensor::convert::requantize(acc, acc_scale, self.scale, self.zero_point)
     }
 
     /// Smallest representable real value.

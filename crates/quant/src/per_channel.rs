@@ -76,8 +76,11 @@ impl ChannelQuantizedMatrix {
         let mut data = Vec::with_capacity(rows * cols);
         for r in 0..rows {
             for (c, &scale) in scales.iter().enumerate() {
-                let q = (weights[(r, c)] / scale).round();
-                data.push(q.clamp(QuantParams::QMIN as f32, QuantParams::QMAX as f32) as i8);
+                data.push(hd_tensor::convert::quantize_value(
+                    weights[(r, c)],
+                    scale,
+                    0,
+                ));
             }
         }
         Ok(ChannelQuantizedMatrix {

@@ -55,6 +55,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use hd_dataflow::runtime::{self, Binding, ExecutablePlan, Fire, Supervised, Supervision};
 use hd_dataflow::{Resource, SdfGraph};
 
+use crate::convert::Width;
 use crate::error::TensorError;
 use crate::interleaved::ScoreTile;
 use crate::matrix::Matrix;
@@ -849,6 +850,27 @@ pub(crate) fn score_interleaved(
     crate::interleaved::score_portable(body, chunks, samples, d, out);
 }
 
+/// `out[i] = f(src[i])` for the conversion kernel ([`crate::convert`]),
+/// with the loop compiled for `width`.
+///
+/// # Panics
+///
+/// If this host cannot run `width`, which would be a bug in the width's
+/// selection.
+pub(crate) fn convert_on<T: Copy>(width: Width, src: &[T], out: &mut [i8], f: impl Fn(T) -> i8) {
+    assert!(width.supported(), "{width:?} is not supported on this host");
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    // SAFETY: the width's features were detected at run time just above;
+    // the loops are safe code and index nothing.
+    #[allow(unsafe_code)]
+    match width {
+        Width::Avx512 => return unsafe { simd::convert_avx512(src, out, f) },
+        Width::Avx2 => return unsafe { simd::convert_avx2(src, out, f) },
+        Width::Baseline => {}
+    }
+    crate::convert::convert_portable(src, out, f);
+}
+
 /// The band `a (.. x k)` with each row zero-padded to whole quads, every
 /// value mapped by `f`.
 fn quad_band<T: Copy + Default>(a: &[i8], k: usize, f: impl Fn(i8) -> T) -> Vec<T> {
@@ -1230,6 +1252,26 @@ mod simd {
                 reduce_group(&lanes, &mut out[r * k..(r + 1) * k], (g0 + h) * 4);
             }
         }
+    }
+
+    /// The conversion loop compiled for AVX-512: 16 lanes per step.
+    ///
+    /// # Safety
+    ///
+    /// The host must support `avx512f` and `avx512bw`.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    pub(crate) unsafe fn convert_avx512<T: Copy>(src: &[T], out: &mut [i8], f: impl Fn(T) -> i8) {
+        crate::convert::convert_portable(src, out, f);
+    }
+
+    /// The conversion loop compiled for AVX2: 8 lanes per step.
+    ///
+    /// # Safety
+    ///
+    /// The host must support `avx2`.
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn convert_avx2<T: Copy>(src: &[T], out: &mut [i8], f: impl Fn(T) -> i8) {
+        crate::convert::convert_portable(src, out, f);
     }
 
     /// `super::interleave` in two rounds of SSE2 unpacks: bytes of rows

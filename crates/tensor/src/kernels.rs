@@ -19,8 +19,10 @@
 //!
 //! It also owns the SIMD escape hatch: [`set_simd_enabled`] (wired to the
 //! CLI's `--no-simd` flag) and the `HD_NO_SIMD` environment variable both
-//! force the portable fallback of the `i8` and `f32` GEMMs and of the
-//! class-interleaved scoring ([`crate::interleaved`]), which is how
+//! force the portable fallback of the `i8` and `f32` GEMMs, of the
+//! class-interleaved scoring ([`crate::interleaved`]) and of the int8
+//! conversion kernel ([`crate::convert`], whose baseline loop is not
+//! counted), which is how
 //! the equivalence suite pins the non-SIMD path on machines where a SIMD
 //! tile would otherwise be selected.
 
@@ -139,8 +141,8 @@ pub(crate) fn note_bundle_word(words: usize) {
 }
 
 /// Enables or disables the SIMD kernels process-wide; `false` forces the
-/// portable fallback of both GEMMs and of the class-interleaved scoring
-/// (the CLI's `--no-simd` escape hatch).
+/// portable fallback of both GEMMs, of the class-interleaved scoring and
+/// of the int8 conversion kernel (the CLI's `--no-simd` escape hatch).
 pub fn set_simd_enabled(enabled: bool) {
     SIMD_DISABLED.store(!enabled, Ordering::Relaxed);
 }

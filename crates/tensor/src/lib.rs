@@ -7,6 +7,9 @@
 //!
 //! * [`Matrix`] — an owned, row-major, dense `f32` matrix with shape-checked
 //!   constructors, views, and stacking operations,
+//! * [`convert`] — the int8 conversion kernel: `f32 → i8` quantization
+//!   and `i32 → i8` requantization over slices, at the host's widest
+//!   vector width (AVX-512, AVX2 or the baseline), one exact formula,
 //! * [`gemm`] — packed, register-tiled, optionally multi-threaded matrix
 //!   multiplication (`f32` and `i8`×`i8`→`i32`, AVX2 tiles where the host
 //!   has them),
@@ -38,14 +41,16 @@
 
 // `deny` rather than `forbid`: the SIMD tiles in `gemm::simd` (the
 // GEMMs' and the interleaved class scoring's) need `std::arch`
-// intrinsics behind a scoped `#[allow(unsafe_code)]`;
-// everything else in the crate stays safe.
+// intrinsics, and the conversion kernel's AVX2 and AVX-512 loops need
+// `#[target_feature]` functions, all behind a scoped
+// `#[allow(unsafe_code)]`; everything else in the crate stays safe.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod error;
 mod matrix;
 
+pub mod convert;
 pub mod gemm;
 pub mod interleaved;
 pub mod kernels;
