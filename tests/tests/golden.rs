@@ -26,7 +26,7 @@ use tpu_sim::{Device, FaultConfig, FaultKind, FaultRecord, LinkDirection};
 use wide_nn::{compile, serialize, Activation, ModelBuilder, QuantizedModel};
 
 /// The committed digest of every scenario, by name.
-const GOLDEN: [(&str, u64); 12] = [
+const GOLDEN: [(&str, u64); 13] = [
     ("tanh_sweep", 0x10ee_c800_923a_432d),
     ("train_cpu", 0x3b6c_e750_6783_b2b8),
     ("train_tpu", 0x7ca1_b760_b563_43de),
@@ -35,6 +35,7 @@ const GOLDEN: [(&str, u64); 12] = [
     ("tpu_faulted_train", 0xa632_cdb0_6c3c_4f9d),
     ("serve_clean", 0x807c_58cd_f62f_de55),
     ("serve_quarantine", 0xa80b_321e_b89f_f3e7),
+    ("serve_requests", 0x9c61_83fe_9e8b_25e7),
     ("hdm_per_tensor", 0xfedc_f0a8_b3c6_e1b1),
     ("hdm_per_channel", 0xf294_7c8a_784c_6aa1),
     ("bagging_member_recovery", 0x362b_a379_914e_2c9b),
@@ -320,6 +321,50 @@ fn serve_digest(quarantine: bool) -> u64 {
     d.0
 }
 
+/// One server answering five consecutive `predict_supervised` requests
+/// of 32, 7, 70, 16 and 1 rows under a seeded transient fault schedule
+/// (quarantine after two consecutive failures, one spare): the first two
+/// requests are clean, the third quarantines devices 0 and 1, and the
+/// last two run on what is left (the spare and the host). Every
+/// request's outcome arm and report, whose `quarantined` list is
+/// cumulative and whose `device_faults` are that request's own.
+fn serve_requests_digest() -> u64 {
+    let (train, train_labels, test, _) = dataset();
+    let outcome = Pipeline::new(config())
+        .train(
+            &train,
+            &train_labels,
+            CLASSES,
+            ExecutionSetting::CpuBaseline,
+        )
+        .expect("train");
+    let mut cfg = config().with_quarantine_threshold(2);
+    cfg.device.fault = FaultConfig::default()
+        .with_seed(231)
+        .with_transient_rate(0.3);
+    let server = TwoDeviceServer::with_spares(&outcome.model, &cfg, &train, 1).expect("server");
+    let reference = TwoDeviceServer::new(&outcome.model, &config(), &train).expect("server");
+    let rows = Matrix::vstack(&[&test, &train, &test]).expect("equal widths");
+    let mut d = Digest::new();
+    let mut start = 0;
+    for (request, len) in [32, 7, 70, 16, 1].into_iter().enumerate() {
+        let batch = rows.slice_rows(start, start + len).expect("rows");
+        start += len;
+        let served = server.predict_supervised(&batch).expect("serve");
+        if request < 3 {
+            assert_eq!(served.is_degraded(), request == 2, "request {request}");
+        }
+        assert_eq!(
+            served.report().predictions,
+            reference.predict_sequential(&batch).expect("reference"),
+            "request {request}"
+        );
+        d.u64(u64::from(served.is_degraded()));
+        d.serve_report(served.report());
+    }
+    d.0
+}
+
 /// `write_quantized_model` bytes of a small encoder-and-classifier
 /// network, quantized per tensor or per output channel.
 fn hdm_digest(per_channel: bool) -> u64 {
@@ -449,6 +494,7 @@ fn golden_digests_are_unchanged() {
         ("tpu_faulted_train", faulted_train_digest()),
         ("serve_clean", serve_digest(false)),
         ("serve_quarantine", serve_digest(true)),
+        ("serve_requests", serve_requests_digest()),
         ("hdm_per_tensor", hdm_digest(false)),
         ("hdm_per_channel", hdm_digest(true)),
         ("bagging_member_recovery", bagging_recovery_digest()),
