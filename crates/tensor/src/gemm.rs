@@ -51,6 +51,7 @@
 
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use hd_dataflow::runtime::{self, Binding, ExecutablePlan, Fire, Supervised, Supervision};
 use hd_dataflow::{Resource, SdfGraph};
@@ -187,11 +188,16 @@ pub fn set_thread_cap(threads: usize) {
 
 /// The worker-thread budget currently in effect: hardware parallelism,
 /// clamped by [`set_thread_cap`] and by the `HD_THREADS` environment
-/// variable (when set to a positive integer).
+/// variable (when set to a positive integer). The hardware count is read
+/// once per process (each read walks the cgroup files, tens of
+/// microseconds); the cap and the variable apply on every call.
 pub fn available_threads() -> usize {
-    let mut threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    static HARDWARE: OnceLock<usize> = OnceLock::new();
+    let mut threads = *HARDWARE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    });
     let cap = THREAD_CAP.load(Ordering::Relaxed);
     if cap > 0 {
         threads = threads.min(cap);
@@ -215,12 +221,13 @@ fn banded<A: Sync, O: Send>(
     (m, k, n): (usize, usize, usize),
     kernel: impl Fn(&[A], &mut [O], usize) + Sync,
 ) {
-    let threads = available_threads();
-    if m.saturating_mul(n) >= PARALLEL_THRESHOLD && threads > 1 && m > 1 {
-        parallel_bands(a, out, (m, k, n), threads, kernel);
-    } else {
-        kernel(a, out, m);
+    if m.saturating_mul(n) >= PARALLEL_THRESHOLD && m > 1 {
+        let threads = available_threads();
+        if threads > 1 {
+            return parallel_bands(a, out, (m, k, n), threads, kernel);
+        }
     }
+    kernel(a, out, m);
 }
 
 /// One row band of an `m x k` by `k x n` product: the band's rows of
