@@ -194,9 +194,10 @@ fn run_pooled_with_injection(
     let chunk = 8usize;
     let rows = features.rows();
     let (pool, encoder_key, score_key, _) = pooled_halves(model, features, 3);
+    let pool = std::sync::Arc::new(pool);
     let plan = pooled_graph();
-    let encode_seat = StageSeat::new(&pool, encoder_key).unwrap();
-    let score_seat = StageSeat::new(&pool, score_key).unwrap();
+    let encode_seat = StageSeat::new(std::sync::Arc::clone(&pool), encoder_key).unwrap();
+    let score_seat = StageSeat::new(std::sync::Arc::clone(&pool), score_key).unwrap();
     let predictions = std::sync::Mutex::new(Vec::new());
     let injected = std::sync::atomic::AtomicU32::new(0);
 
