@@ -80,7 +80,8 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "no-adhoc-concurrency",
         severity: Severity::Error,
-        description: "no bare thread::spawn/thread::scope or unbounded mpsc::channel() outside \
+        description: "no bare thread::spawn/thread::scope/thread::Builder or unbounded \
+                      mpsc::channel() outside \
                       the declared schedule layer — overlap must be expressed as a verified \
                       SDF schedule (allowlisted sites carry the declaration)",
     },
@@ -543,8 +544,11 @@ fn no_unseeded_rng(path: &str, source: &MaskedSource, out: &mut Vec<Diagnostic>)
     }
 }
 
-/// `no-adhoc-concurrency`: forbids bare `thread::spawn`/`thread::scope`
-/// and unbounded `mpsc::channel()` outside tests. Overlapped execution
+/// `no-adhoc-concurrency`: forbids bare `thread::spawn`/`thread::scope`,
+/// `thread::Builder` (whose `spawn` starts the same free-running thread)
+/// and unbounded `mpsc::channel()` outside tests. The bounded
+/// `mpsc::sync_channel` is the rule's recommended remedy, so it stays
+/// allowed. Overlapped execution
 /// in this repository must flow through the declared-schedule layer
 /// (`core::schedule`), where the SDF analyzer proves rate consistency,
 /// deadlock-freedom and buffer bounds; the handful of sanctioned
@@ -559,6 +563,10 @@ fn no_adhoc_concurrency(path: &str, source: &MaskedSource, out: &mut Vec<Diagnos
         (
             "thread::scope",
             "thread::scope introduces ad-hoc structured concurrency outside any declared schedule",
+        ),
+        (
+            "thread::Builder",
+            "thread::Builder spawns a free-running thread outside any declared schedule",
         ),
         (
             "mpsc::channel(",
@@ -890,6 +898,17 @@ mod tests {
             codes(&diags).contains(&"lint/no-adhoc-concurrency"),
             "{diags:?}"
         );
+        // A `Builder`'s `spawn` starts the same free-running thread.
+        let src = "fn f() {\n    let h = std::thread::Builder::new()\n        .name(\"w\".into())\n        \
+                   .spawn(|| {})\n        .unwrap();\n    let _ = h.join();\n}\n";
+        let diags = lint("crates/core/src/lib.rs", src);
+        assert!(
+            diags
+                .iter()
+                .any(|d| d.code == "lint/no-adhoc-concurrency"
+                    && d.message.contains("thread::Builder")),
+            "{diags:?}"
+        );
     }
 
     #[test]
@@ -903,6 +922,12 @@ mod tests {
         );
         // Tests may thread at will.
         let src = "#[cfg(test)]\nmod tests {\n    fn t() { std::thread::spawn(|| {}); }\n}\n";
+        let diags = lint("crates/core/src/lib.rs", src);
+        assert!(
+            !codes(&diags).contains(&"lint/no-adhoc-concurrency"),
+            "{diags:?}"
+        );
+        let src = "#[cfg(test)]\nmod tests {\n    fn t() { std::thread::Builder::new().spawn(|| {}).unwrap(); }\n}\n";
         let diags = lint("crates/core/src/lib.rs", src);
         assert!(
             !codes(&diags).contains(&"lint/no-adhoc-concurrency"),

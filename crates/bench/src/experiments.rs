@@ -1041,6 +1041,7 @@ pub fn fig_kernels_report() -> (ResultTable, BenchRecord) {
     let naive_gemm_gops = gemm_ops / naive_gemm_s / 1e9;
     let gemm_speedup = naive_gemm_s / simd_gemm_s;
     let i8_kernel = hd_tensor::kernels::i8_gemm_kernel_name().to_string();
+    let f32_kernel = hd_tensor::kernels::f32_gemm_kernel_name();
 
     // --- 3. packed vs naive f32 GEMM ----------------------------------
     let a_f32 = Matrix::random_normal(gemm_m, gemm_k, &mut rng);
@@ -1092,7 +1093,7 @@ pub fn fig_kernels_report() -> (ResultTable, BenchRecord) {
         fmt_speedup(gemm_speedup),
     ]);
     t.push_row(vec![
-        format!("f32 gemm {gemm_m}x{gemm_k}x{gemm_n}"),
+        format!("f32 gemm {gemm_m}x{gemm_k}x{gemm_n} ({f32_kernel})"),
         crate::fmt_secs(f32_reference_s),
         crate::fmt_secs(f32_gemm_s),
         fmt_speedup(f32_gemm_speedup),

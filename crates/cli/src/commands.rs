@@ -89,15 +89,17 @@ fn apply_simd_flag(args: &ParsedArgs) -> Result<(), String> {
 }
 
 /// One human-readable line naming which low-level kernels served a run:
-/// the `i8` GEMM variant selection plus the packed-vs-GEMM dispatch
-/// counts from a [`hd_tensor::kernels::KernelStats`] delta.
+/// the `i8` GEMM tile with its SIMD and portable call counts from a
+/// [`hd_tensor::kernels::KernelStats`] delta, the `f32` GEMM tile, and
+/// the packed-bipolar row count.
 fn kernel_report_line(delta: &hd_tensor::kernels::KernelStats) -> String {
     format!(
-        "kernels: i8 gemm = {} ({} simd / {} portable call(s)), \
+        "kernels: i8 gemm = {} ({} simd / {} portable call(s)), f32 gemm = {}, \
          {} packed bipolar row(s) scored\n",
         hd_tensor::kernels::i8_gemm_kernel_name(),
         delta.simd_gemm_calls,
         delta.portable_gemm_calls,
+        hd_tensor::kernels::f32_gemm_kernel_name(),
         delta.packed_score_rows,
     )
 }
@@ -576,6 +578,8 @@ mod tests {
             "{out}"
         );
         assert!(out.contains("kernels: i8 gemm = "), "{out}");
+        let f32_tile = format!("f32 gemm = {},", hd_tensor::kernels::f32_gemm_kernel_name());
+        assert!(out.contains(&f32_tile), "{out}");
 
         // The device's int8 datapath runs on the dispatched GEMM, so a TPU
         // run attributes calls to it. Parallel tests only add to the

@@ -234,7 +234,11 @@ struct ColumnBound {
 /// Centred activations and weights lie in `[-255, 255]`, so a row's term
 /// is at most `255^2` and a block of up to [`MAX_EXACT_DEPTH`] rows sums
 /// exactly in `i32`, which vectorizes. Each block's sums and envelopes
-/// are flushed into the `i64` totals.
+/// are flushed into the `i64` totals. The loop runs compiled for the
+/// widest vector width the host has
+/// ([`hd_tensor::kernels::at_widest_width`]): the baseline x86-64 width
+/// has no `i32` multiply, min or max per lane. Integer arithmetic gives
+/// the same bounds at every width.
 ///
 /// # Panics
 ///
@@ -242,7 +246,6 @@ struct ColumnBound {
 /// stage intervals are `i8` ranges and zero points are `i8`, so that
 /// would be a bug in the analysis.
 fn column_bounds(weights: &PackedI8, weight_zp: i32, av: Interval) -> Vec<ColumnBound> {
-    const LANES: usize = PackedI8::PANEL_COLS;
     let centred = |v: i64| i32::try_from(v).ok().filter(|v| v.abs() <= 255);
     let (Some(a_lo), Some(a_hi)) = (centred(av.lo), centred(av.hi)) else {
         panic!("centred activations {av} outside [-255, 255]");
@@ -251,6 +254,20 @@ fn column_bounds(weights: &PackedI8, weight_zp: i32, av: Interval) -> Vec<Column
         (-128..=127).contains(&weight_zp),
         "weight zero point {weight_zp} outside i8"
     );
+    let mut bounds = hd_tensor::kernels::at_widest_width(
+        #[inline(always)]
+        || panel_bounds(weights, weight_zp, a_lo, a_hi),
+    );
+    // The last panel's zero padding is not a column.
+    bounds.truncate(weights.cols());
+    bounds
+}
+
+/// [`column_bounds`] of every panel of `weights`, padding included, for
+/// centred activations in `[a_lo, a_hi]`.
+#[inline(always)]
+fn panel_bounds(weights: &PackedI8, weight_zp: i32, a_lo: i32, a_hi: i32) -> Vec<ColumnBound> {
+    const LANES: usize = PackedI8::PANEL_COLS;
     let mut bounds = Vec::with_capacity(weights.cols().next_multiple_of(LANES));
     for mut panel in weights.panel_rows() {
         let mut total = [ColumnBound::default(); LANES];
@@ -282,8 +299,6 @@ fn column_bounds(weights: &PackedI8, weight_zp: i32, av: Interval) -> Vec<Column
         }
         bounds.extend(total);
     }
-    // The last panel's zero padding is not a column.
-    bounds.truncate(weights.cols());
     bounds
 }
 

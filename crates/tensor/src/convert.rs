@@ -111,23 +111,33 @@ pub fn requantize(acc: &[i32], acc_scale: f32, scale: f32, zero_point: i8) -> Ve
 
 fn quantize_on(width: Width, values: &[f32], scale: f32, zero_point: i8) -> Vec<i8> {
     let mut out = vec![0i8; values.len()];
-    crate::gemm::convert_on(width, values, &mut out, |v| {
-        quantize_value(v, scale, zero_point)
-    });
+    crate::gemm::run_on(
+        width,
+        #[inline(always)]
+        || {
+            convert_portable(values, &mut out, |v| quantize_value(v, scale, zero_point));
+        },
+    );
     out
 }
 
 fn requantize_on(width: Width, acc: &[i32], acc_scale: f32, scale: f32, zero_point: i8) -> Vec<i8> {
     let mut out = vec![0i8; acc.len()];
-    crate::gemm::convert_on(width, acc, &mut out, |a| {
-        requantize_value(a, acc_scale, scale, zero_point)
-    });
+    crate::gemm::run_on(
+        width,
+        #[inline(always)]
+        || {
+            convert_portable(acc, &mut out, |a| {
+                requantize_value(a, acc_scale, scale, zero_point)
+            });
+        },
+    );
     out
 }
 
 /// The loop every width compiles: `out[i] = f(src[i])`.
 #[inline(always)]
-pub(crate) fn convert_portable<T: Copy>(src: &[T], out: &mut [i8], f: impl Fn(T) -> i8) {
+fn convert_portable<T: Copy>(src: &[T], out: &mut [i8], f: impl Fn(T) -> i8) {
     for (o, &s) in out.iter_mut().zip(src) {
         *o = f(s);
     }
@@ -168,7 +178,7 @@ impl Width {
 
     /// The width the dispatcher runs right now: the first one the host
     /// supports, or the baseline when SIMD is not permitted.
-    fn selected() -> Width {
+    pub(crate) fn selected() -> Width {
         if !crate::kernels::simd_permitted() {
             return Width::Baseline;
         }

@@ -16,29 +16,35 @@
 //!   the one form `hd_quant` keeps its weights in, built where they are
 //!   quantized or read from a model file, so every product over them
 //!   reads it as it is; [`matmul_i8_i32`] packs for one call.
-//! * **Register tile.** An `MR x NR` (6 x 16) block of the output stays in
-//!   registers while a slab streams past it. The f32 tile keeps each
+//! * **Register tile.** A block of up to 12 (AVX-512 f32) or 6 (every
+//!   other tile) rows by `NR` = 16 columns of the output stays in
+//!   registers while a slab streams past it. The f32 tiles keep each
 //!   output's ascending-`p` order with a separate multiply and add (no
 //!   FMA), so [`matmul_into`] is bit-identical to [`matmul_reference`]; the
 //!   `i8` tiles' `i32` sums are exact, so [`matmul_i8_i32`] equals
-//!   [`matmul_i8_i32_reference`]. A narrow last panel is zero-padded and
-//!   its store writes only the real columns.
+//!   [`matmul_i8_i32_reference`]. A narrow last panel is zero-padded; its
+//!   store writes only the real columns (under a lane mask in the AVX-512
+//!   f32 tile).
 //! * **Zero skip.** The f32 kernel skips products whose `a` is zero, so a
 //!   zero in `a` never picks up a NaN or infinity from `b`. An
 //!   accumulator starts at `+0` and never becomes `-0`, so adding a `±0`
 //!   product is a no-op whenever `b` is finite: the pack pass checks each
-//!   slab, the AVX2 tile runs finite slabs without the test, and the
+//!   slab, the SIMD tiles run finite slabs without the test, and the
 //!   scalar tile, which keeps it, runs the rest. For `i8` a zero product
 //!   is always a no-op.
 //! * **Dispatch.** SIMD tiles run only when SIMD is permitted
 //!   ([`crate::kernels::set_simd_enabled`], `HD_NO_SIMD`) and the host has
 //!   the features; otherwise, and under Miri, a scalar tile runs over the
-//!   same packing. The f32 product has one AVX2 tile. The `i8` product
-//!   takes the first of three tiles over the same packed bytes: a
-//!   `vpdpbusd` tile (AVX-VNNI), which multiplies `a ^ 0x80` as its
-//!   unsigned side and subtracts `128 * colsum`; an AVX2 `vpmaddwd` tile,
-//!   which widens the quads to `i16` pairs in registers; and the scalar
-//!   tile.
+//!   same packing. Each product takes the first tile the host has. The f32
+//!   product has an AVX-512F tile, which holds one 16-column panel row in
+//!   one `zmm` and one accumulator per output row; an AVX2 tile, two
+//!   `ymm` per row; and the scalar tile
+//!   ([`crate::kernels::f32_gemm_kernel_name`]). The `i8` product has
+//!   three tiles over the same packed bytes: a `vpdpbusd` tile
+//!   (AVX-VNNI), which multiplies `a ^ 0x80` as its unsigned side and
+//!   subtracts `128 * colsum`; an AVX2 `vpmaddwd` tile, which widens the
+//!   quads to `i16` pairs in registers; and the scalar tile
+//!   ([`crate::kernels::i8_gemm_kernel_name`]).
 //! * **Threads.** Large products split into row bands, a two-stage SDF
 //!   schedule (plan -> rows) executed through the generic runtime in
 //!   [`hd_dataflow::runtime`]; each f32 band packs its own slabs, and the
@@ -62,7 +68,8 @@ use crate::interleaved::ScoreTile;
 use crate::matrix::Matrix;
 use crate::Result;
 
-/// Rows of one register tile of the output.
+/// Rows of one register tile of the output, in every tile but the
+/// AVX-512 f32 one ([`ZMM_ROWS`]).
 const MR: usize = 6;
 /// Columns of one register tile, and the width of one packed panel of `b`.
 const NR: usize = 16;
@@ -172,9 +179,9 @@ pub fn matvec(x: &[f32], b: &Matrix) -> Result<Vec<f32>> {
 /// `out (m x n) += a (m x k) * b (k x n)` over row-major slices, with
 /// `out` zeroed by the caller.
 fn matmul_f32(a: &[f32], b: &[f32], out: &mut [f32], (m, k, n): (usize, usize, usize)) {
-    let simd = simd_selected();
+    let tile = F32Tile::selected();
     banded(a, out, (m, k, n), |a, out, rows| {
-        f32_kernel(a, b, out, (rows, k, n), simd);
+        f32_kernel(a, b, out, (rows, k, n), tile);
     });
 }
 
@@ -300,7 +307,7 @@ fn parallel_bands<A: Sync, O: Send>(
 
 /// One register tile's place in a product: the row strides of `a` (`k`)
 /// and of the output (`n`), the depth of the slab it runs over, and how
-/// many of its `MR` rows and `NR` columns are real.
+/// many of its rows and `NR` columns are real.
 #[derive(Debug, Clone, Copy)]
 struct Tile {
     k: usize,
@@ -312,27 +319,45 @@ struct Tile {
 
 /// The f32 kernel over one row band: `out (m x n) += a (m x k) * b (k x n)`
 /// with `out` zeroed by the caller. For each `KC x NC` block of `b` it
-/// packs one slab, then runs every `MR`-row tile of the band across the
-/// slab's panels; each output sums its products in ascending `p`.
-fn f32_kernel(a: &[f32], b: &[f32], out: &mut [f32], (m, k, n): (usize, usize, usize), simd: bool) {
+/// packs one slab, then runs every `tile.rows()`-row tile of the band
+/// across the slab's panels; each output sums its products in ascending
+/// `p`. A slab holding NaN or an infinity runs on the scalar tile, which
+/// skips zeros in `a` (see the module docs).
+///
+/// # Panics
+///
+/// If this host cannot run `tile`, which would be a bug in the tile's
+/// selection.
+fn f32_kernel(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    (m, k, n): (usize, usize, usize),
+    tile: F32Tile,
+) {
+    assert!(tile.supported(), "{tile:?} is not supported on this host");
     let mut slab = vec![0.0f32; KC.min(k) * NC.min(n).next_multiple_of(NR)];
     for j0 in (0..n).step_by(NC) {
         let width = NC.min(n - j0);
         for p0 in (0..k).step_by(KC) {
             let depth = KC.min(k - p0);
-            let fast = pack_f32(b, n, (p0, j0), (depth, width), &mut slab) && simd;
-            for i0 in (0..m).step_by(MR) {
+            let on = if pack_f32(b, n, (p0, j0), (depth, width), &mut slab) {
+                tile
+            } else {
+                F32Tile::Scalar
+            };
+            for i0 in (0..m).step_by(tile.rows()) {
                 let a = &a[i0 * k + p0..];
                 for (panel, jp) in (0..width).step_by(NR).enumerate() {
-                    let tile = Tile {
+                    let shape = Tile {
                         k,
                         n,
                         depth,
-                        rows: MR.min(m - i0),
+                        rows: tile.rows().min(m - i0),
                         cols: NR.min(width - jp),
                     };
                     let slab = &slab[panel * depth * NR..][..depth * NR];
-                    tile_f32(a, slab, &mut out[i0 * n + j0 + jp..], tile, fast);
+                    tile_f32(on, a, slab, &mut out[i0 * n + j0 + jp..], shape);
                 }
             }
         }
@@ -373,27 +398,27 @@ fn padded<T: Copy + Default>(cols: &[T]) -> [T; NR] {
     })
 }
 
-/// Runs one f32 tile: the AVX2 tile when `fast` (SIMD selected and the
-/// slab finite), the scalar tile otherwise.
-fn tile_f32(a: &[f32], slab: &[f32], out: &mut [f32], tile: Tile, fast: bool) {
+/// Runs one f32 register tile of `shape` on `tile`.
+fn tile_f32(tile: F32Tile, a: &[f32], slab: &[f32], out: &mut [f32], shape: Tile) {
     #[cfg(all(target_arch = "x86_64", not(miri)))]
-    if fast {
-        // SAFETY: `fast` implies `simd_selected()` detected AVX2 at run
-        // time; the tile checks its own slice bounds.
-        #[allow(unsafe_code)]
-        unsafe {
-            simd::tile_f32(a, slab, out, tile);
-        }
-        return;
+    // SAFETY: `f32_kernel` checked that the host supports the tile it was
+    // given, and falls back only to the scalar tile; the tiles check their
+    // own slice bounds.
+    #[allow(unsafe_code)]
+    match tile {
+        F32Tile::Avx512 => return unsafe { simd::tile_f32_avx512(a, slab, out, shape) },
+        F32Tile::Avx2 => return unsafe { simd::tile_f32_avx2(a, slab, out, shape) },
+        F32Tile::Scalar => {}
     }
-    let _ = fast;
-    tile_f32_portable(a, slab, out, tile);
+    tile_f32_portable(a, slab, out, shape);
 }
 
-/// The scalar f32 tile: the AVX2 tile's arithmetic one lane at a time,
-/// plus the `a == 0` skip (see the module docs).
+/// The scalar f32 tile: the SIMD tiles' arithmetic one lane at a time,
+/// plus the `a == 0` skip (see the module docs). It takes up to
+/// [`ZMM_ROWS`] rows, so it can stand in for any tile on a non-finite
+/// slab.
 fn tile_f32_portable(a: &[f32], slab: &[f32], out: &mut [f32], tile: Tile) {
-    let mut acc = [[0.0f32; NR]; MR];
+    let mut acc = [[0.0f32; NR]; ZMM_ROWS];
     for (r, acc) in acc.iter_mut().enumerate().take(tile.rows) {
         acc[..tile.cols].copy_from_slice(&out[r * tile.n..][..tile.cols]);
     }
@@ -424,17 +449,80 @@ fn check_len(len: usize, rows: usize, cols: usize) -> Result<()> {
     Ok(())
 }
 
-/// Whether the AVX2 tiles would be selected right now: policy
-/// (`set_simd_enabled` / `HD_NO_SIMD`) plus runtime feature detection.
-fn simd_selected() -> bool {
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    {
-        crate::kernels::simd_permitted() && std::arch::is_x86_feature_detected!("avx2")
+/// Output rows of the AVX-512 f32 tile, one `zmm` accumulator each: the
+/// most any f32 tile takes.
+const ZMM_ROWS: usize = 12;
+
+/// The register tiles of the f32 product. All of them read the same
+/// `KC x NC` slab packing and produce the same bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum F32Tile {
+    /// Up to 12 rows x 16 columns, one `zmm` per row (AVX-512F).
+    Avx512,
+    /// Up to 6 rows x 16 columns, two `ymm` per row.
+    Avx2,
+    /// The scalar tile: Miri, `HD_NO_SIMD`, hosts without AVX2, and any
+    /// slab holding NaN or an infinity.
+    Scalar,
+}
+
+impl F32Tile {
+    /// Every tile, in order of preference.
+    const ALL: [F32Tile; 3] = [F32Tile::Avx512, F32Tile::Avx2, F32Tile::Scalar];
+
+    /// Output rows of one register tile: the row step of the kernel's
+    /// loop nest.
+    const fn rows(self) -> usize {
+        match self {
+            F32Tile::Avx512 => ZMM_ROWS,
+            F32Tile::Avx2 | F32Tile::Scalar => MR,
+        }
     }
-    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
-    {
-        false
+
+    /// Whether this host can run the tile.
+    fn supported(self) -> bool {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            match self {
+                F32Tile::Avx512 => has!("avx512f"),
+                F32Tile::Avx2 => has!("avx2"),
+                F32Tile::Scalar => true,
+            }
+        }
+        #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+        {
+            self == F32Tile::Scalar
+        }
     }
+
+    /// The tile the dispatcher runs right now: the first one the host
+    /// supports, or the scalar tile when SIMD is not permitted
+    /// ([`crate::kernels::set_simd_enabled`], `HD_NO_SIMD`).
+    fn selected() -> F32Tile {
+        if !crate::kernels::simd_permitted() {
+            return F32Tile::Scalar;
+        }
+        F32Tile::ALL
+            .into_iter()
+            .find(|tile| tile.supported())
+            .unwrap_or(F32Tile::Scalar)
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            F32Tile::Avx512 => "avx512",
+            F32Tile::Avx2 => "avx2",
+            F32Tile::Scalar => "portable",
+        }
+    }
+}
+
+/// Name of the f32 GEMM tile the dispatcher would select right now
+/// (`"avx512"`, `"avx2"` or `"portable"`). Exposed via
+/// [`crate::kernels::f32_gemm_kernel_name`].
+pub(crate) fn selected_f32_kernel() -> &'static str {
+    F32Tile::selected().name()
 }
 
 /// The register tiles of the `i8` product. All of them read the same
@@ -857,25 +945,26 @@ pub(crate) fn score_interleaved(
     crate::interleaved::score_portable(body, chunks, samples, d, out);
 }
 
-/// `out[i] = f(src[i])` for the conversion kernel ([`crate::convert`]),
-/// with the loop compiled for `width`.
+/// `f()`, with the loops it inlines compiled for `width`: the dispatch of
+/// the conversion kernel ([`crate::convert`]) and of
+/// [`crate::kernels::at_widest_width`].
 ///
 /// # Panics
 ///
 /// If this host cannot run `width`, which would be a bug in the width's
 /// selection.
-pub(crate) fn convert_on<T: Copy>(width: Width, src: &[T], out: &mut [i8], f: impl Fn(T) -> i8) {
+pub(crate) fn run_on<R>(width: Width, f: impl FnOnce() -> R) -> R {
     assert!(width.supported(), "{width:?} is not supported on this host");
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     // SAFETY: the width's features were detected at run time just above;
-    // the loops are safe code and index nothing.
+    // `f` is safe code.
     #[allow(unsafe_code)]
     match width {
-        Width::Avx512 => return unsafe { simd::convert_avx512(src, out, f) },
-        Width::Avx2 => return unsafe { simd::convert_avx2(src, out, f) },
+        Width::Avx512 => return unsafe { simd::run_avx512(f) },
+        Width::Avx2 => return unsafe { simd::run_avx2(f) },
         Width::Baseline => {}
     }
-    crate::convert::convert_portable(src, out, f);
+    f()
 }
 
 /// The band `a (.. x k)` with each row zero-padded to whole quads, every
@@ -955,12 +1044,17 @@ mod simd {
     #[allow(clippy::wildcard_imports)]
     use std::arch::x86_64::*;
 
-    use super::{Tile, MR, NR, QUAD};
+    use super::{Tile, MR, NR, QUAD, ZMM_ROWS};
 
-    /// Runs `rows::<R>` for `R = tile.rows`, the tile's real row count.
+    /// Runs `rows::<R>` for `R = tile.rows`, the tile's real row count,
+    /// one of `1..=MR` or, with a list of larger counts first, of those.
     macro_rules! by_rows {
         ($rows:ident, $a:expr, $slab:expr, $out:expr, $tile:expr) => {
+            by_rows!($rows, $a, $slab, $out, $tile, [])
+        };
+        ($rows:ident, $a:expr, $slab:expr, $out:expr, $tile:expr, [$($r:literal),*]) => {
             match $tile.rows {
+                $($r => $rows::<$r>($a, $slab, $out, $tile),)*
                 6 => $rows::<6>($a, $slab, $out, $tile),
                 5 => $rows::<5>($a, $slab, $out, $tile),
                 4 => $rows::<4>($a, $slab, $out, $tile),
@@ -971,11 +1065,11 @@ mod simd {
         };
     }
 
-    /// Asserts that every access a `rows`-row tile over a `depth`-deep
-    /// slab makes through `a` and `out` is in bounds.
-    fn check_bounds<A, O>(a: &[A], out: &[O], tile: Tile) {
+    /// Asserts that every access a tile of at most `max_rows` rows over a
+    /// `depth`-deep slab makes through `a` and `out` is in bounds.
+    fn check_bounds<A, O>(a: &[A], out: &[O], tile: Tile, max_rows: usize) {
         assert!(
-            (1..=MR).contains(&tile.rows) && (1..=NR).contains(&tile.cols),
+            (1..=max_rows).contains(&tile.rows) && (1..=NR).contains(&tile.cols),
             "{tile:?}"
         );
         assert!(a.len() >= (tile.rows - 1) * tile.k + tile.depth, "{tile:?}");
@@ -999,18 +1093,18 @@ mod simd {
     /// If `a`, `slab` or `out` is shorter than `tile` says, which would
     /// be a bug in the kernel's loop nest.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn tile_f32(a: &[f32], slab: &[f32], out: &mut [f32], tile: Tile) {
-        check_bounds(a, out, tile);
+    pub(super) unsafe fn tile_f32_avx2(a: &[f32], slab: &[f32], out: &mut [f32], tile: Tile) {
+        check_bounds(a, out, tile, MR);
         assert_eq!(slab.len(), tile.depth * NR);
         // SAFETY: AVX2 is guaranteed by the caller; bounds checked above.
-        unsafe { by_rows!(f32_rows, a, slab, out, tile) }
+        unsafe { by_rows!(avx2_f32_rows, a, slab, out, tile) }
     }
 
     /// # Safety
     ///
-    /// AVX2, `tile.rows == R`, and the bounds [`tile_f32`] checks.
+    /// AVX2, `tile.rows == R`, and the bounds [`tile_f32_avx2`] checks.
     #[target_feature(enable = "avx2")]
-    unsafe fn f32_rows<const R: usize>(a: &[f32], slab: &[f32], out: &mut [f32], tile: Tile) {
+    unsafe fn avx2_f32_rows<const R: usize>(a: &[f32], slab: &[f32], out: &mut [f32], tile: Tile) {
         let mut acc = [[_mm256_setzero_ps(); 2]; R];
         for (r, acc) in acc.iter_mut().enumerate() {
             let mut lanes = [0.0f32; NR];
@@ -1045,6 +1139,64 @@ mod simd {
                 _mm256_storeu_ps(lanes.as_mut_ptr().add(8), acc[1]);
             }
             out[r * tile.n..][..tile.cols].copy_from_slice(&lanes[..tile.cols]);
+        }
+    }
+
+    /// AVX-512 f32 tile: up to 12 rows x 16 columns of the output, one
+    /// `zmm` per row, so one packed panel row is one register. Per `p`:
+    /// one slab load, one broadcast per row, and a separate multiply and
+    /// add (no FMA), so every output rounds exactly as the scalar loop
+    /// does. A narrow last panel is loaded and stored under a lane mask.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX-512F.
+    ///
+    /// # Panics
+    ///
+    /// If `a`, `slab` or `out` is shorter than `tile` says, which would
+    /// be a bug in the kernel's loop nest.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn tile_f32_avx512(a: &[f32], slab: &[f32], out: &mut [f32], tile: Tile) {
+        check_bounds(a, out, tile, ZMM_ROWS);
+        assert_eq!(slab.len(), tile.depth * NR);
+        // SAFETY: AVX-512F is guaranteed by the caller; bounds checked
+        // above.
+        unsafe { by_rows!(avx512_f32_rows, a, slab, out, tile, [12, 11, 10, 9, 8, 7]) }
+    }
+
+    /// # Safety
+    ///
+    /// AVX-512F, `tile.rows == R`, and the bounds [`tile_f32_avx512`]
+    /// checks.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn avx512_f32_rows<const R: usize>(
+        a: &[f32],
+        slab: &[f32],
+        out: &mut [f32],
+        tile: Tile,
+    ) {
+        // The tile's real columns: `cols` is in `1..=16`.
+        let mask: __mmask16 = u16::MAX >> (NR - tile.cols);
+        let (a, out) = (a.as_ptr(), out.as_mut_ptr());
+        // SAFETY: row `r < R` of the tile reads and writes only its
+        // `cols` lanes from `out + r * n`, which end at `(R - 1) * n +
+        // cols <= out.len()`; `b` holds NR = 16 floats; `r * k + p` is
+        // below `(R - 1) * k + depth <= a.len()`. All checked by the
+        // caller.
+        unsafe {
+            let mut acc: [__m512; R] =
+                std::array::from_fn(|r| _mm512_maskz_loadu_ps(mask, out.add(r * tile.n)));
+            for (p, b) in slab.chunks_exact(NR).enumerate() {
+                let b = _mm512_loadu_ps(b.as_ptr());
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    let av = _mm512_set1_ps(*a.add(r * tile.k + p));
+                    *acc = _mm512_add_ps(*acc, _mm512_mul_ps(av, b));
+                }
+            }
+            for (r, acc) in acc.iter().enumerate() {
+                _mm512_mask_storeu_ps(out.add(r * tile.n), mask, *acc);
+            }
         }
     }
 
@@ -1261,24 +1413,26 @@ mod simd {
         }
     }
 
-    /// The conversion loop compiled for AVX-512: 16 lanes per step.
+    /// `f()` compiled for AVX-512: the loops it inlines take 16 lanes per
+    /// step.
     ///
     /// # Safety
     ///
     /// The host must support `avx512f` and `avx512bw`.
     #[target_feature(enable = "avx512f,avx512bw")]
-    pub(crate) unsafe fn convert_avx512<T: Copy>(src: &[T], out: &mut [i8], f: impl Fn(T) -> i8) {
-        crate::convert::convert_portable(src, out, f);
+    pub(crate) unsafe fn run_avx512<R>(f: impl FnOnce() -> R) -> R {
+        f()
     }
 
-    /// The conversion loop compiled for AVX2: 8 lanes per step.
+    /// `f()` compiled for AVX2: the loops it inlines take 8 lanes per
+    /// step.
     ///
     /// # Safety
     ///
     /// The host must support `avx2`.
     #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn convert_avx2<T: Copy>(src: &[T], out: &mut [i8], f: impl Fn(T) -> i8) {
-        crate::convert::convert_portable(src, out, f);
+    pub(crate) unsafe fn run_avx2<R>(f: impl FnOnce() -> R) -> R {
+        f()
     }
 
     /// `super::interleave` in two rounds of SSE2 unpacks: bytes of rows
@@ -1301,7 +1455,7 @@ mod simd {
     /// Asserts what every `i8` tile reads and writes is in bounds, and
     /// that the depth is whole quads.
     fn check_i8_bounds<A>(a: &[A], slab: &[i8], out: &[i32], tile: Tile) {
-        check_bounds(a, out, tile);
+        check_bounds(a, out, tile, MR);
         assert!(tile.depth.is_multiple_of(QUAD), "{tile:?}");
         assert_eq!(slab.len(), tile.depth * NR);
     }
@@ -1522,8 +1676,8 @@ mod tests {
     }
 
     /// Runs `check` with SIMD permitted and again with it forced off, so
-    /// both the AVX2 tiles (where the host has AVX2) and the scalar tiles
-    /// are held to it.
+    /// both the selected SIMD tiles (where the host has them) and the
+    /// scalar tiles are held to it.
     fn with_simd_on_and_off(mut check: impl FnMut(&str)) {
         let _guard = crate::kernels::TEST_SIMD_LOCK
             .lock()
@@ -1532,6 +1686,47 @@ mod tests {
         crate::kernels::set_simd_enabled(false);
         check("simd off");
         crate::kernels::set_simd_enabled(true);
+    }
+
+    /// Every f32 tile this host can run: the scalar tile everywhere, the
+    /// SIMD tiles where their features are detected.
+    fn host_f32_tiles() -> impl Iterator<Item = F32Tile> {
+        F32Tile::ALL.into_iter().filter(|tile| tile.supported())
+    }
+
+    /// `a * b` on one explicit f32 tile, split into `threads` row bands
+    /// by the band driver.
+    fn f32_product_on(a: &Matrix, b: &Matrix, tile: F32Tile, threads: usize) -> Matrix {
+        let (m, k, n) = (a.rows(), a.cols(), b.cols());
+        let mut out = Matrix::zeros(m, n);
+        parallel_bands(
+            a.as_slice(),
+            out.as_mut_slice(),
+            (m, k, n),
+            threads,
+            |a, out, rows| f32_kernel(a, b.as_slice(), out, (rows, k, n), tile),
+        );
+        out
+    }
+
+    /// Holds every f32 tile the host has, at every thread count, to the
+    /// bits of `expected`.
+    fn assert_every_f32_tile(a: &Matrix, b: &Matrix, expected: &Matrix, what: &str) {
+        for tile in host_f32_tiles() {
+            for threads in THREADS {
+                let fast = f32_product_on(a, b, tile, threads);
+                assert_bitwise(&fast, expected, &format!("{what} x {threads}, {tile:?}"));
+            }
+        }
+    }
+
+    /// The bits of `m`, with every NaN equal to every other: which NaN an
+    /// add of two NaNs returns depends on its operand order, which the
+    /// compiler may swap.
+    fn nan_blind_bits(m: &Matrix) -> Vec<Option<u32>> {
+        m.iter()
+            .map(|v| (!v.is_nan()).then(|| v.to_bits()))
+            .collect()
     }
 
     #[test]
@@ -1564,17 +1759,17 @@ mod tests {
         });
     }
 
-    /// Tile and slab tails: `m` around the 6-row tile, `n` around the
-    /// 16-column panel (26 is the class-scoring width), `k` around the
-    /// 256-deep slab.
+    /// Tile and slab tails: `m` around the 6- and 12-row tiles, `n`
+    /// around the 16-column panel (26 is the class-scoring width), `k`
+    /// around the 256-deep slab.
     #[cfg(not(miri))]
-    const TAIL_SHAPES: ([usize; 5], [usize; 6], [usize; 6]) = (
-        [1, 5, 6, 7, 13],
+    const TAIL_SHAPES: ([usize; 7], [usize; 6], [usize; 6]) = (
+        [1, 5, 6, 7, 12, 13, 25],
         [1, 15, 16, 17, 26, 2048],
         [0, 1, 255, 256, 257, 617],
     );
     #[cfg(miri)]
-    const TAIL_SHAPES: ([usize; 2], [usize; 2], [usize; 3]) = ([1, 7], [1, 17], [0, 1, 3]);
+    const TAIL_SHAPES: ([usize; 2], [usize; 2], [usize; 3]) = ([1, 13], [1, 17], [0, 1, 3]);
 
     #[cfg(not(miri))]
     const THREADS: [usize; 4] = [1, 2, 3, 7];
@@ -1585,8 +1780,8 @@ mod tests {
     fn parallel_path_matches_reference() {
         // The band driver is called directly with explicit thread counts,
         // so the threaded path runs whatever the host's core count or the
-        // process-global thread cap; every band count must reproduce the
-        // reference's bits.
+        // process-global thread cap; every tile the host has, at every
+        // band count, must reproduce the reference's bits.
         let mut rng = DetRng::new(3);
         let (ms, ns, ks) = TAIL_SHAPES;
         for m in ms {
@@ -1595,21 +1790,59 @@ mod tests {
                     let a = Matrix::random_normal(m, k, &mut rng);
                     let b = Matrix::random_normal(k, n, &mut rng);
                     let slow = matmul_reference(&a, &b).unwrap();
-                    for simd in [simd_selected(), false] {
-                        for threads in THREADS {
-                            let mut banded = Matrix::zeros(m, n);
-                            parallel_bands(
-                                a.as_slice(),
-                                banded.as_mut_slice(),
-                                (m, k, n),
-                                threads,
-                                |a, out, rows| f32_kernel(a, b.as_slice(), out, (rows, k, n), simd),
-                            );
-                            let what = format!("({m},{k},{n}) x {threads}, simd {simd}");
-                            assert_bitwise(&banded, &slow, &what);
-                        }
-                    }
+                    assert_every_f32_tile(&a, &b, &slow, &format!("({m},{k},{n})"));
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_slabs_skip_zero_inputs_on_every_tile() {
+        // `k` spans three slabs and only the middle one holds NaN and
+        // infinities (one in each of three of every four columns), so one
+        // product runs SIMD and scalar slabs side by side. `a` is about a
+        // third zeros, and every fourth row is zero across the middle
+        // slab, so some outputs face only zeros there. Every output is
+        // held to an ascending-`p` sum that skips the zeros.
+        let (m, k, n) = if cfg!(miri) {
+            (13, 300, 17)
+        } else {
+            (25, 600, 37)
+        };
+        let mut rng = DetRng::new(11);
+        let a = Matrix::from_fn(m, k, |i, p| {
+            let v = rng.next_normal();
+            let shielded = i % 4 == 0 && (KC..2 * KC).contains(&p);
+            if shielded || rng.next_index(3) == 0 {
+                0.0
+            } else {
+                v
+            }
+        });
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let b = Matrix::from_fn(k, n, |p, j| {
+            if p == KC + j && j % 4 != 0 {
+                specials[j % 3]
+            } else {
+                (p as f32 - j as f32) / 64.0
+            }
+        });
+        let skipping = Matrix::from_fn(m, n, |i, j| {
+            (0..k)
+                .filter(|&p| a[(i, p)] != 0.0)
+                .fold(0.0, |sum, p| sum + a[(i, p)] * b[(p, j)])
+        });
+        assert!(skipping.iter().any(|v| v.is_nan()));
+        assert!(skipping.iter().any(|v| v.is_infinite()));
+        assert!(skipping.iter().any(|v| v.is_finite()));
+        for tile in host_f32_tiles() {
+            for threads in THREADS {
+                let fast = f32_product_on(&a, &b, tile, threads);
+                assert_eq!(
+                    nan_blind_bits(&fast),
+                    nan_blind_bits(&skipping),
+                    "({m},{k},{n}) x {threads}, {tile:?}"
+                );
             }
         }
     }
@@ -1939,8 +2172,28 @@ mod tests {
     }
 
     #[test]
+    fn f32_kernel_name_is_reported() {
+        let _guard = crate::kernels::TEST_SIMD_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let fastest = host_f32_tiles().next().unwrap();
+        if crate::kernels::simd_permitted() {
+            assert_eq!(selected_f32_kernel(), fastest.name());
+        }
+        assert!(["avx512", "avx2", "portable"].contains(&fastest.name()));
+        crate::kernels::set_simd_enabled(false);
+        assert_eq!(selected_f32_kernel(), "portable");
+        assert_eq!(F32Tile::selected(), F32Tile::Scalar);
+        crate::kernels::set_simd_enabled(true);
+    }
+
+    #[test]
     fn block_boundary_sizes() {
-        // Sizes straddling the 6-row tile, 16-column panel and 256-deep slab.
+        // Sizes straddling the 6- and 12-row tiles, the 16-column panel
+        // and the 256-deep slab, on every f32 tile the host has; then the
+        // workload shapes: the host encode (700 training rows, 617
+        // features, d = 2048), a calibration pass (256 rows) and the class
+        // scoring (26 classes).
         let shapes: &[(usize, usize, usize)] = if cfg!(miri) {
             &[(7, 5, 17), (1, 9, 1)]
         } else {
@@ -1950,6 +2203,10 @@ mod tests {
                 (65, 63, 66),
                 (1, 128, 1),
                 (13, 513, 33),
+                (13, 100, 37),
+                (700, 617, 2048),
+                (256, 617, 2048),
+                (700, 2048, 26),
             ]
         };
         for &(m, k, n) in shapes {
@@ -1958,7 +2215,9 @@ mod tests {
             let b = Matrix::random_normal(k, n, &mut rng);
             let fast = matmul(&a, &b).unwrap();
             let slow = matmul_reference(&a, &b).unwrap();
-            assert_bitwise(&fast, &slow, &format!("({m},{k},{n})"));
+            let what = format!("({m},{k},{n})");
+            assert_bitwise(&fast, &slow, &what);
+            assert_every_f32_tile(&a, &b, &slow, &what);
         }
     }
 }

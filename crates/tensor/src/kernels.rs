@@ -165,6 +165,31 @@ pub fn i8_gemm_kernel_name() -> &'static str {
     crate::gemm::selected_i8_kernel()
 }
 
+/// Runs `f` with the loops it inlines compiled for the widest vector
+/// width the host has: AVX-512, AVX2, or the build's baseline (SSE2 on
+/// x86-64), the widths and selection of the int8 conversion kernel
+/// ([`crate::convert`]). [`set_simd_enabled`]`(false)`, `HD_NO_SIMD` and
+/// Miri select the baseline. `f` runs once, on the calling thread.
+///
+/// This lets safe code outside this crate use instructions the baseline
+/// lacks (`i32` multiply, min and max per lane) without `unsafe` code of
+/// its own; the compiler vectorizes only what keeps the results, so they
+/// are the same at every width. Mark the closure `#[inline(always)]`,
+/// and the functions it calls: code the compiler leaves out of line
+/// runs at the baseline's width.
+pub fn at_widest_width<R>(f: impl FnOnce() -> R) -> R {
+    crate::gemm::run_on(crate::convert::Width::selected(), f)
+}
+
+/// Name of the `f32` GEMM tile the dispatcher would select right now:
+/// `"avx512"` (one `zmm` per output row, AVX-512F), `"avx2"`, or
+/// `"portable"` (the scalar tile, also what [`set_simd_enabled`]`(false)`
+/// and `HD_NO_SIMD` select). A slab of `b` holding NaN or an infinity
+/// runs on the scalar tile whatever this names.
+pub fn f32_gemm_kernel_name() -> &'static str {
+    crate::gemm::selected_f32_kernel()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
