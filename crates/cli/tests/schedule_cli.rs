@@ -5,10 +5,10 @@
 //! schedules exits 0, and a model that does not fit its buffer exits 1.
 //! How the verifier reports a deliberately undersized channel is pinned
 //! by the unit tests beside `run_verify_schedule` and
-//! `run_verify_model_check`. Both clean text reports are pinned as exact
-//! snapshots: the analysis and the exploration are deterministic (no
-//! wall clock, no randomness), so the solved facts and the
-//! state/transition counts are stable and any silent change to them
+//! `run_verify_model_check`. Both clean reports, text and JSON, are
+//! pinned as exact snapshots: the analysis and the exploration are
+//! deterministic (no wall clock, no randomness), so the solved facts and
+//! the state/transition counts are stable and any silent change to them
 //! fails here. Zero `--members` or `--depth` is a usage error.
 
 use std::process::{Command, Output};
@@ -118,21 +118,35 @@ fn json_output_carries_repetition_vectors_and_channel_bounds() {
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let stdout = String::from_utf8(out.stdout).unwrap();
     // Solved facts, not just pass/fail: every schedule lists its
-    // repetition vector and each channel's declared/minimal capacity.
-    assert!(stdout.starts_with("{\"schedules\": ["), "{stdout}");
-    for needle in [
-        "\"name\": \"overlapped-invoke\"",
-        "\"name\": \"parallel-members\"",
-        "\"name\": \"two-device-serve\"",
-        "{\"stage\": \"member\", \"firings\": 8}",
-        "{\"channel\": \"encode -> score\", \"declared\": 2, \"minimum\": 1}",
-        "{\"channel\": \"dma_in -> compute\", \"declared\": 2, \"minimum\": 1}",
-        "{\"channel\": \"plan -> member\", \"declared\": 8, \"minimum\": 8}",
-        "\"critical_path_s\": ",
-        "\"diagnostics\": [",
-    ] {
-        assert!(stdout.contains(needle), "missing {needle} in:\n{stdout}");
-    }
+    // repetition vector, each channel's declared/minimal capacity and
+    // its critical path, pinned verbatim like the text report.
+    assert_eq!(
+        stdout,
+        "{\"schedules\": [\
+         {\"name\": \"overlapped-invoke\", \"repetition\": [\
+         {\"stage\": \"dma_in\", \"firings\": 1}, \
+         {\"stage\": \"compute\", \"firings\": 1}, \
+         {\"stage\": \"dma_out\", \"firings\": 1}], \
+         \"channels\": [\
+         {\"channel\": \"dma_in -> compute\", \"declared\": 2, \"minimum\": 1}, \
+         {\"channel\": \"compute -> dma_out\", \"declared\": 2, \"minimum\": 1}], \
+         \"critical_path_s\": 0.0091272}, \
+         {\"name\": \"parallel-members\", \"repetition\": [\
+         {\"stage\": \"plan\", \"firings\": 1}, \
+         {\"stage\": \"member\", \"firings\": 8}, \
+         {\"stage\": \"merge\", \"firings\": 1}], \
+         \"channels\": [\
+         {\"channel\": \"plan -> member\", \"declared\": 8, \"minimum\": 8}, \
+         {\"channel\": \"member -> merge\", \"declared\": 8, \"minimum\": 8}], \
+         \"critical_path_s\": 0.9260373333333333}, \
+         {\"name\": \"two-device-serve\", \"repetition\": [\
+         {\"stage\": \"encode\", \"firings\": 1}, \
+         {\"stage\": \"score\", \"firings\": 1}], \
+         \"channels\": [\
+         {\"channel\": \"encode -> score\", \"declared\": 2, \"minimum\": 1}], \
+         \"critical_path_s\": 0.0091272}], \
+         \"diagnostics\": [\n]}\n"
+    );
 }
 
 #[test]
@@ -157,17 +171,22 @@ fn model_check_json_carries_exploration_statistics() {
     let out = run_verify(&["--model-check", "--format", "json"]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.starts_with("{\"model_check\": ["), "{stdout}");
-    for needle in [
-        "\"graph\": \"overlapped-invoke\"",
-        "\"graph\": \"two-device-serve\"",
-        "\"explored\": {\"states\": 158, \"transitions\": 210, \"max_depth\": 17, \
-         \"truncated\": false}",
-        "\"violations\": 0",
-        "\"diagnostics\": [",
-    ] {
-        assert!(stdout.contains(needle), "missing {needle} in:\n{stdout}");
-    }
+    // Pinned verbatim, state/transition counts included, like the text
+    // report.
+    assert_eq!(
+        stdout,
+        "{\"model_check\": [\
+         {\"graph\": \"overlapped-invoke\", \"explored\": \
+         {\"states\": 158, \"transitions\": 210, \"max_depth\": 17, \"truncated\": false}, \
+         \"violations\": 0}, \
+         {\"graph\": \"parallel-members\", \"explored\": \
+         {\"states\": 6487, \"transitions\": 14734, \"max_depth\": 87, \"truncated\": false}, \
+         \"violations\": 0}, \
+         {\"graph\": \"two-device-serve\", \"explored\": \
+         {\"states\": 46, \"transitions\": 55, \"max_depth\": 10, \"truncated\": false}, \
+         \"violations\": 0}], \
+         \"diagnostics\": [\n]}\n"
+    );
 }
 
 #[test]

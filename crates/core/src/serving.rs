@@ -38,22 +38,41 @@ use hd_dataflow::runtime::{
     SupervisedFn, Supervision,
 };
 use hd_tensor::{ops, Matrix};
-use hdc::{Encoder, HdcModel};
+use hdc::HdcModel;
 use tpu_sim::timing::ModelDims;
 use tpu_sim::{Device, DeviceConfig};
-use wide_nn::compile;
+use wide_nn::{compile, CompiledModel, QuantizedModel, TargetSpec};
 
-use crate::backend::{fingerprint, CALIBRATION_ROWS};
+use crate::backend::CALIBRATION_ROWS;
 use crate::config::PipelineConfig;
 use crate::fleet::{DeviceFaultSummary, DevicePool, StageSeat};
 use crate::schedule;
 use crate::wide_model;
 
-/// Fingerprint tags for the two serving half-networks (distinct from the
-/// TPU backend's encoder/inference tags so pool keys never collide with
-/// cache keys conceptually, even though the stores are separate).
-const TAG_SERVE_ENCODER: u64 = 11;
-const TAG_SERVE_SCORE: u64 = 12;
+/// Pool keys of the two halves; the pool is the server's own.
+const ENCODER_KEY: u64 = 0;
+const SCORE_KEY: u64 = 1;
+
+/// Compiles the paper's one inference network `F -> tanh(F x B) x C`
+/// over up to [`CALIBRATION_ROWS`] `calibration` rows and splits its
+/// stages at the hidden layer: the encoder half keeps the network's input
+/// quantization, the scoring half reads the encoder half's output
+/// quantization, and lowering recomputes each half's range report.
+fn compile_halves(
+    model: &HdcModel,
+    calibration: &Matrix,
+    target: &TargetSpec,
+) -> crate::Result<[CompiledModel; 2]> {
+    let calibration = calibration.slice_rows(0, calibration.rows().min(CALIBRATION_ROWS))?;
+    let compiled = compile::compile(&wide_model::inference_network(model)?, &calibration, target)?;
+    let network = compiled.quantized();
+    let (encode, score) = network.stages().split_at(network.stages().len() - 1);
+    let (n, d, k) = (network.input_dim(), model.dim(), network.output_dim());
+    let encoder = QuantizedModel::from_parts(n, d, network.input_params(), encode.to_vec())?;
+    let scorer = QuantizedModel::from_parts(d, k, encoder.output_params()?, score.to_vec())?;
+    let lower = |half| CompiledModel::lower(half, target);
+    Ok([lower(encoder)?, lower(scorer)?])
+}
 
 /// The encode stage's supervised executor: slice the firing's chunk out
 /// of the batch (derived from `ctx.firing`, so retries are idempotent)
@@ -205,9 +224,9 @@ impl ServeOutcome {
 /// scoring half-network on device 1, driven chunk by chunk through the
 /// declared two-device serve schedule under per-stage supervision.
 ///
-/// Both halves are compiled once at construction, registered with the
-/// pool as pristine reload/fallback copies, and loaded onto their
-/// devices, and the serve session's score worker starts then too, so
+/// Both halves come from one compile at construction, are registered
+/// with the pool as pristine reload/fallback copies and are loaded onto
+/// their devices; the serve session's score worker starts then too, so
 /// repeated [`predict`](TwoDeviceServer::predict) calls pay invocation
 /// cost only. Each request leases the two stage seats and releases them
 /// when it ends, so between requests no device is leased. Requests to
@@ -230,11 +249,10 @@ pub struct TwoDeviceServer {
 }
 
 impl TwoDeviceServer {
-    /// Compiles the model's two half-networks onto a two-device pool
-    /// (ordinals 0 and 1 — the resources the declared schedule's stages
-    /// are pinned to). `calibration` rows calibrate the encoder half
-    /// directly; the scoring half calibrates on their host-encoded
-    /// image, since its inputs live in hypervector space.
+    /// Compiles the model's inference network once, over up to
+    /// [`CALIBRATION_ROWS`] `calibration` rows, and serves its two halves
+    /// from a two-device pool (ordinals 0 and 1 — the resources the
+    /// declared schedule's stages are pinned to).
     ///
     /// Both device ledgers are reset after the models load, so measured
     /// elapsed time covers invocations only — directly comparable to
@@ -267,41 +285,24 @@ impl TwoDeviceServer {
         spares: usize,
     ) -> crate::Result<Self> {
         config.validate()?;
-        let rows = calibration.rows().min(CALIBRATION_ROWS);
-        let feature_cal = calibration.slice_rows(0, rows)?;
-        let encoded_cal = model.encoder().encode(&feature_cal)?;
-        let encoder_compiled = compile::compile(
-            &wide_model::encoder_network(model.encoder())?,
-            &feature_cal,
-            &config.device.target,
-        )?;
-        let score_compiled = compile::compile(
-            &wide_model::scoring_network(model)?,
-            &encoded_cal,
-            &config.device.target,
-        )?;
-        let encoder_dims = ModelDims::from_compiled(&encoder_compiled);
-        let score_dims = ModelDims::from_compiled(&score_compiled);
-        let encoder_key = fingerprint(TAG_SERVE_ENCODER, &[&feature_cal]);
-        let score_key = fingerprint(TAG_SERVE_SCORE, &[&encoded_cal]);
+        let [encoder, scorer] = compile_halves(model, calibration, &config.device.target)?;
+        let encoder_dims = ModelDims::from_compiled(&encoder);
+        let score_dims = ModelDims::from_compiled(&scorer);
 
         let pool = Arc::new(DevicePool::new(
             &config.device,
             2 + spares,
             config.quarantine_threshold,
         ));
-        pool.register(encoder_key, encoder_compiled);
-        pool.register(score_key, score_compiled);
+        pool.register(ENCODER_KEY, encoder);
+        pool.register(SCORE_KEY, scorer);
         // Seat the halves on their schedule resources now (encoder →
         // device 0, score → device 1 by the pool's placement order) so
         // construction pays the load cost once, then release the leases
         // for predict-time seating.
-        let encode_seat = StageSeat::new(Arc::clone(&pool), encoder_key)?;
-        let score_seat = Arc::new(StageSeat::new(Arc::clone(&pool), score_key)?);
-        debug_assert_eq!(
-            (encode_seat.ordinal(), score_seat.ordinal()),
-            (Some(0), Some(1))
-        );
+        let encode_seat = StageSeat::new(Arc::clone(&pool), ENCODER_KEY)?;
+        let score_seat = Arc::new(StageSeat::new(Arc::clone(&pool), SCORE_KEY)?);
+        debug_assert!(encode_seat.ordinal() == Some(0) && score_seat.ordinal() == Some(1));
         encode_seat.release();
         score_seat.release();
         pool.device(0).reset_ledger();
@@ -454,15 +455,13 @@ impl TwoDeviceServer {
     /// Device errors (batch width mismatch, injected faults — this
     /// reference carries no resilience) or shape errors.
     pub fn predict_sequential(&self, features: &Matrix) -> crate::Result<Vec<usize>> {
-        let encode_device = self.pool.device(0);
-        let score_device = self.pool.device(1);
         let mut predictions = Vec::with_capacity(features.rows());
         let mut start = 0;
         while start < features.rows() {
             let end = (start + self.chunk).min(features.rows());
             let part = features.slice_rows(start, end)?;
-            let (encoded, _) = encode_device.invoke_overlapped(&part)?;
-            let (scores, _) = score_device.invoke_overlapped(&encoded)?;
+            let (encoded, _) = self.encode_device().invoke_overlapped(&part)?;
+            let (scores, _) = self.score_device().invoke_overlapped(&encoded)?;
             for r in 0..scores.rows() {
                 predictions.push(ops::argmax(scores.row(r))?);
             }
@@ -524,6 +523,45 @@ mod tests {
         let config = TrainConfig::new(256).with_iterations(4).with_seed(72);
         let (model, _) = HdcModel::fit(&features, &labels, 3, &config).unwrap();
         (model, features)
+    }
+
+    #[test]
+    fn split_halves_equal_the_separately_compiled_halves() {
+        let (model, features) = trained();
+        let config = PipelineConfig::new(256);
+        let target = &config.device.target;
+        let [encoder, scorer] = compile_halves(&model, &features, target).unwrap();
+        let encoder_network = wide_model::encoder_network(model.encoder()).unwrap();
+        let scoring_network = wide_model::scoring_network(&model).unwrap();
+        let encoded = hdc::Encoder::encode(model.encoder(), &features).unwrap();
+        // `PartialEq` covers the stages, both quantizations and the range
+        // report.
+        assert_eq!(
+            encoder,
+            compile::compile(&encoder_network, &features, target).unwrap()
+        );
+        assert_eq!(
+            scorer,
+            compile::compile(&scoring_network, &encoded, target).unwrap()
+        );
+        assert_eq!(
+            scorer.quantized().input_params(),
+            encoder.quantized().output_params().unwrap()
+        );
+
+        // The server registers these halves under its two keys: same
+        // shapes, same int8 outputs.
+        let server = TwoDeviceServer::new(&model, &config, &features).unwrap();
+        let pool = server.pool();
+        assert_eq!(pool.model_count(), 2);
+        for (key, half, input) in [
+            (ENCODER_KEY, &encoder, &features),
+            (SCORE_KEY, &scorer, &encoded),
+        ] {
+            assert_eq!(pool.model_dims(key), Some(ModelDims::from_compiled(half)));
+            let expected = half.quantized().forward(input).unwrap();
+            assert_eq!(pool.host_forward(key, input).unwrap(), expected);
+        }
     }
 
     #[test]

@@ -69,10 +69,11 @@ pub fn inference_network(model: &HdcModel) -> Result<Model> {
 
 /// Builds the *second half* of the wide network on its own: the scoring
 /// model `H -> H x C` that maps encoded hypervectors to class scores.
-/// Together with [`encoder_network`] this splits [`inference_network`]
-/// across two accelerators — the two-device serving schedule places
-/// encoding on one device and scoring on the other so their invocations
-/// overlap chunk by chunk.
+/// Together with [`encoder_network`] it is [`inference_network`] cut at
+/// the hidden layer. The two-device server does not compile it: it splits
+/// one compile of [`inference_network`] there, and its scoring half
+/// equals this network compiled on its own over the encoded calibration
+/// rows.
 ///
 /// # Errors
 ///

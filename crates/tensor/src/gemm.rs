@@ -195,26 +195,23 @@ pub fn set_thread_cap(threads: usize) {
 
 /// The worker-thread budget currently in effect: hardware parallelism,
 /// clamped by [`set_thread_cap`] and by the `HD_THREADS` environment
-/// variable (when set to a positive integer). The hardware count is read
-/// once per process (each read walks the cgroup files, tens of
-/// microseconds); the cap and the variable apply on every call.
+/// variable (when set to a positive integer). The hardware count and the
+/// variable are read once per process (a hardware read walks the cgroup
+/// files, tens of microseconds; a variable read takes the environment
+/// lock); the cap applies on every call.
 pub fn available_threads() -> usize {
-    static HARDWARE: OnceLock<usize> = OnceLock::new();
-    let mut threads = *HARDWARE.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+    static PROCESS_BUDGET: OnceLock<usize> = OnceLock::new();
+    let mut threads = *PROCESS_BUDGET.get_or_init(|| {
+        let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
+        std::env::var("HD_THREADS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&n| n >= 1)
+            .map_or(hardware, |env_cap| hardware.min(env_cap))
     });
     let cap = THREAD_CAP.load(Ordering::Relaxed);
     if cap > 0 {
         threads = threads.min(cap);
-    }
-    if let Some(env_cap) = std::env::var("HD_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-    {
-        threads = threads.min(env_cap);
     }
     threads.max(1)
 }

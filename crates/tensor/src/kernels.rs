@@ -28,6 +28,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Monotone count of rows scored through the packed Hamming kernel.
 static PACKED_SCORE_ROWS: AtomicU64 = AtomicU64::new(0);
@@ -149,13 +150,16 @@ pub fn set_simd_enabled(enabled: bool) {
 
 /// Whether SIMD kernels are permitted right now: not disabled via
 /// [`set_simd_enabled`] and not vetoed by the `HD_NO_SIMD` environment
-/// variable. Target-feature detection happens separately at the dispatch
-/// site; this is only the policy half.
+/// variable. The variable is read once per process (each read takes the
+/// environment lock); the switch applies on every call. Target-feature
+/// detection happens separately at the dispatch site; this is only the
+/// policy half.
 pub fn simd_permitted() -> bool {
-    if SIMD_DISABLED.load(Ordering::Relaxed) {
-        return false;
-    }
-    std::env::var_os("HD_NO_SIMD").is_none_or(|v| v.is_empty() || v == "0")
+    static ENV_VETO: OnceLock<bool> = OnceLock::new();
+    !SIMD_DISABLED.load(Ordering::Relaxed)
+        && !*ENV_VETO.get_or_init(|| {
+            std::env::var_os("HD_NO_SIMD").is_some_and(|v| !v.is_empty() && v != "0")
+        })
 }
 
 /// Name of the `i8` GEMM tile the dispatcher would select right now:
