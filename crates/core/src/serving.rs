@@ -41,7 +41,7 @@ use hd_tensor::{ops, Matrix};
 use hdc::HdcModel;
 use tpu_sim::timing::ModelDims;
 use tpu_sim::{Device, DeviceConfig};
-use wide_nn::{compile, CompiledModel, QuantizedModel, TargetSpec};
+use wide_nn::{CompiledModel, QuantizedModel, TargetSpec};
 
 use crate::backend::CALIBRATION_ROWS;
 use crate::config::PipelineConfig;
@@ -53,19 +53,20 @@ use crate::wide_model;
 const ENCODER_KEY: u64 = 0;
 const SCORE_KEY: u64 = 1;
 
-/// Compiles the paper's one inference network `F -> tanh(F x B) x C`
+/// Quantizes the paper's one inference network `F -> tanh(F x B) x C`
 /// over up to [`CALIBRATION_ROWS`] `calibration` rows and splits its
 /// stages at the hidden layer: the encoder half keeps the network's input
 /// quantization, the scoring half reads the encoder half's output
-/// quantization, and lowering recomputes each half's range report.
+/// quantization, and lowering recomputes each half's range report and
+/// checks it against the buffer of the one device it goes on (the whole
+/// network need not fit one device).
 fn compile_halves(
     model: &HdcModel,
     calibration: &Matrix,
     target: &TargetSpec,
 ) -> crate::Result<[CompiledModel; 2]> {
     let calibration = calibration.slice_rows(0, calibration.rows().min(CALIBRATION_ROWS))?;
-    let compiled = compile::compile(&wide_model::inference_network(model)?, &calibration, target)?;
-    let network = compiled.quantized();
+    let network = QuantizedModel::quantize(&wide_model::inference_network(model)?, &calibration)?;
     let (encode, score) = network.stages().split_at(network.stages().len() - 1);
     let (n, d, k) = (network.input_dim(), model.dim(), network.output_dim());
     let encoder = QuantizedModel::from_parts(n, d, network.input_params(), encode.to_vec())?;
@@ -224,7 +225,7 @@ impl ServeOutcome {
 /// scoring half-network on device 1, driven chunk by chunk through the
 /// declared two-device serve schedule under per-stage supervision.
 ///
-/// Both halves come from one compile at construction, are registered
+/// Both halves come from one quantization at construction, are registered
 /// with the pool as pristine reload/fallback copies and are loaded onto
 /// their devices; the serve session's score worker starts then too, so
 /// repeated [`predict`](TwoDeviceServer::predict) calls pay invocation
@@ -249,10 +250,13 @@ pub struct TwoDeviceServer {
 }
 
 impl TwoDeviceServer {
-    /// Compiles the model's inference network once, over up to
+    /// Quantizes the model's inference network once, over up to
     /// [`CALIBRATION_ROWS`] `calibration` rows, and serves its two halves
     /// from a two-device pool (ordinals 0 and 1 — the resources the
-    /// declared schedule's stages are pinned to).
+    /// declared schedule's stages are pinned to). Each half is checked
+    /// against the parameter buffer of its own device, so a model whose
+    /// halves each fit one device serves even if the whole network would
+    /// not.
     ///
     /// Both device ledgers are reset after the models load, so measured
     /// elapsed time covers invocations only — directly comparable to
@@ -302,7 +306,10 @@ impl TwoDeviceServer {
         // for predict-time seating.
         let encode_seat = StageSeat::new(Arc::clone(&pool), ENCODER_KEY)?;
         let score_seat = Arc::new(StageSeat::new(Arc::clone(&pool), SCORE_KEY)?);
-        debug_assert!(encode_seat.ordinal() == Some(0) && score_seat.ordinal() == Some(1));
+        debug_assert_eq!(
+            (encode_seat.ordinal(), score_seat.ordinal()),
+            (Some(0), Some(1))
+        );
         encode_seat.release();
         score_seat.release();
         pool.device(0).reset_ledger();
@@ -455,13 +462,15 @@ impl TwoDeviceServer {
     /// Device errors (batch width mismatch, injected faults — this
     /// reference carries no resilience) or shape errors.
     pub fn predict_sequential(&self, features: &Matrix) -> crate::Result<Vec<usize>> {
+        let encode_device = self.pool.device(0);
+        let score_device = self.pool.device(1);
         let mut predictions = Vec::with_capacity(features.rows());
         let mut start = 0;
         while start < features.rows() {
             let end = (start + self.chunk).min(features.rows());
             let part = features.slice_rows(start, end)?;
-            let (encoded, _) = self.encode_device().invoke_overlapped(&part)?;
-            let (scores, _) = self.score_device().invoke_overlapped(&encoded)?;
+            let (encoded, _) = encode_device.invoke_overlapped(&part)?;
+            let (scores, _) = score_device.invoke_overlapped(&encoded)?;
             for r in 0..scores.rows() {
                 predictions.push(ops::argmax(scores.row(r))?);
             }
@@ -512,6 +521,7 @@ mod tests {
     use hd_tensor::rng::DetRng;
     use hdc::TrainConfig;
     use tpu_sim::FaultConfig;
+    use wide_nn::{compile, NnError};
 
     fn trained() -> (HdcModel, Matrix) {
         let mut rng = DetRng::new(71);
@@ -562,6 +572,30 @@ mod tests {
             let expected = half.quantized().forward(input).unwrap();
             assert_eq!(pool.host_forward(key, input).unwrap(), expected);
         }
+    }
+
+    #[test]
+    fn each_half_needs_only_its_own_device_buffer() {
+        let (model, features) = trained();
+        let mut config = PipelineConfig::new(256);
+        let [encoder, scorer] = compile_halves(&model, &features, &config.device.target).unwrap();
+        let largest = encoder.param_bytes().max(scorer.param_bytes());
+        assert!(encoder.param_bytes() + scorer.param_bytes() > largest);
+        config.device.target.param_buffer_bytes = largest;
+        let whole = wide_model::inference_network(&model).unwrap();
+        assert!(matches!(
+            compile::compile(&whole, &features, &config.device.target),
+            Err(NnError::ModelTooLarge { .. })
+        ));
+        let server = TwoDeviceServer::new(&model, &config, &features).unwrap();
+        assert_eq!(
+            server.predict(&features).unwrap(),
+            server.predict_sequential(&features).unwrap()
+        );
+
+        // One byte less and the larger half fits no device.
+        config.device.target.param_buffer_bytes = largest - 1;
+        assert!(TwoDeviceServer::new(&model, &config, &features).is_err());
     }
 
     #[test]

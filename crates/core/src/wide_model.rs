@@ -71,7 +71,7 @@ pub fn inference_network(model: &HdcModel) -> Result<Model> {
 /// model `H -> H x C` that maps encoded hypervectors to class scores.
 /// Together with [`encoder_network`] it is [`inference_network`] cut at
 /// the hidden layer. The two-device server does not compile it: it splits
-/// one compile of [`inference_network`] there, and its scoring half
+/// one quantization of [`inference_network`] there, and its scoring half
 /// equals this network compiled on its own over the encoded calibration
 /// rows.
 ///
