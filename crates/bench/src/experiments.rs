@@ -378,9 +378,10 @@ pub fn table2() -> ResultTable {
 /// the rate. The resilient column routes the same physical rate through
 /// the detected-fault model (parity-checked weight SRAM): an invoke
 /// observes an upset with probability `1 - (1 - rate)^bits`, and the
-/// backend's retry / pristine-reload / CPU-fallback policy recovers, so
-/// accuracy holds at the fault-free level while the ledger columns count
-/// the price paid on the simulated clock.
+/// backend's retry / pristine-reload / int8-host-fallback policy
+/// recovers, so accuracy holds at the fault-free level (the host executor
+/// gives the device's bits) while the ledger columns count the price paid
+/// on the simulated clock.
 pub fn fig_fault() -> ResultTable {
     let mut t = ResultTable::new(
         "Fig. fault: weight-fault rate vs accuracy — silent vs detected + recovered (ISOLET)",

@@ -105,8 +105,8 @@ pub struct BackendLedger {
     pub retries: u64,
     /// Device faults observed (every failed attempt, retried or not).
     pub faults_observed: u64,
-    /// Invocations degraded to the host CPU after the device was
-    /// quarantined.
+    /// Encode or predict calls that ended on the int8 host executor after
+    /// the device was quarantined.
     pub fallbacks: u64,
     /// Simulated seconds spent backing off between retries (also included
     /// in the affected phase's seconds).

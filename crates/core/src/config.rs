@@ -67,8 +67,8 @@ pub struct PipelineConfig {
     pub supervision: Supervision,
     /// Consecutive failed device attempts after which a
     /// [`DevicePool`](crate::DevicePool) quarantines the device (for the
-    /// accelerator backend's one-device pool: degrades to the host).
-    /// Successes reset the count.
+    /// accelerator backend's one-device pool: drains to the int8 host
+    /// executor). Successes reset the count.
     pub quarantine_threshold: u32,
     /// What the bagged settings do with an ensemble member whose backend
     /// failed permanently.

@@ -12,8 +12,9 @@
 //! device is quarantined mid-run, its remaining firings re-bind to a
 //! sibling holding (or loading) the same compiled model, falling back
 //! to the bit-exact host executor only when the pool is exhausted. The
-//! single-device [`TpuBackend`](crate::TpuBackend) runs on a pool of
-//! one, where quarantine means degrading to the host.
+//! single-device [`TpuBackend`](crate::TpuBackend) invokes through a
+//! [`StageSeat`] on a pool of one, where quarantine means draining to
+//! the host executor.
 //!
 //! The host fallback is [`CompiledModel::quantized`]'s int8 forward —
 //! the exact arithmetic the simulated device executes — so a drained or

@@ -210,6 +210,30 @@ pub fn serial_device_s(
     })
 }
 
+/// Host seconds to run `rows` rows through a compiled int8 model of
+/// shape `dims` on the pool's host executor
+/// ([`DevicePool::host_forward`](crate::DevicePool::host_forward)), the
+/// fallback of a quarantined device: a GEMM per fully-connected layer, a
+/// `tanh` per activation layer, and the input quantize and output
+/// dequantize a device invocation is charged too.
+#[must_use]
+pub(crate) fn host_forward_s(spec: &PlatformSpec, dims: &ModelDims, rows: usize) -> f64 {
+    let gemms: f64 = dims
+        .fc_layers
+        .iter()
+        .map(|&(k, n)| cost::gemm_s(spec, rows, k, n))
+        .sum();
+    let activations: f64 = dims
+        .lut_widths
+        .iter()
+        .map(|&width| cost::tanh_s(spec, rows * width))
+        .sum();
+    gemms
+        + activations
+        + cost::quantize_s(spec, rows * dims.input_dim)
+        + cost::quantize_s(spec, rows * dims.output_dim)
+}
+
 /// Training breakdown for the **TPU setting**: the training set encodes
 /// on the accelerator (plus host-side int8 quantize/dequantize around the
 /// invocations), updates stay on the host, and the one-time costs cover
@@ -550,6 +574,21 @@ mod tests {
 
     fn default_profile() -> UpdateProfile {
         UpdateProfile::geometric(20, 0.5, 0.75)
+    }
+
+    #[test]
+    fn host_forward_is_the_host_inference_plus_the_device_quantize_terms() {
+        let spec = Platform::MobileI5.spec();
+        let (rows, n, d, k) = (40, 617, 2048, 26);
+        let quantize = cost::quantize_s(&spec, rows * n) + cost::quantize_s(&spec, rows * k);
+        let expected =
+            cost::encode_s(&spec, rows, n, d) + cost::similarity_s(&spec, rows, d, k) + quantize;
+        let got = host_forward_s(&spec, &ModelDims::inference(n, d, k), rows);
+        assert!(
+            (got - expected).abs() <= 1e-12 * expected,
+            "{got} vs {expected}"
+        );
+        assert_eq!(host_forward_s(&spec, &ModelDims::encoder(n, d), 0), 0.0);
     }
 
     #[test]

@@ -34,8 +34,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use hd_dataflow::runtime::{
-    self, Binding, ExecutablePlan, Fire, FiringCtx, RunError, StageSupervision, Supervised,
-    SupervisedFn, Supervision,
+    self, Binding, ExecutablePlan, Fire, FiringCtx, StageSupervision, Supervised, SupervisedFn,
+    Supervision,
 };
 use hd_tensor::{ops, Matrix};
 use hdc::HdcModel;
@@ -393,8 +393,9 @@ impl TwoDeviceServer {
     /// # Errors
     ///
     /// Non-fault device errors (e.g. batch width mismatch) or shape
-    /// errors; injected device faults are absorbed by supervision and
-    /// the fleet's failover instead.
+    /// errors, as a [`FrameworkError::Stage`](crate::FrameworkError::Stage)
+    /// naming the stage, firing and attempts; injected device faults are
+    /// absorbed by supervision and the fleet's failover instead.
     pub fn predict_supervised(&self, features: &Matrix) -> crate::Result<ServeOutcome> {
         let rows = features.rows();
         let chunk = self.chunk;
@@ -414,12 +415,7 @@ impl TwoDeviceServer {
         let run = session.run(&plan, chunks, encode);
         drop(leases);
         let predictions = std::mem::take(&mut *self.predictions.lock());
-        let report = run.map_err(|e| match e {
-            RunError::Stage { error, .. } => error,
-            RunError::Protocol { stage, message } => crate::FrameworkError::InvalidConfig(format!(
-                "serve schedule protocol violation at stage {stage}: {message}"
-            )),
-        })?;
+        let report = run?;
 
         let quarantined = self.pool.quarantined();
         let degraded = quarantined != quarantined_before;

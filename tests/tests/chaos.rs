@@ -7,7 +7,8 @@
 //!   budget produce a model and predictions *bit-exact* with a fault-free
 //!   run (detected faults are charged time, never numerics),
 //! * **graceful degradation** — a dead device trips the circuit breaker
-//!   and the host fallback reproduces the all-CPU baseline exactly,
+//!   and the pool's int8 host executor reproduces the fault-free TPU run
+//!   exactly,
 //! * **reproducibility** — the same seed replays the identical
 //!   `FaultTrace`, ledger, model, and predictions, across independent
 //!   pipelines (property-tested over seeds and rates).
@@ -100,14 +101,14 @@ fn retried_transient_faults_converge_bit_exact() {
 }
 
 #[test]
-fn tripped_breaker_reproduces_the_cpu_baseline() {
+fn tripped_breaker_reproduces_the_fault_free_tpu_run() {
     let (features, labels) = dataset(12);
-    let cpu = Pipeline::new(chaos_config(9));
-    let cpu_outcome = cpu
-        .train(&features, &labels, CLASSES, ExecutionSetting::CpuBaseline)
+    let clean = Pipeline::new(chaos_config(9));
+    let clean_outcome = clean
+        .train(&features, &labels, CLASSES, ExecutionSetting::Tpu)
         .unwrap();
-    let cpu_preds = cpu
-        .infer(&cpu_outcome.model, &features, ExecutionSetting::CpuBaseline)
+    let clean_preds = clean
+        .infer(&clean_outcome.model, &features, ExecutionSetting::Tpu)
         .unwrap()
         .predictions;
 
@@ -128,12 +129,12 @@ fn tripped_breaker_reproduces_the_cpu_baseline() {
     assert!(dead.backends().hybrid().tpu().breaker_open());
     assert!(outcome.ledger.fallbacks > 0);
     assert_eq!(
-        outcome.model, cpu_outcome.model,
-        "host fallback must train the exact all-CPU model"
+        outcome.model, clean_outcome.model,
+        "host fallback must train the fault-free TPU model"
     );
     assert_eq!(
-        preds, cpu_preds,
-        "host fallback predictions must equal CpuBackend's"
+        preds, clean_preds,
+        "host fallback predictions must equal the fault-free device's"
     );
 }
 
